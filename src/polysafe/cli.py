@@ -345,7 +345,7 @@ def _sweep(scenario: Scenario, data, safe_set, methods) -> dict:
             kwargs = {}
         try:
             levels[method] = synthesis.minimal_contraction(
-                data, safe_set, method=method, tol=1e-3, **kwargs)
+                data, safe_set, method=method, **kwargs)
         except (NoFeasibleContractionError, RankDeficientDataError):
             levels[method] = None
     return levels
@@ -562,8 +562,7 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, methods=None) -> int:
             return EXIT_INFEASIBLE
     levels = _sweep(scenario, data, safe_set, methods)
     _write_json(out_dir / "summary.json", {
-        "command": "sweep-lambda", "status": "ok",
-        "tolerance": 1e-3, "min_levels": levels,
+        "command": "sweep-lambda", "status": "ok", "min_levels": levels,
     })
     print("minimal feasible levels: "
           + ", ".join(f"{m}={'-' if v is None else format(v, '.4f')}"

@@ -152,14 +152,22 @@ def enumerate_vertices(safe_set: PolyhedralSet, tol: float = TOL_GEOM) -> list[n
     return vertices
 
 
-def sample_grid(safe_set: PolyhedralSet, resolution, tol: float = TOL_GEOM) -> np.ndarray:
+def grid_resolution(dim: int) -> tuple:
+    """Default points per axis: about as many points in total as a 101 x 101 grid."""
+    return (round(101 ** (2.0 / dim)),) * dim
+
+
+def sample_grid(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM) -> np.ndarray:
     """Uniform grid over the interval enclosure, filtered to set members.
 
-    ``resolution`` gives the number of points per axis (each >= 2).  Points
+    ``resolution`` gives the number of points per axis (each >= 2); the
+    default is :func:`grid_resolution` of the set's dimension.  Points
     come back as an array of shape (k, n) in row-major order over the grid
     (last axis fastest), so the stream is deterministic and can be
     partitioned across workers and merged order-independently.
     """
+    if resolution is None:
+        resolution = grid_resolution(safe_set.dim)
     resolution = [int(r) for r in np.atleast_1d(resolution)]
     if len(resolution) != safe_set.dim:
         raise DimensionMismatchError(

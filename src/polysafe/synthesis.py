@@ -38,7 +38,8 @@ from .errors import (
     RankDeficientDataError,
     SynthesisInfeasibleError,
 )
-from .polytope import PolyhedralSet, enumerate_vertices, interval_enclosure, sample_grid
+from .polytope import (PolyhedralSet, enumerate_vertices, grid_resolution, interval_enclosure,
+                       sample_grid)
 
 TOL_CERT = 1e-6   # certificate equations are re-verified to this tolerance
 
@@ -105,6 +106,8 @@ class SynthesisCertificate:
     read back from the LP.  ``definiteness_margins`` stores the exact
     smallest eigenvalue of each row's curvature matrix; ``enforced_rows``
     flags the rows whose curvature condition was part of the program.
+    ``margin`` (margin objective only) is level headroom: the certificate
+    also holds at level ``contraction - margin``.
     """
 
     method: str
@@ -117,7 +120,7 @@ class SynthesisCertificate:
     definiteness_margins: np.ndarray  # (s,)
     enforced_rows: np.ndarray         # (s,) bool
     zeroed_rows: np.ndarray           # (s,) bool
-    margin: float | None              # achieved uniform slack, margin objective only
+    margin: float | None              # level headroom, margin objective only
     config: dict = field(default_factory=dict)
 
     @property
@@ -147,6 +150,12 @@ class BaselineSearch:
 
 @dataclass(frozen=True, eq=False)
 class BaselineResult:
+    """The baseline controller and its row-multiplier certificate.
+
+    ``margin`` (margin objective only) is level headroom: the certificate
+    also holds at level ``contraction - margin``.
+    """
+
     controller: Controller
     row_bounds: np.ndarray       # (s,)
     set_multiplier: np.ndarray   # (s, s)
@@ -302,10 +311,12 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
     lp.add_block("slope", (s, n))
     with_margin = objective == "margin"
     if with_margin:
-        # slack is sign-restricted so a margin solve is feasible exactly when
-        # the plain conditions are; the cap keeps the objective bounded
+        # slack is level headroom: it enters row i as slack * g[i], so the
+        # solution also certifies level contraction - slack.  It is
+        # sign-restricted so a margin solve is feasible exactly when the plain
+        # conditions are, and capped so the certified level stays >= 0.
         lp.add_block("slack", (), nonneg=True)
-        lp.add_constraint({"slack": 1.0}, "<=", contraction * float(np.min(g)))
+        lp.add_constraint({"slack": 1.0}, "<=", contraction)
 
     def with_g1(coeff, extra=None):
         out = dict(extra) if extra else {}
@@ -330,7 +341,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
         lp.add_block("norm1", ())
         lp.add_block("norm2", ())
 
-    # (i) contraction rows: mult @ g + slope @ anchor (+ noise) (+ slack) <= level * g
+    # (i) contraction rows: mult @ g + slope @ anchor (+ noise) (+ slack * g) <= level * g
     for i in range(s):
         terms: dict = {}
         ps_coeff = np.zeros((s, s))
@@ -342,7 +353,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
         if robust is not None:
             terms["noise"] = 1.0
         if with_margin:
-            terms["slack"] = 1.0
+            terms["slack"] = g[i]
         lp.add_constraint(terms, "<=", contraction * g[i])
 
     # (ii) multiplier rows map through the set: mult @ F - F @ x_next @ g1 = slope
@@ -497,15 +508,14 @@ def _norm_inf(mat: np.ndarray) -> float:
 
 
 def _resolve_expansion(data: ExperimentData, safe_set: PolyhedralSet, contraction, expansion,
-                       dd_margin, objective, definiteness, robust, seed) -> ExpansionPoint:
+                       dd_margin, definiteness, robust, seed) -> ExpansionPoint:
     if isinstance(expansion, ExpansionPoint):
         return expansion
     if isinstance(expansion, str):
         if expansion != "auto":
             raise ValueError(f"expansion must be a point, an ExpansionPoint or 'auto', got {expansion!r}")
         return pick_expansion_point(data, safe_set, contraction, dd_margin=dd_margin,
-                                    objective=objective, definiteness=definiteness,
-                                    robust=robust, seed=seed)
+                                    definiteness=definiteness, robust=robust, seed=seed)
     return expansion_point(data.dictionary, np.asarray(expansion, dtype=float), safe_set)
 
 
@@ -530,7 +540,7 @@ def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet, contract
         raise ValueError("dd_margin must be positive")
     _check_regressor(data)
     exp = _resolve_expansion(data, safe_set, contraction, expansion, dd_margin,
-                             objective, definiteness, None, seed)
+                             definiteness, None, seed)
     outcome, enforced, zeroed = _build_and_solve(
         data, safe_set, contraction, exp, dd_margin, objective, definiteness, None)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
@@ -575,7 +585,7 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, contraction
               "state_bound": float(state_bound), "row_norm": row_norm}
     row_norms(safe_set.normals, row_norm)  # validate the kind early
     exp = _resolve_expansion(data, safe_set, contraction, expansion, dd_margin,
-                             objective, definiteness, robust, seed)
+                             definiteness, robust, seed)
     outcome, enforced, zeroed = _build_and_solve(
         data, safe_set, contraction, exp, dd_margin, objective, definiteness, robust)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
@@ -599,15 +609,16 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, contraction
 
 
 def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                         dd_margin: float = 1e-6, objective: str = "feasible",
-                         definiteness: str = "active-rows", robust: dict | None = None,
-                         seed: int = 0, n_random: int = 20) -> ExpansionPoint:
+                         dd_margin: float = 1e-6, definiteness: str = "active-rows",
+                         robust: dict | None = None, seed: int = 0,
+                         n_random: int = 20) -> ExpansionPoint:
     """First candidate expansion point whose program is feasible.
 
     Candidates, in order: each vertex scaled by 0.25, the vertex centroid
     scaled by 0.5, then ``n_random`` seeded interior rejection samples.
     Zero candidates are skipped (the slope condition needs a nonzero point).
-    Deterministic for a fixed seed.
+    Each candidate is judged by the plain feasibility program: a margin
+    objective would not change the verdict.  Deterministic for a fixed seed.
     """
     vertices = enumerate_vertices(safe_set)
     candidates = [0.25 * v for v in vertices]
@@ -629,7 +640,7 @@ def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contract
         try:
             exp = expansion_point(data.dictionary, cand, safe_set)
             outcome, _, _ = _build_and_solve(
-                data, safe_set, contraction, exp, dd_margin, objective, definiteness, robust)
+                data, safe_set, contraction, exp, dd_margin, "feasible", definiteness, robust)
         except (PolysafeError, np.linalg.LinAlgError) as err:
             attempts.append((cand, f"error: {err}"))
             continue
@@ -646,7 +657,7 @@ def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contract
 
 def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
                     k2_lo: float = -2.0, k2_hi: float = 2.0, k2_step: float = 0.1,
-                    x_resolution=(101, 101)) -> BaselineSearch:
+                    x_resolution=None) -> BaselineSearch:
     """Direct search for the gain minimizing the worst-row remainder term.
 
     For every candidate gain on the grid, the matching right-inverse columns
@@ -654,6 +665,7 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     strictly stronger condition than the regressor rank), the remainder term
     is maximized over a deterministic state grid plus the vertices, and the
     candidate with the smallest worst-row maximum wins (first on ties).
+    ``x_resolution`` defaults to :func:`~polysafe.polytope.grid_resolution`.
     """
     diag = identification_rank(data)
     if not diag.full_row_rank:
@@ -661,6 +673,8 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
             f"stacked input/regressor matrix is rank deficient: {diag}", diag)
     F = safe_set.normals
     n, N, m = data.state_dim, data.n_terms, data.input_dim
+    if x_resolution is None:
+        x_resolution = grid_resolution(n)
     points = sample_grid(safe_set, x_resolution)
     points = np.vstack([points, np.array(enumerate_vertices(safe_set))])
     rem = data.dictionary.remainder(points)          # (k, N)
@@ -705,14 +719,15 @@ def _baseline_lp(data: ExperimentData, safe_set: PolyhedralSet, contraction: flo
     lp.add_block("g1", (T, n))
     with_margin = objective == "margin"
     if with_margin:
+        # level headroom, as in the primal-dual program
         lp.add_block("slack", (), nonneg=True)
-        lp.add_constraint({"slack": 1.0}, "<=", contraction * float(np.min(g)))
+        lp.add_constraint({"slack": 1.0}, "<=", contraction)
     for i in range(s):
         ps_coeff = np.zeros((s, s))
         ps_coeff[i, :] = g
         terms = {"mult": ps_coeff}
         if with_margin:
-            terms["slack"] = 1.0
+            terms["slack"] = g[i]
         lp.add_constraint(terms, "<=", contraction * g[i] - search.row_bounds[i])
     for i in range(s):
         for k in range(n):
@@ -735,7 +750,7 @@ def _baseline_lp(data: ExperimentData, safe_set: PolyhedralSet, contraction: flo
 
 def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
                              k2_lo: float = -2.0, k2_hi: float = 2.0, k2_step: float = 0.1,
-                             x_resolution=(101, 101), objective: str = "margin",
+                             x_resolution=None, objective: str = "margin",
                              search: BaselineSearch | None = None) -> BaselineResult:
     """Remainder-minimization baseline: direct gain search plus the row-multiplier LP.
 
@@ -781,7 +796,7 @@ def lumped_disturbance_bounds(data: ExperimentData, safe_set: PolyhedralSet,
                               lipschitz: float | None = None,
                               state_bound: float | None = None,
                               row_norm: str = "one",
-                              x_resolution=(101, 101)) -> np.ndarray:
+                              x_resolution=None) -> np.ndarray:
     """Per-row upper bound on the worst-case lumped disturbance for a fixed controller.
 
     Combines the grid maximum of the closed-loop remainder term with the
@@ -844,75 +859,27 @@ def format_certificate(controller: Controller, cert: SynthesisCertificate) -> st
 
 
 def minimal_contraction(data: ExperimentData, safe_set: PolyhedralSet, method: str = "thm2",
-                        tol: float = 1e-3, **kwargs) -> float:
-    """Smallest feasible contraction level in (0, 1], bracketed to ``tol`` by bisection.
+                        **kwargs) -> float:
+    """Smallest contraction level the method's design program certifies.
 
-    Feasibility is assumed monotone in the level (larger is easier).  The
-    expansion point ('thm2'/'cor2') or the direct search ('thm1') is resolved
-    once at level 1 and reused for every probe, so the sweep is deterministic
-    and cheap.  Raises :class:`NoFeasibleContractionError` when even level 1
+    The level enters the contraction rows linearly, so one margin solve at
+    level 1 gives it exactly: the margin is level headroom, and the same
+    multipliers certify level ``1 - margin``.  ``kwargs`` go to
+    :func:`synthesize_noiseless`, :func:`synthesize_robust` (which needs
+    ``w_bound``) or :func:`synthesize_min_remainder`; an ``'auto'``
+    expansion point is therefore chosen at level 1.  The result is clamped
+    to ``[0, 1]``.  Raises :class:`NoFeasibleContractionError` when level 1
     is infeasible.
     """
-    if tol < 1e-3:
-        raise ValueError("bisection tolerance below 1e-3 is not supported")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-
-    if method == "thm1":
-        search = baseline_search(
-            data, safe_set,
-            k2_lo=kwargs.get("k2_lo", -2.0), k2_hi=kwargs.get("k2_hi", 2.0),
-            k2_step=kwargs.get("k2_step", 0.1),
-            x_resolution=kwargs.get("x_resolution", (101, 101)))
-
-        def probe(lam: float) -> bool:
-            try:
-                synthesize_min_remainder(data, safe_set, lam, search=search,
-                                         objective="feasible")
-                return True
-            except SynthesisInfeasibleError:
-                return False
-    else:
-        expansion = kwargs.get("expansion", "auto")
-        dd_margin = kwargs.get("dd_margin", 1e-6)
-        definiteness = kwargs.get("definiteness", "active-rows")
-        seed = kwargs.get("seed", 0)
-        robust = None
-        if method == "cor2":
-            box = interval_enclosure(safe_set)
-            robust = {
-                "w_bound": float(kwargs.get("w_bound", 0.0)),
-                "lipschitz": float(kwargs.get("lipschitz") if kwargs.get("lipschitz") is not None
-                                   else data.dictionary.lipschitz_bound(box)),
-                "state_bound": float(kwargs.get("state_bound") if kwargs.get("state_bound") is not None
-                                     else box.max_abs),
-                "row_norm": kwargs.get("row_norm", "one"),
-            }
-        _check_regressor(data)
-        if isinstance(expansion, str) and expansion == "auto":
-            exp = pick_expansion_point(data, safe_set, 1.0, dd_margin=dd_margin,
-                                       definiteness=definiteness, robust=robust, seed=seed)
-        elif isinstance(expansion, ExpansionPoint):
-            exp = expansion
-        else:
-            exp = expansion_point(data.dictionary, np.asarray(expansion, float), safe_set)
-
-        def probe(lam: float) -> bool:
-            outcome, _, _ = _build_and_solve(data, safe_set, lam, exp, dd_margin,
-                                             "feasible", definiteness, robust)
-            return outcome.status != lpcore.LpStatus.INFEASIBLE
-
     try:
-        top = probe(1.0)
-    except ExpansionPointSearchFailedError as err:
-        raise NoFeasibleContractionError(f"level 1 is infeasible for {method}: {err}") from err
-    if not top:
-        raise NoFeasibleContractionError(f"level 1 is infeasible for method {method!r}")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            hi = mid
+        if method == "thm2":
+            margin = synthesize_noiseless(data, safe_set, 1.0, **kwargs)[1].margin
+        elif method == "cor2":
+            margin = synthesize_robust(data, safe_set, 1.0, **kwargs)[1].margin
         else:
-            lo = mid
-    return hi
+            margin = synthesize_min_remainder(data, safe_set, 1.0, **kwargs).margin
+    except (SynthesisInfeasibleError, ExpansionPointSearchFailedError) as err:
+        raise NoFeasibleContractionError(f"level 1 is infeasible for method {method!r}: {err}") from err
+    return min(1.0, max(0.0, 1.0 - margin))

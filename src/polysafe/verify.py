@@ -277,7 +277,7 @@ class ConservatismTable:
 
 
 def control_effort(controller, safe_set: PolyhedralSet, dictionary,
-                   resolution=(101, 101)) -> float:
+                   resolution=None) -> float:
     """Grid maximum of the control magnitude over the safe set."""
     points = sample_grid(safe_set, resolution)
     try:
@@ -292,7 +292,7 @@ def control_effort(controller, safe_set: PolyhedralSet, dictionary,
 def conservatism_report(safe_set: PolyhedralSet, dictionary,
                         primal_dual=None, baseline=None, lumped_bounds=None,
                         min_levels: dict | None = None,
-                        effort_resolution=(101, 101)) -> ConservatismTable:
+                        effort_resolution=None) -> ConservatismTable:
     """Comparison table: minimal level, gain size and control effort per method.
 
     ``primal_dual`` is a (controller, certificate) pair, ``baseline`` a

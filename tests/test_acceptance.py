@@ -222,11 +222,10 @@ def test_criterion_8_disturbance_bound_soundness(secv_set):
 def test_criterion_9_degenerate_consistency(secv_data, secv_set):
     def body():
         thm2_level = synthesis.minimal_contraction(
-            secv_data, secv_set, method="thm2", tol=1e-3, expansion=[0.5, 0.5])
+            secv_data, secv_set, method="thm2", expansion=[0.5, 0.5])
         cor2_level = synthesis.minimal_contraction(
-            secv_data, secv_set, method="cor2", tol=1e-3, w_bound=0.0,
-            expansion=[0.5, 0.5])
-        assert abs(thm2_level - cor2_level) <= 2e-3
+            secv_data, secv_set, method="cor2", w_bound=0.0, expansion=[0.5, 0.5])
+        assert abs(thm2_level - cor2_level) <= 1e-9
 
     _criterion(9, "zero-disturbance robust sweep matches the noiseless sweep",
                120.0, body)

@@ -144,9 +144,10 @@ class TestCommands:
         assert cli.main(["sweep-lambda", "--scenario", str(scenario_path),
                          "--out", str(out)]) == cli.EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
+        assert "tolerance" not in summary
         levels = summary["min_levels"]
         assert levels["cor2"] is None
-        assert levels["thm2"] is not None and abs(levels["thm2"] - levels["thm1"]) <= 2e-3
+        assert levels["thm2"] is not None and abs(levels["thm2"] - levels["thm1"]) <= 1e-9
 
     def test_sweep_rank_deficient_exit_two(self, tmp_path):
         # n=2, N=1, m=2 with samples=4 satisfies the regressor floor but the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysafe import synthesis
+from polysafe import synthesis, verify
 from polysafe.datagen import collect
 from polysafe.dynamics import Dictionary, Monomial, PlantModel, expansion_point
 from polysafe.errors import (
@@ -189,8 +189,6 @@ class TestRobustDesign:
         # noise into the closed loop (the true remainder is only imperfectly
         # cancelled), the budget covers it, and the independently verified
         # true model still contracts with a wide margin
-        from polysafe import verify
-
         dictionary = Dictionary([Monomial((2, 0)), Monomial((0, 2))], 2)
         b = np.array([[1.0], [0.5]])
         w = 3e-4
@@ -379,22 +377,74 @@ class TestLumpedBounds:
 
 
 class TestMinimalContraction:
-    def test_bisection_brackets(self, secv_data, secv_set):
+    def test_exact_level_brackets(self, secv_data, secv_set):
+        # the level is exact: feasible just above it, infeasible just below
         level = synthesis.minimal_contraction(secv_data, secv_set, method="thm2",
                                               expansion=[0.5, 0.5])
-        # feasible at the bracket, infeasible below it
-        synthesis.synthesize_noiseless(secv_data, secv_set, level + 1e-3,
+        assert abs(level - 0.758333) <= 1e-6
+        synthesis.synthesize_noiseless(secv_data, secv_set, level + 1e-6,
                                        expansion=[0.5, 0.5])
         with pytest.raises(SynthesisInfeasibleError):
-            synthesis.synthesize_noiseless(secv_data, secv_set, max(level - 2e-3, 1e-6),
+            synthesis.synthesize_noiseless(secv_data, secv_set, level - 1e-4,
                                            expansion=[0.5, 0.5])
+        level = synthesis.minimal_contraction(secv_data, secv_set, method="thm1")
+        assert abs(level - 0.758333) <= 1e-6
+        synthesis.synthesize_min_remainder(secv_data, secv_set, level + 1e-6)
+        with pytest.raises(SynthesisInfeasibleError):
+            synthesis.synthesize_min_remainder(secv_data, secv_set, level - 1e-4)
 
     def test_degenerate_disturbance_agrees(self, secv_data, secv_set):
         a = synthesis.minimal_contraction(secv_data, secv_set, method="thm2",
                                           expansion=[0.5, 0.5])
         b = synthesis.minimal_contraction(secv_data, secv_set, method="cor2",
                                           w_bound=0.0, expansion=[0.5, 0.5])
-        assert abs(a - b) <= 2e-3
+        assert abs(a - b) <= 1e-9
+
+    def test_margin_is_level_headroom(self, secv_data, secv_set):
+        # rescaling rows gives the same set with unequal offsets: the level
+        # must not move, and the margin at any level is the distance to it
+        scale = np.array([2.0, 1.0, 0.5, 1.0])
+        rescaled = PolyhedralSet(SECV_F * scale[:, None], SECV_G * scale)
+        level = synthesis.minimal_contraction(secv_data, secv_set, expansion=[0.5, 0.5])
+        assert abs(synthesis.minimal_contraction(
+            secv_data, rescaled, expansion=[0.5, 0.5]) - level) <= 1e-9
+        _, cert = synthesis.synthesize_noiseless(secv_data, rescaled, 0.95,
+                                                 expansion=[0.5, 0.5])
+        assert abs(cert.margin - (0.95 - level)) <= 1e-9
+
+    def test_level_zero_is_clamped(self):
+        # two inputs cancel the whole closed loop, so the minimal level is 0;
+        # unclamped, 1 - margin comes out about -3e-15 on this data
+        dictionary = Dictionary([Monomial((2, 0))], 2)
+        plant = PlantModel(a1=[[0.4, 0.1], [0.0, 0.3]], a2=[[0.05], [0.02]],
+                           b=np.eye(2), dictionary=dictionary, w_bound=0.0)
+        box = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+        data = collect(plant, 8, 0.3, [0.1, 0.1], seed=2)
+        for method, kwargs in (("thm2", {}), ("cor2", {"w_bound": 0.0})):
+            level = synthesis.minimal_contraction(data, box, method=method, **kwargs)
+            assert 0.0 <= level <= 1e-9, method
+
+    def test_three_state_baseline(self):
+        # the default state grid follows the set's dimension (22 per axis at
+        # n=3); the coarse gain grid still holds the exact cancelling gain
+        P = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.25], [0.2, 0.0, 1.0]])
+        safe_set = PolyhedralSet(np.vstack([0.5 * P, -0.5 * P]), np.ones(6))
+        dictionary = Dictionary(
+            [Monomial((2, 0, 0)), Monomial((0, 2, 0)), Monomial((1, 0, 1))], 3)
+        plant = PlantModel(a1=[[0.7, 0.2, 0.0], [0.0, 0.6, 0.3], [0.2, -0.3, 1.1]],
+                           a2=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
+                           b=[[0.0], [0.0], [1.0]], dictionary=dictionary, w_bound=0.02)
+        data = collect(plant, 40, 0.01, [0.0, 0.0, 0.0], seed=11)
+        search = synthesis.baseline_search(data, safe_set, k2_step=0.5)
+        assert search.x_resolution == (22, 22, 22)
+        np.testing.assert_allclose(search.k2, [[-1.0, -0.5, 0.5]], atol=1e-12)
+        level = synthesis.minimal_contraction(data, safe_set, method="thm1", search=search)
+        result = synthesis.synthesize_min_remainder(data, safe_set, level + 1e-6, search=search)
+        with pytest.raises(SynthesisInfeasibleError):
+            synthesis.synthesize_min_remainder(data, safe_set, level - 1e-4, search=search)
+        assert verify.control_effort(result.controller, safe_set, dictionary) > 0.0
+        bounds = synthesis.lumped_disturbance_bounds(data, safe_set, result.controller, 0.02)
+        assert bounds.shape == (6,)
 
     def test_infeasible_plant_raises(self, secv_set, secv_dictionary):
         bad = PlantModel(a1=2.0 * np.eye(2), a2=np.zeros((2, 2)), b=[[0.0], [0.0]],
@@ -403,10 +453,6 @@ class TestMinimalContraction:
         with pytest.raises((NoFeasibleContractionError, RankDeficientDataError)):
             synthesis.minimal_contraction(data, secv_set, method="thm2",
                                           expansion=[0.5, 0.5])
-
-    def test_tolerance_floor(self, secv_data, secv_set):
-        with pytest.raises(ValueError):
-            synthesis.minimal_contraction(secv_data, secv_set, tol=1e-4)
 
 
 class TestNumericalGuard:
