@@ -9,8 +9,10 @@ index), which guarantees termination without cycling at the cost of
 some speed; everything here runs at desk scale where that trade is the
 right one.
 
-Reported solutions always replay: outcomes with status ``OPTIMAL`` or
-``FEASIBLE`` satisfy every original constraint to within ``TOL_LP``.
+Constraints are kept as row groups, one coefficient matrix per block,
+and assembled into one dense matrix per solve.  Reported solutions always
+replay: outcomes with status ``OPTIMAL`` or ``FEASIBLE`` satisfy every
+original constraint to within ``TOL_LP``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ _TOL_COST = 1e-9     # reduced-cost threshold for entering columns
 _TOL_PIVOT = 1e-9    # hard pivot floor; smaller pivots poison the tableau
 _TOL_RAY = 1e-7      # reduced cost below which an unpivotable column is a real ray
 _TOL_PHASE1 = 1e-8   # scaled infeasibility threshold after phase 1
+_TOL_ZERO_ROW = 1e-12  # rows this small relative to the matrix are zero rows
 
 
 class LpStatus(Enum):
@@ -82,7 +85,9 @@ class _Block:
     offset: int
 
 
-_RELATIONS = ("<=", "=", ">=")
+# indexed by row sense: +1 "<=", 0 "=", -1 ">="
+_RELATIONS = ("=", "<=", ">=")
+_SENSE = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 
 class LinearProgram:
@@ -97,11 +102,11 @@ class LinearProgram:
     def __init__(self) -> None:
         self._blocks: dict[str, _Block] = {}
         self._n_vars = 0
-        # rows are kept as per-block coefficient dicts and densified at solve
-        # time, so blocks may be declared after constraints referencing others
-        self._rows: list[dict[str, np.ndarray]] = []
-        self._row_rel: list[str] = []
-        self._row_rhs: list[float] = []
+        # row groups keep one (k, block size) matrix per block and are
+        # assembled at solve time, so blocks may be declared after constraints
+        # referencing others
+        self._groups: list[tuple[dict[str, np.ndarray], str, np.ndarray]] = []
+        self._n_rows = 0
         self._objective: tuple[str, dict[str, np.ndarray]] | None = None
 
     # ------------------------------------------------------------------
@@ -142,19 +147,16 @@ class LinearProgram:
         return row
 
     def add_constraint(self, terms: dict, rel: str, rhs: float) -> None:
-        if rel not in _RELATIONS:
-            raise MalformedProgramError(f"unknown relation {rel!r}")
         if not terms:
             raise MalformedProgramError("constraint with no terms")
-        self._rows.append({name: self._coeff_flat(name, c) for name, c in terms.items()})
-        self._row_rel.append(rel)
-        self._row_rhs.append(float(rhs))
+        self.add_constraint_rows({name: self._coeff_flat(name, c) for name, c in terms.items()},
+                                 rel, [rhs])
 
     def add_constraint_rows(self, terms: dict, rel: str, rhs) -> None:
         """Add ``k`` constraints at once; each term maps a block to a (k, size) array."""
         if rel not in _RELATIONS:
             raise MalformedProgramError(f"unknown relation {rel!r}")
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float).reshape(-1)
         k = rhs.size
         mats = {}
         for name, mat in terms.items():
@@ -167,10 +169,8 @@ class LinearProgram:
                     f"rows for block {name!r} have width {mat.shape[1]}, expected {block.size}"
                 )
             mats[name] = mat
-        for i in range(k):
-            self._rows.append({name: mat[i] for name, mat in mats.items()})
-            self._row_rel.append(rel)
-            self._row_rhs.append(float(rhs[i]))
+        self._groups.append((mats, rel, rhs))
+        self._n_rows += k
 
     def add_abs_bound(self, source: tuple[str, object], bound: tuple[str, object]) -> None:
         """Constrain ``bound >= |source|`` for single entries of two blocks."""
@@ -206,7 +206,23 @@ class LinearProgram:
 
     @property
     def n_constraints(self) -> int:
-        return len(self._rows)
+        return self._n_rows
+
+    def _assemble(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Constraint matrix, row senses (+1 ``<=``, -1 ``>=``, 0 ``=``) and right-hand sides."""
+        A = np.zeros((self._n_rows, self._n_vars))
+        sense = np.empty(self._n_rows)
+        b = np.empty(self._n_rows)
+        start = 0
+        for mats, rel, rhs in self._groups:
+            stop = start + rhs.size
+            for name, mat in mats.items():
+                block = self._blocks[name]
+                A[start:stop, block.offset:block.offset + block.size] += mat
+            sense[start:stop] = _SENSE[rel]
+            b[start:stop] = rhs
+            start = stop
+        return A, sense, b
 
     # ------------------------------------------------------------------
     # solving
@@ -214,55 +230,44 @@ class LinearProgram:
     def solve(self) -> LpOutcome:
         if not self._blocks:
             raise MalformedProgramError("program has no variables")
-        if self._rows:
-            A = np.vstack([self._densify(r) for r in self._rows])
-        else:
-            A = np.zeros((0, self._n_vars))
-        rels = list(self._row_rel)
-        b = np.asarray(self._row_rhs, dtype=float)
+        A, sense, b = self._assemble()
 
         if self._objective is None:
             c, obj_sign = np.zeros(self._n_vars), 1.0
         else:
-            sense, terms = self._objective
+            obj_sense, terms = self._objective
             row = self._densify(terms)
-            c, obj_sign = (row, 1.0) if sense == "min" else (-row, -1.0)
+            c, obj_sign = (row, 1.0) if obj_sense == "min" else (-row, -1.0)
 
-        # Column layout: per variable a plus column, and a minus column when free.
-        col_plus = np.zeros(self._n_vars, dtype=int)
-        col_minus = np.full(self._n_vars, -1, dtype=int)
-        n_std = 0
-        for block in self._blocks.values():
-            for j in range(block.offset, block.offset + block.size):
-                col_plus[j] = n_std
-                n_std += 1
-                if not block.nonneg:
-                    col_minus[j] = n_std
-                    n_std += 1
+        # Column layout, in variable order: a plus column per variable, then a
+        # minus column when it is free.
+        free = np.concatenate([np.full(blk.size, not blk.nonneg) for blk in self._blocks.values()])
+        col_plus = np.arange(self._n_vars) + np.cumsum(free) - free
+        col_minus = np.where(free, col_plus + 1, -1)
+        n_std = self._n_vars + int(free.sum())
 
         m = A.shape[0]
-        n_slack = sum(1 for r in rels if r != "=")
-        n_total = n_std + n_slack
+        ineq = np.flatnonzero(sense != 0.0)
+        n_total = n_std + ineq.size
         T = np.zeros((m, n_total + 1))
         T[:, col_plus] = A
-        free = col_minus >= 0
         T[:, col_minus[free]] = -A[:, free]
         c_std = np.zeros(n_total)
         c_std[col_plus] = c
         c_std[col_minus[free]] = -c[free]
 
         slack_of_row = np.full(m, -1, dtype=int)
-        next_slack = n_std
-        for i, rel in enumerate(rels):
-            if rel != "=":
-                T[i, next_slack] = 1.0 if rel == "<=" else -1.0
-                slack_of_row[i] = next_slack
-                next_slack += 1
+        slack_of_row[ineq] = n_std + np.arange(ineq.size)
+        T[ineq, slack_of_row[ineq]] = sense[ineq]
         T[:, -1] = b
 
         # Row equilibration keeps pivot tolerances meaningful; residuals are
         # recomputed against the original rows afterwards.
         if m:
+            # Rows whose coefficients are rounding noise next to the rest of
+            # the matrix are zero rows: scaling them up would scale the noise.
+            row_max = np.max(np.abs(A), axis=1)
+            T[row_max <= _TOL_ZERO_ROW * float(row_max.max()), :n_std] = 0.0
             scale = np.max(np.abs(T[:, :-1]), axis=1)
             scale[scale == 0.0] = 1.0
             T /= scale[:, None]
@@ -347,7 +352,7 @@ class LinearProgram:
         # A claimed-feasible outcome must replay against the original rows;
         # on near-singular systems the tableau can "solve" in scaled units
         # while the unscaled solution is garbage, and that must not escape.
-        residual = self._max_residual(x)
+        residual = self._max_residual(A, sense, b, x)
         coeff_scale = float(np.max(np.abs(A))) if A.size else 0.0
         cap = TOL_LP * (1.0 + coeff_scale + float(np.max(np.abs(b), initial=0.0)))
         if residual > cap:
@@ -363,16 +368,10 @@ class LinearProgram:
             iterations=iterations,
         )
 
-    def _max_residual(self, x: np.ndarray) -> float:
-        worst = 0.0
-        for terms, rel, rhs in zip(self._rows, self._row_rel, self._row_rhs):
-            lhs = float(np.dot(self._densify(terms), x))
-            if rel == "<=":
-                worst = max(worst, lhs - rhs)
-            elif rel == ">=":
-                worst = max(worst, rhs - lhs)
-            else:
-                worst = max(worst, abs(lhs - rhs))
+    def _max_residual(self, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
+                      x: np.ndarray) -> float:
+        gap = A @ x - b
+        worst = float(np.max(np.where(sense == 0.0, np.abs(gap), sense * gap), initial=0.0))
         for block in self._blocks.values():
             if block.nonneg:
                 seg = x[block.offset:block.offset + block.size]
@@ -399,8 +398,9 @@ class LinearProgram:
             lines.append("Minimize")
             lines.append(" obj: 0")
         lines.append("Subject To")
-        for i, (terms, rel, rhs) in enumerate(zip(self._rows, self._row_rel, self._row_rhs)):
-            lines.append(f" c{i}: " + _lp_expr(self._densify(terms), names) + f" {rel} {rhs:.17g}")
+        A, sense, b = self._assemble()
+        for i, (row, sign, rhs) in enumerate(zip(A, sense, b)):
+            lines.append(f" c{i}: " + _lp_expr(row, names) + f" {_RELATIONS[int(sign)]} {rhs:.17g}")
         lines.append("Bounds")
         for block in self._blocks.values():
             lo = "0" if block.nonneg else "-inf"

@@ -177,6 +177,10 @@ def sample_grid(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM)
         raise ValueError(f"every resolution entry must be >= 2, got {resolution}")
     box = interval_enclosure(safe_set)
     axes = [np.linspace(box.lo[k], box.hi[k], resolution[k]) for k in range(safe_set.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    return points[safe_set.membership_mask(points, tol=tol)]
+    # one first-axis slab at a time: only the members of the whole grid are kept
+    rest = np.array(list(itertools.product(*axes[1:])))
+    slabs = []
+    for first in axes[0]:
+        slab = np.hstack([np.full((len(rest), 1), first), rest])
+        slabs.append(slab[safe_set.membership_mask(slab, tol=tol)])
+    return np.vstack(slabs)

@@ -1,12 +1,15 @@
 """Controller synthesis from data: the primal-dual design, its
 disturbance-robust variant, and the remainder-minimization baseline.
 
-All three methods parameterize the closed loop through a right inverse
-of the data regressor: whenever ``regressor @ [g1 g2] = I``, the
-products ``next_states @ g1`` and ``next_states @ g2`` equal the
-closed-loop linear part and the closed-loop remainder part exactly (on
-noiseless data), so the feasibility programs below constrain the closed
-loop directly without identifying the plant.
+All three methods constrain the closed loop through a right inverse of
+the data regressor: whenever ``regressor @ [g1 g2] = I``, the products
+``next_states @ g1`` and ``next_states @ g2`` equal the closed-loop linear
+part and the closed-loop remainder part exactly (on noiseless data), so
+no plant is identified.  The programs touch the right inverse only
+through ``next_states @ G``, so ``thm2`` and ``thm1`` are posed over the
+null-space form of the closed loop, whose size does not depend on the
+sample count, and ``G`` is recovered as its minimum-norm preimage;
+``cor2`` keeps ``G`` itself, since its norm budget needs ``|G|``.
 
 The primal-dual design ("thm2" in scenario files) couples a nonnegative
 row-multiplier matrix with a slope condition on the closed-loop
@@ -42,6 +45,7 @@ from .polytope import (PolyhedralSet, enumerate_vertices, grid_resolution, inter
                        sample_grid)
 
 TOL_CERT = 1e-6   # certificate equations are re-verified to this tolerance
+_RANK_RTOL = 1e-10  # closed-loop directions below this share of |next_states| are rounding noise
 
 METHODS = ("thm2", "cor2", "thm1")
 DEFINITENESS_MODES = ("strict", "active-rows", "off")
@@ -277,38 +281,79 @@ def _definiteness_plan(normals: np.ndarray, mode: str) -> tuple[np.ndarray, np.n
 # the core feasibility program
 
 
+def _closed_loop(data: ExperimentData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Null-space parametrization of the data-based closed loop.
+
+    Every right inverse of the regressor is ``pinv(regressor) + P Z`` with
+    ``P`` the projector onto the regressor's null space, so every closed
+    loop ``next_states @ G`` is ``base + lift @ W`` with
+    ``base = next_states @ pinv(regressor)``, ``lift`` the left singular
+    vectors of ``next_states @ P`` (rank m on noiseless data, at most n) and
+    ``W`` free (De Persis & Tesi, IEEE TAC 2020; Doerfler, Coulson &
+    Markovsky, IEEE TAC 2023).  Returns ``(base, lift, g0, preimage)``:
+    ``g0 + preimage @ W`` is the minimum-norm right inverse with closed loop
+    ``base + lift @ W``.  Singular values are truncated, not inverted at
+    rounding level, so that preimage replays.
+    """
+    pinv = np.linalg.pinv(data.regressor)                     # (T, n+N)
+    base = data.next_states @ pinv                            # (n, n+N)
+    # next_states @ P, without forming the (T, T) projector
+    u, sv, vt = np.linalg.svd(data.next_states - base @ data.regressor, full_matrices=False)
+    keep = sv > _RANK_RTOL * np.linalg.norm(data.next_states, 2)
+    if not keep.any():  # the inputs do not move the closed loop; one idle column
+        return base, np.zeros((data.state_dim, 1)), pinv, np.zeros((data.n_samples, 1))
+    return base, u[:, keep], pinv, vt[keep].T / sv[keep]
+
+
 def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                     exp: ExpansionPoint, dd_margin: float, objective: str,
-                     definiteness: str, robust: dict | None) -> tuple:
+                     exp: ExpansionPoint | None, dd_margin: float, objective: str,
+                     definiteness: str, robust: dict | None,
+                     row_bounds: np.ndarray | None = None) -> tuple:
+    """Pose and solve one design program over the closed loop ``base + lift @ X``.
+
+    ``X`` is split into its linear columns (block ``w1``) and remainder
+    columns (``w2``).  ``thm2`` and ``thm1`` use the null-space
+    parametrization of :func:`_closed_loop`, so the program does not grow
+    with ``T``.  ``cor2`` needs ``|G|`` for its norm budget and keeps ``G``
+    itself (``base = 0``, ``lift = next_states``) as nonnegative parts
+    ``g*_pos - g*_neg``, plus the right-inverse and row-sum rows.  Without an
+    expansion point ``exp`` this is the baseline (``thm1``) program: linear
+    part only, with the searched ``row_bounds`` taken off the contraction
+    rows.
+
+    Each constraint family is one group of whole-block rows: with row-major
+    vectorization, ``vec(A @ X @ B) = kron(A, B.T) @ vec(X)``.  A feasible
+    outcome carries the recovered right inverse (its linear columns for the
+    baseline) under ``"G"``.  Returns the outcome and the enforced and
+    zeroed row masks.
+    """
     F = safe_set.normals
     g = safe_set.offsets
     s, n = F.shape
     N = data.n_terms
-    T = data.n_samples
-    x_next = data.next_states
-    regressor = data.regressor
-    f_next = F @ x_next                      # (s, T)
-    slope_at = exp.slope                    # (N, n)
-    curv = exp.curvatures             # (N, n, n)
-    anchor = exp.anchor
-
+    split = robust is not None
+    if split:
+        base, lift = np.zeros((n, n + N)), data.next_states
+        # one block per part and sign: with one (T, n+N) block per sign, the
+        # simplex stalls at its pivot cap on the 2-state, 3-term plant
+        parts = {"lin": (("g1_pos", 1.0), ("g1_neg", -1.0)),
+                 "rem": (("g2_pos", 1.0), ("g2_neg", -1.0))}
+    else:
+        base, lift, g0, preimage = _closed_loop(data)
+        parts = {"lin": (("w1", 1.0),), "rem": (("w2", 1.0),)}
+    if exp is None:
+        del parts["rem"]
+    f_lift = F @ lift                        # (s, p)
+    f_base = F @ base                        # (s, n+N)
     enforced, zeroed, reps = _definiteness_plan(F, definiteness)
 
-    # The robust program needs |entries| of the right-inverse columns, so
-    # there the columns are modeled as explicit nonnegative sign splits
-    # (p - m); the noiseless program keeps them as plain free blocks.
-    split = robust is not None
     lp = lpcore.LinearProgram()
-    if split:
-        lp.add_block("g1_pos", (T, n), nonneg=True)
-        lp.add_block("g1_neg", (T, n), nonneg=True)
-        lp.add_block("g2_pos", (T, N), nonneg=True)
-        lp.add_block("g2_neg", (T, N), nonneg=True)
-    else:
-        lp.add_block("g1", (T, n))
-        lp.add_block("g2", (T, N))
+    for key, width in (("lin", n), ("rem", N)):
+        for name, _ in parts.get(key, ()):
+            lp.add_block(name, (lift.shape[1], width), nonneg=split)
     lp.add_block("mult", (s, s), nonneg=True)
-    lp.add_block("slope", (s, n))
+    if exp is not None:
+        lp.add_block("slope", (s, n))
     with_margin = objective == "margin"
     if with_margin:
         # slack is level headroom: it enters row i as slack * g[i], so the
@@ -317,134 +362,99 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
         # conditions are, and capped so the certified level stays >= 0.
         lp.add_block("slack", (), nonneg=True)
         lp.add_constraint({"slack": 1.0}, "<=", contraction)
-
-    def with_g1(coeff, extra=None):
-        out = dict(extra) if extra else {}
-        if split:
-            out["g1_pos"] = coeff
-            out["g1_neg"] = -np.asarray(coeff)
-        else:
-            out["g1"] = coeff
-        return out
-
-    def with_g2(coeff, extra=None):
-        out = dict(extra) if extra else {}
-        if split:
-            out["g2_pos"] = coeff
-            out["g2_neg"] = -np.asarray(coeff)
-        else:
-            out["g2"] = coeff
-        return out
-
-    if robust is not None:
-        lp.add_block("noise", ())
-        lp.add_block("norm1", ())
-        lp.add_block("norm2", ())
-
-    # (i) contraction rows: mult @ g + slope @ anchor (+ noise) (+ slack * g) <= level * g
-    for i in range(s):
-        terms: dict = {}
-        ps_coeff = np.zeros((s, s))
-        ps_coeff[i, :] = g
-        px_coeff = np.zeros((s, n))
-        px_coeff[i, :] = anchor
-        terms["mult"] = ps_coeff
-        terms["slope"] = px_coeff
-        if robust is not None:
-            terms["noise"] = 1.0
-        if with_margin:
-            terms["slack"] = g[i]
-        lp.add_constraint(terms, "<=", contraction * g[i])
-
-    # (ii) multiplier rows map through the set: mult @ F - F @ x_next @ g1 = slope
-    for i in range(s):
-        for k in range(n):
-            ps_coeff = np.zeros((s, s))
-            ps_coeff[i, :] = F[:, k]
-            g1_coeff = np.zeros((T, n))
-            g1_coeff[:, k] = -f_next[i]
-            px_coeff = np.zeros((s, n))
-            px_coeff[i, k] = -1.0
-            lp.add_constraint(with_g1(g1_coeff, {"mult": ps_coeff, "slope": px_coeff}), "=", 0.0)
-
-    # (iii) remainder slope rows: F @ x_next @ g2 @ slope_at = slope
-    for i in range(s):
-        for k in range(n):
-            g2_coeff = np.outer(f_next[i], slope_at[:, k])
-            px_coeff = np.zeros((s, n))
-            px_coeff[i, k] = -1.0
-            lp.add_constraint(with_g2(g2_coeff, {"slope": px_coeff}), "=", 0.0)
-
-    # (iv) right inverse: regressor @ [g1 g2] = I
-    eye = np.eye(n + N)
-    for r in range(n + N):
-        for c in range(n + N):
-            if c < n:
-                coeff = np.zeros((T, n))
-                coeff[:, c] = regressor[r]
-                lp.add_constraint(with_g1(coeff), "=", eye[r, c])
-            else:
-                coeff = np.zeros((T, N))
-                coeff[:, c - n] = regressor[r]
-                lp.add_constraint(with_g2(coeff), "=", eye[r, c])
-
-    # (v) curvature: for enforced rows the matrix -sum_j coeff_j curv_j must be
-    # symmetric strictly diagonally dominant with margin dd_margin (a sufficient
-    # LP-expressible condition for positive definiteness); paired rows instead
-    # get their remainder coefficients pinned to zero.
-    def _entry_coeff(i: int, k: int, l: int) -> np.ndarray:
-        # coefficient array over G2 for entry (k, l) of row i's curvature matrix
-        return -np.outer(f_next[i], curv[:, k, l])
-
-    enforced_idx = np.flatnonzero(enforced)
-    if enforced_idx.size and n > 1:
-        lp.add_block("dom_abs", (enforced_idx.size, n, n), nonneg=True)
-    for r, i in enumerate(enforced_idx):
-        for k in range(n):
-            extra = None
-            if n > 1:
-                dd_coeff = np.zeros((enforced_idx.size, n, n))
-                for l in range(n):
-                    if l != k:
-                        dd_coeff[r, min(k, l), max(k, l)] -= 1.0
-                extra = {"dom_abs": dd_coeff}
-            lp.add_constraint(with_g2(_entry_coeff(i, k, k), extra), ">=", dd_margin)
-        for k in range(n):
-            for l in range(k + 1, n):
-                unit = np.zeros((enforced_idx.size, n, n))
-                unit[r, k, l] = 1.0
-                entry = _entry_coeff(i, k, l)
-                lp.add_constraint(with_g2(-entry, {"dom_abs": unit}), ">=", 0.0)
-                lp.add_constraint(with_g2(entry, {"dom_abs": unit}), ">=", 0.0)
-    for i in reps:
-        for j in range(N):
-            coeff = np.zeros((T, N))
-            coeff[:, j] = f_next[i]
-            lp.add_constraint(with_g2(coeff), "=", 0.0)
-
-    # robust extras: norm budget tying the noise leakage to eta; the split
-    # blocks make |G| available as p + m without extra absolute-value rows
-    if robust is not None:
-        gm = robust["w_bound"] * float(np.max(row_norms(F, robust["row_norm"])))
-        lip = robust["lipschitz"]
-        mx = robust["state_bound"]
-        for t in range(T):
-            mask1 = np.zeros((T, n))
-            mask1[t, :] = 1.0
-            lp.add_constraint({"g1_pos": mask1, "g1_neg": mask1, "norm1": -1.0}, "<=", 0.0)
-            mask2 = np.zeros((T, N))
-            mask2[t, :] = 1.0
-            lp.add_constraint({"g2_pos": mask2, "g2_neg": mask2, "norm2": -1.0}, "<=", 0.0)
-        scale = gm * mx * T
-        lp.add_constraint({"norm1": scale, "norm2": scale * lip, "noise": -1.0}, "<=", -scale)
-
-    if with_margin:
         lp.set_objective("max", {"slack": 1.0})
+    if split:
+        for name in ("noise", "norm1", "norm2"):
+            lp.add_block(name, ())
+
+    def rows(rel, rhs, lin=None, rem=None, **terms):
+        """One row group; ``lin``/``rem`` hold its coefficients over the loop blocks."""
+        for key, coeff in (("lin", lin), ("rem", rem)):
+            if coeff is not None:
+                terms.update({name: sign * coeff for name, sign in parts[key]})
+        lp.add_constraint_rows(terms, rel, rhs)
+
+    # (i) contraction: mult @ g + slope @ anchor (+ noise) (+ slack * g) <= level * g,
+    # with the remainder bounds in place of the slope term for the baseline
+    terms = {"mult": np.kron(np.eye(s), g)}
+    rhs = contraction * g
+    if exp is None:
+        rhs = rhs - row_bounds
+    else:
+        terms["slope"] = np.kron(np.eye(s), exp.anchor)
+    if split:
+        terms["noise"] = np.ones(s)
+    if with_margin:
+        terms["slack"] = g
+    rows("<=", rhs, **terms)
+
+    # (ii) multiplier rows map through the set: mult @ F - F @ loop_linear = slope
+    terms = {"mult": np.kron(np.eye(s), F.T)}
+    if exp is not None:
+        terms["slope"] = -np.eye(s * n)
+    rows("=", f_base[:, :n].reshape(-1), lin=-np.kron(f_lift, np.eye(n)), **terms)
+
+    if exp is not None:
+        # (iii) remainder slope rows: F @ loop_remainder @ slope_at = slope
+        rows("=", -(f_base[:, n:] @ exp.slope).reshape(-1),
+             rem=np.kron(f_lift, exp.slope.T), slope=-np.eye(s * n))
+
+    if split:
+        # right inverse: regressor @ G = I
+        eye = np.eye(n + N)
+        rows("=", eye.reshape(-1), lin=np.kron(data.regressor, eye[:, :n]),
+             rem=np.kron(data.regressor, eye[:, n:]))
+
+    # (iv) curvature: for enforced rows the matrix -sum_j coeff_j curv_j must be
+    # symmetric strictly diagonally dominant with margin dd_margin (a sufficient
+    # LP-expressible condition for positive definiteness), with dom_abs
+    # bounding the off-diagonal magnitudes
+    rows_e = np.flatnonzero(enforced)
+    if rows_e.size:
+        e = rows_e.size
+        curv = exp.curvatures.reshape(N, n * n)
+        entry = -np.kron(f_lift[rows_e], curv.T).reshape(e, n, n, -1)
+        const = -(f_base[rows_e, n:] @ curv).reshape(e, n, n)
+        diag = np.arange(n)
+        upper = np.triu_indices(n, 1)
+        n_pairs = upper[0].size
+        dom = {}
+        if n_pairs:
+            lp.add_block("dom_abs", (e, n_pairs), nonneg=True)
+            incidence = np.zeros((n, n_pairs))
+            incidence[upper[0], np.arange(n_pairs)] = 1.0
+            incidence[upper[1], np.arange(n_pairs)] = 1.0
+            dom = {"dom_abs": -np.kron(np.eye(e), incidence)}
+        rows(">=", dd_margin - const[:, diag, diag].reshape(-1),
+             rem=entry[:, diag, diag].reshape(e * n, -1), **dom)
+        if n_pairs:
+            off = entry[:, upper[0], upper[1]].reshape(e * n_pairs, -1)
+            off_const = const[:, upper[0], upper[1]].reshape(-1)
+            rows(">=", off_const, rem=-off, dom_abs=np.eye(e * n_pairs))
+            rows(">=", -off_const, rem=off, dom_abs=np.eye(e * n_pairs))
+
+    # (v) paired rows instead get their remainder coefficients pinned to zero
+    if reps:
+        rows("=", -f_base[reps, n:].reshape(-1), rem=np.kron(f_lift[reps], np.eye(N)))
+
+    # robust norm budget tying the noise leakage to eta; the split blocks make
+    # |G| available as pos + neg without extra absolute-value rows
+    if split:
+        T = data.n_samples
+        for norm, key, width in (("norm1", "lin", n), ("norm2", "rem", N)):
+            row_sums = np.kron(np.eye(T), np.ones(width))
+            lp.add_constraint_rows({**{name: row_sums for name, _ in parts[key]},
+                                    norm: -np.ones(T)}, "<=", np.zeros(T))
+        gm = robust["w_bound"] * float(np.max(row_norms(F, robust["row_norm"])))
+        scale = gm * robust["state_bound"] * T
+        lp.add_constraint({"norm1": scale, "norm2": scale * robust["lipschitz"], "noise": -1.0},
+                          "<=", -scale)
 
     outcome = lp.solve()
-    if split and outcome.status in (lpcore.LpStatus.OPTIMAL, lpcore.LpStatus.FEASIBLE):
-        outcome.assignment["g1"] = outcome["g1_pos"] - outcome["g1_neg"]
-        outcome.assignment["g2"] = outcome["g2_pos"] - outcome["g2_neg"]
+    if outcome.status in (lpcore.LpStatus.OPTIMAL, lpcore.LpStatus.FEASIBLE):
+        loop = np.hstack([sum(sign * outcome[name] for name, sign in parts[key])
+                          for key in parts])
+        outcome.assignment["G"] = loop if split else g0[:, :loop.shape[1]] + preimage @ loop
     return outcome, enforced, zeroed
 
 
@@ -547,9 +557,8 @@ def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet, contract
         raise SynthesisInfeasibleError(
             f"noiseless design infeasible at contraction {contraction} "
             f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
-    controller = Controller(
-        k1=data.inputs @ outcome["g1"], k2=data.inputs @ outcome["g2"],
-        g1=outcome["g1"], g2=outcome["g2"])
+    g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
+    controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
     config = {"method": "thm2", "contraction": contraction, "dd_margin": dd_margin,
               "objective": objective, "definiteness": definiteness}
     cert = _certificate(data, safe_set, controller, exp, contraction, outcome,
@@ -592,9 +601,8 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, contraction
         raise SynthesisInfeasibleError(
             f"robust design infeasible at contraction {contraction} "
             f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
-    controller = Controller(
-        k1=data.inputs @ outcome["g1"], k2=data.inputs @ outcome["g2"],
-        g1=outcome["g1"], g2=outcome["g2"])
+    g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
+    controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
     config = {"method": "cor2", "contraction": contraction, "dd_margin": dd_margin,
               "objective": objective, "definiteness": definiteness,
               "row_norm": row_norm, **{k: robust[k] for k in
@@ -707,47 +715,6 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
         x_resolution=tuple(int(r) for r in np.atleast_1d(x_resolution)))
 
 
-def _baseline_lp(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                 search: BaselineSearch, objective: str = "margin"):
-    F = safe_set.normals
-    g = safe_set.offsets
-    s, n = F.shape
-    N, T = data.n_terms, data.n_samples
-    f_next = F @ data.next_states
-    lp = lpcore.LinearProgram()
-    lp.add_block("mult", (s, s), nonneg=True)
-    lp.add_block("g1", (T, n))
-    with_margin = objective == "margin"
-    if with_margin:
-        # level headroom, as in the primal-dual program
-        lp.add_block("slack", (), nonneg=True)
-        lp.add_constraint({"slack": 1.0}, "<=", contraction)
-    for i in range(s):
-        ps_coeff = np.zeros((s, s))
-        ps_coeff[i, :] = g
-        terms = {"mult": ps_coeff}
-        if with_margin:
-            terms["slack"] = g[i]
-        lp.add_constraint(terms, "<=", contraction * g[i] - search.row_bounds[i])
-    for i in range(s):
-        for k in range(n):
-            ps_coeff = np.zeros((s, s))
-            ps_coeff[i, :] = F[:, k]
-            g1_coeff = np.zeros((T, n))
-            g1_coeff[:, k] = -f_next[i]
-            lp.add_constraint({"mult": ps_coeff, "g1": g1_coeff}, "=", 0.0)
-    e1 = np.zeros((n + N, n))
-    e1[:n, :] = np.eye(n)
-    for r in range(n + N):
-        for c in range(n):
-            coeff = np.zeros((T, n))
-            coeff[:, c] = data.regressor[r]
-            lp.add_constraint({"g1": coeff}, "=", e1[r, c])
-    if with_margin:
-        lp.set_objective("max", {"slack": 1.0})
-    return lp.solve()
-
-
 def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
                              k2_lo: float = -2.0, k2_hi: float = 2.0, k2_step: float = 0.1,
                              x_resolution=None, objective: str = "margin",
@@ -761,12 +728,13 @@ def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, cont
         raise ValueError(f"contraction must be in (0, 1], got {contraction}")
     if search is None:
         search = baseline_search(data, safe_set, k2_lo, k2_hi, k2_step, x_resolution)
-    outcome = _baseline_lp(data, safe_set, contraction, search, objective)
+    outcome, _, _ = _build_and_solve(data, safe_set, contraction, None, 0.0, objective,
+                                     "off", None, row_bounds=search.row_bounds)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
             f"baseline infeasible at contraction {contraction} "
             f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
-    g1 = outcome["g1"]
+    g1 = outcome["G"]
     controller = Controller(k1=data.inputs @ g1, k2=search.k2, g1=g1, g2=search.g2)
     mult = outcome["mult"]
     F = safe_set.normals
@@ -833,7 +801,7 @@ def format_certificate(controller: Controller, cert: SynthesisCertificate) -> st
         f"method: {cert.method}",
         f"contraction level: {cert.contraction:.17g}",
         f"noise margin: {cert.noise_margin:.17g}",
-        f"uniform slack: {'n/a' if cert.margin is None else format(cert.margin, '.17g')}",
+        f"level headroom: {'n/a' if cert.margin is None else format(cert.margin, '.17g')}",
         "config: " + ", ".join(f"{k}={v}" for k, v in sorted(cert.config.items())),
         "",
         mat("k1", controller.k1),

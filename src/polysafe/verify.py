@@ -22,6 +22,7 @@ from .polytope import PolyhedralSet, enumerate_vertices, interval_enclosure, sam
 from .synthesis import row_norms
 
 TOL_VERIFY = 1e-6
+_GRID_CHUNK = 65536  # grid points per margin evaluation
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +109,21 @@ def grid_contractivity(controller, safe_set: PolyhedralSet, level: float, w_boun
         points = np.vstack([points, np.array(enumerate_vertices(safe_set))])
     except DimensionTooLargeError:
         pass
-    remainders = dictionary.remainder(points)
-    nxt = points @ lin.T + remainders @ rem_mat.T
     offsets = disturbance_offsets(safe_set, w_bound, row_norm)
-    margins = nxt @ safe_set.normals.T + offsets - level * safe_set.offsets  # (k, s)
-    row_margins = margins.max(axis=0)
-    bad = np.flatnonzero(margins.max(axis=1) > tol)
-    witnesses = [(int(i), points[i].copy(), float(margins[i].max())) for i in bad[:max_witnesses]]
+    row_margins = np.full(safe_set.n_rows, -np.inf)
+    violations = 0
+    witnesses: list = []
+    # fixed-size chunks bound the temporaries for large grids
+    for first in range(0, points.shape[0], _GRID_CHUNK):
+        chunk = points[first:first + _GRID_CHUNK]
+        nxt = chunk @ lin.T + dictionary.remainder(chunk) @ rem_mat.T
+        margins = nxt @ safe_set.normals.T + offsets - level * safe_set.offsets  # (k, s)
+        row_margins = np.maximum(row_margins, margins.max(axis=0))
+        worst = margins.max(axis=1)
+        bad = np.flatnonzero(worst > tol)
+        violations += bad.size
+        witnesses += [(first + int(i), chunk[i].copy(), float(worst[i]))
+                      for i in bad[:max_witnesses - len(witnesses)]]
 
     res = np.asarray(resolution, dtype=float).reshape(-1)
     cell_diagonal = float(np.linalg.norm((box.hi - box.lo) / (res - 1.0)))
@@ -125,7 +134,7 @@ def grid_contractivity(controller, safe_set: PolyhedralSet, level: float, w_boun
     return VerificationReport(
         method=f"grid-contractivity[{source}]",
         row_margins=row_margins,
-        violations=int(bad.size),
+        violations=violations,
         witnesses=witnesses,
         samples=points.shape[0],
         runtime=time.perf_counter() - start,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysafe.datagen import collect
+from polysafe.datagen import collect, collect_informative
 from polysafe.dynamics import Dictionary, Monomial, PlantModel
 from polysafe.polytope import PolyhedralSet
 from polysafe import synthesis
@@ -69,3 +69,29 @@ def stable_test_plant():
         dictionary=dictionary,
         w_bound=0.05,
     )
+
+
+def tri_problem(samples):
+    """The 3-state benchmark plant: a parallelepiped safe set, three quadratic
+    terms, one input on the third state; data seed 11, no noise."""
+    P = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.25], [0.2, 0.0, 1.0]])
+    safe_set = PolyhedralSet(np.vstack([0.5 * P, -0.5 * P]), np.ones(6))
+    dictionary = Dictionary(
+        [Monomial((2, 0, 0)), Monomial((0, 2, 0)), Monomial((1, 0, 1))], 3)
+    plant = PlantModel(a1=[[0.7, 0.2, 0.0], [0.0, 0.6, 0.3], [0.2, -0.3, 1.1]],
+                       a2=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
+                       b=[[0.0], [0.0], [1.0]], dictionary=dictionary, w_bound=0.02)
+    data = collect_informative(plant, samples, 0.01, [0.0, 0.0, 0.0], 11,
+                               safe_set=safe_set, require_in_set=True)
+    return safe_set, data
+
+
+def duo_problem(samples):
+    """The stable 2-state, 3-term benchmark plant on the secV safe set; data seed 7."""
+    safe_set = PolyhedralSet(SECV_F, SECV_G)
+    dictionary = Dictionary([Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1))], 2)
+    plant = PlantModel(a1=[[0.7, 0.3], [-0.2, 0.9]], a2=[[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
+                       b=[[0.0], [1.0]], dictionary=dictionary, w_bound=0.02)
+    data = collect_informative(plant, samples, 0.05, [0.0, 0.0], 7,
+                               safe_set=safe_set, require_in_set=True)
+    return safe_set, data

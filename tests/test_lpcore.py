@@ -85,6 +85,18 @@ class TestBasics:
         with pytest.raises(MalformedProgramError):
             lp.add_block("x", ())
 
+    def test_near_zero_rows_are_zero_rows(self):
+        # rescaling the tiny rows to unit size would turn rounding-level
+        # right-hand sides into x0 = 100 and x0 = -100
+        lp = LinearProgram()
+        lp.add_block("x", (2,))
+        lp.add_constraint({"x": [1.0, 1.0]}, "=", 1.0)
+        lp.add_constraint({"x": [1e-18, 0.0]}, "=", 1e-16)
+        lp.add_constraint({"x": [1e-18, 0.0]}, "=", -1e-16)
+        out = lp.solve()
+        assert out.status == LpStatus.FEASIBLE
+        assert out.max_residual <= lpcore.TOL_LP
+
     def test_solution_replays(self):
         rng = np.random.default_rng(4)
         for trial in range(30):

@@ -159,6 +159,18 @@ class TestGrid:
         np.testing.assert_allclose(pts[:3, 0], [-1, -1, -1])
         np.testing.assert_allclose(pts[:3, 1], [-1, 0, 1])
 
+    def test_slabs_match_full_mesh(self):
+        # the grid is built one first-axis slab at a time; filtering the full
+        # mesh at once is the reference, for dimensions 1 and 3
+        P = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.25], [0.2, 0.0, 1.0]])
+        for safe_set, res in ((PolyhedralSet([[1.0], [-1.0]], [1.0, 2.0]), (7,)),
+                              (PolyhedralSet(np.vstack([P, -P]), np.ones(6)), (7, 5, 6))):
+            box = interval_enclosure(safe_set)
+            axes = [np.linspace(lo, hi, r) for lo, hi, r in zip(box.lo, box.hi, res)]
+            mesh = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+            np.testing.assert_array_equal(sample_grid(safe_set, res),
+                                          mesh[safe_set.membership_mask(mesh)])
+
     def test_resolution_validation(self, secv_set):
         with pytest.raises(ValueError):
             sample_grid(secv_set, (1, 3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysafe import synthesis, verify
+from polysafe import lpcore, synthesis, verify
 from polysafe.datagen import collect
 from polysafe.dynamics import Dictionary, Monomial, PlantModel, expansion_point
 from polysafe.errors import (
@@ -14,7 +14,7 @@ from polysafe.errors import (
 )
 from polysafe.polytope import PolyhedralSet, enumerate_vertices, interval_enclosure, sample_grid
 
-from conftest import SECV_F, SECV_G
+from conftest import SECV_F, SECV_G, duo_problem, tri_problem
 
 
 def replay_certificate(data, safe_set, controller, cert):
@@ -453,6 +453,107 @@ class TestMinimalContraction:
         with pytest.raises((NoFeasibleContractionError, RankDeficientDataError)):
             synthesis.minimal_contraction(data, secv_set, method="thm2",
                                           expansion=[0.5, 0.5])
+
+
+TRI_LEVEL = 0.9102463054185772  # tri thm2 minimal level, T=160
+
+
+@pytest.fixture()
+def solved_programs(monkeypatch):
+    """Every program solved during the test, with its outcome, in solve order."""
+    programs = []
+    solve = lpcore.LinearProgram.solve
+
+    def recording(lp):
+        outcome = solve(lp)
+        programs.append((lp, outcome))
+        return outcome
+
+    monkeypatch.setattr(lpcore.LinearProgram, "solve", recording)
+    return programs
+
+
+def highs_outcome(lp):
+    """Status and objective of the same program under HiGHS, read from the
+    program's assembled rows."""
+    from scipy.optimize import linprog
+
+    A, sense, b = lp._assemble()
+    c = np.zeros(lp.n_variables)
+    sign = 1.0
+    if lp._objective is not None:
+        obj_sense, terms = lp._objective
+        sign = 1.0 if obj_sense == "min" else -1.0
+        c = sign * lp._densify(terms)
+    ineq, eq = sense != 0.0, sense == 0.0
+    bounds = [(0.0, None) if block.nonneg else (None, None)
+              for block in lp._blocks.values() for _ in range(block.size)]
+    ref = linprog(c, A_ub=sense[ineq, None] * A[ineq], b_ub=sense[ineq] * b[ineq],
+                  A_eq=A[eq], b_eq=b[eq], bounds=bounds, method="highs")
+    status = {0: lpcore.LpStatus.OPTIMAL, 2: lpcore.LpStatus.INFEASIBLE,
+              3: lpcore.LpStatus.UNBOUNDED}[ref.status]
+    return status, (sign * ref.fun if status == lpcore.LpStatus.OPTIMAL else None)
+
+
+class TestClosedLoopPrograms:
+    def test_tri_expansion_point_is_first_candidate(self):
+        # over G the first three vertex candidates broke down in the tableau
+        # (replay residuals 81 to 2,922); over the closed loop each solves
+        safe_set, data = tri_problem(160)
+        candidates = [0.25 * v for v in enumerate_vertices(safe_set)]
+        exp = synthesis.pick_expansion_point(data, safe_set, 1.0)
+        np.testing.assert_array_equal(exp.point, candidates[0])
+        for point in candidates[:4]:
+            _, cert = synthesis.synthesize_noiseless(data, safe_set, 1.0, expansion=point)
+            assert abs(1.0 - cert.margin - TRI_LEVEL) <= 1e-9
+
+    def test_inputs_without_effect_fix_the_closed_loop(self):
+        # with b = 0 no gain moves the closed loop off the open loop, and on
+        # the unit box its level is the induced infinity norm of a1
+        dictionary = Dictionary([Monomial((2, 0)), Monomial((0, 2))], 2)
+        a1 = 0.6 * np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
+        plant = PlantModel(a1=a1, a2=np.zeros((2, 2)), b=[[0.0], [0.0]],
+                           dictionary=dictionary, w_bound=0.0)
+        box = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+        data = collect(plant, 8, 0.3, [0.5, 0.3], seed=2)
+        level = synthesis.minimal_contraction(data, box, expansion=[0.2, 0.1])
+        assert abs(level - np.max(np.abs(a1).sum(axis=1))) <= 1e-9
+
+    def test_program_size_does_not_grow_with_samples(self, solved_programs):
+        sizes = []
+        for samples in (40, 160):
+            safe_set, data = duo_problem(samples)
+            synthesis.synthesize_noiseless(data, safe_set, 0.95, expansion=[0.5, 0.5])
+            thm2 = solved_programs[-1][0]
+            synthesis.synthesize_min_remainder(data, safe_set, 0.95, k2_step=0.5)
+            thm1 = solved_programs[-1][0]
+            sizes.append([(lp.n_constraints, lp.n_variables) for lp in (thm2, thm1)])
+        assert sizes[0] == sizes[1]
+        # thm2: 1 + 4 + 8 + 8 + 6 rows; 5 loop + 16 multiplier + 8 slope + 1 slack columns
+        assert sizes[0][0] == (27, 30)
+
+    @pytest.mark.parametrize("problem", ["secV", "duo", "tri40", "tri60", "tri160"])
+    def test_design_programs_match_highs(self, problem, secv_data, solved_programs):
+        safe_set, data = {
+            "secV": lambda: (PolyhedralSet(SECV_F, SECV_G), secv_data),
+            "duo": lambda: duo_problem(160),
+            "tri40": lambda: tri_problem(40),
+            "tri60": lambda: tri_problem(60),
+            "tri160": lambda: tri_problem(160),
+        }[problem]()
+        for vertex in enumerate_vertices(safe_set)[:4]:
+            synthesis.synthesize_noiseless(data, safe_set, 1.0, expansion=0.25 * vertex)
+        if problem in ("secV", "duo"):
+            with pytest.raises(SynthesisInfeasibleError):
+                synthesis.synthesize_robust(data, safe_set, 1.0, w_bound=0.02,
+                                            expansion=[0.5, 0.5])
+        designs = [(lp, out) for lp, out in solved_programs if "mult" in lp._blocks]
+        assert len(designs) == (5 if problem in ("secV", "duo") else 4)
+        for lp, outcome in designs:
+            status, objective = highs_outcome(lp)
+            assert outcome.status == status
+            if status == lpcore.LpStatus.OPTIMAL:
+                assert abs(outcome.objective - objective) <= 1e-9
 
 
 class TestNumericalGuard:

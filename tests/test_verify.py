@@ -5,9 +5,9 @@ import pytest
 
 from polysafe import synthesis, verify
 from polysafe.dynamics import Dictionary, Monomial, PlantModel
-from polysafe.polytope import PolyhedralSet, enumerate_vertices
+from polysafe.polytope import PolyhedralSet, enumerate_vertices, sample_grid
 
-from conftest import SECV_F
+from conftest import SECV_F, SECV_G
 
 
 def zero_controller(n_samples=40, n=2, n_terms=2, m=1):
@@ -97,6 +97,29 @@ class TestGridContractivity:
         mc = verify.monte_carlo_invariance(
             secv_plant, controller, secv_set, 500, 100, seed=19)
         assert mc.violations == 0
+
+    def test_chunks_match_direct_evaluation(self, secv_plant, secv_set, monkeypatch):
+        # the zero controller violates across the set, so margins and
+        # witnesses come from many chunks; one evaluation over all points
+        # is the reference
+        monkeypatch.setattr(verify, "_GRID_CHUNK", 500)
+        report = verify.grid_contractivity(
+            zero_controller(), secv_set, 0.95, 0.05, (61, 61), secv_plant.dictionary,
+            source="true-model", plant=secv_plant, max_witnesses=10**6)
+        points = np.vstack([sample_grid(secv_set, (61, 61)),
+                            np.array(enumerate_vertices(secv_set))])
+        nxt = (points @ secv_plant.linear_base().T
+               + secv_plant.dictionary.remainder(points) @ secv_plant.a2.T)
+        margins = (nxt @ SECV_F.T + verify.disturbance_offsets(secv_set, 0.05)
+                   - 0.95 * SECV_G)
+        bad = np.flatnonzero(margins.max(axis=1) > verify.TOL_VERIFY)
+        assert report.samples == len(points) > 3 * 500
+        assert bad[-1] >= 500 and report.violations == bad.size
+        np.testing.assert_allclose(report.row_margins, margins.max(axis=0), rtol=0, atol=1e-12)
+        assert [w[0] for w in report.witnesses] == bad.tolist()
+        for index, point, margin in report.witnesses:
+            np.testing.assert_array_equal(point, points[index])
+            assert abs(margin - margins[index].max()) <= 1e-12
 
     def test_certificate_margins_attached(self, secv_plant, secv_set, secv_design):
         controller, cert = secv_design
