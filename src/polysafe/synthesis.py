@@ -18,14 +18,15 @@ is encoded as strict diagonal dominance (an LP-expressible sufficient
 condition for positive definiteness) and re-verified afterwards with
 exact eigenvalues.  The robust variant ("cor2") adds a norm budget that
 accounts for noise leakage through the data matrices.  The baseline
-("thm1") performs a direct search for the remainder-minimizing gain and
-then solves the classical row-multiplier program with the searched
-remainder bound subtracted.
+("thm1") searches a grid of gains for the one minimizing the worst-row
+remainder term and then solves the classical row-multiplier program with
+the searched remainder bound subtracted.  The search is exact but pruned:
+cheap lower bounds from a few probe points rank the candidates, and only
+those whose bound can still reach the best exact score are scored.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -147,7 +148,7 @@ class BaselineSearch:
     g2: np.ndarray           # (T, N) recovered right-inverse columns
     row_bounds: np.ndarray   # (s,) grid maxima of the remainder term at the winner
     candidates: np.ndarray   # (k, m*N)
-    scores: np.ndarray       # (k,)
+    scored: int              # candidates scored exactly
     chosen: int
     x_resolution: tuple
 
@@ -663,6 +664,11 @@ def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contract
 # remainder-minimization baseline
 
 
+_MAX_GAIN_CANDIDATES = 41 ** 4  # the default gain grid at m*N = 4
+_BOUND_CHUNK = 4096             # candidates per vectorized lower-bound block
+_BOUND_GRID_POINTS = 8          # strided grid points in the lower-bound probe
+
+
 def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
                     k2_lo: float = -2.0, k2_hi: float = 2.0, k2_step: float = 0.1,
                     x_resolution=None) -> BaselineSearch:
@@ -674,17 +680,37 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     is maximized over a deterministic state grid plus the vertices, and the
     candidate with the smallest worst-row maximum wins (first on ties).
     ``x_resolution`` defaults to :func:`~polysafe.polytope.grid_resolution`.
+
+    The search is exact but pruned (bound and score).  A candidate's score
+    is a maximum over all points, so its maximum over a few probe points
+    (the vertices, each row's maximizer at the gain-free coefficients and a
+    strided grid sample) is a lower bound; the bounds of all candidates are
+    computed in fixed-size blocks.  Candidates are then scored exactly in
+    ascending-bound order until a bound exceeds the best score plus a
+    rounding slack, which leaves the same winner and the same
+    ``row_bounds`` as scoring every candidate.  ``scored`` counts the
+    exact scorings.
     """
+    if not k2_step > 0:
+        raise ValueError(f"k2_step must be positive, got {k2_step}")
+    if not (math.isfinite(k2_lo) and math.isfinite(k2_hi) and k2_lo <= k2_hi):
+        raise ValueError(f"need finite k2_lo <= k2_hi, got k2_lo={k2_lo}, k2_hi={k2_hi}")
+    n, N, m = data.state_dim, data.n_terms, data.input_dim
+    steps = int(round((k2_hi - k2_lo) / k2_step))
+    count = (steps + 1) ** (m * N)
+    if count > _MAX_GAIN_CANDIDATES:
+        raise ValueError(
+            f"gain grid has {steps + 1}^{m * N} = {count} candidates, above the cap of "
+            f"{_MAX_GAIN_CANDIDATES}; raise k2_step or narrow [k2_lo, k2_hi]")
     diag = identification_rank(data)
     if not diag.full_row_rank:
         raise RankDeficientDataError(
             f"stacked input/regressor matrix is rank deficient: {diag}", diag)
     F = safe_set.normals
-    n, N, m = data.state_dim, data.n_terms, data.input_dim
     if x_resolution is None:
         x_resolution = grid_resolution(n)
-    points = sample_grid(safe_set, x_resolution)
-    points = np.vstack([points, np.array(enumerate_vertices(safe_set))])
+    grid = sample_grid(safe_set, x_resolution)
+    points = np.vstack([grid, np.array(enumerate_vertices(safe_set))])
     rem = data.dictionary.remainder(points)          # (k, N)
     f_next = F @ data.next_states                       # (s, T)
 
@@ -695,23 +721,56 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     base = pinv[:, :n + N] @ e2                      # (T, N)
     gain_map = pinv[:, n + N:]                       # (T, m)
 
-    steps = int(round((k2_hi - k2_lo) / k2_step))
+    # every gain on the grid, in itertools.product order
     axis = k2_lo + k2_step * np.arange(steps + 1)
-    combos = np.array(list(itertools.product(axis, repeat=m * N)))
-    scores = np.empty(len(combos))
-    bounds = np.empty((len(combos), F.shape[0]))
-    for idx, flat in enumerate(combos):
-        k2 = flat.reshape(m, N)
+    grids = np.indices((steps + 1,) * (m * N), sparse=True)
+    combos = np.stack(np.broadcast_arrays(*(axis[g] for g in grids)), axis=-1)
+    combos = combos.reshape(count, m * N)
+
+    # lower bounds: the value at (row i, point p) is affine in the gain,
+    # offset[i, p] + sum_ab k2[a, b] * (f_next @ gain_map)[i, a] * rem[p, b]
+    coeff0 = f_next @ base                           # (s, N)
+    probe = np.unique(np.concatenate([
+        np.arange(len(grid), len(points)),                                  # vertices
+        np.argmax(coeff0 @ rem.T, axis=1),                                  # row maximizers
+        np.arange(0, len(grid), max(1, len(grid) // _BOUND_GRID_POINTS))]))  # grid sample
+    offset = (coeff0 @ rem[probe].T).ravel()         # (s*q,)
+    slope = np.einsum("ia,pb->abip", f_next @ gain_map, rem[probe]).reshape(m * N, -1)
+    bound = np.empty(count)
+    for start in range(0, count, _BOUND_CHUNK):
+        block = combos[start:start + _BOUND_CHUNK]
+        bound[start:start + _BOUND_CHUNK] = (block @ slope + offset).max(axis=1)
+
+    # Rounding slack.  The bounds and the exact scores are computed from the
+    # same f_next, base, gain_map, rem and grid gains, but associated
+    # differently: ((f_next @ gain_map) * rem) @ k2 + (f_next @ base) @ rem
+    # against (f_next @ (base + gain_map @ k2)) @ rem.  Each value is a sum
+    # along a chain of at most k = T + (m+1)(N+1) + 2 rounded operations, so
+    # both lie within gamma_k * M of the same exact value (gamma_k =
+    # k*u/(1 - k*u), u = eps/2; Higham, Accuracy and Stability of Numerical
+    # Algorithms, sec. 3.1), where M bounds |f_next| (|base| + |gain_map| |k2|)
+    # |rem| over all rows, points and gains.  A bound above best + 2*gamma_k*M
+    # then proves the candidate's computed score is above best, so it can
+    # neither win nor tie; 4*k*eps*M is four times that.
+    k2_max = float(np.max(np.abs(axis)))
+    mag = np.abs(f_next) @ (np.abs(base) + k2_max * np.abs(gain_map).sum(axis=1, keepdims=True))
+    chain = data.next_states.shape[1] + (m + 1) * (N + 1) + 2
+    slack = 4.0 * chain * np.finfo(float).eps * float(np.max(mag @ np.abs(rem).max(axis=0)))
+
+    best, row_maxima = np.inf, {}
+    for idx in np.argsort(bound, kind="stable"):
+        if bound[idx] > best + slack:
+            break
+        k2 = combos[idx].reshape(m, N)
         g2 = base + gain_map @ k2
         coeffs = f_next @ g2                         # (s, N)
-        row_max = np.max(coeffs @ rem.T, axis=1)     # (s,)
-        bounds[idx] = row_max
-        scores[idx] = row_max.max()
-    chosen = int(np.argmin(scores))
+        row_maxima[idx] = np.max(coeffs @ rem.T, axis=1)
+        best = min(best, row_maxima[idx].max())
+    chosen = int(min(idx for idx, row_max in row_maxima.items() if row_max.max() == best))
     k2 = combos[chosen].reshape(m, N)
     return BaselineSearch(
-        k2=k2, g2=base + gain_map @ k2, row_bounds=bounds[chosen],
-        candidates=combos, scores=scores, chosen=chosen,
+        k2=k2, g2=base + gain_map @ k2, row_bounds=row_maxima[chosen],
+        candidates=combos, scored=len(row_maxima), chosen=chosen,
         x_resolution=tuple(int(r) for r in np.atleast_1d(x_resolution)))
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +304,19 @@ class TestDump:
         assert "Subject To" in text
         assert "x_0" in text and "y" in text
         assert "Bounds" in text and "End" in text
+
+
+class TestImportCost:
+    def test_scipy_blas_is_not_imported_up_front(self):
+        # scipy's BLAS serves only tableaux above 65,536 entries; importing
+        # the package and loading a scenario must not pay for it
+        root = Path(__file__).resolve().parent.parent
+        code = ("import sys, polysafe\n"
+                "from polysafe import cli\n"
+                f"cli.load_scenario({str(root / 'scenarios' / 'secV.json')!r})\n"
+                "print('scipy.linalg' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from polysafe import lpcore, synthesis, verify
-from polysafe.datagen import collect
+from polysafe.datagen import collect, collect_informative
 from polysafe.dynamics import Dictionary, Monomial, PlantModel, expansion_point
 from polysafe.errors import (
     ExpansionPointSearchFailedError,
@@ -12,7 +14,8 @@ from polysafe.errors import (
     SynthesisInfeasibleError,
     ZeroExpansionPointError,
 )
-from polysafe.polytope import PolyhedralSet, enumerate_vertices, interval_enclosure, sample_grid
+from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
+                               interval_enclosure, sample_grid)
 
 from conftest import SECV_F, SECV_G, duo_problem, tri_problem
 
@@ -332,6 +335,115 @@ class TestBaseline:
             remainders=rem.T, regressor=np.vstack([states.T, rem.T]), dictionary=d)
         with pytest.raises(RankDeficientDataError):
             synthesis.baseline_search(data, secv_set)
+
+
+def brute_force_search(data, safe_set, k2_lo=-2.0, k2_hi=2.0, k2_step=0.1):
+    """The unpruned gain search: every grid gain scored over every point.
+
+    Returns the winner index (``argmin``, so first on ties), the candidate
+    grid and the winner's row bounds.
+    """
+    F = safe_set.normals
+    n, N, m = data.state_dim, data.n_terms, data.input_dim
+    points = sample_grid(safe_set, grid_resolution(n))
+    points = np.vstack([points, np.array(enumerate_vertices(safe_set))])
+    rem = data.dictionary.remainder(points)
+    f_next = F @ data.next_states
+    pinv = np.linalg.pinv(np.vstack([data.regressor, data.inputs]))
+    e2 = np.zeros((n + N, N))
+    e2[n:, :] = np.eye(N)
+    base = pinv[:, :n + N] @ e2
+    gain_map = pinv[:, n + N:]
+    steps = int(round((k2_hi - k2_lo) / k2_step))
+    axis = k2_lo + k2_step * np.arange(steps + 1)
+    combos = np.array(list(itertools.product(axis, repeat=m * N)))
+    scores = np.empty(len(combos))
+    bounds = np.empty((len(combos), F.shape[0]))
+    for idx, flat in enumerate(combos):
+        k2 = flat.reshape(m, N)
+        g2 = base + gain_map @ k2
+        coeffs = f_next @ g2
+        row_max = np.max(coeffs @ rem.T, axis=1)
+        bounds[idx] = row_max
+        scores[idx] = row_max.max()
+    chosen = int(np.argmin(scores))
+    return chosen, combos, bounds[chosen]
+
+
+def duo_variant(a2, b=((0.0,), (1.0,))):
+    """The duo plant with other remainder (and input) matrices, T=160."""
+    safe_set = PolyhedralSet(SECV_F, SECV_G)
+    dictionary = Dictionary([Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1))], 2)
+    plant = PlantModel(a1=[[0.7, 0.3], [-0.2, 0.9]], a2=a2, b=b,
+                       dictionary=dictionary, w_bound=0.02)
+    data = collect_informative(plant, 160, 0.05, [0.0, 0.0], 7,
+                               safe_set=safe_set, require_in_set=True)
+    return safe_set, data
+
+
+class TestBaselineSearchIsExact:
+    """The pruned search returns what scoring every candidate returns."""
+
+    def assert_matches_brute_force(self, data, safe_set, **grid):
+        search = synthesis.baseline_search(data, safe_set, **grid)
+        chosen, combos, row_bounds = brute_force_search(data, safe_set, **grid)
+        np.testing.assert_array_equal(search.candidates, combos)
+        assert search.chosen == chosen
+        np.testing.assert_array_equal(search.k2, combos[chosen].reshape(search.k2.shape))
+        np.testing.assert_array_equal(search.row_bounds, row_bounds)
+        return search
+
+    def test_secv(self, secv_data, secv_set):
+        self.assert_matches_brute_force(secv_data, secv_set)
+
+    def test_duo(self):
+        safe_set, data = duo_problem(160)
+        search = self.assert_matches_brute_force(data, safe_set)
+        assert len(search.candidates) == 41 ** 3
+        assert search.scored <= len(search.candidates) // 1000
+
+    @pytest.mark.parametrize("a2", [[[0.2, 0.0, 0.1], [1.0, 0.5, -0.5]],
+                                    [[0.0, 0.0, 0.0], [3.0, 0.5, -0.5]]])
+    def test_non_cancelling_duo_variants(self, a2):
+        # no grid gain cancels the remainder, so the best score is positive
+        safe_set, data = duo_variant(a2)
+        search = self.assert_matches_brute_force(data, safe_set, k2_step=0.2)
+        assert search.row_bounds.max() > 0.1
+
+    @pytest.mark.parametrize("b", [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]])
+    def test_rounding_level_near_ties(self, secv_plant, secv_set, b):
+        # an idle or a duplicated input leaves whole groups of gains whose
+        # scores differ only by rounding; every one of them must be scored
+        plant = PlantModel(a1=secv_plant.a1, a2=secv_plant.a2, b=b,
+                           dictionary=secv_plant.dictionary, w_bound=0.0)
+        data = collect(plant, 40, 0.003, [0.0, 0.0], seed=7)
+        search = self.assert_matches_brute_force(data, secv_set, k2_step=0.5)
+        assert search.scored > 9
+
+    def test_exact_ties_go_to_the_first_candidate(self, secv_data, secv_set):
+        # steps below half an ulp of 1.0 repeat grid values, so whole groups
+        # of candidates are the same gain and tie bit for bit
+        grid = {"k2_lo": 1.0, "k2_hi": 1.0 + 1e-15, "k2_step": 1e-16}
+        search = self.assert_matches_brute_force(secv_data, secv_set, **grid)
+        twins = np.all(search.candidates == search.candidates[search.chosen], axis=1)
+        assert np.count_nonzero(twins) > 1
+        assert search.chosen == np.flatnonzero(twins)[0]
+
+    @pytest.mark.parametrize("grid, match", [
+        ({"k2_step": 0.0}, "k2_step must be positive, got 0.0"),
+        ({"k2_step": -0.1}, "k2_step must be positive, got -0.1"),
+        ({"k2_lo": 1.0, "k2_hi": -1.0}, "k2_lo=1.0, k2_hi=-1.0"),
+        ({"k2_step": 0.002}, "2001\\^2 = 4004001 candidates, above the cap"),
+    ])
+    def test_bad_gain_grid_rejected(self, secv_data, secv_set, grid, match):
+        with pytest.raises(ValueError, match=match):
+            synthesis.baseline_search(secv_data, secv_set, **grid)
+
+    def test_six_gain_entries_exceed_the_cap(self):
+        # two inputs and three terms: the default grid has 41^6 ~ 4.7e9 gains
+        safe_set, data = duo_variant([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]], b=np.eye(2))
+        with pytest.raises(ValueError, match="41\\^6 = 4750104241 candidates"):
+            synthesis.baseline_search(data, safe_set)
 
 
 class TestLumpedBounds:
