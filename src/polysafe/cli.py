@@ -315,7 +315,7 @@ def _collect(scenario: Scenario):
     return plant, safe_set, data
 
 
-def _synthesize(scenario: Scenario, data, safe_set):
+def _synthesize(scenario: Scenario, data, safe_set, search=None):
     cfg = scenario.synthesis
     if cfg.method == "thm2":
         return synthesis.synthesize_noiseless(
@@ -328,11 +328,11 @@ def _synthesize(scenario: Scenario, data, safe_set):
             expansion=cfg.expansion_point, dd_margin=cfg.dd_margin,
             objective=cfg.objective, definiteness=cfg.definiteness,
             row_norm=cfg.row_norm, seed=scenario.data.seed)
-    result = synthesis.synthesize_min_remainder(data, safe_set, cfg.contraction)
+    result = synthesis.synthesize_min_remainder(data, safe_set, cfg.contraction, search=search)
     return result.controller, result
 
 
-def _sweep(scenario: Scenario, data, safe_set, methods) -> dict:
+def _sweep(scenario: Scenario, data, safe_set, methods, search=None) -> dict:
     cfg = scenario.synthesis
     levels: dict = {}
     for method in methods:
@@ -342,7 +342,7 @@ def _sweep(scenario: Scenario, data, safe_set, methods) -> dict:
             kwargs["w_bound"] = scenario.system.w_bound
             kwargs["row_norm"] = cfg.row_norm
         if method == "thm1":
-            kwargs = {}
+            kwargs = {"search": search}
         try:
             levels[method] = synthesis.minimal_contraction(
                 data, safe_set, method=method, **kwargs)
@@ -574,6 +574,12 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
     plant, safe_set, data = _collect(scenario)
     data.export_csv(out_dir / "data")
     reg = regressor_rank(data)
+    # the thm1 gain search does not depend on the level: one search serves
+    # the design, the sweep and the baseline row
+    try:
+        search = synthesis.baseline_search(data, safe_set)
+    except RankDeficientDataError:
+        search = None
 
     summary: dict = {
         "command": "report",
@@ -585,14 +591,14 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
 
     infeasible_at_requested = False
     try:
-        controller, cert = _synthesize(scenario, data, safe_set)
+        controller, cert = _synthesize(scenario, data, safe_set, search)
         level = scenario.synthesis.contraction
     except SynthesisInfeasibleError as err:
         infeasible_at_requested = True
         summary["infeasible_detail"] = str(err)
         print(f"synthesis infeasible at {scenario.synthesis.contraction}: {err}",
               file=sys.stderr)
-        levels = _sweep(scenario, data, safe_set, list(synthesis.METHODS))
+        levels = _sweep(scenario, data, safe_set, list(synthesis.METHODS), search)
         summary["min_levels"] = levels
         level = levels.get(scenario.synthesis.method)
         if level is None:
@@ -604,7 +610,7 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
                             synthesis=SynthesisSection(**{**asdict(scenario.synthesis),
                                                           "contraction": level}),
                             verify=scenario.verify)
-        controller, cert = _synthesize(rescoped, data, safe_set)
+        controller, cert = _synthesize(rescoped, data, safe_set, search)
 
     summary["level_verified"] = level
     summary["k1"] = controller.k1
@@ -627,10 +633,11 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
     summary["monte_carlo"] = _report_entry(mc)
 
     if "min_levels" not in summary:
-        summary["min_levels"] = _sweep(scenario, data, safe_set, list(synthesis.METHODS))
+        summary["min_levels"] = _sweep(scenario, data, safe_set, list(synthesis.METHODS),
+                                       search)
     baseline = None
     try:
-        baseline = synthesis.synthesize_min_remainder(data, safe_set, level)
+        baseline = synthesis.synthesize_min_remainder(data, safe_set, level, search=search)
     except (SynthesisInfeasibleError, RankDeficientDataError):
         pass
     lumped = synthesis.lumped_disturbance_bounds(

@@ -142,6 +142,9 @@ class Dictionary:
                 )
         self.terms = terms
         self.dim = dim
+        # each monomial's coordinates repeated by their exponents: (1, 0, 1) -> (0, 2)
+        self._factors = [tuple(k for k, e in enumerate(t.exponents) for _ in range(e))
+                         if isinstance(t, Monomial) else () for t in terms]
         self._lin = None
 
     @property
@@ -157,13 +160,22 @@ class Dictionary:
         return x
 
     def values(self, x) -> np.ndarray:
-        """Term values at ``x``; batched when ``x`` has shape (k, n)."""
+        """Term values at ``x``; batched when ``x`` has shape (k, n).
+
+        A monomial is the left-to-right product of its coordinates, each
+        repeated by its exponent: ``(2, 0)`` is ``x0 * x0`` and ``(1, 0, 1)``
+        is ``x0 * x2``.  Every value is thus a fixed chain of correctly
+        rounded multiplications, the same on every CPU, where a float
+        ``pow`` depends on which SIMD kernel numpy picks.
+        """
         x = self._check_point(x)
         cols = []
-        for t in self.terms:
+        for t, factors in zip(self.terms, self._factors):
             if isinstance(t, Monomial):
-                exps = np.asarray(t.exponents, dtype=float)
-                cols.append(np.prod(x ** exps, axis=-1))
+                col = x[..., factors[0]]
+                for k in factors[1:]:
+                    col = col * x[..., k]
+                cols.append(col)
             elif isinstance(t, SinTerm):
                 cols.append(np.sin(x[..., t.coord]))
             else:

@@ -23,6 +23,7 @@ from .synthesis import row_norms
 
 TOL_VERIFY = 1e-6
 _GRID_CHUNK = 65536  # grid points per margin evaluation
+_MC_CHUNK = 2048     # trajectories per Monte Carlo chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +156,13 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     Initial states are the vertices plus seeded uniform samples from the
     set; each trajectory's disturbance stream is generated from its own
     child seed, so results do not depend on evaluation order or batching.
+
+    Trajectories run in chunks of ``_MC_CHUNK``: start states, child seeds
+    and a ``(horizon, chunk, n)`` disturbance buffer are made one chunk at a
+    time, so memory is O(chunk * horizon * n) whatever the trajectory count.
+    Margins, exit counts and witnesses are bit-identical to rolling every
+    trajectory in one batch.  Witnesses are the first ``max_witnesses``
+    exits ordered by exit time, then trajectory index.
     """
     start = time.perf_counter()
     n = plant.state_dim
@@ -165,26 +173,7 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     seq = np.random.SeedSequence(seed)
     init_rng = np.random.default_rng(seq.spawn(1)[0])
     box = interval_enclosure(safe_set)
-    starts = np.empty((n_trajectories, n))
-    count = min(len(vertices), n_trajectories)
-    starts[:count] = vertices[:count]
-    filled = count
-    while filled < n_trajectories:
-        cand = init_rng.uniform(box.lo, box.hi, size=(4 * (n_trajectories - filled), n))
-        good = cand[safe_set.membership_mask(cand)]
-        take = min(len(good), n_trajectories - filled)
-        starts[filled:filled + take] = good[:take]
-        filled += take
-
-    traj_seeds = seq.spawn(n_trajectories)
-    if plant.w_bound > 0.0:
-        noise = np.stack([
-            np.random.default_rng(traj_seeds[i]).uniform(
-                -plant.w_bound, plant.w_bound, size=(horizon, n))
-            for i in range(n_trajectories)
-        ])
-    else:
-        noise = np.zeros((n_trajectories, horizon, n))
+    accepted = np.zeros((0, n))  # uniform samples in the set, not yet used as starts
 
     k1 = controller.k1
     k2 = controller.k2
@@ -192,26 +181,67 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     rem_base = plant.a2 + plant.b @ k2
     a_slope = plant.dictionary.linearization()
 
-    states = starts.copy()
-    alive = np.ones(n_trajectories, dtype=bool)
-    first_exit = np.full(n_trajectories, -1, dtype=int)
     worst = np.full(safe_set.n_rows, -np.inf)
+    violations = 0
     witnesses: list = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon):
-            vals = plant.dictionary.values(states)
-            rems = vals - states @ a_slope.T
-            states = states @ lin_base.T + rems @ rem_base.T + noise[:, t, :]
-            rowvals = states @ safe_set.normals.T - safe_set.offsets
-            if alive.any():
-                worst = np.maximum(worst, rowvals[alive].max(axis=0))
-            exited = alive & (rowvals.max(axis=1) > tol)
-            for i in np.flatnonzero(exited)[:max(0, max_witnesses - len(witnesses))]:
-                witnesses.append((int(i), t + 1, states[i].copy()))
-            first_exit[exited] = t + 1
-            alive &= ~exited
-            states[~alive] = 0.0  # freeze exited runs so they cannot overflow
-    violations = int(np.sum(first_exit >= 0))
+    first = 0
+    while first < n_trajectories:
+        stop = min(first + _MC_CHUNK, n_trajectories)
+        if n_trajectories - stop == 1:
+            # numpy sends a one-row matmul to BLAS gemv, which rounds
+            # differently from the gemm of larger chunks
+            stop += 1
+        size = stop - first
+
+        states = np.empty((size, n))
+        filled = min(max(len(vertices) - first, 0), size)
+        states[:filled] = vertices[first:first + filled]
+        while filled < size:
+            if not len(accepted):
+                cand = init_rng.uniform(box.lo, box.hi, size=(4 * (size - filled), n))
+                accepted = cand[safe_set.membership_mask(cand)]
+            take = min(len(accepted), size - filled)
+            states[filled:filled + take] = accepted[:take]
+            accepted = accepted[take:].copy()  # a copy lets the spent draw be freed
+            filled += take
+
+        noise = np.zeros((horizon, size, n))
+        if plant.w_bound > 0.0:
+            for j, child in enumerate(seq.spawn(size)):
+                noise[:, j, :] = np.random.default_rng(child).uniform(
+                    -plant.w_bound, plant.w_bound, size=(horizon, n))
+
+        alive = np.ones(size, dtype=bool)
+        all_alive = True
+        found: list = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(horizon):
+                vals = plant.dictionary.values(states)
+                rems = vals - states @ a_slope.T
+                states = states @ lin_base.T + rems @ rem_base.T + noise[t]
+                rowvals = states @ safe_set.normals.T - safe_set.offsets
+                worst = np.maximum(worst, (rowvals if all_alive else rowvals[alive]).max(axis=0))
+                row_max = rowvals[:, 0]
+                for j in range(1, rowvals.shape[1]):
+                    row_max = np.maximum(row_max, rowvals[:, j])
+                exited = row_max > tol
+                if not all_alive:
+                    exited &= alive
+                hit = np.flatnonzero(exited)
+                if hit.size:
+                    found += [(first + int(i), t + 1, states[i].copy())
+                              for i in hit[:max(0, max_witnesses - len(found))]]
+                    violations += hit.size
+                    alive[hit] = False
+                    all_alive = False
+                if not all_alive:
+                    if not alive.any():
+                        break
+                    states[~alive] = 0.0  # freeze exited runs so they cannot overflow
+        witnesses = sorted(witnesses + found, key=lambda w: (w[1], w[0]))[:max_witnesses]
+        del noise, states  # free this chunk's buffers before the next chunk's are made
+        first = stop
+
     return VerificationReport(
         method="monte-carlo-invariance",
         row_margins=worst,

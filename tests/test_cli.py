@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysafe import cli
+from polysafe import cli, synthesis
 from polysafe.errors import ScenarioValidationError
 
 REPO_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "secV.json"
@@ -175,10 +175,21 @@ class TestCommands:
                          "--method", "thm1"])
         assert code == cli.EXIT_INFEASIBLE
 
-    def test_report_end_to_end(self, scenario_path, tmp_path):
+    def test_report_end_to_end(self, scenario_path, tmp_path, monkeypatch):
+        # the thm1 gain search does not depend on the level, so one search
+        # serves the sweep and the baseline row
+        searches = []
+        search = synthesis.baseline_search
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "baseline_search", counted)
         out = tmp_path / "report"
         assert cli.main(["report", "--scenario", str(scenario_path),
                          "--out", str(out)]) == cli.EXIT_OK
+        assert len(searches) == 1
         doc = json.loads((out / "report.json").read_text())
         assert doc["status"] == "verified"
         assert doc["monte_carlo"]["mc"]["exits"] == 0

@@ -74,6 +74,28 @@ class TestEvaluation:
         pts = np.array([[1.0, 2.0], [0.0, 0.0], [2.0, -1.0]])
         np.testing.assert_allclose(quad_dict().values(pts), [[1, 4], [0, 0], [4, 1]])
 
+    def test_values_are_exact_left_to_right_products(self):
+        # monomials of degree 1-4 against hand-written products of the
+        # columns, compared bitwise: a float pow rounds differently from
+        # x * x on some inputs and some CPUs
+        exponents = [(1, 0, 0), (0, 0, 1), (2, 0, 0), (1, 0, 1), (0, 2, 1),
+                     (3, 1, 0), (2, 2, 0), (1, 1, 2), (4, 0, 0), (0, 0, 3)]
+        d = Dictionary([Monomial(e) for e in exponents] + [SinTerm(1), CosM1Term(2)], 3)
+        x = np.random.default_rng(17).uniform(-7.0, 7.0, size=(4000, 3))
+        x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+        expected = np.stack([
+            x0, x2, x0 * x0, x0 * x2, x1 * x1 * x2,
+            x0 * x0 * x0 * x1, x0 * x0 * x1 * x1, x0 * x1 * x2 * x2, x0 * x0 * x0 * x0,
+            x2 * x2 * x2, np.sin(x1), np.cos(x2) - 1.0], axis=-1)
+        values = d.values(x)
+        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(values[:, 2], x0 * x0)
+        for i in (0, 1, 1234):
+            point = d.values(x[i])
+            assert point.shape == (d.n_terms,)
+            np.testing.assert_array_equal(point, values[i])
+            assert point[5] == float(x[i, 0]) * float(x[i, 0]) * float(x[i, 0]) * float(x[i, 1])
+
     def test_jacobian_at_origin(self):
         d = Dictionary([SinTerm(0), Monomial((1, 1))], 2)
         np.testing.assert_allclose(d.jacobian([0.0, 0.0]), [[1, 0], [0, 0]])

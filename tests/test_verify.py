@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polysafe import synthesis, verify
 from polysafe.dynamics import Dictionary, Monomial, PlantModel
-from polysafe.polytope import PolyhedralSet, enumerate_vertices, sample_grid
+from polysafe.polytope import (PolyhedralSet, enumerate_vertices, interval_enclosure,
+                               sample_grid)
 
 from conftest import SECV_F, SECV_G
 
@@ -14,6 +16,55 @@ def zero_controller(n_samples=40, n=2, n_terms=2, m=1):
     return synthesis.Controller(
         k1=np.zeros((m, n)), k2=np.zeros((m, n_terms)),
         g1=np.zeros((n_samples, n)), g2=np.zeros((n_samples, n_terms)))
+
+
+def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, seed,
+                          tol=verify.TOL_VERIFY, max_witnesses=10):
+    """Every trajectory in one batch: the loop the chunked rollout must match."""
+    n = plant.state_dim
+    vertices = np.array(enumerate_vertices(safe_set))
+    seq = np.random.SeedSequence(seed)
+    init_rng = np.random.default_rng(seq.spawn(1)[0])
+    box = interval_enclosure(safe_set)
+    starts = np.empty((n_trajectories, n))
+    count = min(len(vertices), n_trajectories)
+    starts[:count] = vertices[:count]
+    filled = count
+    while filled < n_trajectories:
+        cand = init_rng.uniform(box.lo, box.hi, size=(4 * (n_trajectories - filled), n))
+        good = cand[safe_set.membership_mask(cand)]
+        take = min(len(good), n_trajectories - filled)
+        starts[filled:filled + take] = good[:take]
+        filled += take
+    traj_seeds = seq.spawn(n_trajectories)
+    noise = np.stack([
+        np.random.default_rng(traj_seeds[i]).uniform(
+            -plant.w_bound, plant.w_bound, size=(horizon, n))
+        for i in range(n_trajectories)
+    ])
+    lin_base = plant.linear_base() + plant.b @ controller.k1
+    rem_base = plant.a2 + plant.b @ controller.k2
+    a_slope = plant.dictionary.linearization()
+    states = starts.copy()
+    alive = np.ones(n_trajectories, dtype=bool)
+    first_exit = np.full(n_trajectories, -1, dtype=int)
+    worst = np.full(safe_set.n_rows, -np.inf)
+    witnesses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon):
+            vals = plant.dictionary.values(states)
+            rems = vals - states @ a_slope.T
+            states = states @ lin_base.T + rems @ rem_base.T + noise[:, t, :]
+            rowvals = states @ safe_set.normals.T - safe_set.offsets
+            if alive.any():
+                worst = np.maximum(worst, rowvals[alive].max(axis=0))
+            exited = alive & (rowvals.max(axis=1) > tol)
+            for i in np.flatnonzero(exited)[:max(0, max_witnesses - len(witnesses))]:
+                witnesses.append((int(i), t + 1, states[i].copy()))
+            first_exit[exited] = t + 1
+            alive &= ~exited
+            states[~alive] = 0.0
+    return worst, int(np.sum(first_exit >= 0)), witnesses
 
 
 class TestDisturbanceOffsets:
@@ -163,6 +214,59 @@ class TestMonteCarlo:
         a = verify.monte_carlo_invariance(secv_plant, controller, secv_set, 300, 40, seed=5)
         b = verify.monte_carlo_invariance(secv_plant, controller, secv_set, 300, 40, seed=5)
         np.testing.assert_array_equal(a.row_margins, b.row_margins)
+
+    @pytest.mark.parametrize("case", ["design", "all-exit", "partial-exit"])
+    @pytest.mark.parametrize("chunk", [2, 37, verify._MC_CHUNK])
+    def test_chunks_match_unchunked_loop(self, secv_plant, secv_set, secv_design,
+                                         monkeypatch, case, chunk):
+        # 300 = 8 * 37 + 4 and 75 = 2 * 37 + 1 trajectories: the odd chunk
+        # size leaves a short last chunk, and a one-trajectory tail whose
+        # exit state is a witness (rolled alone, that trajectory's state
+        # rounds differently at seed 0); witnesses come from several chunks
+        # and several exit times
+        design, _ = secv_design
+        controller, count, horizon, seed, max_witnesses = {
+            "design": (design, 300, 60, 5, 10),
+            "all-exit": (zero_controller(), 75, 80, 0, 75),
+            "partial-exit": (synthesis.Controller(k1=0.5 * design.k1, k2=design.k2,
+                                                  g1=design.g1, g2=design.g2), 300, 60, 5, 30),
+        }[case]
+        monkeypatch.setattr(verify, "_MC_CHUNK", chunk)
+        report = verify.monte_carlo_invariance(
+            secv_plant, controller, secv_set, count, horizon, seed=seed,
+            max_witnesses=max_witnesses)
+        worst, violations, witnesses = unchunked_monte_carlo(
+            secv_plant, controller, secv_set, count, horizon, seed=seed,
+            max_witnesses=max_witnesses)
+        np.testing.assert_array_equal(report.row_margins, worst)
+        assert report.violations == violations
+        assert [w[:2] for w in report.witnesses] == [w[:2] for w in witnesses]
+        for (_, _, state), (_, _, ref_state) in zip(report.witnesses, witnesses):
+            np.testing.assert_array_equal(state, ref_state)
+        if case == "all-exit":
+            assert violations == count
+        elif case == "partial-exit":
+            # exits in several chunks, and a later chunk's exit time comes
+            # before an earlier chunk's in the witness order
+            assert 0 < violations < count
+            assert len({w[0] // 37 for w in witnesses}) > 3
+            assert len({w[1] for w in witnesses}) > 1
+
+    def test_memory_flat_in_trajectory_count(self, secv_plant, secv_set, secv_design):
+        # trajectories run in fixed-size chunks, so eight times the
+        # trajectories needs no more memory; a (horizon, chunk, n) noise
+        # buffer of 1.6 MB dominates the peak
+        controller, _ = secv_design
+        verify.monte_carlo_invariance(secv_plant, controller, secv_set, 10, 50, seed=2)
+        peaks = []
+        for count in (2500, 20000):
+            tracemalloc.start()
+            try:
+                verify.monte_carlo_invariance(secv_plant, controller, secv_set, count, 50, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestDualGap:
