@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,10 +73,8 @@ class SynthesisSection:
     method: str = "thm2"
     contraction: float = 0.95
     expansion_point: object = "auto"
-    dd_margin: float = 1e-6
     objective: str = "margin"
     row_norm: str = "one"
-    definiteness: str = "active-rows"
 
 
 @dataclass
@@ -198,6 +196,11 @@ def scenario_from_json(doc: dict) -> Scenario:
     _expect(isinstance(noise, bool), "data.noise", "must be a boolean")
 
     synth_doc = doc.get("synthesis", {})
+    _expect(isinstance(synth_doc, dict), "synthesis", "must be an object")
+    known = {f.name for f in fields(SynthesisSection)}
+    for key in synth_doc:
+        _expect(key in known, f"synthesis.{key}",
+                f"unknown key; the section takes {sorted(known)}")
     method = synth_doc.get("method", "thm2")
     _expect(method in synthesis.METHODS, "synthesis.method",
             f"must be one of {synthesis.METHODS}")
@@ -208,17 +211,11 @@ def scenario_from_json(doc: dict) -> Scenario:
     if expansion != "auto":
         _expect(isinstance(expansion, list) and len(expansion) == n,
                 "synthesis.expansion_point", f"must be 'auto' or a point of length {n}")
-    dd_margin = synth_doc.get("dd_margin", 1e-6)
-    _expect(isinstance(dd_margin, (int, float)) and dd_margin > 0,
-            "synthesis.dd_margin", "must be positive")
     objective = synth_doc.get("objective", "margin")
     _expect(objective in ("margin", "feasible"), "synthesis.objective",
             "must be 'margin' or 'feasible'")
     row_norm = synth_doc.get("row_norm", "one")
     _expect(row_norm in ("one", "inf"), "synthesis.row_norm", "must be 'one' or 'inf'")
-    definiteness = synth_doc.get("definiteness", "active-rows")
-    _expect(definiteness in synthesis.DEFINITENESS_MODES, "synthesis.definiteness",
-            f"must be one of {synthesis.DEFINITENESS_MODES}")
 
     verify_doc = doc.get("verify", {})
     grid = verify_doc.get("grid", [201] * n)
@@ -238,9 +235,8 @@ def scenario_from_json(doc: dict) -> Scenario:
         data=DataSection(samples=samples, u_max=float(u_max), x0=list(x0),
                          seed=seed, noise=noise),
         synthesis=SynthesisSection(method=method, contraction=float(contraction),
-                                   expansion_point=expansion, dd_margin=float(dd_margin),
-                                   objective=objective, row_norm=row_norm,
-                                   definiteness=definiteness),
+                                   expansion_point=expansion, objective=objective,
+                                   row_norm=row_norm),
         verify=VerifySection(grid=list(grid), mc_trajectories=mc, horizon=horizon),
     )
 
@@ -280,9 +276,8 @@ def secv_scenario() -> Scenario:
         },
         "data": {"samples": 40, "u_max": 0.003, "x0": [0.0, 0.0], "seed": 7, "noise": False},
         "synthesis": {"method": "thm2", "contraction": 0.95,
-                      "expansion_point": [0.5, 0.5], "dd_margin": 1e-6,
-                      "objective": "margin", "row_norm": "one",
-                      "definiteness": "active-rows"},
+                      "expansion_point": [0.5, 0.5], "objective": "margin",
+                      "row_norm": "one"},
         "verify": {"grid": [201, 201], "mc_trajectories": 10000, "horizon": 200},
     })
 
@@ -320,13 +315,11 @@ def _synthesize(scenario: Scenario, data, safe_set, search=None):
     if cfg.method == "thm2":
         return synthesis.synthesize_noiseless(
             data, safe_set, cfg.contraction, expansion=cfg.expansion_point,
-            dd_margin=cfg.dd_margin, objective=cfg.objective,
-            definiteness=cfg.definiteness, seed=scenario.data.seed)
+            objective=cfg.objective, seed=scenario.data.seed)
     if cfg.method == "cor2":
         return synthesis.synthesize_robust(
             data, safe_set, cfg.contraction, w_bound=scenario.system.w_bound,
-            expansion=cfg.expansion_point, dd_margin=cfg.dd_margin,
-            objective=cfg.objective, definiteness=cfg.definiteness,
+            expansion=cfg.expansion_point, objective=cfg.objective,
             row_norm=cfg.row_norm, seed=scenario.data.seed)
     result = synthesis.synthesize_min_remainder(data, safe_set, cfg.contraction, search=search)
     return result.controller, result
@@ -336,8 +329,7 @@ def _sweep(scenario: Scenario, data, safe_set, methods, search=None) -> dict:
     cfg = scenario.synthesis
     levels: dict = {}
     for method in methods:
-        kwargs = {"expansion": cfg.expansion_point, "dd_margin": cfg.dd_margin,
-                  "definiteness": cfg.definiteness, "seed": scenario.data.seed}
+        kwargs = {"expansion": cfg.expansion_point, "seed": scenario.data.seed}
         if method == "cor2":
             kwargs["w_bound"] = scenario.system.w_bound
             kwargs["row_norm"] = cfg.row_norm
@@ -353,14 +345,17 @@ def _sweep(scenario: Scenario, data, safe_set, methods, search=None) -> dict:
 
 def _verify_controller(scenario: Scenario, plant, data, safe_set, controller, level,
                        certificate=None):
+    # one grid serves both sources; it is freed before the Monte Carlo run
+    points = verify.grid_points(safe_set, scenario.verify.grid)
     grid_true = verify.grid_contractivity(
         controller, safe_set, level, scenario.system.w_bound, scenario.verify.grid,
         plant.dictionary, source="true-model", plant=plant,
-        row_norm=scenario.synthesis.row_norm, certificate=certificate)
+        row_norm=scenario.synthesis.row_norm, certificate=certificate, points=points)
     grid_data = verify.grid_contractivity(
         controller, safe_set, level, scenario.system.w_bound, scenario.verify.grid,
         plant.dictionary, source="data-rep", data=data,
-        row_norm=scenario.synthesis.row_norm, certificate=certificate)
+        row_norm=scenario.synthesis.row_norm, certificate=certificate, points=points)
+    del points
     mc = verify.monte_carlo_invariance(
         plant, controller, safe_set, scenario.verify.mc_trajectories,
         scenario.verify.horizon, scenario.data.seed)
@@ -693,8 +688,6 @@ def _build_parser() -> _Parser:
                          help="override verify.grid, e.g. 201x201")
         cmd.add_argument("--row-norm", choices=["one", "inf"], default=None,
                          help="override synthesis.row_norm")
-        cmd.add_argument("--definiteness", choices=list(synthesis.DEFINITENESS_MODES),
-                         default=None, help="override synthesis.definiteness")
     return parser
 
 
@@ -709,8 +702,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         scenario.synthesis.method = args.method
     if args.row_norm is not None:
         scenario.synthesis.row_norm = args.row_norm
-    if args.definiteness is not None:
-        scenario.synthesis.definiteness = args.definiteness
     if args.grid is not None:
         try:
             grid = [int(part) for part in args.grid.lower().split("x")]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,19 @@ class PolyhedralSet:
         points = np.asarray(points, dtype=float)
         return np.all(points @ self.normals.T <= scale * self.offsets + tol, axis=1)
 
+    @cached_property
+    def _enclosure(self) -> "Box":
+        """The set's :func:`interval_enclosure`, solved once per set object."""
+        n = self.dim
+        lo = np.empty(n)
+        hi = np.empty(n)
+        for k in range(n):
+            unit = np.zeros(n)
+            unit[k] = 1.0
+            hi[k] = lpcore.polytope_max(unit, self)
+            lo[k] = -lpcore.polytope_max(-unit, self)
+        return Box(lo, hi)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -111,17 +125,11 @@ def interval_enclosure(safe_set: PolyhedralSet) -> Box:
     """Tightest axis-aligned box containing the set, via 2n coordinate LPs.
 
     Raises :class:`UnboundedSetError` if any coordinate is unbounded, which
-    is how the C-set assumption is enforced operationally.
+    is how the C-set assumption is enforced operationally.  The LPs are
+    solved on the first call for a set object; later calls return the
+    same box.
     """
-    n = safe_set.dim
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for k in range(n):
-        unit = np.zeros(n)
-        unit[k] = 1.0
-        hi[k] = lpcore.polytope_max(unit, safe_set)
-        lo[k] = -lpcore.polytope_max(-unit, safe_set)
-    return Box(lo, hi)
+    return safe_set._enclosure
 
 
 def enumerate_vertices(safe_set: PolyhedralSet, tol: float = TOL_GEOM) -> list[np.ndarray]:

@@ -13,16 +13,23 @@ sample count, and ``G`` is recovered as its minimum-norm preimage;
 
 The primal-dual design ("thm2" in scenario files) couples a nonnegative
 row-multiplier matrix with a slope condition on the closed-loop
-remainder at a chosen expansion point, plus a curvature condition that
-is encoded as strict diagonal dominance (an LP-expressible sufficient
-condition for positive definiteness) and re-verified afterwards with
-exact eigenvalues.  The robust variant ("cor2") adds a norm budget that
-accounts for noise leakage through the data matrices.  The baseline
-("thm1") searches a grid of gains for the one minimizing the worst-row
-remainder term and then solves the classical row-multiplier program with
-the searched remainder bound subtracted.  The search is exact but pruned:
-cheap lower bounds from a few probe points rank the candidates, and only
-those whose bound can still reach the best exact score are scored.
+remainder ``R`` at a chosen expansion point, and pins ``R`` itself to
+zero.  The paper's second-order condition asks each row's curvature
+matrix ``H_i = sum_j (F_i R)_j curv_j`` to be definite, or the row's
+coefficients ``F_i R`` to vanish.  ``H_i`` is linear in ``F_i``, and a
+bounded set has ``alpha > 0`` with ``alpha @ F = 0`` (Gordan's theorem),
+so ``sum_i alpha_i H_i = 0``: no row can be definite, every row needs
+``F_i R = 0``, and since ``F`` has full column rank that is ``R = 0``.
+Pinning ``R`` accepts exactly those remainders on every bounded set,
+whether or not its rows come in opposite pairs; the curvature matrices
+are still re-checked with exact eigenvalues as an audit.  The robust
+variant ("cor2") adds a norm budget that accounts for noise leakage
+through the data matrices.  The baseline ("thm1") searches a grid of
+gains for the one minimizing the worst-row remainder term and then
+solves the classical row-multiplier program with the searched remainder
+bound subtracted.  The search is exact but pruned: cheap lower bounds
+from a few probe points rank the candidates, and only those whose bound
+can still reach the best exact score are scored.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ TOL_CERT = 1e-6   # certificate equations are re-verified to this tolerance
 _RANK_RTOL = 1e-10  # closed-loop directions below this share of |next_states| are rounding noise
 
 METHODS = ("thm2", "cor2", "thm1")
-DEFINITENESS_MODES = ("strict", "active-rows", "off")
 
 
 def row_norms(normals: np.ndarray, kind: str = "one") -> np.ndarray:
@@ -109,10 +115,9 @@ class SynthesisCertificate:
     per-row slope of the closed-loop remainder at the expansion point.
     ``residuals`` are recomputed from raw matrices after the solve, never
     read back from the LP.  ``definiteness_margins`` stores the exact
-    smallest eigenvalue of each row's curvature matrix; ``enforced_rows``
-    flags the rows whose curvature condition was part of the program.
-    ``margin`` (margin objective only) is level headroom: the certificate
-    also holds at level ``contraction - margin``.
+    smallest eigenvalue of each row's curvature matrix, an audit of the
+    pinned remainder.  ``margin`` (margin objective only) is level
+    headroom: the certificate also holds at level ``contraction - margin``.
     """
 
     method: str
@@ -123,8 +128,6 @@ class SynthesisCertificate:
     expansion: ExpansionPoint
     residuals: dict[str, float]
     definiteness_margins: np.ndarray  # (s,)
-    enforced_rows: np.ndarray         # (s,) bool
-    zeroed_rows: np.ndarray           # (s,) bool
     margin: float | None              # level headroom, margin objective only
     config: dict = field(default_factory=dict)
 
@@ -132,12 +135,8 @@ class SynthesisCertificate:
     def max_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
 
-    def satisfied(self, tol: float = TOL_CERT, dd_margin: float | None = None) -> bool:
-        ok = self.max_residual <= tol
-        ok = ok and float(np.min(self.set_multiplier)) >= -1e-9
-        if dd_margin is not None and np.any(self.enforced_rows):
-            ok = ok and float(np.min(self.definiteness_margins[self.enforced_rows])) >= dd_margin / 2.0
-        return ok
+    def satisfied(self, tol: float = TOL_CERT) -> bool:
+        return self.max_residual <= tol and float(np.min(self.set_multiplier)) >= -1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,58 +226,6 @@ def _jacobi_smallest(M: np.ndarray, sweeps: int = 50) -> float:
 
 
 # ---------------------------------------------------------------------------
-# structural analysis of the safe set rows
-
-
-def antipodal_pairs(normals: np.ndarray, tol: float = 1e-9) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, whose normals point in exactly opposite directions.
-
-    For such a pair the curvature matrices of the two rows are negatives of
-    each other, so both cannot be strictly definite; the active-rows mode
-    zeroes their remainder coefficients instead.
-    """
-    normals = np.asarray(normals, dtype=float)
-    units = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    pairs = []
-    taken = set()
-    for i in range(len(units)):
-        if i in taken:
-            continue
-        for j in range(i + 1, len(units)):
-            if j in taken:
-                continue
-            if np.max(np.abs(units[i] + units[j])) <= tol:
-                pairs.append((i, j))
-                taken.update((i, j))
-                break
-    return pairs
-
-
-def _definiteness_plan(normals: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Which rows get the dominance constraint, which get zeroed coefficients.
-
-    Returns (enforced mask, zeroed mask, list of zero-constraint representatives).
-    """
-    s = normals.shape[0]
-    if mode not in DEFINITENESS_MODES:
-        raise ValueError(f"definiteness mode must be one of {DEFINITENESS_MODES}, got {mode!r}")
-    enforced = np.zeros(s, dtype=bool)
-    zeroed = np.zeros(s, dtype=bool)
-    reps: list[int] = []
-    if mode == "off":
-        return enforced, zeroed, reps
-    if mode == "strict":
-        enforced[:] = True
-        return enforced, zeroed, reps
-    pairs = antipodal_pairs(normals)
-    for i, j in pairs:
-        zeroed[i] = zeroed[j] = True
-        reps.append(i)
-    enforced = ~zeroed
-    return enforced, zeroed, reps
-
-
-# ---------------------------------------------------------------------------
 # the core feasibility program
 
 
@@ -307,9 +254,8 @@ def _closed_loop(data: ExperimentData) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                     exp: ExpansionPoint | None, dd_margin: float, objective: str,
-                     definiteness: str, robust: dict | None,
-                     row_bounds: np.ndarray | None = None) -> tuple:
+                     exp: ExpansionPoint | None, objective: str, robust: dict | None,
+                     row_bounds: np.ndarray | None = None) -> lpcore.LpOutcome:
     """Pose and solve one design program over the closed loop ``base + lift @ X``.
 
     ``X`` is split into its linear columns (block ``w1``) and remainder
@@ -325,8 +271,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
     Each constraint family is one group of whole-block rows: with row-major
     vectorization, ``vec(A @ X @ B) = kron(A, B.T) @ vec(X)``.  A feasible
     outcome carries the recovered right inverse (its linear columns for the
-    baseline) under ``"G"``.  Returns the outcome and the enforced and
-    zeroed row masks.
+    baseline) under ``"G"``.
     """
     F = safe_set.normals
     g = safe_set.offsets
@@ -346,7 +291,6 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
         del parts["rem"]
     f_lift = F @ lift                        # (s, p)
     f_base = F @ base                        # (s, n+N)
-    enforced, zeroed, reps = _definiteness_plan(F, definiteness)
 
     lp = lpcore.LinearProgram()
     for key, width in (("lin", n), ("rem", N)):
@@ -406,37 +350,10 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
         rows("=", eye.reshape(-1), lin=np.kron(data.regressor, eye[:, :n]),
              rem=np.kron(data.regressor, eye[:, n:]))
 
-    # (iv) curvature: for enforced rows the matrix -sum_j coeff_j curv_j must be
-    # symmetric strictly diagonally dominant with margin dd_margin (a sufficient
-    # LP-expressible condition for positive definiteness), with dom_abs
-    # bounding the off-diagonal magnitudes
-    rows_e = np.flatnonzero(enforced)
-    if rows_e.size:
-        e = rows_e.size
-        curv = exp.curvatures.reshape(N, n * n)
-        entry = -np.kron(f_lift[rows_e], curv.T).reshape(e, n, n, -1)
-        const = -(f_base[rows_e, n:] @ curv).reshape(e, n, n)
-        diag = np.arange(n)
-        upper = np.triu_indices(n, 1)
-        n_pairs = upper[0].size
-        dom = {}
-        if n_pairs:
-            lp.add_block("dom_abs", (e, n_pairs), nonneg=True)
-            incidence = np.zeros((n, n_pairs))
-            incidence[upper[0], np.arange(n_pairs)] = 1.0
-            incidence[upper[1], np.arange(n_pairs)] = 1.0
-            dom = {"dom_abs": -np.kron(np.eye(e), incidence)}
-        rows(">=", dd_margin - const[:, diag, diag].reshape(-1),
-             rem=entry[:, diag, diag].reshape(e * n, -1), **dom)
-        if n_pairs:
-            off = entry[:, upper[0], upper[1]].reshape(e * n_pairs, -1)
-            off_const = const[:, upper[0], upper[1]].reshape(-1)
-            rows(">=", off_const, rem=-off, dom_abs=np.eye(e * n_pairs))
-            rows(">=", -off_const, rem=off, dom_abs=np.eye(e * n_pairs))
-
-    # (v) paired rows instead get their remainder coefficients pinned to zero
-    if reps:
-        rows("=", -f_base[reps, n:].reshape(-1), rem=np.kron(f_lift[reps], np.eye(N)))
+    if exp is not None:
+        # (iv) the closed-loop remainder is pinned to zero, base_rem + lift @ rem = 0:
+        # on a bounded set it is the only remainder the second-order condition admits
+        rows("=", -base[:, n:].reshape(-1), rem=np.kron(lift, np.eye(N)))
 
     # robust norm budget tying the noise leakage to eta; the split blocks make
     # |G| available as pos + neg without extra absolute-value rows
@@ -456,13 +373,12 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
         loop = np.hstack([sum(sign * outcome[name] for name, sign in parts[key])
                           for key in parts])
         outcome.assignment["G"] = loop if split else g0[:, :loop.shape[1]] + preimage @ loop
-    return outcome, enforced, zeroed
+    return outcome
 
 
 def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Controller,
                  exp: ExpansionPoint, contraction: float, outcome: lpcore.LpOutcome,
-                 enforced: np.ndarray, zeroed: np.ndarray, method: str,
-                 robust: dict | None, config: dict) -> SynthesisCertificate:
+                 method: str, robust: dict | None, config: dict) -> SynthesisCertificate:
     F = safe_set.normals
     g = safe_set.offsets
     regressor = data.regressor
@@ -481,14 +397,13 @@ def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Cont
         "right_inverse": float(np.max(np.abs(
             regressor @ stacked - np.eye(data.state_dim + data.n_terms)))),
         "multiplier_sign": float(max(0.0, -np.min(mult))),
+        "remainder_zeroed": float(np.max(np.abs(coeffs))),
     }
     if robust is not None:
         gm = robust["w_bound"] * float(np.max(row_norms(F, robust["row_norm"])))
         budget = gm * robust["state_bound"] * data.n_samples * (
             _norm_inf(controller.g1) + robust["lipschitz"] * _norm_inf(controller.g2) + 1.0)
         residuals["noise_budget"] = float(max(0.0, budget - eta))
-    if np.any(zeroed):
-        residuals["remainder_zeroed"] = float(np.max(np.abs(coeffs[zeroed])))
 
     margins = np.array([
         smallest_eigenvalue(-np.einsum("j,jkl->kl", coeffs[i], exp.curvatures))
@@ -506,8 +421,6 @@ def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Cont
         expansion=exp,
         residuals=residuals,
         definiteness_margins=margins,
-        enforced_rows=enforced,
-        zeroed_rows=zeroed,
         margin=margin,
         config=config,
     )
@@ -519,14 +432,13 @@ def _norm_inf(mat: np.ndarray) -> float:
 
 
 def _resolve_expansion(data: ExperimentData, safe_set: PolyhedralSet, contraction, expansion,
-                       dd_margin, definiteness, robust, seed) -> ExpansionPoint:
+                       robust, seed) -> ExpansionPoint:
     if isinstance(expansion, ExpansionPoint):
         return expansion
     if isinstance(expansion, str):
         if expansion != "auto":
             raise ValueError(f"expansion must be a point, an ExpansionPoint or 'auto', got {expansion!r}")
-        return pick_expansion_point(data, safe_set, contraction, dd_margin=dd_margin,
-                                    definiteness=definiteness, robust=robust, seed=seed)
+        return pick_expansion_point(data, safe_set, contraction, robust=robust, seed=seed)
     return expansion_point(data.dictionary, np.asarray(expansion, dtype=float), safe_set)
 
 
@@ -537,8 +449,7 @@ def _check_regressor(data: ExperimentData) -> None:
 
 
 def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                         expansion="auto", dd_margin: float = 1e-6, objective: str = "margin",
-                         definiteness: str = "active-rows", seed: int = 0,
+                         expansion="auto", objective: str = "margin", seed: int = 0,
                          ) -> tuple[Controller, SynthesisCertificate]:
     """Primal-dual design assuming the data were collected without noise.
 
@@ -547,31 +458,25 @@ def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet, contract
     """
     if not 0.0 < contraction <= 1.0:
         raise ValueError(f"contraction must be in (0, 1], got {contraction}")
-    if dd_margin <= 0.0:
-        raise ValueError("dd_margin must be positive")
     _check_regressor(data)
-    exp = _resolve_expansion(data, safe_set, contraction, expansion, dd_margin,
-                             definiteness, None, seed)
-    outcome, enforced, zeroed = _build_and_solve(
-        data, safe_set, contraction, exp, dd_margin, objective, definiteness, None)
+    exp = _resolve_expansion(data, safe_set, contraction, expansion, None, seed)
+    outcome = _build_and_solve(data, safe_set, contraction, exp, objective, None)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
             f"noiseless design infeasible at contraction {contraction} "
             f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
     g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
     controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
-    config = {"method": "thm2", "contraction": contraction, "dd_margin": dd_margin,
-              "objective": objective, "definiteness": definiteness}
+    config = {"method": "thm2", "contraction": contraction, "objective": objective}
     cert = _certificate(data, safe_set, controller, exp, contraction, outcome,
-                        enforced, zeroed, "thm2", None, config)
+                        "thm2", None, config)
     return controller, cert
 
 
 def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
                       w_bound: float, lipschitz: float | None = None,
                       state_bound: float | None = None, expansion="auto",
-                      dd_margin: float = 1e-6, objective: str = "margin",
-                      definiteness: str = "active-rows", row_norm: str = "one",
+                      objective: str = "margin", row_norm: str = "one",
                       seed: int = 0) -> tuple[Controller, SynthesisCertificate]:
     """Noise-aware variant: adds a uniform offset covering disturbance leakage.
 
@@ -594,22 +499,19 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, contraction
     robust = {"w_bound": float(w_bound), "lipschitz": float(lipschitz),
               "state_bound": float(state_bound), "row_norm": row_norm}
     row_norms(safe_set.normals, row_norm)  # validate the kind early
-    exp = _resolve_expansion(data, safe_set, contraction, expansion, dd_margin,
-                             definiteness, robust, seed)
-    outcome, enforced, zeroed = _build_and_solve(
-        data, safe_set, contraction, exp, dd_margin, objective, definiteness, robust)
+    exp = _resolve_expansion(data, safe_set, contraction, expansion, robust, seed)
+    outcome = _build_and_solve(data, safe_set, contraction, exp, objective, robust)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
             f"robust design infeasible at contraction {contraction} "
             f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
     g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
     controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
-    config = {"method": "cor2", "contraction": contraction, "dd_margin": dd_margin,
-              "objective": objective, "definiteness": definiteness,
+    config = {"method": "cor2", "contraction": contraction, "objective": objective,
               "row_norm": row_norm, **{k: robust[k] for k in
                                        ("w_bound", "lipschitz", "state_bound")}}
     cert = _certificate(data, safe_set, controller, exp, contraction, outcome,
-                        enforced, zeroed, "cor2", robust, config)
+                        "cor2", robust, config)
     return controller, cert
 
 
@@ -618,7 +520,6 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, contraction
 
 
 def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                         dd_margin: float = 1e-6, definiteness: str = "active-rows",
                          robust: dict | None = None, seed: int = 0,
                          n_random: int = 20) -> ExpansionPoint:
     """First candidate expansion point whose program is feasible.
@@ -648,8 +549,7 @@ def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contract
             continue
         try:
             exp = expansion_point(data.dictionary, cand, safe_set)
-            outcome, _, _ = _build_and_solve(
-                data, safe_set, contraction, exp, dd_margin, "feasible", definiteness, robust)
+            outcome = _build_and_solve(data, safe_set, contraction, exp, "feasible", robust)
         except (PolysafeError, np.linalg.LinAlgError) as err:
             attempts.append((cand, f"error: {err}"))
             continue
@@ -787,8 +687,8 @@ def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, cont
         raise ValueError(f"contraction must be in (0, 1], got {contraction}")
     if search is None:
         search = baseline_search(data, safe_set, k2_lo, k2_hi, k2_step, x_resolution)
-    outcome, _, _ = _build_and_solve(data, safe_set, contraction, None, 0.0, objective,
-                                     "off", None, row_bounds=search.row_bounds)
+    outcome = _build_and_solve(data, safe_set, contraction, None, objective, None,
+                               row_bounds=search.row_bounds)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
             f"baseline infeasible at contraction {contraction} "
@@ -874,10 +774,7 @@ def format_certificate(controller: Controller, cert: SynthesisCertificate) -> st
     ]
     lines += [f"  {k}: {v:.6e}" for k, v in sorted(cert.residuals.items())]
     lines.append("definiteness margins (smallest eigenvalue per row):")
-    for i, (margin, enf, zero) in enumerate(
-            zip(cert.definiteness_margins, cert.enforced_rows, cert.zeroed_rows)):
-        tag = "enforced" if enf else ("zeroed" if zero else "unconstrained")
-        lines.append(f"  row {i}: {margin: .6e}  [{tag}]")
+    lines += [f"  row {i}: {margin: .6e}" for i, margin in enumerate(cert.definiteness_margins)]
     return "\n".join(lines) + "\n"
 
 

@@ -87,12 +87,22 @@ def _closed_loop_matrices(controller, source: str, plant: PlantModel | None,
     return lin, rem
 
 
+def grid_points(safe_set: PolyhedralSet, resolution=None) -> np.ndarray:
+    """The set's grid members (:func:`~polysafe.polytope.sample_grid`) followed
+    by its vertices; the vertices are left out above dimension 3."""
+    points = sample_grid(safe_set, resolution)
+    try:
+        return np.vstack([points, np.array(enumerate_vertices(safe_set))])
+    except DimensionTooLargeError:
+        return points
+
+
 def grid_contractivity(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
                        resolution, dictionary, source: str = "true-model",
                        plant: PlantModel | None = None, data: ExperimentData | None = None,
                        row_norm: str = "one", tol: float = TOL_VERIFY,
                        max_witnesses: int = 10,
-                       certificate=None) -> VerificationReport:
+                       certificate=None, points: np.ndarray | None = None) -> VerificationReport:
     """Check one-step contraction into the ``level``-scaled set on a state grid.
 
     Every grid member and every vertex is mapped through the deterministic
@@ -100,16 +110,14 @@ def grid_contractivity(controller, safe_set: PolyhedralSet, level: float, w_boun
     comparing against the scaled offsets.  Sampling-based, not exhaustive:
     a rigorous whole-set claim needs the margins to clear the report's
     ``refinement_bound``.  An optional synthesis ``certificate`` contributes
-    its definiteness margins to the report.
+    its definiteness margins to the report.  ``points`` passes in
+    :func:`grid_points` at ``resolution`` when several checks share it.
     """
     start = time.perf_counter()
     lin, rem_mat = _closed_loop_matrices(controller, source, plant, data)
     box = interval_enclosure(safe_set)
-    points = sample_grid(safe_set, resolution)
-    try:
-        points = np.vstack([points, np.array(enumerate_vertices(safe_set))])
-    except DimensionTooLargeError:
-        pass
+    if points is None:
+        points = grid_points(safe_set, resolution)
     offsets = disturbance_offsets(safe_set, w_bound, row_norm)
     row_margins = np.full(safe_set.n_rows, -np.inf)
     violations = 0
@@ -318,11 +326,7 @@ class ConservatismTable:
 def control_effort(controller, safe_set: PolyhedralSet, dictionary,
                    resolution=None) -> float:
     """Grid maximum of the control magnitude over the safe set."""
-    points = sample_grid(safe_set, resolution)
-    try:
-        points = np.vstack([points, np.array(enumerate_vertices(safe_set))])
-    except DimensionTooLargeError:
-        pass
+    points = grid_points(safe_set, resolution)
     rems = dictionary.remainder(points)
     inputs = points @ controller.k1.T + rems @ controller.k2.T
     return float(np.max(np.abs(inputs)))

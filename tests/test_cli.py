@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysafe import cli, synthesis
+from polysafe import cli, synthesis, verify
 from polysafe.errors import ScenarioValidationError
 
 REPO_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "secV.json"
@@ -73,6 +73,24 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioValidationError, match="version"):
             cli.scenario_from_json(doc)
 
+    @pytest.mark.parametrize("key, value", [("definiteness", "off"), ("dd_margin", 1e-6),
+                                            ("contraciton", 0.9)])
+    def test_unknown_synthesis_key_rejected(self, key, value):
+        # a removed or misspelt key must not silently fall back to a default
+        doc = cli.secv_scenario().to_json()
+        doc["synthesis"][key] = value
+        with pytest.raises(ScenarioValidationError, match=f"synthesis.{key}: unknown key"):
+            cli.scenario_from_json(doc)
+
+    def test_unknown_synthesis_key_exit_one(self, tmp_path, capsys):
+        doc = cli.secv_scenario().to_json()
+        doc["synthesis"]["definiteness"] = "strict"
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["synth", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "synthesis.definiteness" in capsys.readouterr().err
+
     def test_error_messages_carry_field_paths(self):
         doc = cli.secv_scenario().to_json()
         doc["system"]["b"] = [[0.0]]
@@ -130,6 +148,16 @@ class TestCommands:
         assert summary["status"] == "pass"
         assert summary["monte_carlo"]["mc"]["exits"] == 0
         assert (out / "plot.svg").read_text().startswith("<svg")
+
+    def test_verify_samples_the_grid_once(self, scenario_path, tmp_path, monkeypatch):
+        # both grid checks, true model and data representation, share one grid
+        grids = []
+        sample = verify.sample_grid
+        monkeypatch.setattr(verify, "sample_grid",
+                            lambda *args: grids.append(args) or sample(*args))
+        assert cli.main(["verify", "--scenario", str(scenario_path),
+                         "--out", str(tmp_path / "once")]) == cli.EXIT_OK
+        assert len(grids) == 1
 
     def test_simulate_csv_columns(self, scenario_path, tmp_path):
         out = tmp_path / "sim"
@@ -266,22 +294,23 @@ class TestCommands:
         b = (out2 / "data" / "inputs.csv").read_text()
         assert a != b
 
-    def test_definiteness_override_strict_infeasible(self, scenario_path, tmp_path):
+    def test_removed_definiteness_flag_is_a_usage_error(self, scenario_path, tmp_path):
         out = tmp_path / "strict"
         code = cli.main(["synth", "--scenario", str(scenario_path), "--out", str(out),
                          "--definiteness", "strict"])
-        assert code == cli.EXIT_INFEASIBLE
+        assert code == cli.EXIT_USAGE
 
 
 class TestUnsoundCertificateIsCaught:
-    """A program that closes on stated equations but breaks true contraction.
+    """Claims the true closed loop does not keep are refused or caught.
 
-    The remainder enters the autonomous second state with a fixed
-    coefficient; at a near-zero expansion point the slope terms are tiny, so
-    the feasibility equations close with definiteness off, yet the curvature
-    drives corner states out of the scaled set.  Verification must fail
-    (exit 3); active-rows must instead refuse at synthesis (exit 2) because
-    the fixed remainder row cannot be zeroed.
+    In the first plant the remainder enters the autonomous second state
+    with a fixed coefficient; at a near-zero expansion point the slope
+    terms are tiny, so the first-order equations alone would close, yet the
+    curvature drives corner states out of the scaled set.  ``thm2`` pins
+    the closed-loop remainder to zero and so refuses at synthesis (exit 2).
+    A design whose stated rows hold but leave no room for the disturbance
+    offsets must fail verification (exit 3).
     """
 
     @pytest.fixture()
@@ -300,23 +329,28 @@ class TestUnsoundCertificateIsCaught:
             "data": {"samples": 30, "u_max": 0.4, "x0": [0.2, 0.4],
                      "seed": 6, "noise": False},
             "synthesis": {"method": "thm2", "contraction": 0.95,
-                          "expansion_point": [0.1, 0.1], "definiteness": "off"},
+                          "expansion_point": [0.1, 0.1]},
             "verify": {"grid": [41, 41], "mc_trajectories": 100, "horizon": 40},
         }
         path = tmp_path / "unsound.json"
         path.write_text(json.dumps(doc))
         return path
 
-    def test_verification_failure_exit_three(self, unsound_path, tmp_path):
+    def test_verification_failure_exit_three(self, scenario_path, tmp_path):
+        # secV at 0.76 is feasible (minimal level 0.758333), but its headroom
+        # of 0.0017 is below the disturbance offsets 0.03 and 0.0175
         out = tmp_path / "out3"
-        code = cli.main(["verify", "--scenario", str(unsound_path), "--out", str(out)])
+        code = cli.main(["verify", "--scenario", str(scenario_path), "--out", str(out),
+                         "--lambda", "0.76"])
         assert code == cli.EXIT_VERIFY_FAILED
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "fail"
-        assert summary["monte_carlo"]["mc"]["exits"] > 0
+        assert not summary["grid_true_model"]["passed"]
+        assert not summary["grid_data_rep"]["passed"]
 
-    def test_active_rows_refuses_instead(self, unsound_path, tmp_path):
+    def test_thm2_refuses_fixed_remainder(self, unsound_path, tmp_path):
         out = tmp_path / "out2"
-        code = cli.main(["verify", "--scenario", str(unsound_path), "--out", str(out),
-                         "--definiteness", "active-rows"])
+        code = cli.main(["verify", "--scenario", str(unsound_path), "--out", str(out)])
         assert code == cli.EXIT_INFEASIBLE
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "infeasible"

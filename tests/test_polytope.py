@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from polysafe import lpcore
 from polysafe.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -134,6 +135,21 @@ class TestEnclosure:
         for v in enumerate_vertices(secv_set):
             assert np.all(v >= box.lo - 1e-9)
             assert np.all(v <= box.hi + 1e-9)
+
+    def test_solved_once_per_set(self, monkeypatch):
+        calls = []
+        solve = lpcore.polytope_max
+        monkeypatch.setattr(lpcore, "polytope_max",
+                            lambda *args: calls.append(args) or solve(*args))
+        safe_set = PolyhedralSet(SECV_F, SECV_G)
+        first = interval_enclosure(safe_set)
+        assert len(calls) == 4  # two LPs per coordinate
+        assert interval_enclosure(safe_set) is first
+        sample_grid(safe_set, (5, 5))
+        assert len(calls) == 4
+        # another object holding the same rows solves its own
+        interval_enclosure(PolyhedralSet(SECV_F, SECV_G))
+        assert len(calls) == 8
 
     def test_box_validation(self):
         with pytest.raises(ValueError):

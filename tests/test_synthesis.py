@@ -46,18 +46,27 @@ def replay_certificate(data, safe_set, controller, cert):
     return checks, margins, coeffs
 
 
-def assert_certificate_valid(data, safe_set, controller, cert, dd_margin=1e-6):
-    checks, margins, coeffs = replay_certificate(data, safe_set, controller, cert)
+def assert_certificate_valid(data, safe_set, controller, cert):
+    checks, _, coeffs = replay_certificate(data, safe_set, controller, cert)
     assert checks["contraction"] <= 1e-6
     for name in ("multiplier_match", "slope_match", "right_inverse"):
         assert checks[name] <= 1e-6, name
     assert checks["gain_k1"] <= 1e-9
     assert checks["gain_k2"] <= 1e-9
     assert np.min(cert.set_multiplier) >= -1e-9
-    if np.any(cert.enforced_rows):
-        assert np.min(margins[cert.enforced_rows]) >= dd_margin / 2.0
-    if np.any(cert.zeroed_rows):
-        assert np.max(np.abs(coeffs[cert.zeroed_rows])) <= 1e-6
+    # the closed-loop remainder is pinned to zero on every row
+    assert np.max(np.abs(coeffs)) <= 1e-6
+    assert cert.residuals["remainder_zeroed"] <= 1e-6
+
+
+def unmatched_problem(safe_set, unmatched=0.05):
+    """The secV plant plus a remainder term in the first state, which the
+    input (on the second state only) cannot cancel; T=40, data seed 7."""
+    dictionary = Dictionary([Monomial((2, 0)), Monomial((0, 2))], 2)
+    plant = PlantModel(a1=[[0.8, 0.5], [-0.4, 1.2]], a2=[[unmatched, 0.0], [1.0, 1.0]],
+                       b=[[0.0], [1.0]], dictionary=dictionary, w_bound=0.0)
+    return plant, collect_informative(plant, 40, 0.003, [0.0, 0.0], 7,
+                                      safe_set=safe_set, require_in_set=True)
 
 
 class TestSmallestEigenvalue:
@@ -87,12 +96,6 @@ class TestSmallestEigenvalue:
 
 
 class TestRowStructure:
-    def test_secv_antipodal_pairs(self):
-        assert synthesis.antipodal_pairs(SECV_F) == [(0, 1), (2, 3)]
-
-    def test_no_pairs_in_triangle(self):
-        assert synthesis.antipodal_pairs(np.array([[1.0, 0], [0, 1], [-1, -1]])) == []
-
     def test_row_norms(self):
         np.testing.assert_allclose(synthesis.row_norms(SECV_F, "one"),
                                    [0.6, 0.6, 0.35, 0.35])
@@ -111,8 +114,7 @@ class TestNoiselessDesign:
     def test_secv_cancels_remainder(self, secv_design):
         controller, cert = secv_design
         np.testing.assert_allclose(controller.k2, [[-1.0, -1.0]], atol=1e-6)
-        assert np.all(cert.zeroed_rows)
-        assert not np.any(cert.enforced_rows)
+        assert cert.residuals["remainder_zeroed"] <= 1e-9
 
     def test_noiseless_ground_truth_identity(self, secv_plant, secv_data, secv_design):
         controller, _ = secv_design
@@ -130,21 +132,14 @@ class TestNoiselessDesign:
     def test_contraction_validated(self, secv_data, secv_set):
         with pytest.raises(ValueError):
             synthesis.synthesize_noiseless(secv_data, secv_set, 1.5, expansion=[0.5, 0.5])
-        with pytest.raises(ValueError):
-            synthesis.synthesize_noiseless(secv_data, secv_set, 0.95,
-                                           expansion=[0.5, 0.5], dd_margin=0.0)
 
-    def test_strict_mode_infeasible_on_antipodal_set(self, secv_data, secv_set):
+    def test_uncancellable_remainder_is_infeasible(self, secv_set):
+        # the first state carries a remainder term the single input cannot
+        # reach, so no gain pins the closed-loop remainder to zero
+        _, data = unmatched_problem(secv_set)
         with pytest.raises(SynthesisInfeasibleError) as err:
-            synthesis.synthesize_noiseless(secv_data, secv_set, 0.95,
-                                           expansion=[0.5, 0.5], definiteness="strict")
+            synthesis.synthesize_noiseless(data, secv_set, 1.0, expansion=[0.5, 0.5])
         assert err.value.outcome.infeasibility > 0.0
-
-    def test_off_mode_feasible(self, secv_data, secv_set):
-        controller, cert = synthesis.synthesize_noiseless(
-            secv_data, secv_set, 0.95, expansion=[0.5, 0.5], definiteness="off")
-        assert_certificate_valid(secv_data, secv_set, controller, cert)
-        assert not np.any(cert.enforced_rows) and not np.any(cert.zeroed_rows)
 
     def test_rank_deficiency_detected(self, secv_set, secv_dictionary):
         from polysafe.datagen import ExperimentData
@@ -254,14 +249,13 @@ class TestExpansionSearch:
         with pytest.raises((ExpansionPointSearchFailedError, RankDeficientDataError)):
             synthesis.synthesize_noiseless(data, secv_set, 0.95, expansion="auto")
 
-    def test_search_log_lists_every_candidate(self, secv_data, secv_set):
-        # strict definiteness is infeasible at every expansion point on a set
-        # with antipodal pairs, so the auto search must exhaust its list; the
-        # vertex centroid of the symmetric set is the origin and is skipped
+    def test_search_log_lists_every_candidate(self, secv_set):
+        # a remainder the input cannot cancel is infeasible at every expansion
+        # point, so the auto search must exhaust its list; the vertex
+        # centroid of the symmetric set is the origin and is skipped
+        _, data = unmatched_problem(secv_set)
         with pytest.raises(ExpansionPointSearchFailedError) as err:
-            synthesis.synthesize_noiseless(secv_data, secv_set, 0.95,
-                                           expansion="auto", definiteness="strict",
-                                           seed=0)
+            synthesis.synthesize_noiseless(data, secv_set, 0.95, expansion="auto", seed=0)
         attempts = err.value.attempts
         assert len(attempts) == 4 + 1 + 20  # scaled vertices + centroid + random
         reasons = [reason for _, reason in attempts]
@@ -565,6 +559,36 @@ class TestMinimalContraction:
         with pytest.raises((NoFeasibleContractionError, RankDeficientDataError)):
             synthesis.minimal_contraction(data, secv_set, method="thm2",
                                           expansion=[0.5, 0.5])
+
+
+POLYGON_LEVEL = 0.7928008748828859  # duo plant on the regular polygons below
+
+
+class TestRegularPolygons:
+    """Sets without antipodal rows: the remainder is still pinned to zero."""
+
+    @pytest.mark.parametrize("sides", [3, 5, 7])
+    def test_duo_plant_cancels_remainder(self, sides):
+        # no two normals are opposite, so no pairing of rows can zero the
+        # remainder coefficients; pinning the closed-loop remainder does,
+        # and then thm2 and thm1 certify the same level
+        angles = 0.3 + 2.0 * np.pi * np.arange(sides) / sides
+        safe_set = PolyhedralSet(np.column_stack([np.cos(angles), np.sin(angles)]),
+                                 np.ones(sides))
+        dictionary = Dictionary([Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1))], 2)
+        plant = PlantModel(a1=[[0.7, 0.3], [-0.2, 0.9]], a2=[[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
+                           b=[[0.0], [1.0]], dictionary=dictionary, w_bound=0.0)
+        data = collect_informative(plant, 160, 0.05, [0.0, 0.0], 7,
+                                   safe_set=safe_set, require_in_set=True)
+        level = synthesis.minimal_contraction(data, safe_set, method="thm2")
+        assert abs(level - POLYGON_LEVEL) <= 1e-9
+        assert abs(level - synthesis.minimal_contraction(data, safe_set, method="thm1")) <= 1e-9
+        controller, cert = synthesis.synthesize_noiseless(data, safe_set, level + 1e-9)
+        assert_certificate_valid(data, safe_set, controller, cert)
+        np.testing.assert_allclose(controller.k2, [[-1.0, -0.5, 0.5]], atol=1e-6)
+        report = verify.grid_contractivity(controller, safe_set, level + 1e-9, 0.0, (101, 101),
+                                           dictionary, source="true-model", plant=plant)
+        assert report.passed
 
 
 TRI_LEVEL = 0.9102463054185772  # tri thm2 minimal level, T=160

@@ -172,6 +172,20 @@ class TestGridContractivity:
             np.testing.assert_array_equal(point, points[index])
             assert abs(margin - margins[index].max()) <= 1e-12
 
+    def test_shared_points_match_own_grid(self, secv_plant, secv_data, secv_set,
+                                          secv_design):
+        controller, _ = secv_design
+        points = verify.grid_points(secv_set, (41, 41))
+        for source in ("true-model", "data-rep"):
+            kwargs = dict(source=source, plant=secv_plant, data=secv_data)
+            own = verify.grid_contractivity(controller, secv_set, 0.95, 0.05, (41, 41),
+                                            secv_plant.dictionary, **kwargs)
+            shared = verify.grid_contractivity(controller, secv_set, 0.95, 0.05, (41, 41),
+                                               secv_plant.dictionary, points=points, **kwargs)
+            np.testing.assert_array_equal(shared.row_margins, own.row_margins)
+            assert shared.samples == own.samples == len(points)
+            assert shared.refinement_bound == own.refinement_bound
+
     def test_certificate_margins_attached(self, secv_plant, secv_set, secv_design):
         controller, cert = secv_design
         report = verify.grid_contractivity(
