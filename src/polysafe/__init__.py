@@ -41,7 +41,6 @@ from .synthesis import (
     lumped_disturbance_bounds,
     minimal_contraction,
     pick_expansion_point,
-    smallest_eigenvalue,
     synthesize_min_remainder,
     synthesize_noiseless,
     synthesize_robust,
@@ -93,7 +92,6 @@ __all__ = [
     "polytope_max",
     "regressor_rank",
     "sample_grid",
-    "smallest_eigenvalue",
     "synthesize_min_remainder",
     "synthesize_noiseless",
     "synthesize_robust",

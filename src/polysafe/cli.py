@@ -73,8 +73,6 @@ class SynthesisSection:
     method: str = "thm2"
     contraction: float = 0.95
     expansion_point: object = "auto"
-    objective: str = "margin"
-    row_norm: str = "one"
 
 
 @dataclass
@@ -211,11 +209,6 @@ def scenario_from_json(doc: dict) -> Scenario:
     if expansion != "auto":
         _expect(isinstance(expansion, list) and len(expansion) == n,
                 "synthesis.expansion_point", f"must be 'auto' or a point of length {n}")
-    objective = synth_doc.get("objective", "margin")
-    _expect(objective in ("margin", "feasible"), "synthesis.objective",
-            "must be 'margin' or 'feasible'")
-    row_norm = synth_doc.get("row_norm", "one")
-    _expect(row_norm in ("one", "inf"), "synthesis.row_norm", "must be 'one' or 'inf'")
 
     verify_doc = doc.get("verify", {})
     grid = verify_doc.get("grid", [201] * n)
@@ -235,8 +228,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         data=DataSection(samples=samples, u_max=float(u_max), x0=list(x0),
                          seed=seed, noise=noise),
         synthesis=SynthesisSection(method=method, contraction=float(contraction),
-                                   expansion_point=expansion, objective=objective,
-                                   row_norm=row_norm),
+                                   expansion_point=expansion),
         verify=VerifySection(grid=list(grid), mc_trajectories=mc, horizon=horizon),
     )
 
@@ -275,9 +267,7 @@ def secv_scenario() -> Scenario:
             "offsets": [1.0, 1.0, 1.0, 1.0],
         },
         "data": {"samples": 40, "u_max": 0.003, "x0": [0.0, 0.0], "seed": 7, "noise": False},
-        "synthesis": {"method": "thm2", "contraction": 0.95,
-                      "expansion_point": [0.5, 0.5], "objective": "margin",
-                      "row_norm": "one"},
+        "synthesis": {"method": "thm2", "contraction": 0.95, "expansion_point": [0.5, 0.5]},
         "verify": {"grid": [201, 201], "mc_trajectories": 10000, "horizon": 200},
     })
 
@@ -315,12 +305,11 @@ def _synthesize(scenario: Scenario, data, safe_set, search=None):
     if cfg.method == "thm2":
         return synthesis.synthesize_noiseless(
             data, safe_set, cfg.contraction, expansion=cfg.expansion_point,
-            objective=cfg.objective, seed=scenario.data.seed)
+            seed=scenario.data.seed)
     if cfg.method == "cor2":
         return synthesis.synthesize_robust(
             data, safe_set, cfg.contraction, w_bound=scenario.system.w_bound,
-            expansion=cfg.expansion_point, objective=cfg.objective,
-            row_norm=cfg.row_norm, seed=scenario.data.seed)
+            expansion=cfg.expansion_point, seed=scenario.data.seed)
     result = synthesis.synthesize_min_remainder(data, safe_set, cfg.contraction, search=search)
     return result.controller, result
 
@@ -332,7 +321,6 @@ def _sweep(scenario: Scenario, data, safe_set, methods, search=None) -> dict:
         kwargs = {"expansion": cfg.expansion_point, "seed": scenario.data.seed}
         if method == "cor2":
             kwargs["w_bound"] = scenario.system.w_bound
-            kwargs["row_norm"] = cfg.row_norm
         if method == "thm1":
             kwargs = {"search": search}
         try:
@@ -343,18 +331,15 @@ def _sweep(scenario: Scenario, data, safe_set, methods, search=None) -> dict:
     return levels
 
 
-def _verify_controller(scenario: Scenario, plant, data, safe_set, controller, level,
-                       certificate=None):
+def _verify_controller(scenario: Scenario, plant, data, safe_set, controller, level):
     # one grid serves both sources; it is freed before the Monte Carlo run
     points = verify.grid_points(safe_set, scenario.verify.grid)
     grid_true = verify.grid_contractivity(
         controller, safe_set, level, scenario.system.w_bound, scenario.verify.grid,
-        plant.dictionary, source="true-model", plant=plant,
-        row_norm=scenario.synthesis.row_norm, certificate=certificate, points=points)
+        plant.dictionary, source="true-model", plant=plant, points=points)
     grid_data = verify.grid_contractivity(
         controller, safe_set, level, scenario.system.w_bound, scenario.verify.grid,
-        plant.dictionary, source="data-rep", data=data,
-        row_norm=scenario.synthesis.row_norm, certificate=certificate, points=points)
+        plant.dictionary, source="data-rep", data=data, points=points)
     del points
     mc = verify.monte_carlo_invariance(
         plant, controller, safe_set, scenario.verify.mc_trajectories,
@@ -489,8 +474,7 @@ def _cmd_verify(scenario: Scenario, out_dir: Path) -> int:
         print(f"synthesis infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
     grid_true, grid_data, mc = _verify_controller(
-        scenario, plant, data, safe_set, controller, scenario.synthesis.contraction,
-        certificate=cert if isinstance(cert, synthesis.SynthesisCertificate) else None)
+        scenario, plant, data, safe_set, controller, scenario.synthesis.contraction)
     passed = grid_true.passed and grid_data.passed and mc.passed
     _write_json(out_dir / "summary.json", {
         "command": "verify",
@@ -620,8 +604,7 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
         summary["residuals"] = cert.residuals
 
     grid_true, grid_data, mc = _verify_controller(
-        scenario, plant, data, safe_set, controller, level,
-        certificate=cert if isinstance(cert, synthesis.SynthesisCertificate) else None)
+        scenario, plant, data, safe_set, controller, level)
     verified = grid_true.passed and grid_data.passed and mc.passed
     summary["grid_true_model"] = _report_entry(grid_true)
     summary["grid_data_rep"] = _report_entry(grid_data)
@@ -636,8 +619,7 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
     except (SynthesisInfeasibleError, RankDeficientDataError):
         pass
     lumped = synthesis.lumped_disturbance_bounds(
-        data, safe_set, controller, scenario.system.w_bound,
-        row_norm=scenario.synthesis.row_norm)
+        data, safe_set, controller, scenario.system.w_bound)
     primal_dual = (controller, cert) if isinstance(cert, synthesis.SynthesisCertificate) else None
     table = verify.conservatism_report(
         safe_set, plant.dictionary, primal_dual=primal_dual, baseline=baseline,
@@ -686,8 +668,6 @@ def _build_parser() -> _Parser:
                          help="override synthesis.method")
         cmd.add_argument("--grid", default=None, metavar="RxC",
                          help="override verify.grid, e.g. 201x201")
-        cmd.add_argument("--row-norm", choices=["one", "inf"], default=None,
-                         help="override synthesis.row_norm")
     return parser
 
 
@@ -700,8 +680,6 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         scenario.synthesis.contraction = args.contraction
     if args.method is not None:
         scenario.synthesis.method = args.method
-    if args.row_norm is not None:
-        scenario.synthesis.row_norm = args.row_norm
     if args.grid is not None:
         try:
             grid = [int(part) for part in args.grid.lower().split("x")]

@@ -3,11 +3,11 @@
 The solver is a two-phase primal simplex on the standard-form tableau:
 free variables are split into positive/negative parts, inequalities get
 slack columns, equalities are kept as equalities and receive artificial
-variables in phase 1.  Pivoting uses Bland's rule (smallest eligible
-column index, ties in the ratio test broken by smallest basis variable
-index), which guarantees termination without cycling at the cost of
-some speed; everything here runs at desk scale where that trade is the
-right one.
+variables in phase 1.  Pivoting uses Dantzig's rule (most negative
+reduced cost) and switches to Bland's smallest-index rule after 100
+degenerate pivots in a row, until a pivot makes progress; ties in the
+ratio test go to the smallest basis variable index.  Everything here
+runs at desk scale, where a dense tableau is the right trade.
 
 Constraints are kept as row groups, one coefficient matrix per block,
 and assembled into one dense matrix per solve.  Reported solutions always
@@ -166,29 +166,6 @@ class LinearProgram:
             mats[name] = mat
         self._groups.append((mats, rel, rhs))
         self._n_rows += k
-
-    def add_abs_bound(self, source: tuple[str, object], bound: tuple[str, object]) -> None:
-        """Constrain ``bound >= |source|`` for single entries of two blocks."""
-        s_name, s_idx = source
-        b_name, b_idx = bound
-        s_vec = self._unit(s_name, s_idx)
-        b_vec = self._unit(b_name, b_idx)
-        self.add_constraint({b_name: b_vec, s_name: -s_vec}, ">=", 0.0)
-        self.add_constraint({b_name: b_vec, s_name: s_vec}, ">=", 0.0)
-
-    def _unit(self, name: str, idx) -> np.ndarray:
-        if name not in self._blocks:
-            raise MalformedProgramError(f"undeclared block {name!r}")
-        block = self._blocks[name]
-        vec = np.zeros(block.size)
-        if block.shape == ():
-            flat = 0
-        elif isinstance(idx, tuple):
-            flat = int(np.ravel_multi_index(idx, block.shape))
-        else:
-            flat = int(idx)
-        vec[flat] = 1.0
-        return vec
 
     def set_objective(self, sense: str, terms: dict) -> None:
         if sense not in ("min", "max"):
@@ -498,15 +475,9 @@ def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
         best = float(ratios.min())
         ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
         row = int(ties[np.argmin(basis[ties])])  # smallest basis index breaks ties
-        T[row] /= T[row, j]
-        colv = T[:, j].copy()
-        colv[row] = 0.0
-        _rank1_update(T, colv, T[row])
+        _pivot(T, basis, row, j)
         cost -= cost[j] * T[row]
-        T[:, j] = 0.0
-        T[row, j] = 1.0
         cost[j] = 0.0
-        basis[row] = j
         iterations += 1
         if best > 1e-12:
             stalled = 0

@@ -24,12 +24,17 @@ Pinning ``R`` accepts exactly those remainders on every bounded set,
 whether or not its rows come in opposite pairs; the curvature matrices
 are still re-checked with exact eigenvalues as an audit.  The robust
 variant ("cor2") adds a norm budget that accounts for noise leakage
-through the data matrices.  The baseline ("thm1") searches a grid of
+through the data matrices, with disturbances measured by the row
+one-norms of :func:`row_norms`.  The baseline ("thm1") searches a grid of
 gains for the one minimizing the worst-row remainder term and then
 solves the classical row-multiplier program with the searched remainder
 bound subtracted.  The search is exact but pruned: cheap lower bounds
 from a few probe points rank the candidates, and only those whose bound
 can still reach the best exact score are scored.
+
+Every design program maximizes level headroom, so one solve gives both
+the verdict and the margin.  An ``'auto'`` expansion point is the first
+candidate whose program is feasible, and that solve is the design.
 """
 
 from __future__ import annotations
@@ -58,19 +63,14 @@ _RANK_RTOL = 1e-10  # closed-loop directions below this share of |next_states| a
 METHODS = ("thm2", "cor2", "thm1")
 
 
-def row_norms(normals: np.ndarray, kind: str = "one") -> np.ndarray:
-    """Per-row norms of the constraint normals used in disturbance offsets.
+def row_norms(normals: np.ndarray) -> np.ndarray:
+    """Per-row one-norms of the constraint normals, the disturbance measure.
 
-    ``one`` gives the sound worst case of ``row @ w`` over ``|w|_inf <= 1``;
-    ``inf`` (the max-entry reading) is offered for literal reproduction of
-    the norm-budget formula but underestimates multi-axis disturbances.
+    ``|F_i|_1`` is the exact worst case of ``F_i @ w`` over ``|w|_inf <= 1``.
+    The max-entry reading of the norm-budget formula underestimates it for
+    disturbances on several axes, so it is not offered.
     """
-    normals = np.asarray(normals, dtype=float)
-    if kind == "one":
-        return np.abs(normals).sum(axis=1)
-    if kind == "inf":
-        return np.abs(normals).max(axis=1)
-    raise ValueError(f"row norm must be 'one' or 'inf', got {kind!r}")
+    return np.abs(np.asarray(normals, dtype=float)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +116,8 @@ class SynthesisCertificate:
     ``residuals`` are recomputed from raw matrices after the solve, never
     read back from the LP.  ``definiteness_margins`` stores the exact
     smallest eigenvalue of each row's curvature matrix, an audit of the
-    pinned remainder.  ``margin`` (margin objective only) is level
-    headroom: the certificate also holds at level ``contraction - margin``.
+    pinned remainder.  ``margin`` is level headroom: the certificate also
+    holds at level ``contraction - margin``.
     """
 
     method: str
@@ -128,7 +128,7 @@ class SynthesisCertificate:
     expansion: ExpansionPoint
     residuals: dict[str, float]
     definiteness_margins: np.ndarray  # (s,)
-    margin: float | None              # level headroom, margin objective only
+    margin: float                     # level headroom
     config: dict = field(default_factory=dict)
 
     @property
@@ -156,8 +156,8 @@ class BaselineSearch:
 class BaselineResult:
     """The baseline controller and its row-multiplier certificate.
 
-    ``margin`` (margin objective only) is level headroom: the certificate
-    also holds at level ``contraction - margin``.
+    ``margin`` is level headroom: the certificate also holds at level
+    ``contraction - margin``.
     """
 
     controller: Controller
@@ -165,64 +165,8 @@ class BaselineResult:
     set_multiplier: np.ndarray   # (s, s)
     search: BaselineSearch
     contraction: float
-    margin: float | None
+    margin: float
     residuals: dict[str, float] = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# exact smallest eigenvalue of a symmetric matrix
-
-
-def smallest_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix.
-
-    Uses the characteristic polynomial in closed form up to 3x3 and cyclic
-    Jacobi sweeps above that, so the definiteness check does not share code
-    with any LP machinery it is auditing.
-    """
-    M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0])
-    if n == 2:
-        half_tr = 0.5 * (M[0, 0] + M[1, 1])
-        disc = math.sqrt(max(0.25 * (M[0, 0] - M[1, 1]) ** 2 + M[0, 1] * M[1, 0], 0.0))
-        return float(half_tr - disc)
-    if n == 3:
-        p1 = M[0, 1] ** 2 + M[0, 2] ** 2 + M[1, 2] ** 2
-        q = np.trace(M) / 3.0
-        if p1 == 0.0:
-            return float(min(M[0, 0], M[1, 1], M[2, 2]))
-        p2 = sum((M[i, i] - q) ** 2 for i in range(3)) + 2.0 * p1
-        p = math.sqrt(p2 / 6.0)
-        B = (M - q * np.eye(3)) / p
-        r = float(np.linalg.det(B)) / 2.0
-        r = min(1.0, max(-1.0, r))
-        phi = math.acos(r) / 3.0
-        return float(q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0))
-    return _jacobi_smallest(M)
-
-
-def _jacobi_smallest(M: np.ndarray, sweeps: int = 50) -> float:
-    A = np.array(M, dtype=float, copy=True)
-    n = A.shape[0]
-    target = 1e-14 * max(1.0, float(np.max(np.abs(A))))
-    for _ in range(sweeps):
-        off = math.sqrt(float(np.sum(np.tril(A, -1) ** 2)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= target / n:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * A[p, q], A[q, q] - A[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-    return float(np.min(np.diag(A)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +198,7 @@ def _closed_loop(data: ExperimentData) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                     exp: ExpansionPoint | None, objective: str, robust: dict | None,
+                     exp: ExpansionPoint | None, robust: dict | None,
                      row_bounds: np.ndarray | None = None) -> lpcore.LpOutcome:
     """Pose and solve one design program over the closed loop ``base + lift @ X``.
 
@@ -299,15 +243,13 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
     lp.add_block("mult", (s, s), nonneg=True)
     if exp is not None:
         lp.add_block("slope", (s, n))
-    with_margin = objective == "margin"
-    if with_margin:
-        # slack is level headroom: it enters row i as slack * g[i], so the
-        # solution also certifies level contraction - slack.  It is
-        # sign-restricted so a margin solve is feasible exactly when the plain
-        # conditions are, and capped so the certified level stays >= 0.
-        lp.add_block("slack", (), nonneg=True)
-        lp.add_constraint({"slack": 1.0}, "<=", contraction)
-        lp.set_objective("max", {"slack": 1.0})
+    # slack is level headroom: it enters row i as slack * g[i], so the
+    # solution also certifies level contraction - slack.  It is sign-restricted
+    # so the program is feasible exactly when the plain conditions are, and
+    # capped so the certified level stays >= 0.
+    lp.add_block("slack", (), nonneg=True)
+    lp.add_constraint({"slack": 1.0}, "<=", contraction)
+    lp.set_objective("max", {"slack": 1.0})
     if split:
         for name in ("noise", "norm1", "norm2"):
             lp.add_block(name, ())
@@ -319,9 +261,9 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
                 terms.update({name: sign * coeff for name, sign in parts[key]})
         lp.add_constraint_rows(terms, rel, rhs)
 
-    # (i) contraction: mult @ g + slope @ anchor (+ noise) (+ slack * g) <= level * g,
+    # (i) contraction: mult @ g + slope @ anchor (+ noise) + slack * g <= level * g,
     # with the remainder bounds in place of the slope term for the baseline
-    terms = {"mult": np.kron(np.eye(s), g)}
+    terms = {"mult": np.kron(np.eye(s), g), "slack": g}
     rhs = contraction * g
     if exp is None:
         rhs = rhs - row_bounds
@@ -329,8 +271,6 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
         terms["slope"] = np.kron(np.eye(s), exp.anchor)
     if split:
         terms["noise"] = np.ones(s)
-    if with_margin:
-        terms["slack"] = g
     rows("<=", rhs, **terms)
 
     # (ii) multiplier rows map through the set: mult @ F - F @ loop_linear = slope
@@ -363,7 +303,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
             row_sums = np.kron(np.eye(T), np.ones(width))
             lp.add_constraint_rows({**{name: row_sums for name, _ in parts[key]},
                                     norm: -np.ones(T)}, "<=", np.zeros(T))
-        gm = robust["w_bound"] * float(np.max(row_norms(F, robust["row_norm"])))
+        gm = robust["w_bound"] * float(np.max(row_norms(F)))
         scale = gm * robust["state_bound"] * T
         lp.add_constraint({"norm1": scale, "norm2": scale * robust["lipschitz"], "noise": -1.0},
                           "<=", -scale)
@@ -400,18 +340,15 @@ def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Cont
         "remainder_zeroed": float(np.max(np.abs(coeffs))),
     }
     if robust is not None:
-        gm = robust["w_bound"] * float(np.max(row_norms(F, robust["row_norm"])))
+        gm = robust["w_bound"] * float(np.max(row_norms(F)))
         budget = gm * robust["state_bound"] * data.n_samples * (
             _norm_inf(controller.g1) + robust["lipschitz"] * _norm_inf(controller.g2) + 1.0)
         residuals["noise_budget"] = float(max(0.0, budget - eta))
 
     margins = np.array([
-        smallest_eigenvalue(-np.einsum("j,jkl->kl", coeffs[i], exp.curvatures))
+        np.linalg.eigvalsh(-np.einsum("j,jkl->kl", coeffs[i], exp.curvatures))[0]
         for i in range(F.shape[0])
     ])
-    margin = None
-    if outcome.objective is not None:
-        margin = float(outcome.objective)
     return SynthesisCertificate(
         method=method,
         contraction=contraction,
@@ -421,7 +358,7 @@ def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Cont
         expansion=exp,
         residuals=residuals,
         definiteness_margins=margins,
-        margin=margin,
+        margin=float(outcome.objective),
         config=config,
     )
 
@@ -432,14 +369,15 @@ def _norm_inf(mat: np.ndarray) -> float:
 
 
 def _resolve_expansion(data: ExperimentData, safe_set: PolyhedralSet, contraction, expansion,
-                       robust, seed) -> ExpansionPoint:
-    if isinstance(expansion, ExpansionPoint):
-        return expansion
+                       robust, seed) -> tuple[ExpansionPoint, lpcore.LpOutcome]:
+    """The expansion point and the outcome of the design program posed at it."""
     if isinstance(expansion, str):
         if expansion != "auto":
             raise ValueError(f"expansion must be a point, an ExpansionPoint or 'auto', got {expansion!r}")
         return pick_expansion_point(data, safe_set, contraction, robust=robust, seed=seed)
-    return expansion_point(data.dictionary, np.asarray(expansion, dtype=float), safe_set)
+    exp = expansion if isinstance(expansion, ExpansionPoint) else expansion_point(
+        data.dictionary, np.asarray(expansion, dtype=float), safe_set)
+    return exp, _build_and_solve(data, safe_set, contraction, exp, robust)
 
 
 def _check_regressor(data: ExperimentData) -> None:
@@ -448,87 +386,76 @@ def _check_regressor(data: ExperimentData) -> None:
         raise RankDeficientDataError(f"regressor is rank deficient: {diag}", diag)
 
 
+def _design(data: ExperimentData, safe_set: PolyhedralSet, contraction: float, expansion,
+            robust: dict | None, seed: int) -> tuple[Controller, SynthesisCertificate]:
+    """Solve the ``thm2`` (``robust`` None) or ``cor2`` program and certify its controller."""
+    if not 0.0 < contraction <= 1.0:
+        raise ValueError(f"contraction must be in (0, 1], got {contraction}")
+    _check_regressor(data)
+    method, kind = ("thm2", "noiseless") if robust is None else ("cor2", "robust")
+    exp, outcome = _resolve_expansion(data, safe_set, contraction, expansion, robust, seed)
+    if outcome.status == lpcore.LpStatus.INFEASIBLE:
+        raise SynthesisInfeasibleError(
+            f"{kind} design infeasible at contraction {contraction} "
+            f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
+    g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
+    controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
+    config = {"method": method, "contraction": contraction, **(robust or {})}
+    cert = _certificate(data, safe_set, controller, exp, contraction, outcome,
+                        method, robust, config)
+    return controller, cert
+
+
 def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                         expansion="auto", objective: str = "margin", seed: int = 0,
+                         expansion="auto", seed: int = 0,
                          ) -> tuple[Controller, SynthesisCertificate]:
     """Primal-dual design assuming the data were collected without noise.
 
     Raises :class:`SynthesisInfeasibleError` with the phase-1 certificate if
     the program has no solution at this contraction level.
     """
-    if not 0.0 < contraction <= 1.0:
-        raise ValueError(f"contraction must be in (0, 1], got {contraction}")
-    _check_regressor(data)
-    exp = _resolve_expansion(data, safe_set, contraction, expansion, None, seed)
-    outcome = _build_and_solve(data, safe_set, contraction, exp, objective, None)
-    if outcome.status == lpcore.LpStatus.INFEASIBLE:
-        raise SynthesisInfeasibleError(
-            f"noiseless design infeasible at contraction {contraction} "
-            f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
-    g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
-    controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
-    config = {"method": "thm2", "contraction": contraction, "objective": objective}
-    cert = _certificate(data, safe_set, controller, exp, contraction, outcome,
-                        "thm2", None, config)
-    return controller, cert
+    return _design(data, safe_set, contraction, expansion, None, seed)
 
 
 def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                      w_bound: float, lipschitz: float | None = None,
-                      state_bound: float | None = None, expansion="auto",
-                      objective: str = "margin", row_norm: str = "one",
+                      w_bound: float, expansion="auto",
                       seed: int = 0) -> tuple[Controller, SynthesisCertificate]:
     """Noise-aware variant: adds a uniform offset covering disturbance leakage.
 
     The offset must dominate ``gm * state_bound * T * (|G1| + L |G2| + 1)``
-    with ``gm = w_bound * max_i rownorm(F_i)``; the bound is conservative in
+    with ``gm = w_bound * max_i |F_i|_1``, ``L`` the interval-arithmetic
+    Lipschitz bound of the dictionary and ``state_bound`` the largest
+    coordinate of the safe set's enclosure.  The bound is conservative in
     the sample count, so small contraction levels become infeasible quickly
-    as ``T`` or ``w_bound`` grow.  ``lipschitz`` and ``state_bound`` default
-    to the interval-arithmetic bound and enclosure bound of the safe set.
+    as ``T`` or ``w_bound`` grow.
     """
-    if not 0.0 < contraction <= 1.0:
-        raise ValueError(f"contraction must be in (0, 1], got {contraction}")
     if w_bound < 0.0:
         raise ValueError("w_bound must be non-negative")
-    _check_regressor(data)
     box = interval_enclosure(safe_set)
-    if lipschitz is None:
-        lipschitz = data.dictionary.lipschitz_bound(box)
-    if state_bound is None:
-        state_bound = box.max_abs
-    robust = {"w_bound": float(w_bound), "lipschitz": float(lipschitz),
-              "state_bound": float(state_bound), "row_norm": row_norm}
-    row_norms(safe_set.normals, row_norm)  # validate the kind early
-    exp = _resolve_expansion(data, safe_set, contraction, expansion, robust, seed)
-    outcome = _build_and_solve(data, safe_set, contraction, exp, objective, robust)
-    if outcome.status == lpcore.LpStatus.INFEASIBLE:
-        raise SynthesisInfeasibleError(
-            f"robust design infeasible at contraction {contraction} "
-            f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
-    g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
-    controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
-    config = {"method": "cor2", "contraction": contraction, "objective": objective,
-              "row_norm": row_norm, **{k: robust[k] for k in
-                                       ("w_bound", "lipschitz", "state_bound")}}
-    cert = _certificate(data, safe_set, controller, exp, contraction, outcome,
-                        "cor2", robust, config)
-    return controller, cert
+    robust = {"w_bound": float(w_bound), "lipschitz": float(data.dictionary.lipschitz_bound(box)),
+              "state_bound": float(box.max_abs)}
+    return _design(data, safe_set, contraction, expansion, robust, seed)
 
 
 # ---------------------------------------------------------------------------
 # expansion point search
 
 
+_RANDOM_CANDIDATES = 20  # seeded interior samples after the vertex candidates
+
+
 def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
                          robust: dict | None = None, seed: int = 0,
-                         n_random: int = 20) -> ExpansionPoint:
-    """First candidate expansion point whose program is feasible.
+                         ) -> tuple[ExpansionPoint, lpcore.LpOutcome]:
+    """First candidate expansion point whose design program is feasible.
 
     Candidates, in order: each vertex scaled by 0.25, the vertex centroid
-    scaled by 0.5, then ``n_random`` seeded interior rejection samples.
-    Zero candidates are skipped (the slope condition needs a nonzero point).
-    Each candidate is judged by the plain feasibility program: a margin
-    objective would not change the verdict.  Deterministic for a fixed seed.
+    scaled by 0.5, then 20 seeded interior rejection samples.  Zero
+    candidates are skipped (the slope condition needs a nonzero point).
+    Each candidate is judged by the design program itself, which is
+    feasible exactly when its plain conditions are, so the winning solve is
+    returned with the point and the design needs no second one.
+    Deterministic for a fixed seed.
     """
     vertices = enumerate_vertices(safe_set)
     candidates = [0.25 * v for v in vertices]
@@ -537,7 +464,7 @@ def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contract
     box = interval_enclosure(safe_set)
     rng = np.random.default_rng(seed)
     found = 0
-    while found < n_random:
+    while found < _RANDOM_CANDIDATES:
         p = rng.uniform(box.lo, box.hi)
         if safe_set.contains(p, scale=0.9):
             candidates.append(p)
@@ -549,12 +476,12 @@ def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contract
             continue
         try:
             exp = expansion_point(data.dictionary, cand, safe_set)
-            outcome = _build_and_solve(data, safe_set, contraction, exp, "feasible", robust)
+            outcome = _build_and_solve(data, safe_set, contraction, exp, robust)
         except (PolysafeError, np.linalg.LinAlgError) as err:
             attempts.append((cand, f"error: {err}"))
             continue
         if outcome.status in (lpcore.LpStatus.OPTIMAL, lpcore.LpStatus.FEASIBLE):
-            return exp
+            return exp, outcome
         attempts.append((cand, f"infeasible ({outcome.infeasibility:.3e})"))
     raise ExpansionPointSearchFailedError(
         f"no feasible expansion point among {len(candidates)} candidates", attempts)
@@ -676,7 +603,7 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
 
 def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
                              k2_lo: float = -2.0, k2_hi: float = 2.0, k2_step: float = 0.1,
-                             x_resolution=None, objective: str = "margin",
+                             x_resolution=None,
                              search: BaselineSearch | None = None) -> BaselineResult:
     """Remainder-minimization baseline: direct gain search plus the row-multiplier LP.
 
@@ -687,7 +614,7 @@ def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, cont
         raise ValueError(f"contraction must be in (0, 1], got {contraction}")
     if search is None:
         search = baseline_search(data, safe_set, k2_lo, k2_hi, k2_step, x_resolution)
-    outcome = _build_and_solve(data, safe_set, contraction, None, objective, None,
+    outcome = _build_and_solve(data, safe_set, contraction, None, None,
                                row_bounds=search.row_bounds)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
@@ -710,8 +637,7 @@ def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, cont
     return BaselineResult(
         controller=controller, row_bounds=search.row_bounds, set_multiplier=mult,
         search=search, contraction=contraction,
-        margin=float(outcome.objective) if outcome.objective is not None else None,
-        residuals=residuals)
+        margin=float(outcome.objective), residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -720,28 +646,24 @@ def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, cont
 
 def lumped_disturbance_bounds(data: ExperimentData, safe_set: PolyhedralSet,
                               controller: Controller, w_bound: float,
-                              lipschitz: float | None = None,
-                              state_bound: float | None = None,
-                              row_norm: str = "one",
                               x_resolution=None) -> np.ndarray:
     """Per-row upper bound on the worst-case lumped disturbance for a fixed controller.
 
     Combines the grid maximum of the closed-loop remainder term with the
     norm bound on noise leakage through the data matrices and the direct
-    disturbance term.  Used for conservatism reports only; minimizing this
+    disturbance term, with the Lipschitz and state bounds of the safe set's
+    interval enclosure.  Used for conservatism reports only; minimizing this
     quantity over controllers is the intractable path the toolkit avoids.
     """
     box = interval_enclosure(safe_set)
-    if lipschitz is None:
-        lipschitz = data.dictionary.lipschitz_bound(box)
-    if state_bound is None:
-        state_bound = box.max_abs
+    lipschitz = data.dictionary.lipschitz_bound(box)
+    state_bound = box.max_abs
     points = sample_grid(safe_set, x_resolution)
     points = np.vstack([points, np.array(enumerate_vertices(safe_set))])
     rem = data.dictionary.remainder(points)
     coeffs = safe_set.normals @ data.next_states @ controller.g2
     base = np.max(coeffs @ rem.T, axis=1)
-    rn = row_norms(safe_set.normals, row_norm)
+    rn = row_norms(safe_set.normals)
     leakage = data.n_samples * w_bound * rn * (
         _norm_inf(controller.g1) * state_bound
         + _norm_inf(controller.g2) * lipschitz * state_bound)
@@ -760,7 +682,7 @@ def format_certificate(controller: Controller, cert: SynthesisCertificate) -> st
         f"method: {cert.method}",
         f"contraction level: {cert.contraction:.17g}",
         f"noise margin: {cert.noise_margin:.17g}",
-        f"level headroom: {'n/a' if cert.margin is None else format(cert.margin, '.17g')}",
+        f"level headroom: {cert.margin:.17g}",
         "config: " + ", ".join(f"{k}={v}" for k, v in sorted(cert.config.items())),
         "",
         mat("k1", controller.k1),

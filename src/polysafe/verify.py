@@ -53,21 +53,19 @@ class VerificationReport:
     tolerance: float = TOL_VERIFY
     cell_diagonal: float | None = None
     refinement_bound: float | None = None
-    definiteness_margins: np.ndarray | None = None
 
     @property
     def passed(self) -> bool:
         return self.violations == 0 and bool(np.all(self.row_margins <= self.tolerance))
 
 
-def disturbance_offsets(safe_set: PolyhedralSet, w_bound: float,
-                        row_norm: str = "one") -> np.ndarray:
+def disturbance_offsets(safe_set: PolyhedralSet, w_bound: float) -> np.ndarray:
     """Per-row worst-case contribution of a bounded disturbance.
 
-    With the default one-norm this is exact: the worst ``F_i w`` over
-    ``|w|_inf <= w_bound`` is ``w_bound * |F_i|_1``.
+    This is exact: the worst ``F_i w`` over ``|w|_inf <= w_bound`` is
+    ``w_bound * |F_i|_1`` (:func:`~polysafe.synthesis.row_norms`).
     """
-    return w_bound * row_norms(safe_set.normals, row_norm)
+    return w_bound * row_norms(safe_set.normals)
 
 
 def _closed_loop_matrices(controller, source: str, plant: PlantModel | None,
@@ -100,25 +98,24 @@ def grid_points(safe_set: PolyhedralSet, resolution=None) -> np.ndarray:
 def grid_contractivity(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
                        resolution, dictionary, source: str = "true-model",
                        plant: PlantModel | None = None, data: ExperimentData | None = None,
-                       row_norm: str = "one", tol: float = TOL_VERIFY,
-                       max_witnesses: int = 10,
-                       certificate=None, points: np.ndarray | None = None) -> VerificationReport:
+                       tol: float = TOL_VERIFY, max_witnesses: int = 10,
+                       points: np.ndarray | None = None) -> VerificationReport:
     """Check one-step contraction into the ``level``-scaled set on a state grid.
 
     Every grid member and every vertex is mapped through the deterministic
-    closed loop; the per-row worst-case disturbance offset is added before
-    comparing against the scaled offsets.  Sampling-based, not exhaustive:
-    a rigorous whole-set claim needs the margins to clear the report's
-    ``refinement_bound``.  An optional synthesis ``certificate`` contributes
-    its definiteness margins to the report.  ``points`` passes in
-    :func:`grid_points` at ``resolution`` when several checks share it.
+    closed loop; the per-row worst-case disturbance offset
+    (:func:`disturbance_offsets`, one-norm) is added before comparing against
+    the scaled offsets.  Sampling-based, not exhaustive: a rigorous
+    whole-set claim needs the margins to clear the report's
+    ``refinement_bound``.  ``points`` passes in :func:`grid_points` at
+    ``resolution`` when several checks share it.
     """
     start = time.perf_counter()
     lin, rem_mat = _closed_loop_matrices(controller, source, plant, data)
     box = interval_enclosure(safe_set)
     if points is None:
         points = grid_points(safe_set, resolution)
-    offsets = disturbance_offsets(safe_set, w_bound, row_norm)
+    offsets = disturbance_offsets(safe_set, w_bound)
     row_margins = np.full(safe_set.n_rows, -np.inf)
     violations = 0
     witnesses: list = []
@@ -150,8 +147,6 @@ def grid_contractivity(controller, safe_set: PolyhedralSet, level: float, w_boun
         tolerance=tol,
         cell_diagonal=cell_diagonal,
         refinement_bound=f_norm * loop_lipschitz * cell_diagonal,
-        definiteness_margins=None if certificate is None
-        else np.asarray(certificate.definiteness_margins),
     )
 
 
@@ -334,8 +329,7 @@ def control_effort(controller, safe_set: PolyhedralSet, dictionary,
 
 def conservatism_report(safe_set: PolyhedralSet, dictionary,
                         primal_dual=None, baseline=None, lumped_bounds=None,
-                        min_levels: dict | None = None,
-                        effort_resolution=None) -> ConservatismTable:
+                        min_levels: dict | None = None) -> ConservatismTable:
     """Comparison table: minimal level, gain size and control effort per method.
 
     ``primal_dual`` is a (controller, certificate) pair, ``baseline`` a
@@ -349,7 +343,7 @@ def conservatism_report(safe_set: PolyhedralSet, dictionary,
         rows[primal_dual[1].method] = {
             "min_level": min_levels.get(primal_dual[1].method),
             "k2_norm": float(np.max(np.abs(controller.k2).sum(axis=1))),
-            "effort": control_effort(controller, safe_set, dictionary, effort_resolution),
+            "effort": control_effort(controller, safe_set, dictionary),
         }
     for name in ("thm2", "cor2", "thm1"):
         if name in min_levels and name not in rows:
@@ -359,8 +353,7 @@ def conservatism_report(safe_set: PolyhedralSet, dictionary,
         rows["thm1"] = {
             "min_level": min_levels.get("thm1"),
             "k2_norm": float(np.max(np.abs(baseline.controller.k2).sum(axis=1))),
-            "effort": control_effort(baseline.controller, safe_set, dictionary,
-                                     effort_resolution),
+            "effort": control_effort(baseline.controller, safe_set, dictionary),
         }
     elif "thm1" not in rows:
         rows["thm1"] = None

@@ -30,6 +30,10 @@ class TestScenarioSchema:
         assert scenario.data.samples == 40
         np.testing.assert_allclose(scenario.safe_set.offsets, np.ones(4))
 
+    def test_shipped_file_matches_builtin(self):
+        # scenarios/secV.json and cli.secv_scenario() are two copies of one scenario
+        assert cli.load_scenario(REPO_SCENARIO).to_json() == cli.secv_scenario().to_json()
+
     def test_round_trip(self, tmp_path):
         scenario = cli.secv_scenario()
         path = tmp_path / "copy.json"
@@ -74,6 +78,7 @@ class TestScenarioSchema:
             cli.scenario_from_json(doc)
 
     @pytest.mark.parametrize("key, value", [("definiteness", "off"), ("dd_margin", 1e-6),
+                                            ("objective", "margin"), ("row_norm", "one"),
                                             ("contraciton", 0.9)])
     def test_unknown_synthesis_key_rejected(self, key, value):
         # a removed or misspelt key must not silently fall back to a default
@@ -295,10 +300,11 @@ class TestCommands:
         assert a != b
 
     def test_removed_definiteness_flag_is_a_usage_error(self, scenario_path, tmp_path):
-        out = tmp_path / "strict"
-        code = cli.main(["synth", "--scenario", str(scenario_path), "--out", str(out),
-                         "--definiteness", "strict"])
-        assert code == cli.EXIT_USAGE
+        # --row-norm went the same way: the one-norm is the only sound offset
+        for flag, value in (("--definiteness", "strict"), ("--row-norm", "inf")):
+            code = cli.main(["synth", "--scenario", str(scenario_path),
+                             "--out", str(tmp_path / "removed"), flag, value])
+            assert code == cli.EXIT_USAGE, flag
 
 
 class TestUnsoundCertificateIsCaught:

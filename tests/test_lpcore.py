@@ -131,52 +131,6 @@ class TestBasics:
         assert a.iterations == b.iterations
 
 
-class TestAbsBound:
-    def test_positive_entry(self):
-        lp = LinearProgram()
-        lp.add_block("e", ())
-        lp.add_block("t", (), nonneg=True)
-        lp.add_constraint({"e": 1.0}, "=", 2.0)
-        lp.add_abs_bound(("e", 0), ("t", 0))
-        lp.set_objective("min", {"t": 1.0})
-        assert abs(lp.solve().objective - 2.0) <= 1e-9
-
-    def test_negative_entry(self):
-        lp = LinearProgram()
-        lp.add_block("e", ())
-        lp.add_block("t", (), nonneg=True)
-        lp.add_constraint({"e": 1.0}, "=", -5.0)
-        lp.add_abs_bound(("e", 0), ("t", 0))
-        lp.set_objective("min", {"t": 1.0})
-        assert abs(lp.solve().objective - 5.0) <= 1e-9
-
-    def test_sum_of_abs_is_dual_norm(self):
-        # max c @ e subject to sum |e_i| <= 1 equals max_i |c_i|
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            c = rng.normal(size=3)
-            lp = LinearProgram()
-            lp.add_block("e", (3,))
-            lp.add_block("t", (3,), nonneg=True)
-            for i in range(3):
-                lp.add_abs_bound(("e", i), ("t", i))
-            lp.add_constraint({"t": np.ones(3)}, "<=", 1.0)
-            lp.set_objective("max", {"e": c})
-            out = lp.solve()
-            assert abs(out.objective - np.max(np.abs(c))) <= 1e-9
-
-    def test_matrix_index_form(self):
-        lp = LinearProgram()
-        lp.add_block("e", (2, 2))
-        lp.add_block("t", (2, 2), nonneg=True)
-        coeff = np.zeros((2, 2))
-        coeff[1, 0] = 1.0
-        lp.add_constraint({"e": coeff}, "=", -3.0)
-        lp.add_abs_bound(("e", (1, 0)), ("t", (1, 0)))
-        lp.set_objective("min", {"t": coeff})
-        assert abs(lp.solve().objective - 3.0) <= 1e-9
-
-
 class TestPolytopeMax:
     def test_secv_scaled_row(self, secv_set):
         assert abs(polytope_max(0.5 * SECV_F[0], secv_set) - 0.5) <= 1e-9

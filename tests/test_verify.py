@@ -70,19 +70,14 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
 class TestDisturbanceOffsets:
     def test_one_norm_offsets(self, secv_set):
         np.testing.assert_allclose(
-            verify.disturbance_offsets(secv_set, 0.05, "one"),
+            verify.disturbance_offsets(secv_set, 0.05),
             [0.03, 0.03, 0.0175, 0.0175])
 
     def test_one_norm_matches_corner_enumeration(self, secv_set):
         # worst F_1 w over the corners of the disturbance box is 0.03
         corners = np.array(list(itertools.product([-0.05, 0.05], repeat=2)))
         worst = np.max(corners @ SECV_F[0])
-        assert abs(worst - verify.disturbance_offsets(secv_set, 0.05, "one")[0]) <= 1e-15
-
-    def test_inf_norm_underestimates(self, secv_set):
-        np.testing.assert_allclose(
-            verify.disturbance_offsets(secv_set, 0.05, "inf"),
-            [0.02, 0.02, 0.01, 0.01])
+        assert abs(worst - verify.disturbance_offsets(secv_set, 0.05)[0]) <= 1e-15
 
 
 class TestGridContractivity:
@@ -185,14 +180,6 @@ class TestGridContractivity:
             np.testing.assert_array_equal(shared.row_margins, own.row_margins)
             assert shared.samples == own.samples == len(points)
             assert shared.refinement_bound == own.refinement_bound
-
-    def test_certificate_margins_attached(self, secv_plant, secv_set, secv_design):
-        controller, cert = secv_design
-        report = verify.grid_contractivity(
-            controller, secv_set, 0.95, 0.05, (41, 41), secv_plant.dictionary,
-            source="true-model", plant=secv_plant, certificate=cert)
-        np.testing.assert_array_equal(report.definiteness_margins,
-                                      cert.definiteness_margins)
 
 
 class TestMonteCarlo:
