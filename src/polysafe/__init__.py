@@ -39,7 +39,6 @@ from .synthesis import (
     SynthesisCertificate,
     baseline_search,
     lumped_disturbance_bounds,
-    minimal_contraction,
     pick_expansion_point,
     synthesize_min_remainder,
     synthesize_noiseless,
@@ -86,7 +85,6 @@ __all__ = [
     "identification_rank",
     "interval_enclosure",
     "lumped_disturbance_bounds",
-    "minimal_contraction",
     "monte_carlo_invariance",
     "pick_expansion_point",
     "polytope_max",

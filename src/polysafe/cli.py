@@ -24,7 +24,6 @@ from . import synthesis, verify
 from .datagen import collect_informative, identification_rank, regressor_rank
 from .dynamics import Dictionary, PlantModel
 from .errors import (
-    NoFeasibleContractionError,
     PolysafeError,
     RankDeficientDataError,
     ScenarioValidationError,
@@ -295,40 +294,57 @@ def _collect(scenario: Scenario):
     safe_set = scenario.polytope()
     data = collect_informative(
         plant, scenario.data.samples, scenario.data.u_max, scenario.data.x0,
-        scenario.data.seed, with_noise=scenario.data.noise,
-        safe_set=safe_set, require_in_set=True)
+        scenario.data.seed, with_noise=scenario.data.noise, safe_set=safe_set)
     return plant, safe_set, data
 
 
-def _synthesize(scenario: Scenario, data, safe_set, search=None):
+def _design(scenario: Scenario, data, safe_set, method: str):
+    """The method's level-free design: the controller and its certificate,
+    whose ``contraction`` is the smallest level the certificate holds at."""
     cfg = scenario.synthesis
-    if cfg.method == "thm2":
+    if method == "thm2":
         return synthesis.synthesize_noiseless(
-            data, safe_set, cfg.contraction, expansion=cfg.expansion_point,
-            seed=scenario.data.seed)
-    if cfg.method == "cor2":
+            data, safe_set, expansion=cfg.expansion_point, seed=scenario.data.seed)
+    if method == "cor2":
         return synthesis.synthesize_robust(
-            data, safe_set, cfg.contraction, w_bound=scenario.system.w_bound,
+            data, safe_set, w_bound=scenario.system.w_bound,
             expansion=cfg.expansion_point, seed=scenario.data.seed)
-    result = synthesis.synthesize_min_remainder(data, safe_set, cfg.contraction, search=search)
+    result = synthesis.synthesize_min_remainder(data, safe_set)
     return result.controller, result
 
 
-def _sweep(scenario: Scenario, data, safe_set, methods, search=None) -> dict:
-    cfg = scenario.synthesis
-    levels: dict = {}
+def _check_level(scenario: Scenario, cert) -> None:
+    """Raise :class:`SynthesisInfeasibleError` when the design misses the requested level."""
+    requested = scenario.synthesis.contraction
+    if requested < cert.contraction:
+        raise SynthesisInfeasibleError(
+            f"{scenario.synthesis.method} design certifies level {cert.contraction} "
+            f"at best, above the requested level {requested}")
+
+
+def _synthesize(scenario: Scenario, data, safe_set):
+    """The scenario method's design, checked against the requested level."""
+    controller, cert = _design(scenario, data, safe_set, scenario.synthesis.method)
+    _check_level(scenario, cert)
+    return controller, cert
+
+
+def _sweep(scenario: Scenario, data, safe_set, methods) -> dict:
+    """Each method's design, or the message saying why no level in (0, 1] is feasible."""
+    designs: dict = {}
     for method in methods:
-        kwargs = {"expansion": cfg.expansion_point, "seed": scenario.data.seed}
-        if method == "cor2":
-            kwargs["w_bound"] = scenario.system.w_bound
-        if method == "thm1":
-            kwargs = {"search": search}
         try:
-            levels[method] = synthesis.minimal_contraction(
-                data, safe_set, method=method, **kwargs)
-        except (NoFeasibleContractionError, RankDeficientDataError):
-            levels[method] = None
-    return levels
+            designs[method] = _design(scenario, data, safe_set, method)
+        except (SynthesisInfeasibleError, RankDeficientDataError) as err:
+            # the message only: the error's traceback would hold every frame
+            # of the command, and the data with them, until a garbage collection
+            designs[method] = str(err)
+    return designs
+
+
+def _min_levels(designs: dict) -> dict:
+    return {method: None if isinstance(design, str) else design[1].contraction
+            for method, design in designs.items()}
 
 
 def _verify_controller(scenario: Scenario, plant, data, safe_set, controller, level):
@@ -451,13 +467,9 @@ def _cmd_synth(scenario: Scenario, out_dir: Path) -> int:
     }
     if isinstance(cert, synthesis.SynthesisCertificate):
         (out_dir / "certificate.txt").write_text(synthesis.format_certificate(controller, cert))
-        payload["residuals"] = cert.residuals
-        payload["margin"] = cert.margin
-        payload["definiteness_margins"] = cert.definiteness_margins
     else:  # baseline result
         payload["row_bounds"] = cert.row_bounds
-        payload["residuals"] = cert.residuals
-        payload["margin"] = cert.margin
+    payload["residuals"] = cert.residuals
     _write_json(out_dir / "summary.json", payload)
     print(f"synthesized {scenario.synthesis.method} controller, "
           f"k1={controller.k1.tolist()}, k2={controller.k2.tolist()}", file=sys.stderr)
@@ -539,7 +551,7 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, methods=None) -> int:
                 "detail": str(ident)})
             print(f"rank-deficient data for thm1: {ident}", file=sys.stderr)
             return EXIT_INFEASIBLE
-    levels = _sweep(scenario, data, safe_set, methods)
+    levels = _min_levels(_sweep(scenario, data, safe_set, methods))
     _write_json(out_dir / "summary.json", {
         "command": "sweep-lambda", "status": "ok", "min_levels": levels,
     })
@@ -553,55 +565,47 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
     plant, safe_set, data = _collect(scenario)
     data.export_csv(out_dir / "data")
     reg = regressor_rank(data)
-    # the thm1 gain search does not depend on the level: one search serves
-    # the design, the sweep and the baseline row
-    try:
-        search = synthesis.baseline_search(data, safe_set)
-    except RankDeficientDataError:
-        search = None
-
+    method = scenario.synthesis.method
+    # one level-free design per method gives the minimal levels, the verified
+    # controller and the baseline row
+    designs = _sweep(scenario, data, safe_set, synthesis.METHODS)
     summary: dict = {
         "command": "report",
-        "method": scenario.synthesis.method,
+        "method": method,
         "contraction": scenario.synthesis.contraction,
         "regressor_rank": {"rank": reg.rank, "required": reg.required,
                            "full_row_rank": reg.full_row_rank},
+        "min_levels": _min_levels(designs),
     }
+    if isinstance(designs[method], str):
+        summary["infeasible_detail"] = designs[method]
+        summary["status"] = "infeasible"
+        _write_json(out_dir / "report.json", summary)
+        print(f"synthesis infeasible: {designs[method]}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
+    controller, cert = designs[method]
+    level = scenario.synthesis.contraction
     infeasible_at_requested = False
     try:
-        controller, cert = _synthesize(scenario, data, safe_set, search)
-        level = scenario.synthesis.contraction
+        _check_level(scenario, cert)
     except SynthesisInfeasibleError as err:
         infeasible_at_requested = True
         summary["infeasible_detail"] = str(err)
-        print(f"synthesis infeasible at {scenario.synthesis.contraction}: {err}",
-              file=sys.stderr)
-        levels = _sweep(scenario, data, safe_set, list(synthesis.METHODS), search)
-        summary["min_levels"] = levels
-        level = levels.get(scenario.synthesis.method)
-        if level is None:
-            summary["status"] = "infeasible"
-            _write_json(out_dir / "report.json", summary)
-            return EXIT_INFEASIBLE
-        rescoped = Scenario(system=scenario.system, safe_set=scenario.safe_set,
-                            data=scenario.data,
-                            synthesis=SynthesisSection(**{**asdict(scenario.synthesis),
-                                                          "contraction": level}),
-                            verify=scenario.verify)
-        controller, cert = _synthesize(rescoped, data, safe_set, search)
+        print(f"synthesis infeasible at {level}: {err}", file=sys.stderr)
+        # the design's rows leave out the disturbance offsets d_i that the grid
+        # check adds, so verify at the minimal level plus max_i d_i / g_i
+        offsets = verify.disturbance_offsets(safe_set, scenario.system.w_bound)
+        level = min(1.0, cert.contraction + float(np.max(offsets / safe_set.offsets)))
 
     summary["level_verified"] = level
     summary["k1"] = controller.k1
     summary["k2"] = controller.k2
     if isinstance(cert, synthesis.SynthesisCertificate):
         (out_dir / "certificate.txt").write_text(synthesis.format_certificate(controller, cert))
-        summary["residuals"] = cert.residuals
-        summary["margin"] = cert.margin
-        summary["definiteness_margins"] = cert.definiteness_margins
     else:
         summary["row_bounds"] = cert.row_bounds
-        summary["residuals"] = cert.residuals
+    summary["residuals"] = cert.residuals
 
     grid_true, grid_data, mc = _verify_controller(
         scenario, plant, data, safe_set, controller, level)
@@ -610,19 +614,13 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
     summary["grid_data_rep"] = _report_entry(grid_data)
     summary["monte_carlo"] = _report_entry(mc)
 
-    if "min_levels" not in summary:
-        summary["min_levels"] = _sweep(scenario, data, safe_set, list(synthesis.METHODS),
-                                       search)
-    baseline = None
-    try:
-        baseline = synthesis.synthesize_min_remainder(data, safe_set, level, search=search)
-    except (SynthesisInfeasibleError, RankDeficientDataError):
-        pass
+    baseline = designs["thm1"]
     lumped = synthesis.lumped_disturbance_bounds(
         data, safe_set, controller, scenario.system.w_bound)
     primal_dual = (controller, cert) if isinstance(cert, synthesis.SynthesisCertificate) else None
     table = verify.conservatism_report(
-        safe_set, plant.dictionary, primal_dual=primal_dual, baseline=baseline,
+        safe_set, plant.dictionary, primal_dual=primal_dual,
+        baseline=None if isinstance(baseline, str) else baseline[1],
         lumped_bounds=lumped, min_levels=summary["min_levels"])
     summary["conservatism"] = {"rows": table.rows, "lumped_bounds": lumped}
     (out_dir / "report.txt").write_text(table.render() + "\n")

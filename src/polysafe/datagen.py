@@ -92,17 +92,16 @@ class ExperimentData:
 
 
 def collect(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
-            with_noise: bool = False, safe_set: PolyhedralSet | None = None,
-            require_in_set: bool = False) -> ExperimentData:
+            with_noise: bool = False, safe_set: PolyhedralSet | None = None) -> ExperimentData:
     """Run one excitation experiment and assemble the data matrices.
 
     Inputs are uniform on [-u_max, u_max]^m, disturbances (when enabled)
     uniform on [-w_bound, w_bound]^n; both streams are drawn up front from
     ``seed`` (inputs first), so the experiment is deterministic.
 
-    ``require_in_set`` aborts with :class:`TrajectoryDivergedError` as soon
-    as the state leaves twice the interval enclosure of ``safe_set``;
-    collection itself never insists the trajectory stays safe.
+    A given ``safe_set`` aborts with :class:`TrajectoryDivergedError` as soon
+    as the state leaves twice its interval enclosure; collection itself
+    never insists the trajectory stays safe.
     """
     n = plant.state_dim
     m = plant.input_dim
@@ -118,11 +117,7 @@ def collect(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
     else:
         noise = np.zeros((n_samples, n))
 
-    guard_box = None
-    if require_in_set:
-        if safe_set is None:
-            raise ValueError("require_in_set needs a safe_set")
-        guard_box = interval_enclosure(safe_set)
+    guard_box = None if safe_set is None else interval_enclosure(safe_set)
 
     x = np.asarray(x0, dtype=float).reshape(-1)
     states = np.empty((n_samples + 1, n))
@@ -154,8 +149,7 @@ def collect(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
 
 def collect_informative(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
                         with_noise: bool = False, max_attempts: int = 10,
-                        safe_set: PolyhedralSet | None = None,
-                        require_in_set: bool = False) -> ExperimentData:
+                        safe_set: PolyhedralSet | None = None) -> ExperimentData:
     """Collect, re-drawing with incremented seeds until the regressor has full row rank.
 
     Operationalizes the informativity assumption: up to ``max_attempts``
@@ -166,8 +160,7 @@ def collect_informative(plant: PlantModel, n_samples: int, u_max: float, x0, see
     for attempt in range(max_attempts):
         try:
             data = collect(plant, n_samples, u_max, x0, seed + attempt,
-                           with_noise=with_noise, safe_set=safe_set,
-                           require_in_set=require_in_set)
+                           with_noise=with_noise, safe_set=safe_set)
         except TrajectoryDivergedError:
             continue
         diag = regressor_rank(data)

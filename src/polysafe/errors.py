@@ -63,23 +63,19 @@ class RankDeficientDataError(PolysafeError):
 
 
 class SynthesisInfeasibleError(PolysafeError):
-    """The synthesis program admits no solution at the requested level."""
+    """The synthesis program admits no solution, or none at the requested level."""
 
     def __init__(self, message, outcome=None):
         super().__init__(message)
         self.outcome = outcome
 
 
-class ExpansionPointSearchFailedError(PolysafeError):
+class ExpansionPointSearchFailedError(SynthesisInfeasibleError):
     """No candidate expansion point produced a feasible program."""
 
     def __init__(self, message, attempts=None):
         super().__init__(message)
         self.attempts = attempts or []
-
-
-class NoFeasibleContractionError(PolysafeError):
-    """No contraction level in (0, 1] is feasible for the chosen method."""
 
 
 class ScenarioValidationError(PolysafeError, ValueError):

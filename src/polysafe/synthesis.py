@@ -21,8 +21,8 @@ bounded set has ``alpha > 0`` with ``alpha @ F = 0`` (Gordan's theorem),
 so ``sum_i alpha_i H_i = 0``: no row can be definite, every row needs
 ``F_i R = 0``, and since ``F`` has full column rank that is ``R = 0``.
 Pinning ``R`` accepts exactly those remainders on every bounded set,
-whether or not its rows come in opposite pairs; the curvature matrices
-are still re-checked with exact eigenvalues as an audit.  The robust
+whether or not its rows come in opposite pairs, and the certificate's
+``remainder_zeroed`` residual replays the pin.  The robust
 variant ("cor2") adds a norm budget that accounts for noise leakage
 through the data matrices, with disturbances measured by the row
 one-norms of :func:`row_norms`.  The baseline ("thm1") searches a grid of
@@ -32,8 +32,14 @@ bound subtracted.  The search is exact but pruned: cheap lower bounds
 from a few probe points rank the candidates, and only those whose bound
 can still reach the best exact score are scored.
 
-Every design program maximizes level headroom, so one solve gives both
-the verdict and the margin.  An ``'auto'`` expansion point is the first
+The design functions take no level.  Every program is posed at level 1
+and maximizes level headroom ``h``, which enters row ``i`` as ``h * g_i``;
+the level enters the same rows linearly, so the program at level ``lam``
+is the level-1 program with ``h`` shifted by ``1 - lam``, and both have
+the same optimal set.  One solve therefore gives the controller and the
+smallest level it certifies, ``1 - h`` clamped to ``[0, 1]``, which the
+certificate reports as its ``contraction``; the same multipliers hold at
+every level above it.  An ``'auto'`` expansion point is the first
 candidate whose program is feasible, and that solve is the design.
 """
 
@@ -49,7 +55,6 @@ from .datagen import ExperimentData, identification_rank, regressor_rank
 from .dynamics import ExpansionPoint, expansion_point
 from .errors import (
     ExpansionPointSearchFailedError,
-    NoFeasibleContractionError,
     PolysafeError,
     RankDeficientDataError,
     SynthesisInfeasibleError,
@@ -95,16 +100,6 @@ class Controller:
         for name in ("k1", "k2", "g1", "g2"):
             object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), float)))
 
-    def data_residuals(self, data: ExperimentData) -> dict[str, float]:
-        """Consistency of the gains with the data they were built from."""
-        stacked = np.hstack([self.g1, self.g2])
-        eye = np.eye(data.state_dim + data.n_terms)
-        return {
-            "right_inverse": float(np.max(np.abs(data.regressor @ stacked - eye))),
-            "gain_k1": float(np.max(np.abs(data.inputs @ self.g1 - self.k1))),
-            "gain_k2": float(np.max(np.abs(data.inputs @ self.g2 - self.k2))),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class SynthesisCertificate:
@@ -114,10 +109,8 @@ class SynthesisCertificate:
     with the rows bounding its closed-loop image; ``slope_term`` holds the
     per-row slope of the closed-loop remainder at the expansion point.
     ``residuals`` are recomputed from raw matrices after the solve, never
-    read back from the LP.  ``definiteness_margins`` stores the exact
-    smallest eigenvalue of each row's curvature matrix, an audit of the
-    pinned remainder.  ``margin`` is level headroom: the certificate also
-    holds at level ``contraction - margin``.
+    read back from the LP.  ``contraction`` is the smallest level the
+    certificate holds at; it holds at every level above it too.
     """
 
     method: str
@@ -127,8 +120,6 @@ class SynthesisCertificate:
     noise_margin: float               # 0 in the noiseless design
     expansion: ExpansionPoint
     residuals: dict[str, float]
-    definiteness_margins: np.ndarray  # (s,)
-    margin: float                     # level headroom
     config: dict = field(default_factory=dict)
 
     @property
@@ -156,8 +147,8 @@ class BaselineSearch:
 class BaselineResult:
     """The baseline controller and its row-multiplier certificate.
 
-    ``margin`` is level headroom: the certificate also holds at level
-    ``contraction - margin``.
+    ``contraction`` is the smallest level the certificate holds at; it
+    holds at every level above it too.
     """
 
     controller: Controller
@@ -165,7 +156,6 @@ class BaselineResult:
     set_multiplier: np.ndarray   # (s, s)
     search: BaselineSearch
     contraction: float
-    margin: float
     residuals: dict[str, float] = field(default_factory=dict)
 
 
@@ -197,10 +187,11 @@ def _closed_loop(data: ExperimentData) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return base, u[:, keep], pinv, vt[keep].T / sv[keep]
 
 
-def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
+def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
                      exp: ExpansionPoint | None, robust: dict | None,
                      row_bounds: np.ndarray | None = None) -> lpcore.LpOutcome:
-    """Pose and solve one design program over the closed loop ``base + lift @ X``.
+    """Pose and solve one design program, at level 1, over the closed loop
+    ``base + lift @ X``.
 
     ``X`` is split into its linear columns (block ``w1``) and remainder
     columns (``w2``).  ``thm2`` and ``thm1`` use the null-space
@@ -244,11 +235,11 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
     if exp is not None:
         lp.add_block("slope", (s, n))
     # slack is level headroom: it enters row i as slack * g[i], so the
-    # solution also certifies level contraction - slack.  It is sign-restricted
-    # so the program is feasible exactly when the plain conditions are, and
-    # capped so the certified level stays >= 0.
+    # solution certifies level 1 - slack.  It is sign-restricted so the
+    # program is feasible exactly when the plain conditions hold at level 1,
+    # and capped so the certified level stays >= 0.
     lp.add_block("slack", (), nonneg=True)
-    lp.add_constraint({"slack": 1.0}, "<=", contraction)
+    lp.add_constraint({"slack": 1.0}, "<=", 1.0)
     lp.set_objective("max", {"slack": 1.0})
     if split:
         for name in ("noise", "norm1", "norm2"):
@@ -261,12 +252,12 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
                 terms.update({name: sign * coeff for name, sign in parts[key]})
         lp.add_constraint_rows(terms, rel, rhs)
 
-    # (i) contraction: mult @ g + slope @ anchor (+ noise) + slack * g <= level * g,
+    # (i) contraction: mult @ g + slope @ anchor (+ noise) + slack * g <= g,
     # with the remainder bounds in place of the slope term for the baseline
     terms = {"mult": np.kron(np.eye(s), g), "slack": g}
-    rhs = contraction * g
+    rhs = g
     if exp is None:
-        rhs = rhs - row_bounds
+        rhs = g - row_bounds
     else:
         terms["slope"] = np.kron(np.eye(s), exp.anchor)
     if split:
@@ -316,9 +307,15 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, contraction:
     return outcome
 
 
+def _level(outcome: lpcore.LpOutcome) -> float:
+    """Smallest level a feasible level-1 design certifies: 1 - headroom, in [0, 1]."""
+    return min(1.0, max(0.0, 1.0 - float(outcome.objective)))
+
+
 def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Controller,
-                 exp: ExpansionPoint, contraction: float, outcome: lpcore.LpOutcome,
+                 exp: ExpansionPoint, outcome: lpcore.LpOutcome,
                  method: str, robust: dict | None, config: dict) -> SynthesisCertificate:
+    contraction = _level(outcome)
     F = safe_set.normals
     g = safe_set.offsets
     regressor = data.regressor
@@ -345,10 +342,6 @@ def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Cont
             _norm_inf(controller.g1) + robust["lipschitz"] * _norm_inf(controller.g2) + 1.0)
         residuals["noise_budget"] = float(max(0.0, budget - eta))
 
-    margins = np.array([
-        np.linalg.eigvalsh(-np.einsum("j,jkl->kl", coeffs[i], exp.curvatures))[0]
-        for i in range(F.shape[0])
-    ])
     return SynthesisCertificate(
         method=method,
         contraction=contraction,
@@ -357,8 +350,6 @@ def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Cont
         noise_margin=float(eta),
         expansion=exp,
         residuals=residuals,
-        definiteness_margins=margins,
-        margin=float(outcome.objective),
         config=config,
     )
 
@@ -368,16 +359,16 @@ def _norm_inf(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.atleast_2d(mat)).sum(axis=1)))
 
 
-def _resolve_expansion(data: ExperimentData, safe_set: PolyhedralSet, contraction, expansion,
+def _resolve_expansion(data: ExperimentData, safe_set: PolyhedralSet, expansion,
                        robust, seed) -> tuple[ExpansionPoint, lpcore.LpOutcome]:
     """The expansion point and the outcome of the design program posed at it."""
     if isinstance(expansion, str):
         if expansion != "auto":
             raise ValueError(f"expansion must be a point, an ExpansionPoint or 'auto', got {expansion!r}")
-        return pick_expansion_point(data, safe_set, contraction, robust=robust, seed=seed)
+        return pick_expansion_point(data, safe_set, robust=robust, seed=seed)
     exp = expansion if isinstance(expansion, ExpansionPoint) else expansion_point(
         data.dictionary, np.asarray(expansion, dtype=float), safe_set)
-    return exp, _build_and_solve(data, safe_set, contraction, exp, robust)
+    return exp, _build_and_solve(data, safe_set, exp, robust)
 
 
 def _check_regressor(data: ExperimentData) -> None:
@@ -386,55 +377,51 @@ def _check_regressor(data: ExperimentData) -> None:
         raise RankDeficientDataError(f"regressor is rank deficient: {diag}", diag)
 
 
-def _design(data: ExperimentData, safe_set: PolyhedralSet, contraction: float, expansion,
+def _design(data: ExperimentData, safe_set: PolyhedralSet, expansion,
             robust: dict | None, seed: int) -> tuple[Controller, SynthesisCertificate]:
     """Solve the ``thm2`` (``robust`` None) or ``cor2`` program and certify its controller."""
-    if not 0.0 < contraction <= 1.0:
-        raise ValueError(f"contraction must be in (0, 1], got {contraction}")
     _check_regressor(data)
     method, kind = ("thm2", "noiseless") if robust is None else ("cor2", "robust")
-    exp, outcome = _resolve_expansion(data, safe_set, contraction, expansion, robust, seed)
+    exp, outcome = _resolve_expansion(data, safe_set, expansion, robust, seed)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
-            f"{kind} design infeasible at contraction {contraction} "
+            f"{kind} design infeasible at every level "
             f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
     g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
     controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
-    config = {"method": method, "contraction": contraction, **(robust or {})}
-    cert = _certificate(data, safe_set, controller, exp, contraction, outcome,
-                        method, robust, config)
+    config = {"method": method, **(robust or {})}
+    cert = _certificate(data, safe_set, controller, exp, outcome, method, robust, config)
     return controller, cert
 
 
-def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                         expansion="auto", seed: int = 0,
-                         ) -> tuple[Controller, SynthesisCertificate]:
+def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet, expansion="auto",
+                         seed: int = 0) -> tuple[Controller, SynthesisCertificate]:
     """Primal-dual design assuming the data were collected without noise.
 
-    Raises :class:`SynthesisInfeasibleError` with the phase-1 certificate if
-    the program has no solution at this contraction level.
+    ``cert.contraction`` is the smallest level the design certifies.  Raises
+    :class:`SynthesisInfeasibleError` with the phase-1 certificate if the
+    program has no solution at any level in ``(0, 1]``.
     """
-    return _design(data, safe_set, contraction, expansion, None, seed)
+    return _design(data, safe_set, expansion, None, seed)
 
 
-def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
-                      w_bound: float, expansion="auto",
-                      seed: int = 0) -> tuple[Controller, SynthesisCertificate]:
+def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, w_bound: float,
+                      expansion="auto", seed: int = 0) -> tuple[Controller, SynthesisCertificate]:
     """Noise-aware variant: adds a uniform offset covering disturbance leakage.
 
     The offset must dominate ``gm * state_bound * T * (|G1| + L |G2| + 1)``
     with ``gm = w_bound * max_i |F_i|_1``, ``L`` the interval-arithmetic
     Lipschitz bound of the dictionary and ``state_bound`` the largest
     coordinate of the safe set's enclosure.  The bound is conservative in
-    the sample count, so small contraction levels become infeasible quickly
-    as ``T`` or ``w_bound`` grow.
+    the sample count, so the certified level rises quickly with ``T`` and
+    ``w_bound`` until no level in ``(0, 1]`` is feasible.
     """
     if w_bound < 0.0:
         raise ValueError("w_bound must be non-negative")
     box = interval_enclosure(safe_set)
     robust = {"w_bound": float(w_bound), "lipschitz": float(data.dictionary.lipschitz_bound(box)),
               "state_bound": float(box.max_abs)}
-    return _design(data, safe_set, contraction, expansion, robust, seed)
+    return _design(data, safe_set, expansion, robust, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +431,7 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, contraction
 _RANDOM_CANDIDATES = 20  # seeded interior samples after the vertex candidates
 
 
-def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
+def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet,
                          robust: dict | None = None, seed: int = 0,
                          ) -> tuple[ExpansionPoint, lpcore.LpOutcome]:
     """First candidate expansion point whose design program is feasible.
@@ -476,7 +463,7 @@ def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet, contract
             continue
         try:
             exp = expansion_point(data.dictionary, cand, safe_set)
-            outcome = _build_and_solve(data, safe_set, contraction, exp, robust)
+            outcome = _build_and_solve(data, safe_set, exp, robust)
         except (PolysafeError, np.linalg.LinAlgError) as err:
             attempts.append((cand, f"error: {err}"))
             continue
@@ -601,25 +588,23 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
         x_resolution=tuple(int(r) for r in np.atleast_1d(x_resolution)))
 
 
-def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, contraction: float,
+def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet,
                              k2_lo: float = -2.0, k2_hi: float = 2.0, k2_step: float = 0.1,
                              x_resolution=None,
                              search: BaselineSearch | None = None) -> BaselineResult:
     """Remainder-minimization baseline: direct gain search plus the row-multiplier LP.
 
-    Supply a precomputed ``search`` to amortize the (contraction-independent)
-    direct search across several contraction levels.
+    ``result.contraction`` is the smallest level the certificate holds at.
+    Supply a precomputed ``search`` to reuse the direct search.
     """
-    if not 0.0 < contraction <= 1.0:
-        raise ValueError(f"contraction must be in (0, 1], got {contraction}")
     if search is None:
         search = baseline_search(data, safe_set, k2_lo, k2_hi, k2_step, x_resolution)
-    outcome = _build_and_solve(data, safe_set, contraction, None, None,
-                               row_bounds=search.row_bounds)
+    outcome = _build_and_solve(data, safe_set, None, None, row_bounds=search.row_bounds)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
-            f"baseline infeasible at contraction {contraction} "
+            "baseline infeasible at every level "
             f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
+    contraction = _level(outcome)
     g1 = outcome["G"]
     controller = Controller(k1=data.inputs @ g1, k2=search.k2, g1=g1, g2=search.g2)
     mult = outcome["mult"]
@@ -636,8 +621,7 @@ def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet, cont
     }
     return BaselineResult(
         controller=controller, row_bounds=search.row_bounds, set_multiplier=mult,
-        search=search, contraction=contraction,
-        margin=float(outcome.objective), residuals=residuals)
+        search=search, contraction=contraction, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +655,7 @@ def lumped_disturbance_bounds(data: ExperimentData, safe_set: PolyhedralSet,
 
 
 def format_certificate(controller: Controller, cert: SynthesisCertificate) -> str:
-    """Human-readable certificate dump: configuration, matrices, residuals, margins."""
+    """Human-readable certificate dump: configuration, matrices and residuals."""
 
     def mat(name, arr):
         body = np.array2string(np.asarray(arr), precision=12, suppress_small=False,
@@ -682,7 +666,6 @@ def format_certificate(controller: Controller, cert: SynthesisCertificate) -> st
         f"method: {cert.method}",
         f"contraction level: {cert.contraction:.17g}",
         f"noise margin: {cert.noise_margin:.17g}",
-        f"level headroom: {cert.margin:.17g}",
         "config: " + ", ".join(f"{k}={v}" for k, v in sorted(cert.config.items())),
         "",
         mat("k1", controller.k1),
@@ -695,37 +678,4 @@ def format_certificate(controller: Controller, cert: SynthesisCertificate) -> st
         "residuals:",
     ]
     lines += [f"  {k}: {v:.6e}" for k, v in sorted(cert.residuals.items())]
-    lines.append("definiteness margins (smallest eigenvalue per row):")
-    lines += [f"  row {i}: {margin: .6e}" for i, margin in enumerate(cert.definiteness_margins)]
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# minimal feasible contraction level
-
-
-def minimal_contraction(data: ExperimentData, safe_set: PolyhedralSet, method: str = "thm2",
-                        **kwargs) -> float:
-    """Smallest contraction level the method's design program certifies.
-
-    The level enters the contraction rows linearly, so one margin solve at
-    level 1 gives it exactly: the margin is level headroom, and the same
-    multipliers certify level ``1 - margin``.  ``kwargs`` go to
-    :func:`synthesize_noiseless`, :func:`synthesize_robust` (which needs
-    ``w_bound``) or :func:`synthesize_min_remainder`; an ``'auto'``
-    expansion point is therefore chosen at level 1.  The result is clamped
-    to ``[0, 1]``.  Raises :class:`NoFeasibleContractionError` when level 1
-    is infeasible.
-    """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    try:
-        if method == "thm2":
-            margin = synthesize_noiseless(data, safe_set, 1.0, **kwargs)[1].margin
-        elif method == "cor2":
-            margin = synthesize_robust(data, safe_set, 1.0, **kwargs)[1].margin
-        else:
-            margin = synthesize_min_remainder(data, safe_set, 1.0, **kwargs).margin
-    except (SynthesisInfeasibleError, ExpansionPointSearchFailedError) as err:
-        raise NoFeasibleContractionError(f"level 1 is infeasible for method {method!r}: {err}") from err
-    return min(1.0, max(0.0, 1.0 - margin))

@@ -55,8 +55,7 @@ def secv_data(secv_plant):
 
 @pytest.fixture(scope="session")
 def secv_design(secv_data, secv_set):
-    return synthesis.synthesize_noiseless(
-        secv_data, secv_set, 0.95, expansion=[0.5, 0.5])
+    return synthesis.synthesize_noiseless(secv_data, secv_set, expansion=[0.5, 0.5])
 
 
 def stable_test_plant():
@@ -82,7 +81,7 @@ def tri_problem(samples):
                        a2=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
                        b=[[0.0], [0.0], [1.0]], dictionary=dictionary, w_bound=0.02)
     data = collect_informative(plant, samples, 0.01, [0.0, 0.0, 0.0], 11,
-                               safe_set=safe_set, require_in_set=True)
+                               safe_set=safe_set)
     return safe_set, data
 
 
@@ -93,5 +92,5 @@ def duo_problem(samples):
     plant = PlantModel(a1=[[0.7, 0.3], [-0.2, 0.9]], a2=[[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
                        b=[[0.0], [1.0]], dictionary=dictionary, w_bound=0.02)
     data = collect_informative(plant, samples, 0.05, [0.0, 0.0], 7,
-                               safe_set=safe_set, require_in_set=True)
+                               safe_set=safe_set)
     return safe_set, data

@@ -81,9 +81,9 @@ def test_criterion_2_certificate_replay(secv_data, secv_set):
     def body():
         runs = {
             "noiseless": lambda: synthesis.synthesize_noiseless(
-                secv_data, secv_set, 0.95, expansion=[0.5, 0.5]),
+                secv_data, secv_set, expansion=[0.5, 0.5]),
             "robust-degenerate": lambda: synthesis.synthesize_robust(
-                secv_data, secv_set, 0.95, w_bound=0.0, expansion=[0.5, 0.5]),
+                secv_data, secv_set, w_bound=0.0, expansion=[0.5, 0.5]),
         }
         for name, run in runs.items():
             start = time.perf_counter()
@@ -113,8 +113,8 @@ def test_criterion_3_end_to_end_report(tmp_path):
             assert doc["monte_carlo"]["mc"]["horizon"] == 200
             assert doc["monte_carlo"]["mc"]["exits"] == 0
         else:
-            # branch (b): infeasible at the requested level; the sweep reports
-            # minimal levels and the re-synthesized controller must verify
+            # branch (b): infeasible at the requested level; the report gives
+            # minimal levels and the minimal-level controller must verify
             assert code == cli.EXIT_INFEASIBLE
             assert doc["min_levels"][doc["method"]] is not None
             assert doc["status"] == "verified"
@@ -186,11 +186,10 @@ def test_criterion_7_baseline_consistency(secv_data, secv_set):
         # the winner cancels the remainder exactly, so both sides are float
         # dust; 1e-9 absorbs it without weakening the nonzero case
         assert delta < bound + 1e-9
-        result = synthesis.synthesize_min_remainder(secv_data, secv_set, 0.95,
-                                                    search=coarse)
+        result = synthesis.synthesize_min_remainder(secv_data, secv_set, search=coarse)
         ps = result.set_multiplier
         g1 = result.controller.g1
-        assert np.max(ps @ SECV_G + result.row_bounds - 0.95 * SECV_G) <= 1e-6
+        assert np.max(ps @ SECV_G + result.row_bounds - result.contraction * SECV_G) <= 1e-6
         assert np.max(np.abs(ps @ SECV_F
                              - SECV_F @ secv_data.next_states @ g1)) <= 1e-6
         e1 = np.zeros((4, 2))
@@ -217,11 +216,10 @@ def test_criterion_8_disturbance_bound_soundness(secv_set):
 
 def test_criterion_9_degenerate_consistency(secv_data, secv_set):
     def body():
-        thm2_level = synthesis.minimal_contraction(
-            secv_data, secv_set, method="thm2", expansion=[0.5, 0.5])
-        cor2_level = synthesis.minimal_contraction(
-            secv_data, secv_set, method="cor2", w_bound=0.0, expansion=[0.5, 0.5])
-        assert abs(thm2_level - cor2_level) <= 1e-9
+        _, thm2 = synthesis.synthesize_noiseless(secv_data, secv_set, expansion=[0.5, 0.5])
+        _, cor2 = synthesis.synthesize_robust(
+            secv_data, secv_set, w_bound=0.0, expansion=[0.5, 0.5])
+        assert abs(thm2.contraction - cor2.contraction) <= 1e-9
 
-    _criterion(9, "zero-disturbance robust sweep matches the noiseless sweep",
+    _criterion(9, "zero-disturbance robust level matches the noiseless level",
                120.0, body)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysafe import cli, synthesis, verify
+from polysafe import cli, lpcore, synthesis, verify
 from polysafe.errors import ScenarioValidationError
 
 REPO_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "secV.json"
@@ -232,10 +232,9 @@ class TestCommands:
 
     def test_report_infeasible_level_recovers_at_sweep_minimum(self, tmp_path):
         # level 0.5 is below the minimal feasible level (~0.76): the report
-        # must sweep, re-synthesize at the method's minimum, verify that
-        # controller, and still exit 2 for the requested level.  With zero
-        # disturbance the minimal-level controller verifies cleanly; with a
-        # disturbance it could not, since the margin at the minimum is zero.
+        # must verify the method's design at its minimum and still exit 2
+        # for the requested level.  With zero disturbance there are no
+        # offsets to add, so the verified level is the minimum itself.
         scenario = cli.secv_scenario()
         scenario.system.w_bound = 0.0
         scenario.verify.grid = [41, 41]
@@ -253,18 +252,52 @@ class TestCommands:
         assert abs(doc["level_verified"] - doc["min_levels"]["thm2"]) <= 1e-12
         assert doc["monte_carlo"]["mc"]["exits"] == 0
 
-    def test_report_thin_margin_at_minimum_fails_verification(self, scenario_path,
-                                                              tmp_path):
-        # same recovery path with the real disturbance: at the minimal level
-        # there is no slack left to absorb the offsets, so the honest verdict
-        # is a verification failure
-        out = tmp_path / "thin"
+    def test_report_recovery_verifies_above_disturbance_offsets(self, scenario_path,
+                                                                tmp_path):
+        # same recovery path with the real disturbance: the design's rows
+        # leave out the offsets d_i = 0.03 / 0.0175 that the grid check adds,
+        # so the report verifies at the minimal level plus max_i d_i / g_i
+        out = tmp_path / "offsets"
         code = cli.main(["report", "--scenario", str(scenario_path),
                          "--out", str(out), "--lambda", "0.5"])
-        assert code == cli.EXIT_VERIFY_FAILED
+        assert code == cli.EXIT_INFEASIBLE
         doc = json.loads((out / "report.json").read_text())
-        assert doc["status"] == "verification-failed"
-        assert doc["min_levels"]["thm2"] is not None
+        assert doc["status"] == "verified"
+        assert abs(doc["level_verified"] - (doc["min_levels"]["thm2"] + 0.03)) <= 1e-12
+        assert abs(doc["level_verified"] - 0.788333) <= 1e-6
+        assert doc["monte_carlo"]["mc"]["exits"] == 0
+
+    def test_report_solves_each_program_once(self, scenario_path, tmp_path, monkeypatch):
+        # four enclosure LPs plus one thm2, one cor2 and one thm1 design
+        solves = []
+        solve = lpcore.LinearProgram.solve
+        monkeypatch.setattr(lpcore.LinearProgram, "solve",
+                            lambda lp: solves.append(lp) or solve(lp))
+        assert cli.main(["report", "--scenario", str(scenario_path),
+                         "--out", str(tmp_path / "once")]) == cli.EXIT_OK
+        assert len(solves) == 7
+
+    @pytest.mark.parametrize("command, summary", [("synth", "summary.json"),
+                                                  ("report", "report.json")])
+    def test_failed_expansion_search_exit_two(self, tmp_path, command, summary):
+        # a remainder term on the first state, which the input cannot cancel:
+        # no 'auto' candidate is feasible, a synthesis verdict, not a usage error.
+        # Without a disturbance the report's cor2 search stays fast; with the
+        # shipped 0.05 one candidate's cor2 program takes ~100k pivots.
+        scenario = cli.secv_scenario()
+        scenario.system.a2[0][0] = 0.05
+        scenario.system.w_bound = 0.0
+        scenario.synthesis.expansion_point = "auto"
+        scenario.verify.grid = [41, 41]
+        scenario.verify.mc_trajectories = 100
+        path = tmp_path / "unmatched.json"
+        cli.save_scenario(scenario, path)
+        out = tmp_path / command
+        code = cli.main([command, "--scenario", str(path), "--out", str(out)])
+        assert code == cli.EXIT_INFEASIBLE
+        doc = json.loads((out / summary).read_text())
+        assert doc["status"] == "infeasible"
+        assert "no feasible expansion point" in doc.get("detail", doc.get("infeasible_detail"))
 
     def test_report_no_feasible_level_stops_cleanly(self, scenario_path, tmp_path):
         # cor2 has no feasible level on the shipped system: definitive verdict

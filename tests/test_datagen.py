@@ -67,12 +67,12 @@ class TestCollect:
         # strong excitation blows the unstable plant out of twice the box
         with pytest.raises(TrajectoryDivergedError):
             collect(secv_plant, 40, 0.5, [0, 0], seed=7,
-                    safe_set=secv_set, require_in_set=True)
+                    safe_set=secv_set)
 
     def test_reseeding_gives_up(self, secv_plant, secv_set):
         with pytest.raises(TrajectoryDivergedError):
             collect_informative(secv_plant, 40, 0.5, [0, 0], seed=7, max_attempts=3,
-                                safe_set=secv_set, require_in_set=True)
+                                safe_set=secv_set)
 
     def test_noise_recorded(self):
         plant = stable_test_plant()

@@ -8,7 +8,6 @@ from polysafe.datagen import collect, collect_informative
 from polysafe.dynamics import Dictionary, Monomial, PlantModel, expansion_point
 from polysafe.errors import (
     ExpansionPointSearchFailedError,
-    NoFeasibleContractionError,
     NumericalInstabilityError,
     RankDeficientDataError,
     SynthesisInfeasibleError,
@@ -38,15 +37,11 @@ def replay_certificate(data, safe_set, controller, cert):
         "gain_k1": np.max(np.abs(data.inputs @ controller.g1 - controller.k1)),
         "gain_k2": np.max(np.abs(data.inputs @ controller.g2 - controller.k2)),
     }
-    margins = np.array([
-        np.linalg.eigvalsh(-np.einsum("j,jkl->kl", coeffs[i], cert.expansion.curvatures))[0]
-        for i in range(F.shape[0])
-    ])
-    return checks, margins, coeffs
+    return checks, coeffs
 
 
 def assert_certificate_valid(data, safe_set, controller, cert):
-    checks, _, coeffs = replay_certificate(data, safe_set, controller, cert)
+    checks, coeffs = replay_certificate(data, safe_set, controller, cert)
     assert checks["contraction"] <= 1e-6
     for name in ("multiplier_match", "slope_match", "right_inverse"):
         assert checks[name] <= 1e-6, name
@@ -65,7 +60,7 @@ def unmatched_problem(safe_set, unmatched=0.05):
     plant = PlantModel(a1=[[0.8, 0.5], [-0.4, 1.2]], a2=[[unmatched, 0.0], [1.0, 1.0]],
                        b=[[0.0], [1.0]], dictionary=dictionary, w_bound=0.0)
     return plant, collect_informative(plant, 40, 0.003, [0.0, 0.0], 7,
-                                      safe_set=safe_set, require_in_set=True)
+                                      safe_set=safe_set)
 
 
 class TestRowStructure:
@@ -81,7 +76,7 @@ class TestNoiselessDesign:
     def test_secv_certificate_replays(self, secv_data, secv_set, secv_design):
         controller, cert = secv_design
         assert_certificate_valid(secv_data, secv_set, controller, cert)
-        assert cert.margin > 0.03
+        assert abs(cert.contraction - 0.758333) <= 1e-6
 
     def test_secv_cancels_remainder(self, secv_design):
         controller, cert = secv_design
@@ -99,18 +94,14 @@ class TestNoiselessDesign:
 
     def test_zero_expansion_rejected(self, secv_data, secv_set):
         with pytest.raises(ZeroExpansionPointError):
-            synthesis.synthesize_noiseless(secv_data, secv_set, 0.95, expansion=[0.0, 0.0])
-
-    def test_contraction_validated(self, secv_data, secv_set):
-        with pytest.raises(ValueError):
-            synthesis.synthesize_noiseless(secv_data, secv_set, 1.5, expansion=[0.5, 0.5])
+            synthesis.synthesize_noiseless(secv_data, secv_set, expansion=[0.0, 0.0])
 
     def test_uncancellable_remainder_is_infeasible(self, secv_set):
         # the first state carries a remainder term the single input cannot
         # reach, so no gain pins the closed-loop remainder to zero
         _, data = unmatched_problem(secv_set)
         with pytest.raises(SynthesisInfeasibleError) as err:
-            synthesis.synthesize_noiseless(data, secv_set, 1.0, expansion=[0.5, 0.5])
+            synthesis.synthesize_noiseless(data, secv_set, expansion=[0.5, 0.5])
         assert err.value.outcome.infeasibility > 0.0
 
     def test_rank_deficiency_detected(self, secv_set, secv_dictionary):
@@ -122,7 +113,7 @@ class TestNoiselessDesign:
             remainders=rem, regressor=np.vstack([states, rem]),
             dictionary=secv_dictionary)
         with pytest.raises(RankDeficientDataError):
-            synthesis.synthesize_noiseless(data, secv_set, 0.95, expansion=[0.25, 0.1])
+            synthesis.synthesize_noiseless(data, secv_set, expansion=[0.25, 0.1])
 
 
 class TestRobustDesign:
@@ -130,7 +121,7 @@ class TestRobustDesign:
         # the tightening constant g_m * M_x * T = 0.03 * 6 * 40 = 7.2 alone
         # exceeds every contraction row, so no level in (0, 1] is feasible
         with pytest.raises(SynthesisInfeasibleError):
-            synthesis.synthesize_robust(secv_data, secv_set, 0.95, w_bound=0.05,
+            synthesis.synthesize_robust(secv_data, secv_set, w_bound=0.05,
                                         expansion=[0.5, 0.5])
 
     def test_gm_values(self, secv_set):
@@ -143,9 +134,9 @@ class TestRobustDesign:
 
     def test_zero_disturbance_matches_noiseless(self, secv_data, secv_set, secv_design):
         controller, cert = synthesis.synthesize_robust(
-            secv_data, secv_set, 0.95, w_bound=0.0, expansion=[0.5, 0.5])
+            secv_data, secv_set, w_bound=0.0, expansion=[0.5, 0.5])
         assert cert.noise_margin <= 1e-9
-        assert abs(cert.margin - secv_design[1].margin) <= 1e-9
+        assert abs(cert.contraction - secv_design[1].contraction) <= 1e-9
         assert_certificate_valid(secv_data, secv_set, controller, cert)
 
     def test_noisy_data_end_to_end(self):
@@ -161,8 +152,9 @@ class TestRobustDesign:
         box_set = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
         data = collect(plant, 25, 0.5, [0.3, -0.2], seed=4, with_noise=True)
         controller, cert = synthesis.synthesize_robust(
-            data, box_set, 0.98, w_bound=w, expansion=[0.3, 0.3])
+            data, box_set, w_bound=w, expansion=[0.3, 0.3])
         assert cert.noise_margin > 0.0
+        assert cert.contraction <= 0.98
         true_rem = plant.a2 + plant.b @ controller.k2
         assert 0.0 < np.max(np.abs(true_rem)) < 0.05  # leakage, not cancellation
         report = verify.grid_contractivity(
@@ -183,7 +175,8 @@ class TestRobustDesign:
         data = collect(plant, 25, 0.5, [0.3, -0.2], seed=4)
         w = 3e-4
         controller, cert = synthesis.synthesize_robust(
-            data, box_set, 0.98, w_bound=w, expansion=[0.3, 0.3])
+            data, box_set, w_bound=w, expansion=[0.3, 0.3])
+        assert cert.contraction <= 0.98
         box = interval_enclosure(box_set)
         lip = data.dictionary.lipschitz_bound(box)
         gm = w * float(np.max(synthesis.row_norms(box_set.normals)))
@@ -197,14 +190,14 @@ class TestRobustDesign:
 
 class TestExpansionSearch:
     def test_auto_matches_candidate_list(self, secv_data, secv_set):
-        ep, _ = synthesis.pick_expansion_point(secv_data, secv_set, 0.95, seed=0)
+        ep, _ = synthesis.pick_expansion_point(secv_data, secv_set, seed=0)
         vertices = enumerate_vertices(secv_set)
         candidates = [0.25 * v for v in vertices]
         assert any(np.allclose(ep.point, c) for c in candidates)
 
     def test_explicit_point_skips_search(self, secv_data, secv_set):
         controller, cert = synthesis.synthesize_noiseless(
-            secv_data, secv_set, 0.95, expansion=[0.5, 0.5])
+            secv_data, secv_set, expansion=[0.5, 0.5])
         np.testing.assert_allclose(cert.expansion.point, [0.5, 0.5])
 
     def test_search_failure_collects_log(self, secv_set, secv_dictionary, secv_plant):
@@ -213,7 +206,7 @@ class TestExpansionSearch:
                          b=[[0.0], [0.0]], dictionary=secv_dictionary, w_bound=0.0)
         data = collect(bad, 40, 0.5, [0.01, 0.01], seed=3)
         with pytest.raises((ExpansionPointSearchFailedError, RankDeficientDataError)):
-            synthesis.synthesize_noiseless(data, secv_set, 0.95, expansion="auto")
+            synthesis.synthesize_noiseless(data, secv_set, expansion="auto")
 
     def test_search_log_lists_every_candidate(self, secv_set):
         # a remainder the input cannot cancel is infeasible at every expansion
@@ -221,7 +214,7 @@ class TestExpansionSearch:
         # centroid of the symmetric set is the origin and is skipped
         _, data = unmatched_problem(secv_set)
         with pytest.raises(ExpansionPointSearchFailedError) as err:
-            synthesis.synthesize_noiseless(data, secv_set, 0.95, expansion="auto", seed=0)
+            synthesis.synthesize_noiseless(data, secv_set, expansion="auto", seed=0)
         attempts = err.value.attempts
         assert len(attempts) == 4 + 1 + 20  # scaled vertices + centroid + random
         reasons = [reason for _, reason in attempts]
@@ -231,14 +224,14 @@ class TestExpansionSearch:
 
 class TestBaseline:
     def test_secv_finds_cancellation(self, secv_data, secv_set):
-        result = synthesis.synthesize_min_remainder(secv_data, secv_set, 0.95)
+        result = synthesis.synthesize_min_remainder(secv_data, secv_set)
         np.testing.assert_allclose(result.search.k2, [[-1.0, -1.0]], atol=1e-9)
         assert np.max(np.abs(result.row_bounds)) <= 1e-9
-        assert result.margin > 0.03
-        # baseline conditions replay
+        assert abs(result.contraction - 0.758333) <= 1e-6
+        # baseline conditions replay at the certified level
         ps = result.set_multiplier
         g1 = result.controller.g1
-        assert np.max(ps @ SECV_G + result.row_bounds - 0.95 * SECV_G) <= 1e-6
+        assert np.max(ps @ SECV_G + result.row_bounds - result.contraction * SECV_G) <= 1e-6
         assert np.max(np.abs(ps @ SECV_F - SECV_F @ secv_data.next_states @ g1)) <= 1e-6
         e1 = np.zeros((4, 2))
         e1[:2] = np.eye(2)
@@ -252,7 +245,7 @@ class TestBaseline:
                            b=np.eye(2), dictionary=dictionary, w_bound=0.0)
         box = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
         data = collect(plant, 12, 0.4, [0.2, -0.1], seed=5)
-        result = synthesis.synthesize_min_remainder(data, box, 0.95, x_resolution=(41, 41))
+        result = synthesis.synthesize_min_remainder(data, box, x_resolution=(41, 41))
         np.testing.assert_allclose(result.search.k2, [[-0.3, 0.0], [0.0, -0.2]], atol=1e-9)
         assert np.max(np.abs(result.row_bounds)) <= 1e-9
 
@@ -337,7 +330,7 @@ def duo_variant(a2, b=((0.0,), (1.0,))):
     plant = PlantModel(a1=[[0.7, 0.3], [-0.2, 0.9]], a2=a2, b=b,
                        dictionary=dictionary, w_bound=0.02)
     data = collect_informative(plant, 160, 0.05, [0.0, 0.0], 7,
-                               safe_set=safe_set, require_in_set=True)
+                               safe_set=safe_set)
     return safe_set, data
 
 
@@ -449,52 +442,52 @@ class TestLumpedBounds:
 
 
 class TestMinimalContraction:
+    """Each design certifies its smallest level, read off one level-1 solve."""
+
     def test_exact_level_brackets(self, secv_data, secv_set):
-        # the level is exact: feasible just above it, infeasible just below
-        level = synthesis.minimal_contraction(secv_data, secv_set, method="thm2",
-                                              expansion=[0.5, 0.5])
-        assert abs(level - 0.758333) <= 1e-6
-        synthesis.synthesize_noiseless(secv_data, secv_set, level + 1e-6,
-                                       expansion=[0.5, 0.5])
-        with pytest.raises(SynthesisInfeasibleError):
-            synthesis.synthesize_noiseless(secv_data, secv_set, level - 1e-4,
-                                           expansion=[0.5, 0.5])
-        level = synthesis.minimal_contraction(secv_data, secv_set, method="thm1")
-        assert abs(level - 0.758333) <= 1e-6
-        synthesis.synthesize_min_remainder(secv_data, secv_set, level + 1e-6)
-        with pytest.raises(SynthesisInfeasibleError):
-            synthesis.synthesize_min_remainder(secv_data, secv_set, level - 1e-4)
+        # the level is exact: both certificates replay at it, and a row of
+        # each is tight there, so the same multipliers fail just below it
+        # (that no other multipliers do is the HiGHS optimum check below)
+        g = secv_set.offsets
+        controller, cert = synthesis.synthesize_noiseless(secv_data, secv_set,
+                                                          expansion=[0.5, 0.5])
+        assert abs(cert.contraction - 0.758333) <= 1e-6
+        assert_certificate_valid(secv_data, secv_set, controller, cert)
+        rows = cert.set_multiplier @ g + cert.slope_term @ cert.expansion.anchor
+        assert abs(np.max(rows / g) - cert.contraction) <= 1e-9
+        result = synthesis.synthesize_min_remainder(secv_data, secv_set)
+        assert abs(result.contraction - 0.758333) <= 1e-6
+        assert result.residuals["contraction"] <= 1e-9
+        rows = result.set_multiplier @ g + result.row_bounds
+        assert abs(np.max(rows / g) - result.contraction) <= 1e-9
 
     def test_degenerate_disturbance_agrees(self, secv_data, secv_set):
-        a = synthesis.minimal_contraction(secv_data, secv_set, method="thm2",
-                                          expansion=[0.5, 0.5])
-        b = synthesis.minimal_contraction(secv_data, secv_set, method="cor2",
-                                          w_bound=0.0, expansion=[0.5, 0.5])
-        assert abs(a - b) <= 1e-9
+        _, a = synthesis.synthesize_noiseless(secv_data, secv_set, expansion=[0.5, 0.5])
+        _, b = synthesis.synthesize_robust(secv_data, secv_set, w_bound=0.0,
+                                           expansion=[0.5, 0.5])
+        assert abs(a.contraction - b.contraction) <= 1e-9
 
-    def test_margin_is_level_headroom(self, secv_data, secv_set):
+    def test_margin_is_level_headroom(self, secv_data, secv_set, solved_programs):
         # rescaling rows gives the same set with unequal offsets: the level
-        # must not move, and the margin at any level is the distance to it
+        # must not move, and it is 1 minus the program's optimal headroom
         scale = np.array([2.0, 1.0, 0.5, 1.0])
         rescaled = PolyhedralSet(SECV_F * scale[:, None], SECV_G * scale)
-        level = synthesis.minimal_contraction(secv_data, secv_set, expansion=[0.5, 0.5])
-        assert abs(synthesis.minimal_contraction(
-            secv_data, rescaled, expansion=[0.5, 0.5]) - level) <= 1e-9
-        _, cert = synthesis.synthesize_noiseless(secv_data, rescaled, 0.95,
-                                                 expansion=[0.5, 0.5])
-        assert abs(cert.margin - (0.95 - level)) <= 1e-9
+        _, cert = synthesis.synthesize_noiseless(secv_data, secv_set, expansion=[0.5, 0.5])
+        _, scaled = synthesis.synthesize_noiseless(secv_data, rescaled, expansion=[0.5, 0.5])
+        assert abs(scaled.contraction - cert.contraction) <= 1e-9
+        assert scaled.contraction == 1.0 - solved_programs[-1][1].objective
 
     def test_level_zero_is_clamped(self):
         # two inputs cancel the whole closed loop, so the minimal level is 0;
-        # unclamped, 1 - margin comes out about -3e-15 on this data
+        # unclamped, 1 - headroom comes out about -3e-15 on this data
         dictionary = Dictionary([Monomial((2, 0))], 2)
         plant = PlantModel(a1=[[0.4, 0.1], [0.0, 0.3]], a2=[[0.05], [0.02]],
                            b=np.eye(2), dictionary=dictionary, w_bound=0.0)
         box = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
         data = collect(plant, 8, 0.3, [0.1, 0.1], seed=2)
-        for method, kwargs in (("thm2", {}), ("cor2", {"w_bound": 0.0})):
-            level = synthesis.minimal_contraction(data, box, method=method, **kwargs)
-            assert 0.0 <= level <= 1e-9, method
+        for method, design in (("thm2", synthesis.synthesize_noiseless(data, box)),
+                               ("cor2", synthesis.synthesize_robust(data, box, w_bound=0.0))):
+            assert 0.0 <= design[1].contraction <= 1e-9, method
 
     def test_three_state_baseline(self):
         # the default state grid follows the set's dimension (22 per axis at
@@ -510,10 +503,9 @@ class TestMinimalContraction:
         search = synthesis.baseline_search(data, safe_set, k2_step=0.5)
         assert search.x_resolution == (22, 22, 22)
         np.testing.assert_allclose(search.k2, [[-1.0, -0.5, 0.5]], atol=1e-12)
-        level = synthesis.minimal_contraction(data, safe_set, method="thm1", search=search)
-        result = synthesis.synthesize_min_remainder(data, safe_set, level + 1e-6, search=search)
-        with pytest.raises(SynthesisInfeasibleError):
-            synthesis.synthesize_min_remainder(data, safe_set, level - 1e-4, search=search)
+        result = synthesis.synthesize_min_remainder(data, safe_set, search=search)
+        assert 0.0 < result.contraction < 1.0
+        assert result.residuals["contraction"] <= 1e-9
         assert verify.control_effort(result.controller, safe_set, dictionary) > 0.0
         bounds = synthesis.lumped_disturbance_bounds(data, safe_set, result.controller, 0.02)
         assert bounds.shape == (6,)
@@ -522,9 +514,8 @@ class TestMinimalContraction:
         bad = PlantModel(a1=2.0 * np.eye(2), a2=np.zeros((2, 2)), b=[[0.0], [0.0]],
                          dictionary=secv_dictionary, w_bound=0.0)
         data = collect(bad, 40, 0.5, [0.01, 0.01], seed=3)
-        with pytest.raises((NoFeasibleContractionError, RankDeficientDataError)):
-            synthesis.minimal_contraction(data, secv_set, method="thm2",
-                                          expansion=[0.5, 0.5])
+        with pytest.raises((SynthesisInfeasibleError, RankDeficientDataError)):
+            synthesis.synthesize_noiseless(data, secv_set, expansion=[0.5, 0.5])
 
 
 POLYGON_LEVEL = 0.7928008748828859  # duo plant on the regular polygons below
@@ -545,11 +536,11 @@ class TestRegularPolygons:
         plant = PlantModel(a1=[[0.7, 0.3], [-0.2, 0.9]], a2=[[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
                            b=[[0.0], [1.0]], dictionary=dictionary, w_bound=0.0)
         data = collect_informative(plant, 160, 0.05, [0.0, 0.0], 7,
-                                   safe_set=safe_set, require_in_set=True)
-        level = synthesis.minimal_contraction(data, safe_set, method="thm2")
+                                   safe_set=safe_set)
+        controller, cert = synthesis.synthesize_noiseless(data, safe_set)
+        level = cert.contraction
         assert abs(level - POLYGON_LEVEL) <= 1e-9
-        assert abs(level - synthesis.minimal_contraction(data, safe_set, method="thm1")) <= 1e-9
-        controller, cert = synthesis.synthesize_noiseless(data, safe_set, level + 1e-9)
+        assert abs(level - synthesis.synthesize_min_remainder(data, safe_set).contraction) <= 1e-9
         assert_certificate_valid(data, safe_set, controller, cert)
         np.testing.assert_allclose(controller.k2, [[-1.0, -0.5, 0.5]], atol=1e-6)
         report = verify.grid_contractivity(controller, safe_set, level + 1e-9, 0.0, (101, 101),
@@ -603,24 +594,24 @@ class TestClosedLoopPrograms:
         # (replay residuals 81 to 2,922); over the closed loop each solves
         safe_set, data = tri_problem(160)
         candidates = [0.25 * v for v in enumerate_vertices(safe_set)]
-        exp, _ = synthesis.pick_expansion_point(data, safe_set, 1.0)
+        exp, _ = synthesis.pick_expansion_point(data, safe_set)
         np.testing.assert_array_equal(exp.point, candidates[0])
         for point in candidates[:4]:
-            _, cert = synthesis.synthesize_noiseless(data, safe_set, 1.0, expansion=point)
-            assert abs(1.0 - cert.margin - TRI_LEVEL) <= 1e-9
+            _, cert = synthesis.synthesize_noiseless(data, safe_set, expansion=point)
+            assert abs(cert.contraction - TRI_LEVEL) <= 1e-9
 
     def test_auto_design_solves_once(self, solved_programs):
         # the search's winning solve is the design: one design program, and
-        # the same controller and margin as passing the picked point
+        # the same controller and level as passing the picked point
         safe_set, data = tri_problem(60)
-        auto, auto_cert = synthesis.synthesize_noiseless(data, safe_set, 0.95)
+        auto, auto_cert = synthesis.synthesize_noiseless(data, safe_set)
         designs = [lp for lp, _ in solved_programs if "mult" in lp._blocks]
         assert len(designs) == 1
         given, given_cert = synthesis.synthesize_noiseless(
-            data, safe_set, 0.95, expansion=auto_cert.expansion.point)
+            data, safe_set, expansion=auto_cert.expansion.point)
         for name in ("k1", "k2", "g1", "g2"):
             np.testing.assert_array_equal(getattr(auto, name), getattr(given, name))
-        assert auto_cert.margin == given_cert.margin
+        assert auto_cert.contraction == given_cert.contraction
 
     def test_inputs_without_effect_fix_the_closed_loop(self):
         # with b = 0 no gain moves the closed loop off the open loop, and on
@@ -631,16 +622,16 @@ class TestClosedLoopPrograms:
                            dictionary=dictionary, w_bound=0.0)
         box = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
         data = collect(plant, 8, 0.3, [0.5, 0.3], seed=2)
-        level = synthesis.minimal_contraction(data, box, expansion=[0.2, 0.1])
+        level = synthesis.synthesize_noiseless(data, box, expansion=[0.2, 0.1])[1].contraction
         assert abs(level - np.max(np.abs(a1).sum(axis=1))) <= 1e-9
 
     def test_program_size_does_not_grow_with_samples(self, solved_programs):
         sizes = []
         for samples in (40, 160):
             safe_set, data = duo_problem(samples)
-            synthesis.synthesize_noiseless(data, safe_set, 0.95, expansion=[0.5, 0.5])
+            synthesis.synthesize_noiseless(data, safe_set, expansion=[0.5, 0.5])
             thm2 = solved_programs[-1][0]
-            synthesis.synthesize_min_remainder(data, safe_set, 0.95, k2_step=0.5)
+            synthesis.synthesize_min_remainder(data, safe_set, k2_step=0.5)
             thm1 = solved_programs[-1][0]
             sizes.append([(lp.n_constraints, lp.n_variables) for lp in (thm2, thm1)])
         assert sizes[0] == sizes[1]
@@ -657,10 +648,10 @@ class TestClosedLoopPrograms:
             "tri160": lambda: tri_problem(160),
         }[problem]()
         for vertex in enumerate_vertices(safe_set)[:4]:
-            synthesis.synthesize_noiseless(data, safe_set, 1.0, expansion=0.25 * vertex)
+            synthesis.synthesize_noiseless(data, safe_set, expansion=0.25 * vertex)
         if problem in ("secV", "duo"):
             with pytest.raises(SynthesisInfeasibleError):
-                synthesis.synthesize_robust(data, safe_set, 1.0, w_bound=0.02,
+                synthesis.synthesize_robust(data, safe_set, w_bound=0.02,
                                             expansion=[0.5, 0.5])
         designs = [(lp, out) for lp, out in solved_programs if "mult" in lp._blocks]
         assert len(designs) == (5 if problem in ("secV", "duo") else 4)
@@ -682,7 +673,5 @@ class TestNumericalGuard:
                            a2=[[0.01, 0.0], [0.0, 0.01]],
                            b=[[1.0], [0.0]], dictionary=dictionary, w_bound=0.0)
         data = collect(plant, 40, 0.01, [0.01, 0.02], seed=5)
-        with pytest.raises((NumericalInstabilityError, SynthesisInfeasibleError,
-                            ExpansionPointSearchFailedError)):
-            synthesis.synthesize_noiseless(data, secv_set, 0.95,
-                                           expansion=[0.5, 0.5], seed=0)
+        with pytest.raises((NumericalInstabilityError, SynthesisInfeasibleError)):
+            synthesis.synthesize_noiseless(data, secv_set, expansion=[0.5, 0.5], seed=0)

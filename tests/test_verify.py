@@ -294,7 +294,7 @@ class TestDualGap:
 class TestConservatism:
     def test_table_renders_both_methods(self, secv_data, secv_set, secv_design,
                                         secv_dictionary):
-        baseline = synthesis.synthesize_min_remainder(secv_data, secv_set, 0.95)
+        baseline = synthesis.synthesize_min_remainder(secv_data, secv_set)
         lumped = synthesis.lumped_disturbance_bounds(
             secv_data, secv_set, secv_design[0], 0.05)
         table = verify.conservatism_report(
