@@ -25,8 +25,9 @@ whether or not its rows come in opposite pairs, and the certificate's
 ``remainder_zeroed`` residual replays the pin.  The robust
 variant ("cor2") adds a norm budget that accounts for noise leakage
 through the data matrices, with disturbances measured by the row
-one-norms of :func:`row_norms`.  The baseline ("thm1") searches a grid of
-gains for the one minimizing the worst-row remainder term and then
+one-norms of :func:`row_norms`; a budget floor above the smallest offset
+is refused before any program is posed.  The baseline ("thm1") searches a
+grid of gains for the one minimizing the worst-row remainder term and then
 solves the classical row-multiplier program with the searched remainder
 bound subtracted.  The search is exact but pruned: cheap lower bounds
 from a few probe points rank the candidates, and only those whose bound
@@ -294,8 +295,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
             row_sums = np.kron(np.eye(T), np.ones(width))
             lp.add_constraint_rows({**{name: row_sums for name, _ in parts[key]},
                                     norm: -np.ones(T)}, "<=", np.zeros(T))
-        gm = robust["w_bound"] * float(np.max(row_norms(F)))
-        scale = gm * robust["state_bound"] * T
+        scale = _noise_floor(data, safe_set, robust)
         lp.add_constraint({"norm1": scale, "norm2": scale * robust["lipschitz"], "noise": -1.0},
                           "<=", -scale)
 
@@ -305,6 +305,12 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
                           for key in parts])
         outcome.assignment["G"] = loop if split else g0[:, :loop.shape[1]] + preimage @ loop
     return outcome
+
+
+def _noise_floor(data: ExperimentData, safe_set: PolyhedralSet, robust: dict) -> float:
+    """``eta0 = gm * state_bound * T``: the noise budget with ``|G1| = |G2| = 0``."""
+    gm = robust["w_bound"] * float(np.max(row_norms(safe_set.normals)))
+    return gm * robust["state_bound"] * data.n_samples
 
 
 def _level(outcome: lpcore.LpOutcome) -> float:
@@ -337,8 +343,7 @@ def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Cont
         "remainder_zeroed": float(np.max(np.abs(coeffs))),
     }
     if robust is not None:
-        gm = robust["w_bound"] * float(np.max(row_norms(F)))
-        budget = gm * robust["state_bound"] * data.n_samples * (
+        budget = _noise_floor(data, safe_set, robust) * (
             _norm_inf(controller.g1) + robust["lipschitz"] * _norm_inf(controller.g2) + 1.0)
         residuals["noise_budget"] = float(max(0.0, budget - eta))
 
@@ -382,6 +387,18 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet, expansion,
     """Solve the ``thm2`` (``robust`` None) or ``cor2`` program and certify its controller."""
     _check_regressor(data)
     method, kind = ("thm2", "noiseless") if robust is None else ("cor2", "robust")
+    if robust is not None:
+        # The pin zeroes the closed-loop remainder, so the slope term is 0 and
+        # contraction row i reads mult_i @ g + noise + slack * g_i <= g_i with
+        # mult, slack >= 0, while the budget row needs noise >= floor.  A floor
+        # above the smallest offset is therefore infeasible at every level.
+        floor = _noise_floor(data, safe_set, robust)
+        row = int(np.argmin(safe_set.offsets))
+        if floor > safe_set.offsets[row]:
+            raise SynthesisInfeasibleError(
+                f"robust design infeasible at every level: noise floor "
+                f"gm*state_bound*T = {floor:.6g} exceeds the smallest offset "
+                f"{safe_set.offsets[row]:.6g} (row {row})")
     exp, outcome = _resolve_expansion(data, safe_set, expansion, robust, seed)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
@@ -415,6 +432,14 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, w_bound: fl
     coordinate of the safe set's enclosure.  The bound is conservative in
     the sample count, so the certified level rises quickly with ``T`` and
     ``w_bound`` until no level in ``(0, 1]`` is feasible.
+
+    Since ``|G1|, |G2| >= 0``, the offset is at least its floor
+    ``gm * state_bound * T``, and contraction row ``i`` admits an offset of
+    at most the safe-set offset ``g_i`` (the closed-loop remainder is pinned
+    to zero, so no slope term helps).  A floor above the smallest ``g_i``
+    therefore raises :class:`SynthesisInfeasibleError` without posing the
+    program; the error names the floor and the row and carries no LP
+    outcome.  Otherwise the program is solved.
     """
     if w_bound < 0.0:
         raise ValueError("w_bound must be non-negative")
@@ -551,9 +576,13 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     offset = (coeff0 @ rem[probe].T).ravel()         # (s*q,)
     slope = np.einsum("ia,pb->abip", f_next @ gain_map, rem[probe]).reshape(m * N, -1)
     bound = np.empty(count)
+    values = np.empty((min(count, _BOUND_CHUNK), slope.shape[1]))  # one buffer for all blocks
     for start in range(0, count, _BOUND_CHUNK):
         block = combos[start:start + _BOUND_CHUNK]
-        bound[start:start + _BOUND_CHUNK] = (block @ slope + offset).max(axis=1)
+        out = values[:len(block)]
+        np.matmul(block, slope, out=out)
+        out += offset
+        out.max(axis=1, out=bound[start:start + len(block)])
 
     # Rounding slack.  The bounds and the exact scores are computed from the
     # same f_next, base, gain_map, rem and grid gains, but associated

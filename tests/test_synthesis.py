@@ -53,6 +53,13 @@ def assert_certificate_valid(data, safe_set, controller, cert):
     assert cert.residuals["remainder_zeroed"] <= 1e-6
 
 
+def robust_terms(data, safe_set, w_bound):
+    """The robust entries ``synthesize_robust`` hands to the design program."""
+    box = interval_enclosure(safe_set)
+    return {"w_bound": w_bound, "lipschitz": float(data.dictionary.lipschitz_bound(box)),
+            "state_bound": float(box.max_abs)}
+
+
 def unmatched_problem(safe_set, unmatched=0.05):
     """The secV plant plus a remainder term in the first state, which the
     input (on the second state only) cannot cancel; T=40, data seed 7."""
@@ -123,6 +130,64 @@ class TestRobustDesign:
         with pytest.raises(SynthesisInfeasibleError):
             synthesis.synthesize_robust(secv_data, secv_set, w_bound=0.05,
                                         expansion=[0.5, 0.5])
+
+    @pytest.mark.parametrize("problem", ["secV", "duo"])
+    def test_noise_floor_verdict_replays_as_farkas_vector(self, problem, secv_data, monkeypatch):
+        # the floor verdict poses no program, so replay its proof on the raw
+        # rows of the program it skips: contraction row i*, the budget row and
+        # the norm rows, plus the slope and pin rows of row i* to cancel the
+        # free columns, combine into 0 <= y @ A @ x <= y @ b = min g - floor < 0
+        safe_set, data, w_bound = {
+            "secV": lambda: (PolyhedralSet(SECV_F, SECV_G), secv_data, 0.05),
+            "duo": lambda: (*duo_problem(160), 0.02),
+        }[problem]()
+        with pytest.raises(SynthesisInfeasibleError, match="noise floor") as err:
+            synthesis.synthesize_robust(data, safe_set, w_bound, expansion=[0.5, 0.5])
+        assert err.value.outcome is None
+
+        posed = []
+        monkeypatch.setattr(lpcore.LinearProgram, "solve", lambda lp: posed.append(lp)
+                            or lpcore.LpOutcome(lpcore.LpStatus.INFEASIBLE))
+        robust = robust_terms(data, safe_set, w_bound)
+        exp = expansion_point(data.dictionary, np.array([0.5, 0.5]), safe_set)
+        synthesis._build_and_solve(data, safe_set, exp, robust)
+        (lp,) = posed
+        A, sense, b = lp._assemble()
+        starts, start = {}, 0  # first row of each row group, keyed by the blocks it touches
+        for mats, _, rhs in lp._groups:
+            starts[frozenset(mats)] = start
+            start += rhs.size
+
+        def rows(*blocks):
+            return slice(starts[frozenset(blocks)], None)
+
+        F, g = safe_set.normals, safe_set.offsets
+        n, N = data.state_dim, data.n_terms
+        floor = w_bound * np.max(np.abs(F).sum(axis=1)) * robust["state_bound"] * data.n_samples
+        assert floor > g.min()
+        i = int(np.argmin(g))
+        y = np.zeros(len(b))
+        y[rows("mult", "slope", "noise", "slack")][i] = 1.0       # contraction row i*
+        y[rows("norm1", "norm2", "noise")][0] = 1.0               # budget: cancels noise
+        # cancel norm1 and norm2 through one norm row each, so that no norm
+        # weight covers the g2 columns of the other samples
+        y[rows("g1_pos", "g1_neg", "norm1")][0] = floor
+        y[rows("g2_pos", "g2_neg", "norm2")][0] = floor * robust["lipschitz"]
+        # slope rows (iii) of row i* cancel slope[i*], which row i* weighs by the anchor
+        y[rows("g2_pos", "g2_neg", "slope")][i * n:(i + 1) * n] = exp.anchor
+        # they leave F[i*] @ next_states[:, t] * (slope_at @ anchor)[j] on g2[t, j],
+        # which the pin rows (iv), next_states @ g2 = 0, take off again
+        y[rows("g2_pos", "g2_neg")][:n * N] = -np.outer(F[i], exp.slope @ exp.anchor).ravel()
+
+        assert np.all(y * sense >= 0.0)                           # inequality rows are <=
+        free = np.concatenate([np.full(block.size, not block.nonneg)
+                               for block in lp._blocks.values()])
+        combined = y @ A
+        size = np.abs(y) @ np.abs(A)                              # magnitude of the summed terms
+        assert np.all(np.abs(combined[free]) <= 1e-12 * np.maximum(size[free], 1.0))
+        assert np.all(combined[~free] >= -1e-12 * np.maximum(size[~free], 1.0))
+        assert abs(y @ b - (g[i] - floor)) <= 1e-12 * floor
+        assert y @ b < 0.0
 
     def test_gm_values(self, secv_set):
         # hand computation: max row norms are 0.6 (one) and 0.4 (inf)
@@ -650,9 +715,15 @@ class TestClosedLoopPrograms:
         for vertex in enumerate_vertices(safe_set)[:4]:
             synthesis.synthesize_noiseless(data, safe_set, expansion=0.25 * vertex)
         if problem in ("secV", "duo"):
-            with pytest.raises(SynthesisInfeasibleError):
+            # the noise floor decides cor2 without a solve, so pose the raw
+            # program directly: the simplex and HiGHS must both call it infeasible
+            with pytest.raises(SynthesisInfeasibleError, match="noise floor"):
                 synthesis.synthesize_robust(data, safe_set, w_bound=0.02,
                                             expansion=[0.5, 0.5])
+            exp = expansion_point(data.dictionary, np.array([0.5, 0.5]), safe_set)
+            outcome = synthesis._build_and_solve(data, safe_set, exp,
+                                                 robust_terms(data, safe_set, 0.02))
+            assert outcome.status == lpcore.LpStatus.INFEASIBLE
         designs = [(lp, out) for lp, out in solved_programs if "mult" in lp._blocks]
         assert len(designs) == (5 if problem in ("secV", "duo") else 4)
         for lp, outcome in designs:
