@@ -114,6 +114,14 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ScenarioValidationError(f"{path}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not 1
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _matrix(obj, path: str) -> list:
     _expect(isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj),
             path, "expected a non-empty list of rows")
@@ -121,8 +129,7 @@ def _matrix(obj, path: str) -> list:
     _expect(width > 0 and all(len(r) == width for r in obj), path, "ragged rows")
     for r in obj:
         for v in r:
-            _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-                    path, f"non-numeric entry {v!r}")
+            _expect(_is_number(v), path, f"non-numeric entry {v!r}")
     return obj
 
 
@@ -154,16 +161,16 @@ def scenario_from_json(doc: dict) -> Scenario:
             exps = term.get("exponents")
             _expect(isinstance(exps, list) and len(exps) == n, path,
                     f"exponents must have length {n}")
-            _expect(all(isinstance(e, int) and e >= 0 for e in exps), path,
+            _expect(all(_is_int(e) and e >= 0 for e in exps), path,
                     "exponents must be non-negative integers")
             _expect(sum(exps) >= 1, path, "total degree must be >= 1")
         else:
             coord = term.get("coord")
-            _expect(isinstance(coord, int) and 0 <= coord < n, path,
+            _expect(_is_int(coord) and 0 <= coord < n, path,
                     f"coord must be in [0, {n})")
     _expect(len(a2[0]) == n_terms, "system.a2", f"expected {n_terms} columns")
     w_bound = sys_doc.get("w_bound", 0.0)
-    _expect(isinstance(w_bound, (int, float)) and w_bound >= 0, "system.w_bound",
+    _expect(_is_number(w_bound) and w_bound >= 0, "system.w_bound",
             "must be a non-negative number")
 
     set_doc = doc["safe_set"]
@@ -174,21 +181,22 @@ def scenario_from_json(doc: dict) -> Scenario:
     _expect(isinstance(offsets, list) and len(offsets) == len(normals),
             "safe_set.offsets", "one offset per normal row")
     for i, v in enumerate(offsets):
-        _expect(isinstance(v, (int, float)) and v > 0, f"safe_set.offsets[{i}]",
+        _expect(_is_number(v) and v > 0, f"safe_set.offsets[{i}]",
                 "offsets must be strictly positive")
 
     data_doc = doc["data"]
     samples = data_doc.get("samples")
-    _expect(isinstance(samples, int) and samples >= 1, "data.samples",
+    _expect(_is_int(samples) and samples >= 1, "data.samples",
             "must be a positive integer")
     _expect(samples >= n + n_terms + 1, "data.samples",
             f"must be at least n + N + 1 = {n + n_terms + 1}")
     u_max = data_doc.get("u_max")
-    _expect(isinstance(u_max, (int, float)) and u_max > 0, "data.u_max", "must be positive")
+    _expect(_is_number(u_max) and u_max > 0, "data.u_max", "must be positive")
     x0 = data_doc.get("x0")
-    _expect(isinstance(x0, list) and len(x0) == n, "data.x0", f"must have length {n}")
+    _expect(isinstance(x0, list) and len(x0) == n and all(_is_number(v) for v in x0),
+            "data.x0", f"must be {n} numbers")
     seed = data_doc.get("seed")
-    _expect(isinstance(seed, int), "data.seed", "must be an integer")
+    _expect(_is_int(seed) and seed >= 0, "data.seed", "must be an integer >= 0")
     noise = data_doc.get("noise", False)
     _expect(isinstance(noise, bool), "data.noise", "must be a boolean")
 
@@ -202,23 +210,24 @@ def scenario_from_json(doc: dict) -> Scenario:
     _expect(method in synthesis.METHODS, "synthesis.method",
             f"must be one of {synthesis.METHODS}")
     contraction = synth_doc.get("contraction", 0.95)
-    _expect(isinstance(contraction, (int, float)) and 0 < contraction <= 1,
+    _expect(_is_number(contraction) and 0 < contraction <= 1,
             "synthesis.contraction", "must lie in (0, 1]")
     expansion = synth_doc.get("expansion_point", "auto")
     if expansion != "auto":
-        _expect(isinstance(expansion, list) and len(expansion) == n,
-                "synthesis.expansion_point", f"must be 'auto' or a point of length {n}")
+        _expect(isinstance(expansion, list) and len(expansion) == n
+                and all(_is_number(v) for v in expansion),
+                "synthesis.expansion_point", f"must be 'auto' or a point of {n} numbers")
 
     verify_doc = doc.get("verify", {})
     grid = verify_doc.get("grid", [201] * n)
     _expect(isinstance(grid, list) and len(grid) == n
-            and all(isinstance(r, int) and r >= 2 for r in grid),
+            and all(_is_int(r) and r >= 2 for r in grid),
             "verify.grid", f"must be {n} integers >= 2")
     mc = verify_doc.get("mc_trajectories", 10000)
-    _expect(isinstance(mc, int) and mc >= 1, "verify.mc_trajectories",
+    _expect(_is_int(mc) and mc >= 1, "verify.mc_trajectories",
             "must be a positive integer")
     horizon = verify_doc.get("horizon", 200)
-    _expect(isinstance(horizon, int) and horizon >= 1, "verify.horizon",
+    _expect(_is_int(horizon) and horizon >= 1, "verify.horizon",
             "must be a positive integer")
 
     return Scenario(
@@ -671,6 +680,7 @@ def _build_parser() -> _Parser:
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if args.seed is not None:
+        _expect(args.seed >= 0, "data.seed", f"--seed must be an integer >= 0, got {args.seed}")
         scenario.data.seed = args.seed
     if args.contraction is not None:
         if not 0 < args.contraction <= 1:

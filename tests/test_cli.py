@@ -340,6 +340,45 @@ class TestCommands:
         b = (out2 / "data" / "inputs.csv").read_text()
         assert a != b
 
+    def test_negative_seed_exit_one(self, scenario_path, tmp_path, capsys):
+        # SeedSequence takes no negative entropy; both routes name the field and its limit
+        bad = tmp_path / "negative.json"
+        doc = json.loads(scenario_path.read_text())
+        doc["data"]["seed"] = -3
+        bad.write_text(json.dumps(doc))
+        for argv in (["--scenario", str(bad)], ["--scenario", str(scenario_path), "--seed", "-3"]):
+            code = cli.main(["collect", "--out", str(tmp_path / "out"), *argv])
+            assert code == cli.EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "scenario error: data.seed" in err and ">= 0" in err
+
+    @pytest.mark.parametrize("section, key", [("verify", "mc_trajectories"),
+                                              ("verify", "horizon"),
+                                              ("data", "samples"), ("data", "seed"),
+                                              ("system", "w_bound")])
+    def test_boolean_integer_key_exit_one(self, scenario_path, tmp_path, capsys,
+                                          section, key):
+        # JSON true would otherwise pass as the number 1
+        bad = tmp_path / "boolean.json"
+        doc = json.loads(scenario_path.read_text())
+        doc[section][key] = True
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["verify", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert f"scenario error: {section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [("data", "x0"),
+                                              ("synthesis", "expansion_point")])
+    def test_non_numeric_point_exit_one(self, scenario_path, tmp_path, capsys,
+                                        section, key):
+        bad = tmp_path / "point.json"
+        doc = json.loads(scenario_path.read_text())
+        doc[section][key] = ["a", 0.0]
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["synth", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert f"scenario error: {section}.{key}" in capsys.readouterr().err
+
     def test_removed_definiteness_flag_is_a_usage_error(self, scenario_path, tmp_path):
         # --row-norm went the same way: the one-norm is the only sound offset
         for flag, value in (("--definiteness", "strict"), ("--row-norm", "inf")):

@@ -6,8 +6,8 @@ import pytest
 
 from polysafe import synthesis, verify
 from polysafe.dynamics import Dictionary, Monomial, PlantModel
-from polysafe.polytope import (PolyhedralSet, enumerate_vertices, interval_enclosure,
-                               sample_grid)
+from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
+                               interval_enclosure, sample_grid)
 
 from conftest import SECV_F, SECV_G
 
@@ -23,8 +23,8 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
     """Every trajectory in one batch: the loop the chunked rollout must match."""
     n = plant.state_dim
     vertices = np.array(enumerate_vertices(safe_set))
-    seq = np.random.SeedSequence(seed)
-    init_rng = np.random.default_rng(seq.spawn(1)[0])
+    init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
+    init_rng = np.random.default_rng(init_seq)
     box = interval_enclosure(safe_set)
     starts = np.empty((n_trajectories, n))
     count = min(len(vertices), n_trajectories)
@@ -36,12 +36,8 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
         take = min(len(good), n_trajectories - filled)
         starts[filled:filled + take] = good[:take]
         filled += take
-    traj_seeds = seq.spawn(n_trajectories)
-    noise = np.stack([
-        np.random.default_rng(traj_seeds[i]).uniform(
-            -plant.w_bound, plant.w_bound, size=(horizon, n))
-        for i in range(n_trajectories)
-    ])
+    noise = np.random.default_rng(noise_seq).uniform(
+        -plant.w_bound, plant.w_bound, size=(n_trajectories, horizon, n))
     lin_base = plant.linear_base() + plant.b @ controller.k1
     rem_base = plant.a2 + plant.b @ controller.k2
     a_slope = plant.dictionary.linearization()
@@ -181,6 +177,21 @@ class TestGridContractivity:
             assert shared.samples == own.samples == len(points)
             assert shared.refinement_bound == own.refinement_bound
 
+    def test_default_resolution_gives_finite_bound(self, secv_plant, secv_set, secv_design):
+        # resolution=None samples the default grid; the cell diagonal and the
+        # refinement bound must come from that same grid, not from NaN
+        controller, _ = secv_design
+        args = (controller, secv_set, 0.95, 0.05)
+        default = verify.grid_contractivity(*args, None, secv_plant.dictionary,
+                                            plant=secv_plant)
+        explicit = verify.grid_contractivity(*args, grid_resolution(secv_set.dim),
+                                             secv_plant.dictionary, plant=secv_plant)
+        assert np.isfinite(default.cell_diagonal) and np.isfinite(default.refinement_bound)
+        assert default.samples == explicit.samples
+        assert default.cell_diagonal == explicit.cell_diagonal
+        assert default.refinement_bound == explicit.refinement_bound
+        np.testing.assert_array_equal(default.row_margins, explicit.row_margins)
+
 
 class TestMonteCarlo:
     def test_no_disturbance_contractive_never_exits(self, secv_plant, secv_data,
@@ -253,9 +264,25 @@ class TestMonteCarlo:
             assert len({w[0] // 37 for w in witnesses}) > 3
             assert len({w[1] for w in witnesses}) > 1
 
+    def test_prefix_stable(self, secv_plant, secv_set, secv_design):
+        # trajectory i draws its start and its noise at fixed stream
+        # positions, so running more trajectories leaves the first ones as
+        # they were
+        design, _ = secv_design
+        controller = synthesis.Controller(k1=0.5 * design.k1, k2=design.k2,
+                                          g1=design.g1, g2=design.g2)
+        short, long = (verify.monte_carlo_invariance(
+            secv_plant, controller, secv_set, count, 60, seed=5, max_witnesses=10**6)
+            for count in (300, 600))
+        assert 0 < short.violations < 300
+        head = [w for w in long.witnesses if w[0] < 300]
+        assert [w[:2] for w in head] == [w[:2] for w in short.witnesses]
+        for (_, _, state), (_, _, ref_state) in zip(head, short.witnesses):
+            np.testing.assert_array_equal(state, ref_state)
+
     def test_memory_flat_in_trajectory_count(self, secv_plant, secv_set, secv_design):
         # trajectories run in fixed-size chunks, so eight times the
-        # trajectories needs no more memory; a (horizon, chunk, n) noise
+        # trajectories needs no more memory; a (chunk, horizon, n) noise
         # buffer of 1.6 MB dominates the peak
         controller, _ = secv_design
         verify.monte_carlo_invariance(secv_plant, controller, secv_set, 10, 50, seed=2)
