@@ -39,7 +39,6 @@ from .synthesis import (
     SynthesisCertificate,
     baseline_search,
     lumped_disturbance_bounds,
-    pick_expansion_point,
     synthesize_min_remainder,
     synthesize_noiseless,
     synthesize_robust,
@@ -86,7 +85,6 @@ __all__ = [
     "interval_enclosure",
     "lumped_disturbance_bounds",
     "monte_carlo_invariance",
-    "pick_expansion_point",
     "polytope_max",
     "regressor_rank",
     "sample_grid",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -119,7 +120,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json reads NaN and Infinity, which no field accepts
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _matrix(obj, path: str) -> list:
@@ -129,7 +131,7 @@ def _matrix(obj, path: str) -> list:
     _expect(width > 0 and all(len(r) == width for r in obj), path, "ragged rows")
     for r in obj:
         for v in r:
-            _expect(_is_number(v), path, f"non-numeric entry {v!r}")
+            _expect(_is_number(v), path, f"non-numeric or non-finite entry {v!r}")
     return obj
 
 
@@ -171,7 +173,7 @@ def scenario_from_json(doc: dict) -> Scenario:
     _expect(len(a2[0]) == n_terms, "system.a2", f"expected {n_terms} columns")
     w_bound = sys_doc.get("w_bound", 0.0)
     _expect(_is_number(w_bound) and w_bound >= 0, "system.w_bound",
-            "must be a non-negative number")
+            "must be a finite non-negative number")
 
     set_doc = doc["safe_set"]
     normals = _matrix(set_doc.get("normals"), "safe_set.normals")
@@ -182,7 +184,7 @@ def scenario_from_json(doc: dict) -> Scenario:
             "safe_set.offsets", "one offset per normal row")
     for i, v in enumerate(offsets):
         _expect(_is_number(v) and v > 0, f"safe_set.offsets[{i}]",
-                "offsets must be strictly positive")
+                "offsets must be finite and strictly positive")
 
     data_doc = doc["data"]
     samples = data_doc.get("samples")
@@ -191,10 +193,10 @@ def scenario_from_json(doc: dict) -> Scenario:
     _expect(samples >= n + n_terms + 1, "data.samples",
             f"must be at least n + N + 1 = {n + n_terms + 1}")
     u_max = data_doc.get("u_max")
-    _expect(_is_number(u_max) and u_max > 0, "data.u_max", "must be positive")
+    _expect(_is_number(u_max) and u_max > 0, "data.u_max", "must be finite and positive")
     x0 = data_doc.get("x0")
     _expect(isinstance(x0, list) and len(x0) == n and all(_is_number(v) for v in x0),
-            "data.x0", f"must be {n} numbers")
+            "data.x0", f"must be {n} finite numbers")
     seed = data_doc.get("seed")
     _expect(_is_int(seed) and seed >= 0, "data.seed", "must be an integer >= 0")
     noise = data_doc.get("noise", False)
@@ -216,7 +218,7 @@ def scenario_from_json(doc: dict) -> Scenario:
     if expansion != "auto":
         _expect(isinstance(expansion, list) and len(expansion) == n
                 and all(_is_number(v) for v in expansion),
-                "synthesis.expansion_point", f"must be 'auto' or a point of {n} numbers")
+                "synthesis.expansion_point", f"must be 'auto' or a point of {n} finite numbers")
 
     verify_doc = doc.get("verify", {})
     grid = verify_doc.get("grid", [201] * n)
@@ -256,30 +258,6 @@ def save_scenario(scenario: Scenario, path) -> None:
     Path(path).write_text(json.dumps(scenario.to_json(), indent=2, sort_keys=True) + "\n")
 
 
-def secv_scenario() -> Scenario:
-    """The shipped two-state benchmark scenario (also at scenarios/secV.json)."""
-    return scenario_from_json({
-        "version": 1,
-        "system": {
-            "a1": [[0.8, 0.5], [-0.4, 1.2]],
-            "a2": [[0.0, 0.0], [1.0, 1.0]],
-            "b": [[0.0], [1.0]],
-            "dictionary": [
-                {"kind": "monomial", "exponents": [2, 0]},
-                {"kind": "monomial", "exponents": [0, 2]},
-            ],
-            "w_bound": 0.05,
-        },
-        "safe_set": {
-            "normals": [[0.2, 0.4], [-0.2, -0.4], [-0.15, 0.2], [0.15, -0.2]],
-            "offsets": [1.0, 1.0, 1.0, 1.0],
-        },
-        "data": {"samples": 40, "u_max": 0.003, "x0": [0.0, 0.0], "seed": 7, "noise": False},
-        "synthesis": {"method": "thm2", "contraction": 0.95, "expansion_point": [0.5, 0.5]},
-        "verify": {"grid": [201, 201], "mc_trajectories": 10000, "horizon": 200},
-    })
-
-
 # ---------------------------------------------------------------------------
 # helpers shared by the commands
 
@@ -312,12 +290,10 @@ def _design(scenario: Scenario, data, safe_set, method: str):
     whose ``contraction`` is the smallest level the certificate holds at."""
     cfg = scenario.synthesis
     if method == "thm2":
-        return synthesis.synthesize_noiseless(
-            data, safe_set, expansion=cfg.expansion_point, seed=scenario.data.seed)
+        return synthesis.synthesize_noiseless(data, safe_set, expansion=cfg.expansion_point)
     if method == "cor2":
         return synthesis.synthesize_robust(
-            data, safe_set, w_bound=scenario.system.w_bound,
-            expansion=cfg.expansion_point, seed=scenario.data.seed)
+            data, safe_set, w_bound=scenario.system.w_bound, expansion=cfg.expansion_point)
     result = synthesis.synthesize_min_remainder(data, safe_set)
     return result.controller, result
 
@@ -385,9 +361,11 @@ def _report_entry(report: verify.VerificationReport) -> dict:
     }
 
 
-def _plot_svg(path: Path, safe_set: PolyhedralSet, level: float,
-              trajectories) -> None:
-    """Phase-plane SVG: safe polygon, scaled polygon, closed-loop trajectories."""
+def _plot_svg(path: Path, scenario: Scenario, plant, safe_set: PolyhedralSet,
+              controller, level: float) -> None:
+    """Phase-plane SVG: safe polygon, scaled polygon, closed-loop trajectories.
+
+    Only two-state sets are drawn; the trajectories are run only then."""
     if safe_set.dim != 2:
         return
     vertices = np.array(enumerate_vertices(safe_set))
@@ -411,7 +389,7 @@ def _plot_svg(path: Path, safe_set: PolyhedralSet, level: float,
              f'<path d="{ring_path(ring)}" fill="#e8f0fe" stroke="#1a56a0" stroke-width="2"/>',
              f'<path d="{ring_path(level * ring)}" fill="none" stroke="#a01a1a" '
              f'stroke-width="1.5" stroke-dasharray="6 4"/>']
-    for traj in trajectories:
+    for traj in _closed_loop_trajectories(scenario, plant, safe_set, controller):
         pts = " L ".join(xy(p) for p in traj)
         parts.append(f'<path d="M {pts}" fill="none" stroke="#2d7d46" stroke-width="1"/>')
     parts.append("</svg>")
@@ -504,8 +482,8 @@ def _cmd_verify(scenario: Scenario, out_dir: Path) -> int:
         "grid_data_rep": _report_entry(grid_data),
         "monte_carlo": _report_entry(mc),
     })
-    _plot_svg(out_dir / "plot.svg", safe_set, scenario.synthesis.contraction,
-              _closed_loop_trajectories(scenario, plant, safe_set, controller))
+    _plot_svg(out_dir / "plot.svg", scenario, plant, safe_set, controller,
+              scenario.synthesis.contraction)
     print(f"verification {'pass' if passed else 'FAIL'}: "
           f"grid(true)={grid_true.passed} grid(data)={grid_data.passed} "
           f"mc exits={mc.violations}", file=sys.stderr)
@@ -634,8 +612,7 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
     summary["conservatism"] = {"rows": table.rows, "lumped_bounds": lumped}
     (out_dir / "report.txt").write_text(table.render() + "\n")
 
-    _plot_svg(out_dir / "plot.svg", safe_set, level,
-              _closed_loop_trajectories(scenario, plant, safe_set, controller))
+    _plot_svg(out_dir / "plot.svg", scenario, plant, safe_set, controller, level)
 
     summary["status"] = "verified" if verified else "verification-failed"
     _write_json(out_dir / "report.json", summary)

@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatchError,
     DisturbanceOutOfBoundsError,
     OutsideSafeSetError,
-    ZeroExpansionPointError,
 )
 from .polytope import Box, PolyhedralSet
 
@@ -300,13 +299,14 @@ class Dictionary:
 
 @dataclass(frozen=True)
 class ExpansionPoint:
-    """Remainder derivatives at a nonzero interior point, plus the shifted anchor.
+    """Remainder derivatives at a point of the safe set, plus the shifted anchor.
 
     ``slope`` is the remainder Jacobian at ``point``; ``curvatures`` stacks
     the per-term Hessians (the remainder and the raw terms share Hessians
     because they differ by a linear map).  ``anchor`` is
     ``point + pinv(slope) @ remainder(point)``, the constant that enters the
-    certificate's contraction rows.
+    certificate's contraction rows.  At the origin the remainder's value
+    and Jacobian vanish, so ``slope`` and ``anchor`` are zero there.
     """
 
     point: np.ndarray
@@ -321,15 +321,13 @@ class ExpansionPoint:
 
 
 def expansion_point(dictionary: Dictionary, point, safe_set: PolyhedralSet) -> ExpansionPoint:
-    """Build the expansion data at ``point``, which must be nonzero and in the set.
+    """Build the expansion data at ``point``, which must lie in the set.
 
     The pseudo-inverse in the anchor uses singular-value thresholding at
     1e-10 times the largest singular value, since the defining expression
     is silent on rank deficiency.
     """
     point = np.asarray(point, dtype=float).reshape(-1)
-    if np.all(point == 0.0):
-        raise ZeroExpansionPointError("expansion point must be nonzero")
     if not safe_set.contains(point):
         raise OutsideSafeSetError(f"expansion point {point} lies outside the safe set")
     slope = dictionary.remainder_jacobian(point)

@@ -46,10 +46,6 @@ class DisturbanceOutOfBoundsError(PolysafeError, ValueError):
     """A disturbance sample exceeds the plant's stated bound."""
 
 
-class ZeroExpansionPointError(PolysafeError, ValueError):
-    """The expansion point of the remainder linearization must be nonzero."""
-
-
 class OutsideSafeSetError(PolysafeError, ValueError):
     """The expansion point must lie inside the safe set."""
 
@@ -68,14 +64,6 @@ class SynthesisInfeasibleError(PolysafeError):
     def __init__(self, message, outcome=None):
         super().__init__(message)
         self.outcome = outcome
-
-
-class ExpansionPointSearchFailedError(SynthesisInfeasibleError):
-    """No candidate expansion point produced a feasible program."""
-
-    def __init__(self, message, attempts=None):
-        super().__init__(message)
-        self.attempts = attempts or []
 
 
 class ScenarioValidationError(PolysafeError, ValueError):

@@ -59,26 +59,17 @@ class PolyhedralSet:
     def n_rows(self) -> int:
         return self.normals.shape[0]
 
-    def scaled(self, scale: float) -> "PolyhedralSet":
-        """The same set shrunk toward the origin: offsets scaled by ``scale``."""
-        if scale <= 0.0:
-            raise ValueError("scale must be positive")
-        return PolyhedralSet(self.normals, self.offsets * scale)
-
-    def contains(self, x, scale: float = 1.0, tol: float = TOL_GEOM) -> bool:
-        """Membership of ``x`` in the set shrunk by ``scale`` in (0, 1]."""
-        if not 0.0 < scale <= 1.0:
-            raise ValueError(f"scale must be in (0, 1], got {scale}")
+    def contains(self, x, tol: float = TOL_GEOM) -> bool:
+        """Membership of the point ``x`` in the set."""
         x = np.asarray(x, dtype=float).reshape(-1)
         if x.size != self.dim:
             raise DimensionMismatchError(f"point has dim {x.size}, set has dim {self.dim}")
-        return bool(np.all(self.normals @ x <= scale * self.offsets + tol))
+        return bool(np.all(self.normals @ x <= self.offsets + tol))
 
-    def membership_mask(self, points: np.ndarray, scale: float = 1.0,
-                        tol: float = TOL_GEOM) -> np.ndarray:
+    def membership_mask(self, points: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
         """Vectorized membership for an array of points with shape (k, n)."""
         points = np.asarray(points, dtype=float)
-        return np.all(points @ self.normals.T <= scale * self.offsets + tol, axis=1)
+        return np.all(points @ self.normals.T <= self.offsets + tol, axis=1)
 
     @cached_property
     def _enclosure(self) -> "Box":

@@ -40,8 +40,12 @@ is the level-1 program with ``h`` shifted by ``1 - lam``, and both have
 the same optimal set.  One solve therefore gives the controller and the
 smallest level it certifies, ``1 - h`` clamped to ``[0, 1]``, which the
 certificate reports as its ``contraction``; the same multipliers hold at
-every level above it.  An ``'auto'`` expansion point is the first
-candidate whose program is feasible, and that solve is the design.
+every level above it.
+
+An ``'auto'`` expansion point is the origin.  With the remainder pinned,
+the slope rows force a zero slope term at every point, so every point of
+the set certifies the same level; at the origin the remainder's value and
+Jacobian vanish, so the anchor is zero as well.
 """
 
 from __future__ import annotations
@@ -54,12 +58,7 @@ import numpy as np
 from . import lpcore
 from .datagen import ExperimentData, identification_rank, regressor_rank
 from .dynamics import ExpansionPoint, expansion_point
-from .errors import (
-    ExpansionPointSearchFailedError,
-    PolysafeError,
-    RankDeficientDataError,
-    SynthesisInfeasibleError,
-)
+from .errors import RankDeficientDataError, SynthesisInfeasibleError
 from .polytope import (PolyhedralSet, enumerate_vertices, grid_resolution, interval_enclosure,
                        sample_grid)
 
@@ -364,16 +363,15 @@ def _norm_inf(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.atleast_2d(mat)).sum(axis=1)))
 
 
-def _resolve_expansion(data: ExperimentData, safe_set: PolyhedralSet, expansion,
-                       robust, seed) -> tuple[ExpansionPoint, lpcore.LpOutcome]:
-    """The expansion point and the outcome of the design program posed at it."""
+def _resolve_expansion(data: ExperimentData, safe_set: PolyhedralSet, expansion) -> ExpansionPoint:
+    """The expansion data at a given point, or at the origin for ``'auto'``."""
+    if isinstance(expansion, ExpansionPoint):
+        return expansion
     if isinstance(expansion, str):
         if expansion != "auto":
             raise ValueError(f"expansion must be a point, an ExpansionPoint or 'auto', got {expansion!r}")
-        return pick_expansion_point(data, safe_set, robust=robust, seed=seed)
-    exp = expansion if isinstance(expansion, ExpansionPoint) else expansion_point(
-        data.dictionary, np.asarray(expansion, dtype=float), safe_set)
-    return exp, _build_and_solve(data, safe_set, exp, robust)
+        expansion = np.zeros(data.state_dim)
+    return expansion_point(data.dictionary, np.asarray(expansion, dtype=float), safe_set)
 
 
 def _check_regressor(data: ExperimentData) -> None:
@@ -383,7 +381,7 @@ def _check_regressor(data: ExperimentData) -> None:
 
 
 def _design(data: ExperimentData, safe_set: PolyhedralSet, expansion,
-            robust: dict | None, seed: int) -> tuple[Controller, SynthesisCertificate]:
+            robust: dict | None) -> tuple[Controller, SynthesisCertificate]:
     """Solve the ``thm2`` (``robust`` None) or ``cor2`` program and certify its controller."""
     _check_regressor(data)
     method, kind = ("thm2", "noiseless") if robust is None else ("cor2", "robust")
@@ -399,7 +397,8 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet, expansion,
                 f"robust design infeasible at every level: noise floor "
                 f"gm*state_bound*T = {floor:.6g} exceeds the smallest offset "
                 f"{safe_set.offsets[row]:.6g} (row {row})")
-    exp, outcome = _resolve_expansion(data, safe_set, expansion, robust, seed)
+    exp = _resolve_expansion(data, safe_set, expansion)
+    outcome = _build_and_solve(data, safe_set, exp, robust)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
             f"{kind} design infeasible at every level "
@@ -411,19 +410,21 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet, expansion,
     return controller, cert
 
 
-def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet, expansion="auto",
-                         seed: int = 0) -> tuple[Controller, SynthesisCertificate]:
+def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet,
+                         expansion="auto") -> tuple[Controller, SynthesisCertificate]:
     """Primal-dual design assuming the data were collected without noise.
 
-    ``cert.contraction`` is the smallest level the design certifies.  Raises
-    :class:`SynthesisInfeasibleError` with the phase-1 certificate if the
-    program has no solution at any level in ``(0, 1]``.
+    ``expansion`` is a point of the safe set, an :class:`ExpansionPoint`, or
+    ``'auto'`` for the origin.  ``cert.contraction`` is the smallest level
+    the design certifies.  Raises :class:`SynthesisInfeasibleError` with the
+    phase-1 certificate if the program has no solution at any level in
+    ``(0, 1]``.
     """
-    return _design(data, safe_set, expansion, None, seed)
+    return _design(data, safe_set, expansion, None)
 
 
 def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, w_bound: float,
-                      expansion="auto", seed: int = 0) -> tuple[Controller, SynthesisCertificate]:
+                      expansion="auto") -> tuple[Controller, SynthesisCertificate]:
     """Noise-aware variant: adds a uniform offset covering disturbance leakage.
 
     The offset must dominate ``gm * state_bound * T * (|G1| + L |G2| + 1)``
@@ -446,57 +447,7 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, w_bound: fl
     box = interval_enclosure(safe_set)
     robust = {"w_bound": float(w_bound), "lipschitz": float(data.dictionary.lipschitz_bound(box)),
               "state_bound": float(box.max_abs)}
-    return _design(data, safe_set, expansion, robust, seed)
-
-
-# ---------------------------------------------------------------------------
-# expansion point search
-
-
-_RANDOM_CANDIDATES = 20  # seeded interior samples after the vertex candidates
-
-
-def pick_expansion_point(data: ExperimentData, safe_set: PolyhedralSet,
-                         robust: dict | None = None, seed: int = 0,
-                         ) -> tuple[ExpansionPoint, lpcore.LpOutcome]:
-    """First candidate expansion point whose design program is feasible.
-
-    Candidates, in order: each vertex scaled by 0.25, the vertex centroid
-    scaled by 0.5, then 20 seeded interior rejection samples.  Zero
-    candidates are skipped (the slope condition needs a nonzero point).
-    Each candidate is judged by the design program itself, which is
-    feasible exactly when its plain conditions are, so the winning solve is
-    returned with the point and the design needs no second one.
-    Deterministic for a fixed seed.
-    """
-    vertices = enumerate_vertices(safe_set)
-    candidates = [0.25 * v for v in vertices]
-    centroid = 0.5 * np.mean(np.array(vertices), axis=0)
-    candidates.append(centroid)
-    box = interval_enclosure(safe_set)
-    rng = np.random.default_rng(seed)
-    found = 0
-    while found < _RANDOM_CANDIDATES:
-        p = rng.uniform(box.lo, box.hi)
-        if safe_set.contains(p, scale=0.9):
-            candidates.append(p)
-            found += 1
-    attempts = []
-    for cand in candidates:
-        if float(np.max(np.abs(cand))) <= 1e-12:
-            attempts.append((cand, "skipped: zero point"))
-            continue
-        try:
-            exp = expansion_point(data.dictionary, cand, safe_set)
-            outcome = _build_and_solve(data, safe_set, exp, robust)
-        except (PolysafeError, np.linalg.LinAlgError) as err:
-            attempts.append((cand, f"error: {err}"))
-            continue
-        if outcome.status in (lpcore.LpStatus.OPTIMAL, lpcore.LpStatus.FEASIBLE):
-            return exp, outcome
-        attempts.append((cand, f"infeasible ({outcome.infeasibility:.3e})"))
-    raise ExpansionPointSearchFailedError(
-        f"no feasible expansion point among {len(candidates)} candidates", attempts)
+    return _design(data, safe_set, expansion, robust)
 
 
 # ---------------------------------------------------------------------------

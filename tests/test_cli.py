@@ -13,7 +13,7 @@ REPO_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "secV.jso
 @pytest.fixture(scope="session")
 def scenario_path(tmp_path_factory):
     # a fast variant of the shipped scenario for CLI round trips
-    scenario = cli.secv_scenario()
+    scenario = cli.load_scenario(REPO_SCENARIO)
     scenario.verify.grid = [41, 41]
     scenario.verify.mc_trajectories = 200
     scenario.verify.horizon = 50
@@ -30,49 +30,45 @@ class TestScenarioSchema:
         assert scenario.data.samples == 40
         np.testing.assert_allclose(scenario.safe_set.offsets, np.ones(4))
 
-    def test_shipped_file_matches_builtin(self):
-        # scenarios/secV.json and cli.secv_scenario() are two copies of one scenario
-        assert cli.load_scenario(REPO_SCENARIO).to_json() == cli.secv_scenario().to_json()
-
     def test_round_trip(self, tmp_path):
-        scenario = cli.secv_scenario()
+        scenario = cli.load_scenario(REPO_SCENARIO)
         path = tmp_path / "copy.json"
         cli.save_scenario(scenario, path)
         again = cli.load_scenario(path)
         assert again.to_json() == scenario.to_json()
 
     def test_zero_offset_rejected(self):
-        doc = cli.secv_scenario().to_json()
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["safe_set"]["offsets"][0] = 0.0
         with pytest.raises(ScenarioValidationError, match="offsets"):
             cli.scenario_from_json(doc)
 
     def test_exponent_length_rejected(self):
-        doc = cli.secv_scenario().to_json()
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["system"]["dictionary"][0]["exponents"] = [2]
         with pytest.raises(ScenarioValidationError, match="dictionary"):
             cli.scenario_from_json(doc)
 
     def test_unknown_term_kind_rejected(self):
-        doc = cli.secv_scenario().to_json()
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["system"]["dictionary"][0] = {"kind": "tanh", "coord": 0}
         with pytest.raises(ScenarioValidationError, match="kind"):
             cli.scenario_from_json(doc)
 
     def test_too_few_samples_rejected(self):
-        doc = cli.secv_scenario().to_json()
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["data"]["samples"] = 4
         with pytest.raises(ScenarioValidationError, match="samples"):
             cli.scenario_from_json(doc)
 
     def test_bad_method_rejected(self):
-        doc = cli.secv_scenario().to_json()
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["synthesis"]["method"] = "thm9"
         with pytest.raises(ScenarioValidationError, match="method"):
             cli.scenario_from_json(doc)
 
     def test_version_checked(self):
-        doc = cli.secv_scenario().to_json()
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["version"] = 2
         with pytest.raises(ScenarioValidationError, match="version"):
             cli.scenario_from_json(doc)
@@ -82,13 +78,13 @@ class TestScenarioSchema:
                                             ("contraciton", 0.9)])
     def test_unknown_synthesis_key_rejected(self, key, value):
         # a removed or misspelt key must not silently fall back to a default
-        doc = cli.secv_scenario().to_json()
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["synthesis"][key] = value
         with pytest.raises(ScenarioValidationError, match=f"synthesis.{key}: unknown key"):
             cli.scenario_from_json(doc)
 
     def test_unknown_synthesis_key_exit_one(self, tmp_path, capsys):
-        doc = cli.secv_scenario().to_json()
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["synthesis"]["definiteness"] = "strict"
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
@@ -97,7 +93,7 @@ class TestScenarioSchema:
         assert "synthesis.definiteness" in capsys.readouterr().err
 
     def test_error_messages_carry_field_paths(self):
-        doc = cli.secv_scenario().to_json()
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["system"]["b"] = [[0.0]]
         with pytest.raises(ScenarioValidationError, match="system.b"):
             cli.scenario_from_json(doc)
@@ -235,7 +231,7 @@ class TestCommands:
         # must verify the method's design at its minimum and still exit 2
         # for the requested level.  With zero disturbance there are no
         # offsets to add, so the verified level is the minimum itself.
-        scenario = cli.secv_scenario()
+        scenario = cli.load_scenario(REPO_SCENARIO)
         scenario.system.w_bound = 0.0
         scenario.verify.grid = [41, 41]
         scenario.verify.mc_trajectories = 100
@@ -282,15 +278,21 @@ class TestCommands:
         pytest.param("synth", "summary.json", 0.0, id="synth-summary.json"),
         pytest.param("report", "report.json", 0.0, id="report-report.json"),
         # the shipped disturbance: the noise floor (7.2) decides cor2 before
-        # any candidate program is posed, where searching took 170-190 s
+        # its program is posed
         pytest.param("report", "report.json", 0.05, id="report-noise-floor"),
     ])
-    def test_failed_expansion_search_exit_two(self, tmp_path, command, summary, w_bound):
+    def test_failed_expansion_search_exit_two(self, tmp_path, monkeypatch, command, summary,
+                                              w_bound):
         # a remainder term on the first state, which the input cannot cancel:
-        # no 'auto' candidate is feasible, a synthesis verdict, not a usage error.
-        # Without a disturbance the noise floor is 0, so the report's cor2
-        # design searches every candidate too.
-        scenario = cli.secv_scenario()
+        # the design at the 'auto' expansion point, the origin, is infeasible,
+        # a synthesis verdict, not a usage error.  Each method poses one design
+        # program at most; without a disturbance the noise floor is 0, so the
+        # report poses cor2's too.
+        designs = []
+        solve = lpcore.LinearProgram.solve
+        monkeypatch.setattr(lpcore.LinearProgram, "solve", lambda lp: (
+            "mult" in lp._blocks and designs.append(lp)) or solve(lp))
+        scenario = cli.load_scenario(REPO_SCENARIO)
         scenario.system.a2[0][0] = 0.05
         scenario.system.w_bound = w_bound
         scenario.synthesis.expansion_point = "auto"
@@ -303,9 +305,13 @@ class TestCommands:
         assert code == cli.EXIT_INFEASIBLE
         doc = json.loads((out / summary).read_text())
         assert doc["status"] == "infeasible"
-        assert "no feasible expansion point" in doc.get("detail", doc.get("infeasible_detail"))
+        assert "noiseless design infeasible at every level" in doc.get(
+            "detail", doc.get("infeasible_detail"))
         if command == "report":
-            assert doc["min_levels"]["cor2"] is None
+            assert doc["min_levels"]["thm2"] is None and doc["min_levels"]["cor2"] is None
+            assert len(designs) == (2 if w_bound else 3)  # thm2, thm1 and, below the floor, cor2
+        else:
+            assert len(designs) == 1
 
     def test_report_no_feasible_level_stops_cleanly(self, scenario_path, tmp_path):
         # cor2 has no feasible level on the shipped system: definitive verdict
@@ -378,6 +384,25 @@ class TestCommands:
         code = cli.main(["synth", "--scenario", str(bad), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_USAGE
         assert f"scenario error: {section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        pytest.param("data", "u_max", float("inf"), "data.u_max", id="u_max-inf"),
+        pytest.param("safe_set", "offsets", [float("inf"), 1.0, 1.0, 1.0], "safe_set.offsets[0]",
+                     id="offsets-inf"),
+        pytest.param("system", "w_bound", float("inf"), "system.w_bound", id="w_bound-inf"),
+        pytest.param("system", "a1", [[float("nan"), 0.5], [-0.4, 1.2]], "system.a1",
+                     id="a1-nan"),
+    ])
+    def test_non_finite_number_exit_one(self, scenario_path, tmp_path, capsys,
+                                        section, key, value, field):
+        # json reads NaN and Infinity; each must be refused at its field path
+        bad = tmp_path / "non_finite.json"
+        doc = json.loads(scenario_path.read_text())
+        doc[section][key] = value
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["synth", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert f"scenario error: {field}:" in capsys.readouterr().err
 
     def test_removed_definiteness_flag_is_a_usage_error(self, scenario_path, tmp_path):
         # --row-norm went the same way: the one-norm is the only sound offset

@@ -17,7 +17,6 @@ from polysafe.errors import (
     DimensionMismatchError,
     DisturbanceOutOfBoundsError,
     OutsideSafeSetError,
-    ZeroExpansionPointError,
 )
 from polysafe.polytope import Box, PolyhedralSet, interval_enclosure
 
@@ -164,9 +163,12 @@ class TestExpansionPoint:
         ep = expansion_point(Dictionary([SinTerm(0)], 2), [math.pi / 2.0, 0.0], big)
         np.testing.assert_allclose(ep.slope, [[math.cos(math.pi / 2) - 1.0, 0.0]], atol=1e-12)
 
-    def test_zero_point_rejected(self, secv_set):
-        with pytest.raises(ZeroExpansionPointError):
-            expansion_point(quad_dict(), [0.0, 0.0], secv_set)
+    def test_zero_point_is_flat(self, secv_set):
+        # the remainder and its Jacobian vanish at the origin, and so does the anchor
+        ep = expansion_point(quad_dict(), [0.0, 0.0], secv_set)
+        np.testing.assert_array_equal(ep.slope, np.zeros((2, 2)))
+        np.testing.assert_array_equal(ep.anchor, [0.0, 0.0])
+        np.testing.assert_allclose(ep.curvatures[0], [[2, 0], [0, 0]], atol=1e-12)
 
     def test_outside_point_rejected(self, secv_set):
         with pytest.raises(OutsideSafeSetError):

@@ -49,33 +49,28 @@ class TestConstruction:
 
 class TestContains:
     def test_origin_always_interior(self, secv_set):
-        assert secv_set.contains([0.0, 0.0], scale=1.0)
+        assert secv_set.contains([0.0, 0.0])
 
     def test_vertex_on_boundary(self, secv_set):
         # (6, -0.5) is a vertex: rows 0 and 3 are active
-        assert secv_set.contains([6.0, -0.5], scale=1.0)
+        assert secv_set.contains([6.0, -0.5])
 
     def test_vertex_leaves_shrunk_set(self, secv_set):
         # F_0 @ (6, -0.5) = 1 > 0.95
-        assert not secv_set.contains([6.0, -0.5], scale=0.95)
-
-    def test_scale_bounds(self, secv_set):
-        with pytest.raises(ValueError):
-            secv_set.contains([0, 0], scale=0.0)
-        with pytest.raises(ValueError):
-            secv_set.contains([0, 0], scale=1.5)
+        assert not PolyhedralSet(SECV_F, 0.95 * SECV_G).contains([6.0, -0.5])
 
     def test_dimension_mismatch(self, secv_set):
         with pytest.raises(DimensionMismatchError):
             secv_set.contains([0, 0, 0])
 
     def test_scaling_equivalence(self, secv_set):
-        # membership at scale s == membership in the set with offsets scaled by s
+        # x lies in the set with offsets scaled by s exactly when x / s lies in the set
         rng = np.random.default_rng(11)
         for _ in range(200):
             x = rng.uniform(-7, 7, size=2)
             s = rng.uniform(0.1, 1.0)
-            assert secv_set.contains(x, scale=s) == secv_set.scaled(s).contains(x)
+            shrunk = PolyhedralSet(SECV_F, s * SECV_G)
+            assert shrunk.contains(x, tol=0.0) == secv_set.contains(x / s, tol=0.0)
 
 
 class TestVertices:
@@ -94,7 +89,7 @@ class TestVertices:
 
     def test_vertices_feasible_with_active_rows(self, secv_set):
         for v in enumerate_vertices(secv_set):
-            assert secv_set.contains(v, scale=1.0)
+            assert secv_set.contains(v)
             active = np.sum(np.abs(SECV_F @ v - SECV_G) <= 1e-9)
             assert active >= 2
 

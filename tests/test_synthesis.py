@@ -7,11 +7,9 @@ from polysafe import lpcore, synthesis, verify
 from polysafe.datagen import collect, collect_informative
 from polysafe.dynamics import Dictionary, Monomial, PlantModel, expansion_point
 from polysafe.errors import (
-    ExpansionPointSearchFailedError,
     NumericalInstabilityError,
     RankDeficientDataError,
     SynthesisInfeasibleError,
-    ZeroExpansionPointError,
 )
 from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
                                interval_enclosure, sample_grid)
@@ -99,17 +97,29 @@ class TestNoiselessDesign:
         np.testing.assert_allclose(
             rem, secv_plant.a2 + secv_plant.b @ controller.k2, atol=1e-8)
 
-    def test_zero_expansion_rejected(self, secv_data, secv_set):
-        with pytest.raises(ZeroExpansionPointError):
-            synthesis.synthesize_noiseless(secv_data, secv_set, expansion=[0.0, 0.0])
+    def test_zero_expansion_equals_auto(self, secv_data, secv_set):
+        # 'auto' is the origin: the same design bit for bit, certified there
+        auto, auto_cert = synthesis.synthesize_noiseless(secv_data, secv_set)
+        zero, zero_cert = synthesis.synthesize_noiseless(secv_data, secv_set, expansion=[0.0, 0.0])
+        for name in ("k1", "k2", "g1", "g2"):
+            np.testing.assert_array_equal(getattr(auto, name), getattr(zero, name))
+        assert auto_cert.contraction == zero_cert.contraction
+        np.testing.assert_array_equal(auto_cert.set_multiplier, zero_cert.set_multiplier)
+        for cert in (auto_cert, zero_cert):
+            np.testing.assert_array_equal(cert.expansion.point, [0.0, 0.0])
+            np.testing.assert_array_equal(cert.expansion.anchor, [0.0, 0.0])
 
-    def test_uncancellable_remainder_is_infeasible(self, secv_set):
+    def test_uncancellable_remainder_is_infeasible(self, secv_set, solved_programs):
         # the first state carries a remainder term the single input cannot
-        # reach, so no gain pins the closed-loop remainder to zero
+        # reach, so no gain pins the closed-loop remainder to zero, at any
+        # expansion point; each design poses one program, with its phase-1 outcome
         _, data = unmatched_problem(secv_set)
-        with pytest.raises(SynthesisInfeasibleError) as err:
-            synthesis.synthesize_noiseless(data, secv_set, expansion=[0.5, 0.5])
-        assert err.value.outcome.infeasibility > 0.0
+        for expansion in ([0.5, 0.5], "auto"):
+            with pytest.raises(SynthesisInfeasibleError, match="infeasible at every level") as err:
+                synthesis.synthesize_noiseless(data, secv_set, expansion=expansion)
+            assert err.value.outcome.status == lpcore.LpStatus.INFEASIBLE
+            assert err.value.outcome.infeasibility > 0.0
+        assert len([lp for lp, _ in solved_programs if "mult" in lp._blocks]) == 2
 
     def test_rank_deficiency_detected(self, secv_set, secv_dictionary):
         from polysafe.datagen import ExperimentData
@@ -254,11 +264,18 @@ class TestRobustDesign:
 
 
 class TestExpansionSearch:
-    def test_auto_matches_candidate_list(self, secv_data, secv_set):
-        ep, _ = synthesis.pick_expansion_point(secv_data, secv_set, seed=0)
-        vertices = enumerate_vertices(secv_set)
-        candidates = [0.25 * v for v in vertices]
-        assert any(np.allclose(ep.point, c) for c in candidates)
+    def test_auto_matches_candidate_list(self, secv_data):
+        # with the remainder pinned the slope term is zero at every point, so
+        # each vertex scaled by 0.25 certifies the level of 'auto', the origin
+        problems = {"secV": (PolyhedralSet(SECV_F, SECV_G), secv_data),
+                    "duo": duo_problem(160), "tri60": tri_problem(60), "tri160": tri_problem(160)}
+        for name, (safe_set, data) in problems.items():
+            level = synthesis.synthesize_noiseless(data, safe_set)[1].contraction
+            if name == "tri160":
+                assert abs(level - TRI_LEVEL) <= 1e-9
+            for vertex in enumerate_vertices(safe_set):
+                _, cert = synthesis.synthesize_noiseless(data, safe_set, expansion=0.25 * vertex)
+                assert abs(cert.contraction - level) <= 1e-9, name
 
     def test_explicit_point_skips_search(self, secv_data, secv_set):
         controller, cert = synthesis.synthesize_noiseless(
@@ -266,25 +283,12 @@ class TestExpansionSearch:
         np.testing.assert_allclose(cert.expansion.point, [0.5, 0.5])
 
     def test_search_failure_collects_log(self, secv_set, secv_dictionary, secv_plant):
-        # uncontrollable unstable plant: no candidate can be feasible
+        # uncontrollable unstable plant: no expansion point can be feasible
         bad = PlantModel(a1=2.0 * np.eye(2), a2=[[0.0, 0.0], [0.0, 0.0]],
                          b=[[0.0], [0.0]], dictionary=secv_dictionary, w_bound=0.0)
         data = collect(bad, 40, 0.5, [0.01, 0.01], seed=3)
-        with pytest.raises((ExpansionPointSearchFailedError, RankDeficientDataError)):
+        with pytest.raises((SynthesisInfeasibleError, RankDeficientDataError)):
             synthesis.synthesize_noiseless(data, secv_set, expansion="auto")
-
-    def test_search_log_lists_every_candidate(self, secv_set):
-        # a remainder the input cannot cancel is infeasible at every expansion
-        # point, so the auto search must exhaust its list; the vertex
-        # centroid of the symmetric set is the origin and is skipped
-        _, data = unmatched_problem(secv_set)
-        with pytest.raises(ExpansionPointSearchFailedError) as err:
-            synthesis.synthesize_noiseless(data, secv_set, expansion="auto", seed=0)
-        attempts = err.value.attempts
-        assert len(attempts) == 4 + 1 + 20  # scaled vertices + centroid + random
-        reasons = [reason for _, reason in attempts]
-        assert sum(r.startswith("skipped: zero point") for r in reasons) == 1
-        assert sum(r.startswith("infeasible") for r in reasons) == len(attempts) - 1
 
 
 class TestBaseline:
@@ -654,20 +658,9 @@ def highs_outcome(lp):
 
 
 class TestClosedLoopPrograms:
-    def test_tri_expansion_point_is_first_candidate(self):
-        # over G the first three vertex candidates broke down in the tableau
-        # (replay residuals 81 to 2,922); over the closed loop each solves
-        safe_set, data = tri_problem(160)
-        candidates = [0.25 * v for v in enumerate_vertices(safe_set)]
-        exp, _ = synthesis.pick_expansion_point(data, safe_set)
-        np.testing.assert_array_equal(exp.point, candidates[0])
-        for point in candidates[:4]:
-            _, cert = synthesis.synthesize_noiseless(data, safe_set, expansion=point)
-            assert abs(cert.contraction - TRI_LEVEL) <= 1e-9
-
     def test_auto_design_solves_once(self, solved_programs):
-        # the search's winning solve is the design: one design program, and
-        # the same controller and level as passing the picked point
+        # one design program, and the same controller and level as passing
+        # the point the certificate reports
         safe_set, data = tri_problem(60)
         auto, auto_cert = synthesis.synthesize_noiseless(data, safe_set)
         designs = [lp for lp, _ in solved_programs if "mult" in lp._blocks]
@@ -745,4 +738,4 @@ class TestNumericalGuard:
                            b=[[1.0], [0.0]], dictionary=dictionary, w_bound=0.0)
         data = collect(plant, 40, 0.01, [0.01, 0.02], seed=5)
         with pytest.raises((NumericalInstabilityError, SynthesisInfeasibleError)):
-            synthesis.synthesize_noiseless(data, secv_set, expansion=[0.5, 0.5], seed=0)
+            synthesis.synthesize_noiseless(data, secv_set, expansion=[0.5, 0.5])

@@ -218,7 +218,7 @@ class TestMonteCarlo:
         assert report.witnesses
         traj_index, exit_time, state = report.witnesses[0]
         assert exit_time >= 1
-        assert not secv_set.contains(np.clip(state, -1e12, 1e12), scale=1.0) \
+        assert not secv_set.contains(np.clip(state, -1e12, 1e12)) \
             or np.max(np.abs(state)) > 6.0
 
     def test_deterministic_for_seed(self, secv_plant, secv_set, secv_design):
