@@ -18,12 +18,10 @@ from .datagen import (
 from .dynamics import (
     CosM1Term,
     Dictionary,
-    ExpansionPoint,
     Monomial,
     PlantModel,
     SinTerm,
     Trajectory,
-    expansion_point,
 )
 from .lpcore import LinearProgram, LpOutcome, LpStatus, polytope_max
 from .polytope import (
@@ -60,7 +58,6 @@ __all__ = [
     "Controller",
     "CosM1Term",
     "Dictionary",
-    "ExpansionPoint",
     "ExperimentData",
     "LinearProgram",
     "LpOutcome",
@@ -79,7 +76,6 @@ __all__ = [
     "disturbance_offsets",
     "dual_gap_check",
     "enumerate_vertices",
-    "expansion_point",
     "grid_contractivity",
     "identification_rank",
     "interval_enclosure",

@@ -72,7 +72,7 @@ class DataSection:
 class SynthesisSection:
     method: str = "thm2"
     contraction: float = 0.95
-    expansion_point: object = "auto"
+    expansion_point: object = "auto"  # shape-checked, no effect; files that set it still load
 
 
 @dataclass
@@ -138,7 +138,8 @@ def _matrix(obj, path: str) -> list:
 def scenario_from_json(doc: dict) -> Scenario:
     """Validate a parsed scenario document; error messages carry field paths."""
     _expect(isinstance(doc, dict), "$", "scenario must be an object")
-    _expect(doc.get("version") == SCHEMA_VERSION, "version",
+    version = doc.get("version")
+    _expect(_is_int(version) and version == SCHEMA_VERSION, "version",
             f"expected schema version {SCHEMA_VERSION}")
     for section in ("system", "safe_set", "data"):
         _expect(section in doc, section, "missing section")
@@ -179,6 +180,8 @@ def scenario_from_json(doc: dict) -> Scenario:
     normals = _matrix(set_doc.get("normals"), "safe_set.normals")
     _expect(all(len(r) == n for r in normals), "safe_set.normals",
             f"rows must have length {n}")
+    for i, row in enumerate(normals):
+        _expect(any(v != 0 for v in row), f"safe_set.normals[{i}]", "row must not be all zero")
     offsets = set_doc.get("offsets")
     _expect(isinstance(offsets, list) and len(offsets) == len(normals),
             "safe_set.offsets", "one offset per normal row")
@@ -288,12 +291,10 @@ def _collect(scenario: Scenario):
 def _design(scenario: Scenario, data, safe_set, method: str):
     """The method's level-free design: the controller and its certificate,
     whose ``contraction`` is the smallest level the certificate holds at."""
-    cfg = scenario.synthesis
     if method == "thm2":
-        return synthesis.synthesize_noiseless(data, safe_set, expansion=cfg.expansion_point)
+        return synthesis.synthesize_noiseless(data, safe_set)
     if method == "cor2":
-        return synthesis.synthesize_robust(
-            data, safe_set, w_bound=scenario.system.w_bound, expansion=cfg.expansion_point)
+        return synthesis.synthesize_robust(data, safe_set, w_bound=scenario.system.w_bound)
     result = synthesis.synthesize_min_remainder(data, safe_set)
     return result.controller, result
 

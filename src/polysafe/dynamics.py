@@ -3,8 +3,9 @@
 The nonlinear part of a plant is spanned by a known dictionary of basis
 terms, each of which vanishes at the origin: monomials of total degree
 at least one, ``sin(x_k)``, and ``cos(x_k) - 1``.  Restricting to these
-three kinds gives exact Jacobians and Hessians (needed by the synthesis
-expansion point) and sound interval Lipschitz bounds.
+three kinds gives exact Jacobians (the linearization at the origin),
+exact Hessians (the remainder's curvature) and sound interval Lipschitz
+bounds.
 
 The "remainder" of a dictionary is its value minus its linearization at
 the origin; it is the quantity the controller acts on, and it vanishes
@@ -18,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DisturbanceOutOfBoundsError,
-    OutsideSafeSetError,
-)
-from .polytope import Box, PolyhedralSet
+from .errors import DimensionMismatchError, DisturbanceOutOfBoundsError
+from .polytope import Box
 
 # ---------------------------------------------------------------------------
 # dictionary terms
@@ -243,9 +240,6 @@ class Dictionary:
         x = self._check_point(x)
         return self.values(x) - x @ self.linearization().T
 
-    def remainder_jacobian(self, x) -> np.ndarray:
-        return self.jacobian(x) - self.linearization()
-
     def lipschitz_bound(self, box: Box) -> float:
         """Sound bound on the remainder's Lipschitz constant over ``box``.
 
@@ -291,49 +285,6 @@ class Dictionary:
     @classmethod
     def from_json(cls, obj: list, dim: int) -> "Dictionary":
         return cls([term_from_json(t) for t in obj], dim)
-
-
-# ---------------------------------------------------------------------------
-# expansion point
-
-
-@dataclass(frozen=True)
-class ExpansionPoint:
-    """Remainder derivatives at a point of the safe set, plus the shifted anchor.
-
-    ``slope`` is the remainder Jacobian at ``point``; ``curvatures`` stacks
-    the per-term Hessians (the remainder and the raw terms share Hessians
-    because they differ by a linear map).  ``anchor`` is
-    ``point + pinv(slope) @ remainder(point)``, the constant that enters the
-    certificate's contraction rows.  At the origin the remainder's value
-    and Jacobian vanish, so ``slope`` and ``anchor`` are zero there.
-    """
-
-    point: np.ndarray
-    slope: np.ndarray
-    curvatures: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        sym_err = float(np.max(np.abs(self.curvatures - np.transpose(self.curvatures, (0, 2, 1)))))
-        if sym_err > 1e-12:
-            raise ValueError(f"curvature matrices must be symmetric, asymmetry {sym_err:.2e}")
-
-
-def expansion_point(dictionary: Dictionary, point, safe_set: PolyhedralSet) -> ExpansionPoint:
-    """Build the expansion data at ``point``, which must lie in the set.
-
-    The pseudo-inverse in the anchor uses singular-value thresholding at
-    1e-10 times the largest singular value, since the defining expression
-    is silent on rank deficiency.
-    """
-    point = np.asarray(point, dtype=float).reshape(-1)
-    if not safe_set.contains(point):
-        raise OutsideSafeSetError(f"expansion point {point} lies outside the safe set")
-    slope = dictionary.remainder_jacobian(point)
-    curvatures = dictionary.hessians(point)
-    anchor = point + np.linalg.pinv(slope, rcond=1e-10) @ dictionary.remainder(point)
-    return ExpansionPoint(point=point, slope=slope, curvatures=curvatures, anchor=anchor)
 
 
 # ---------------------------------------------------------------------------

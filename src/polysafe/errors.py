@@ -46,10 +46,6 @@ class DisturbanceOutOfBoundsError(PolysafeError, ValueError):
     """A disturbance sample exceeds the plant's stated bound."""
 
 
-class OutsideSafeSetError(PolysafeError, ValueError):
-    """The expansion point must lie inside the safe set."""
-
-
 class RankDeficientDataError(PolysafeError):
     """Collected data fails the rank condition required by a design method."""
 

@@ -11,18 +11,20 @@ null-space form of the closed loop, whose size does not depend on the
 sample count, and ``G`` is recovered as its minimum-norm preimage;
 ``cor2`` keeps ``G`` itself, since its norm budget needs ``|G|``.
 
-The primal-dual design ("thm2" in scenario files) couples a nonnegative
-row-multiplier matrix with a slope condition on the closed-loop
-remainder ``R`` at a chosen expansion point, and pins ``R`` itself to
-zero.  The paper's second-order condition asks each row's curvature
-matrix ``H_i = sum_j (F_i R)_j curv_j`` to be definite, or the row's
+The primal-dual design ("thm2" in scenario files) pairs a nonnegative
+row-multiplier matrix with the closed-loop linear part and pins the
+closed-loop remainder ``R`` to zero.  The paper's second-order condition,
+stated at an expansion point, asks each row's curvature matrix
+``H_i = sum_j (F_i R)_j curv_j`` to be definite, or the row's
 coefficients ``F_i R`` to vanish.  ``H_i`` is linear in ``F_i``, and a
 bounded set has ``alpha > 0`` with ``alpha @ F = 0`` (Gordan's theorem),
 so ``sum_i alpha_i H_i = 0``: no row can be definite, every row needs
 ``F_i R = 0``, and since ``F`` has full column rank that is ``R = 0``.
 Pinning ``R`` accepts exactly those remainders on every bounded set,
 whether or not its rows come in opposite pairs, and the certificate's
-``remainder_zeroed`` residual replays the pin.  The robust
+``remainder_zeroed`` residual replays the pin.  With ``R = 0`` the
+paper's slope term ``F R J(x)`` is zero at every expansion point, so the
+programs carry neither the point nor the slope term.  The robust
 variant ("cor2") adds a norm budget that accounts for noise leakage
 through the data matrices, with disturbances measured by the row
 one-norms of :func:`row_norms`; a budget floor above the smallest offset
@@ -41,11 +43,6 @@ the same optimal set.  One solve therefore gives the controller and the
 smallest level it certifies, ``1 - h`` clamped to ``[0, 1]``, which the
 certificate reports as its ``contraction``; the same multipliers hold at
 every level above it.
-
-An ``'auto'`` expansion point is the origin.  With the remainder pinned,
-the slope rows force a zero slope term at every point, so every point of
-the set certifies the same level; at the origin the remainder's value and
-Jacobian vanish, so the anchor is zero as well.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ import numpy as np
 
 from . import lpcore
 from .datagen import ExperimentData, identification_rank, regressor_rank
-from .dynamics import ExpansionPoint, expansion_point
 from .errors import RankDeficientDataError, SynthesisInfeasibleError
 from .polytope import (PolyhedralSet, enumerate_vertices, grid_resolution, interval_enclosure,
                        sample_grid)
@@ -106,19 +102,16 @@ class SynthesisCertificate:
     """Everything needed to replay a successful synthesis.
 
     ``set_multiplier`` is the nonnegative matrix pairing each safe-set row
-    with the rows bounding its closed-loop image; ``slope_term`` holds the
-    per-row slope of the closed-loop remainder at the expansion point.
-    ``residuals`` are recomputed from raw matrices after the solve, never
-    read back from the LP.  ``contraction`` is the smallest level the
-    certificate holds at; it holds at every level above it too.
+    with the rows bounding its closed-loop image.  ``residuals`` are
+    recomputed from raw matrices after the solve, never read back from the
+    LP.  ``contraction`` is the smallest level the certificate holds at; it
+    holds at every level above it too.
     """
 
     method: str
     contraction: float
     set_multiplier: np.ndarray        # (s, s), >= 0
-    slope_term: np.ndarray            # (s, n)
     noise_margin: float               # 0 in the noiseless design
-    expansion: ExpansionPoint
     residuals: dict[str, float]
     config: dict = field(default_factory=dict)
 
@@ -188,8 +181,7 @@ def _closed_loop(data: ExperimentData) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
-                     exp: ExpansionPoint | None, robust: dict | None,
-                     row_bounds: np.ndarray | None = None) -> lpcore.LpOutcome:
+                     robust: dict | None, row_bounds: np.ndarray | None = None) -> lpcore.LpOutcome:
     """Pose and solve one design program, at level 1, over the closed loop
     ``base + lift @ X``.
 
@@ -198,10 +190,9 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
     parametrization of :func:`_closed_loop`, so the program does not grow
     with ``T``.  ``cor2`` needs ``|G|`` for its norm budget and keeps ``G``
     itself (``base = 0``, ``lift = next_states``) as nonnegative parts
-    ``g*_pos - g*_neg``, plus the right-inverse and row-sum rows.  Without an
-    expansion point ``exp`` this is the baseline (``thm1``) program: linear
-    part only, with the searched ``row_bounds`` taken off the contraction
-    rows.
+    ``g*_pos - g*_neg``, plus the right-inverse and row-sum rows.  With
+    ``row_bounds`` this is the baseline (``thm1``) program: linear part
+    only, with the searched bounds taken off the contraction rows.
 
     Each constraint family is one group of whole-block rows: with row-major
     vectorization, ``vec(A @ X @ B) = kron(A, B.T) @ vec(X)``.  A feasible
@@ -222,7 +213,8 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
     else:
         base, lift, g0, preimage = _closed_loop(data)
         parts = {"lin": (("w1", 1.0),), "rem": (("w2", 1.0),)}
-    if exp is None:
+    baseline = row_bounds is not None
+    if baseline:
         del parts["rem"]
     f_lift = F @ lift                        # (s, p)
     f_base = F @ base                        # (s, n+N)
@@ -232,8 +224,6 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
         for name, _ in parts.get(key, ()):
             lp.add_block(name, (lift.shape[1], width), nonneg=split)
     lp.add_block("mult", (s, s), nonneg=True)
-    if exp is not None:
-        lp.add_block("slope", (s, n))
     # slack is level headroom: it enters row i as slack * g[i], so the
     # solution certifies level 1 - slack.  It is sign-restricted so the
     # program is feasible exactly when the plain conditions hold at level 1,
@@ -252,28 +242,16 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
                 terms.update({name: sign * coeff for name, sign in parts[key]})
         lp.add_constraint_rows(terms, rel, rhs)
 
-    # (i) contraction: mult @ g + slope @ anchor (+ noise) + slack * g <= g,
-    # with the remainder bounds in place of the slope term for the baseline
+    # (i) contraction: mult @ g (+ noise) + slack * g <= g, less the
+    # remainder bounds for the baseline
     terms = {"mult": np.kron(np.eye(s), g), "slack": g}
-    rhs = g
-    if exp is None:
-        rhs = g - row_bounds
-    else:
-        terms["slope"] = np.kron(np.eye(s), exp.anchor)
     if split:
         terms["noise"] = np.ones(s)
-    rows("<=", rhs, **terms)
+    rows("<=", g - row_bounds if baseline else g, **terms)
 
-    # (ii) multiplier rows map through the set: mult @ F - F @ loop_linear = slope
-    terms = {"mult": np.kron(np.eye(s), F.T)}
-    if exp is not None:
-        terms["slope"] = -np.eye(s * n)
-    rows("=", f_base[:, :n].reshape(-1), lin=-np.kron(f_lift, np.eye(n)), **terms)
-
-    if exp is not None:
-        # (iii) remainder slope rows: F @ loop_remainder @ slope_at = slope
-        rows("=", -(f_base[:, n:] @ exp.slope).reshape(-1),
-             rem=np.kron(f_lift, exp.slope.T), slope=-np.eye(s * n))
+    # (ii) multiplier rows map through the set: mult @ F = F @ loop_linear
+    rows("=", f_base[:, :n].reshape(-1), lin=-np.kron(f_lift, np.eye(n)),
+         mult=np.kron(np.eye(s), F.T))
 
     if split:
         # right inverse: regressor @ G = I
@@ -281,8 +259,8 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
         rows("=", eye.reshape(-1), lin=np.kron(data.regressor, eye[:, :n]),
              rem=np.kron(data.regressor, eye[:, n:]))
 
-    if exp is not None:
-        # (iv) the closed-loop remainder is pinned to zero, base_rem + lift @ rem = 0:
+    if not baseline:
+        # (iii) the closed-loop remainder is pinned to zero, base_rem + lift @ rem = 0:
         # on a bounded set it is the only remainder the second-order condition admits
         rows("=", -base[:, n:].reshape(-1), rem=np.kron(lift, np.eye(N)))
 
@@ -318,24 +296,21 @@ def _level(outcome: lpcore.LpOutcome) -> float:
 
 
 def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Controller,
-                 exp: ExpansionPoint, outcome: lpcore.LpOutcome,
-                 method: str, robust: dict | None, config: dict) -> SynthesisCertificate:
+                 outcome: lpcore.LpOutcome, method: str, robust: dict | None,
+                 config: dict) -> SynthesisCertificate:
     contraction = _level(outcome)
     F = safe_set.normals
     g = safe_set.offsets
     regressor = data.regressor
     x_next = data.next_states
     mult = outcome["mult"]
-    slope_rows = outcome["slope"]
     eta = outcome.value("noise") if robust is not None else 0.0
 
     stacked = np.hstack([controller.g1, controller.g2])
     coeffs = F @ x_next @ controller.g2                       # (s, N) remainder coefficients
     residuals = {
-        "contraction": float(np.max(np.maximum(
-            mult @ g + slope_rows @ exp.anchor + eta - contraction * g, 0.0))),
-        "multiplier_match": float(np.max(np.abs(mult @ F - F @ x_next @ controller.g1 - slope_rows))),
-        "slope_match": float(np.max(np.abs(coeffs @ exp.slope - slope_rows))),
+        "contraction": float(np.max(np.maximum(mult @ g + eta - contraction * g, 0.0))),
+        "multiplier_match": float(np.max(np.abs(mult @ F - F @ x_next @ controller.g1))),
         "right_inverse": float(np.max(np.abs(
             regressor @ stacked - np.eye(data.state_dim + data.n_terms)))),
         "multiplier_sign": float(max(0.0, -np.min(mult))),
@@ -350,9 +325,7 @@ def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Cont
         method=method,
         contraction=contraction,
         set_multiplier=mult,
-        slope_term=slope_rows,
         noise_margin=float(eta),
-        expansion=exp,
         residuals=residuals,
         config=config,
     )
@@ -363,31 +336,19 @@ def _norm_inf(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.atleast_2d(mat)).sum(axis=1)))
 
 
-def _resolve_expansion(data: ExperimentData, safe_set: PolyhedralSet, expansion) -> ExpansionPoint:
-    """The expansion data at a given point, or at the origin for ``'auto'``."""
-    if isinstance(expansion, ExpansionPoint):
-        return expansion
-    if isinstance(expansion, str):
-        if expansion != "auto":
-            raise ValueError(f"expansion must be a point, an ExpansionPoint or 'auto', got {expansion!r}")
-        expansion = np.zeros(data.state_dim)
-    return expansion_point(data.dictionary, np.asarray(expansion, dtype=float), safe_set)
-
-
 def _check_regressor(data: ExperimentData) -> None:
     diag = regressor_rank(data)
     if not diag.full_row_rank:
         raise RankDeficientDataError(f"regressor is rank deficient: {diag}", diag)
 
 
-def _design(data: ExperimentData, safe_set: PolyhedralSet, expansion,
+def _design(data: ExperimentData, safe_set: PolyhedralSet,
             robust: dict | None) -> tuple[Controller, SynthesisCertificate]:
     """Solve the ``thm2`` (``robust`` None) or ``cor2`` program and certify its controller."""
     _check_regressor(data)
     method, kind = ("thm2", "noiseless") if robust is None else ("cor2", "robust")
     if robust is not None:
-        # The pin zeroes the closed-loop remainder, so the slope term is 0 and
-        # contraction row i reads mult_i @ g + noise + slack * g_i <= g_i with
+        # Contraction row i reads mult_i @ g + noise + slack * g_i <= g_i with
         # mult, slack >= 0, while the budget row needs noise >= floor.  A floor
         # above the smallest offset is therefore infeasible at every level.
         floor = _noise_floor(data, safe_set, robust)
@@ -397,8 +358,7 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet, expansion,
                 f"robust design infeasible at every level: noise floor "
                 f"gm*state_bound*T = {floor:.6g} exceeds the smallest offset "
                 f"{safe_set.offsets[row]:.6g} (row {row})")
-    exp = _resolve_expansion(data, safe_set, expansion)
-    outcome = _build_and_solve(data, safe_set, exp, robust)
+    outcome = _build_and_solve(data, safe_set, robust)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
             f"{kind} design infeasible at every level "
@@ -406,25 +366,23 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet, expansion,
     g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
     controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
     config = {"method": method, **(robust or {})}
-    cert = _certificate(data, safe_set, controller, exp, outcome, method, robust, config)
+    cert = _certificate(data, safe_set, controller, outcome, method, robust, config)
     return controller, cert
 
 
-def synthesize_noiseless(data: ExperimentData, safe_set: PolyhedralSet,
-                         expansion="auto") -> tuple[Controller, SynthesisCertificate]:
+def synthesize_noiseless(data: ExperimentData,
+                         safe_set: PolyhedralSet) -> tuple[Controller, SynthesisCertificate]:
     """Primal-dual design assuming the data were collected without noise.
 
-    ``expansion`` is a point of the safe set, an :class:`ExpansionPoint`, or
-    ``'auto'`` for the origin.  ``cert.contraction`` is the smallest level
-    the design certifies.  Raises :class:`SynthesisInfeasibleError` with the
+    ``cert.contraction`` is the smallest level the design certifies.  Raises :class:`SynthesisInfeasibleError` with the
     phase-1 certificate if the program has no solution at any level in
     ``(0, 1]``.
     """
-    return _design(data, safe_set, expansion, None)
+    return _design(data, safe_set, None)
 
 
-def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, w_bound: float,
-                      expansion="auto") -> tuple[Controller, SynthesisCertificate]:
+def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet,
+                      w_bound: float) -> tuple[Controller, SynthesisCertificate]:
     """Noise-aware variant: adds a uniform offset covering disturbance leakage.
 
     The offset must dominate ``gm * state_bound * T * (|G1| + L |G2| + 1)``
@@ -436,8 +394,7 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, w_bound: fl
 
     Since ``|G1|, |G2| >= 0``, the offset is at least its floor
     ``gm * state_bound * T``, and contraction row ``i`` admits an offset of
-    at most the safe-set offset ``g_i`` (the closed-loop remainder is pinned
-    to zero, so no slope term helps).  A floor above the smallest ``g_i``
+    at most the safe-set offset ``g_i``.  A floor above the smallest ``g_i``
     therefore raises :class:`SynthesisInfeasibleError` without posing the
     program; the error names the floor and the row and carries no LP
     outcome.  Otherwise the program is solved.
@@ -447,7 +404,7 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet, w_bound: fl
     box = interval_enclosure(safe_set)
     robust = {"w_bound": float(w_bound), "lipschitz": float(data.dictionary.lipschitz_bound(box)),
               "state_bound": float(box.max_abs)}
-    return _design(data, safe_set, expansion, robust)
+    return _design(data, safe_set, robust)
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +421,13 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
                     x_resolution=None) -> BaselineSearch:
     """Direct search for the gain minimizing the worst-row remainder term.
 
-    For every candidate gain on the grid, the matching right-inverse columns
-    are recovered from the stacked data (which must have full row rank, a
-    strictly stronger condition than the regressor rank), the remainder term
-    is maximized over a deterministic state grid plus the vertices, and the
-    candidate with the smallest worst-row maximum wins (first on ties).
+    Each gain entry runs from ``k2_lo`` in steps of ``k2_step`` and stays
+    within ``[k2_lo, k2_hi]``.  For every candidate gain on this grid, the
+    matching right-inverse columns are recovered from the stacked data
+    (which must have full row rank, a strictly stronger condition than the
+    regressor rank), the remainder term is maximized over a deterministic
+    state grid plus the vertices, and the candidate with the smallest
+    worst-row maximum wins (first on ties).
     ``x_resolution`` defaults to :func:`~polysafe.polytope.grid_resolution`.
 
     The search is exact but pruned (bound and score).  A candidate's score
@@ -486,7 +445,9 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     if not (math.isfinite(k2_lo) and math.isfinite(k2_hi) and k2_lo <= k2_hi):
         raise ValueError(f"need finite k2_lo <= k2_hi, got k2_lo={k2_lo}, k2_hi={k2_hi}")
     n, N, m = data.state_dim, data.n_terms, data.input_dim
-    steps = int(round((k2_hi - k2_lo) / k2_step))
+    # whole steps that fit in the range; the guard keeps a ratio that rounds
+    # just below an integer (0.3 / 0.1) from losing its last step
+    steps = math.floor((k2_hi - k2_lo) / k2_step + 1e-9)
     count = (steps + 1) ** (m * N)
     if count > _MAX_GAIN_CANDIDATES:
         raise ValueError(
@@ -512,7 +473,7 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     gain_map = pinv[:, n + N:]                       # (T, m)
 
     # every gain on the grid, in itertools.product order
-    axis = k2_lo + k2_step * np.arange(steps + 1)
+    axis = np.minimum(k2_lo + k2_step * np.arange(steps + 1), k2_hi)
     grids = np.indices((steps + 1,) * (m * N), sparse=True)
     combos = np.stack(np.broadcast_arrays(*(axis[g] for g in grids)), axis=-1)
     combos = combos.reshape(count, m * N)
@@ -579,7 +540,7 @@ def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet,
     """
     if search is None:
         search = baseline_search(data, safe_set, k2_lo, k2_hi, k2_step, x_resolution)
-    outcome = _build_and_solve(data, safe_set, None, None, row_bounds=search.row_bounds)
+    outcome = _build_and_solve(data, safe_set, None, row_bounds=search.row_bounds)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
             "baseline infeasible at every level "
@@ -651,9 +612,6 @@ def format_certificate(controller: Controller, cert: SynthesisCertificate) -> st
         mat("k1", controller.k1),
         mat("k2", controller.k2),
         mat("set_multiplier", cert.set_multiplier),
-        mat("slope_term", cert.slope_term),
-        mat("expansion point", cert.expansion.point),
-        mat("expansion anchor", cert.expansion.anchor),
         "",
         "residuals:",
     ]

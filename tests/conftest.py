@@ -55,7 +55,7 @@ def secv_data(secv_plant):
 
 @pytest.fixture(scope="session")
 def secv_design(secv_data, secv_set):
-    return synthesis.synthesize_noiseless(secv_data, secv_set, expansion=[0.5, 0.5])
+    return synthesis.synthesize_noiseless(secv_data, secv_set)
 
 
 def stable_test_plant():

@@ -80,10 +80,9 @@ def test_criterion_1_closed_loop_identity():
 def test_criterion_2_certificate_replay(secv_data, secv_set):
     def body():
         runs = {
-            "noiseless": lambda: synthesis.synthesize_noiseless(
-                secv_data, secv_set, expansion=[0.5, 0.5]),
+            "noiseless": lambda: synthesis.synthesize_noiseless(secv_data, secv_set),
             "robust-degenerate": lambda: synthesis.synthesize_robust(
-                secv_data, secv_set, w_bound=0.0, expansion=[0.5, 0.5]),
+                secv_data, secv_set, w_bound=0.0),
         }
         for name, run in runs.items():
             start = time.perf_counter()
@@ -216,9 +215,8 @@ def test_criterion_8_disturbance_bound_soundness(secv_set):
 
 def test_criterion_9_degenerate_consistency(secv_data, secv_set):
     def body():
-        _, thm2 = synthesis.synthesize_noiseless(secv_data, secv_set, expansion=[0.5, 0.5])
-        _, cor2 = synthesis.synthesize_robust(
-            secv_data, secv_set, w_bound=0.0, expansion=[0.5, 0.5])
+        _, thm2 = synthesis.synthesize_noiseless(secv_data, secv_set)
+        _, cor2 = synthesis.synthesize_robust(secv_data, secv_set, w_bound=0.0)
         assert abs(thm2.contraction - cor2.contraction) <= 1e-9
 
     _criterion(9, "zero-disturbance robust level matches the noiseless level",

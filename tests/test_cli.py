@@ -68,10 +68,12 @@ class TestScenarioSchema:
             cli.scenario_from_json(doc)
 
     def test_version_checked(self):
+        # JSON true and 1.0 compare equal to 1 but are not the integer version
         doc = cli.load_scenario(REPO_SCENARIO).to_json()
-        doc["version"] = 2
-        with pytest.raises(ScenarioValidationError, match="version"):
-            cli.scenario_from_json(doc)
+        for version in (2, True, 1.0):
+            doc["version"] = version
+            with pytest.raises(ScenarioValidationError, match="version"):
+                cli.scenario_from_json(doc)
 
     @pytest.mark.parametrize("key, value", [("definiteness", "off"), ("dd_margin", 1e-6),
                                             ("objective", "margin"), ("row_norm", "one"),
@@ -284,8 +286,7 @@ class TestCommands:
     def test_failed_expansion_search_exit_two(self, tmp_path, monkeypatch, command, summary,
                                               w_bound):
         # a remainder term on the first state, which the input cannot cancel:
-        # the design at the 'auto' expansion point, the origin, is infeasible,
-        # a synthesis verdict, not a usage error.  Each method poses one design
+        # the design is infeasible, a synthesis verdict, not a usage error.  Each method poses one design
         # program at most; without a disturbance the noise floor is 0, so the
         # report poses cor2's too.
         designs = []
@@ -295,7 +296,6 @@ class TestCommands:
         scenario = cli.load_scenario(REPO_SCENARIO)
         scenario.system.a2[0][0] = 0.05
         scenario.system.w_bound = w_bound
-        scenario.synthesis.expansion_point = "auto"
         scenario.verify.grid = [41, 41]
         scenario.verify.mc_trajectories = 100
         path = tmp_path / "unmatched.json"
@@ -404,6 +404,34 @@ class TestCommands:
         assert code == cli.EXIT_USAGE
         assert f"scenario error: {field}:" in capsys.readouterr().err
 
+    def test_all_zero_normal_row_exit_one(self, scenario_path, tmp_path, capsys):
+        # refused at its field path, not by a traceback from the set constructor
+        bad = tmp_path / "zero_row.json"
+        doc = json.loads(scenario_path.read_text())
+        doc["safe_set"]["normals"][2] = [0.0, 0]
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["synth", "--scenario", str(bad), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "scenario error: safe_set.normals[2]: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["auto", [0.5, 0.5], [10.0, 10.0]],
+                             ids=["auto", "inside", "outside"])
+    def test_expansion_point_has_no_effect(self, tmp_path, point):
+        # the key is accepted and shape-checked, and no value moves a byte of
+        # the outputs, a point outside the set included
+        doc = json.loads(REPO_SCENARIO.read_text())
+        assert "expansion_point" not in doc["synthesis"]
+        outputs = []
+        for name in ("absent", "given"):
+            if name == "given":
+                doc["synthesis"]["expansion_point"] = point
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / name
+            assert cli.main(["synth", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+            outputs.append([(out / f).read_bytes() for f in ("certificate.txt", "summary.json")])
+        assert outputs[0] == outputs[1]
+
     def test_removed_definiteness_flag_is_a_usage_error(self, scenario_path, tmp_path):
         # --row-norm went the same way: the one-norm is the only sound offset
         for flag, value in (("--definiteness", "strict"), ("--row-norm", "inf")):
@@ -416,9 +444,9 @@ class TestUnsoundCertificateIsCaught:
     """Claims the true closed loop does not keep are refused or caught.
 
     In the first plant the remainder enters the autonomous second state
-    with a fixed coefficient; at a near-zero expansion point the slope
-    terms are tiny, so the first-order equations alone would close, yet the
-    curvature drives corner states out of the scaled set.  ``thm2`` pins
+    with a fixed coefficient; near the origin its slope is tiny, so the
+    first-order equations alone would close, yet the curvature drives
+    corner states out of the scaled set.  ``thm2`` pins
     the closed-loop remainder to zero and so refuses at synthesis (exit 2).
     A design whose stated rows hold but leave no room for the disturbance
     offsets must fail verification (exit 3).
@@ -439,8 +467,7 @@ class TestUnsoundCertificateIsCaught:
                          "offsets": [2.0, 2.0, 2.0, 2.0]},
             "data": {"samples": 30, "u_max": 0.4, "x0": [0.2, 0.4],
                      "seed": 6, "noise": False},
-            "synthesis": {"method": "thm2", "contraction": 0.95,
-                          "expansion_point": [0.1, 0.1]},
+            "synthesis": {"method": "thm2", "contraction": 0.95},
             "verify": {"grid": [41, 41], "mc_trajectories": 100, "horizon": 40},
         }
         path = tmp_path / "unsound.json"

@@ -9,16 +9,11 @@ from polysafe.dynamics import (
     Monomial,
     PlantModel,
     SinTerm,
-    expansion_point,
     term_from_json,
     term_to_json,
 )
-from polysafe.errors import (
-    DimensionMismatchError,
-    DisturbanceOutOfBoundsError,
-    OutsideSafeSetError,
-)
-from polysafe.polytope import Box, PolyhedralSet, interval_enclosure
+from polysafe.errors import DimensionMismatchError, DisturbanceOutOfBoundsError
+from polysafe.polytope import Box, interval_enclosure
 
 
 def quad_dict():
@@ -148,37 +143,6 @@ class TestRemainder:
     def test_remainder_vanishes_at_origin(self):
         d = Dictionary([Monomial((1, 2)), SinTerm(1), CosM1Term(0)], 2)
         np.testing.assert_allclose(d.remainder([0.0, 0.0]), np.zeros(3), atol=0.0)
-
-
-class TestExpansionPoint:
-    def test_quadratic_example(self, secv_set):
-        ep = expansion_point(quad_dict(), [0.5, 0.5], secv_set)
-        np.testing.assert_allclose(ep.slope, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(ep.curvatures[0], [[2, 0], [0, 0]], atol=1e-12)
-        np.testing.assert_allclose(ep.curvatures[1], [[0, 0], [0, 2]], atol=1e-12)
-        np.testing.assert_allclose(ep.anchor, [0.75, 0.75], atol=1e-12)
-
-    def test_sine_slope(self):
-        big = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [2, 2, 2, 2])
-        ep = expansion_point(Dictionary([SinTerm(0)], 2), [math.pi / 2.0, 0.0], big)
-        np.testing.assert_allclose(ep.slope, [[math.cos(math.pi / 2) - 1.0, 0.0]], atol=1e-12)
-
-    def test_zero_point_is_flat(self, secv_set):
-        # the remainder and its Jacobian vanish at the origin, and so does the anchor
-        ep = expansion_point(quad_dict(), [0.0, 0.0], secv_set)
-        np.testing.assert_array_equal(ep.slope, np.zeros((2, 2)))
-        np.testing.assert_array_equal(ep.anchor, [0.0, 0.0])
-        np.testing.assert_allclose(ep.curvatures[0], [[2, 0], [0, 0]], atol=1e-12)
-
-    def test_outside_point_rejected(self, secv_set):
-        with pytest.raises(OutsideSafeSetError):
-            expansion_point(quad_dict(), [10.0, 10.0], secv_set)
-
-    def test_slope_matches_finite_differences(self, secv_set):
-        d = Dictionary([Monomial((2, 0)), SinTerm(1)], 2)
-        ep = expansion_point(d, [0.5, 0.5], secv_set)
-        fd = fd_jacobian(d, np.array([0.5, 0.5])) - d.linearization()
-        np.testing.assert_allclose(ep.slope, fd, atol=1e-8)
 
 
 class TestLipschitz:
