@@ -28,6 +28,7 @@ from .polytope import (
     Box,
     PolyhedralSet,
     enumerate_vertices,
+    grid_blocks,
     interval_enclosure,
     sample_grid,
 )
@@ -47,6 +48,7 @@ from .verify import (
     disturbance_offsets,
     dual_gap_check,
     grid_contractivity,
+    grid_reports,
     monte_carlo_invariance,
 )
 
@@ -76,7 +78,9 @@ __all__ = [
     "disturbance_offsets",
     "dual_gap_check",
     "enumerate_vertices",
+    "grid_blocks",
     "grid_contractivity",
+    "grid_reports",
     "identification_rank",
     "interval_enclosure",
     "lumped_disturbance_bounds",

@@ -334,15 +334,9 @@ def _min_levels(designs: dict) -> dict:
 
 
 def _verify_controller(scenario: Scenario, plant, data, safe_set, controller, level):
-    # one grid serves both sources; it is freed before the Monte Carlo run
-    points = verify.grid_points(safe_set, scenario.verify.grid)
-    grid_true = verify.grid_contractivity(
+    grid_true, grid_data = verify.grid_reports(
         controller, safe_set, level, scenario.system.w_bound, scenario.verify.grid,
-        plant.dictionary, source="true-model", plant=plant, points=points)
-    grid_data = verify.grid_contractivity(
-        controller, safe_set, level, scenario.system.w_bound, scenario.verify.grid,
-        plant.dictionary, source="data-rep", data=data, points=points)
-    del points
+        plant.dictionary, ("true-model", "data-rep"), plant=plant, data=data)
     mc = verify.monte_carlo_invariance(
         plant, controller, safe_set, scenario.verify.mc_trajectories,
         scenario.verify.horizon, scenario.data.seed)

@@ -3,12 +3,15 @@
 A safe set is ``{x : normals @ x <= offsets}`` with strictly positive
 offsets, so the origin is interior.  Boundedness is never assumed: it is
 detected operationally by :func:`interval_enclosure`, whose coordinate
-LPs raise :class:`UnboundedSetError` on any unbounded direction.
+LPs raise :class:`UnboundedSetError` on any unbounded direction.  State
+grids over a set are walked in blocks of whole first-axis slabs
+(:func:`grid_blocks`), so a grid check never holds the whole grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +25,7 @@ from .errors import (
 )
 
 TOL_GEOM = 1e-9  # active-set / dedup tolerance; LP residuals are ~1e-10 at desk scale
+_GRID_BLOCK = 16384  # grid members per block of a grid walk; small blocks stay in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,17 +63,13 @@ class PolyhedralSet:
     def n_rows(self) -> int:
         return self.normals.shape[0]
 
-    def contains(self, x, tol: float = TOL_GEOM) -> bool:
-        """Membership of the point ``x`` in the set."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.dim:
-            raise DimensionMismatchError(f"point has dim {x.size}, set has dim {self.dim}")
-        return bool(np.all(self.normals @ x <= self.offsets + tol))
-
     def membership_mask(self, points: np.ndarray, tol: float = TOL_GEOM) -> np.ndarray:
-        """Vectorized membership for an array of points with shape (k, n)."""
+        """Membership of each row of ``points`` (shape (k, n)), or of one point (shape (n,))."""
         points = np.asarray(points, dtype=float)
-        return np.all(points @ self.normals.T <= self.offsets + tol, axis=1)
+        if points.shape[-1:] != (self.dim,):
+            raise DimensionMismatchError(
+                f"points have shape {points.shape}, set has dim {self.dim}")
+        return np.all(points @ self.normals.T <= self.offsets + tol, axis=-1)
 
     @cached_property
     def _enclosure(self) -> "Box":
@@ -156,30 +156,65 @@ def grid_resolution(dim: int) -> tuple:
     return (round(101 ** (2.0 / dim)),) * dim
 
 
-def sample_grid(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM) -> np.ndarray:
-    """Uniform grid over the interval enclosure, filtered to set members.
+def grid_blocks(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM):
+    """Walk the set's grid members in blocks, without building the grid.
 
-    ``resolution`` gives the number of points per axis (each >= 2); the
-    default is :func:`grid_resolution` of the set's dimension.  Points
-    come back as an array of shape (k, n) in row-major order over the grid
-    (last axis fastest), so the stream is deterministic and can be
-    partitioned across workers and merged order-independently.
+    The grid is uniform over the interval enclosure; ``resolution`` gives
+    the number of points per axis (each >= 2), and the default is
+    :func:`grid_resolution` of the set's dimension.  Each yielded block is
+    an array of shape (n, k), one coordinate per row, holding the members
+    of whole first-axis slabs in row-major grid order (last axis fastest).
+    A block closes once it holds ``_GRID_BLOCK`` members, so memory is
+    O(block + slab), not O(grid).
     """
     if resolution is None:
         resolution = grid_resolution(safe_set.dim)
     resolution = [int(r) for r in np.atleast_1d(resolution)]
-    if len(resolution) != safe_set.dim:
+    n = safe_set.dim
+    if len(resolution) != n:
         raise DimensionMismatchError(
-            f"resolution has {len(resolution)} entries, set has dim {safe_set.dim}"
-        )
+            f"resolution has {len(resolution)} entries, set has dim {n}")
     if any(r < 2 for r in resolution):
         raise ValueError(f"every resolution entry must be >= 2, got {resolution}")
     box = interval_enclosure(safe_set)
-    axes = [np.linspace(box.lo[k], box.hi[k], resolution[k]) for k in range(safe_set.dim)]
-    # one first-axis slab at a time: only the members of the whole grid are kept
-    rest = np.array(list(itertools.product(*axes[1:])))
-    slabs = []
+    axes = [np.linspace(box.lo[k], box.hi[k], resolution[k]) for k in range(n)]
+    # the other axes' points, shared by every slab, and their part of F x
+    rest = np.array(np.meshgrid(*axes[1:], indexing="ij"))
+    rest = rest.reshape(n - 1, math.prod(resolution[1:]))   # (n - 1, R)
+    rest_rows = safe_set.normals[:, 1:] @ rest               # (s, R)
+    first_col = safe_set.normals[:, :1]
+    bound = (safe_set.offsets + tol)[:, None]
+    slabs: list = []  # (first-axis value, member mask, member count) of the open block
+    size = 0
     for first in axes[0]:
-        slab = np.hstack([np.full((len(rest), 1), first), rest])
-        slabs.append(slab[safe_set.membership_mask(slab, tol=tol)])
-    return np.vstack(slabs)
+        inside = np.logical_and.reduce(rest_rows <= bound - first_col * first, axis=0)
+        count = np.count_nonzero(inside)
+        slabs.append((first, inside, count))
+        size += count
+        if size >= _GRID_BLOCK:
+            yield _slab_block(rest, slabs, size)
+            slabs, size = [], 0
+    if size:
+        yield _slab_block(rest, slabs, size)
+
+
+def _slab_block(rest: np.ndarray, slabs: list, size: int) -> np.ndarray:
+    """The (n, size) block of :func:`grid_blocks` holding the members of ``slabs``."""
+    block = np.empty((rest.shape[0] + 1, size))
+    at = 0
+    for first, inside, count in slabs:
+        block[0, at:at + count] = first
+        np.compress(inside, rest, axis=1, out=block[1:, at:at + count])
+        at += count
+    return block
+
+
+def sample_grid(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM) -> np.ndarray:
+    """All grid members of :func:`grid_blocks` as one array of shape (k, n).
+
+    Rows come in row-major order over the grid (last axis fastest), so the
+    stream is deterministic and can be partitioned across workers and
+    merged order-independently.
+    """
+    blocks = [block.T for block in grid_blocks(safe_set, resolution, tol)]
+    return np.concatenate(blocks) if blocks else np.empty((0, safe_set.dim))

@@ -4,7 +4,9 @@ Everything here deliberately avoids the synthesis LP: contraction is
 checked by evaluating the closed loop on a dense grid plus the exact
 vertices, invariance by Monte Carlo rollouts of the true plant, and the
 row-multiplier duality by comparing a vertex-enumerated maximum against
-the dual LP minimum.
+the dual LP minimum.  The grid is walked once, in blocks, for every closed
+loop checked on it (:func:`grid_reports`), so its memory is O(block), not
+O(grid).
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from . import lpcore
 from .datagen import ExperimentData
 from .dynamics import PlantModel
 from .errors import DimensionTooLargeError, SynthesisInfeasibleError
-from .polytope import (PolyhedralSet, enumerate_vertices, grid_resolution, interval_enclosure,
-                       sample_grid)
+from .polytope import (PolyhedralSet, enumerate_vertices, grid_blocks, grid_resolution,
+                       interval_enclosure)
 from .synthesis import row_norms
 
 TOL_VERIFY = 1e-6
-_GRID_CHUNK = 65536  # grid points per margin evaluation
 _MC_CHUNK = 2048     # trajectories per Monte Carlo chunk
 
 
@@ -86,21 +87,86 @@ def _closed_loop_matrices(controller, source: str, plant: PlantModel | None,
     return lin, rem
 
 
-def grid_points(safe_set: PolyhedralSet, resolution=None) -> np.ndarray:
-    """The set's grid members (:func:`~polysafe.polytope.sample_grid`) followed
-    by its vertices; the vertices are left out above dimension 3."""
-    points = sample_grid(safe_set, resolution)
+def _grid_and_vertices(safe_set: PolyhedralSet, resolution):
+    """The blocks of :func:`~polysafe.polytope.grid_blocks`, then the set's
+    vertices as one last ``(n, v)`` block; the vertices are left out above
+    dimension 3."""
+    yield from grid_blocks(safe_set, resolution)
     try:
-        return np.vstack([points, np.array(enumerate_vertices(safe_set))])
+        vertices = enumerate_vertices(safe_set)
     except DimensionTooLargeError:
-        return points
+        return
+    yield np.array(vertices).T
+
+
+def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
+                 resolution, dictionary, sources=("true-model", "data-rep"),
+                 plant: PlantModel | None = None, data: ExperimentData | None = None,
+                 tol: float = TOL_VERIFY, max_witnesses: int = 10) -> tuple:
+    """One :func:`grid_contractivity` report per source, from one walk of the grid.
+
+    The grid is walked once in blocks of whole first-axis slabs
+    (:func:`~polysafe.polytope.grid_blocks`), followed by the vertices, so
+    memory is O(block), not O(grid).  Each block's remainder ``r(x)`` is
+    evaluated once; a source with closed loop ``x+ = L x + R r(x)`` gets the
+    margins ``F [L R] [x; r(x)] + d - level * g``.  A source's report is
+    bit-identical to checking that source alone; every report's ``runtime``
+    is the whole pass.
+    """
+    start = time.perf_counter()
+    if resolution is None:
+        resolution = grid_resolution(safe_set.dim)
+    loops = [_closed_loop_matrices(controller, source, plant, data) for source in sources]
+    weights = [safe_set.normals @ np.hstack(loop) for loop in loops]   # (s, n + N) each
+    const = (disturbance_offsets(safe_set, w_bound) - level * safe_set.offsets)[:, None]
+    n = safe_set.dim
+    row_margins = [np.full(safe_set.n_rows, -np.inf) for _ in sources]
+    violations = [0] * len(sources)
+    witnesses: list = [[] for _ in sources]
+    samples = 0
+    for block in _grid_and_vertices(safe_set, resolution):
+        stacked = np.empty((n + dictionary.n_terms, block.shape[1]))
+        stacked[:n] = block
+        stacked[n:] = dictionary.remainder(block.T).T
+        for j, weight in enumerate(weights):
+            margins = weight @ stacked                                  # (s, k)
+            margins += const
+            np.maximum(row_margins[j], margins.max(axis=1), out=row_margins[j])
+            worst = margins.max(axis=0)
+            bad = np.flatnonzero(worst > tol)
+            violations[j] += bad.size
+            witnesses[j] += [(samples + int(i), block[:, i].copy(), float(worst[i]))
+                             for i in bad[:max_witnesses - len(witnesses[j])]]
+        samples += block.shape[1]
+
+    box = interval_enclosure(safe_set)
+    res = np.asarray(resolution, dtype=float).reshape(-1)
+    cell_diagonal = float(np.linalg.norm((box.hi - box.lo) / (res - 1.0)))
+    f_norm = float(np.max(np.abs(safe_set.normals).sum(axis=1)))
+    remainder_lipschitz = dictionary.lipschitz_bound(box)
+    runtime = time.perf_counter() - start
+    reports = []
+    for j, (source, (lin, rem_mat)) in enumerate(zip(sources, loops)):
+        loop_lipschitz = (float(np.max(np.abs(lin).sum(axis=1)))
+                          + float(np.max(np.abs(rem_mat).sum(axis=1))) * remainder_lipschitz)
+        reports.append(VerificationReport(
+            method=f"grid-contractivity[{source}]",
+            row_margins=row_margins[j],
+            violations=violations[j],
+            witnesses=witnesses[j],
+            samples=samples,
+            runtime=runtime,
+            tolerance=tol,
+            cell_diagonal=cell_diagonal,
+            refinement_bound=f_norm * loop_lipschitz * cell_diagonal,
+        ))
+    return tuple(reports)
 
 
 def grid_contractivity(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
                        resolution, dictionary, source: str = "true-model",
                        plant: PlantModel | None = None, data: ExperimentData | None = None,
-                       tol: float = TOL_VERIFY, max_witnesses: int = 10,
-                       points: np.ndarray | None = None) -> VerificationReport:
+                       tol: float = TOL_VERIFY, max_witnesses: int = 10) -> VerificationReport:
     """Check one-step contraction into the ``level``-scaled set on a state grid.
 
     Every grid member and every vertex is mapped through the deterministic
@@ -109,50 +175,11 @@ def grid_contractivity(controller, safe_set: PolyhedralSet, level: float, w_boun
     the scaled offsets.  Sampling-based, not exhaustive: a rigorous
     whole-set claim needs the margins to clear the report's
     ``refinement_bound``.  ``resolution=None`` means
-    :func:`~polysafe.polytope.grid_resolution` of the set's dimension, as in
-    :func:`grid_points`.  ``points`` passes in :func:`grid_points` at
-    ``resolution`` when several checks share it.
+    :func:`~polysafe.polytope.grid_resolution` of the set's dimension.
+    :func:`grid_reports` checks several sources in one walk of the grid.
     """
-    start = time.perf_counter()
-    if resolution is None:
-        resolution = grid_resolution(safe_set.dim)
-    lin, rem_mat = _closed_loop_matrices(controller, source, plant, data)
-    box = interval_enclosure(safe_set)
-    if points is None:
-        points = grid_points(safe_set, resolution)
-    offsets = disturbance_offsets(safe_set, w_bound)
-    row_margins = np.full(safe_set.n_rows, -np.inf)
-    violations = 0
-    witnesses: list = []
-    # fixed-size chunks bound the temporaries for large grids
-    for first in range(0, points.shape[0], _GRID_CHUNK):
-        chunk = points[first:first + _GRID_CHUNK]
-        nxt = chunk @ lin.T + dictionary.remainder(chunk) @ rem_mat.T
-        margins = nxt @ safe_set.normals.T + offsets - level * safe_set.offsets  # (k, s)
-        row_margins = np.maximum(row_margins, margins.max(axis=0))
-        worst = margins.max(axis=1)
-        bad = np.flatnonzero(worst > tol)
-        violations += bad.size
-        witnesses += [(first + int(i), chunk[i].copy(), float(worst[i]))
-                      for i in bad[:max_witnesses - len(witnesses)]]
-
-    res = np.asarray(resolution, dtype=float).reshape(-1)
-    cell_diagonal = float(np.linalg.norm((box.hi - box.lo) / (res - 1.0)))
-    loop_lipschitz = (float(np.max(np.abs(lin).sum(axis=1)))
-                      + float(np.max(np.abs(rem_mat).sum(axis=1)))
-                      * dictionary.lipschitz_bound(box))
-    f_norm = float(np.max(np.abs(safe_set.normals).sum(axis=1)))
-    return VerificationReport(
-        method=f"grid-contractivity[{source}]",
-        row_margins=row_margins,
-        violations=violations,
-        witnesses=witnesses,
-        samples=points.shape[0],
-        runtime=time.perf_counter() - start,
-        tolerance=tol,
-        cell_diagonal=cell_diagonal,
-        refinement_bound=f_norm * loop_lipschitz * cell_diagonal,
-    )
+    return grid_reports(controller, safe_set, level, w_bound, resolution, dictionary,
+                        (source,), plant, data, tol, max_witnesses)[0]
 
 
 def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSet,
@@ -336,11 +363,13 @@ class ConservatismTable:
 
 def control_effort(controller, safe_set: PolyhedralSet, dictionary,
                    resolution=None) -> float:
-    """Grid maximum of the control magnitude over the safe set."""
-    points = grid_points(safe_set, resolution)
-    rems = dictionary.remainder(points)
-    inputs = points @ controller.k1.T + rems @ controller.k2.T
-    return float(np.max(np.abs(inputs)))
+    """Maximum control magnitude over the grid members and vertices of the safe set."""
+    peaks = []
+    for block in _grid_and_vertices(safe_set, resolution):
+        points = block.T
+        inputs = points @ controller.k1.T + dictionary.remainder(points) @ controller.k2.T
+        peaks.append(np.max(np.abs(inputs)))
+    return float(np.max(peaks))
 
 
 def conservatism_report(safe_set: PolyhedralSet, dictionary,

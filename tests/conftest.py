@@ -70,9 +70,9 @@ def stable_test_plant():
     )
 
 
-def tri_problem(samples):
+def tri_plant_and_set():
     """The 3-state benchmark plant: a parallelepiped safe set, three quadratic
-    terms, one input on the third state; data seed 11, no noise."""
+    terms, one input on the third state."""
     P = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.25], [0.2, 0.0, 1.0]])
     safe_set = PolyhedralSet(np.vstack([0.5 * P, -0.5 * P]), np.ones(6))
     dictionary = Dictionary(
@@ -80,6 +80,12 @@ def tri_problem(samples):
     plant = PlantModel(a1=[[0.7, 0.2, 0.0], [0.0, 0.6, 0.3], [0.2, -0.3, 1.1]],
                        a2=[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
                        b=[[0.0], [0.0], [1.0]], dictionary=dictionary, w_bound=0.02)
+    return plant, safe_set
+
+
+def tri_problem(samples):
+    """The 3-state benchmark plant's safe set and data; data seed 11, no noise."""
+    plant, safe_set = tri_plant_and_set()
     data = collect_informative(plant, samples, 0.01, [0.0, 0.0, 0.0], 11,
                                safe_set=safe_set)
     return safe_set, data

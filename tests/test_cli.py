@@ -153,14 +153,15 @@ class TestCommands:
         assert (out / "plot.svg").read_text().startswith("<svg")
 
     def test_verify_samples_the_grid_once(self, scenario_path, tmp_path, monkeypatch):
-        # both grid checks, true model and data representation, share one grid
-        grids = []
-        sample = verify.sample_grid
-        monkeypatch.setattr(verify, "sample_grid",
-                            lambda *args: grids.append(args) or sample(*args))
+        # both grid checks, true model and data representation, come from
+        # one walk of the grid blocks
+        walks = []
+        blocks = verify.grid_blocks
+        monkeypatch.setattr(verify, "grid_blocks",
+                            lambda *args: walks.append(args) or blocks(*args))
         assert cli.main(["verify", "--scenario", str(scenario_path),
                          "--out", str(tmp_path / "once")]) == cli.EXIT_OK
-        assert len(grids) == 1
+        assert len(walks) == 1
 
     def test_simulate_csv_columns(self, scenario_path, tmp_path):
         out = tmp_path / "sim"

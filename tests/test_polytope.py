@@ -48,20 +48,24 @@ class TestConstruction:
 
 
 class TestContains:
+    """Single-point membership through ``membership_mask``."""
+
     def test_origin_always_interior(self, secv_set):
-        assert secv_set.contains([0.0, 0.0])
+        assert secv_set.membership_mask([0.0, 0.0])
 
     def test_vertex_on_boundary(self, secv_set):
         # (6, -0.5) is a vertex: rows 0 and 3 are active
-        assert secv_set.contains([6.0, -0.5])
+        assert secv_set.membership_mask([6.0, -0.5])
 
     def test_vertex_leaves_shrunk_set(self, secv_set):
         # F_0 @ (6, -0.5) = 1 > 0.95
-        assert not PolyhedralSet(SECV_F, 0.95 * SECV_G).contains([6.0, -0.5])
+        assert not PolyhedralSet(SECV_F, 0.95 * SECV_G).membership_mask([6.0, -0.5])
 
     def test_dimension_mismatch(self, secv_set):
         with pytest.raises(DimensionMismatchError):
-            secv_set.contains([0, 0, 0])
+            secv_set.membership_mask([0, 0, 0])
+        with pytest.raises(DimensionMismatchError):
+            secv_set.membership_mask(np.zeros((4, 3)))
 
     def test_scaling_equivalence(self, secv_set):
         # x lies in the set with offsets scaled by s exactly when x / s lies in the set
@@ -70,7 +74,8 @@ class TestContains:
             x = rng.uniform(-7, 7, size=2)
             s = rng.uniform(0.1, 1.0)
             shrunk = PolyhedralSet(SECV_F, s * SECV_G)
-            assert shrunk.contains(x, tol=0.0) == secv_set.contains(x / s, tol=0.0)
+            assert (shrunk.membership_mask(x, tol=0.0)
+                    == secv_set.membership_mask(x / s, tol=0.0))
 
 
 class TestVertices:
@@ -89,7 +94,7 @@ class TestVertices:
 
     def test_vertices_feasible_with_active_rows(self, secv_set):
         for v in enumerate_vertices(secv_set):
-            assert secv_set.contains(v)
+            assert secv_set.membership_mask(v)
             active = np.sum(np.abs(SECV_F @ v - SECV_G) <= 1e-9)
             assert active >= 2
 

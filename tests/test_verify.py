@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polysafe import synthesis, verify
+from polysafe import polytope, synthesis, verify
 from polysafe.dynamics import Dictionary, Monomial, PlantModel
 from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
                                interval_enclosure, sample_grid)
 
-from conftest import SECV_F, SECV_G
+from conftest import SECV_F, SECV_G, tri_plant_and_set
 
 
 def zero_controller(n_samples=40, n=2, n_terms=2, m=1):
@@ -140,42 +140,90 @@ class TestGridContractivity:
             secv_plant, controller, secv_set, 500, 100, seed=19)
         assert mc.violations == 0
 
-    def test_chunks_match_direct_evaluation(self, secv_plant, secv_set, monkeypatch):
-        # the zero controller violates across the set, so margins and
-        # witnesses come from many chunks; one evaluation over all points
-        # is the reference
-        monkeypatch.setattr(verify, "_GRID_CHUNK", 500)
-        report = verify.grid_contractivity(
-            zero_controller(), secv_set, 0.95, 0.05, (61, 61), secv_plant.dictionary,
-            source="true-model", plant=secv_plant, max_witnesses=10**6)
-        points = np.vstack([sample_grid(secv_set, (61, 61)),
-                            np.array(enumerate_vertices(secv_set))])
-        nxt = (points @ secv_plant.linear_base().T
-               + secv_plant.dictionary.remainder(points) @ secv_plant.a2.T)
-        margins = (nxt @ SECV_F.T + verify.disturbance_offsets(secv_set, 0.05)
-                   - 0.95 * SECV_G)
-        bad = np.flatnonzero(margins.max(axis=1) > verify.TOL_VERIFY)
-        assert report.samples == len(points) > 3 * 500
-        assert bad[-1] >= 500 and report.violations == bad.size
-        np.testing.assert_allclose(report.row_margins, margins.max(axis=0), rtol=0, atol=1e-12)
-        assert [w[0] for w in report.witnesses] == bad.tolist()
-        for index, point, margin in report.witnesses:
-            np.testing.assert_array_equal(point, points[index])
-            assert abs(margin - margins[index].max()) <= 1e-12
+    def test_chunks_match_direct_evaluation(self, secv_plant, secv_data, secv_set,
+                                            secv_design, monkeypatch):
+        # below its minimal level the design violates near the boundary, so
+        # both sources' margins and witnesses come from many blocks and from
+        # the vertex tail; one evaluation over all points is the reference
+        monkeypatch.setattr(polytope, "_GRID_BLOCK", 150)
+        controller, _ = secv_design
+        reports = verify.grid_reports(
+            controller, secv_set, 0.5, 0.05, (61, 61), secv_plant.dictionary,
+            plant=secv_plant, data=secv_data, max_witnesses=10**6)
+        members = sample_grid(secv_set, (61, 61))
+        points = np.vstack([members, np.array(enumerate_vertices(secv_set))])
+        loops = [(secv_plant.linear_base() + secv_plant.b @ controller.k1,
+                  secv_plant.a2 + secv_plant.b @ controller.k2),
+                 (secv_data.next_states @ controller.g1, secv_data.next_states @ controller.g2)]
+        for report, (lin, rem) in zip(reports, loops):
+            nxt = points @ lin.T + secv_plant.dictionary.remainder(points) @ rem.T
+            margins = (nxt @ SECV_F.T + verify.disturbance_offsets(secv_set, 0.05)
+                       - 0.5 * SECV_G)
+            bad = np.flatnonzero(margins.max(axis=1) > verify.TOL_VERIFY)
+            assert report.samples == len(points) > 10 * 150
+            assert bad[0] < 150 and bad[-1] >= len(members) and report.violations == bad.size
+            np.testing.assert_allclose(report.row_margins, margins.max(axis=0),
+                                       rtol=0, atol=1e-12)
+            assert [w[0] for w in report.witnesses] == bad.tolist()
+            for index, point, margin in report.witnesses:
+                np.testing.assert_array_equal(point, points[index])
+                assert abs(margin - margins[index].max()) <= 1e-12
 
     def test_shared_points_match_own_grid(self, secv_plant, secv_data, secv_set,
                                           secv_design):
+        # the one pass over both sources gives each source's own report, bit for bit
         controller, _ = secv_design
-        points = verify.grid_points(secv_set, (41, 41))
-        for source in ("true-model", "data-rep"):
-            kwargs = dict(source=source, plant=secv_plant, data=secv_data)
-            own = verify.grid_contractivity(controller, secv_set, 0.95, 0.05, (41, 41),
-                                            secv_plant.dictionary, **kwargs)
-            shared = verify.grid_contractivity(controller, secv_set, 0.95, 0.05, (41, 41),
-                                               secv_plant.dictionary, points=points, **kwargs)
-            np.testing.assert_array_equal(shared.row_margins, own.row_margins)
-            assert shared.samples == own.samples == len(points)
-            assert shared.refinement_bound == own.refinement_bound
+        for level in (0.95, 0.5):
+            shared = verify.grid_reports(controller, secv_set, level, 0.05, (41, 41),
+                                         secv_plant.dictionary, plant=secv_plant,
+                                         data=secv_data)
+            for source, report in zip(("true-model", "data-rep"), shared):
+                own = verify.grid_contractivity(controller, secv_set, level, 0.05, (41, 41),
+                                                secv_plant.dictionary, source=source,
+                                                plant=secv_plant, data=secv_data)
+                assert report.method == own.method
+                np.testing.assert_array_equal(report.row_margins, own.row_margins)
+                assert report.violations == own.violations
+                assert report.samples == own.samples
+                assert report.cell_diagonal == own.cell_diagonal
+                assert report.refinement_bound == own.refinement_bound
+                assert len(report.witnesses) == len(own.witnesses)
+                for (i, point, margin), (j, own_point, own_margin) in zip(report.witnesses,
+                                                                          own.witnesses):
+                    assert i == j and margin == own_margin
+                    np.testing.assert_array_equal(point, own_point)
+
+    def test_one_and_four_dimensional_sets(self):
+        # a 1-D set has no other axes; a 4-D box has no vertex tail
+        for dim, res in ((1, (9,)), (4, (5, 5, 5, 5))):
+            safe_set = PolyhedralSet(np.vstack([np.eye(dim), -np.eye(dim)]), np.ones(2 * dim))
+            dictionary = Dictionary([Monomial((2,) + (0,) * (dim - 1))], dim)
+            plant = PlantModel(a1=0.5 * np.eye(dim), a2=np.zeros((dim, 1)),
+                               b=np.zeros((dim, 1)), dictionary=dictionary, w_bound=0.0)
+            controller = zero_controller(n=dim, n_terms=1)
+            report = verify.grid_contractivity(controller, safe_set, 0.6, 0.0, res,
+                                               dictionary, plant=plant)
+            vertices = 2 if dim == 1 else 0
+            assert report.samples == int(np.prod(res)) + vertices
+            # x+ = x / 2 peaks at 0.5 on the box, against 0.6 allowed
+            np.testing.assert_allclose(report.row_margins, -0.1, rtol=0, atol=1e-15)
+            assert report.passed
+
+    def test_memory_flat_in_first_axis_resolution(self):
+        # the grid is walked in blocks: a 4x finer first axis adds blocks,
+        # not memory
+        plant, safe_set = tri_plant_and_set()
+        controller = zero_controller(n=3, n_terms=3)
+        peaks = []
+        for res in ((41, 101, 101), (161, 101, 101)):
+            tracemalloc.start()
+            try:
+                verify.grid_contractivity(controller, safe_set, 0.95, 0.02, res,
+                                          plant.dictionary, plant=plant)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_default_resolution_gives_finite_bound(self, secv_plant, secv_set, secv_design):
         # resolution=None samples the default grid; the cell diagonal and the
@@ -218,7 +266,7 @@ class TestMonteCarlo:
         assert report.witnesses
         traj_index, exit_time, state = report.witnesses[0]
         assert exit_time >= 1
-        assert not secv_set.contains(np.clip(state, -1e12, 1e12)) \
+        assert not secv_set.membership_mask(np.clip(state, -1e12, 1e12)) \
             or np.max(np.abs(state)) > 6.0
 
     def test_deterministic_for_seed(self, secv_plant, secv_set, secv_design):
