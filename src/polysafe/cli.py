@@ -72,7 +72,6 @@ class DataSection:
 class SynthesisSection:
     method: str = "thm2"
     contraction: float = 0.95
-    expansion_point: object = "auto"  # shape-checked, no effect; files that set it still load
 
 
 @dataclass
@@ -207,7 +206,9 @@ def scenario_from_json(doc: dict) -> Scenario:
 
     synth_doc = doc.get("synthesis", {})
     _expect(isinstance(synth_doc, dict), "synthesis", "must be an object")
-    known = {f.name for f in fields(SynthesisSection)}
+    # expansion_point is shape-checked and has no effect, so that files that
+    # set it still load; it is not kept, and saved scenarios leave it out
+    known = {f.name for f in fields(SynthesisSection)} | {"expansion_point"}
     for key in synth_doc:
         _expect(key in known, f"synthesis.{key}",
                 f"unknown key; the section takes {sorted(known)}")
@@ -240,8 +241,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         safe_set=SafeSetSection(normals=normals, offsets=list(offsets)),
         data=DataSection(samples=samples, u_max=float(u_max), x0=list(x0),
                          seed=seed, noise=noise),
-        synthesis=SynthesisSection(method=method, contraction=float(contraction),
-                                   expansion_point=expansion),
+        synthesis=SynthesisSection(method=method, contraction=float(contraction)),
         verify=VerifySection(grid=list(grid), mc_trajectories=mc, horizon=horizon),
     )
 

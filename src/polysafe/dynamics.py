@@ -3,9 +3,10 @@
 The nonlinear part of a plant is spanned by a known dictionary of basis
 terms, each of which vanishes at the origin: monomials of total degree
 at least one, ``sin(x_k)``, and ``cos(x_k) - 1``.  Restricting to these
-three kinds gives exact Jacobians (the linearization at the origin),
-exact Hessians (the remainder's curvature) and sound interval Lipschitz
-bounds.
+three kinds gives a linearization at the origin read off the term kinds
+(degree-1 monomials and ``sin`` have a unit slope there, every other
+term is flat), exact Hessians (the remainder's curvature) and sound
+interval Lipschitz bounds.
 
 The "remainder" of a dictionary is its value minus its linearization at
 the origin; it is the quantity the controller acts on, and it vanishes
@@ -141,7 +142,11 @@ class Dictionary:
         # each monomial's coordinates repeated by their exponents: (1, 0, 1) -> (0, 2)
         self._factors = [tuple(k for k, e in enumerate(t.exponents) for _ in range(e))
                          if isinstance(t, Monomial) else () for t in terms]
-        self._lin = None
+        # (term, coordinate) of each term with a unit slope at the origin:
+        # degree-1 monomials and sin; every other term is flat there
+        self._slopes = [(j, t.coord) if isinstance(t, SinTerm) else (j, factors[0])
+                        for j, (t, factors) in enumerate(zip(terms, self._factors))
+                        if isinstance(t, SinTerm) or len(factors) == 1]
 
     @property
     def n_terms(self) -> int:
@@ -178,28 +183,6 @@ class Dictionary:
                 cols.append(np.cos(x[..., t.coord]) - 1.0)
         return np.stack(cols, axis=-1)
 
-    def jacobian(self, x) -> np.ndarray:
-        """(N, n) Jacobian of the term vector at a single point."""
-        x = self._check_point(x)
-        if x.ndim != 1:
-            raise DimensionMismatchError("jacobian expects a single point")
-        jac = np.zeros((self.n_terms, self.dim))
-        for j, t in enumerate(self.terms):
-            if isinstance(t, Monomial):
-                for k, ek in enumerate(t.exponents):
-                    if ek == 0:
-                        continue
-                    prod = ek * x[k] ** (ek - 1)
-                    for l, el in enumerate(t.exponents):
-                        if l != k:
-                            prod *= x[l] ** el
-                    jac[j, k] = prod
-            elif isinstance(t, SinTerm):
-                jac[j, t.coord] = math.cos(x[t.coord])
-            else:
-                jac[j, t.coord] = -math.sin(x[t.coord])
-        return jac
-
     def hessians(self, x) -> np.ndarray:
         """(N, n, n) stack of per-term Hessians at a single point."""
         x = self._check_point(x)
@@ -230,15 +213,20 @@ class Dictionary:
         return hess
 
     def linearization(self) -> np.ndarray:
-        """(N, n) slope of the term vector at the origin (cached)."""
-        if self._lin is None:
-            self._lin = self.jacobian(np.zeros(self.dim))
-        return self._lin
+        """(N, n) slope of the term vector at the origin: one at each unit slope."""
+        lin = np.zeros((self.n_terms, self.dim))
+        for j, k in self._slopes:
+            lin[j, k] = 1.0
+        return lin
 
     def remainder(self, x) -> np.ndarray:
-        """Term values minus their linearization; vanishes at the origin."""
+        """Term values minus their linearization (each unit slope's coordinate);
+        vanishes at the origin."""
         x = self._check_point(x)
-        return self.values(x) - x @ self.linearization().T
+        rem = self.values(x)
+        for j, k in self._slopes:
+            rem[..., j] -= x[..., k]
+        return rem
 
     def lipschitz_bound(self, box: Box) -> float:
         """Sound bound on the remainder's Lipschitz constant over ``box``.

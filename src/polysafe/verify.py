@@ -7,6 +7,9 @@ row-multiplier duality by comparing a vertex-enumerated maximum against
 the dual LP minimum.  The grid is walked once, in blocks, for every closed
 loop checked on it (:func:`grid_reports`), so its memory is O(block), not
 O(grid).
+
+Grid blocks, Monte Carlo chunks and the control effort all evaluate a closed
+loop one way: ``[L R] @ [x; r(x)]`` on coordinate-major ``(n, k)`` batches.
 """
 
 from __future__ import annotations
@@ -87,16 +90,33 @@ def _closed_loop_matrices(controller, source: str, plant: PlantModel | None,
     return lin, rem
 
 
+def _vertices(safe_set: PolyhedralSet) -> np.ndarray:
+    """The set's vertices as the columns of an ``(n, v)`` array; none
+    (``v = 0``) above dimension 3, where vertex enumeration stops."""
+    try:
+        return np.array(enumerate_vertices(safe_set)).T
+    except DimensionTooLargeError:
+        return np.zeros((safe_set.dim, 0))
+
+
 def _grid_and_vertices(safe_set: PolyhedralSet, resolution):
     """The blocks of :func:`~polysafe.polytope.grid_blocks`, then the set's
-    vertices as one last ``(n, v)`` block; the vertices are left out above
-    dimension 3."""
+    vertices as one last ``(n, v)`` block, if it has any."""
     yield from grid_blocks(safe_set, resolution)
-    try:
-        vertices = enumerate_vertices(safe_set)
-    except DimensionTooLargeError:
-        return
-    yield np.array(vertices).T
+    vertices = _vertices(safe_set)
+    if vertices.shape[1]:
+        yield vertices
+
+
+def _lift(states: np.ndarray, dictionary, out: np.ndarray | None = None) -> np.ndarray:
+    """``[x; r(x)]``, ``(n + N, k)``, for an ``(n, k)`` batch of states, in
+    ``out`` if given: ``x+ = L x + R r(x)`` is then ``[L R] @ [x; r(x)]``."""
+    n, k = states.shape
+    if out is None:
+        out = np.empty((n + dictionary.n_terms, k))
+    out[:n] = states
+    out[n:] = dictionary.remainder(states.T).T
+    return out
 
 
 def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
@@ -119,15 +139,12 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
     loops = [_closed_loop_matrices(controller, source, plant, data) for source in sources]
     weights = [safe_set.normals @ np.hstack(loop) for loop in loops]   # (s, n + N) each
     const = (disturbance_offsets(safe_set, w_bound) - level * safe_set.offsets)[:, None]
-    n = safe_set.dim
     row_margins = [np.full(safe_set.n_rows, -np.inf) for _ in sources]
     violations = [0] * len(sources)
     witnesses: list = [[] for _ in sources]
     samples = 0
     for block in _grid_and_vertices(safe_set, resolution):
-        stacked = np.empty((n + dictionary.n_terms, block.shape[1]))
-        stacked[:n] = block
-        stacked[n:] = dictionary.remainder(block.T).T
+        stacked = _lift(block, dictionary)
         for j, weight in enumerate(weights):
             margins = weight @ stacked                                  # (s, k)
             margins += const
@@ -199,16 +216,16 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     Trajectories run in chunks of ``_MC_CHUNK``: start states and a
     ``(chunk, horizon, n)`` disturbance buffer are made one chunk at a
     time, so memory is O(chunk * horizon * n) whatever the trajectory count.
+    A chunk is stepped as ``[L R] @ [x; r(x)]`` on one ``(n + N, chunk)``
+    buffer, like a grid block.
     Margins, exit counts and witnesses are bit-identical to rolling every
     trajectory in one batch.  Witnesses are the first ``max_witnesses``
     exits ordered by exit time, then trajectory index.
     """
     start = time.perf_counter()
     n = plant.state_dim
-    try:
-        vertices = np.array(enumerate_vertices(safe_set))
-    except DimensionTooLargeError:
-        vertices = np.zeros((0, n))
+    dictionary = plant.dictionary
+    vertices = _vertices(safe_set)
     init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(init_seq)
     noise_rng = np.random.default_rng(noise_seq)
@@ -216,34 +233,30 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     box = interval_enclosure(safe_set)
     accepted = np.zeros((0, n))  # uniform samples in the set, not yet used as starts
 
-    k1 = controller.k1
-    k2 = controller.k2
-    lin_base = plant.linear_base() + plant.b @ k1
-    rem_base = plant.a2 + plant.b @ k2
-    a_slope = plant.dictionary.linearization()
+    loop = np.hstack(_closed_loop_matrices(controller, "true-model", plant, None))  # [L R]
 
     worst = np.full(safe_set.n_rows, -np.inf)
-    col_max = np.empty(safe_set.n_rows)
     violations = 0
     witnesses: list = []
     first = 0
     while first < n_trajectories:
         stop = min(first + _MC_CHUNK, n_trajectories)
         if n_trajectories - stop == 1:
-            # numpy sends a one-row matmul to BLAS gemv, which rounds
+            # numpy sends a one-column matmul to BLAS gemv, which rounds
             # differently from the gemm of larger chunks
             stop += 1
         size = stop - first
 
-        states = np.empty((size, n))
-        filled = min(max(len(vertices) - first, 0), size)
-        states[:filled] = vertices[first:first + filled]
+        stacked = np.empty((n + dictionary.n_terms, size))
+        states = stacked[:n]  # the (n, size) start states, one per column
+        filled = min(max(vertices.shape[1] - first, 0), size)
+        states[:, :filled] = vertices[:, first:first + filled]
         while filled < size:
             if not len(accepted):
                 cand = init_rng.uniform(box.lo, box.hi, size=(4 * (size - filled), n))
                 accepted = cand[safe_set.membership_mask(cand)]
             take = min(len(accepted), size - filled)
-            states[filled:filled + take] = accepted[:take]
+            states[:, filled:filled + take] = accepted[:take].T
             accepted = accepted[take:].copy()  # a copy lets the spent draw be freed
             filled += take
 
@@ -258,24 +271,18 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
         found: list = []
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(horizon):
-                vals = plant.dictionary.values(states)
-                rems = vals - states @ a_slope.T
-                states = states @ lin_base.T + rems @ rem_base.T + noise[:, t]
-                rowvals = states @ safe_set.normals.T - safe_set.offsets
-                live = rowvals if all_alive else rowvals[alive]
-                # column by column: max(axis=0) on a narrow array is about 5x slower
-                for j in range(live.shape[1]):
-                    col_max[j] = live[:, j].max()
-                np.maximum(worst, col_max, out=worst)
-                row_max = rowvals[:, 0]
-                for j in range(1, rowvals.shape[1]):
-                    row_max = np.maximum(row_max, rowvals[:, j])
-                exited = row_max > tol
+                states = loop @ _lift(states, dictionary, stacked)
+                states += noise[:, t].T
+                rowvals = safe_set.normals @ states
+                rowvals -= safe_set.offsets[:, None]
+                live = rowvals if all_alive else rowvals[:, alive]
+                np.maximum(worst, live.max(axis=1), out=worst)
+                exited = rowvals.max(axis=0) > tol
                 if not all_alive:
                     exited &= alive
                 hit = np.flatnonzero(exited)
                 if hit.size:
-                    found += [(first + int(i), t + 1, states[i].copy())
+                    found += [(first + int(i), t + 1, states[:, i].copy())
                               for i in hit[:max(0, max_witnesses - len(found))]]
                     violations += hit.size
                     alive[hit] = False
@@ -283,9 +290,9 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
                 if not all_alive:
                     if not alive.any():
                         break
-                    states[~alive] = 0.0  # freeze exited runs so they cannot overflow
+                    states[:, ~alive] = 0.0  # freeze exited runs so they cannot overflow
         witnesses = sorted(witnesses + found, key=lambda w: (w[1], w[0]))[:max_witnesses]
-        del noise, states  # free this chunk's buffers before the next chunk's are made
+        del noise, stacked, states  # free this chunk's buffers before the next chunk's are made
         first = stop
 
     return VerificationReport(
@@ -364,11 +371,9 @@ class ConservatismTable:
 def control_effort(controller, safe_set: PolyhedralSet, dictionary,
                    resolution=None) -> float:
     """Maximum control magnitude over the grid members and vertices of the safe set."""
-    peaks = []
-    for block in _grid_and_vertices(safe_set, resolution):
-        points = block.T
-        inputs = points @ controller.k1.T + dictionary.remainder(points) @ controller.k2.T
-        peaks.append(np.max(np.abs(inputs)))
+    gains = np.hstack([controller.k1, controller.k2])   # u = [k1 k2] [x; r(x)]
+    peaks = [np.max(np.abs(gains @ _lift(block, dictionary)))
+             for block in _grid_and_vertices(safe_set, resolution)]
     return float(np.max(peaks))
 
 

@@ -34,6 +34,8 @@ class TestScenarioSchema:
         scenario = cli.load_scenario(REPO_SCENARIO)
         path = tmp_path / "copy.json"
         cli.save_scenario(scenario, path)
+        # the expansion point has no effect, so a saved scenario leaves it out
+        assert "expansion_point" not in json.loads(path.read_text())["synthesis"]
         again = cli.load_scenario(path)
         assert again.to_json() == scenario.to_json()
 

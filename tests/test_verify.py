@@ -38,28 +38,27 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
         filled += take
     noise = np.random.default_rng(noise_seq).uniform(
         -plant.w_bound, plant.w_bound, size=(n_trajectories, horizon, n))
-    lin_base = plant.linear_base() + plant.b @ controller.k1
-    rem_base = plant.a2 + plant.b @ controller.k2
-    a_slope = plant.dictionary.linearization()
-    states = starts.copy()
+    # [L R] acting on the coordinate-major lift [x; r(x)] of all states at once
+    loop = np.hstack([plant.linear_base() + plant.b @ controller.k1,
+                      plant.a2 + plant.b @ controller.k2])
+    states = starts.T.copy()
     alive = np.ones(n_trajectories, dtype=bool)
     first_exit = np.full(n_trajectories, -1, dtype=int)
     worst = np.full(safe_set.n_rows, -np.inf)
     witnesses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
-            vals = plant.dictionary.values(states)
-            rems = vals - states @ a_slope.T
-            states = states @ lin_base.T + rems @ rem_base.T + noise[:, t, :]
-            rowvals = states @ safe_set.normals.T - safe_set.offsets
+            lifted = np.vstack([states, plant.dictionary.remainder(states.T).T])
+            states = loop @ lifted + noise[:, t, :].T
+            rowvals = safe_set.normals @ states - safe_set.offsets[:, None]
             if alive.any():
-                worst = np.maximum(worst, rowvals[alive].max(axis=0))
-            exited = alive & (rowvals.max(axis=1) > tol)
+                worst = np.maximum(worst, rowvals[:, alive].max(axis=1))
+            exited = alive & (rowvals.max(axis=0) > tol)
             for i in np.flatnonzero(exited)[:max(0, max_witnesses - len(witnesses))]:
-                witnesses.append((int(i), t + 1, states[i].copy()))
+                witnesses.append((int(i), t + 1, states[:, i].copy()))
             first_exit[exited] = t + 1
             alive &= ~exited
-            states[~alive] = 0.0
+            states[:, ~alive] = 0.0
     return worst, int(np.sum(first_exit >= 0)), witnesses
 
 
@@ -311,6 +310,30 @@ class TestMonteCarlo:
             assert 0 < violations < count
             assert len({w[0] // 37 for w in witnesses}) > 3
             assert len({w[1] for w in witnesses}) > 1
+
+    @pytest.mark.parametrize("case", ["zero", "half-k1"])
+    def test_vertex_runs_match_plant_simulation(self, secv_plant, secv_set, secv_design,
+                                                case):
+        # a run that starts on a vertex and exits is replayed one state at a
+        # time by the plant itself, with the noise rebuilt from the second
+        # seed child; a transposed or misordered batch cannot pass this
+        design, _ = secv_design
+        controller = zero_controller() if case == "zero" else synthesis.Controller(
+            k1=0.5 * design.k1, k2=design.k2, g1=design.g1, g2=design.g2)
+        count, horizon, seed = 300, 60, 5
+        report = verify.monte_carlo_invariance(secv_plant, controller, secv_set, count,
+                                               horizon, seed=seed, max_witnesses=10**6)
+        vertices = enumerate_vertices(secv_set)
+        noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
+        noise = np.random.default_rng(noise_seq).uniform(
+            -secv_plant.w_bound, secv_plant.w_bound, size=(count, horizon, secv_plant.state_dim))
+        replayed = 0
+        for index, exit_time, state in report.witnesses:
+            if index < len(vertices):
+                run = secv_plant.simulate(controller, vertices[index], exit_time, noise[index])
+                np.testing.assert_allclose(state, run.states[exit_time], rtol=1e-12, atol=0)
+                replayed += 1
+        assert replayed == len(vertices)
 
     def test_prefix_stable(self, secv_plant, secv_set, secv_design):
         # trajectory i draws its start and its noise at fixed stream
