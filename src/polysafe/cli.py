@@ -7,7 +7,8 @@ budgets.  Every command is deterministic for a fixed scenario, so two
 runs produce byte-identical artifacts.
 
 Exit codes: 0 success (feasible and verified where applicable), 1 usage
-or validation error, 2 synthesis infeasible, 3 verification failure.
+or validation error (or a solver with no verdict on the command's own
+method), 2 synthesis infeasible, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from . import synthesis, verify
 from .datagen import collect_informative, identification_rank, regressor_rank
 from .dynamics import Dictionary, PlantModel
 from .errors import (
+    NumericalInstabilityError,
     PolysafeError,
     RankDeficientDataError,
     ScenarioValidationError,
+    SolverStalledError,
     SynthesisInfeasibleError,
 )
 from .polytope import PolyhedralSet, enumerate_vertices
@@ -38,6 +41,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
+
+SOLVER_FAILED = "solver failed: "  # prefixes a method whose LP solve gave no verdict
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +321,31 @@ def _synthesize(scenario: Scenario, data, safe_set):
 
 
 def _sweep(scenario: Scenario, data, safe_set, methods) -> dict:
-    """Each method's design, or the message saying why no level in (0, 1] is feasible."""
+    """Each method's design, or the message saying why no level in (0, 1] is
+    feasible, or, prefixed ``SOLVER_FAILED``, why its solver gave no verdict.
+    One method's solver failure leaves the other methods' designs standing."""
     designs: dict = {}
     for method in methods:
+        # the message only: the error's traceback would hold every frame
+        # of the command, and the data with them, until a garbage collection
         try:
             designs[method] = _design(scenario, data, safe_set, method)
         except (SynthesisInfeasibleError, RankDeficientDataError) as err:
-            # the message only: the error's traceback would hold every frame
-            # of the command, and the data with them, until a garbage collection
             designs[method] = str(err)
+        except (SolverStalledError, NumericalInstabilityError) as err:
+            designs[method] = SOLVER_FAILED + str(err)
     return designs
 
 
+def _solver_failed(design) -> bool:
+    return isinstance(design, str) and design.startswith(SOLVER_FAILED)
+
+
 def _min_levels(designs: dict) -> dict:
-    return {method: None if isinstance(design, str) else design[1].contraction
+    """Each method's minimal level: ``None`` when no level is feasible, the
+    message when its solver failed."""
+    return {method: design if _solver_failed(design)
+            else None if isinstance(design, str) else design[1].contraction
             for method, design in designs.items()}
 
 
@@ -522,9 +538,9 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(scenario: Scenario, out_dir: Path, methods=None) -> int:
+def _cmd_sweep(scenario: Scenario, out_dir: Path, requested=None) -> int:
     plant, safe_set, data = _collect(scenario)
-    methods = methods or list(synthesis.METHODS)
+    methods = requested or list(synthesis.METHODS)
     if "thm1" in methods:
         ident = identification_rank(data)
         if not ident.full_row_rank and methods == ["thm1"]:
@@ -534,12 +550,20 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, methods=None) -> int:
             print(f"rank-deficient data for thm1: {ident}", file=sys.stderr)
             return EXIT_INFEASIBLE
     levels = _min_levels(_sweep(scenario, data, safe_set, methods))
+    # a method named on the command line that fails is the command's failure;
+    # in the all-method sweep it is that method's entry
+    failed = requested and _solver_failed(levels[requested[0]])
     _write_json(out_dir / "summary.json", {
-        "command": "sweep-lambda", "status": "ok", "min_levels": levels,
+        "command": "sweep-lambda", "status": "solver-failed" if failed else "ok",
+        "min_levels": levels,
     })
-    print("minimal feasible levels: "
-          + ", ".join(f"{m}={'-' if v is None else format(v, '.4f')}"
-                      for m, v in levels.items()), file=sys.stderr)
+    shown = {m: "-" if v is None else "solver failed" if isinstance(v, str) else format(v, ".4f")
+             for m, v in levels.items()}
+    print("minimal feasible levels: " + ", ".join(f"{m}={v}" for m, v in shown.items()),
+          file=sys.stderr)
+    if failed:
+        print(f"error: {levels[requested[0]]}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -559,6 +583,12 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
                            "full_row_rank": reg.full_row_rank},
         "min_levels": _min_levels(designs),
     }
+    if _solver_failed(designs[method]):
+        summary["detail"] = designs[method]
+        summary["status"] = "solver-failed"
+        _write_json(out_dir / "report.json", summary)
+        print(f"error: {designs[method]}", file=sys.stderr)
+        return EXIT_USAGE
     if isinstance(designs[method], str):
         summary["infeasible_detail"] = designs[method]
         summary["status"] = "infeasible"

@@ -228,6 +228,37 @@ class Dictionary:
             rem[..., j] -= x[..., k]
         return rem
 
+    def lift(self, out: np.ndarray) -> np.ndarray:
+        """Write ``r(x)`` into rows ``out[n:]`` of an ``(n + N, k)`` buffer,
+        reading the coordinate-major states ``x`` from rows ``out[:n]``.
+
+        Each row is computed in place by the multiplication chain of
+        :meth:`values` and the unit-slope subtraction of :meth:`remainder`,
+        so the result is bitwise ``remainder(out[:n].T).T``.
+        """
+        n = self.dim
+        if out.ndim != 2 or out.shape[0] != n + self.n_terms:
+            raise DimensionMismatchError(
+                f"lift buffer has shape {out.shape}, expected ({n + self.n_terms}, k)")
+        x = out[:n]
+        for j, (t, factors) in enumerate(zip(self.terms, self._factors)):
+            row = out[n + j]
+            if isinstance(t, Monomial):
+                if len(factors) == 1:
+                    row[...] = x[factors[0]]
+                else:
+                    np.multiply(x[factors[0]], x[factors[1]], out=row)
+                    for k in factors[2:]:
+                        row *= x[k]
+            elif isinstance(t, SinTerm):
+                np.sin(x[t.coord], out=row)
+            else:
+                np.cos(x[t.coord], out=row)
+                row -= 1.0
+        for j, k in self._slopes:
+            out[n + j] -= x[k]
+        return out
+
     def lipschitz_bound(self, box: Box) -> float:
         """Sound bound on the remainder's Lipschitz constant over ``box``.
 
@@ -332,16 +363,20 @@ class PlantModel:
         """Linearized open-loop state matrix: a1 plus a2 times the dictionary slope."""
         return self.a1 + self.a2 @ self.dictionary.linearization()
 
+    def _check_bound(self, w: np.ndarray) -> None:
+        size = np.abs(w)
+        if np.any(size > self.w_bound + 1e-12):
+            raise DisturbanceOutOfBoundsError(
+                f"|w|_inf = {np.nanmax(size):.6g} exceeds bound {self.w_bound:.6g}"
+            )
+
     def _check_w(self, w) -> np.ndarray:
         if w is None:
             return np.zeros(self.state_dim)
         w = np.asarray(w, dtype=float).reshape(-1)
         if w.size != self.state_dim:
             raise DimensionMismatchError("disturbance has wrong dimension")
-        if np.max(np.abs(w)) > self.w_bound + 1e-12:
-            raise DisturbanceOutOfBoundsError(
-                f"|w|_inf = {np.max(np.abs(w)):.6g} exceeds bound {self.w_bound:.6g}"
-            )
+        self._check_bound(w)
         return w
 
     def step(self, x, u, w=None) -> np.ndarray:
@@ -357,18 +392,30 @@ class PlantModel:
         ``controller`` is anything with ``k1`` (m, n) and ``k2`` (m, N)
         attributes.  ``disturbances`` is an optional (horizon, n) array; each
         row must respect the plant's bound.  Pre-generated streams make runs
-        reproducible regardless of evaluation order.
+        reproducible regardless of evaluation order.  The whole stream is
+        checked before the first step, and each step is :meth:`step`'s
+        expression, with a zero disturbance when none is given.
         """
+        n = self.state_dim
         x = np.asarray(x0, dtype=float).reshape(-1)
         k1 = np.atleast_2d(np.asarray(controller.k1, dtype=float))
         k2 = np.atleast_2d(np.asarray(controller.k2, dtype=float))
-        states = np.empty((horizon + 1, self.state_dim))
+        if disturbances is None:
+            noise = np.zeros((horizon, n))
+        else:
+            noise = np.asarray(disturbances, dtype=float)
+            if noise.ndim < 1 or len(noise) < horizon or noise[:horizon].size != horizon * n:
+                raise DimensionMismatchError(
+                    f"disturbances have shape {noise.shape}, expected ({horizon}, {n})")
+            noise = noise[:horizon].reshape(horizon, n)
+            self._check_bound(noise)
+        a1, a2, b, dictionary = self.a1, self.a2, self.b, self.dictionary
+        states = np.empty((horizon + 1, n))
         inputs = np.empty((horizon, k1.shape[0]))
         states[0] = x
         for t in range(horizon):
-            u = k1 @ x + k2 @ self.dictionary.remainder(x)
-            w = None if disturbances is None else disturbances[t]
-            x = self.step(x, u, w)
+            u = k1 @ x + k2 @ dictionary.remainder(x)
+            x = a1 @ x + a2 @ dictionary.values(x) + b @ u + noise[t]
             states[t + 1] = x
             inputs[t] = u
         return Trajectory(states=states, inputs=inputs)

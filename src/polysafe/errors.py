@@ -25,6 +25,10 @@ class MalformedProgramError(PolysafeError, ValueError):
     """A linear program references undeclared blocks or has bad shapes."""
 
 
+class SolverStalledError(PolysafeError):
+    """The simplex reached its pivot cap before reaching a verdict."""
+
+
 class NumericalInstabilityError(PolysafeError, ArithmeticError):
     """A solve finished but its solution does not replay within tolerance.
 

@@ -26,6 +26,7 @@ from .errors import (
     EmptySetError,
     MalformedProgramError,
     NumericalInstabilityError,
+    SolverStalledError,
     UnboundedSetError,
 )
 
@@ -435,7 +436,9 @@ def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
     A column with reduced cost below ``-ray_tol`` and no positive entry is
     a genuine unbounded direction; marginally negative unpivotable columns
     are treated as numerically dead.  Phase 1 passes ``ray_tol=inf`` since
-    its objective is bounded below by construction.
+    its objective is bounded below by construction.  After
+    ``max_iterations`` pivots with no verdict it raises
+    :class:`SolverStalledError`.
     """
     n_cols = T.shape[1] - 1
     cost = np.zeros(n_cols + 1)
@@ -452,7 +455,7 @@ def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
     bland = False
     while True:
         if iterations >= max_iterations:
-            raise MalformedProgramError(f"simplex exceeded {max_iterations} iterations")
+            raise SolverStalledError(f"simplex exceeded {max_iterations} iterations")
         tol_c = _TOL_COST * (1.0 + float(np.max(np.abs(cost[:n_cols]), initial=0.0)))
         negative = np.flatnonzero(cost[:n_cols] < -tol_c)
         if negative.size == 0:

@@ -9,7 +9,10 @@ loop checked on it (:func:`grid_reports`), so its memory is O(block), not
 O(grid).
 
 Grid blocks, Monte Carlo chunks and the control effort all evaluate a closed
-loop one way: ``[L R] @ [x; r(x)]`` on coordinate-major ``(n, k)`` batches.
+loop one way: ``[L R] @ [x; r(x)]`` on coordinate-major ``(n, k)`` batches,
+with ``r(x)`` written in place by :meth:`~polysafe.dynamics.Dictionary.lift`.
+Monte Carlo steps each chunk between two swapped lift buffers and scans the
+chunk for exits only at a step where some row maximum crosses the tolerance.
 """
 
 from __future__ import annotations
@@ -108,15 +111,13 @@ def _grid_and_vertices(safe_set: PolyhedralSet, resolution):
         yield vertices
 
 
-def _lift(states: np.ndarray, dictionary, out: np.ndarray | None = None) -> np.ndarray:
-    """``[x; r(x)]``, ``(n + N, k)``, for an ``(n, k)`` batch of states, in
-    ``out`` if given: ``x+ = L x + R r(x)`` is then ``[L R] @ [x; r(x)]``."""
+def _lift(states: np.ndarray, dictionary) -> np.ndarray:
+    """``[x; r(x)]``, ``(n + N, k)``, for an ``(n, k)`` batch of states:
+    ``x+ = L x + R r(x)`` is then ``[L R] @ [x; r(x)]``."""
     n, k = states.shape
-    if out is None:
-        out = np.empty((n + dictionary.n_terms, k))
+    out = np.empty((n + dictionary.n_terms, k))
     out[:n] = states
-    out[n:] = dictionary.remainder(states.T).T
-    return out
+    return dictionary.lift(out)
 
 
 def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
@@ -213,14 +214,17 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     coordinate.  So a trajectory's noise depends only on its index, and
     running more trajectories leaves the earlier ones unchanged.
 
-    Trajectories run in chunks of ``_MC_CHUNK``: start states and a
-    ``(chunk, horizon, n)`` disturbance buffer are made one chunk at a
-    time, so memory is O(chunk * horizon * n) whatever the trajectory count.
-    A chunk is stepped as ``[L R] @ [x; r(x)]`` on one ``(n + N, chunk)``
-    buffer, like a grid block.
-    Margins, exit counts and witnesses are bit-identical to rolling every
-    trajectory in one batch.  Witnesses are the first ``max_witnesses``
-    exits ordered by exit time, then trajectory index.
+    Trajectories run in chunks of ``_MC_CHUNK``: start states and
+    disturbances are drawn one chunk at a time into one ``(chunk, horizon,
+    n)`` buffer that every chunk reuses, so memory is O(chunk * horizon * n)
+    whatever the trajectory count.  A step writes ``[L R] @ [x; r(x)]`` from
+    one ``(n + N, chunk)`` lift buffer into the other, adds the noise, and
+    the two swap.  While every run is alive a step only takes the row
+    maxima of ``F x``, less ``g``; the per-run exit scan runs only at a step
+    where one of them crosses ``tol``, and at every step after the first
+    exit.  Margins, exit counts and witnesses are bit-identical to rolling
+    every trajectory in one batch.  Witnesses are the first
+    ``max_witnesses`` exits ordered by exit time, then trajectory index.
     """
     start = time.perf_counter()
     n = plant.state_dim
@@ -234,6 +238,15 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     accepted = np.zeros((0, n))  # uniform samples in the set, not yet used as starts
 
     loop = np.hstack(_closed_loop_matrices(controller, "true-model", plant, None))  # [L R]
+    normals, offsets = safe_set.normals, safe_set.offsets
+
+    # one noise buffer and two lift buffers serve every chunk; a short chunk
+    # takes contiguous prefixes of their storage, never a column slice: given
+    # a strided out=, numpy may skip BLAS and round differently
+    width = n + dictionary.n_terms
+    capacity = min(n_trajectories, _MC_CHUNK + 1)
+    noise_store = np.empty(capacity * horizon * n)
+    lift_stores = (np.empty(width * capacity), np.empty(width * capacity))
 
     worst = np.full(safe_set.n_rows, -np.inf)
     violations = 0
@@ -246,9 +259,9 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
             # differently from the gemm of larger chunks
             stop += 1
         size = stop - first
+        a, b = (store[:width * size].reshape(width, size) for store in lift_stores)
 
-        stacked = np.empty((n + dictionary.n_terms, size))
-        states = stacked[:n]  # the (n, size) start states, one per column
+        states = a[:n]  # the (n, size) start states, one per column
         filled = min(max(vertices.shape[1] - first, 0), size)
         states[:, :filled] = vertices[:, first:first + filled]
         while filled < size:
@@ -261,7 +274,7 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
             filled += take
 
         # drawn in place, the same values as uniform(-w, w) with no second buffer
-        noise = np.empty((size, horizon, n))
+        noise = noise_store[:size * horizon * n].reshape(size, horizon, n)
         noise_rng.random(out=noise)
         noise *= 2.0 * w
         noise -= w
@@ -271,14 +284,23 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
         found: list = []
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(horizon):
-                states = loop @ _lift(states, dictionary, stacked)
+                np.matmul(loop, dictionary.lift(a), out=b[:n])
+                a, b = b, a
+                states = a[:n]
                 states += noise[:, t].T
-                rowvals = safe_set.normals @ states
-                rowvals -= safe_set.offsets[:, None]
-                live = rowvals if all_alive else rowvals[:, alive]
-                np.maximum(worst, live.max(axis=1), out=worst)
+                rowvals = normals @ states
+                if all_alive:
+                    # rounding is monotone, so the row maxima of F x - g are
+                    # those of F x, minus g; no run exits unless one crosses tol
+                    peak = rowvals.max(axis=1)
+                    peak -= offsets
+                    np.maximum(worst, peak, out=worst)
+                    if peak.max() <= tol:
+                        continue
+                rowvals -= offsets[:, None]
                 exited = rowvals.max(axis=0) > tol
                 if not all_alive:
+                    np.maximum(worst, rowvals[:, alive].max(axis=1), out=worst)
                     exited &= alive
                 hit = np.flatnonzero(exited)
                 if hit.size:
@@ -292,7 +314,6 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
                         break
                     states[:, ~alive] = 0.0  # freeze exited runs so they cannot overflow
         witnesses = sorted(witnesses + found, key=lambda w: (w[1], w[0]))[:max_witnesses]
-        del noise, stacked, states  # free this chunk's buffers before the next chunk's are made
         first = stop
 
     return VerificationReport(
@@ -356,8 +377,9 @@ class ConservatismTable:
         lines.append(header)
         lines.append("-" * len(header))
         for name, entry in self.rows.items():
-            if entry is None:
-                lines.append(f"{name:8s} {'infeasible':>10s} {'-':>10s} {'-':>11s}")
+            if entry is None or isinstance(entry, str):
+                verdict = "infeasible" if entry is None else "solver failed"
+                lines.append(f"{name:8s} {verdict:>10s} {'-':>10s} {'-':>11s}")
                 continue
             level = "-" if entry.get("min_level") is None else f"{entry['min_level']:.4f}"
             lines.append(
@@ -384,7 +406,8 @@ def conservatism_report(safe_set: PolyhedralSet, dictionary,
 
     ``primal_dual`` is a (controller, certificate) pair, ``baseline`` a
     :class:`BaselineResult`; missing or infeasible methods render as such
-    with no cross-method assertion made.
+    with no cross-method assertion made, and a method whose ``min_levels``
+    entry is a message, not a level, renders as "solver failed".
     """
     min_levels = min_levels or {}
     rows: dict = {}
@@ -397,8 +420,9 @@ def conservatism_report(safe_set: PolyhedralSet, dictionary,
         }
     for name in ("thm2", "cor2", "thm1"):
         if name in min_levels and name not in rows:
-            rows[name] = None if min_levels[name] is None else {
-                "min_level": min_levels[name], "k2_norm": float("nan"), "effort": float("nan")}
+            level = min_levels[name]
+            rows[name] = level if level is None or isinstance(level, str) else {
+                "min_level": level, "k2_norm": float("nan"), "effort": float("nan")}
     if baseline is not None:
         rows["thm1"] = {
             "min_level": min_levels.get("thm1"),

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from polysafe import cli, lpcore, synthesis, verify
-from polysafe.errors import ScenarioValidationError
+from polysafe.errors import (NumericalInstabilityError, ScenarioValidationError,
+                             SolverStalledError)
 
 REPO_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "secV.json"
 
@@ -325,6 +326,47 @@ class TestCommands:
         doc = json.loads((out / "report.json").read_text())
         assert doc["status"] == "infeasible"
         assert doc["min_levels"]["cor2"] is None
+
+    @staticmethod
+    def _stall(monkeypatch, design, error=SolverStalledError):
+        def stalled(*args, **kwargs):
+            raise error("no verdict")
+
+        monkeypatch.setattr(synthesis, design, stalled)
+
+    @pytest.mark.parametrize("error", [SolverStalledError, NumericalInstabilityError])
+    @pytest.mark.parametrize("command, summary", [("report", "report.json"),
+                                                  ("sweep-lambda", "summary.json")])
+    def test_stalled_method_is_its_own_entry(self, scenario_path, tmp_path, monkeypatch,
+                                             command, summary, error):
+        # a thm1 solve at its pivot cap, or one that does not replay, fails
+        # thm1 alone: the other methods' levels stand, and thm1's entry says
+        # "solver failed", not "infeasible"
+        self._stall(monkeypatch, "synthesize_min_remainder", error)
+        out = tmp_path / command
+        assert cli.main([command, "--scenario", str(scenario_path),
+                         "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / summary).read_text())
+        levels = doc["min_levels"]
+        assert levels["thm1"] == "solver failed: no verdict"
+        assert isinstance(levels["thm2"], float) and levels["cor2"] is None
+        if command == "report":
+            assert doc["status"] == "verified"
+            row = next(line for line in (out / "report.txt").read_text().splitlines()
+                       if line.startswith("thm1"))
+            assert "solver failed" in row and "infeasible" not in row
+
+    @pytest.mark.parametrize("command, summary", [("report", "report.json"),
+                                                  ("sweep-lambda", "summary.json")])
+    def test_stalled_scenario_method_exit_one(self, scenario_path, tmp_path, monkeypatch,
+                                              command, summary):
+        self._stall(monkeypatch, "synthesize_noiseless")
+        out = tmp_path / command
+        assert cli.main([command, "--scenario", str(scenario_path), "--out", str(out),
+                         "--method", "thm2"]) == cli.EXIT_USAGE
+        doc = json.loads((out / summary).read_text())
+        assert doc["status"] == "solver-failed"
+        assert doc["min_levels"]["thm2"].startswith("solver failed: ")
 
     def test_report_determinism(self, scenario_path, tmp_path):
         out1 = tmp_path / "r1"

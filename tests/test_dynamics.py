@@ -157,6 +157,38 @@ class TestRemainder:
         np.testing.assert_allclose(d.remainder([0.0, 0.0]), np.zeros(3), atol=0.0)
 
 
+LIFT_TERMS = {
+    "degree-1": Monomial((0, 1, 0)),
+    "degree-2": Monomial((1, 0, 1)),
+    "degree-3": Monomial((2, 1, 0)),
+    "sin": SinTerm(2),
+    "cosm1": CosM1Term(1),
+}
+
+
+class TestLift:
+    @pytest.mark.parametrize("k", [1, 2, 2049])
+    @pytest.mark.parametrize("kind", [*LIFT_TERMS, "all"])
+    def test_bitwise_equal_to_row_major_remainder(self, kind, k):
+        # the coordinate-major lift takes the same multiplication chain and
+        # unit-slope subtraction as remainder, so every byte matches, signed
+        # zeros included
+        terms = list(LIFT_TERMS.values()) if kind == "all" else [LIFT_TERMS[kind]]
+        d = Dictionary(terms, 3)
+        x = np.random.default_rng(k).uniform(-7.0, 7.0, size=(3, k))
+        x[:, 0] = [0.0, -0.0, -0.0]
+        buf = np.full((3 + d.n_terms, k), np.nan)
+        buf[:3] = x
+        assert d.lift(buf) is buf
+        assert buf[:3].tobytes() == x.tobytes()
+        assert buf[3:].tobytes() == np.ascontiguousarray(d.remainder(x.T).T).tobytes()
+
+    def test_buffer_rows_checked(self):
+        d = Dictionary(list(LIFT_TERMS.values()), 3)
+        with pytest.raises(DimensionMismatchError):
+            d.lift(np.zeros((3 + d.n_terms - 1, 4)))
+
+
 class TestLipschitz:
     def test_quadratic_over_secv_box(self):
         # max row sum of the remainder Jacobian: |2 x1| <= 12 beats |2 x2| <= 7
@@ -224,6 +256,35 @@ class TestPlant:
         np.testing.assert_allclose(traj.inputs[0], u0, atol=1e-15)
         np.testing.assert_allclose(
             traj.states[1], secv_plant.step([0.5, 0.5], u0), atol=1e-15)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_simulate_replays_step_bitwise(self, secv_plant, noisy):
+        class Gains:
+            k1 = np.array([[0.3, -1.2]])
+            k2 = np.array([[-1.0, -1.0]])
+
+        noise = (np.random.default_rng(4).uniform(-0.05, 0.05, size=(20, 2))
+                 if noisy else None)
+        traj = secv_plant.simulate(Gains(), [-0.5, 0.5], 20, noise)
+        x = np.array([-0.5, 0.5])
+        for t in range(20):
+            u = Gains.k1 @ x + Gains.k2 @ secv_plant.dictionary.remainder(x)
+            x = secv_plant.step(x, u, None if noise is None else noise[t])
+            assert traj.states[t + 1].tobytes() == x.tobytes()
+
+    def test_simulate_checks_the_whole_stream_first(self, secv_plant):
+        class Gains:
+            k1 = np.zeros((1, 2))
+            k2 = np.zeros((1, 2))
+
+        noise = np.zeros((10, 2))
+        noise[9, 1] = 0.06
+        with pytest.raises(DisturbanceOutOfBoundsError):
+            secv_plant.simulate(Gains(), [0.5, 0.5], 10, noise)
+        # rows past the horizon are not read, so not checked
+        secv_plant.simulate(Gains(), [0.5, 0.5], 9, noise)
+        with pytest.raises(DimensionMismatchError):
+            secv_plant.simulate(Gains(), [0.5, 0.5], 10, noise[:9])
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionMismatchError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from polysafe import lpcore
-from polysafe.errors import MalformedProgramError, UnboundedSetError
+from polysafe.errors import MalformedProgramError, SolverStalledError, UnboundedSetError
 from polysafe.lpcore import LinearProgram, LpStatus, polytope_max
 from polysafe.polytope import PolyhedralSet, enumerate_vertices
 
@@ -88,6 +88,18 @@ class TestBasics:
             lp.add_constraint({"x": 1.0}, "<<", 0.0)
         with pytest.raises(MalformedProgramError):
             lp.add_block("x", ())
+
+    def test_pivot_cap_is_a_stall(self, monkeypatch):
+        # a well-formed program that reaches the pivot cap is a stall, which the
+        # CLI reports per method, not a malformed program
+        monkeypatch.setattr(lpcore._simplex, "__defaults__", (lpcore._TOL_RAY, 0))
+        lp = LinearProgram()
+        lp.add_block("x", (), nonneg=True)
+        lp.add_constraint({"x": 1.0}, "<=", 3.0)
+        lp.set_objective("max", {"x": 1.0})
+        with pytest.raises(SolverStalledError, match="simplex exceeded 0 iterations"):
+            lp.solve()
+        assert not issubclass(SolverStalledError, MalformedProgramError)
 
     def test_near_zero_rows_are_zero_rows(self):
         # rescaling the tiny rows to unit size would turn rounding-level

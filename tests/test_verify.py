@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polysafe import polytope, synthesis, verify
-from polysafe.dynamics import Dictionary, Monomial, PlantModel
+from polysafe.dynamics import CosM1Term, Dictionary, Monomial, PlantModel
 from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
                                interval_enclosure, sample_grid)
 
@@ -310,6 +310,40 @@ class TestMonteCarlo:
             assert 0 < violations < count
             assert len({w[0] // 37 for w in witnesses}) > 3
             assert len({w[1] for w in witnesses}) > 1
+
+    @pytest.mark.parametrize("chunk", [37, verify._MC_CHUNK])
+    def test_three_states_match_unchunked_loop(self, monkeypatch, chunk):
+        # x+ = 0.97 x + 0.01 * (x0^2 + x0 x2 + cos x1 - 1) + w on every row of
+        # the 3-state set: a cross monomial and a cos - 1 term in the lift.
+        # The vertex runs exit at step 1; with 37 runs a chunk, another chunk
+        # first crosses at step 4 and others never do, so the steps before any
+        # crossing and the exit scan both run.  Both counts leave a
+        # one-trajectory tail.
+        tri, safe_set = tri_plant_and_set()
+        dictionary = Dictionary([Monomial((2, 0, 0)), Monomial((1, 0, 1)), CosM1Term(1)], 3)
+        plant = PlantModel(a1=tri.a1, a2=[[0.0, 0.1, 0.0], [0.0, 0.0, 0.2], [1.0, -0.5, 0.3]],
+                           b=np.eye(3), dictionary=dictionary, w_bound=0.02)
+        controller = synthesis.Controller(
+            k1=0.97 * np.eye(3) - plant.linear_base(), k2=0.01 - plant.a2,
+            g1=np.zeros((1, 3)), g2=np.zeros((1, 3)))
+        count = 4 * chunk + 1 if chunk == 37 else 2 * chunk + 1
+        monkeypatch.setattr(verify, "_MC_CHUNK", chunk)
+        report = verify.monte_carlo_invariance(plant, controller, safe_set, count, 60, seed=3,
+                                               max_witnesses=10**6)
+        worst, violations, witnesses = unchunked_monte_carlo(
+            plant, controller, safe_set, count, 60, seed=3, max_witnesses=10**6)
+        np.testing.assert_array_equal(report.row_margins, worst)
+        assert report.violations == violations
+        assert [w[:2] for w in report.witnesses] == [w[:2] for w in witnesses]
+        for (_, _, state), (_, _, ref_state) in zip(report.witnesses, witnesses):
+            np.testing.assert_array_equal(state, ref_state)
+        assert 0 < violations < count
+        first_exit: dict = {}
+        for index, exit_time, _ in witnesses:
+            first_exit.setdefault(min(index // chunk, count // chunk - 1), exit_time)
+        assert first_exit[0] == 1
+        if chunk == 37:
+            assert len(first_exit) < 4 and max(first_exit.values()) > 1
 
     @pytest.mark.parametrize("case", ["zero", "half-k1"])
     def test_vertex_runs_match_plant_simulation(self, secv_plant, secv_set, secv_design,
