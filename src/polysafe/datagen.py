@@ -99,9 +99,10 @@ def collect(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
     uniform on [-w_bound, w_bound]^n; both streams are drawn up front from
     ``seed`` (inputs first), so the experiment is deterministic.
 
-    A given ``safe_set`` aborts with :class:`TrajectoryDivergedError` as soon
-    as the state leaves twice its interval enclosure; collection itself
-    never insists the trajectory stays safe.
+    A given ``safe_set`` raises :class:`TrajectoryDivergedError` for the
+    first step whose state leaves twice its interval enclosure, as does a
+    non-finite state with or without it; collection itself never insists
+    the trajectory stays safe.
     """
     n = plant.state_dim
     m = plant.input_dim
@@ -117,22 +118,27 @@ def collect(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
     else:
         noise = np.zeros((n_samples, n))
 
-    guard_box = None if safe_set is None else interval_enclosure(safe_set)
+    plant._check_bound(noise)
 
+    a1, a2, b, dictionary = plant.a1, plant.a2, plant.b, plant.dictionary
     x = np.asarray(x0, dtype=float).reshape(-1)
     states = np.empty((n_samples + 1, n))
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
+        # plant.step's expression; the checks below name the first bad step
         for t in range(n_samples):
-            x = plant.step(x, inputs[t], noise[t])
+            x = a1 @ x + a2 @ dictionary.values(x) + b @ inputs[t] + noise[t]
             states[t + 1] = x
-            if not np.all(np.isfinite(x)):
-                raise TrajectoryDivergedError(f"state became non-finite at step {t + 1}")
-            if guard_box is not None and (
-                    np.any(x < 2.0 * guard_box.lo) or np.any(x > 2.0 * guard_box.hi)):
-                raise TrajectoryDivergedError(
-                    f"state {x} left twice the enclosure box at step {t + 1}"
-                )
+    bad = ~np.isfinite(states[1:]).all(axis=1)
+    if safe_set is not None:
+        box = interval_enclosure(safe_set)
+        bad |= np.any((states[1:] < 2.0 * box.lo) | (states[1:] > 2.0 * box.hi), axis=1)
+    if bad.any():
+        step = int(np.argmax(bad)) + 1
+        x = states[step]
+        if not np.all(np.isfinite(x)):
+            raise TrajectoryDivergedError(f"state became non-finite at step {step}")
+        raise TrajectoryDivergedError(f"state {x} left twice the enclosure box at step {step}")
 
     before = states[:-1]
     remainders = plant.dictionary.remainder(before)

@@ -223,10 +223,14 @@ class Dictionary:
         """Term values minus their linearization (each unit slope's coordinate);
         vanishes at the origin."""
         x = self._check_point(x)
-        rem = self.values(x)
+        return self._less_slopes(self.values(x), x)
+
+    def _less_slopes(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Subtract each unit slope's coordinate of ``x`` from the term
+        ``values`` in place: the remainder, from values already computed."""
         for j, k in self._slopes:
-            rem[..., j] -= x[..., k]
-        return rem
+            values[..., j] -= x[..., k]
+        return values
 
     def lift(self, out: np.ndarray) -> np.ndarray:
         """Write ``r(x)`` into rows ``out[n:]`` of an ``(n + N, k)`` buffer,
@@ -414,8 +418,9 @@ class PlantModel:
         inputs = np.empty((horizon, k1.shape[0]))
         states[0] = x
         for t in range(horizon):
-            u = k1 @ x + k2 @ dictionary.remainder(x)
-            x = a1 @ x + a2 @ dictionary.values(x) + b @ u + noise[t]
+            terms = dictionary.values(x)
+            u = k1 @ x + k2 @ dictionary._less_slopes(terms.copy(), x)
+            x = a1 @ x + a2 @ terms + b @ u + noise[t]
             states[t + 1] = x
             inputs[t] = u
         return Trajectory(states=states, inputs=inputs)

@@ -31,9 +31,11 @@ one-norms of :func:`row_norms`; a budget floor above the smallest offset
 is refused before any program is posed.  The baseline ("thm1") searches a
 grid of gains for the one minimizing the worst-row remainder term and then
 solves the classical row-multiplier program with the searched remainder
-bound subtracted.  The search is exact but pruned: cheap lower bounds
-from a few probe points rank the candidates, and only those whose bound
-can still reach the best exact score are scored.
+bound subtracted.  The search is exact but pruned: lower bounds from a
+few probe points are separable in the gain entries, so one bound covers
+a whole box of grid gains (the first entries fixed, the rest free), and
+boxes whose bound cannot reach the best exact score are dropped whole;
+only the surviving gains are scored.
 
 The design functions take no level.  Every program is posed at level 1
 and maximizes level headroom ``h``, which enters row ``i`` as ``h * g_i``;
@@ -412,7 +414,7 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet,
 
 
 _MAX_GAIN_CANDIDATES = 41 ** 4  # the default gain grid at m*N = 4
-_BOUND_CHUNK = 4096             # candidates per vectorized lower-bound block
+_BOX_BLOCK = 1024               # child boxes per vectorized bound block
 _BOUND_GRID_POINTS = 8          # strided grid points in the lower-bound probe
 
 
@@ -430,15 +432,20 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     worst-row maximum wins (first on ties).
     ``x_resolution`` defaults to :func:`~polysafe.polytope.grid_resolution`.
 
-    The search is exact but pruned (bound and score).  A candidate's score
-    is a maximum over all points, so its maximum over a few probe points
-    (the vertices, each row's maximizer at the gain-free coefficients and a
-    strided grid sample) is a lower bound; the bounds of all candidates are
-    computed in fixed-size blocks.  Candidates are then scored exactly in
-    ascending-bound order until a bound exceeds the best score plus a
-    rounding slack, which leaves the same winner and the same
+    The search is exact but pruned (box bounds and scores).  A candidate's
+    score is a maximum over all points, so its maximum over a few probe
+    points (the vertices, each row's maximizer at the gain-free
+    coefficients and a strided grid sample) is a lower bound.  Each probe
+    value is a constant plus one term per gain entry, so fixing the first
+    entries and taking every free entry's smallest term bounds a whole box
+    of grid gains.  A descent into the child box with the smallest bound
+    gives an incumbent score; the boxes are then expanded one entry at a
+    time, in fixed-size blocks, keeping only children whose bound is within
+    a rounding slack of the incumbent.  The surviving gains are scored
+    exactly in ascending (bound, index) order until a bound exceeds the
+    best score plus the slack, which leaves the same winner and the same
     ``row_bounds`` as scoring every candidate.  ``scored`` counts the
-    exact scorings.
+    exact scorings, the incumbent's included.
     """
     if not k2_step > 0:
         raise ValueError(f"k2_step must be positive, got {k2_step}")
@@ -485,42 +492,83 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
         np.arange(len(grid), len(points)),                                  # vertices
         np.argmax(coeff0 @ rem.T, axis=1),                                  # row maximizers
         np.arange(0, len(grid), max(1, len(grid) // _BOUND_GRID_POINTS))]))  # grid sample
-    offset = (coeff0 @ rem[probe].T).ravel()         # (s*q,)
+    offset = (coeff0 @ rem[probe].T).ravel()         # (C,) with C = s*q
     slope = np.einsum("ia,pb->abip", f_next @ gain_map, rem[probe]).reshape(m * N, -1)
-    bound = np.empty(count)
-    values = np.empty((min(count, _BOUND_CHUNK), slope.shape[1]))  # one buffer for all blocks
-    for start in range(0, count, _BOUND_CHUNK):
-        block = combos[start:start + _BOUND_CHUNK]
-        out = values[:len(block)]
-        np.matmul(block, slope, out=out)
-        out += offset
-        out.max(axis=1, out=bound[start:start + len(block)])
+
+    # Box bounds.  Fixing the first l gain entries leaves a box of grid
+    # gains; taking each free entry's smallest term over the axis bounds
+    # every gain in the box.  tail[l] sums those smallest terms past entry l.
+    D, L = m * N, len(axis)
+    terms = axis[:, None, None] * slope              # (L, D, C): k * slope_dc per axis value
+    tail = np.zeros((D + 1, slope.shape[1]))
+    tail[:D] = np.cumsum(terms.min(axis=0)[::-1], axis=0)[::-1]
 
     # Rounding slack.  The bounds and the exact scores are computed from the
     # same f_next, base, gain_map, rem and grid gains, but associated
-    # differently: ((f_next @ gain_map) * rem) @ k2 + (f_next @ base) @ rem
-    # against (f_next @ (base + gain_map @ k2)) @ rem.  Each value is a sum
-    # along a chain of at most k = T + (m+1)(N+1) + 2 rounded operations, so
+    # differently: offset_c plus the terms fl(k_d * slope_dc), against
+    # (f_next @ (base + gain_map @ k2)) @ rem.  Every product in either is
+    # a chain of at most k = T + (m+1)(N+1) + 2 rounded operations, so a
+    # computed score and the exact sum E of a gain's rounded bound terms
     # both lie within gamma_k * M of the same exact value (gamma_k =
     # k*u/(1 - k*u), u = eps/2; Higham, Accuracy and Stability of Numerical
     # Algorithms, sec. 3.1), where M bounds |f_next| (|base| + |gain_map| |k2|)
-    # |rem| over all rows, points and gains.  A bound above best + 2*gamma_k*M
-    # then proves the candidate's computed score is above best, so it can
-    # neither win nor tie; 4*k*eps*M is four times that.
+    # |rem| over all rows, points and gains.  A box's terms are each at most
+    # the matching term of any gain in the box (a fixed entry's is the same
+    # term, a free entry's the smallest over the axis), so the exact sum of
+    # its D + 1 terms is at most that gain's E, and the computed box bound
+    # exceeds that sum by at most gamma_D * A, A the largest absolute sum of
+    # D + 1 terms.  A box bound above best + gamma_D*A + 2*gamma_k*M then
+    # proves, in the column that attains it, that every gain in the box has
+    # a computed score above best, so none can win or tie; best only falls
+    # as gains are scored, so this holds for the final best too.  The slack
+    # is 4*k*eps*M, four times 2*gamma_k*M, plus (D+1)*eps*A >= gamma_D*A.
     k2_max = float(np.max(np.abs(axis)))
     mag = np.abs(f_next) @ (np.abs(base) + k2_max * np.abs(gain_map).sum(axis=1, keepdims=True))
     chain = data.next_states.shape[1] + (m + 1) * (N + 1) + 2
-    slack = 4.0 * chain * np.finfo(float).eps * float(np.max(mag @ np.abs(rem).max(axis=0)))
+    eps = np.finfo(float).eps
+    box_sum = float(np.max(np.abs(offset) + np.abs(terms).max(axis=0).sum(axis=0)))
+    slack = (4.0 * chain * eps * float(np.max(mag @ np.abs(rem).max(axis=0)))
+             + (D + 1) * eps * box_sum)
 
-    best, row_maxima = np.inf, {}
-    for idx in np.argsort(bound, kind="stable"):
-        if bound[idx] > best + slack:
+    row_maxima = {}
+
+    def score(idx: int) -> float:
+        if idx not in row_maxima:
+            coeffs = f_next @ (base + gain_map @ combos[idx].reshape(m, N))  # (s, N)
+            row_maxima[idx] = np.max(coeffs @ rem.T, axis=1)
+        return row_maxima[idx].max()
+
+    # incumbent: descend into the child box with the smallest bound
+    partial, leaf = offset, 0
+    for level in range(D):
+        child = partial + terms[:, level]            # (L, C)
+        j = int(np.argmin((child + tail[level + 1]).max(axis=1)))
+        partial, leaf = child[j], leaf * L + j
+    best = score(leaf)
+
+    # prune: expand the boxes level by level, keeping children that can
+    # still win or tie; boxes stay in ascending index order
+    boxes, partial = np.zeros(1, dtype=np.intp), offset[None]
+    per_block = max(1, _BOX_BLOCK // L)
+    for level in range(D):
+        kept = []
+        for start in range(0, len(boxes), per_block):
+            child = partial[start:start + per_block, None] + terms[:, level]  # (b, L, C)
+            bound = (child + tail[level + 1]).max(axis=2)                      # (b, L)
+            parent, j = np.nonzero(bound <= best + slack)
+            kept.append((boxes[start + parent] * L + j, bound[parent, j],
+                         child[parent, j] if level + 1 < D else None))
+        boxes = np.concatenate([k[0] for k in kept])
+        bounds = np.concatenate([k[1] for k in kept])
+        if level + 1 < D:
+            partial = np.concatenate([k[2] for k in kept])
+
+    # score the surviving gains in ascending (bound, index) order
+    order = np.argsort(bounds, kind="stable")
+    for idx, bound in zip(boxes[order].tolist(), bounds[order].tolist()):
+        if bound > best + slack:
             break
-        k2 = combos[idx].reshape(m, N)
-        g2 = base + gain_map @ k2
-        coeffs = f_next @ g2                         # (s, N)
-        row_maxima[idx] = np.max(coeffs @ rem.T, axis=1)
-        best = min(best, row_maxima[idx].max())
+        best = min(best, score(idx))
     chosen = int(min(idx for idx, row_max in row_maxima.items() if row_max.max() == best))
     k2 = combos[chosen].reshape(m, N)
     return BaselineSearch(

@@ -64,10 +64,22 @@ class TestCollect:
             np.vstack([secv_data.states, secv_data.remainders]))
 
     def test_divergence_guard(self, secv_plant, secv_set):
-        # strong excitation blows the unstable plant out of twice the box
-        with pytest.raises(TrajectoryDivergedError):
+        # strong excitation blows the unstable plant out of twice the box;
+        # the error names the first step outside and the state there
+        with pytest.raises(TrajectoryDivergedError) as err:
             collect(secv_plant, 40, 0.5, [0, 0], seed=7,
                     safe_set=secv_set)
+        assert str(err.value) == (
+            "state [ 2.08814808 11.12566888] left twice the enclosure box at step 5")
+
+    @pytest.mark.parametrize("u_max, x0, guarded, step", [
+        (0.5, [0.0, 0.0], False, 14),      # without a guard the plant runs until it overflows
+        (0.003, [1e200, 1e200], True, 1),  # a non-finite state is named before the guard
+    ])
+    def test_non_finite_state(self, secv_plant, secv_set, u_max, x0, guarded, step):
+        with pytest.raises(TrajectoryDivergedError) as err:
+            collect(secv_plant, 40, u_max, x0, seed=7, safe_set=secv_set if guarded else None)
+        assert str(err.value) == f"state became non-finite at step {step}"
 
     def test_reseeding_gives_up(self, secv_plant, secv_set):
         with pytest.raises(TrajectoryDivergedError):

@@ -333,7 +333,7 @@ def brute_force_search(data, safe_set, k2_lo=-2.0, k2_hi=2.0, k2_step=0.1):
     """The unpruned gain search: every grid gain scored over every point.
 
     Returns the winner index (``argmin``, so first on ties), the candidate
-    grid and the winner's row bounds.
+    grid, the winner's row bounds and its right-inverse columns.
     """
     F = safe_set.normals
     n, N, m = data.state_dim, data.n_terms, data.input_dim
@@ -359,7 +359,7 @@ def brute_force_search(data, safe_set, k2_lo=-2.0, k2_hi=2.0, k2_step=0.1):
         bounds[idx] = row_max
         scores[idx] = row_max.max()
     chosen = int(np.argmin(scores))
-    return chosen, combos, bounds[chosen]
+    return chosen, combos, bounds[chosen], base + gain_map @ combos[chosen].reshape(m, N)
 
 
 def duo_variant(a2, b=((0.0,), (1.0,))):
@@ -378,10 +378,11 @@ class TestBaselineSearchIsExact:
 
     def assert_matches_brute_force(self, data, safe_set, **grid):
         search = synthesis.baseline_search(data, safe_set, **grid)
-        chosen, combos, row_bounds = brute_force_search(data, safe_set, **grid)
+        chosen, combos, row_bounds, g2 = brute_force_search(data, safe_set, **grid)
         np.testing.assert_array_equal(search.candidates, combos)
         assert search.chosen == chosen
         np.testing.assert_array_equal(search.k2, combos[chosen].reshape(search.k2.shape))
+        np.testing.assert_array_equal(search.g2, g2)
         np.testing.assert_array_equal(search.row_bounds, row_bounds)
         return search
 
@@ -401,6 +402,30 @@ class TestBaselineSearchIsExact:
         safe_set, data = duo_variant(a2)
         search = self.assert_matches_brute_force(data, safe_set, k2_step=0.2)
         assert search.row_bounds.max() > 0.1
+
+    def test_duo_variant_with_most_surviving_boxes(self):
+        # the first state's own curvature, which the input cannot reach, keeps
+        # 133 of the 1,681 second-level boxes of the default grid
+        safe_set, data = duo_variant([[-0.04, 0.0, 0.0], [1.0, 0.5, -0.5]])
+        search = self.assert_matches_brute_force(data, safe_set)
+        assert search.row_bounds.max() > 0.1
+
+    def test_one_gain_entry(self, secv_plant, secv_set):
+        # one input and one term (m*N = 1): the first level's boxes are the gains
+        dictionary = Dictionary([Monomial((2, 0))], 2)
+        plant = PlantModel(a1=secv_plant.a1, a2=[[0.0], [1.0]], b=[[0.0], [1.0]],
+                           dictionary=dictionary, w_bound=0.0)
+        data = collect(plant, 40, 0.003, [0.0, 0.0], seed=7)
+        search = self.assert_matches_brute_force(data, secv_set)
+        assert search.candidates.shape == (41, 1)
+
+    def test_four_gain_entries(self, secv_plant, secv_set):
+        # two inputs that both act and two terms (m*N = 4)
+        plant = PlantModel(a1=secv_plant.a1, a2=secv_plant.a2, b=[[0.5, 0.0], [1.0, 1.0]],
+                           dictionary=secv_plant.dictionary, w_bound=0.0)
+        data = collect(plant, 40, 0.003, [0.0, 0.0], seed=7)
+        search = self.assert_matches_brute_force(data, secv_set, k2_step=0.5)
+        assert search.candidates.shape == (9 ** 4, 4)
 
     @pytest.mark.parametrize("b", [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]])
     def test_rounding_level_near_ties(self, secv_plant, secv_set, b):
