@@ -170,18 +170,21 @@ class Dictionary:
         ``pow`` depends on which SIMD kernel numpy picks.
         """
         x = self._check_point(x)
-        cols = []
-        for t, factors in zip(self.terms, self._factors):
+        out = np.empty(x.shape[:-1] + (self.n_terms,))
+        for j, (t, factors) in enumerate(zip(self.terms, self._factors)):
+            col = out[..., j]
             if isinstance(t, Monomial):
-                col = x[..., factors[0]]
-                for k in factors[1:]:
-                    col = col * x[..., k]
-                cols.append(col)
+                if len(factors) == 1:
+                    col[...] = x[..., factors[0]]
+                else:
+                    np.multiply(x[..., factors[0]], x[..., factors[1]], out=col)
+                    for k in factors[2:]:
+                        col *= x[..., k]
             elif isinstance(t, SinTerm):
-                cols.append(np.sin(x[..., t.coord]))
+                col[...] = np.sin(x[..., t.coord])
             else:
-                cols.append(np.cos(x[..., t.coord]) - 1.0)
-        return np.stack(cols, axis=-1)
+                np.subtract(np.cos(x[..., t.coord]), 1.0, out=col)
+        return out
 
     def hessians(self, x) -> np.ndarray:
         """(N, n, n) stack of per-term Hessians at a single point."""

@@ -11,8 +11,10 @@ O(grid).
 Grid blocks, Monte Carlo chunks and the control effort all evaluate a closed
 loop one way: ``[L R] @ [x; r(x)]`` on coordinate-major ``(n, k)`` batches,
 with ``r(x)`` written in place by :meth:`~polysafe.dynamics.Dictionary.lift`.
-Monte Carlo steps each chunk between two swapped lift buffers and scans the
-chunk for exits only at a step where some row maximum crosses the tolerance.
+Monte Carlo steps each chunk between two swapped lift buffers, draws each
+step's disturbances with one jump and one fill of an addressed stream, so no
+buffer grows with the horizon, and scans the chunk for exits only at a step
+where some row maximum crosses the tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .polytope import (PolyhedralSet, enumerate_vertices, grid_blocks, grid_reso
 from .synthesis import row_norms
 
 TOL_VERIFY = 1e-6
-_MC_CHUNK = 2048     # trajectories per Monte Carlo chunk
+_MC_CHUNK = 16384    # trajectories per Monte Carlo chunk
+_MC_STEP_STRIDE = 2**64  # Monte Carlo noise stream positions between two steps
+_START_BATCH = 2048  # Monte Carlo start candidates are drawn 4 * this many rows at most
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,32 +211,41 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     """Roll the true closed loop from many starts and count safe-set exits.
 
     Initial states are the vertices plus seeded uniform samples from the
-    set.  The disturbances come from one generator seeded by the second
-    child of ``seed`` (the start states use the first), read in trajectory
-    order: trajectory ``i`` takes stream positions
-    ``[i*horizon*n, (i+1)*horizon*n)``, step by step and coordinate by
-    coordinate.  So a trajectory's noise depends only on its index, and
-    running more trajectories leaves the earlier ones unchanged.
+    set, drawn from the first child of ``seed``.  The disturbances come from
+    one PCG64 stream seeded by the second child and are addressed, not read
+    in order: coordinate ``k`` of trajectory ``i``'s disturbance at step
+    ``t`` is the double at stream position ``t * 2**64 + i * n + k``, scaled
+    to ``uniform(-w, w)``.  So the noise depends only on ``(i, t, k)``:
+    running more trajectories leaves the earlier ones unchanged, and the
+    chunk size moves no bit.
 
-    Trajectories run in chunks of ``_MC_CHUNK``: start states and
-    disturbances are drawn one chunk at a time into one ``(chunk, horizon,
-    n)`` buffer that every chunk reuses, so memory is O(chunk * horizon * n)
-    whatever the trajectory count.  A step writes ``[L R] @ [x; r(x)]`` from
-    one ``(n + N, chunk)`` lift buffer into the other, adds the noise, and
-    the two swap.  While every run is alive a step only takes the row
-    maxima of ``F x``, less ``g``; the per-run exit scan runs only at a step
-    where one of them crosses ``tol``, and at every step after the first
-    exit.  Margins, exit counts and witnesses are bit-identical to rolling
-    every trajectory in one batch.  Witnesses are the first
-    ``max_witnesses`` exits ordered by exit time, then trajectory index.
+    Trajectories run in chunks of ``_MC_CHUNK``.  Each step of a chunk jumps
+    the stream to its first trajectory's position for that step (PCG64's
+    jump-ahead costs O(log) of the distance) and draws the chunk's ``(size,
+    n)`` disturbances into one reused buffer, so memory is O(chunk * (n + N
+    + s)) whatever the trajectory count and the horizon.  A step writes
+    ``[L R] @ [x; r(x)]`` from one ``(n + N, chunk)`` lift buffer into the
+    other, adds the noise, and the two swap.  While every run is alive a
+    step only takes the row maxima of ``F x``, less ``g``; the per-run exit
+    scan runs only at a step where one of them crosses ``tol``, and at every
+    step after the first exit.  Margins, exit counts and witnesses are
+    bit-identical to rolling every trajectory in one batch.  Witnesses are
+    the first ``max_witnesses`` exits ordered by exit time, then trajectory
+    index.
     """
+    if n_trajectories < 1:
+        raise ValueError(f"n_trajectories must be at least 1, got {n_trajectories}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     start = time.perf_counter()
     n = plant.state_dim
     dictionary = plant.dictionary
     vertices = _vertices(safe_set)
     init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(init_seq)
-    noise_rng = np.random.default_rng(noise_seq)
+    stream = np.random.PCG64(noise_seq)
+    noise_rng = np.random.Generator(stream)
+    position = 0  # the stream position of the next double drawn
     w = plant.w_bound
     box = interval_enclosure(safe_set)
     accepted = np.zeros((0, n))  # uniform samples in the set, not yet used as starts
@@ -245,7 +258,7 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     # a strided out=, numpy may skip BLAS and round differently
     width = n + dictionary.n_terms
     capacity = min(n_trajectories, _MC_CHUNK + 1)
-    noise_store = np.empty(capacity * horizon * n)
+    noise_store = np.empty(capacity * n)
     lift_stores = (np.empty(width * capacity), np.empty(width * capacity))
 
     worst = np.full(safe_set.n_rows, -np.inf)
@@ -260,34 +273,39 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
             stop += 1
         size = stop - first
         a, b = (store[:width * size].reshape(width, size) for store in lift_stores)
+        noise = noise_store[:size * n].reshape(size, n)
 
         states = a[:n]  # the (n, size) start states, one per column
         filled = min(max(vertices.shape[1] - first, 0), size)
         states[:, :filled] = vertices[:, first:first + filled]
         while filled < size:
             if not len(accepted):
-                cand = init_rng.uniform(box.lo, box.hi, size=(4 * (size - filled), n))
+                # the candidates are one stream of rows whatever the batch size
+                rows = 4 * min(size - filled, _START_BATCH)
+                cand = init_rng.uniform(box.lo, box.hi, size=(rows, n))
                 accepted = cand[safe_set.membership_mask(cand)]
             take = min(len(accepted), size - filled)
             states[:, filled:filled + take] = accepted[:take].T
             accepted = accepted[take:].copy()  # a copy lets the spent draw be freed
             filled += take
 
-        # drawn in place, the same values as uniform(-w, w) with no second buffer
-        noise = noise_store[:size * horizon * n].reshape(size, horizon, n)
-        noise_rng.random(out=noise)
-        noise *= 2.0 * w
-        noise -= w
-
         alive = np.ones(size, dtype=bool)
         all_alive = True
         found: list = []
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(horizon):
+                # jump to (t, first) modulo the 2**128 period, then draw in
+                # place the same values as uniform(-w, w)
+                target = t * _MC_STEP_STRIDE + first * n
+                stream.advance((target - position) % 2**128)
+                noise_rng.random(out=noise)
+                position = target + size * n
+                noise *= 2.0 * w
+                noise -= w
                 np.matmul(loop, dictionary.lift(a), out=b[:n])
                 a, b = b, a
                 states = a[:n]
-                states += noise[:, t].T
+                states += noise.T
                 rowvals = normals @ states
                 if all_alive:
                     # rounding is monotone, so the row maxima of F x - g are

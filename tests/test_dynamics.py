@@ -16,6 +16,15 @@ from polysafe.errors import DimensionMismatchError, DisturbanceOutOfBoundsError
 from polysafe.polytope import Box, interval_enclosure
 
 
+TERM_KINDS = {
+    "degree-1": Monomial((0, 1, 0)),
+    "degree-2": Monomial((1, 0, 1)),
+    "degree-3": Monomial((2, 1, 0)),
+    "sin": SinTerm(2),
+    "cosm1": CosM1Term(1),
+}
+
+
 def quad_dict():
     return Dictionary([Monomial((2, 0)), Monomial((0, 2))], 2)
 
@@ -93,6 +102,33 @@ class TestEvaluation:
             np.testing.assert_array_equal(point, values[i])
             assert point[5] == float(x[i, 0]) * float(x[i, 0]) * float(x[i, 0]) * float(x[i, 1])
 
+    @pytest.mark.parametrize("shape", [(3,), (5000, 3), (4, 7, 3)])
+    @pytest.mark.parametrize("kind", [*TERM_KINDS, "all"])
+    def test_bitwise_equal_to_stacked_columns(self, kind, shape):
+        # values writes each column into one preallocated output; the bytes
+        # must match computing the columns apart and joining them with
+        # np.stack, signed zeros included
+        terms = list(TERM_KINDS.values()) if kind == "all" else [TERM_KINDS[kind]]
+        d = Dictionary(terms, 3)
+        x = np.random.default_rng(len(shape)).uniform(-7.0, 7.0, size=shape)
+        x.reshape(-1, 3)[0] = [0.0, -0.0, -0.0]
+        cols = []
+        for t in terms:
+            if isinstance(t, Monomial):
+                factors = [k for k, e in enumerate(t.exponents) for _ in range(e)]
+                col = x[..., factors[0]]
+                for k in factors[1:]:
+                    col = col * x[..., k]
+                cols.append(col)
+            elif isinstance(t, SinTerm):
+                cols.append(np.sin(x[..., t.coord]))
+            else:
+                cols.append(np.cos(x[..., t.coord]) - 1.0)
+        expected = np.stack(cols, axis=-1)
+        values = d.values(x)
+        assert values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
+
     def test_constant_hessian_of_quadratic(self):
         d = Dictionary([Monomial((2, 0))], 2)
         np.testing.assert_allclose(d.hessians([3.0, -4.0])[0], [[2, 0], [0, 0]])
@@ -157,23 +193,14 @@ class TestRemainder:
         np.testing.assert_allclose(d.remainder([0.0, 0.0]), np.zeros(3), atol=0.0)
 
 
-LIFT_TERMS = {
-    "degree-1": Monomial((0, 1, 0)),
-    "degree-2": Monomial((1, 0, 1)),
-    "degree-3": Monomial((2, 1, 0)),
-    "sin": SinTerm(2),
-    "cosm1": CosM1Term(1),
-}
-
-
 class TestLift:
     @pytest.mark.parametrize("k", [1, 2, 2049])
-    @pytest.mark.parametrize("kind", [*LIFT_TERMS, "all"])
+    @pytest.mark.parametrize("kind", [*TERM_KINDS, "all"])
     def test_bitwise_equal_to_row_major_remainder(self, kind, k):
         # the coordinate-major lift takes the same multiplication chain and
         # unit-slope subtraction as remainder, so every byte matches, signed
         # zeros included
-        terms = list(LIFT_TERMS.values()) if kind == "all" else [LIFT_TERMS[kind]]
+        terms = list(TERM_KINDS.values()) if kind == "all" else [TERM_KINDS[kind]]
         d = Dictionary(terms, 3)
         x = np.random.default_rng(k).uniform(-7.0, 7.0, size=(3, k))
         x[:, 0] = [0.0, -0.0, -0.0]
@@ -184,7 +211,7 @@ class TestLift:
         assert buf[3:].tobytes() == np.ascontiguousarray(d.remainder(x.T).T).tobytes()
 
     def test_buffer_rows_checked(self):
-        d = Dictionary(list(LIFT_TERMS.values()), 3)
+        d = Dictionary(list(TERM_KINDS.values()), 3)
         with pytest.raises(DimensionMismatchError):
             d.lift(np.zeros((3 + d.n_terms - 1, 4)))
 

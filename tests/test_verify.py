@@ -18,13 +18,27 @@ def zero_controller(n_samples=40, n=2, n_terms=2, m=1):
         g1=np.zeros((n_samples, n)), g2=np.zeros((n_samples, n_terms)))
 
 
+def addressed_noise(plant, count, horizon, seed):
+    """``(horizon, count, n)`` disturbances rebuilt from their stream positions:
+    coordinate k of trajectory i at step t is the double at ``t * 2**64 + i * n
+    + k`` of the PCG64 stream seeded by the second child of ``seed``."""
+    n = plant.state_dim
+    noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
+    noise = np.empty((horizon, count, n))
+    for t in range(horizon):
+        stream = np.random.PCG64(noise_seq)
+        stream.advance(t * 2**64)
+        noise[t] = np.random.Generator(stream).uniform(
+            -plant.w_bound, plant.w_bound, size=(count, n))
+    return noise
+
+
 def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, seed,
                           tol=verify.TOL_VERIFY, max_witnesses=10):
     """Every trajectory in one batch: the loop the chunked rollout must match."""
     n = plant.state_dim
     vertices = np.array(enumerate_vertices(safe_set))
-    init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
-    init_rng = np.random.default_rng(init_seq)
+    init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     box = interval_enclosure(safe_set)
     starts = np.empty((n_trajectories, n))
     count = min(len(vertices), n_trajectories)
@@ -36,8 +50,7 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
         take = min(len(good), n_trajectories - filled)
         starts[filled:filled + take] = good[:take]
         filled += take
-    noise = np.random.default_rng(noise_seq).uniform(
-        -plant.w_bound, plant.w_bound, size=(n_trajectories, horizon, n))
+    noise = addressed_noise(plant, n_trajectories, horizon, seed)
     # [L R] acting on the coordinate-major lift [x; r(x)] of all states at once
     loop = np.hstack([plant.linear_base() + plant.b @ controller.k1,
                       plant.a2 + plant.b @ controller.k2])
@@ -49,7 +62,7 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
             lifted = np.vstack([states, plant.dictionary.remainder(states.T).T])
-            states = loop @ lifted + noise[:, t, :].T
+            states = loop @ lifted + noise[t].T
             rowvals = safe_set.normals @ states - safe_set.offsets[:, None]
             if alive.any():
                 worst = np.maximum(worst, rowvals[:, alive].max(axis=1))
@@ -349,8 +362,8 @@ class TestMonteCarlo:
     def test_vertex_runs_match_plant_simulation(self, secv_plant, secv_set, secv_design,
                                                 case):
         # a run that starts on a vertex and exits is replayed one state at a
-        # time by the plant itself, with the noise rebuilt from the second
-        # seed child; a transposed or misordered batch cannot pass this
+        # time by the plant itself, with the noise rebuilt from its addressed
+        # stream positions; a transposed or misordered batch cannot pass this
         design, _ = secv_design
         controller = zero_controller() if case == "zero" else synthesis.Controller(
             k1=0.5 * design.k1, k2=design.k2, g1=design.g1, g2=design.g2)
@@ -358,13 +371,12 @@ class TestMonteCarlo:
         report = verify.monte_carlo_invariance(secv_plant, controller, secv_set, count,
                                                horizon, seed=seed, max_witnesses=10**6)
         vertices = enumerate_vertices(secv_set)
-        noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
-        noise = np.random.default_rng(noise_seq).uniform(
-            -secv_plant.w_bound, secv_plant.w_bound, size=(count, horizon, secv_plant.state_dim))
+        noise = addressed_noise(secv_plant, count, horizon, seed)
         replayed = 0
         for index, exit_time, state in report.witnesses:
             if index < len(vertices):
-                run = secv_plant.simulate(controller, vertices[index], exit_time, noise[index])
+                run = secv_plant.simulate(controller, vertices[index], exit_time,
+                                          noise[:, index])
                 np.testing.assert_allclose(state, run.states[exit_time], rtol=1e-12, atol=0)
                 replayed += 1
         assert replayed == len(vertices)
@@ -385,11 +397,13 @@ class TestMonteCarlo:
         for (_, _, state), (_, _, ref_state) in zip(head, short.witnesses):
             np.testing.assert_array_equal(state, ref_state)
 
-    def test_memory_flat_in_trajectory_count(self, secv_plant, secv_set, secv_design):
+    def test_memory_flat_in_trajectory_count(self, secv_plant, secv_set, secv_design,
+                                             monkeypatch):
         # trajectories run in fixed-size chunks, so eight times the
-        # trajectories needs no more memory; a (chunk, horizon, n) noise
-        # buffer of 1.6 MB dominates the peak
+        # trajectories needs no more memory; a small chunk makes both counts
+        # span several chunks
         controller, _ = secv_design
+        monkeypatch.setattr(verify, "_MC_CHUNK", 1000)
         verify.monte_carlo_invariance(secv_plant, controller, secv_set, 10, 50, seed=2)
         peaks = []
         for count in (2500, 20000):
@@ -400,6 +414,56 @@ class TestMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_memory_flat_in_horizon(self, secv_plant, secv_set, secv_design):
+        # each step draws its own disturbances into one (chunk, n) buffer, so
+        # eight times the horizon needs no more memory; a (chunk, horizon, n)
+        # noise buffer would take 1.6 MB at horizon 50 and 12.8 MB at 400
+        controller, _ = secv_design
+        verify.monte_carlo_invariance(secv_plant, controller, secv_set, 10, 50, seed=2)
+        peaks = []
+        for horizon in (50, 400):
+            tracemalloc.start()
+            try:
+                verify.monte_carlo_invariance(secv_plant, controller, secv_set, 2000, horizon,
+                                              seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_noise_pinned_to_stream_position(self, secv_plant, monkeypatch):
+        # with a zero closed loop, x(t) is exactly the disturbance of step
+        # t - 1, and a run exits when a coordinate of it leaves [-0.99, 0.99];
+        # every exit state must be the double pair at stream position
+        # (t - 1) * 2**64 + i * n, whichever chunk holds run i
+        n = secv_plant.state_dim
+        n_terms = secv_plant.dictionary.n_terms
+        plant = PlantModel(a1=np.zeros((n, n)), a2=np.zeros((n, n_terms)), b=np.eye(n),
+                           dictionary=secv_plant.dictionary, w_bound=1.0)
+        box = PolyhedralSet(np.vstack([np.eye(n), -np.eye(n)]), np.full(2 * n, 0.99))
+        controller = zero_controller(n_terms=n_terms, m=n)
+        monkeypatch.setattr(verify, "_MC_CHUNK", 37)
+        count, seed = 4 * 37, 4
+        report = verify.monte_carlo_invariance(plant, controller, box, count, 100, seed=seed,
+                                               max_witnesses=10**6)
+        noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
+        for index, exit_time, state in report.witnesses:
+            stream = np.random.PCG64(noise_seq)
+            stream.advance((exit_time - 1) * 2**64 + index * n)
+            np.testing.assert_array_equal(state, np.random.Generator(stream).uniform(-1, 1, n))
+        assert report.violations == len(report.witnesses)
+        assert {index // 37 for index, _, _ in report.witnesses} == {0, 1, 2, 3}
+        assert len({exit_time for _, exit_time, _ in report.witnesses}) > 10
+
+    @pytest.mark.parametrize("count, horizon, name",
+                             [(0, 10, "n_trajectories"), (-1, 10, "n_trajectories"),
+                              (10, 0, "horizon"), (10, -3, "horizon")])
+    def test_rejects_empty_runs(self, secv_plant, secv_set, secv_design, count, horizon, name):
+        # no trajectory or no step checks nothing, so it may not pass
+        controller, _ = secv_design
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {min(count, horizon)}"):
+            verify.monte_carlo_invariance(secv_plant, controller, secv_set, count, horizon, seed=0)
 
 
 class TestDualGap:
