@@ -171,6 +171,12 @@ class Dictionary:
         """
         x = self._check_point(x)
         out = np.empty(x.shape[:-1] + (self.n_terms,))
+        self._write_values(x, out)
+        return out
+
+    def _write_values(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write term ``j``'s value at the points ``x`` into ``out[..., j]``,
+        reading coordinate ``k`` from ``x[..., k]``."""
         for j, (t, factors) in enumerate(zip(self.terms, self._factors)):
             col = out[..., j]
             if isinstance(t, Monomial):
@@ -184,7 +190,6 @@ class Dictionary:
                 col[...] = np.sin(x[..., t.coord])
             else:
                 np.subtract(np.cos(x[..., t.coord]), 1.0, out=col)
-        return out
 
     def hessians(self, x) -> np.ndarray:
         """(N, n, n) stack of per-term Hessians at a single point."""
@@ -239,29 +244,17 @@ class Dictionary:
         """Write ``r(x)`` into rows ``out[n:]`` of an ``(n + N, k)`` buffer,
         reading the coordinate-major states ``x`` from rows ``out[:n]``.
 
-        Each row is computed in place by the multiplication chain of
-        :meth:`values` and the unit-slope subtraction of :meth:`remainder`,
-        so the result is bitwise ``remainder(out[:n].T).T``.
+        The rows are written by the code that writes :meth:`values`' columns,
+        then take :meth:`remainder`'s unit-slope subtraction, so the result is
+        bitwise ``remainder(out[:n].T).T``.
         """
         n = self.dim
         if out.ndim != 2 or out.shape[0] != n + self.n_terms:
             raise DimensionMismatchError(
                 f"lift buffer has shape {out.shape}, expected ({n + self.n_terms}, k)")
         x = out[:n]
-        for j, (t, factors) in enumerate(zip(self.terms, self._factors)):
-            row = out[n + j]
-            if isinstance(t, Monomial):
-                if len(factors) == 1:
-                    row[...] = x[factors[0]]
-                else:
-                    np.multiply(x[factors[0]], x[factors[1]], out=row)
-                    for k in factors[2:]:
-                        row *= x[k]
-            elif isinstance(t, SinTerm):
-                np.sin(x[t.coord], out=row)
-            else:
-                np.cos(x[t.coord], out=row)
-                row -= 1.0
+        # transposed, a row of the buffer is a column as values writes it
+        self._write_values(x.T, out[n:].T)
         for j, k in self._slopes:
             out[n + j] -= x[k]
         return out

@@ -34,7 +34,11 @@ from .synthesis import row_norms
 
 TOL_VERIFY = 1e-6
 _MC_CHUNK = 16384    # trajectories per Monte Carlo chunk
-_MC_STEP_STRIDE = 2**64  # Monte Carlo noise stream positions between two steps
+# Monte Carlo noise stream positions between two steps: PCG64.jumped's step,
+# floor((phi - 1) * 2**128).  It is odd, so the states a trajectory reads over
+# the steps form a full-period LCG of their own; a power-of-two stride would
+# pin their low bits and leave the high bits a Weyl sequence.
+_MC_STEP_STRIDE = 0x9e3779b97f4a7c15f39cc0605cedc835
 _START_BATCH = 2048  # Monte Carlo start candidates are drawn 4 * this many rows at most
 
 
@@ -214,8 +218,9 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     set, drawn from the first child of ``seed``.  The disturbances come from
     one PCG64 stream seeded by the second child and are addressed, not read
     in order: coordinate ``k`` of trajectory ``i``'s disturbance at step
-    ``t`` is the double at stream position ``t * 2**64 + i * n + k``, scaled
-    to ``uniform(-w, w)``.  So the noise depends only on ``(i, t, k)``:
+    ``t`` is the double at position ``i * n + k`` of that stream jumped ``t``
+    times (``PCG64.jumped(t)``), scaled to ``uniform(-w, w)``.  So the noise
+    depends only on ``(i, t, k)``:
     running more trajectories leaves the earlier ones unchanged, and the
     chunk size moves no bit.
 

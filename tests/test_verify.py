@@ -20,15 +20,13 @@ def zero_controller(n_samples=40, n=2, n_terms=2, m=1):
 
 def addressed_noise(plant, count, horizon, seed):
     """``(horizon, count, n)`` disturbances rebuilt from their stream positions:
-    coordinate k of trajectory i at step t is the double at ``t * 2**64 + i * n
-    + k`` of the PCG64 stream seeded by the second child of ``seed``."""
+    coordinate k of trajectory i at step t is the double at ``i * n + k`` of
+    the PCG64 stream seeded by the second child of ``seed``, jumped t times."""
     n = plant.state_dim
-    noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
+    stream = np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1])
     noise = np.empty((horizon, count, n))
     for t in range(horizon):
-        stream = np.random.PCG64(noise_seq)
-        stream.advance(t * 2**64)
-        noise[t] = np.random.Generator(stream).uniform(
+        noise[t] = np.random.Generator(stream.jumped(t)).uniform(
             -plant.w_bound, plant.w_bound, size=(count, n))
     return noise
 
@@ -435,8 +433,8 @@ class TestMonteCarlo:
     def test_noise_pinned_to_stream_position(self, secv_plant, monkeypatch):
         # with a zero closed loop, x(t) is exactly the disturbance of step
         # t - 1, and a run exits when a coordinate of it leaves [-0.99, 0.99];
-        # every exit state must be the double pair at stream position
-        # (t - 1) * 2**64 + i * n, whichever chunk holds run i
+        # every exit state must be the double pair at position i * n of the
+        # stream jumped t - 1 times, whichever chunk holds run i
         n = secv_plant.state_dim
         n_terms = secv_plant.dictionary.n_terms
         plant = PlantModel(a1=np.zeros((n, n)), a2=np.zeros((n, n_terms)), b=np.eye(n),
@@ -447,14 +445,30 @@ class TestMonteCarlo:
         count, seed = 4 * 37, 4
         report = verify.monte_carlo_invariance(plant, controller, box, count, 100, seed=seed,
                                                max_witnesses=10**6)
-        noise_seq = np.random.SeedSequence(seed).spawn(2)[1]
+        stream = np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1])
         for index, exit_time, state in report.witnesses:
-            stream = np.random.PCG64(noise_seq)
-            stream.advance((exit_time - 1) * 2**64 + index * n)
-            np.testing.assert_array_equal(state, np.random.Generator(stream).uniform(-1, 1, n))
+            step = stream.jumped(exit_time - 1)
+            step.advance(index * n)
+            np.testing.assert_array_equal(state, np.random.Generator(step).uniform(-1, 1, n))
         assert report.violations == len(report.witnesses)
         assert {index // 37 for index, _, _ in report.witnesses} == {0, 1, 2, 3}
         assert len({exit_time for _, exit_time, _ in report.witnesses}) > 10
+
+    def test_step_streams_walk_the_full_state_cycle(self):
+        # a run reads its disturbances _MC_STEP_STRIDE stream positions apart;
+        # the low k bits of a PCG64 state repeat every 2**k positions, so over
+        # 256 steps the low byte of the states read takes all 256 values only
+        # if the stride is odd: any power-of-two stride would fix it, and
+        # 2**64 would fix all of the low word
+        stream = np.random.PCG64(np.random.SeedSequence(4).spawn(2)[1])
+        start = 12345
+        low_bytes = set()
+        for t in range(256):
+            step = np.random.PCG64()
+            step.state = stream.state
+            step.advance((t * verify._MC_STEP_STRIDE + start) % 2**128)
+            low_bytes.add(step.state["state"]["state"] % 256)
+        assert len(low_bytes) == 256
 
     @pytest.mark.parametrize("count, horizon, name",
                              [(0, 10, "n_trajectories"), (-1, 10, "n_trajectories"),
