@@ -4,8 +4,9 @@ A safe set is ``{x : normals @ x <= offsets}`` with strictly positive
 offsets, so the origin is interior.  Boundedness is never assumed: it is
 detected operationally by :func:`interval_enclosure`, whose coordinate
 LPs raise :class:`UnboundedSetError` on any unbounded direction.  State
-grids over a set are walked in blocks of whole first-axis slabs
-(:func:`grid_blocks`), so a grid check never holds the whole grid.
+grids over a set are walked in fixed-size blocks of members
+(:func:`grid_blocks`), so a grid check never holds the whole grid.  The
+enclosure and the vertices are computed once per set object.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
 )
 
 TOL_GEOM = 1e-9  # active-set / dedup tolerance; LP residuals are ~1e-10 at desk scale
-_GRID_BLOCK = 16384  # grid members per block of a grid walk; small blocks stay in cache
+_GRID_BLOCK = 4096  # grid members per block of a grid walk; small blocks stay in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +85,12 @@ class PolyhedralSet:
             lo[k] = -lpcore.polytope_max(-unit, self)
         return Box(lo, hi)
 
+    @cached_property
+    def _vertices(self) -> np.ndarray:
+        """The set's :func:`enumerate_vertices` at the default tolerance, one
+        per row, enumerated once per set object."""
+        return _vertex_rows(self, TOL_GEOM)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -128,8 +135,16 @@ def enumerate_vertices(safe_set: PolyhedralSet, tol: float = TOL_GEOM) -> list[n
 
     Every returned point is feasible to within ``tol`` and has at least n
     active rows.  Raises :class:`EmptySetError` when no feasible vertex
-    exists (empty or degenerate input).
+    exists (empty or degenerate input).  At the default ``tol`` the vertices
+    are enumerated on the first call for a set object; every call returns
+    fresh arrays.
     """
+    rows = safe_set._vertices if tol == TOL_GEOM else _vertex_rows(safe_set, tol)
+    return list(rows.copy())
+
+
+def _vertex_rows(safe_set: PolyhedralSet, tol: float) -> np.ndarray:
+    """The vertices of :func:`enumerate_vertices`, one per row of a (v, n) array."""
     n = safe_set.dim
     if n > 3:
         raise DimensionTooLargeError(f"exact enumeration limited to dim <= 3, got {n}")
@@ -148,7 +163,7 @@ def enumerate_vertices(safe_set: PolyhedralSet, tol: float = TOL_GEOM) -> list[n
                 vertices.append(v)
     if not vertices:
         raise EmptySetError("no feasible vertex found")
-    return vertices
+    return np.array(vertices)
 
 
 def grid_resolution(dim: int) -> tuple:
@@ -162,10 +177,13 @@ def grid_blocks(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM)
     The grid is uniform over the interval enclosure; ``resolution`` gives
     the number of points per axis (each >= 2), and the default is
     :func:`grid_resolution` of the set's dimension.  Each yielded block is
-    an array of shape (n, k), one coordinate per row, holding the members
-    of whole first-axis slabs in row-major grid order (last axis fastest).
-    A block closes once it holds ``_GRID_BLOCK`` members, so memory is
-    O(block + slab), not O(grid).
+    a fresh array of shape (n, k), one coordinate per row, holding the next
+    ``_GRID_BLOCK`` members in row-major grid order (last axis fastest); a
+    first-axis slab may be split across two blocks.  The last block may be
+    shorter, and it is one member longer instead of leaving a one-member
+    block: numpy sends a one-column matmul to BLAS gemv, which rounds
+    differently from the gemm of wider blocks.  Memory is O(block + slab),
+    not O(grid).
     """
     if resolution is None:
         resolution = grid_resolution(safe_set.dim)
@@ -184,28 +202,36 @@ def grid_blocks(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM)
     rest_rows = safe_set.normals[:, 1:] @ rest               # (s, R)
     first_col = safe_set.normals[:, :1]
     bound = (safe_set.offsets + tol)[:, None]
-    slabs: list = []  # (first-axis value, member mask, member count) of the open block
+    pieces: list = []  # (first-axis value, member columns of rest) not yet in a block
     size = 0
     for first in axes[0]:
         inside = np.logical_and.reduce(rest_rows <= bound - first_col * first, axis=0)
-        count = np.count_nonzero(inside)
-        slabs.append((first, inside, count))
-        size += count
-        if size >= _GRID_BLOCK:
-            yield _slab_block(rest, slabs, size)
-            slabs, size = [], 0
+        members = np.flatnonzero(inside)
+        if members.size:
+            pieces.append((first, members))
+            size += members.size
+        while size >= _GRID_BLOCK + 2:  # the next block keeps two members at least
+            yield _cut_block(rest, pieces, _GRID_BLOCK)
+            size -= _GRID_BLOCK
     if size:
-        yield _slab_block(rest, slabs, size)
+        yield _cut_block(rest, pieces, size)
 
 
-def _slab_block(rest: np.ndarray, slabs: list, size: int) -> np.ndarray:
-    """The (n, size) block of :func:`grid_blocks` holding the members of ``slabs``."""
+def _cut_block(rest: np.ndarray, pieces: list, size: int) -> np.ndarray:
+    """The (n, size) block of :func:`grid_blocks` holding the first ``size``
+    members of ``pieces``, which are taken off ``pieces``."""
     block = np.empty((rest.shape[0] + 1, size))
     at = 0
-    for first, inside, count in slabs:
-        block[0, at:at + count] = first
-        np.compress(inside, rest, axis=1, out=block[1:, at:at + count])
-        at += count
+    while at < size:
+        first, members = pieces[0]
+        take = min(members.size, size - at)
+        block[0, at:at + take] = first
+        np.take(rest, members[:take], axis=1, out=block[1:, at:at + take], mode="clip")
+        if take < members.size:
+            pieces[0] = (first, members[take:])
+        else:
+            del pieces[0]
+        at += take
     return block
 
 

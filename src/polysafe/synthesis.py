@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,10 +133,18 @@ class BaselineSearch:
     k2: np.ndarray           # (m, N) winner
     g2: np.ndarray           # (T, N) recovered right-inverse columns
     row_bounds: np.ndarray   # (s,) grid maxima of the remainder term at the winner
-    candidates: np.ndarray   # (k, m*N)
+    axis: np.ndarray         # (L,) the values each gain entry runs through
     scored: int              # candidates scored exactly
     chosen: int
     x_resolution: tuple
+
+    @cached_property
+    def candidates(self) -> np.ndarray:
+        """Every gain of the grid, ``(L**(m*N), m*N)`` in itertools.product
+        order; built on first read, as the search forms only the gains it scores."""
+        grids = np.indices((len(self.axis),) * self.k2.size, sparse=True)
+        combos = np.stack(np.broadcast_arrays(*(self.axis[g] for g in grids)), axis=-1)
+        return combos.reshape(-1, self.k2.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,11 +488,12 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     base = pinv[:, :n + N] @ e2                      # (T, N)
     gain_map = pinv[:, n + N:]                       # (T, m)
 
-    # every gain on the grid, in itertools.product order
+    # the gain grid is axis^(m*N) in itertools.product order; a gain is
+    # formed from its flat index only when it is scored
     axis = np.minimum(k2_lo + k2_step * np.arange(steps + 1), k2_hi)
-    grids = np.indices((steps + 1,) * (m * N), sparse=True)
-    combos = np.stack(np.broadcast_arrays(*(axis[g] for g in grids)), axis=-1)
-    combos = combos.reshape(count, m * N)
+
+    def gain(idx: int) -> np.ndarray:
+        return axis[list(np.unravel_index(idx, (len(axis),) * (m * N)))].reshape(m, N)
 
     # lower bounds: the value at (row i, point p) is affine in the gain,
     # offset[i, p] + sum_ab k2[a, b] * (f_next @ gain_map)[i, a] * rem[p, b]
@@ -534,7 +544,7 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
 
     def score(idx: int) -> float:
         if idx not in row_maxima:
-            coeffs = f_next @ (base + gain_map @ combos[idx].reshape(m, N))  # (s, N)
+            coeffs = f_next @ (base + gain_map @ gain(idx))  # (s, N)
             row_maxima[idx] = np.max(coeffs @ rem.T, axis=1)
         return row_maxima[idx].max()
 
@@ -570,10 +580,10 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
             break
         best = min(best, score(idx))
     chosen = int(min(idx for idx, row_max in row_maxima.items() if row_max.max() == best))
-    k2 = combos[chosen].reshape(m, N)
+    k2 = gain(chosen)
     return BaselineSearch(
         k2=k2, g2=base + gain_map @ k2, row_bounds=row_maxima[chosen],
-        candidates=combos, scored=len(row_maxima), chosen=chosen,
+        axis=axis, scored=len(row_maxima), chosen=chosen,
         x_resolution=tuple(int(r) for r in np.atleast_1d(x_resolution)))
 
 

@@ -4,9 +4,10 @@ Everything here deliberately avoids the synthesis LP: contraction is
 checked by evaluating the closed loop on a dense grid plus the exact
 vertices, invariance by Monte Carlo rollouts of the true plant, and the
 row-multiplier duality by comparing a vertex-enumerated maximum against
-the dual LP minimum.  The grid is walked once, in blocks, for every closed
-loop checked on it (:func:`grid_reports`), so its memory is O(block), not
-O(grid).
+the dual LP minimum.  The grid is walked once, in fixed-size blocks, for
+every closed loop checked on it (:func:`grid_reports`), so its memory is
+O(block), not O(grid); a block is scanned member by member only when a row
+maximum of its margins crosses the tolerance.
 
 Grid blocks, Monte Carlo chunks and the control effort all evaluate a closed
 loop one way: ``[L R] @ [x; r(x)]`` on coordinate-major ``(n, k)`` batches,
@@ -128,26 +129,38 @@ def _lift(states: np.ndarray, dictionary) -> np.ndarray:
     return dictionary.lift(out)
 
 
+def _exceeding(margins: np.ndarray, const: np.ndarray, tol: float) -> tuple:
+    """The full scan of a grid block: adds ``const`` to the ``(s, k)``
+    ``margins`` in place and returns each member's worst margin and the
+    indices of the members whose worst margin exceeds ``tol``."""
+    margins += const[:, None]
+    worst = margins.max(axis=0)
+    return worst, np.flatnonzero(worst > tol)
+
+
 def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
                  resolution, dictionary, sources=("true-model", "data-rep"),
                  plant: PlantModel | None = None, data: ExperimentData | None = None,
                  tol: float = TOL_VERIFY, max_witnesses: int = 10) -> tuple:
     """One :func:`grid_contractivity` report per source, from one walk of the grid.
 
-    The grid is walked once in blocks of whole first-axis slabs
+    The grid is walked once in fixed-size blocks of members
     (:func:`~polysafe.polytope.grid_blocks`), followed by the vertices, so
     memory is O(block), not O(grid).  Each block's remainder ``r(x)`` is
     evaluated once; a source with closed loop ``x+ = L x + R r(x)`` gets the
-    margins ``F [L R] [x; r(x)] + d - level * g``.  A source's report is
-    bit-identical to checking that source alone; every report's ``runtime``
-    is the whole pass.
+    margins ``F [L R] [x; r(x)] + d - level * g``.  A block first takes only
+    each row's maximum of ``F [L R] [x; r(x)]``, plus ``d - level * g``; the
+    per-member scan for violations runs only when one of these crosses
+    ``tol`` (or is NaN).  A source's report is bit-identical to checking that
+    source alone, and to scanning every member of every block; every
+    report's ``runtime`` is the whole pass.
     """
     start = time.perf_counter()
     if resolution is None:
         resolution = grid_resolution(safe_set.dim)
     loops = [_closed_loop_matrices(controller, source, plant, data) for source in sources]
     weights = [safe_set.normals @ np.hstack(loop) for loop in loops]   # (s, n + N) each
-    const = (disturbance_offsets(safe_set, w_bound) - level * safe_set.offsets)[:, None]
+    const = disturbance_offsets(safe_set, w_bound) - level * safe_set.offsets
     row_margins = [np.full(safe_set.n_rows, -np.inf) for _ in sources]
     violations = [0] * len(sources)
     witnesses: list = [[] for _ in sources]
@@ -156,10 +169,15 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
         stacked = _lift(block, dictionary)
         for j, weight in enumerate(weights):
             margins = weight @ stacked                                  # (s, k)
-            margins += const
-            np.maximum(row_margins[j], margins.max(axis=1), out=row_margins[j])
-            worst = margins.max(axis=0)
-            bad = np.flatnonzero(worst > tol)
+            # rounding is monotone, so the row maxima of margins + const are
+            # those of margins, plus const; no member violates unless one
+            # crosses tol, and a NaN fails the test and takes the full scan
+            peak = margins.max(axis=1)
+            peak += const
+            np.maximum(row_margins[j], peak, out=row_margins[j])
+            if peak.max() <= tol:
+                continue
+            worst, bad = _exceeding(margins, const, tol)
             violations[j] += bad.size
             witnesses[j] += [(samples + int(i), block[:, i].copy(), float(worst[i]))
                              for i in bad[:max_witnesses - len(witnesses[j])]]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysafe import cli, lpcore, synthesis, verify
+from polysafe import cli, lpcore, polytope, synthesis, verify
 from polysafe.errors import (NumericalInstabilityError, ScenarioValidationError,
                              SolverStalledError)
 
@@ -279,6 +279,18 @@ class TestCommands:
         assert cli.main(["report", "--scenario", str(scenario_path),
                          "--out", str(tmp_path / "once")]) == cli.EXIT_OK
         assert len(solves) == 6
+
+    @pytest.mark.parametrize("command", ["report", "verify"])
+    def test_vertices_enumerated_once(self, scenario_path, tmp_path, monkeypatch, command):
+        # the grid check, Monte Carlo, the control effort, the gain search,
+        # the lumped bounds, the plot and the trajectories share one enumeration
+        calls = []
+        enumerate_rows = polytope._vertex_rows
+        monkeypatch.setattr(polytope, "_vertex_rows",
+                            lambda *args: calls.append(args) or enumerate_rows(*args))
+        assert cli.main([command, "--scenario", str(scenario_path),
+                         "--out", str(tmp_path / command)]) == cli.EXIT_OK
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("command, summary, w_bound", [
         pytest.param("synth", "summary.json", 0.0, id="synth-summary.json"),

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from polysafe import lpcore
+from polysafe import lpcore, polytope
 from polysafe.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -14,6 +14,7 @@ from polysafe.polytope import (
     Box,
     PolyhedralSet,
     enumerate_vertices,
+    grid_blocks,
     interval_enclosure,
     sample_grid,
 )
@@ -114,6 +115,25 @@ class TestVertices:
         assert vertex_set(enumerate_vertices(poly)) == vertex_set(corners)
 
 
+    def test_enumerated_once_per_set(self, monkeypatch):
+        calls = []
+        enumerate_rows = polytope._vertex_rows
+        monkeypatch.setattr(polytope, "_vertex_rows",
+                            lambda *args: calls.append(args) or enumerate_rows(*args))
+        safe_set = PolyhedralSet(SECV_F, SECV_G)
+        first = enumerate_vertices(safe_set)
+        assert len(calls) == 1
+        for v in first:
+            v[:] = 0.0  # every call hands out fresh arrays
+        assert vertex_set(enumerate_vertices(safe_set)) == vertex_set(SECV_VERTICES)
+        sample_grid(safe_set, (5, 5))
+        assert len(calls) == 1
+        # another tolerance, or another object holding the same rows, enumerates anew
+        enumerate_vertices(safe_set, tol=1e-6)
+        enumerate_vertices(PolyhedralSet(SECV_F, SECV_G))
+        assert len(calls) == 3
+
+
 class TestEnclosure:
     def test_secv(self, secv_set):
         box = interval_enclosure(secv_set)
@@ -186,6 +206,20 @@ class TestGrid:
             mesh = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
             np.testing.assert_array_equal(sample_grid(safe_set, res),
                                           mesh[safe_set.membership_mask(mesh)])
+
+    def test_fixed_size_blocks(self, monkeypatch):
+        # the 52 members of a tilted 7 x 5 x 6 grid: blocks of 3 split the
+        # slabs and would leave a one-member tail, which joins the block
+        # before it; 51 would too; the order stays row-major
+        P = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.25], [0.2, 0.0, 1.0]])
+        safe_set = PolyhedralSet(np.vstack([P, -P]), np.ones(6))
+        members = sample_grid(safe_set, (7, 5, 6))
+        assert len(members) == 52
+        for size, widths in ((3, [3] * 16 + [4]), (51, [52]), (52, [52]), (10**9, [52])):
+            monkeypatch.setattr(polytope, "_GRID_BLOCK", size)
+            blocks = list(grid_blocks(safe_set, (7, 5, 6)))
+            assert [block.shape[1] for block in blocks] == widths
+            np.testing.assert_array_equal(np.hstack(blocks).T, members)
 
     def test_resolution_validation(self, secv_set):
         with pytest.raises(ValueError):

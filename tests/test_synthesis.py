@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,6 +427,26 @@ class TestBaselineSearchIsExact:
         data = collect(plant, 40, 0.003, [0.0, 0.0], seed=7)
         search = self.assert_matches_brute_force(data, secv_set, k2_step=0.5)
         assert search.candidates.shape == (9 ** 4, 4)
+
+    def test_gain_grid_built_only_when_read(self, secv_plant, secv_set):
+        # two inputs and two terms (m*N = 4): the default grid holds 41^4
+        # gains, 90 MB, but the search forms only the gains it scores
+        plant = PlantModel(a1=secv_plant.a1, a2=[[0.0, 0.0], [3.0, 1.0]], b=np.eye(2),
+                           dictionary=secv_plant.dictionary, w_bound=0.0)
+        data = collect(plant, 40, 0.003, [0.0, 0.0], seed=7)
+        tracemalloc.start()
+        try:
+            search = synthesis.baseline_search(data, secv_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 41 ** 4 * 4 * 8 / 50, peak
+        assert "candidates" not in vars(search)
+        # a coarser grid is read: built once, and the winner is its chosen row
+        search = synthesis.baseline_search(data, secv_set, k2_step=0.5)
+        candidates = search.candidates
+        assert candidates.shape == (9 ** 4, 4) and search.candidates is candidates
+        np.testing.assert_array_equal(candidates[search.chosen], search.k2.ravel())
 
     @pytest.mark.parametrize("b", [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]])
     def test_rounding_level_near_ties(self, secv_plant, secv_set, b):

@@ -203,6 +203,90 @@ class TestGridContractivity:
                     assert i == j and margin == own_margin
                     np.testing.assert_array_equal(point, own_point)
 
+    @pytest.mark.parametrize("level", [0.95, 0.5])
+    def test_block_size_moves_no_bit(self, secv_plant, secv_data, secv_set, secv_design,
+                                     monkeypatch, level):
+        # blocks of 7 and 150 members, one block short of a one-member tail
+        # (which numpy would send to BLAS gemv) and one block for the whole
+        # grid give the same bits; gemm must give a column the same bits at
+        # any width, which holds at one BLAS thread.  On this grid gemv would
+        # move the last member's margin, a witness at level 0.5
+        controller, _ = secv_design
+        members = len(sample_grid(secv_set, (55, 55)))
+        reports = []
+        for size in (7, 150, members - 1, 10**9):
+            monkeypatch.setattr(polytope, "_GRID_BLOCK", size)
+            reports.append(verify.grid_reports(
+                controller, secv_set, level, 0.05, (55, 55), secv_plant.dictionary,
+                plant=secv_plant, data=secv_data, max_witnesses=10**6))
+        assert (reports[-1][0].violations > 0) == (level == 0.5)
+        for blocked in reports[:-1]:
+            for report, whole in zip(blocked, reports[-1]):
+                np.testing.assert_array_equal(report.row_margins, whole.row_margins)
+                assert report.violations == whole.violations
+                assert report.samples == whole.samples
+                assert len(report.witnesses) == len(whole.witnesses)
+                for (i, point, margin), (j, whole_point, whole_margin) in zip(
+                        report.witnesses, whole.witnesses):
+                    assert i == j and margin == whole_margin
+                    np.testing.assert_array_equal(point, whole_point)
+
+    def test_row_maximum_at_tol_takes_the_fast_path(self, monkeypatch):
+        # x+ = 0 and a disturbance offset of exactly tol: every row maximum
+        # equals tol, so no block is scanned member by member and nothing
+        # violates; one ulp more disturbance makes every member a violation
+        scans = []
+        exceeding = verify._exceeding
+        monkeypatch.setattr(verify, "_exceeding",
+                            lambda *args: scans.append(args) or exceeding(*args))
+        monkeypatch.setattr(polytope, "_GRID_BLOCK", 7)
+        safe_set = PolyhedralSet(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+        dictionary = Dictionary([Monomial((2, 0))], 2)
+        plant = PlantModel(a1=np.zeros((2, 2)), a2=np.zeros((2, 1)), b=np.zeros((2, 1)),
+                           dictionary=dictionary, w_bound=0.0)
+        tol = verify.TOL_VERIFY
+        args = (zero_controller(n_terms=1), safe_set, 0.0)
+        at_tol = verify.grid_contractivity(*args, tol, (9, 9), dictionary, plant=plant)
+        assert not scans
+        assert at_tol.violations == 0 and at_tol.passed
+        np.testing.assert_array_equal(at_tol.row_margins, tol)
+        above = verify.grid_contractivity(*args, np.nextafter(tol, 1.0), (9, 9), dictionary,
+                                          plant=plant)
+        assert len(scans) == 13  # 12 grid blocks and the vertices
+        assert above.violations == above.samples == 9 * 9 + 4
+
+    def test_nan_members_take_the_full_scan(self, monkeypatch):
+        # x0**3 overflows on the outer first-axis slabs, where inf - inf puts
+        # NaN in every row; blocks mixing NaN members with the two real
+        # violators must still count them, and clean blocks skip the scan.
+        # The report is the one a scan of every member gives.
+        scans = []
+        exceeding = verify._exceeding
+        monkeypatch.setattr(verify, "_exceeding",
+                            lambda *args: scans.append(args) or exceeding(*args))
+        monkeypatch.setattr(polytope, "_GRID_BLOCK", 7)
+        safe_set = PolyhedralSet(np.vstack([np.eye(2), -np.eye(2)]), [1e103, 1.0, 1e103, 1.0])
+        dictionary = Dictionary([Monomial((3, 0)), Monomial((3, 0))], 2)
+        plant = PlantModel(a1=[[0.5, 0.0], [2e-104, 0.9]], a2=[[1.0, -1.0], [0.0, 0.0]],
+                           b=np.zeros((2, 1)), dictionary=dictionary, w_bound=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = verify.grid_contractivity(zero_controller(), safe_set, 0.95, 0.0, (9, 9),
+                                               dictionary, plant=plant, max_witnesses=10**6)
+            vertices = np.array(enumerate_vertices(safe_set))
+            points = np.vstack([sample_grid(safe_set, (9, 9)), vertices])
+            nxt = points @ plant.a1.T + dictionary.remainder(points) @ plant.a2.T
+            margins = nxt @ safe_set.normals.T - 0.95 * safe_set.offsets
+            worst = margins.max(axis=1)
+        bad = np.flatnonzero(worst > verify.TOL_VERIFY)
+        assert np.isnan(worst).sum() == 4 * 9 + len(vertices) and bad.tolist() == [18, 62]
+        assert report.violations == 2 and not report.passed
+        assert [w[0] for w in report.witnesses] == bad.tolist()
+        for index, point, margin in report.witnesses:
+            np.testing.assert_array_equal(point, points[index])
+            assert abs(margin - worst[index]) <= 1e-12
+        np.testing.assert_array_equal(report.row_margins, margins.max(axis=0))  # all NaN
+        assert 0 < len(scans) < 13
+
     def test_one_and_four_dimensional_sets(self):
         # a 1-D set has no other axes; a 4-D box has no vertex tail
         for dim, res in ((1, (9,)), (4, (5, 5, 5, 5))):
