@@ -147,6 +147,9 @@ class Dictionary:
         self._slopes = [(j, t.coord) if isinstance(t, SinTerm) else (j, factors[0])
                         for j, (t, factors) in enumerate(zip(terms, self._factors))
                         if isinstance(t, SinTerm) or len(factors) == 1]
+        # each monomial's (first factor, later factors), when every term is one
+        self._chains = ([(factors[0], factors[1:]) for factors in self._factors]
+                        if all(isinstance(t, Monomial) for t in terms) else None)
 
     @property
     def n_terms(self) -> int:
@@ -167,9 +170,24 @@ class Dictionary:
         repeated by its exponent: ``(2, 0)`` is ``x0 * x0`` and ``(1, 0, 1)``
         is ``x0 * x2``.  Every value is thus a fixed chain of correctly
         rounded multiplications, the same on every CPU, where a float
-        ``pow`` depends on which SIMD kernel numpy picks.
+        ``pow`` depends on which SIMD kernel numpy picks.  On one point of
+        shape (n,) a dictionary of monomials alone runs those chains on
+        Python floats, the same IEEE products (signed zeros included), so
+        the values are bitwise those of the batched path; ``sin`` and
+        ``cos - 1`` terms always take the numpy path.
         """
         x = self._check_point(x)
+        if x.ndim == 1 and self._chains is not None:
+            # one point: the same chains on Python floats, which are IEEE
+            # doubles too, without numpy's per-call cost
+            point = x.tolist()
+            values = []
+            for first, rest in self._chains:
+                value = point[first]
+                for k in rest:
+                    value *= point[k]
+                values.append(value)
+            return np.array(values)
         out = np.empty(x.shape[:-1] + (self.n_terms,))
         self._write_values(x, out)
         return out

@@ -10,7 +10,10 @@ ratio test go to the smallest basis variable index.  Everything here
 runs at desk scale, where a dense tableau is the right trade.
 
 Constraints are kept as row groups, one coefficient matrix per block,
-and assembled into one dense matrix per solve.  Reported solutions always
+and assembled into one dense matrix per solve.  Everything before phase 2
+depends on the constraints alone, so :func:`polytope_maxima` solves several
+objectives over one polyhedron from one phase-2 start, each from its own
+copy, with the bits of separate solves.  Reported solutions always
 replay: outcomes with status ``OPTIMAL`` or ``FEASIBLE`` satisfy every
 original constraint to within ``TOL_LP``.
 """
@@ -201,37 +204,37 @@ class LinearProgram:
     # solving
 
     def solve(self) -> LpOutcome:
+        return next(self._solve_each([self._objective]))
+
+    def _solve_each(self, objectives: list):
+        """Yield one outcome per objective over this program's constraints.
+
+        Each objective is ``None`` (feasibility) or a ``(sense, terms)`` pair
+        as :meth:`set_objective` stores it.  Assembly, row equilibration and
+        phase 1 depend only on the constraints, so they run once; phase 2
+        runs per objective from a copy of that start (the last objective
+        takes the start itself), so each outcome is bitwise the one a solve
+        with that objective alone gives.
+        """
         if not self._blocks:
             raise MalformedProgramError("program has no variables")
         A, sense, b = self._assemble()
-
-        if self._objective is None:
-            c, obj_sign = np.zeros(self._n_vars), 1.0
-        else:
-            obj_sense, terms = self._objective
-            row = self._densify(terms)
-            c, obj_sign = (row, 1.0) if obj_sense == "min" else (-row, -1.0)
 
         # Column layout, in variable order: a plus column per variable, then a
         # minus column when it is free.
         free = np.concatenate([np.full(blk.size, not blk.nonneg) for blk in self._blocks.values()])
         col_plus = np.arange(self._n_vars) + np.cumsum(free) - free
-        col_minus = np.where(free, col_plus + 1, -1)
+        col_minus = col_plus[free] + 1
         n_std = self._n_vars + int(free.sum())
 
         m = A.shape[0]
         ineq = np.flatnonzero(sense != 0.0)
+        slacks = n_std + np.arange(ineq.size)
         n_total = n_std + ineq.size
         T = np.zeros((m, n_total + 1))
         T[:, col_plus] = A
-        T[:, col_minus[free]] = -A[:, free]
-        c_std = np.zeros(n_total)
-        c_std[col_plus] = c
-        c_std[col_minus[free]] = -c[free]
-
-        slack_of_row = np.full(m, -1, dtype=int)
-        slack_of_row[ineq] = n_std + np.arange(ineq.size)
-        T[ineq, slack_of_row[ineq]] = sense[ineq]
+        T[:, col_minus] = -A[:, free]
+        T[ineq, slacks] = sense[ineq]
         T[:, -1] = b
 
         # Row equilibration keeps pivot tolerances meaningful; residuals are
@@ -239,59 +242,51 @@ class LinearProgram:
         if m:
             # Rows whose coefficients are rounding noise next to the rest of
             # the matrix are zero rows: scaling them up would scale the noise.
-            row_max = np.max(np.abs(A), axis=1)
+            row_max = np.abs(A).max(axis=1)
             T[row_max <= _TOL_ZERO_ROW * float(row_max.max()), :n_std] = 0.0
-            scale = np.max(np.abs(T[:, :-1]), axis=1)
+            scale = np.abs(T[:, :-1]).max(axis=1)
             scale[scale == 0.0] = 1.0
             T /= scale[:, None]
             T[T[:, -1] < 0] *= -1.0
             # Zero-rhs rows whose slack carries -1 are negated too, so the
             # slack can start basic; otherwise every ">= 0" row would drag an
             # artificial variable (and a degenerate pivot) into phase 1.
-            for i in range(m):
-                sc = slack_of_row[i]
-                if sc >= 0 and T[i, -1] == 0.0 and T[i, sc] < 0.0:
-                    T[i] *= -1.0
+            T[ineq[(T[ineq, -1] == 0.0) & (T[ineq, slacks] < 0.0)]] *= -1.0
 
         # Initial basis: slacks still carrying +1; artificials elsewhere.
         basis = np.full(m, -1, dtype=int)
-        needs_art = []
-        for i in range(m):
-            sc = slack_of_row[i]
-            if sc >= 0 and T[i, sc] > 0.5:
-                basis[i] = sc
-            else:
-                needs_art.append(i)
+        starts = T[ineq, slacks] > 0.5
+        basis[ineq[starts]] = slacks[starts]
+        needs_art = np.flatnonzero(basis < 0)
 
-        iterations = 0
-        if needs_art:
-            art = np.zeros((m, len(needs_art)))
-            for k, i in enumerate(needs_art):
-                art[i, k] = 1.0
-                basis[i] = n_total + k
-            T = np.asfortranarray(np.hstack([T[:, :-1], art, T[:, -1:]]))
+        phase1 = 0
+        if needs_art.size:
+            arts = n_total + np.arange(needs_art.size)
+            basis[needs_art] = arts
+            T1 = np.zeros((m, n_total + needs_art.size + 1), order="F")
+            T1[:, :n_total] = T[:, :-1]
+            T1[needs_art, arts] = 1.0
+            T1[:, -1] = T[:, -1]
+            T = T1
             c_phase1 = np.zeros(T.shape[1] - 1)
             c_phase1[n_total:] = 1.0
-            status, it = _simplex(T, basis, c_phase1, ray_tol=np.inf)
-            iterations += it
+            status, phase1 = _simplex(T, basis, c_phase1, ray_tol=np.inf)
             if status != "optimal":  # pragma: no cover - phase 1 is always bounded
                 raise MalformedProgramError("phase 1 terminated abnormally")
-            infeas = float(sum(T[i, -1] for i in range(m) if basis[i] >= n_total))
-            floor = _TOL_PHASE1 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
+            artificial = basis >= n_total
+            # numpy scalars, added in row order as before: on Python floats,
+            # sum() compensates its rounding from Python 3.12 on
+            infeas = float(sum(T[artificial, -1]))
+            floor = _TOL_PHASE1 * (1.0 + float(np.abs(b).max(initial=0.0)))
             if infeas > floor:
-                bad = [int(i) for i in range(m)
-                       if basis[i] >= n_total and T[i, -1] > floor]
-                return LpOutcome(
-                    status=LpStatus.INFEASIBLE,
-                    infeasibility=infeas,
-                    unsatisfied_rows=bad,
-                    iterations=iterations,
-                )
+                bad = np.flatnonzero(artificial & (T[:, -1] > floor)).tolist()
+                for _ in objectives:
+                    yield LpOutcome(status=LpStatus.INFEASIBLE, infeasibility=infeas,
+                                    unsatisfied_rows=list(bad), iterations=phase1)
+                return
             # Drive leftover artificials out of the basis; drop redundant rows.
             keep = np.ones(m, dtype=bool)
-            for i in range(m):
-                if basis[i] < n_total:
-                    continue
+            for i in np.flatnonzero(artificial).tolist():
                 pivots = np.flatnonzero(np.abs(T[i, :n_total]) > 1e-7)
                 if pivots.size:
                     _pivot(T, basis, i, int(pivots[0]))
@@ -299,47 +294,56 @@ class LinearProgram:
                     keep[i] = False
             T = T[keep]
             basis = basis[keep]
-            m = T.shape[0]
             T = np.hstack([T[:, :n_total], T[:, -1:]])
 
         T = np.asfortranarray(T)
-        status, it = _simplex(T, basis, c_std)
-        iterations += it
-        if status == "unbounded":
-            return LpOutcome(status=LpStatus.UNBOUNDED, iterations=iterations)
+        coeff_scale = float(np.abs(A).max()) if A.size else 0.0
+        cap = TOL_LP * (1.0 + coeff_scale + float(np.abs(b).max(initial=0.0)))
+        for k, objective in enumerate(objectives):
+            if objective is None:
+                c, obj_sign = np.zeros(self._n_vars), 1.0
+            else:
+                obj_sense, terms = objective
+                row = self._densify(terms)
+                c, obj_sign = (row, 1.0) if obj_sense == "min" else (-row, -1.0)
+            c_std = np.zeros(n_total)
+            c_std[col_plus] = c
+            c_std[col_minus] = -c[free]
+            last = k == len(objectives) - 1
+            T_k = T if last else T.copy(order="F")
+            basis_k = basis if last else basis.copy()
+            status, phase2 = _simplex(T_k, basis_k, c_std)
+            iterations = phase1 + phase2
+            if status == "unbounded":
+                yield LpOutcome(status=LpStatus.UNBOUNDED, iterations=iterations)
+                continue
 
-        x_std = np.zeros(n_total)
-        for i in range(m):
-            x_std[basis[i]] = T[i, -1]
-        x = x_std[col_plus].copy()
-        x[free] -= x_std[col_minus[free]]
+            x_std = np.zeros(n_total)
+            x_std[basis_k] = T_k[:, -1]
+            x = x_std[col_plus]
+            x[free] -= x_std[col_minus]
 
-        assignment = {}
-        for blk in self._blocks.values():
-            seg = x[blk.offset:blk.offset + blk.size]
-            assignment[blk.name] = float(seg[0]) if blk.shape == () else seg.reshape(blk.shape).copy()
-        objective = None
-        if self._objective is not None:
-            objective = float(obj_sign * np.dot(c, x))
+            assignment = {}
+            for blk in self._blocks.values():
+                seg = x[blk.offset:blk.offset + blk.size]
+                assignment[blk.name] = float(seg[0]) if blk.shape == () else seg.reshape(blk.shape).copy()
 
-        # A claimed-feasible outcome must replay against the original rows;
-        # on near-singular systems the tableau can "solve" in scaled units
-        # while the unscaled solution is garbage, and that must not escape.
-        residual = self._max_residual(A, sense, b, x)
-        coeff_scale = float(np.max(np.abs(A))) if A.size else 0.0
-        cap = TOL_LP * (1.0 + coeff_scale + float(np.max(np.abs(b), initial=0.0)))
-        if residual > cap:
-            raise NumericalInstabilityError(
-                f"solution replay residual {residual:.3e} exceeds {cap:.3e}; "
-                "the constraint system is numerically unreliable")
+            # A claimed-feasible outcome must replay against the original rows;
+            # on near-singular systems the tableau can "solve" in scaled units
+            # while the unscaled solution is garbage, and that must not escape.
+            residual = self._max_residual(A, sense, b, x)
+            if residual > cap:
+                raise NumericalInstabilityError(
+                    f"solution replay residual {residual:.3e} exceeds {cap:.3e}; "
+                    "the constraint system is numerically unreliable")
 
-        return LpOutcome(
-            status=LpStatus.OPTIMAL if self._objective is not None else LpStatus.FEASIBLE,
-            assignment=assignment,
-            objective=objective,
-            max_residual=residual,
-            iterations=iterations,
-        )
+            yield LpOutcome(
+                status=LpStatus.OPTIMAL if objective is not None else LpStatus.FEASIBLE,
+                assignment=assignment,
+                objective=None if objective is None else float(obj_sign * np.dot(c, x)),
+                max_residual=residual,
+                iterations=iterations,
+            )
 
     def _max_residual(self, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
                       x: np.ndarray) -> float:
@@ -408,14 +412,17 @@ def _rank1_update(T: np.ndarray, colv: np.ndarray, rowv: np.ndarray) -> None:
         from scipy.linalg.blas import dger
         dger(-1.0, colv, rowv, a=T, overwrite_a=1)
     else:
-        T -= np.outer(colv, rowv)
+        # the simplex keeps T Fortran-ordered; a product in that layout spares
+        # the subtraction a walk across T's strides (the bits are the same)
+        T -= np.multiply(colv[:, None], rowv, order="F")
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
+    pivot_row = T[row]
+    pivot_row /= pivot_row[col]
     colv = T[:, col].copy()
     colv[row] = 0.0
-    _rank1_update(T, colv, T[row])
+    _rank1_update(T, colv, pivot_row)
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -442,11 +449,14 @@ def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
     """
     n_cols = T.shape[1] - 1
     cost = np.zeros(n_cols + 1)
+    reduced = cost[:n_cols]
+    rhs = T[:, -1]
+    ratios = np.empty(T.shape[0])
 
     def refresh() -> None:
         cb = c_ext[basis]
-        cost[:n_cols] = c_ext - cb @ T[:, :n_cols]
-        cost[n_cols] = -float(cb @ T[:, -1])
+        reduced[:] = c_ext - cb @ T[:, :n_cols]
+        cost[n_cols] = -float(cb @ rhs)
         cost[basis] = 0.0
 
     refresh()
@@ -456,28 +466,35 @@ def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
     while True:
         if iterations >= max_iterations:
             raise SolverStalledError(f"simplex exceeded {max_iterations} iterations")
-        tol_c = _TOL_COST * (1.0 + float(np.max(np.abs(cost[:n_cols]), initial=0.0)))
-        negative = np.flatnonzero(cost[:n_cols] < -tol_c)
-        if negative.size == 0:
+        tol_c = _TOL_COST * (1.0 + float(np.abs(reduced).max(initial=0.0)))
+        negative = (reduced < -tol_c).nonzero()[0]
+        if not negative.size:
             return "optimal", iterations
-        order = negative if bland else negative[np.argsort(cost[negative], kind="stable")]
-        j = -1
-        for cand in order:
-            col = T[:, cand]
-            positive = col > _TOL_PIVOT
-            if positive.any():
-                j = int(cand)
-                break
-            if cost[cand] < -ray_tol:
-                return "unbounded", iterations
-            cost[cand] = 0.0  # numerically dead column; restored truth at next refresh
-        if j < 0:
-            continue
-        ratios = np.full(T.shape[0], np.inf)
-        ratios[positive] = T[positive, -1] / col[positive]
+        # The first candidate in either rule's order; argmin is the head of
+        # Dantzig's stable order, since no reduced cost is NaN here (a NaN
+        # makes tol_c NaN and leaves no candidate).
+        j = int(negative[0] if bland else reduced.argmin())
+        col = T[:, j]
+        positive = col > _TOL_PIVOT
+        if not positive.any():
+            j = -1
+            order = negative if bland else negative[reduced[negative].argsort(kind="stable")]
+            for cand in order:
+                col = T[:, cand]
+                positive = col > _TOL_PIVOT
+                if positive.any():
+                    j = int(cand)
+                    break
+                if cost[cand] < -ray_tol:
+                    return "unbounded", iterations
+                cost[cand] = 0.0  # numerically dead column; restored truth at next refresh
+            if j < 0:
+                continue
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=positive)
         best = float(ratios.min())
-        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
-        row = int(ties[np.argmin(basis[ties])])  # smallest basis index breaks ties
+        ties = (ratios <= best + 1e-12 * (1.0 + abs(best))).nonzero()[0]
+        row = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])  # smallest basis index breaks ties
         _pivot(T, basis, row, j)
         cost -= cost[j] * T[row]
         cost[j] = 0.0
@@ -499,21 +516,35 @@ def polytope_max(row, safe_set) -> float:
     ``safe_set`` is any object with ``normals`` (s, n) and ``offsets`` (s,)
     attributes.  Raises :class:`EmptySetError` / :class:`UnboundedSetError`
     when the polyhedron is empty or the functional is unbounded over it.
+    This is the one-row case of :func:`polytope_maxima`.
+    """
+    return float(polytope_maxima(np.reshape(np.asarray(row, dtype=float), (1, -1)), safe_set)[0])
+
+
+def polytope_maxima(rows, safe_set) -> np.ndarray:
+    """:func:`polytope_max` of each row of ``rows`` (k, n), over one tableau.
+
+    The rows share the polyhedron's constraint system, so its assembly,
+    equilibration and phase 1 run once; each row's phase 2 starts from a
+    copy of that tableau, and its maximum is bitwise the one-row value.
+    Rows are solved in order, and the first empty or unbounded verdict
+    raises.
     """
     normals = np.asarray(safe_set.normals, dtype=float)
     offsets = np.asarray(safe_set.offsets, dtype=float)
-    row = np.asarray(row, dtype=float).reshape(-1)
-    if row.size != normals.shape[1]:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != normals.shape[1]:
         raise MalformedProgramError(
-            f"row has length {row.size}, polyhedron lives in R^{normals.shape[1]}"
+            f"rows have shape {rows.shape}, polyhedron lives in R^{normals.shape[1]}"
         )
     lp = LinearProgram()
-    lp.add_block("x", (row.size,))
+    lp.add_block("x", (normals.shape[1],))
     lp.add_constraint_rows({"x": normals}, "<=", offsets)
-    lp.set_objective("max", {"x": row})
-    outcome = lp.solve()
-    if outcome.status == LpStatus.INFEASIBLE:
-        raise EmptySetError("polyhedron is empty")
-    if outcome.status == LpStatus.UNBOUNDED:
-        raise UnboundedSetError("functional is unbounded over the polyhedron")
-    return float(outcome.objective)
+    maxima = np.empty(rows.shape[0])
+    for k, outcome in enumerate(lp._solve_each([("max", {"x": row}) for row in rows])):
+        if outcome.status == LpStatus.INFEASIBLE:
+            raise EmptySetError("polyhedron is empty")
+        if outcome.status == LpStatus.UNBOUNDED:
+            raise UnboundedSetError("functional is unbounded over the polyhedron")
+        maxima[k] = outcome.objective
+    return maxima

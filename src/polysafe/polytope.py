@@ -2,11 +2,12 @@
 
 A safe set is ``{x : normals @ x <= offsets}`` with strictly positive
 offsets, so the origin is interior.  Boundedness is never assumed: it is
-detected operationally by :func:`interval_enclosure`, whose coordinate
-LPs raise :class:`UnboundedSetError` on any unbounded direction.  State
-grids over a set are walked in fixed-size blocks of members
-(:func:`grid_blocks`), so a grid check never holds the whole grid.  The
-enclosure and the vertices are computed once per set object.
+detected operationally by :func:`interval_enclosure`, whose 2n coordinate
+objectives share one LP tableau and raise :class:`UnboundedSetError` on
+any unbounded direction.  State grids over a set are walked in
+fixed-size blocks of members (:func:`grid_blocks`), so a grid check never
+holds the whole grid.  The enclosure and the vertices are computed once
+per set object.
 """
 
 from __future__ import annotations
@@ -75,15 +76,10 @@ class PolyhedralSet:
     @cached_property
     def _enclosure(self) -> "Box":
         """The set's :func:`interval_enclosure`, solved once per set object."""
-        n = self.dim
-        lo = np.empty(n)
-        hi = np.empty(n)
-        for k in range(n):
-            unit = np.zeros(n)
-            unit[k] = 1.0
-            hi[k] = lpcore.polytope_max(unit, self)
-            lo[k] = -lpcore.polytope_max(-unit, self)
-        return Box(lo, hi)
+        eye = np.eye(self.dim)
+        # +e_k then -e_k for each coordinate k, the order of the coordinate LPs
+        maxima = lpcore.polytope_maxima(np.stack([eye, -eye], axis=1).reshape(-1, self.dim), self)
+        return Box(-maxima[1::2], maxima[0::2])
 
     @cached_property
     def _vertices(self) -> np.ndarray:
@@ -122,10 +118,14 @@ class Box:
 def interval_enclosure(safe_set: PolyhedralSet) -> Box:
     """Tightest axis-aligned box containing the set, via 2n coordinate LPs.
 
+    The 2n objectives (``+x_k`` and ``-x_k``) are posed over one constraint
+    system by :func:`lpcore.polytope_maxima`: the tableau is built and
+    equilibrated once, and each objective's phase 2 starts from a copy of
+    it, so every bound is bitwise the one-objective ``polytope_max``.
     Raises :class:`UnboundedSetError` if any coordinate is unbounded, which
-    is how the C-set assumption is enforced operationally.  The LPs are
-    solved on the first call for a set object; later calls return the
-    same box.
+    is how the C-set assumption is enforced operationally.  The program is
+    solved on the first call for a set object; later calls return the same
+    box.
     """
     return safe_set._enclosure
 
@@ -134,10 +134,12 @@ def enumerate_vertices(safe_set: PolyhedralSet, tol: float = TOL_GEOM) -> list[n
     """All vertices by exhaustive intersection of n-row subsets (n <= 3 only).
 
     Every returned point is feasible to within ``tol`` and has at least n
-    active rows.  Raises :class:`EmptySetError` when no feasible vertex
-    exists (empty or degenerate input).  At the default ``tol`` the vertices
-    are enumerated on the first call for a set object; every call returns
-    fresh arrays.
+    active rows.  Two solutions are one vertex when every coordinate agrees
+    to within ``tol`` relative to its own size, so a badly scaled set keeps
+    corners that differ only in a small coordinate.  Raises
+    :class:`EmptySetError` when no feasible vertex exists (empty or
+    degenerate input).  At the default ``tol`` the vertices are enumerated
+    on the first call for a set object; every call returns fresh arrays.
     """
     rows = safe_set._vertices if tol == TOL_GEOM else _vertex_rows(safe_set, tol)
     return list(rows.copy())
@@ -158,8 +160,8 @@ def _vertex_rows(safe_set: PolyhedralSet, tol: float) -> np.ndarray:
             continue
         v = np.linalg.solve(sub, g[list(rows)])
         if np.all(F @ v <= g + tol):
-            if not any(np.max(np.abs(v - w)) <= tol * max(1.0, np.max(np.abs(v)))
-                       for w in vertices):
+            near = tol * np.maximum(1.0, np.abs(v))  # per coordinate, so scales do not mix
+            if not any(np.all(np.abs(v - w) <= near) for w in vertices):
                 vertices.append(v)
     if not vertices:
         raise EmptySetError("no feasible vertex found")

@@ -8,6 +8,8 @@ from polysafe import cli, lpcore, polytope, synthesis, verify
 from polysafe.errors import (NumericalInstabilityError, ScenarioValidationError,
                              SolverStalledError)
 
+from conftest import tri_plant_and_set
+
 REPO_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "secV.json"
 
 
@@ -30,6 +32,23 @@ class TestScenarioSchema:
         assert scenario.data.seed == 7
         assert scenario.data.samples == 40
         np.testing.assert_allclose(scenario.safe_set.offsets, np.ones(4))
+
+    def test_shipped_tri_file_is_the_three_state_plant(self):
+        # scenarios/tri.json carries the 3-state plant and set of the tests'
+        # tri problem, with the verification budget of the benchmark
+        scenario = cli.load_scenario(REPO_SCENARIO.with_name("tri.json"))
+        plant, safe_set = tri_plant_and_set()
+        loaded = scenario.plant()
+        for name in ("a1", "a2", "b", "w_bound"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(plant, name))
+        assert loaded.dictionary.terms == plant.dictionary.terms
+        np.testing.assert_array_equal(scenario.polytope().normals, safe_set.normals)
+        np.testing.assert_array_equal(scenario.polytope().offsets, safe_set.offsets)
+        assert (scenario.data.samples, scenario.data.seed, scenario.data.u_max) == (60, 11, 0.01)
+        assert scenario.verify.grid == [101, 101, 101]
+        assert (scenario.verify.mc_trajectories, scenario.verify.horizon) == (2000, 100)
+        doc = json.loads(REPO_SCENARIO.with_name("tri.json").read_text())
+        assert "expansion_point" not in doc["synthesis"]
 
     def test_round_trip(self, tmp_path):
         scenario = cli.load_scenario(REPO_SCENARIO)
@@ -270,15 +289,18 @@ class TestCommands:
         assert doc["monte_carlo"]["mc"]["exits"] == 0
 
     def test_report_solves_each_program_once(self, scenario_path, tmp_path, monkeypatch):
-        # four enclosure LPs plus one thm2 and one thm1 design; the noise
-        # floor decides cor2 without posing its program
-        solves = []
-        solve = lpcore.LinearProgram.solve
-        monkeypatch.setattr(lpcore.LinearProgram, "solve",
-                            lambda lp: solves.append(lp) or solve(lp))
+        # three programs posed, each once: the enclosure (one tableau for its
+        # four coordinate objectives), then one thm2 and one thm1 design; the
+        # noise floor decides cor2 without posing its program
+        posed = []
+        solve_each = lpcore.LinearProgram._solve_each
+        monkeypatch.setattr(lpcore.LinearProgram, "_solve_each", lambda lp, objectives: (
+            posed.append((lp, len(objectives))) or solve_each(lp, objectives)))
         assert cli.main(["report", "--scenario", str(scenario_path),
                          "--out", str(tmp_path / "once")]) == cli.EXIT_OK
-        assert len(solves) == 6
+        assert [count for _, count in posed] == [4, 1, 1]
+        assert len({id(lp) for lp, _ in posed}) == 3
+        assert ["mult" in lp._blocks for lp, _ in posed] == [False, True, True]
 
     @pytest.mark.parametrize("command", ["report", "verify"])
     def test_vertices_enumerated_once(self, scenario_path, tmp_path, monkeypatch, command):

@@ -129,6 +129,29 @@ class TestEvaluation:
         assert values.shape == expected.shape
         assert values.tobytes() == expected.tobytes()
 
+    def test_one_point_matches_batched_row(self, monkeypatch):
+        # a single point of a monomial-only dictionary is evaluated on Python
+        # floats; each value must carry the bytes of its batched row: signed
+        # zeros, subnormals, overflow to inf and NaN included
+        exponents = [(1, 0, 0), (0, 0, 1), (2, 0, 0), (1, 0, 1), (0, 2, 1),
+                     (3, 1, 0), (2, 2, 0), (1, 1, 2), (4, 0, 0), (0, 0, 3)]
+        d = Dictionary([Monomial(e) for e in exponents], 3)
+        x = np.random.default_rng(23).uniform(-7.0, 7.0, size=(200, 3))
+        x[:6] = [[0.0, -0.0, -0.0], [-0.0, 3.0, -2.0], [1e-160, -1e-160, 5e-324],
+                 [1e200, -1e120, 2.0], [np.nan, 1.0, -0.0], [-np.inf, 0.0, 1.0]]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            batched = d.values(x)
+        written = []
+        monkeypatch.setattr(Dictionary, "_write_values",
+                            lambda self, *args: written.append(args))
+        for point, row in zip(x, batched):
+            assert d.values(point).tobytes() == row.tobytes()
+        assert d.values(list(x[7])).tobytes() == batched[7].tobytes()
+        assert not written
+        # a sin or cos - 1 term keeps the numpy path
+        Dictionary([Monomial((2, 0, 0)), SinTerm(1)], 3).values(x[0])
+        assert len(written) == 1
+
     def test_constant_hessian_of_quadratic(self):
         d = Dictionary([Monomial((2, 0))], 2)
         np.testing.assert_allclose(d.hessians([3.0, -4.0])[0], [[2, 0], [0, 0]])

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysafe import lpcore
+from polysafe import lpcore, synthesis
 from polysafe.errors import MalformedProgramError, SolverStalledError, UnboundedSetError
-from polysafe.lpcore import LinearProgram, LpStatus, polytope_max
-from polysafe.polytope import PolyhedralSet, enumerate_vertices
+from polysafe.lpcore import _TOL_COST, _TOL_PIVOT, _TOL_RAY, LinearProgram, LpStatus, polytope_max
+from polysafe.polytope import PolyhedralSet, enumerate_vertices, interval_enclosure
 
-from conftest import SECV_F, SECV_G
+from conftest import SECV_F, SECV_G, duo_problem, tri_problem
 
 
 class TestBasics:
@@ -219,30 +219,38 @@ class TestScale:
         assert abs(out.objective - costs.sum()) <= 1e-6
 
 
+def random_programs():
+    """60 random programs of up to 11 inequality and 3 equality rows, each
+    with its data: ``(lp, c, a_ub, b_ub, a_eq, b_eq, nonneg)``."""
+    rng = np.random.default_rng(101)
+    for _ in range(60):
+        m = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 10))
+        n_eq = int(rng.integers(0, min(3, n) + 1))
+        a_ub = rng.normal(size=(m, n))
+        b_ub = rng.normal(size=m)
+        a_eq = rng.normal(size=(n_eq, n)) if n_eq else None
+        b_eq = rng.normal(size=n_eq) if n_eq else None
+        c = rng.normal(size=n)
+        nonneg = bool(rng.integers(0, 2))
+
+        lp = LinearProgram()
+        lp.add_block("x", (n,), nonneg=nonneg)
+        lp.add_constraint_rows({"x": a_ub}, "<=", b_ub)
+        if n_eq:
+            lp.add_constraint_rows({"x": a_eq}, "=", b_eq)
+        lp.set_objective("min", {"x": c})
+        yield lp, c, a_ub, b_ub, a_eq, b_eq, nonneg
+
+
 class TestAgainstReferenceSolver:
     def test_random_programs_match_highs(self):
         # independent cross-check of statuses and optimal values; the in-tree
         # simplex remains the production path
         from scipy.optimize import linprog
 
-        rng = np.random.default_rng(101)
-        for _ in range(60):
-            m = int(rng.integers(1, 12))
-            n = int(rng.integers(1, 10))
-            n_eq = int(rng.integers(0, min(3, n) + 1))
-            a_ub = rng.normal(size=(m, n))
-            b_ub = rng.normal(size=m)
-            a_eq = rng.normal(size=(n_eq, n)) if n_eq else None
-            b_eq = rng.normal(size=n_eq) if n_eq else None
-            c = rng.normal(size=n)
-            nonneg = bool(rng.integers(0, 2))
-
-            lp = LinearProgram()
-            lp.add_block("x", (n,), nonneg=nonneg)
-            lp.add_constraint_rows({"x": a_ub}, "<=", b_ub)
-            if n_eq:
-                lp.add_constraint_rows({"x": a_eq}, "=", b_eq)
-            lp.set_objective("min", {"x": c})
+        for lp, c, a_ub, b_ub, a_eq, b_eq, nonneg in random_programs():
+            n = c.size
             mine = lp.solve()
 
             ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
@@ -253,6 +261,219 @@ class TestAgainstReferenceSolver:
             assert mine.status == ref_status
             if mine.status == LpStatus.OPTIMAL:
                 assert abs(mine.objective - ref.fun) <= 1e-6 * (1 + abs(ref.fun))
+
+
+# ---------------------------------------------------------------------------
+# The pivot loop as it was before its numpy calls were trimmed, verbatim: the
+# reference the production loop must reproduce bit for bit.
+
+def _rank1_update(T: np.ndarray, colv: np.ndarray, rowv: np.ndarray) -> None:
+    """In-place ``T -= outer(colv, rowv)``; BLAS ger when the layout allows.
+
+    ger avoids a full temporary per pivot on large tableaux.  scipy's BLAS
+    is imported only on that path: importing it costs about 0.3 s and 30 MB,
+    which small programs never need.
+    """
+    if T.flags.f_contiguous and T.size > 65536:
+        from scipy.linalg.blas import dger
+        dger(-1.0, colv, rowv, a=T, overwrite_a=1)
+    else:
+        T -= np.outer(colv, rowv)
+
+
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    colv = T[:, col].copy()
+    colv[row] = 0.0
+    _rank1_update(T, colv, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
+             ray_tol: float = _TOL_RAY, max_iterations: int = 200_000) -> tuple[str, int]:
+    """Minimize ``c_ext`` over the tableau ``T`` (rhs in the last column).
+
+    Pivoting is Dantzig's rule (most negative reduced cost) with an
+    automatic switch to Bland's smallest-index rule after a run of
+    degenerate pivots, which preserves the anti-cycling termination
+    guarantee while avoiding Bland's stalling on the heavily degenerate
+    norm-budget programs.  The reduced-cost row is recomputed from the
+    current tableau every 128 pivots so accumulated drift cannot flip
+    eligibility decisions.
+
+    A column with reduced cost below ``-ray_tol`` and no positive entry is
+    a genuine unbounded direction; marginally negative unpivotable columns
+    are treated as numerically dead.  Phase 1 passes ``ray_tol=inf`` since
+    its objective is bounded below by construction.  After
+    ``max_iterations`` pivots with no verdict it raises
+    :class:`SolverStalledError`.
+    """
+    n_cols = T.shape[1] - 1
+    cost = np.zeros(n_cols + 1)
+
+    def refresh() -> None:
+        cb = c_ext[basis]
+        cost[:n_cols] = c_ext - cb @ T[:, :n_cols]
+        cost[n_cols] = -float(cb @ T[:, -1])
+        cost[basis] = 0.0
+
+    refresh()
+    iterations = 0
+    stalled = 0
+    bland = False
+    while True:
+        if iterations >= max_iterations:
+            raise SolverStalledError(f"simplex exceeded {max_iterations} iterations")
+        tol_c = _TOL_COST * (1.0 + float(np.max(np.abs(cost[:n_cols]), initial=0.0)))
+        negative = np.flatnonzero(cost[:n_cols] < -tol_c)
+        if negative.size == 0:
+            return "optimal", iterations
+        order = negative if bland else negative[np.argsort(cost[negative], kind="stable")]
+        j = -1
+        for cand in order:
+            col = T[:, cand]
+            positive = col > _TOL_PIVOT
+            if positive.any():
+                j = int(cand)
+                break
+            if cost[cand] < -ray_tol:
+                return "unbounded", iterations
+            cost[cand] = 0.0  # numerically dead column; restored truth at next refresh
+        if j < 0:
+            continue
+        ratios = np.full(T.shape[0], np.inf)
+        ratios[positive] = T[positive, -1] / col[positive]
+        best = float(ratios.min())
+        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
+        row = int(ties[np.argmin(basis[ties])])  # smallest basis index breaks ties
+        _pivot(T, basis, row, j)
+        cost -= cost[j] * T[row]
+        cost[j] = 0.0
+        iterations += 1
+        if best > 1e-12:
+            stalled = 0
+            bland = False
+        else:
+            stalled += 1
+            if stalled > 100:
+                bland = True  # escape the degenerate vertex with Bland's rule
+        if iterations % 128 == 0:
+            refresh()
+
+
+
+def degenerate_program():
+    """60 random halfspaces through the origin and a box around it in R^8.
+
+    Equilibration leaves most slacks below 0.5, so those rows start on
+    artificials; phase 1 then makes 128 pivots and phase 2 28, every one of
+    them degenerate at the origin."""
+    rng = np.random.default_rng(0)
+    lp = LinearProgram()
+    lp.add_block("x", (8,))
+    lp.add_constraint_rows({"x": rng.normal(size=(60, 8))}, "<=", np.zeros(60))
+    lp.add_constraint_rows({"x": np.eye(8)}, "<=", np.ones(8))
+    lp.add_constraint_rows({"x": -np.eye(8)}, "<=", np.ones(8))
+    lp.set_objective("max", {"x": rng.normal(size=8)})
+    return lp
+
+
+def dead_column_program(pivotable: bool):
+    """``min -5e-8 a (- 1e-8 b) + c`` over ``b + c <= 1, -a <= 1``, all >= 0.
+
+    The most negative reduced cost sits on ``a``, whose column has no
+    positive entry and whose rate is inside the ray tolerance: the loop
+    treats it as numerically dead and falls back to the full candidate order,
+    where it pivots ``b`` in, or, without ``b``, finds no candidate left."""
+    lp = LinearProgram()
+    for name in ("a", "b", "c"):
+        lp.add_block(name, (), nonneg=True)
+    lp.add_constraint({"b": 1.0, "c": 1.0}, "<=", 1.0)
+    lp.add_constraint({"a": -1.0}, "<=", 1.0)
+    lp.set_objective("min", {"a": -5e-8, "b": -1e-8 if pivotable else 0.0, "c": 1.0})
+    return lp
+
+
+class TestPivotLoopMatchesReference:
+    """Every tableau ``solve`` hands to the simplex, replayed through the
+    production loop and the reference loop above: the same verdict, pivot
+    count, basis and tableau bytes."""
+
+    @pytest.fixture()
+    def recorded(self, monkeypatch):
+        inputs = []
+        simplex = lpcore._simplex
+
+        def recording(T, basis, c_ext, ray_tol=_TOL_RAY, max_iterations=200_000):
+            inputs.append((T.copy(order="K"), basis.copy(), c_ext.copy(), ray_tol))
+            return simplex(T, basis, c_ext, ray_tol, max_iterations)
+
+        monkeypatch.setattr(lpcore, "_simplex", recording)
+        return inputs, simplex
+
+    @staticmethod
+    def replay(inputs, simplex):
+        for T, basis, c_ext, ray_tol in inputs:
+            mine_T, mine_basis = T.copy(order="K"), basis.copy()
+            ref_T, ref_basis = T.copy(order="K"), basis.copy()
+            mine = simplex(mine_T, mine_basis, c_ext.copy(), ray_tol)
+            ref = _simplex(ref_T, ref_basis, c_ext.copy(), ray_tol)
+            assert mine == ref
+            np.testing.assert_array_equal(mine_basis, ref_basis)
+            assert mine_T.tobytes() == ref_T.tobytes()
+
+    def test_design_and_enclosure_programs(self, recorded, secv_data):
+        inputs, simplex = recorded
+        rng = np.random.default_rng(5)
+        interval_enclosure(PolyhedralSet(rng.normal(size=(10, 3)), rng.uniform(0.5, 2.0, 10)))
+        assert len(inputs) >= 6  # a phase 2 per objective
+        for make in (lambda: (PolyhedralSet(SECV_F, SECV_G), secv_data),
+                     lambda: duo_problem(160), lambda: tri_problem(160)):
+            before = len(inputs)
+            safe_set, data = make()
+            interval_enclosure(safe_set)  # the duo and tri data were collected with it
+            assert len(inputs) - before >= 2 * safe_set.dim
+            for design in (synthesis.synthesize_noiseless, synthesis.synthesize_min_remainder):
+                before = len(inputs)
+                design(data, safe_set)
+                assert len(inputs) > before  # thm2, then thm1
+        self.replay(inputs, simplex)
+
+    def test_random_programs(self, recorded):
+        inputs, simplex = recorded
+        statuses = {lp.solve().status for lp, *_ in random_programs()}
+        assert statuses == set(LpStatus) - {LpStatus.FEASIBLE}
+        self.replay(inputs, simplex)
+
+    def test_dead_columns(self, recorded):
+        inputs, simplex = recorded
+        for pivotable, b in ((True, 1.0), (False, 0.0)):
+            out = dead_column_program(pivotable).solve()
+            assert out.status == LpStatus.OPTIMAL and out["a"] == 0.0 and out["b"] == b
+        assert len(inputs) == 2
+        self.replay(inputs, simplex)
+
+    def test_bland_switch(self, recorded, monkeypatch):
+        inputs, simplex = recorded
+        assert degenerate_program().solve().status == LpStatus.OPTIMAL
+        ratios = []
+
+        def pivot(T, basis, row, col):
+            ratios.append(T[row, -1] / T[row, col])
+            lpcore._pivot(T, basis, row, col)
+
+        monkeypatch.setitem(globals(), "_pivot", pivot)
+        runs = []
+        for entry in inputs:
+            self.replay([entry], simplex)
+            runs.append(len(ratios))
+            assert all(r <= 1e-12 for r in ratios)
+            ratios.clear()
+        # phase 1 switched the reference loop to Bland's rule: more than 100
+        # degenerate pivots in a row
+        assert runs == [128, 28]
 
 
 class TestDump:

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,6 +110,13 @@ class TestVertices:
         with pytest.raises(EmptySetError):
             enumerate_vertices(PolyhedralSet([[1, 0]], [1]))
 
+    def test_badly_scaled_box_keeps_every_corner(self):
+        # corners that differ only in the small coordinate stay apart: the
+        # merge tolerance is taken per coordinate, not from the largest one
+        poly = PolyhedralSet(np.vstack([np.eye(2), -np.eye(2)]), [1e103, 1.0, 1e103, 1.0])
+        corners = [np.array(c, dtype=float) for c in itertools.product([-1e103, 1e103], [-1, 1])]
+        assert vertex_set(enumerate_vertices(poly)) == vertex_set(corners)
+
     def test_3d_cube(self):
         poly = PolyhedralSet(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
         corners = [np.array(c, dtype=float) for c in itertools.product([-1, 1], repeat=3)]
@@ -157,19 +165,66 @@ class TestEnclosure:
             assert np.all(v <= box.hi + 1e-9)
 
     def test_solved_once_per_set(self, monkeypatch):
+        # one shared program per set object, holding both bounds of every
+        # coordinate
         calls = []
-        solve = lpcore.polytope_max
-        monkeypatch.setattr(lpcore, "polytope_max",
-                            lambda *args: calls.append(args) or solve(*args))
+        solve = lpcore.polytope_maxima
+        monkeypatch.setattr(lpcore, "polytope_maxima",
+                            lambda rows, s: calls.append(len(rows)) or solve(rows, s))
         safe_set = PolyhedralSet(SECV_F, SECV_G)
         first = interval_enclosure(safe_set)
-        assert len(calls) == 4  # two LPs per coordinate
+        assert calls == [4]  # two objectives per coordinate
         assert interval_enclosure(safe_set) is first
         sample_grid(safe_set, (5, 5))
-        assert len(calls) == 4
+        assert calls == [4]
         # another object holding the same rows solves its own
         interval_enclosure(PolyhedralSet(SECV_F, SECV_G))
-        assert len(calls) == 8
+        assert calls == [4, 4]
+
+    @pytest.mark.parametrize("name", ["secV", "tri", "random3d"])
+    def test_bounds_match_one_objective_solves(self, name):
+        # each bound from the shared tableau is bitwise the maximum of a
+        # program posed for that coordinate alone
+        P = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.25], [0.2, 0.0, 1.0]])
+        rng = np.random.default_rng(5)
+        normals, offsets = {
+            "secV": (SECV_F, SECV_G),
+            "tri": (np.vstack([0.5 * P, -0.5 * P]), np.ones(6)),
+            "random3d": (rng.normal(size=(10, 3)), rng.uniform(0.5, 2.0, 10)),
+        }[name]
+        safe_set = PolyhedralSet(normals, offsets)
+        box = interval_enclosure(safe_set)
+
+        def alone(row):
+            lp = lpcore.LinearProgram()
+            lp.add_block("x", (safe_set.dim,))
+            lp.add_constraint_rows({"x": safe_set.normals}, "<=", safe_set.offsets)
+            lp.set_objective("max", {"x": row})
+            return lp.solve().objective
+
+        eye = np.eye(safe_set.dim)
+        hi = np.array([alone(e) for e in eye])
+        lo = -np.array([alone(-e) for e in eye])
+        assert box.hi.tobytes() == hi.tobytes() and box.lo.tobytes() == lo.tobytes()
+        assert box.hi.tobytes() == np.array([lpcore.polytope_max(e, safe_set) for e in eye]).tobytes()
+        assert np.all(box.lo < 0.0) and np.all(box.hi > 0.0)
+
+    def test_empty_polyhedron(self):
+        # offsets of a PolyhedralSet are positive, so the crossing slabs
+        # x <= -1, -x <= -1 come as a plain normals/offsets holder
+        empty = SimpleNamespace(normals=np.array([[1.0], [-1.0]]), offsets=np.array([-1.0, -1.0]))
+        with pytest.raises(EmptySetError):
+            lpcore.polytope_maxima(np.array([[1.0], [-1.0]]), empty)
+        with pytest.raises(EmptySetError):
+            lpcore.polytope_max([1.0], empty)
+
+    def test_halfspace_unbounded_in_every_form(self):
+        # the bounded first row is solved, the second row's verdict raises;
+        # rows bounded over the halfspace share its tableau as usual
+        half = PolyhedralSet([[1, 0]], [1])
+        with pytest.raises(UnboundedSetError):
+            lpcore.polytope_maxima(np.eye(2), half)
+        assert lpcore.polytope_maxima(np.array([[1.0, 0.0], [2.0, 0.0]]), half).tolist() == [1.0, 2.0]
 
     def test_box_validation(self):
         with pytest.raises(ValueError):
