@@ -37,7 +37,6 @@ from .synthesis import (
     Controller,
     SynthesisCertificate,
     baseline_search,
-    lumped_disturbance_bounds,
     synthesize_min_remainder,
     synthesize_noiseless,
     synthesize_robust,
@@ -46,9 +45,8 @@ from .verify import (
     VerificationReport,
     conservatism_report,
     disturbance_offsets,
-    dual_gap_check,
-    grid_contractivity,
     grid_reports,
+    lumped_disturbance_bounds,
     monte_carlo_invariance,
 )
 
@@ -76,10 +74,8 @@ __all__ = [
     "collect_informative",
     "conservatism_report",
     "disturbance_offsets",
-    "dual_gap_check",
     "enumerate_vertices",
     "grid_blocks",
-    "grid_contractivity",
     "grid_reports",
     "identification_rank",
     "interval_enclosure",

@@ -14,6 +14,7 @@ method), 2 synthesis infeasible, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -320,6 +321,14 @@ def _synthesize(scenario: Scenario, data, safe_set):
     return controller, cert
 
 
+def _infeasible(out_dir: Path, command: str, err: SynthesisInfeasibleError, **extra) -> int:
+    """Write the command's infeasible summary, plus the ``extra`` keys, and say so."""
+    _write_json(out_dir / "summary.json",
+                {"command": command, "status": "infeasible", **extra, "detail": str(err)})
+    print(f"synthesis infeasible: {err}", file=sys.stderr)
+    return EXIT_INFEASIBLE
+
+
 def _sweep(scenario: Scenario, data, safe_set, methods) -> dict:
     """Each method's design, or the message saying why no level in (0, 1] is
     feasible, or, prefixed ``SOLVER_FAILED``, why its solver gave no verdict.
@@ -408,16 +417,19 @@ def _plot_svg(path: Path, scenario: Scenario, plant, safe_set: PolyhedralSet,
 
 
 def _closed_loop_trajectories(scenario: Scenario, plant, safe_set, controller, count=5):
-    vertices = enumerate_vertices(safe_set)
     horizon = min(scenario.verify.horizon, 60)
-    out = []
-    for i, vertex in enumerate(vertices[:count]):
-        rng = np.random.default_rng([scenario.data.seed, i])
-        noise = None
-        if plant.w_bound > 0:
-            noise = rng.uniform(-plant.w_bound, plant.w_bound, size=(horizon, plant.state_dim))
-        out.append(plant.simulate(controller, vertex, horizon, noise).states)
-    return out
+    return [_rollout(scenario, plant, controller, vertex, horizon, i).states
+            for i, vertex in enumerate(enumerate_vertices(safe_set)[:count])]
+
+
+def _rollout(scenario: Scenario, plant, controller, start, horizon: int, index: int):
+    """Rollout ``index`` of the true closed loop from ``start``: its disturbances
+    are uniform in the plant's bound, drawn from ``default_rng([seed, index])``."""
+    noise = None
+    if plant.w_bound > 0:
+        rng = np.random.default_rng([scenario.data.seed, index])
+        noise = rng.uniform(-plant.w_bound, plant.w_bound, size=(horizon, plant.state_dim))
+    return plant.simulate(controller, start, horizon, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +461,8 @@ def _cmd_synth(scenario: Scenario, out_dir: Path) -> int:
     try:
         controller, cert = _synthesize(scenario, data, safe_set)
     except SynthesisInfeasibleError as err:
-        _write_json(out_dir / "summary.json", {
-            "command": "synth", "status": "infeasible",
-            "method": scenario.synthesis.method,
-            "contraction": scenario.synthesis.contraction,
-            "detail": str(err),
-        })
-        print(f"synthesis infeasible: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _infeasible(out_dir, "synth", err, method=scenario.synthesis.method,
+                           contraction=scenario.synthesis.contraction)
     payload = {
         "command": "synth", "status": "feasible",
         "method": scenario.synthesis.method,
@@ -479,10 +485,7 @@ def _cmd_verify(scenario: Scenario, out_dir: Path) -> int:
     try:
         controller, cert = _synthesize(scenario, data, safe_set)
     except SynthesisInfeasibleError as err:
-        _write_json(out_dir / "summary.json", {
-            "command": "verify", "status": "infeasible", "detail": str(err)})
-        print(f"synthesis infeasible: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _infeasible(out_dir, "verify", err)
     grid_true, grid_data, mc = _verify_controller(
         scenario, plant, data, safe_set, controller, scenario.synthesis.contraction)
     passed = grid_true.passed and grid_data.passed and mc.passed
@@ -506,17 +509,10 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     try:
         controller, _ = _synthesize(scenario, data, safe_set)
     except SynthesisInfeasibleError as err:
-        _write_json(out_dir / "summary.json", {
-            "command": "simulate", "status": "infeasible", "detail": str(err)})
-        print(f"synthesis infeasible: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _infeasible(out_dir, "simulate", err)
     start = enumerate_vertices(safe_set)[0]
     horizon = scenario.verify.horizon
-    rng = np.random.default_rng([scenario.data.seed, 0])
-    noise = None
-    if plant.w_bound > 0:
-        noise = rng.uniform(-plant.w_bound, plant.w_bound, size=(horizon, plant.state_dim))
-    traj = plant.simulate(controller, start, horizon, noise)
+    traj = _rollout(scenario, plant, controller, start, horizon, 0)
     path = out_dir / "trajectory.csv"
     with open(path, "w") as handle:
         headers = ["t"] + [f"x{i + 1}" for i in range(plant.state_dim)] \
@@ -541,9 +537,9 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
 def _cmd_sweep(scenario: Scenario, out_dir: Path, requested=None) -> int:
     plant, safe_set, data = _collect(scenario)
     methods = requested or list(synthesis.METHODS)
-    if "thm1" in methods:
+    if methods == ["thm1"]:
         ident = identification_rank(data)
-        if not ident.full_row_rank and methods == ["thm1"]:
+        if not ident.full_row_rank:
             _write_json(out_dir / "summary.json", {
                 "command": "sweep-lambda", "status": "rank-deficient",
                 "detail": str(ident)})
@@ -627,7 +623,7 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
     summary["monte_carlo"] = _report_entry(mc)
 
     baseline = designs["thm1"]
-    lumped = synthesis.lumped_disturbance_bounds(
+    lumped = verify.lumped_disturbance_bounds(
         data, safe_set, controller, scenario.system.w_bound)
     primal_dual = (controller, cert) if isinstance(cert, synthesis.SynthesisCertificate) else None
     table = verify.conservatism_report(
@@ -662,7 +658,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call and reused after."""
     parser = _Parser(prog="polysafe", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

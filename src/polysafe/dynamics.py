@@ -5,8 +5,7 @@ terms, each of which vanishes at the origin: monomials of total degree
 at least one, ``sin(x_k)``, and ``cos(x_k) - 1``.  Restricting to these
 three kinds gives a linearization at the origin read off the term kinds
 (degree-1 monomials and ``sin`` have a unit slope there, every other
-term is flat), exact Hessians (the remainder's curvature) and sound
-interval Lipschitz bounds.
+term is flat) and sound interval Lipschitz bounds.
 
 The "remainder" of a dictionary is its value minus its linearization at
 the origin; it is the quantity the controller acts on, and it vanishes
@@ -208,35 +207,6 @@ class Dictionary:
                 col[...] = np.sin(x[..., t.coord])
             else:
                 np.subtract(np.cos(x[..., t.coord]), 1.0, out=col)
-
-    def hessians(self, x) -> np.ndarray:
-        """(N, n, n) stack of per-term Hessians at a single point."""
-        x = self._check_point(x)
-        if x.ndim != 1:
-            raise DimensionMismatchError("hessians expects a single point")
-        hess = np.zeros((self.n_terms, self.dim, self.dim))
-        for j, t in enumerate(self.terms):
-            if isinstance(t, Monomial):
-                exps = t.exponents
-                for k in range(self.dim):
-                    for l in range(k, self.dim):
-                        value = 1.0
-                        ok = True
-                        for i, ei in enumerate(exps):
-                            order = (i == k) + (i == l)
-                            if ei < order:
-                                ok = False
-                                break
-                            coeff = ei if order == 1 else (ei * (ei - 1) if order == 2 else 1)
-                            value *= coeff * x[i] ** (ei - order)
-                        if ok:
-                            hess[j, k, l] = value
-                            hess[j, l, k] = value
-            elif isinstance(t, SinTerm):
-                hess[j, t.coord, t.coord] = -math.sin(x[t.coord])
-            else:
-                hess[j, t.coord, t.coord] = -math.cos(x[t.coord])
-        return hess
 
     def linearization(self) -> np.ndarray:
         """(N, n) slope of the term vector at the origin: one at each unit slope."""

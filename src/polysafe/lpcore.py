@@ -355,51 +355,6 @@ class LinearProgram:
                 worst = max(worst, float(np.max(-seg, initial=0.0)))
         return worst
 
-    # ------------------------------------------------------------------
-    # export
-
-    def dump(self, path) -> None:
-        """Write the program in plain-text LP format for external cross-checks."""
-        names = []
-        for block in self._blocks.values():
-            if block.shape == ():
-                names.append(block.name)
-            else:
-                names.extend(f"{block.name}_{k}" for k in range(block.size))
-        lines = []
-        if self._objective is not None:
-            sense, terms = self._objective
-            lines.append("Minimize" if sense == "min" else "Maximize")
-            lines.append(" obj: " + _lp_expr(self._densify(terms), names))
-        else:
-            lines.append("Minimize")
-            lines.append(" obj: 0")
-        lines.append("Subject To")
-        A, sense, b = self._assemble()
-        for i, (row, sign, rhs) in enumerate(zip(A, sense, b)):
-            lines.append(f" c{i}: " + _lp_expr(row, names) + f" {_RELATIONS[int(sign)]} {rhs:.17g}")
-        lines.append("Bounds")
-        for block in self._blocks.values():
-            lo = "0" if block.nonneg else "-inf"
-            if block.shape == ():
-                lines.append(f" {lo} <= {block.name} <= +inf")
-            else:
-                for k in range(block.size):
-                    lines.append(f" {lo} <= {block.name}_{k} <= +inf")
-        lines.append("End")
-        with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-
-
-def _lp_expr(row: np.ndarray, names: list[str]) -> str:
-    parts = []
-    for coeff, name in zip(row, names):
-        if coeff == 0.0:
-            continue
-        sign = "-" if coeff < 0 else ("+" if parts else "")
-        parts.append(f"{sign} {abs(coeff):.17g} {name}".strip())
-    return " ".join(parts) if parts else "0"
-
 
 def _rank1_update(T: np.ndarray, colv: np.ndarray, rowv: np.ndarray) -> None:
     """In-place ``T -= outer(colv, rowv)``; BLAS ger when the layout allows.

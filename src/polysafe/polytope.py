@@ -83,9 +83,9 @@ class PolyhedralSet:
 
     @cached_property
     def _vertices(self) -> np.ndarray:
-        """The set's :func:`enumerate_vertices` at the default tolerance, one
-        per row, enumerated once per set object."""
-        return _vertex_rows(self, TOL_GEOM)
+        """The set's :func:`enumerate_vertices`, one per row, enumerated
+        once per set object."""
+        return _vertex_rows(self)
 
 
 @dataclass(frozen=True)
@@ -130,22 +130,21 @@ def interval_enclosure(safe_set: PolyhedralSet) -> Box:
     return safe_set._enclosure
 
 
-def enumerate_vertices(safe_set: PolyhedralSet, tol: float = TOL_GEOM) -> list[np.ndarray]:
+def enumerate_vertices(safe_set: PolyhedralSet) -> list[np.ndarray]:
     """All vertices by exhaustive intersection of n-row subsets (n <= 3 only).
 
-    Every returned point is feasible to within ``tol`` and has at least n
-    active rows.  Two solutions are one vertex when every coordinate agrees
-    to within ``tol`` relative to its own size, so a badly scaled set keeps
-    corners that differ only in a small coordinate.  Raises
+    Every returned point is feasible to within ``TOL_GEOM`` and has at least
+    n active rows.  Two solutions are one vertex when every coordinate
+    agrees to within ``TOL_GEOM`` relative to its own size, so a badly
+    scaled set keeps corners that differ only in a small coordinate.  Raises
     :class:`EmptySetError` when no feasible vertex exists (empty or
-    degenerate input).  At the default ``tol`` the vertices are enumerated
-    on the first call for a set object; every call returns fresh arrays.
+    degenerate input).  The vertices are enumerated on the first call for a
+    set object; every call returns fresh arrays.
     """
-    rows = safe_set._vertices if tol == TOL_GEOM else _vertex_rows(safe_set, tol)
-    return list(rows.copy())
+    return list(safe_set._vertices.copy())
 
 
-def _vertex_rows(safe_set: PolyhedralSet, tol: float) -> np.ndarray:
+def _vertex_rows(safe_set: PolyhedralSet) -> np.ndarray:
     """The vertices of :func:`enumerate_vertices`, one per row of a (v, n) array."""
     n = safe_set.dim
     if n > 3:
@@ -159,8 +158,8 @@ def _vertex_rows(safe_set: PolyhedralSet, tol: float) -> np.ndarray:
         if abs(det) <= 1e-12 * max(1.0, float(np.max(np.abs(sub))) ** n):
             continue
         v = np.linalg.solve(sub, g[list(rows)])
-        if np.all(F @ v <= g + tol):
-            near = tol * np.maximum(1.0, np.abs(v))  # per coordinate, so scales do not mix
+        if np.all(F @ v <= g + TOL_GEOM):
+            near = TOL_GEOM * np.maximum(1.0, np.abs(v))  # per coordinate, so scales do not mix
             if not any(np.all(np.abs(v - w) <= near) for w in vertices):
                 vertices.append(v)
     if not vertices:
@@ -173,7 +172,7 @@ def grid_resolution(dim: int) -> tuple:
     return (round(101 ** (2.0 / dim)),) * dim
 
 
-def grid_blocks(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM):
+def grid_blocks(safe_set: PolyhedralSet, resolution=None):
     """Walk the set's grid members in blocks, without building the grid.
 
     The grid is uniform over the interval enclosure; ``resolution`` gives
@@ -203,7 +202,7 @@ def grid_blocks(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM)
     rest = rest.reshape(n - 1, math.prod(resolution[1:]))   # (n - 1, R)
     rest_rows = safe_set.normals[:, 1:] @ rest               # (s, R)
     first_col = safe_set.normals[:, :1]
-    bound = (safe_set.offsets + tol)[:, None]
+    bound = (safe_set.offsets + TOL_GEOM)[:, None]
     pieces: list = []  # (first-axis value, member columns of rest) not yet in a block
     size = 0
     for first in axes[0]:
@@ -237,12 +236,12 @@ def _cut_block(rest: np.ndarray, pieces: list, size: int) -> np.ndarray:
     return block
 
 
-def sample_grid(safe_set: PolyhedralSet, resolution=None, tol: float = TOL_GEOM) -> np.ndarray:
+def sample_grid(safe_set: PolyhedralSet, resolution=None) -> np.ndarray:
     """All grid members of :func:`grid_blocks` as one array of shape (k, n).
 
     Rows come in row-major order over the grid (last axis fastest), so the
     stream is deterministic and can be partitioned across workers and
     merged order-independently.
     """
-    blocks = [block.T for block in grid_blocks(safe_set, resolution, tol)]
+    blocks = [block.T for block in grid_blocks(safe_set, resolution)]
     return np.concatenate(blocks) if blocks else np.empty((0, safe_set.dim))

@@ -44,7 +44,9 @@ is the level-1 program with ``h`` shifted by ``1 - lam``, and both have
 the same optimal set.  One solve therefore gives the controller and the
 smallest level it certifies, ``1 - h`` clamped to ``[0, 1]``, which the
 certificate reports as its ``contraction``; the same multipliers hold at
-every level above it.
+every level above it.  Every design's certificate is recomputed from raw
+matrices before it is returned, and one that does not replay to
+``TOL_CERT`` raises :class:`~polysafe.errors.NumericalInstabilityError`.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import lpcore
 from .datagen import ExperimentData, identification_rank, regressor_rank
-from .errors import RankDeficientDataError, SynthesisInfeasibleError
+from .errors import NumericalInstabilityError, RankDeficientDataError, SynthesisInfeasibleError
 from .polytope import (PolyhedralSet, enumerate_vertices, grid_resolution, interval_enclosure,
                        sample_grid)
 
@@ -121,9 +123,6 @@ class SynthesisCertificate:
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
-
-    def satisfied(self, tol: float = TOL_CERT) -> bool:
-        return self.max_residual <= tol and float(np.min(self.set_multiplier)) >= -1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,45 +300,49 @@ def _noise_floor(data: ExperimentData, safe_set: PolyhedralSet, robust: dict) ->
     return gm * robust["state_bound"] * data.n_samples
 
 
-def _level(outcome: lpcore.LpOutcome) -> float:
-    """Smallest level a feasible level-1 design certifies: 1 - headroom, in [0, 1]."""
-    return min(1.0, max(0.0, 1.0 - float(outcome.objective)))
+def _solve(data: ExperimentData, safe_set: PolyhedralSet, kind: str, robust: dict | None = None,
+           row_bounds: np.ndarray | None = None) -> lpcore.LpOutcome:
+    """Solve one design program (:func:`_build_and_solve`); raise
+    :class:`SynthesisInfeasibleError` with the phase-1 infeasibility when no
+    level in ``(0, 1]`` is feasible.  ``kind`` names the design in the message."""
+    outcome = _build_and_solve(data, safe_set, robust, row_bounds)
+    if outcome.status == lpcore.LpStatus.INFEASIBLE:
+        raise SynthesisInfeasibleError(
+            f"{kind} infeasible at every level "
+            f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
+    return outcome
 
 
-def _certificate(data: ExperimentData, safe_set: PolyhedralSet, controller: Controller,
-                 outcome: lpcore.LpOutcome, method: str, robust: dict | None,
-                 config: dict) -> SynthesisCertificate:
-    contraction = _level(outcome)
+def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.ndarray,
+            outcome: lpcore.LpOutcome, offset, extra: dict) -> tuple[float, dict[str, float]]:
+    """The smallest level a solved design certifies, ``1 - headroom`` in
+    ``[0, 1]``, and its residuals recomputed from raw matrices.
+
+    Every method has the contraction rows, with ``offset`` (the noise margin,
+    or the baseline's remainder bounds) added, and the multiplier match and
+    sign; ``extra`` holds the method's own residuals.  A design whose
+    certificate does not replay is refused: any residual above ``TOL_CERT``,
+    or a multiplier below ``-1e-9``, raises
+    :class:`NumericalInstabilityError` naming the worst residual.
+    """
+    level = min(1.0, max(0.0, 1.0 - float(outcome.objective)))
     F = safe_set.normals
     g = safe_set.offsets
-    regressor = data.regressor
-    x_next = data.next_states
     mult = outcome["mult"]
-    eta = outcome.value("noise") if robust is not None else 0.0
-
-    stacked = np.hstack([controller.g1, controller.g2])
-    coeffs = F @ x_next @ controller.g2                       # (s, N) remainder coefficients
     residuals = {
-        "contraction": float(np.max(np.maximum(mult @ g + eta - contraction * g, 0.0))),
-        "multiplier_match": float(np.max(np.abs(mult @ F - F @ x_next @ controller.g1))),
-        "right_inverse": float(np.max(np.abs(
-            regressor @ stacked - np.eye(data.state_dim + data.n_terms)))),
+        "contraction": float(np.max(np.maximum(mult @ g + offset - level * g, 0.0))),
+        "multiplier_match": float(np.max(np.abs(mult @ F - F @ data.next_states @ g1))),
         "multiplier_sign": float(max(0.0, -np.min(mult))),
-        "remainder_zeroed": float(np.max(np.abs(coeffs))),
+        **extra,
     }
-    if robust is not None:
-        budget = _noise_floor(data, safe_set, robust) * (
-            _norm_inf(controller.g1) + robust["lipschitz"] * _norm_inf(controller.g2) + 1.0)
-        residuals["noise_budget"] = float(max(0.0, budget - eta))
-
-    return SynthesisCertificate(
-        method=method,
-        contraction=contraction,
-        set_multiplier=mult,
-        noise_margin=float(eta),
-        residuals=residuals,
-        config=config,
-    )
+    values = np.array(list(residuals.values()))
+    if not (np.max(values) <= TOL_CERT and np.min(mult) >= -1e-9):
+        worst = list(residuals)[int(np.argmax(values))]   # the first NaN, if any
+        raise NumericalInstabilityError(
+            f"{method} certificate does not replay: worst residual {worst} = "
+            f"{residuals[worst]:.3e} (tolerance {TOL_CERT:g}), smallest multiplier "
+            f"{np.min(mult):.3e}")
+    return level, residuals
 
 
 def _norm_inf(mat: np.ndarray) -> float:
@@ -357,7 +360,7 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet,
             robust: dict | None) -> tuple[Controller, SynthesisCertificate]:
     """Solve the ``thm2`` (``robust`` None) or ``cor2`` program and certify its controller."""
     _check_regressor(data)
-    method, kind = ("thm2", "noiseless") if robust is None else ("cor2", "robust")
+    method, kind = ("thm2", "noiseless design") if robust is None else ("cor2", "robust design")
     if robust is not None:
         # Contraction row i reads mult_i @ g + noise + slack * g_i <= g_i with
         # mult, slack >= 0, while the budget row needs noise >= floor.  A floor
@@ -369,15 +372,24 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet,
                 f"robust design infeasible at every level: noise floor "
                 f"gm*state_bound*T = {floor:.6g} exceeds the smallest offset "
                 f"{safe_set.offsets[row]:.6g} (row {row})")
-    outcome = _build_and_solve(data, safe_set, robust)
-    if outcome.status == lpcore.LpStatus.INFEASIBLE:
-        raise SynthesisInfeasibleError(
-            f"{kind} design infeasible at every level "
-            f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
+    outcome = _solve(data, safe_set, kind, robust)
     g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
+    eta = outcome.value("noise") if robust is not None else 0.0
+    extra = {
+        "right_inverse": float(np.max(np.abs(
+            data.regressor @ np.hstack([g1, g2]) - np.eye(data.state_dim + data.n_terms)))),
+        # the closed-loop remainder coefficients, pinned to zero
+        "remainder_zeroed": float(np.max(np.abs(safe_set.normals @ data.next_states @ g2))),
+    }
+    if robust is not None:
+        budget = _noise_floor(data, safe_set, robust) * (
+            _norm_inf(g1) + robust["lipschitz"] * _norm_inf(g2) + 1.0)
+        extra["noise_budget"] = float(max(0.0, budget - eta))
+    level, residuals = _replay(method, data, safe_set, g1, outcome, eta, extra)
     controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
-    config = {"method": method, **(robust or {})}
-    cert = _certificate(data, safe_set, controller, outcome, method, robust, config)
+    cert = SynthesisCertificate(
+        method=method, contraction=level, set_multiplier=outcome["mult"],
+        noise_margin=float(eta), residuals=residuals, config={"method": method, **(robust or {})})
     return controller, cert
 
 
@@ -598,59 +610,15 @@ def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet,
     """
     if search is None:
         search = baseline_search(data, safe_set, k2_lo, k2_hi, k2_step, x_resolution)
-    outcome = _build_and_solve(data, safe_set, None, row_bounds=search.row_bounds)
-    if outcome.status == lpcore.LpStatus.INFEASIBLE:
-        raise SynthesisInfeasibleError(
-            "baseline infeasible at every level "
-            f"(phase-1 infeasibility {outcome.infeasibility:.3e})", outcome)
-    contraction = _level(outcome)
+    outcome = _solve(data, safe_set, "baseline", row_bounds=search.row_bounds)
     g1 = outcome["G"]
-    controller = Controller(k1=data.inputs @ g1, k2=search.k2, g1=g1, g2=search.g2)
-    mult = outcome["mult"]
-    F = safe_set.normals
-    g = safe_set.offsets
-    eye_block = np.zeros((data.state_dim + data.n_terms, data.state_dim))
-    eye_block[:data.state_dim] = np.eye(data.state_dim)
-    residuals = {
-        "contraction": float(np.max(np.maximum(
-            mult @ g + search.row_bounds - contraction * g, 0.0))),
-        "multiplier_match": float(np.max(np.abs(mult @ F - F @ data.next_states @ g1))),
-        "right_inverse_g1": float(np.max(np.abs(data.regressor @ g1 - eye_block))),
-        "multiplier_sign": float(max(0.0, -np.min(mult))),
-    }
+    extra = {"right_inverse_g1": float(np.max(np.abs(
+        data.regressor @ g1 - np.eye(data.state_dim + data.n_terms, data.state_dim))))}
+    level, residuals = _replay("thm1", data, safe_set, g1, outcome, search.row_bounds, extra)
     return BaselineResult(
-        controller=controller, row_bounds=search.row_bounds, set_multiplier=mult,
-        search=search, contraction=contraction, residuals=residuals)
-
-
-# ---------------------------------------------------------------------------
-# lumped-disturbance evaluator (reporting only; not a synthesis path)
-
-
-def lumped_disturbance_bounds(data: ExperimentData, safe_set: PolyhedralSet,
-                              controller: Controller, w_bound: float,
-                              x_resolution=None) -> np.ndarray:
-    """Per-row upper bound on the worst-case lumped disturbance for a fixed controller.
-
-    Combines the grid maximum of the closed-loop remainder term with the
-    norm bound on noise leakage through the data matrices and the direct
-    disturbance term, with the Lipschitz and state bounds of the safe set's
-    interval enclosure.  Used for conservatism reports only; minimizing this
-    quantity over controllers is the intractable path the toolkit avoids.
-    """
-    box = interval_enclosure(safe_set)
-    lipschitz = data.dictionary.lipschitz_bound(box)
-    state_bound = box.max_abs
-    points = sample_grid(safe_set, x_resolution)
-    points = np.vstack([points, np.array(enumerate_vertices(safe_set))])
-    rem = data.dictionary.remainder(points)
-    coeffs = safe_set.normals @ data.next_states @ controller.g2
-    base = np.max(coeffs @ rem.T, axis=1)
-    rn = row_norms(safe_set.normals)
-    leakage = data.n_samples * w_bound * rn * (
-        _norm_inf(controller.g1) * state_bound
-        + _norm_inf(controller.g2) * lipschitz * state_bound)
-    return base + leakage + w_bound * rn
+        controller=Controller(k1=data.inputs @ g1, k2=search.k2, g1=g1, g2=search.g2),
+        row_bounds=search.row_bounds, set_multiplier=outcome["mult"],
+        search=search, contraction=level, residuals=residuals)
 
 
 def format_certificate(controller: Controller, cert: SynthesisCertificate) -> str:

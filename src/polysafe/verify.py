@@ -2,16 +2,17 @@
 
 Everything here deliberately avoids the synthesis LP: contraction is
 checked by evaluating the closed loop on a dense grid plus the exact
-vertices, invariance by Monte Carlo rollouts of the true plant, and the
-row-multiplier duality by comparing a vertex-enumerated maximum against
-the dual LP minimum.  The grid is walked once, in fixed-size blocks, for
-every closed loop checked on it (:func:`grid_reports`), so its memory is
-O(block), not O(grid); a block is scanned member by member only when a row
-maximum of its margins crosses the tolerance.
+vertices, and invariance by Monte Carlo rollouts of the true plant.  The
+grid is walked once, in fixed-size blocks, for every closed loop checked on
+it (:func:`grid_reports`), so its memory is O(block), not O(grid); a block
+is scanned member by member only when a row maximum of its margins crosses
+the tolerance.  The conservatism report's control effort and lumped
+disturbance bounds take their maxima over the same walk of the default grid.
 
-Grid blocks, Monte Carlo chunks and the control effort all evaluate a closed
-loop one way: ``[L R] @ [x; r(x)]`` on coordinate-major ``(n, k)`` batches,
-with ``r(x)`` written in place by :meth:`~polysafe.dynamics.Dictionary.lift`.
+Grid blocks, Monte Carlo chunks, the control effort and the lumped bounds
+all evaluate a closed loop one way: ``[L R] @ [x; r(x)]`` on coordinate-major
+``(n, k)`` batches, with ``r(x)`` written in place by
+:meth:`~polysafe.dynamics.Dictionary.lift`.
 Monte Carlo steps each chunk between two swapped lift buffers, draws each
 step's disturbances with one jump and one fill of an addressed stream, so no
 buffer grows with the horizon, and scans the chunk for exits only at a step
@@ -20,18 +21,16 @@ where some row maximum crosses the tolerance.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lpcore
 from .datagen import ExperimentData
 from .dynamics import PlantModel
-from .errors import DimensionTooLargeError, SynthesisInfeasibleError
+from .errors import DimensionTooLargeError
 from .polytope import (PolyhedralSet, enumerate_vertices, grid_blocks, grid_resolution,
                        interval_enclosure)
-from .synthesis import row_norms
+from .synthesis import _norm_inf, row_norms
 
 TOL_VERIFY = 1e-6
 _MC_CHUNK = 16384    # trajectories per Monte Carlo chunk
@@ -66,7 +65,6 @@ class VerificationReport:
     witnesses: list = field(default_factory=list)
     mc_stats: dict | None = None
     samples: int = 0
-    runtime: float = 0.0
     tolerance: float = TOL_VERIFY
     cell_diagonal: float | None = None
     refinement_bound: float | None = None
@@ -142,20 +140,26 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
                  resolution, dictionary, sources=("true-model", "data-rep"),
                  plant: PlantModel | None = None, data: ExperimentData | None = None,
                  tol: float = TOL_VERIFY, max_witnesses: int = 10) -> tuple:
-    """One :func:`grid_contractivity` report per source, from one walk of the grid.
+    """Check one-step contraction into the ``level``-scaled set on a state
+    grid: one report per source (``"true-model"`` or ``"data-rep"``), all
+    from one walk of the grid.
 
-    The grid is walked once in fixed-size blocks of members
-    (:func:`~polysafe.polytope.grid_blocks`), followed by the vertices, so
-    memory is O(block), not O(grid).  Each block's remainder ``r(x)`` is
-    evaluated once; a source with closed loop ``x+ = L x + R r(x)`` gets the
-    margins ``F [L R] [x; r(x)] + d - level * g``.  A block first takes only
-    each row's maximum of ``F [L R] [x; r(x)]``, plus ``d - level * g``; the
-    per-member scan for violations runs only when one of these crosses
-    ``tol`` (or is NaN).  A source's report is bit-identical to checking that
-    source alone, and to scanning every member of every block; every
-    report's ``runtime`` is the whole pass.
+    Every grid member and every vertex is mapped through the source's
+    closed loop ``x+ = L x + R r(x)``; its margins are
+    ``F [L R] [x; r(x)] + d - level * g``, with ``d`` the worst-case
+    disturbance offsets of :func:`disturbance_offsets`.  Sampling-based, not
+    exhaustive: a whole-set claim needs the margins to clear the report's
+    ``refinement_bound``.  ``resolution=None`` means
+    :func:`~polysafe.polytope.grid_resolution` of the set's dimension.
+
+    The grid is walked in fixed-size blocks of members
+    (:func:`~polysafe.polytope.grid_blocks`), then the vertices, so memory is
+    O(block), not O(grid), and each block's ``r(x)`` is evaluated once.  A
+    block first takes only each row's maximum margin; the per-member scan
+    for violations runs only when one crosses ``tol`` (or is NaN).  A
+    source's report is bit-identical to checking that source alone, and to
+    scanning every member of every block.
     """
-    start = time.perf_counter()
     if resolution is None:
         resolution = grid_resolution(safe_set.dim)
     loops = [_closed_loop_matrices(controller, source, plant, data) for source in sources]
@@ -186,44 +190,22 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
     box = interval_enclosure(safe_set)
     res = np.asarray(resolution, dtype=float).reshape(-1)
     cell_diagonal = float(np.linalg.norm((box.hi - box.lo) / (res - 1.0)))
-    f_norm = float(np.max(np.abs(safe_set.normals).sum(axis=1)))
+    f_norm = _norm_inf(safe_set.normals)
     remainder_lipschitz = dictionary.lipschitz_bound(box)
-    runtime = time.perf_counter() - start
     reports = []
     for j, (source, (lin, rem_mat)) in enumerate(zip(sources, loops)):
-        loop_lipschitz = (float(np.max(np.abs(lin).sum(axis=1)))
-                          + float(np.max(np.abs(rem_mat).sum(axis=1))) * remainder_lipschitz)
+        loop_lipschitz = _norm_inf(lin) + _norm_inf(rem_mat) * remainder_lipschitz
         reports.append(VerificationReport(
             method=f"grid-contractivity[{source}]",
             row_margins=row_margins[j],
             violations=violations[j],
             witnesses=witnesses[j],
             samples=samples,
-            runtime=runtime,
             tolerance=tol,
             cell_diagonal=cell_diagonal,
             refinement_bound=f_norm * loop_lipschitz * cell_diagonal,
         ))
     return tuple(reports)
-
-
-def grid_contractivity(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
-                       resolution, dictionary, source: str = "true-model",
-                       plant: PlantModel | None = None, data: ExperimentData | None = None,
-                       tol: float = TOL_VERIFY, max_witnesses: int = 10) -> VerificationReport:
-    """Check one-step contraction into the ``level``-scaled set on a state grid.
-
-    Every grid member and every vertex is mapped through the deterministic
-    closed loop; the per-row worst-case disturbance offset
-    (:func:`disturbance_offsets`, one-norm) is added before comparing against
-    the scaled offsets.  Sampling-based, not exhaustive: a rigorous
-    whole-set claim needs the margins to clear the report's
-    ``refinement_bound``.  ``resolution=None`` means
-    :func:`~polysafe.polytope.grid_resolution` of the set's dimension.
-    :func:`grid_reports` checks several sources in one walk of the grid.
-    """
-    return grid_reports(controller, safe_set, level, w_bound, resolution, dictionary,
-                        (source,), plant, data, tol, max_witnesses)[0]
 
 
 def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSet,
@@ -260,7 +242,6 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
         raise ValueError(f"n_trajectories must be at least 1, got {n_trajectories}")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    start = time.perf_counter()
     n = plant.state_dim
     dictionary = plant.dictionary
     vertices = _vertices(safe_set)
@@ -369,40 +350,8 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
             "exits": violations,
         },
         samples=n_trajectories * horizon,
-        runtime=time.perf_counter() - start,
         tolerance=tol,
     )
-
-
-def dual_gap_check(linear_map: np.ndarray, safe_set: PolyhedralSet,
-                   rows=None) -> tuple[float, np.ndarray]:
-    """Strong-duality spot check for the row-multiplier structure.
-
-    For each selected row: the primal value maximizes ``F_i @ linear_map @ x``
-    over the set using exact vertex enumeration, the dual value solves
-    ``min alpha @ g`` subject to ``alpha @ F = F_i @ linear_map, alpha >= 0``.
-    Returns the max gap and the per-row gaps.
-    """
-    F = safe_set.normals
-    g = safe_set.offsets
-    vertices = np.array(enumerate_vertices(safe_set))
-    if rows is None:
-        rows = range(safe_set.n_rows)
-    gaps = []
-    for i in rows:
-        functional = F[i] @ np.asarray(linear_map, dtype=float)
-        primal = float(np.max(vertices @ functional))
-        lp = lpcore.LinearProgram()
-        lp.add_block("alpha", (safe_set.n_rows,), nonneg=True)
-        lp.add_constraint_rows({"alpha": F.T}, "=", functional)
-        lp.set_objective("min", {"alpha": g})
-        outcome = lp.solve()
-        if outcome.status != lpcore.LpStatus.OPTIMAL:
-            raise SynthesisInfeasibleError(
-                f"dual program for row {i} returned {outcome.status}", outcome)
-        gaps.append(abs(primal - float(outcome.objective)))
-    gaps = np.asarray(gaps)
-    return float(gaps.max()), gaps
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,13 +380,40 @@ class ConservatismTable:
         return "\n".join(lines)
 
 
-def control_effort(controller, safe_set: PolyhedralSet, dictionary,
-                   resolution=None) -> float:
-    """Maximum control magnitude over the grid members and vertices of the safe set."""
+def control_effort(controller, safe_set: PolyhedralSet, dictionary) -> float:
+    """Maximum control magnitude over the default grid members and the
+    vertices of the safe set."""
     gains = np.hstack([controller.k1, controller.k2])   # u = [k1 k2] [x; r(x)]
     peaks = [np.max(np.abs(gains @ _lift(block, dictionary)))
-             for block in _grid_and_vertices(safe_set, resolution)]
+             for block in _grid_and_vertices(safe_set, None)]
     return float(np.max(peaks))
+
+
+def lumped_disturbance_bounds(data: ExperimentData, safe_set: PolyhedralSet,
+                              controller, w_bound: float) -> np.ndarray:
+    """Per-row upper bound on the worst-case lumped disturbance for a fixed controller.
+
+    Combines the maximum of the closed-loop remainder term over the default
+    grid members and the vertices with the norm bound on noise leakage
+    through the data matrices and the direct disturbance term, with the
+    Lipschitz and state bounds of the safe set's interval enclosure.  Used
+    for conservatism reports only; minimizing this quantity over controllers
+    is the intractable path the toolkit avoids.  Above dimension 3 the
+    maximum is over the grid alone, as in the grid check.
+    """
+    box = interval_enclosure(safe_set)
+    lipschitz = data.dictionary.lipschitz_bound(box)
+    state_bound = box.max_abs
+    n = safe_set.dim
+    coeffs = safe_set.normals @ data.next_states @ controller.g2   # (s, N)
+    peaks = [(coeffs @ _lift(block, data.dictionary)[n:]).max(axis=1)
+             for block in _grid_and_vertices(safe_set, None)]
+    base = np.max(peaks, axis=0)
+    rn = row_norms(safe_set.normals)
+    leakage = data.n_samples * w_bound * rn * (
+        _norm_inf(controller.g1) * state_bound
+        + _norm_inf(controller.g2) * lipschitz * state_bound)
+    return base + leakage + w_bound * rn
 
 
 def conservatism_report(safe_set: PolyhedralSet, dictionary,

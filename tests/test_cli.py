@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polysafe import cli, lpcore, polytope, synthesis, verify
+from polysafe.datagen import identification_rank
 from polysafe.errors import (NumericalInstabilityError, ScenarioValidationError,
                              SolverStalledError)
 
@@ -402,6 +403,20 @@ class TestCommands:
         assert doc["status"] == "solver-failed"
         assert doc["min_levels"]["thm2"].startswith("solver failed: ")
 
+    def test_sweep_reuses_parser_and_skips_unused_rank(self, scenario_path, tmp_path,
+                                                        monkeypatch):
+        # later commands reuse the parser; only the thm1-only sweep, whose
+        # verdict needs it, pays for the stacked-rank SVD
+        ranks = []
+        monkeypatch.setattr(cli, "identification_rank",
+                            lambda data: ranks.append(data) or identification_rank(data))
+        parser = cli._build_parser()
+        for methods in ([], ["--method", "thm2"], ["--method", "thm1"]):
+            assert cli.main(["sweep-lambda", "--scenario", str(scenario_path),
+                             "--out", str(tmp_path / "sweep"), *methods]) == cli.EXIT_OK
+        assert cli._build_parser() is parser
+        assert len(ranks) == 1
+
     def test_report_determinism(self, scenario_path, tmp_path):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"
@@ -571,3 +586,45 @@ class TestUnsoundCertificateIsCaught:
         assert code == cli.EXIT_INFEASIBLE
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "infeasible"
+
+    def test_certificate_that_does_not_replay_is_refused(self, scenario_path, tmp_path,
+                                                         monkeypatch, secv_data, secv_set):
+        # a scaled preimage keeps regressor @ G = I but moves next_states @ G
+        # off the closed loop the program solved for: the multiplier rows no
+        # longer match, so thm2 and thm1 are refused, not certified
+        closed_loop = synthesis._closed_loop
+
+        def perturbed(data):
+            base, lift, g0, preimage = closed_loop(data)
+            return base, lift, g0, 1.01 * preimage
+
+        monkeypatch.setattr(synthesis, "_closed_loop", perturbed)
+        with pytest.raises(NumericalInstabilityError, match="thm2 certificate does not replay"):
+            synthesis.synthesize_noiseless(secv_data, secv_set)
+        with pytest.raises(NumericalInstabilityError, match="thm1 certificate does not replay"):
+            synthesis.synthesize_min_remainder(secv_data, secv_set)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep-lambda", "--scenario", str(scenario_path),
+                         "--out", str(out)]) == cli.EXIT_OK
+        levels = json.loads((out / "summary.json").read_text())["min_levels"]
+        for method in ("thm2", "thm1"):
+            assert levels[method].startswith(
+                f"{cli.SOLVER_FAILED}{method} certificate does not replay"), levels
+        assert levels["cor2"] is None
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        # the package exports only names that exist, and none of the
+        # entries that no command or check reaches
+        import polysafe
+
+        missing = [name for name in polysafe.__all__ if not hasattr(polysafe, name)]
+        assert not missing
+        removed = {"dual_gap_check", "grid_contractivity"}
+        assert not removed & set(polysafe.__all__)
+        assert not removed & set(vars(verify))
+        assert not hasattr(polysafe.Dictionary, "hessians")
+        assert not hasattr(lpcore.LinearProgram, "dump")
+        assert "lumped_disturbance_bounds" not in vars(synthesis)
+        assert polysafe.lumped_disturbance_bounds is verify.lumped_disturbance_bounds

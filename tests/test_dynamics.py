@@ -13,7 +13,7 @@ from polysafe.dynamics import (
     term_to_json,
 )
 from polysafe.errors import DimensionMismatchError, DisturbanceOutOfBoundsError
-from polysafe.polytope import Box, interval_enclosure
+from polysafe.polytope import Box
 
 
 TERM_KINDS = {
@@ -27,27 +27,6 @@ TERM_KINDS = {
 
 def quad_dict():
     return Dictionary([Monomial((2, 0)), Monomial((0, 2))], 2)
-
-
-def fd_jacobian(dictionary, x, step=1e-5):
-    jac = np.zeros((dictionary.n_terms, dictionary.dim))
-    for k in range(dictionary.dim):
-        e = np.zeros(dictionary.dim)
-        e[k] = step
-        jac[:, k] = (dictionary.values(x + e) - dictionary.values(x - e)) / (2 * step)
-    return jac
-
-
-def fd_hessians(dictionary, x, step=1e-4):
-    # central differences of the central-difference Jacobian; the outer step
-    # must be well above the inner one (1e-5 loses the bound below)
-    hess = np.zeros((dictionary.n_terms, dictionary.dim, dictionary.dim))
-    for k in range(dictionary.dim):
-        e = np.zeros(dictionary.dim)
-        e[k] = step
-        hess[:, :, k] = (fd_jacobian(dictionary, x + e)
-                         - fd_jacobian(dictionary, x - e)) / (2 * step)
-    return hess
 
 
 class TestTermValidation:
@@ -151,23 +130,6 @@ class TestEvaluation:
         # a sin or cos - 1 term keeps the numpy path
         Dictionary([Monomial((2, 0, 0)), SinTerm(1)], 3).values(x[0])
         assert len(written) == 1
-
-    def test_constant_hessian_of_quadratic(self):
-        d = Dictionary([Monomial((2, 0))], 2)
-        np.testing.assert_allclose(d.hessians([3.0, -4.0])[0], [[2, 0], [0, 0]])
-
-    def test_finite_difference_consistency(self, secv_set):
-        # hessians match second central differences at 100 random points
-        box = interval_enclosure(secv_set)
-        d = Dictionary(
-            [Monomial((2, 0)), Monomial((0, 2)), Monomial((1, 1)),
-             SinTerm(0), CosM1Term(1), Monomial((2, 1))], 2)
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            x = rng.uniform(box.lo, box.hi)
-            scale = max(1.0, np.max(np.abs(x)) ** 2)
-            hess_err = np.max(np.abs(d.hessians(x) - fd_hessians(x=x, dictionary=d)))
-            assert hess_err <= 1e-6 * scale
 
 
 class TestLinearization:

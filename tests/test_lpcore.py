@@ -476,23 +476,6 @@ class TestPivotLoopMatchesReference:
         assert runs == [128, 28]
 
 
-class TestDump:
-    def test_lp_format_file(self, tmp_path):
-        lp = LinearProgram()
-        lp.add_block("x", (2,), nonneg=True)
-        lp.add_block("y", ())
-        lp.add_constraint({"x": [1.0, 2.0], "y": -1.0}, "<=", 4.0)
-        lp.add_constraint({"y": 1.0}, "=", 1.0)
-        lp.set_objective("max", {"x": [1.0, 0.0]})
-        path = tmp_path / "program.lp"
-        lp.dump(path)
-        text = path.read_text()
-        assert "Maximize" in text
-        assert "Subject To" in text
-        assert "x_0" in text and "y" in text
-        assert "Bounds" in text and "End" in text
-
-
 class TestImportCost:
     def test_scipy_blas_is_not_imported_up_front(self):
         # scipy's BLAS serves only tableaux above 65,536 entries; importing

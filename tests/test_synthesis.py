@@ -221,9 +221,9 @@ class TestRobustDesign:
         assert cert.contraction <= 0.98
         true_rem = plant.a2 + plant.b @ controller.k2
         assert 0.0 < np.max(np.abs(true_rem)) < 0.05  # leakage, not cancellation
-        report = verify.grid_contractivity(
+        report = verify.grid_reports(
             controller, box_set, 0.98, w, (101, 101), dictionary,
-            source="true-model", plant=plant)
+            sources=("true-model",), plant=plant)[0]
         assert report.passed
         mc = verify.monte_carlo_invariance(plant, controller, box_set, 500, 100, seed=12)
         assert mc.violations == 0
@@ -507,7 +507,7 @@ class TestBaselineSearchIsExact:
 class TestLumpedBounds:
     def test_zero_disturbance_reduces_to_grid_max(self, secv_data, secv_set, secv_design):
         controller, _ = secv_design
-        bounds = synthesis.lumped_disturbance_bounds(
+        bounds = verify.lumped_disturbance_bounds(
             secv_data, secv_set, controller, w_bound=0.0)
         points = sample_grid(secv_set, (101, 101))
         points = np.vstack([points, np.array(enumerate_vertices(secv_set))])
@@ -517,8 +517,8 @@ class TestLumpedBounds:
 
     def test_monotone_in_disturbance(self, secv_data, secv_set, secv_design):
         controller, _ = secv_design
-        b0 = synthesis.lumped_disturbance_bounds(secv_data, secv_set, controller, 0.0)
-        b1 = synthesis.lumped_disturbance_bounds(secv_data, secv_set, controller, 0.05)
+        b0 = verify.lumped_disturbance_bounds(secv_data, secv_set, controller, 0.0)
+        b1 = verify.lumped_disturbance_bounds(secv_data, secv_set, controller, 0.05)
         assert np.all(b1 >= b0)
 
     def test_pinv_controller_dominates_its_noiseless_run(self, secv_data, secv_set):
@@ -526,8 +526,8 @@ class TestLumpedBounds:
         g1, g2 = right_inv[:, :2], right_inv[:, 2:]
         controller = synthesis.Controller(
             k1=secv_data.inputs @ g1, k2=secv_data.inputs @ g2, g1=g1, g2=g2)
-        b0 = synthesis.lumped_disturbance_bounds(secv_data, secv_set, controller, 0.0)
-        b1 = synthesis.lumped_disturbance_bounds(secv_data, secv_set, controller, 0.05)
+        b0 = verify.lumped_disturbance_bounds(secv_data, secv_set, controller, 0.0)
+        b1 = verify.lumped_disturbance_bounds(secv_data, secv_set, controller, 0.05)
         assert np.all(np.isfinite(b1))
         assert np.all(b1 >= b0)
 
@@ -541,7 +541,7 @@ class TestLumpedBounds:
         zero = synthesis.Controller(
             k1=np.zeros((1, 2)), k2=np.zeros((1, 1)),
             g1=np.zeros((10, 2)), g2=np.zeros((10, 1)))
-        bounds = synthesis.lumped_disturbance_bounds(data, box, zero, w_bound=0.05)
+        bounds = verify.lumped_disturbance_bounds(data, box, zero, w_bound=0.05)
         np.testing.assert_allclose(
             bounds, 0.05 * synthesis.row_norms(box.normals), atol=1e-12)
 
@@ -610,7 +610,7 @@ class TestMinimalContraction:
         assert 0.0 < result.contraction < 1.0
         assert result.residuals["contraction"] <= 1e-9
         assert verify.control_effort(result.controller, safe_set, dictionary) > 0.0
-        bounds = synthesis.lumped_disturbance_bounds(data, safe_set, result.controller, 0.02)
+        bounds = verify.lumped_disturbance_bounds(data, safe_set, result.controller, 0.02)
         assert bounds.shape == (6,)
 
     def test_infeasible_plant_raises(self, secv_set, secv_dictionary):
@@ -646,8 +646,8 @@ class TestRegularPolygons:
         assert abs(level - synthesis.synthesize_min_remainder(data, safe_set).contraction) <= 1e-9
         assert_certificate_valid(data, safe_set, controller, cert)
         np.testing.assert_allclose(controller.k2, [[-1.0, -0.5, 0.5]], atol=1e-6)
-        report = verify.grid_contractivity(controller, safe_set, level + 1e-9, 0.0, (101, 101),
-                                           dictionary, source="true-model", plant=plant)
+        report = verify.grid_reports(controller, safe_set, level + 1e-9, 0.0, (101, 101),
+                                     dictionary, sources=("true-model",), plant=plant)[0]
         assert report.passed
 
 

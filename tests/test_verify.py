@@ -9,7 +9,7 @@ from polysafe.dynamics import CosM1Term, Dictionary, Monomial, PlantModel
 from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
                                interval_enclosure, sample_grid)
 
-from conftest import SECV_F, SECV_G, tri_plant_and_set
+from conftest import SECV_F, SECV_G, tri_plant_and_set, tri_problem
 
 
 def zero_controller(n_samples=40, n=2, n_terms=2, m=1):
@@ -91,35 +91,35 @@ class TestGridContractivity:
         dictionary = Dictionary([Monomial((2, 0)), Monomial((0, 2))], 2)
         plant = PlantModel(a1=np.zeros((2, 2)), a2=np.zeros((2, 2)),
                            b=np.zeros((2, 1)), dictionary=dictionary, w_bound=0.0)
-        report = verify.grid_contractivity(
+        report = verify.grid_reports(
             zero_controller(), secv_set, 0.05, 0.0, (41, 41), dictionary,
-            source="true-model", plant=plant)
+            sources=("true-model",), plant=plant)[0]
         assert report.passed
         assert np.all(report.row_margins <= -0.04)
 
     def test_secv_design_passes(self, secv_plant, secv_data, secv_set, secv_design):
         controller, _ = secv_design
-        report = verify.grid_contractivity(
+        report = verify.grid_reports(
             controller, secv_set, 0.95, 0.05, (201, 201), secv_plant.dictionary,
-            source="true-model", plant=secv_plant)
+            sources=("true-model",), plant=secv_plant)[0]
         assert report.passed
         assert report.violations == 0
 
     def test_sources_agree_on_noiseless_data(self, secv_plant, secv_data, secv_set,
                                              secv_design):
         controller, _ = secv_design
-        rep_true = verify.grid_contractivity(
+        rep_true = verify.grid_reports(
             controller, secv_set, 0.95, 0.05, (101, 101), secv_plant.dictionary,
-            source="true-model", plant=secv_plant)
-        rep_data = verify.grid_contractivity(
+            sources=("true-model",), plant=secv_plant)[0]
+        rep_data = verify.grid_reports(
             controller, secv_set, 0.95, 0.05, (101, 101), secv_plant.dictionary,
-            source="data-rep", data=secv_data)
+            sources=("data-rep",), data=secv_data)[0]
         assert np.max(np.abs(rep_true.row_margins - rep_data.row_margins)) <= 1e-8
 
     def test_unsafe_controller_fails_with_witnesses(self, secv_plant, secv_set):
-        report = verify.grid_contractivity(
+        report = verify.grid_reports(
             zero_controller(), secv_set, 0.95, 0.05, (41, 41), secv_plant.dictionary,
-            source="true-model", plant=secv_plant)
+            sources=("true-model",), plant=secv_plant)[0]
         assert not report.passed
         assert report.violations > 0
         assert report.witnesses
@@ -129,21 +129,21 @@ class TestGridContractivity:
 
     def test_requires_matching_source_argument(self, secv_set, secv_plant):
         with pytest.raises(ValueError):
-            verify.grid_contractivity(
+            verify.grid_reports(
                 zero_controller(), secv_set, 0.95, 0.05, (11, 11),
-                secv_plant.dictionary, source="true-model", plant=None)
+                secv_plant.dictionary, sources=("true-model",), plant=None)[0]
         with pytest.raises(ValueError):
-            verify.grid_contractivity(
+            verify.grid_reports(
                 zero_controller(), secv_set, 0.95, 0.05, (11, 11),
-                secv_plant.dictionary, source="bogus", plant=secv_plant)
+                secv_plant.dictionary, sources=("bogus",), plant=secv_plant)[0]
 
     def test_refinement_soundness_chain(self, secv_plant, secv_set, secv_design):
         # strict grid margins beyond the refinement bound certify the whole
         # set, which in turn implies zero Monte Carlo exits
         controller, _ = secv_design
-        report = verify.grid_contractivity(
+        report = verify.grid_reports(
             controller, secv_set, 0.95, 0.05, (201, 201), secv_plant.dictionary,
-            source="true-model", plant=secv_plant)
+            sources=("true-model",), plant=secv_plant)[0]
         assert report.refinement_bound is not None
         assert np.max(report.row_margins) <= -report.refinement_bound
         mc = verify.monte_carlo_invariance(
@@ -188,9 +188,9 @@ class TestGridContractivity:
                                          secv_plant.dictionary, plant=secv_plant,
                                          data=secv_data)
             for source, report in zip(("true-model", "data-rep"), shared):
-                own = verify.grid_contractivity(controller, secv_set, level, 0.05, (41, 41),
-                                                secv_plant.dictionary, source=source,
-                                                plant=secv_plant, data=secv_data)
+                own = verify.grid_reports(controller, secv_set, level, 0.05, (41, 41),
+                                          secv_plant.dictionary, sources=(source,),
+                                          plant=secv_plant, data=secv_data)[0]
                 assert report.method == own.method
                 np.testing.assert_array_equal(report.row_margins, own.row_margins)
                 assert report.violations == own.violations
@@ -246,12 +246,14 @@ class TestGridContractivity:
                            dictionary=dictionary, w_bound=0.0)
         tol = verify.TOL_VERIFY
         args = (zero_controller(n_terms=1), safe_set, 0.0)
-        at_tol = verify.grid_contractivity(*args, tol, (9, 9), dictionary, plant=plant)
+        sources = ("true-model",)
+        at_tol = verify.grid_reports(*args, tol, (9, 9), dictionary, sources=sources,
+                                     plant=plant)[0]
         assert not scans
         assert at_tol.violations == 0 and at_tol.passed
         np.testing.assert_array_equal(at_tol.row_margins, tol)
-        above = verify.grid_contractivity(*args, np.nextafter(tol, 1.0), (9, 9), dictionary,
-                                          plant=plant)
+        above = verify.grid_reports(*args, np.nextafter(tol, 1.0), (9, 9), dictionary,
+                                    sources=sources, plant=plant)[0]
         assert len(scans) == 13  # 12 grid blocks and the vertices
         assert above.violations == above.samples == 9 * 9 + 4
 
@@ -270,8 +272,9 @@ class TestGridContractivity:
         plant = PlantModel(a1=[[0.5, 0.0], [2e-104, 0.9]], a2=[[1.0, -1.0], [0.0, 0.0]],
                            b=np.zeros((2, 1)), dictionary=dictionary, w_bound=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            report = verify.grid_contractivity(zero_controller(), safe_set, 0.95, 0.0, (9, 9),
-                                               dictionary, plant=plant, max_witnesses=10**6)
+            report = verify.grid_reports(zero_controller(), safe_set, 0.95, 0.0, (9, 9),
+                                         dictionary, sources=("true-model",), plant=plant,
+                                         max_witnesses=10**6)[0]
             vertices = np.array(enumerate_vertices(safe_set))
             points = np.vstack([sample_grid(safe_set, (9, 9)), vertices])
             nxt = points @ plant.a1.T + dictionary.remainder(points) @ plant.a2.T
@@ -295,8 +298,8 @@ class TestGridContractivity:
             plant = PlantModel(a1=0.5 * np.eye(dim), a2=np.zeros((dim, 1)),
                                b=np.zeros((dim, 1)), dictionary=dictionary, w_bound=0.0)
             controller = zero_controller(n=dim, n_terms=1)
-            report = verify.grid_contractivity(controller, safe_set, 0.6, 0.0, res,
-                                               dictionary, plant=plant)
+            report = verify.grid_reports(controller, safe_set, 0.6, 0.0, res, dictionary,
+                                         sources=("true-model",), plant=plant)[0]
             vertices = 2 if dim == 1 else 0
             assert report.samples == int(np.prod(res)) + vertices
             # x+ = x / 2 peaks at 0.5 on the box, against 0.6 allowed
@@ -312,8 +315,8 @@ class TestGridContractivity:
         for res in ((41, 101, 101), (161, 101, 101)):
             tracemalloc.start()
             try:
-                verify.grid_contractivity(controller, safe_set, 0.95, 0.02, res,
-                                          plant.dictionary, plant=plant)
+                verify.grid_reports(controller, safe_set, 0.95, 0.02, res, plant.dictionary,
+                                    sources=("true-model",), plant=plant)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -324,10 +327,11 @@ class TestGridContractivity:
         # refinement bound must come from that same grid, not from NaN
         controller, _ = secv_design
         args = (controller, secv_set, 0.95, 0.05)
-        default = verify.grid_contractivity(*args, None, secv_plant.dictionary,
-                                            plant=secv_plant)
-        explicit = verify.grid_contractivity(*args, grid_resolution(secv_set.dim),
-                                             secv_plant.dictionary, plant=secv_plant)
+        default = verify.grid_reports(*args, None, secv_plant.dictionary,
+                                      sources=("true-model",), plant=secv_plant)[0]
+        explicit = verify.grid_reports(*args, grid_resolution(secv_set.dim),
+                                       secv_plant.dictionary, sources=("true-model",),
+                                       plant=secv_plant)[0]
         assert np.isfinite(default.cell_diagonal) and np.isfinite(default.refinement_bound)
         assert default.samples == explicit.samples
         assert default.cell_diagonal == explicit.cell_diagonal
@@ -564,32 +568,11 @@ class TestMonteCarlo:
             verify.monte_carlo_invariance(secv_plant, controller, secv_set, count, horizon, seed=0)
 
 
-class TestDualGap:
-    def test_scaled_identity(self, secv_set):
-        gap, gaps = verify.dual_gap_check(0.5 * np.eye(2), secv_set)
-        assert gap <= 1e-7
-        # row 0 primal value is 0.5 (vertex oracle: max F_0 x = 1)
-        vertices = np.array(enumerate_vertices(secv_set))
-        assert abs(np.max(vertices @ (SECV_F[0] * 0.5)) - 0.5) <= 1e-12
-
-    def test_zero_map(self, secv_set):
-        gap, gaps = verify.dual_gap_check(np.zeros((2, 2)), secv_set)
-        assert gap <= 1e-12
-
-    def test_fifty_random_maps(self, secv_set):
-        rng = np.random.default_rng(23)
-        worst = 0.0
-        for _ in range(50):
-            gap, _ = verify.dual_gap_check(rng.normal(size=(2, 2)), secv_set)
-            worst = max(worst, gap)
-        assert worst <= 1e-7
-
-
 class TestConservatism:
     def test_table_renders_both_methods(self, secv_data, secv_set, secv_design,
                                         secv_dictionary):
         baseline = synthesis.synthesize_min_remainder(secv_data, secv_set)
-        lumped = synthesis.lumped_disturbance_bounds(
+        lumped = verify.lumped_disturbance_bounds(
             secv_data, secv_set, secv_design[0], 0.05)
         table = verify.conservatism_report(
             secv_set, secv_dictionary, primal_dual=secv_design, baseline=baseline,
@@ -609,6 +592,32 @@ class TestConservatism:
         t1 = verify.conservatism_report(secv_set, secv_dictionary, primal_dual=secv_design)
         t2 = verify.conservatism_report(secv_set, secv_dictionary, primal_dual=secv_design)
         assert t1.render() == t2.render()
+
+    @pytest.mark.parametrize("problem", ["secv", "tri"])
+    @pytest.mark.parametrize("method", ["thm2", "thm1"])
+    def test_lumped_bounds_match_materialized_grid(self, secv_data, secv_set, problem, method):
+        # the blockwise walk gives the bits of one remainder evaluation over
+        # the whole default grid plus the vertices; gemm must give a column
+        # the same bits at any width, which holds at one BLAS thread
+        safe_set, data = (secv_set, secv_data) if problem == "secv" else tri_problem(60)
+        if method == "thm2":
+            controller, _ = synthesis.synthesize_noiseless(data, safe_set)
+        else:
+            controller = synthesis.synthesize_min_remainder(data, safe_set).controller
+        w_bound = 0.05
+        points = np.vstack([sample_grid(safe_set, grid_resolution(safe_set.dim)),
+                            np.array(enumerate_vertices(safe_set))])
+        rem = data.dictionary.remainder(points)
+        coeffs = safe_set.normals @ data.next_states @ controller.g2
+        box = interval_enclosure(safe_set)
+        rn = synthesis.row_norms(safe_set.normals)
+        leakage = data.n_samples * w_bound * rn * (
+            synthesis._norm_inf(controller.g1) * box.max_abs
+            + synthesis._norm_inf(controller.g2) * data.dictionary.lipschitz_bound(box)
+            * box.max_abs)
+        reference = np.max(coeffs @ rem.T, axis=1) + leakage + w_bound * rn
+        bounds = verify.lumped_disturbance_bounds(data, safe_set, controller, w_bound)
+        assert bounds.tobytes() == reference.tobytes()
 
     def test_control_effort_positive(self, secv_set, secv_design, secv_dictionary):
         effort = verify.control_effort(secv_design[0], secv_set, secv_dictionary)
