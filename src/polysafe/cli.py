@@ -148,6 +148,8 @@ def scenario_from_json(doc: dict) -> Scenario:
             f"expected schema version {SCHEMA_VERSION}")
     for section in ("system", "safe_set", "data"):
         _expect(section in doc, section, "missing section")
+    for section in ("system", "safe_set", "data", "synthesis", "verify"):
+        _expect(isinstance(doc.get(section, {}), dict), section, "must be an object")
 
     sys_doc = doc["system"]
     a1 = _matrix(sys_doc.get("a1"), "system.a1")
@@ -211,7 +213,6 @@ def scenario_from_json(doc: dict) -> Scenario:
     _expect(isinstance(noise, bool), "data.noise", "must be a boolean")
 
     synth_doc = doc.get("synthesis", {})
-    _expect(isinstance(synth_doc, dict), "synthesis", "must be an object")
     # expansion_point is shape-checked and has no effect, so that files that
     # set it still load; it is not kept, and saved scenarios leave it out
     known = {f.name for f in fields(SynthesisSection)} | {"expansion_point"}
@@ -358,13 +359,29 @@ def _min_levels(designs: dict) -> dict:
             for method, design in designs.items()}
 
 
-def _verify_controller(scenario: Scenario, plant, data, safe_set, controller, level):
+def _write_design(out_dir: Path, payload: dict, controller, cert) -> None:
+    """Add the design's gains and residuals to ``payload``, then write its
+    certificate file, or add the baseline's row bounds."""
+    payload.update(k1=controller.k1, k2=controller.k2, residuals=cert.residuals)
+    if isinstance(cert, synthesis.SynthesisCertificate):
+        (out_dir / "certificate.txt").write_text(synthesis.format_certificate(controller, cert))
+    else:  # baseline result
+        payload["row_bounds"] = cert.row_bounds
+
+
+def _verify_controller(scenario: Scenario, plant, data, safe_set, controller, level,
+                       out_dir: Path, payload: dict):
+    """Grid-check both closed loops at ``level`` and roll the true one out:
+    add the three reports to ``payload``, draw the plot, return the reports."""
     grid_true, grid_data = verify.grid_reports(
         controller, safe_set, level, scenario.system.w_bound, scenario.verify.grid,
         plant.dictionary, ("true-model", "data-rep"), plant=plant, data=data)
     mc = verify.monte_carlo_invariance(
         plant, controller, safe_set, scenario.verify.mc_trajectories,
         scenario.verify.horizon, scenario.data.seed)
+    payload.update(grid_true_model=_report_entry(grid_true),
+                   grid_data_rep=_report_entry(grid_data), monte_carlo=_report_entry(mc))
+    _plot_svg(out_dir / "plot.svg", scenario, plant, safe_set, controller, level)
     return grid_true, grid_data, mc
 
 
@@ -409,17 +426,13 @@ def _plot_svg(path: Path, scenario: Scenario, plant, safe_set: PolyhedralSet,
              f'<path d="{ring_path(ring)}" fill="#e8f0fe" stroke="#1a56a0" stroke-width="2"/>',
              f'<path d="{ring_path(level * ring)}" fill="none" stroke="#a01a1a" '
              f'stroke-width="1.5" stroke-dasharray="6 4"/>']
-    for traj in _closed_loop_trajectories(scenario, plant, safe_set, controller):
+    horizon = min(scenario.verify.horizon, 60)
+    for i, vertex in enumerate(vertices[:5]):
+        traj = _rollout(scenario, plant, controller, vertex, horizon, i).states
         pts = " L ".join(xy(p) for p in traj)
         parts.append(f'<path d="M {pts}" fill="none" stroke="#2d7d46" stroke-width="1"/>')
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
-
-
-def _closed_loop_trajectories(scenario: Scenario, plant, safe_set, controller, count=5):
-    horizon = min(scenario.verify.horizon, 60)
-    return [_rollout(scenario, plant, controller, vertex, horizon, i).states
-            for i, vertex in enumerate(enumerate_vertices(safe_set)[:count])]
 
 
 def _rollout(scenario: Scenario, plant, controller, start, horizon: int, index: int):
@@ -467,13 +480,8 @@ def _cmd_synth(scenario: Scenario, out_dir: Path) -> int:
         "command": "synth", "status": "feasible",
         "method": scenario.synthesis.method,
         "contraction": scenario.synthesis.contraction,
-        "k1": controller.k1, "k2": controller.k2,
     }
-    if isinstance(cert, synthesis.SynthesisCertificate):
-        (out_dir / "certificate.txt").write_text(synthesis.format_certificate(controller, cert))
-    else:  # baseline result
-        payload["row_bounds"] = cert.row_bounds
-    payload["residuals"] = cert.residuals
+    _write_design(out_dir, payload, controller, cert)
     _write_json(out_dir / "summary.json", payload)
     print(f"synthesized {scenario.synthesis.method} controller, "
           f"k1={controller.k1.tolist()}, k2={controller.k2.tolist()}", file=sys.stderr)
@@ -483,21 +491,16 @@ def _cmd_synth(scenario: Scenario, out_dir: Path) -> int:
 def _cmd_verify(scenario: Scenario, out_dir: Path) -> int:
     plant, safe_set, data = _collect(scenario)
     try:
-        controller, cert = _synthesize(scenario, data, safe_set)
+        controller, _ = _synthesize(scenario, data, safe_set)
     except SynthesisInfeasibleError as err:
         return _infeasible(out_dir, "verify", err)
+    summary: dict = {"command": "verify"}
     grid_true, grid_data, mc = _verify_controller(
-        scenario, plant, data, safe_set, controller, scenario.synthesis.contraction)
+        scenario, plant, data, safe_set, controller, scenario.synthesis.contraction,
+        out_dir, summary)
     passed = grid_true.passed and grid_data.passed and mc.passed
-    _write_json(out_dir / "summary.json", {
-        "command": "verify",
-        "status": "pass" if passed else "fail",
-        "grid_true_model": _report_entry(grid_true),
-        "grid_data_rep": _report_entry(grid_data),
-        "monte_carlo": _report_entry(mc),
-    })
-    _plot_svg(out_dir / "plot.svg", scenario, plant, safe_set, controller,
-              scenario.synthesis.contraction)
+    summary["status"] = "pass" if passed else "fail"
+    _write_json(out_dir / "summary.json", summary)
     print(f"verification {'pass' if passed else 'FAIL'}: "
           f"grid(true)={grid_true.passed} grid(data)={grid_data.passed} "
           f"mc exits={mc.violations}", file=sys.stderr)
@@ -569,7 +572,7 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
     reg = regressor_rank(data)
     method = scenario.synthesis.method
     # one level-free design per method gives the minimal levels, the verified
-    # controller and the baseline row
+    # controller and the conservatism rows
     designs = _sweep(scenario, data, safe_set, synthesis.METHODS)
     summary: dict = {
         "command": "report",
@@ -607,33 +610,20 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
         level = min(1.0, cert.contraction + float(np.max(offsets / safe_set.offsets)))
 
     summary["level_verified"] = level
-    summary["k1"] = controller.k1
-    summary["k2"] = controller.k2
-    if isinstance(cert, synthesis.SynthesisCertificate):
-        (out_dir / "certificate.txt").write_text(synthesis.format_certificate(controller, cert))
-    else:
-        summary["row_bounds"] = cert.row_bounds
-    summary["residuals"] = cert.residuals
-
+    _write_design(out_dir, summary, controller, cert)
     grid_true, grid_data, mc = _verify_controller(
-        scenario, plant, data, safe_set, controller, level)
+        scenario, plant, data, safe_set, controller, level, out_dir, summary)
     verified = grid_true.passed and grid_data.passed and mc.passed
-    summary["grid_true_model"] = _report_entry(grid_true)
-    summary["grid_data_rep"] = _report_entry(grid_data)
-    summary["monte_carlo"] = _report_entry(mc)
 
-    baseline = designs["thm1"]
     lumped = verify.lumped_disturbance_bounds(
         data, safe_set, controller, scenario.system.w_bound)
-    primal_dual = (controller, cert) if isinstance(cert, synthesis.SynthesisCertificate) else None
+    # a feasible method's row is its design; the others say why there is none
     table = verify.conservatism_report(
-        safe_set, plant.dictionary, primal_dual=primal_dual,
-        baseline=None if isinstance(baseline, str) else baseline[1],
-        lumped_bounds=lumped, min_levels=summary["min_levels"])
+        safe_set, plant.dictionary,
+        {m: designs[m] if isinstance(min_level, float) else min_level
+         for m, min_level in summary["min_levels"].items()}, lumped)
     summary["conservatism"] = {"rows": table.rows, "lumped_bounds": lumped}
     (out_dir / "report.txt").write_text(table.render() + "\n")
-
-    _plot_svg(out_dir / "plot.svg", scenario, plant, safe_set, controller, level)
 
     summary["status"] = "verified" if verified else "verification-failed"
     _write_json(out_dir / "report.json", summary)

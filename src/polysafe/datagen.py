@@ -10,6 +10,7 @@ every design method relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +36,12 @@ class ExperimentData:
     states: np.ndarray        # (n, T)
     next_states: np.ndarray   # (n, T)
     remainders: np.ndarray    # (N, T)
-    regressor: np.ndarray     # (n + N, T)
     dictionary: Dictionary
     true_noise: np.ndarray | None = None
 
     def __post_init__(self):
         T = self.inputs.shape[1]
-        for name in ("states", "next_states", "remainders", "regressor"):
+        for name in ("states", "next_states", "remainders"):
             if getattr(self, name).shape[1] != T:
                 raise ValueError(f"{name} has a different number of columns than inputs")
         n, N = self.states.shape[0], self.remainders.shape[0]
@@ -49,8 +49,12 @@ class ExperimentData:
             raise TooFewSamplesError(
                 f"need at least n + N + 1 = {n + N + 1} samples, got {T}"
             )
-        if not np.array_equal(self.regressor, np.vstack([self.states, self.remainders])):
-            raise ValueError("regressor must be states stacked over remainders")
+
+    @cached_property
+    def regressor(self) -> np.ndarray:
+        """States stacked over remainders, ``(n + N, T)``, built on first read;
+        column-major, as the pseudo-inverse and residuals round by layout."""
+        return np.asfortranarray(np.vstack([self.states, self.remainders]))
 
     @property
     def n_samples(self) -> int:
@@ -147,7 +151,6 @@ def collect(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
         states=before.T.copy(),
         next_states=states[1:].T.copy(),
         remainders=remainders.T.copy(),
-        regressor=np.vstack([before.T, remainders.T]),
         dictionary=plant.dictionary,
         true_noise=noise.T.copy() if with_noise else None,
     )

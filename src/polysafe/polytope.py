@@ -7,7 +7,8 @@ objectives share one LP tableau and raise :class:`UnboundedSetError` on
 any unbounded direction.  State grids over a set are walked in
 fixed-size blocks of members (:func:`grid_blocks`), so a grid check never
 holds the whole grid.  The enclosure and the vertices are computed once
-per set object.
+per set object.  The row and matrix norms that synthesis and verification
+share live here too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,21 @@ from .errors import (
 
 TOL_GEOM = 1e-9  # active-set / dedup tolerance; LP residuals are ~1e-10 at desk scale
 _GRID_BLOCK = 4096  # grid members per block of a grid walk; small blocks stay in cache
+
+
+def row_norms(normals: np.ndarray) -> np.ndarray:
+    """Per-row one-norms of the constraint normals, the disturbance measure.
+
+    ``|F_i|_1`` is the exact worst case of ``F_i @ w`` over ``|w|_inf <= 1``.
+    The max-entry reading of the norm-budget formula underestimates it for
+    disturbances on several axes, so it is not offered.
+    """
+    return np.abs(np.asarray(normals, dtype=float)).sum(axis=1)
+
+
+def _norm_inf(mat: np.ndarray) -> float:
+    """Induced infinity norm: largest absolute row sum."""
+    return float(np.max(np.abs(np.atleast_2d(mat)).sum(axis=1)))
 
 
 @dataclass(frozen=True, eq=False)

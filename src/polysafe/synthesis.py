@@ -27,7 +27,7 @@ paper's slope term ``F R J(x)`` is zero at every expansion point, so the
 programs carry neither the point nor the slope term.  The robust
 variant ("cor2") adds a norm budget that accounts for noise leakage
 through the data matrices, with disturbances measured by the row
-one-norms of :func:`row_norms`; a budget floor above the smallest offset
+one-norms of :func:`~polysafe.polytope.row_norms`; a budget floor above the smallest offset
 is refused before any program is posed.  The baseline ("thm1") searches a
 grid of gains for the one minimizing the worst-row remainder term and then
 solves the classical row-multiplier program with the searched remainder
@@ -60,23 +60,13 @@ import numpy as np
 from . import lpcore
 from .datagen import ExperimentData, identification_rank, regressor_rank
 from .errors import NumericalInstabilityError, RankDeficientDataError, SynthesisInfeasibleError
-from .polytope import (PolyhedralSet, enumerate_vertices, grid_resolution, interval_enclosure,
-                       sample_grid)
+from .polytope import (PolyhedralSet, _norm_inf, enumerate_vertices, grid_resolution,
+                       interval_enclosure, row_norms, sample_grid)
 
 TOL_CERT = 1e-6   # certificate equations are re-verified to this tolerance
 _RANK_RTOL = 1e-10  # closed-loop directions below this share of |next_states| are rounding noise
 
 METHODS = ("thm2", "cor2", "thm1")
-
-
-def row_norms(normals: np.ndarray) -> np.ndarray:
-    """Per-row one-norms of the constraint normals, the disturbance measure.
-
-    ``|F_i|_1`` is the exact worst case of ``F_i @ w`` over ``|w|_inf <= 1``.
-    The max-entry reading of the norm-budget formula underestimates it for
-    disturbances on several axes, so it is not offered.
-    """
-    return np.abs(np.asarray(normals, dtype=float)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +333,6 @@ def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.n
             f"{residuals[worst]:.3e} (tolerance {TOL_CERT:g}), smallest multiplier "
             f"{np.min(mult):.3e}")
     return level, residuals
-
-
-def _norm_inf(mat: np.ndarray) -> float:
-    """Induced infinity norm: largest absolute row sum."""
-    return float(np.max(np.abs(np.atleast_2d(mat)).sum(axis=1)))
 
 
 def _check_regressor(data: ExperimentData) -> None:

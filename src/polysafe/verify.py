@@ -6,8 +6,10 @@ vertices, and invariance by Monte Carlo rollouts of the true plant.  The
 grid is walked once, in fixed-size blocks, for every closed loop checked on
 it (:func:`grid_reports`), so its memory is O(block), not O(grid); a block
 is scanned member by member only when a row maximum of its margins crosses
-the tolerance.  The conservatism report's control effort and lumped
-disturbance bounds take their maxima over the same walk of the default grid.
+the tolerance.  The conservatism table has one row per design it is
+given, and its control effort and lumped disturbance bounds take their
+maxima over the same walk of the default grid.  Nothing here is imported
+from :mod:`~polysafe.synthesis`, whose designs these checks judge.
 
 Grid blocks, Monte Carlo chunks, the control effort and the lumped bounds
 all evaluate a closed loop one way: ``[L R] @ [x; r(x)]`` on coordinate-major
@@ -28,9 +30,8 @@ import numpy as np
 from .datagen import ExperimentData
 from .dynamics import PlantModel
 from .errors import DimensionTooLargeError
-from .polytope import (PolyhedralSet, enumerate_vertices, grid_blocks, grid_resolution,
-                       interval_enclosure)
-from .synthesis import _norm_inf, row_norms
+from .polytope import (PolyhedralSet, _norm_inf, enumerate_vertices, grid_blocks,
+                       grid_resolution, interval_enclosure, row_norms)
 
 TOL_VERIFY = 1e-6
 _MC_CHUNK = 16384    # trajectories per Monte Carlo chunk
@@ -78,7 +79,7 @@ def disturbance_offsets(safe_set: PolyhedralSet, w_bound: float) -> np.ndarray:
     """Per-row worst-case contribution of a bounded disturbance.
 
     This is exact: the worst ``F_i w`` over ``|w|_inf <= w_bound`` is
-    ``w_bound * |F_i|_1`` (:func:`~polysafe.synthesis.row_norms`).
+    ``w_bound * |F_i|_1`` (:func:`~polysafe.polytope.row_norms`).
     """
     return w_bound * row_norms(safe_set.normals)
 
@@ -371,9 +372,8 @@ class ConservatismTable:
                 verdict = "infeasible" if entry is None else "solver failed"
                 lines.append(f"{name:8s} {verdict:>10s} {'-':>10s} {'-':>11s}")
                 continue
-            level = "-" if entry.get("min_level") is None else f"{entry['min_level']:.4f}"
-            lines.append(
-                f"{name:8s} {level:>10s} {entry['k2_norm']:>10.4f} {entry['effort']:>11.4f}")
+            lines.append(f"{name:8s} {entry['min_level']:>10.4f} "
+                         f"{entry['k2_norm']:>10.4f} {entry['effort']:>11.4f}")
         if self.lumped_bounds is not None:
             lines.append("lumped-disturbance bound per row: "
                          + ", ".join(f"{v:.5g}" for v in self.lumped_bounds))
@@ -416,36 +416,16 @@ def lumped_disturbance_bounds(data: ExperimentData, safe_set: PolyhedralSet,
     return base + leakage + w_bound * rn
 
 
-def conservatism_report(safe_set: PolyhedralSet, dictionary,
-                        primal_dual=None, baseline=None, lumped_bounds=None,
-                        min_levels: dict | None = None) -> ConservatismTable:
-    """Comparison table: minimal level, gain size and control effort per method.
-
-    ``primal_dual`` is a (controller, certificate) pair, ``baseline`` a
-    :class:`BaselineResult`; missing or infeasible methods render as such
-    with no cross-method assertion made, and a method whose ``min_levels``
-    entry is a message, not a level, renders as "solver failed".
-    """
-    min_levels = min_levels or {}
-    rows: dict = {}
-    if primal_dual is not None:
-        controller = primal_dual[0]
-        rows[primal_dual[1].method] = {
-            "min_level": min_levels.get(primal_dual[1].method),
-            "k2_norm": float(np.max(np.abs(controller.k2).sum(axis=1))),
-            "effort": control_effort(controller, safe_set, dictionary),
-        }
-    for name in ("thm2", "cor2", "thm1"):
-        if name in min_levels and name not in rows:
-            level = min_levels[name]
-            rows[name] = level if level is None or isinstance(level, str) else {
-                "min_level": level, "k2_norm": float("nan"), "effort": float("nan")}
-    if baseline is not None:
-        rows["thm1"] = {
-            "min_level": min_levels.get("thm1"),
-            "k2_norm": float(np.max(np.abs(baseline.controller.k2).sum(axis=1))),
-            "effort": control_effort(baseline.controller, safe_set, dictionary),
-        }
-    elif "thm1" not in rows:
-        rows["thm1"] = None
+def conservatism_report(safe_set: PolyhedralSet, dictionary, designs: dict,
+                        lumped_bounds=None) -> ConservatismTable:
+    """Comparison table, one row per entry of ``designs``, in its order: a
+    ``(controller, certificate)`` pair gives the minimal level (the
+    certificate's ``contraction``), gain size and control effort; ``None``
+    renders as infeasible, and a solver's message as "solver failed".  No
+    cross-method assertion is made."""
+    rows = {name: design if design is None or isinstance(design, str) else {
+                "min_level": design[1].contraction,
+                "k2_norm": _norm_inf(design[0].k2),
+                "effort": control_effort(design[0], safe_set, dictionary),
+            } for name, design in designs.items()}
     return ConservatismTable(rows=rows, lumped_bounds=lumped_bounds)

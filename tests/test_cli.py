@@ -117,6 +117,19 @@ class TestScenarioSchema:
         assert code == cli.EXIT_USAGE
         assert "synthesis.definiteness" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["system", "safe_set", "data", "verify"])
+    def test_non_object_section_exit_one(self, tmp_path, capsys, section):
+        # a list where an object belongs is named, not a traceback
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
+        doc[section] = [doc[section]]
+        with pytest.raises(ScenarioValidationError, match=f"^{section}: must be an object"):
+            cli.scenario_from_json(doc)
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["synth", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert f"scenario error: {section}: must be an object" in capsys.readouterr().err
+
     def test_error_messages_carry_field_paths(self):
         doc = cli.load_scenario(REPO_SCENARIO).to_json()
         doc["system"]["b"] = [[0.0]]
@@ -251,6 +264,23 @@ class TestCommands:
         assert doc["min_levels"]["cor2"] is None
         assert (out / "report.txt").exists()
         assert (out / "certificate.txt").exists()
+
+    def test_report_rows_of_other_methods_are_numbers(self, scenario_path, tmp_path):
+        # every feasible design gets its own row, not only the report's method,
+        # and the report is strict JSON: no NaN or Infinity anywhere
+        def refuse(constant):
+            raise ValueError(f"non-finite constant {constant} in report.json")
+
+        out = tmp_path / "report"
+        assert cli.main(["report", "--scenario", str(scenario_path), "--out", str(out),
+                         "--method", "thm1"]) == cli.EXIT_OK
+        doc = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        rows = doc["conservatism"]["rows"]
+        assert rows["cor2"] is None
+        for method in ("thm2", "thm1"):
+            assert rows[method]["min_level"] == doc["min_levels"][method]
+            assert all(np.isfinite(v) for v in rows[method].values())
+        assert "nan" not in (out / "report.txt").read_text()
 
     def test_report_infeasible_level_recovers_at_sweep_minimum(self, tmp_path):
         # level 0.5 is below the minimal feasible level (~0.76): the report

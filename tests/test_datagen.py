@@ -62,6 +62,8 @@ class TestCollect:
         np.testing.assert_array_equal(
             secv_data.regressor,
             np.vstack([secv_data.states, secv_data.remainders]))
+        # the pseudo-inverse and the certificate residuals round by layout
+        assert secv_data.regressor.flags.f_contiguous
 
     def test_divergence_guard(self, secv_plant, secv_set):
         # strong excitation blows the unstable plant out of twice the box;
@@ -144,7 +146,6 @@ class TestRankChecks:
             states=states,
             next_states=states,
             remainders=rem,
-            regressor=np.vstack([states, rem]),
             dictionary=secv_dictionary,
         )
         assert regressor_rank(data).rank == 1
@@ -169,7 +170,6 @@ class TestRankChecks:
             states=states.T,
             next_states=np.roll(states, -1, axis=0).T,
             remainders=rem.T,
-            regressor=np.vstack([states.T, rem.T]),
             dictionary=d,
         )
         assert not identification_rank(data).full_row_rank

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polysafe import lpcore, synthesis, verify
+from polysafe import lpcore, polytope, synthesis, verify
 from polysafe.datagen import collect, collect_informative
 from polysafe.dynamics import Dictionary, Monomial, PlantModel
 from polysafe.errors import (
@@ -70,11 +70,11 @@ def unmatched_problem(safe_set, unmatched=0.05):
 
 class TestRowStructure:
     def test_row_norms(self):
-        np.testing.assert_allclose(synthesis.row_norms(SECV_F), [0.6, 0.6, 0.35, 0.35])
+        np.testing.assert_allclose(polytope.row_norms(SECV_F), [0.6, 0.6, 0.35, 0.35])
         # the max-entry reading of the norm-budget formula is smaller on every row
         max_entry = np.abs(SECV_F).max(axis=1)
         np.testing.assert_allclose(max_entry, [0.4, 0.4, 0.2, 0.2])
-        assert np.all(max_entry < synthesis.row_norms(SECV_F))
+        assert np.all(max_entry < polytope.row_norms(SECV_F))
 
 
 class TestNoiselessDesign:
@@ -124,8 +124,7 @@ class TestNoiselessDesign:
         rem = secv_dictionary.remainder(states.T).T
         data = ExperimentData(
             inputs=np.ones((1, 8)), states=states, next_states=states,
-            remainders=rem, regressor=np.vstack([states, rem]),
-            dictionary=secv_dictionary)
+            remainders=rem, dictionary=secv_dictionary)
         with pytest.raises(RankDeficientDataError):
             synthesis.synthesize_noiseless(data, secv_set)
 
@@ -191,7 +190,7 @@ class TestRobustDesign:
     def test_gm_values(self, secv_set):
         # hand computation: max row norms are 0.6 (one) and 0.4 (inf)
         w = 0.05
-        gm_one = w * float(np.max(synthesis.row_norms(secv_set.normals)))
+        gm_one = w * float(np.max(polytope.row_norms(secv_set.normals)))
         gm_inf = w * float(np.max(np.abs(secv_set.normals)))
         assert abs(gm_one - 0.03) <= 1e-15
         assert abs(gm_inf - 0.02) <= 1e-15
@@ -243,7 +242,7 @@ class TestRobustDesign:
         assert cert.contraction <= 0.98
         box = interval_enclosure(box_set)
         lip = data.dictionary.lipschitz_bound(box)
-        gm = w * float(np.max(synthesis.row_norms(box_set.normals)))
+        gm = w * float(np.max(polytope.row_norms(box_set.normals)))
         ninf = lambda m: float(np.max(np.abs(m).sum(axis=1)))
         budget = gm * box.max_abs * data.n_samples * (
             ninf(controller.g1) + lip * ninf(controller.g2) + 1.0)
@@ -252,8 +251,8 @@ class TestRobustDesign:
         assert_certificate_valid(data, box_set, controller, cert)
 
 
-class TestExpansionSearch:
-    def test_search_failure_collects_log(self, secv_set, secv_dictionary, secv_plant):
+class TestInfeasiblePlant:
+    def test_uncontrollable_unstable_plant_refused(self, secv_set, secv_dictionary):
         # uncontrollable unstable plant: no design can be feasible
         bad = PlantModel(a1=2.0 * np.eye(2), a2=[[0.0, 0.0], [0.0, 0.0]],
                          b=[[0.0], [0.0]], dictionary=secv_dictionary, w_bound=0.0)
@@ -325,7 +324,7 @@ class TestBaseline:
         rem = d.remainder(states)
         data = ExperimentData(
             inputs=np.array(inputs).T, states=states.T, next_states=np.array(nxt).T,
-            remainders=rem.T, regressor=np.vstack([states.T, rem.T]), dictionary=d)
+            remainders=rem.T, dictionary=d)
         with pytest.raises(RankDeficientDataError):
             synthesis.baseline_search(data, secv_set)
 
@@ -543,7 +542,7 @@ class TestLumpedBounds:
             g1=np.zeros((10, 2)), g2=np.zeros((10, 1)))
         bounds = verify.lumped_disturbance_bounds(data, box, zero, w_bound=0.05)
         np.testing.assert_allclose(
-            bounds, 0.05 * synthesis.row_norms(box.normals), atol=1e-12)
+            bounds, 0.05 * polytope.row_norms(box.normals), atol=1e-12)
 
 
 class TestMinimalContraction:

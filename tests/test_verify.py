@@ -1,5 +1,7 @@
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -571,26 +573,39 @@ class TestMonteCarlo:
 class TestConservatism:
     def test_table_renders_both_methods(self, secv_data, secv_set, secv_design,
                                         secv_dictionary):
+        # one row per design, in the map's order, each with its own numbers
         baseline = synthesis.synthesize_min_remainder(secv_data, secv_set)
         lumped = verify.lumped_disturbance_bounds(
             secv_data, secv_set, secv_design[0], 0.05)
         table = verify.conservatism_report(
-            secv_set, secv_dictionary, primal_dual=secv_design, baseline=baseline,
-            lumped_bounds=lumped, min_levels={"thm2": 0.7588, "cor2": None, "thm1": 0.7588})
-        text = table.render()
-        assert "thm2" in text and "thm1" in text
-        assert "infeasible" in text  # the cor2 row
-        assert "lumped" in text
+            secv_set, secv_dictionary,
+            {"thm2": secv_design, "cor2": None, "thm1": (baseline.controller, baseline)},
+            lumped_bounds=lumped)
+        assert list(table.rows) == ["thm2", "cor2", "thm1"]
+        assert table.rows["thm2"]["min_level"] == secv_design[1].contraction
+        assert table.rows["thm1"]["min_level"] == baseline.contraction
+        for name in ("thm2", "thm1"):
+            assert all(np.isfinite(v) for v in table.rows[name].values())
+        lines = table.render().splitlines()
+        assert [line.split()[0] for line in lines[2:5]] == ["thm2", "cor2", "thm1"]
+        assert "infeasible" in lines[3]  # the cor2 row
+        assert "nan" not in table.render()
+        assert lines[5].startswith("lumped")
 
     def test_missing_baseline_marked(self, secv_set, secv_design, secv_dictionary):
+        # no feasible level renders as infeasible, a solver message as a failure
         table = verify.conservatism_report(
-            secv_set, secv_dictionary, primal_dual=secv_design, baseline=None)
+            secv_set, secv_dictionary,
+            {"thm2": secv_design, "cor2": "solver failed: stalled", "thm1": None})
         assert table.rows["thm1"] is None
-        assert "infeasible" in table.render()
+        assert table.rows["cor2"] == "solver failed: stalled"
+        lines = table.render().splitlines()
+        assert "solver failed" in lines[3] and "infeasible" in lines[4]
 
     def test_deterministic(self, secv_set, secv_design, secv_dictionary):
-        t1 = verify.conservatism_report(secv_set, secv_dictionary, primal_dual=secv_design)
-        t2 = verify.conservatism_report(secv_set, secv_dictionary, primal_dual=secv_design)
+        designs = {"thm2": secv_design, "cor2": None}
+        t1 = verify.conservatism_report(secv_set, secv_dictionary, designs)
+        t2 = verify.conservatism_report(secv_set, secv_dictionary, designs)
         assert t1.render() == t2.render()
 
     @pytest.mark.parametrize("problem", ["secv", "tri"])
@@ -610,10 +625,10 @@ class TestConservatism:
         rem = data.dictionary.remainder(points)
         coeffs = safe_set.normals @ data.next_states @ controller.g2
         box = interval_enclosure(safe_set)
-        rn = synthesis.row_norms(safe_set.normals)
+        rn = polytope.row_norms(safe_set.normals)
         leakage = data.n_samples * w_bound * rn * (
-            synthesis._norm_inf(controller.g1) * box.max_abs
-            + synthesis._norm_inf(controller.g2) * data.dictionary.lipschitz_bound(box)
+            polytope._norm_inf(controller.g1) * box.max_abs
+            + polytope._norm_inf(controller.g2) * data.dictionary.lipschitz_bound(box)
             * box.max_abs)
         reference = np.max(coeffs @ rem.T, axis=1) + leakage + w_bound * rn
         bounds = verify.lumped_disturbance_bounds(data, safe_set, controller, w_bound)
@@ -624,3 +639,15 @@ class TestConservatism:
         # the cancelling gain pays for the quadratic at the far vertex:
         # |k2 @ remainder| ~ 36 there
         assert effort > 30.0
+
+
+def test_verify_imports_nothing_from_synthesis():
+    # the checks must stand apart from the module whose designs they check
+    tree = ast.parse(Path(verify.__file__).read_text())
+    imported = []  # every module and name an import statement reads
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if "synthesis" in name.split(".")], imported
