@@ -23,7 +23,7 @@ from .dynamics import (
     SinTerm,
     Trajectory,
 )
-from .lpcore import LinearProgram, LpOutcome, LpStatus, polytope_max
+from .lpcore import LinearProgram, LpOutcome, LpStatus
 from .polytope import (
     Box,
     PolyhedralSet,
@@ -81,7 +81,6 @@ __all__ = [
     "interval_enclosure",
     "lumped_disturbance_bounds",
     "monte_carlo_invariance",
-    "polytope_max",
     "regressor_rank",
     "sample_grid",
     "synthesize_min_remainder",

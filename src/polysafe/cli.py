@@ -129,6 +129,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _known_keys(doc: dict, section: str, cls) -> None:
+    """Refuse a key of ``doc`` that is not a field of ``cls``."""
+    known = {f.name for f in fields(cls)}
+    if cls is SynthesisSection:
+        # expansion_point is shape-checked and has no effect, so that files
+        # that set it still load; it is not kept, and saved scenarios leave it out
+        known.add("expansion_point")
+    for key in doc:
+        _expect(key in known, f"{section}.{key}" if section else key,
+                f"unknown key; {section or 'the scenario'} takes {sorted(known)}")
+
+
 def _matrix(obj, path: str) -> list:
     _expect(isinstance(obj, list) and obj and all(isinstance(r, list) for r in obj),
             path, "expected a non-empty list of rows")
@@ -143,13 +155,17 @@ def _matrix(obj, path: str) -> list:
 def scenario_from_json(doc: dict) -> Scenario:
     """Validate a parsed scenario document; error messages carry field paths."""
     _expect(isinstance(doc, dict), "$", "scenario must be an object")
+    _known_keys(doc, "", Scenario)
     version = doc.get("version")
     _expect(_is_int(version) and version == SCHEMA_VERSION, "version",
             f"expected schema version {SCHEMA_VERSION}")
     for section in ("system", "safe_set", "data"):
         _expect(section in doc, section, "missing section")
-    for section in ("system", "safe_set", "data", "synthesis", "verify"):
+    for section, cls in (("system", SystemSection), ("safe_set", SafeSetSection),
+                         ("data", DataSection), ("synthesis", SynthesisSection),
+                         ("verify", VerifySection)):
         _expect(isinstance(doc.get(section, {}), dict), section, "must be an object")
+        _known_keys(doc.get(section, {}), section, cls)
 
     sys_doc = doc["system"]
     a1 = _matrix(sys_doc.get("a1"), "system.a1")
@@ -213,12 +229,6 @@ def scenario_from_json(doc: dict) -> Scenario:
     _expect(isinstance(noise, bool), "data.noise", "must be a boolean")
 
     synth_doc = doc.get("synthesis", {})
-    # expansion_point is shape-checked and has no effect, so that files that
-    # set it still load; it is not kept, and saved scenarios leave it out
-    known = {f.name for f in fields(SynthesisSection)} | {"expansion_point"}
-    for key in synth_doc:
-        _expect(key in known, f"synthesis.{key}",
-                f"unknown key; the section takes {sorted(known)}")
     method = synth_doc.get("method", "thm2")
     _expect(method in synthesis.METHODS, "synthesis.method",
             f"must be one of {synthesis.METHODS}")
@@ -253,15 +263,18 @@ def scenario_from_json(doc: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def _read_document(path):
     path = Path(path)
     if not path.exists():
         raise ScenarioValidationError(f"$: scenario file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ScenarioValidationError(f"$: not valid JSON ({err})") from err
-    return scenario_from_json(doc)
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_json(_read_document(path))
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -462,7 +475,7 @@ def _cmd_collect(scenario: Scenario, out_dir: Path) -> int:
                            "full_row_rank": reg.full_row_rank},
         "identification_rank": {"rank": ident.rank, "required": ident.required,
                                 "full_row_rank": ident.full_row_rank},
-        "files": [str(f) for f in files],
+        "files": [f.relative_to(out_dir).as_posix() for f in files],
     })
     print(f"collected {data.n_samples} samples; regressor {reg}; stacked {ident}",
           file=sys.stderr)
@@ -531,7 +544,7 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
             handle.write(",".join(cells) + "\n")
     _write_json(out_dir / "summary.json", {
         "command": "simulate", "status": "ok", "start": start,
-        "horizon": horizon, "file": str(path),
+        "horizon": horizon, "file": path.name,
     })
     print(f"simulated {horizon} steps from {start.tolist()}", file=sys.stderr)
     return EXIT_OK
@@ -668,26 +681,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if args.seed is not None:
-        _expect(args.seed >= 0, "data.seed", f"--seed must be an integer >= 0, got {args.seed}")
-        scenario.data.seed = args.seed
-    if args.contraction is not None:
-        if not 0 < args.contraction <= 1:
-            raise ScenarioValidationError("--lambda must lie in (0, 1]")
-        scenario.synthesis.contraction = args.contraction
-    if args.method is not None:
-        scenario.synthesis.method = args.method
+def _apply_overrides(doc, args):
+    """Write the flag values into the scenario document, so that the
+    schema checks them as it checks the file's own values."""
+    grid = None
     if args.grid is not None:
         try:
             grid = [int(part) for part in args.grid.lower().split("x")]
         except ValueError as err:
             raise ScenarioValidationError(f"--grid must look like 201x201, got {args.grid!r}") from err
-        if len(grid) != len(scenario.data.x0) or any(g < 2 for g in grid):
-            raise ScenarioValidationError(
-                f"--grid needs {len(scenario.data.x0)} entries >= 2, got {args.grid!r}")
-        scenario.verify.grid = grid
-    return scenario
+    for section, key, value in (("data", "seed", args.seed),
+                                ("synthesis", "contraction", args.contraction),
+                                ("synthesis", "method", args.method), ("verify", "grid", grid)):
+        if value is not None and isinstance(doc, dict) and isinstance(doc.get(section, {}), dict):
+            doc[section] = {**doc.get(section, {}), key: value}
+    return doc
 
 
 _COMMANDS = {
@@ -707,7 +715,7 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        scenario = _apply_overrides(load_scenario(args.scenario), args)
+        scenario = scenario_from_json(_apply_overrides(_read_document(args.scenario), args))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "sweep-lambda":

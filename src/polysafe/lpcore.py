@@ -1,21 +1,26 @@
 """Dense linear programming over named variable blocks.
 
-The solver is a two-phase primal simplex on the standard-form tableau:
-free variables are split into positive/negative parts, inequalities get
-slack columns, equalities are kept as equalities and receive artificial
-variables in phase 1.  Pivoting uses Dantzig's rule (most negative
-reduced cost) and switches to Bland's smallest-index rule after 100
-degenerate pivots in a row, until a pivot makes progress; ties in the
-ratio test go to the smallest basis variable index.  Everything here
-runs at desk scale, where a dense tableau is the right trade.
+Rows are ``<=`` or ``=``, and every program has an objective: without
+:meth:`LinearProgram.set_objective` it minimizes 0.  The solver is a
+two-phase primal simplex on the standard-form tableau: free variables are
+split into positive/negative parts and ``<=`` rows get slack columns.
+Every ``<=`` row with a nonnegative right-hand side starts on its slack,
+at its equilibrated coefficient (sound, since slacks cost 0 and the ratio
+test reads ``rhs / col``); only ``=`` rows and rows negated for a negative
+right-hand side take artificial variables into phase 1.  Pivoting uses
+Dantzig's rule (most negative reduced cost) and switches to Bland's
+smallest-index rule after 100 degenerate pivots in a row, until a pivot
+makes progress; ties in the ratio test go to the smallest basis variable
+index.  Everything here runs at desk scale, where a dense tableau is the
+right trade.
 
 Constraints are kept as row groups, one coefficient matrix per block,
 and assembled into one dense matrix per solve.  Everything before phase 2
 depends on the constraints alone, so :func:`polytope_maxima` solves several
 objectives over one polyhedron from one phase-2 start, each from its own
 copy, with the bits of separate solves.  Reported solutions always
-replay: outcomes with status ``OPTIMAL`` or ``FEASIBLE`` satisfy every
-original constraint to within ``TOL_LP``.
+replay: outcomes with status ``OPTIMAL`` satisfy every original
+constraint to within ``TOL_LP``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ _TOL_ZERO_ROW = 1e-12  # rows this small relative to the matrix are zero rows
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
-    FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
@@ -54,9 +58,7 @@ class LpOutcome:
 
     ``max_residual`` is recomputed against the original (unscaled)
     constraints.  ``infeasibility`` is the phase-1 objective, nonzero only
-    when status is INFEASIBLE; ``unsatisfied_rows`` then lists the
-    constraint indices whose artificial variables stayed basic with a
-    positive value (the phase-1 certificate).
+    when status is INFEASIBLE.  A scalar block's entry is a float.
     """
 
     status: LpStatus
@@ -64,33 +66,25 @@ class LpOutcome:
     objective: float | None = None
     max_residual: float = 0.0
     infeasibility: float = 0.0
-    unsatisfied_rows: list[int] = field(default_factory=list)
     iterations: int = 0
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.assignment[name]
 
-    def value(self, name: str) -> float:
-        """Scalar value of a block (the block must have a single entry)."""
-        return float(np.asarray(self.assignment[name]).reshape(-1)[0])
-
 
 @dataclass
 class _Block:
-    name: str
     shape: tuple[int, ...]
     size: int
     nonneg: bool
     offset: int
 
 
-# indexed by row sense: +1 "<=", 0 "=", -1 ">="
-_RELATIONS = ("=", "<=", ">=")
-_SENSE = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+_SENSE = {"<=", "="}
 
 
 class LinearProgram:
-    """A dense LP: named variable blocks, linear constraints, optional objective.
+    """A dense LP: named variable blocks, linear constraints and an objective.
 
     Coefficients for a constraint are given per block, as an array with the
     block's shape (or a flat array of the block's size); the constraint reads
@@ -106,7 +100,7 @@ class LinearProgram:
         # referencing others
         self._groups: list[tuple[dict[str, np.ndarray], str, np.ndarray]] = []
         self._n_rows = 0
-        self._objective: tuple[str, dict[str, np.ndarray]] | None = None
+        self._objective: tuple[str, dict[str, np.ndarray]] = ("min", {})
 
     # ------------------------------------------------------------------
     # model building
@@ -119,7 +113,7 @@ class LinearProgram:
         if any(d <= 0 for d in shape):
             raise MalformedProgramError(f"block {name!r} has non-positive shape {shape}")
         size = int(np.prod(shape)) if shape else 1
-        self._blocks[name] = _Block(name, shape, size, bool(nonneg), self._n_vars)
+        self._blocks[name] = _Block(shape, size, bool(nonneg), self._n_vars)
         self._n_vars += size
         return name
 
@@ -153,7 +147,7 @@ class LinearProgram:
 
     def add_constraint_rows(self, terms: dict, rel: str, rhs) -> None:
         """Add ``k`` constraints at once; each term maps a block to a (k, size) array."""
-        if rel not in _RELATIONS:
+        if rel not in _SENSE:
             raise MalformedProgramError(f"unknown relation {rel!r}")
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
         k = rhs.size
@@ -185,9 +179,9 @@ class LinearProgram:
         return self._n_rows
 
     def _assemble(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Constraint matrix, row senses (+1 ``<=``, -1 ``>=``, 0 ``=``) and right-hand sides."""
+        """Constraint matrix, ``<=`` row mask and right-hand sides."""
         A = np.zeros((self._n_rows, self._n_vars))
-        sense = np.empty(self._n_rows)
+        is_ineq = np.empty(self._n_rows, dtype=bool)
         b = np.empty(self._n_rows)
         start = 0
         for mats, rel, rhs in self._groups:
@@ -195,10 +189,10 @@ class LinearProgram:
             for name, mat in mats.items():
                 block = self._blocks[name]
                 A[start:stop, block.offset:block.offset + block.size] += mat
-            sense[start:stop] = _SENSE[rel]
+            is_ineq[start:stop] = rel == "<="
             b[start:stop] = rhs
             start = stop
-        return A, sense, b
+        return A, is_ineq, b
 
     # ------------------------------------------------------------------
     # solving
@@ -209,16 +203,15 @@ class LinearProgram:
     def _solve_each(self, objectives: list):
         """Yield one outcome per objective over this program's constraints.
 
-        Each objective is ``None`` (feasibility) or a ``(sense, terms)`` pair
-        as :meth:`set_objective` stores it.  Assembly, row equilibration and
-        phase 1 depend only on the constraints, so they run once; phase 2
-        runs per objective from a copy of that start (the last objective
-        takes the start itself), so each outcome is bitwise the one a solve
-        with that objective alone gives.
+        Each objective is a ``(sense, terms)`` pair as :meth:`set_objective`
+        stores it.  Assembly, row equilibration and phase 1 depend only on
+        the constraints, so they run once; phase 2 runs per objective from a
+        copy of that start (the last objective takes the start itself), so
+        each outcome is bitwise that of a solve with its objective alone.
         """
         if not self._blocks:
             raise MalformedProgramError("program has no variables")
-        A, sense, b = self._assemble()
+        A, is_ineq, b = self._assemble()
 
         # Column layout, in variable order: a plus column per variable, then a
         # minus column when it is free.
@@ -228,13 +221,13 @@ class LinearProgram:
         n_std = self._n_vars + int(free.sum())
 
         m = A.shape[0]
-        ineq = np.flatnonzero(sense != 0.0)
+        ineq = np.flatnonzero(is_ineq)
         slacks = n_std + np.arange(ineq.size)
         n_total = n_std + ineq.size
         T = np.zeros((m, n_total + 1))
         T[:, col_plus] = A
         T[:, col_minus] = -A[:, free]
-        T[ineq, slacks] = sense[ineq]
+        T[ineq, slacks] = 1.0
         T[:, -1] = b
 
         # Row equilibration keeps pivot tolerances meaningful; residuals are
@@ -248,14 +241,10 @@ class LinearProgram:
             scale[scale == 0.0] = 1.0
             T /= scale[:, None]
             T[T[:, -1] < 0] *= -1.0
-            # Zero-rhs rows whose slack carries -1 are negated too, so the
-            # slack can start basic; otherwise every ">= 0" row would drag an
-            # artificial variable (and a degenerate pivot) into phase 1.
-            T[ineq[(T[ineq, -1] == 0.0) & (T[ineq, slacks] < 0.0)]] *= -1.0
 
-        # Initial basis: slacks still carrying +1; artificials elsewhere.
+        # Initial basis: the slack of every row left unnegated; artificials elsewhere.
         basis = np.full(m, -1, dtype=int)
-        starts = T[ineq, slacks] > 0.5
+        starts = T[ineq, slacks] > 0.0
         basis[ineq[starts]] = slacks[starts]
         needs_art = np.flatnonzero(basis < 0)
 
@@ -279,10 +268,9 @@ class LinearProgram:
             infeas = float(sum(T[artificial, -1]))
             floor = _TOL_PHASE1 * (1.0 + float(np.abs(b).max(initial=0.0)))
             if infeas > floor:
-                bad = np.flatnonzero(artificial & (T[:, -1] > floor)).tolist()
                 for _ in objectives:
                     yield LpOutcome(status=LpStatus.INFEASIBLE, infeasibility=infeas,
-                                    unsatisfied_rows=list(bad), iterations=phase1)
+                                    iterations=phase1)
                 return
             # Drive leftover artificials out of the basis; drop redundant rows.
             keep = np.ones(m, dtype=bool)
@@ -299,13 +287,9 @@ class LinearProgram:
         T = np.asfortranarray(T)
         coeff_scale = float(np.abs(A).max()) if A.size else 0.0
         cap = TOL_LP * (1.0 + coeff_scale + float(np.abs(b).max(initial=0.0)))
-        for k, objective in enumerate(objectives):
-            if objective is None:
-                c, obj_sign = np.zeros(self._n_vars), 1.0
-            else:
-                obj_sense, terms = objective
-                row = self._densify(terms)
-                c, obj_sign = (row, 1.0) if obj_sense == "min" else (-row, -1.0)
+        for k, (obj_sense, terms) in enumerate(objectives):
+            row = self._densify(terms)
+            c, obj_sign = (row, 1.0) if obj_sense == "min" else (-row, -1.0)
             c_std = np.zeros(n_total)
             c_std[col_plus] = c
             c_std[col_minus] = -c[free]
@@ -324,36 +308,28 @@ class LinearProgram:
             x[free] -= x_std[col_minus]
 
             assignment = {}
-            for blk in self._blocks.values():
+            for name, blk in self._blocks.items():
                 seg = x[blk.offset:blk.offset + blk.size]
-                assignment[blk.name] = float(seg[0]) if blk.shape == () else seg.reshape(blk.shape).copy()
+                assignment[name] = float(seg[0]) if blk.shape == () else seg.reshape(blk.shape).copy()
 
             # A claimed-feasible outcome must replay against the original rows;
             # on near-singular systems the tableau can "solve" in scaled units
             # while the unscaled solution is garbage, and that must not escape.
-            residual = self._max_residual(A, sense, b, x)
+            gap = A @ x - b
+            residual = max(float(np.max(np.where(is_ineq, gap, np.abs(gap)), initial=0.0)),
+                           float(np.max(-x[~free], initial=0.0)))
             if residual > cap:
                 raise NumericalInstabilityError(
                     f"solution replay residual {residual:.3e} exceeds {cap:.3e}; "
                     "the constraint system is numerically unreliable")
 
             yield LpOutcome(
-                status=LpStatus.OPTIMAL if objective is not None else LpStatus.FEASIBLE,
+                status=LpStatus.OPTIMAL,
                 assignment=assignment,
-                objective=None if objective is None else float(obj_sign * np.dot(c, x)),
+                objective=float(obj_sign * np.dot(c, x)),
                 max_residual=residual,
                 iterations=iterations,
             )
-
-    def _max_residual(self, A: np.ndarray, sense: np.ndarray, b: np.ndarray,
-                      x: np.ndarray) -> float:
-        gap = A @ x - b
-        worst = float(np.max(np.where(sense == 0.0, np.abs(gap), sense * gap), initial=0.0))
-        for block in self._blocks.values():
-            if block.nonneg:
-                seg = x[block.offset:block.offset + block.size]
-                worst = max(worst, float(np.max(-seg, initial=0.0)))
-        return worst
 
 
 def _rank1_update(T: np.ndarray, colv: np.ndarray, rowv: np.ndarray) -> None:
@@ -465,25 +441,16 @@ def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
             refresh()
 
 
-def polytope_max(row, safe_set) -> float:
-    """Maximum of ``row @ x`` over ``{x : normals @ x <= offsets}`` by LP.
+def polytope_maxima(rows, safe_set) -> np.ndarray:
+    """Maximum of ``row @ x`` over ``{x : normals @ x <= offsets}`` for each
+    row of ``rows`` (k, n), over one tableau.
 
     ``safe_set`` is any object with ``normals`` (s, n) and ``offsets`` (s,)
-    attributes.  Raises :class:`EmptySetError` / :class:`UnboundedSetError`
-    when the polyhedron is empty or the functional is unbounded over it.
-    This is the one-row case of :func:`polytope_maxima`.
-    """
-    return float(polytope_maxima(np.reshape(np.asarray(row, dtype=float), (1, -1)), safe_set)[0])
-
-
-def polytope_maxima(rows, safe_set) -> np.ndarray:
-    """:func:`polytope_max` of each row of ``rows`` (k, n), over one tableau.
-
-    The rows share the polyhedron's constraint system, so its assembly,
-    equilibration and phase 1 run once; each row's phase 2 starts from a
-    copy of that tableau, and its maximum is bitwise the one-row value.
-    Rows are solved in order, and the first empty or unbounded verdict
-    raises.
+    attributes.  The rows share the polyhedron's constraint system, so its
+    assembly, equilibration and phase 1 run once; each row's phase 2 starts
+    from a copy of that tableau, and its maximum is bitwise the one-row
+    value.  Rows are solved in order, and the first empty or unbounded
+    verdict raises :class:`EmptySetError` / :class:`UnboundedSetError`.
     """
     normals = np.asarray(safe_set.normals, dtype=float)
     offsets = np.asarray(safe_set.offsets, dtype=float)

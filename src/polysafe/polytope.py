@@ -137,7 +137,7 @@ def interval_enclosure(safe_set: PolyhedralSet) -> Box:
     The 2n objectives (``+x_k`` and ``-x_k``) are posed over one constraint
     system by :func:`lpcore.polytope_maxima`: the tableau is built and
     equilibrated once, and each objective's phase 2 starts from a copy of
-    it, so every bound is bitwise the one-objective ``polytope_max``.
+    it, so every bound is bitwise that of a solve with its objective alone.
     Raises :class:`UnboundedSetError` if any coordinate is unbounded, which
     is how the C-set assumption is enforced operationally.  The program is
     solved on the first call for a set object; later calls return the same

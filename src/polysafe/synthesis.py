@@ -277,7 +277,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
                           "<=", -scale)
 
     outcome = lp.solve()
-    if outcome.status in (lpcore.LpStatus.OPTIMAL, lpcore.LpStatus.FEASIBLE):
+    if outcome.status == lpcore.LpStatus.OPTIMAL:
         loop = np.hstack([sum(sign * outcome[name] for name, sign in parts[key])
                           for key in parts])
         outcome.assignment["G"] = loop if split else g0[:, :loop.shape[1]] + preimage @ loop
@@ -359,7 +359,7 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet,
                 f"{safe_set.offsets[row]:.6g} (row {row})")
     outcome = _solve(data, safe_set, kind, robust)
     g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
-    eta = outcome.value("noise") if robust is not None else 0.0
+    eta = outcome["noise"] if robust is not None else 0.0
     extra = {
         "right_inverse": float(np.max(np.abs(
             data.regressor @ np.hstack([g1, g2]) - np.eye(data.state_dim + data.n_terms)))),

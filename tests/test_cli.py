@@ -117,6 +117,25 @@ class TestScenarioSchema:
         assert code == cli.EXIT_USAGE
         assert "synthesis.definiteness" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, meant, typo", [
+        ("", None, "extra"), ("system", "w_bound", "w_bnd"), ("safe_set", "offsets", "offset"),
+        ("data", "noise", "nosie"), ("synthesis", "contraction", "contraciton"),
+        ("verify", "mc_trajectories", "mc_trajectory")])
+    def test_unknown_key_exit_one(self, tmp_path, capsys, section, meant, typo):
+        # a misspelt key in any section, or at the top level, must not fall
+        # back to the default of the key it was meant to be
+        doc = cli.load_scenario(REPO_SCENARIO).to_json()
+        part = doc[section] if section else doc
+        part[typo] = part.pop(meant) if meant else 1
+        name = f"{section}.{typo}" if section else typo
+        with pytest.raises(ScenarioValidationError, match=f"^{name}: unknown key"):
+            cli.scenario_from_json(doc)
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["synth", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert f"scenario error: {name}: unknown key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section", ["system", "safe_set", "data", "verify"])
     def test_non_object_section_exit_one(self, tmp_path, capsys, section):
         # a list where an object belongs is named, not a traceback
@@ -160,6 +179,19 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["regressor_rank"]["full_row_rank"]
         assert (out / "data" / "regressor.csv").exists()
+
+    @pytest.mark.parametrize("command, key", [("collect", "files"), ("simulate", "file")])
+    def test_summary_names_files_relative_to_out(self, scenario_path, tmp_path, command, key):
+        # two runs of one scenario write the same summary bytes, whatever --out is
+        summaries = []
+        for name in ("one", "two"):
+            out = tmp_path / name
+            assert cli.main([command, "--scenario", str(scenario_path),
+                             "--out", str(out)]) == cli.EXIT_OK
+            summaries.append((out / "summary.json").read_bytes())
+            named = json.loads(summaries[-1])[key]
+            assert all((out / f).is_file() for f in (named if command == "collect" else [named]))
+        assert summaries[0] == summaries[1]
 
     def test_synth_writes_certificate(self, scenario_path, tmp_path):
         out = tmp_path / "synth"

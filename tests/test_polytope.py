@@ -205,7 +205,7 @@ class TestEnclosure:
         hi = np.array([alone(e) for e in eye])
         lo = -np.array([alone(-e) for e in eye])
         assert box.hi.tobytes() == hi.tobytes() and box.lo.tobytes() == lo.tobytes()
-        assert box.hi.tobytes() == np.array([lpcore.polytope_max(e, safe_set) for e in eye]).tobytes()
+        assert box.hi.tobytes() == np.array([lpcore.polytope_maxima([e], safe_set)[0] for e in eye]).tobytes()
         assert np.all(box.lo < 0.0) and np.all(box.hi > 0.0)
 
     def test_empty_polyhedron(self):
@@ -215,7 +215,7 @@ class TestEnclosure:
         with pytest.raises(EmptySetError):
             lpcore.polytope_maxima(np.array([[1.0], [-1.0]]), empty)
         with pytest.raises(EmptySetError):
-            lpcore.polytope_max([1.0], empty)
+            lpcore.polytope_maxima([[1.0]], empty)[0]
 
     def test_halfspace_unbounded_in_every_form(self):
         # the bounded first row is solved, the second row's verdict raises;
