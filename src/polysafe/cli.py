@@ -7,8 +7,9 @@ budgets.  Every command is deterministic for a fixed scenario, so two
 runs produce byte-identical artifacts.
 
 Exit codes: 0 success (feasible and verified where applicable), 1 usage
-or validation error (or a solver with no verdict on the command's own
-method), 2 synthesis infeasible, 3 verification failure.
+or validation error, or a solver with no verdict on the command's own
+method (status ``solver-failed``), 2 no feasible level (``infeasible``)
+or rank-deficient data (``rank-deficient``), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 
-SOLVER_FAILED = "solver failed: "  # prefixes a method whose LP solve gave no verdict
+SOLVER_FAILED = "solver failed: "  # a level map's entry for a solver with no verdict
 
 
 # ---------------------------------------------------------------------------
@@ -319,56 +320,70 @@ def _design(scenario: Scenario, data, safe_set, method: str):
     return result.controller, result
 
 
-def _check_level(scenario: Scenario, cert) -> None:
-    """Raise :class:`SynthesisInfeasibleError` when the design misses the requested level."""
+@dataclass(frozen=True)
+class _Failure:
+    """Why a method gives no design: ``status`` is ``"infeasible"``,
+    ``"rank-deficient"`` or ``"solver-failed"``, ``detail`` says why."""
+    status: str
+    detail: str
+
+
+_FAILURE_EXIT = {"infeasible": EXIT_INFEASIBLE, "rank-deficient": EXIT_INFEASIBLE,
+                 "solver-failed": EXIT_USAGE}
+
+
+def _check_level(scenario: Scenario, cert) -> _Failure | None:
+    """The ``infeasible`` record when the design misses the requested level."""
     requested = scenario.synthesis.contraction
     if requested < cert.contraction:
-        raise SynthesisInfeasibleError(
-            f"{scenario.synthesis.method} design certifies level {cert.contraction} "
-            f"at best, above the requested level {requested}")
-
-
-def _synthesize(scenario: Scenario, data, safe_set):
-    """The scenario method's design, checked against the requested level."""
-    controller, cert = _design(scenario, data, safe_set, scenario.synthesis.method)
-    _check_level(scenario, cert)
-    return controller, cert
-
-
-def _infeasible(out_dir: Path, command: str, err: SynthesisInfeasibleError, **extra) -> int:
-    """Write the command's infeasible summary, plus the ``extra`` keys, and say so."""
-    _write_json(out_dir / "summary.json",
-                {"command": command, "status": "infeasible", **extra, "detail": str(err)})
-    print(f"synthesis infeasible: {err}", file=sys.stderr)
-    return EXIT_INFEASIBLE
+        return _Failure("infeasible",
+                        f"{scenario.synthesis.method} design certifies level {cert.contraction} "
+                        f"at best, above the requested level {requested}")
+    return None
 
 
 def _sweep(scenario: Scenario, data, safe_set, methods) -> dict:
-    """Each method's design, or the message saying why no level in (0, 1] is
-    feasible, or, prefixed ``SOLVER_FAILED``, why its solver gave no verdict.
-    One method's solver failure leaves the other methods' designs standing."""
+    """Each method's design, or the :class:`_Failure` saying why it has none.
+    One method's failure leaves the other methods' designs standing."""
     designs: dict = {}
     for method in methods:
         # the message only: the error's traceback would hold every frame
         # of the command, and the data with them, until a garbage collection
         try:
             designs[method] = _design(scenario, data, safe_set, method)
-        except (SynthesisInfeasibleError, RankDeficientDataError) as err:
-            designs[method] = str(err)
+        except SynthesisInfeasibleError as err:
+            designs[method] = _Failure("infeasible", str(err))
+        except RankDeficientDataError as err:
+            designs[method] = _Failure("rank-deficient", str(err))
         except (SolverStalledError, NumericalInstabilityError) as err:
-            designs[method] = SOLVER_FAILED + str(err)
+            designs[method] = _Failure("solver-failed", str(err))
     return designs
 
 
-def _solver_failed(design) -> bool:
-    return isinstance(design, str) and design.startswith(SOLVER_FAILED)
+def _scenario_design(scenario: Scenario, data, safe_set):
+    """The scenario method's design, or its failure; a design that misses
+    the requested level is ``infeasible``."""
+    method = scenario.synthesis.method
+    design = _sweep(scenario, data, safe_set, [method])[method]
+    if isinstance(design, _Failure):
+        return design
+    return _check_level(scenario, design[1]) or design
+
+
+def _write_failure(path: Path, payload: dict, failure: _Failure) -> int:
+    """Write ``payload`` with the failure's status and detail, say so, and
+    return the status's exit code."""
+    _write_json(path, {**payload, "status": failure.status, "detail": failure.detail})
+    print(f"{failure.status}: {failure.detail}", file=sys.stderr)
+    return _FAILURE_EXIT[failure.status]
 
 
 def _min_levels(designs: dict) -> dict:
-    """Each method's minimal level: ``None`` when no level is feasible, the
-    message when its solver failed."""
-    return {method: design if _solver_failed(design)
-            else None if isinstance(design, str) else design[1].contraction
+    """Each method's minimal level: ``None`` when no level is feasible or its
+    data are rank-deficient, ``SOLVER_FAILED`` and the message when its
+    solver gave no verdict."""
+    return {method: design[1].contraction if not isinstance(design, _Failure)
+            else SOLVER_FAILED + design.detail if design.status == "solver-failed" else None
             for method, design in designs.items()}
 
 
@@ -484,16 +499,13 @@ def _cmd_collect(scenario: Scenario, out_dir: Path) -> int:
 
 def _cmd_synth(scenario: Scenario, out_dir: Path) -> int:
     plant, safe_set, data = _collect(scenario)
-    try:
-        controller, cert = _synthesize(scenario, data, safe_set)
-    except SynthesisInfeasibleError as err:
-        return _infeasible(out_dir, "synth", err, method=scenario.synthesis.method,
-                           contraction=scenario.synthesis.contraction)
-    payload = {
-        "command": "synth", "status": "feasible",
-        "method": scenario.synthesis.method,
-        "contraction": scenario.synthesis.contraction,
-    }
+    payload = {"command": "synth", "method": scenario.synthesis.method,
+               "contraction": scenario.synthesis.contraction}
+    design = _scenario_design(scenario, data, safe_set)
+    if isinstance(design, _Failure):
+        return _write_failure(out_dir / "summary.json", payload, design)
+    controller, cert = design
+    payload["status"] = "feasible"
     _write_design(out_dir, payload, controller, cert)
     _write_json(out_dir / "summary.json", payload)
     print(f"synthesized {scenario.synthesis.method} controller, "
@@ -503,11 +515,11 @@ def _cmd_synth(scenario: Scenario, out_dir: Path) -> int:
 
 def _cmd_verify(scenario: Scenario, out_dir: Path) -> int:
     plant, safe_set, data = _collect(scenario)
-    try:
-        controller, _ = _synthesize(scenario, data, safe_set)
-    except SynthesisInfeasibleError as err:
-        return _infeasible(out_dir, "verify", err)
     summary: dict = {"command": "verify"}
+    design = _scenario_design(scenario, data, safe_set)
+    if isinstance(design, _Failure):
+        return _write_failure(out_dir / "summary.json", summary, design)
+    controller, _ = design
     grid_true, grid_data, mc = _verify_controller(
         scenario, plant, data, safe_set, controller, scenario.synthesis.contraction,
         out_dir, summary)
@@ -522,10 +534,10 @@ def _cmd_verify(scenario: Scenario, out_dir: Path) -> int:
 
 def _cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     plant, safe_set, data = _collect(scenario)
-    try:
-        controller, _ = _synthesize(scenario, data, safe_set)
-    except SynthesisInfeasibleError as err:
-        return _infeasible(out_dir, "simulate", err)
+    design = _scenario_design(scenario, data, safe_set)
+    if isinstance(design, _Failure):
+        return _write_failure(out_dir / "summary.json", {"command": "simulate"}, design)
+    controller, _ = design
     start = enumerate_vertices(safe_set)[0]
     horizon = scenario.verify.horizon
     traj = _rollout(scenario, plant, controller, start, horizon, 0)
@@ -552,30 +564,20 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
 
 def _cmd_sweep(scenario: Scenario, out_dir: Path, requested=None) -> int:
     plant, safe_set, data = _collect(scenario)
-    methods = requested or list(synthesis.METHODS)
-    if methods == ["thm1"]:
-        ident = identification_rank(data)
-        if not ident.full_row_rank:
-            _write_json(out_dir / "summary.json", {
-                "command": "sweep-lambda", "status": "rank-deficient",
-                "detail": str(ident)})
-            print(f"rank-deficient data for thm1: {ident}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-    levels = _min_levels(_sweep(scenario, data, safe_set, methods))
-    # a method named on the command line that fails is the command's failure;
-    # in the all-method sweep it is that method's entry
-    failed = requested and _solver_failed(levels[requested[0]])
-    _write_json(out_dir / "summary.json", {
-        "command": "sweep-lambda", "status": "solver-failed" if failed else "ok",
-        "min_levels": levels,
-    })
+    designs = _sweep(scenario, data, safe_set, requested or synthesis.METHODS)
+    summary = {"command": "sweep-lambda", "min_levels": _min_levels(designs)}
     shown = {m: "-" if v is None else "solver failed" if isinstance(v, str) else format(v, ".4f")
-             for m, v in levels.items()}
+             for m, v in summary["min_levels"].items()}
     print("minimal feasible levels: " + ", ".join(f"{m}={v}" for m, v in shown.items()),
           file=sys.stderr)
-    if failed:
-        print(f"error: {levels[requested[0]]}", file=sys.stderr)
-        return EXIT_USAGE
+    # a method named on the command line whose solver gives no verdict, or
+    # whose data are rank-deficient, is the command's failure; in the
+    # all-method sweep it is that method's entry, and an infeasible method
+    # is null in both
+    own = designs[requested[0]] if requested else None
+    if isinstance(own, _Failure) and own.status != "infeasible":
+        return _write_failure(out_dir / "summary.json", summary, own)
+    _write_json(out_dir / "summary.json", {**summary, "status": "ok"})
     return EXIT_OK
 
 
@@ -595,28 +597,15 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
                            "full_row_rank": reg.full_row_rank},
         "min_levels": _min_levels(designs),
     }
-    if _solver_failed(designs[method]):
-        summary["detail"] = designs[method]
-        summary["status"] = "solver-failed"
-        _write_json(out_dir / "report.json", summary)
-        print(f"error: {designs[method]}", file=sys.stderr)
-        return EXIT_USAGE
-    if isinstance(designs[method], str):
-        summary["infeasible_detail"] = designs[method]
-        summary["status"] = "infeasible"
-        _write_json(out_dir / "report.json", summary)
-        print(f"synthesis infeasible: {designs[method]}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    if isinstance(designs[method], _Failure):
+        return _write_failure(out_dir / "report.json", summary, designs[method])
 
     controller, cert = designs[method]
     level = scenario.synthesis.contraction
-    infeasible_at_requested = False
-    try:
-        _check_level(scenario, cert)
-    except SynthesisInfeasibleError as err:
-        infeasible_at_requested = True
-        summary["infeasible_detail"] = str(err)
-        print(f"synthesis infeasible at {level}: {err}", file=sys.stderr)
+    short = _check_level(scenario, cert)
+    if short:
+        summary["infeasible_detail"] = short.detail
+        print(f"synthesis infeasible at {level}: {short.detail}", file=sys.stderr)
         # the design's rows leave out the disturbance offsets d_i that the grid
         # check adds, so verify at the minimal level plus max_i d_i / g_i
         offsets = verify.disturbance_offsets(safe_set, scenario.system.w_bound)
@@ -633,7 +622,7 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
     # a feasible method's row is its design; the others say why there is none
     table = verify.conservatism_report(
         safe_set, plant.dictionary,
-        {m: designs[m] if isinstance(min_level, float) else min_level
+        {m: min_level if isinstance(designs[m], _Failure) else designs[m]
          for m, min_level in summary["min_levels"].items()}, lumped)
     summary["conservatism"] = {"rows": table.rows, "lumped_bounds": lumped}
     (out_dir / "report.txt").write_text(table.render() + "\n")
@@ -645,7 +634,7 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
           f"mc exits {mc.violations})", file=sys.stderr)
     if not verified:
         return EXIT_VERIFY_FAILED
-    return EXIT_INFEASIBLE if infeasible_at_requested else EXIT_OK
+    return EXIT_INFEASIBLE if short else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +714,6 @@ def main(argv=None) -> int:
     except ScenarioValidationError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except RankDeficientDataError as err:
-        print(f"rank-deficient data: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except PolysafeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

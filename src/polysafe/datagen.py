@@ -56,6 +56,11 @@ class ExperimentData:
         column-major, as the pseudo-inverse and residuals round by layout."""
         return np.asfortranarray(np.vstack([self.states, self.remainders]))
 
+    @cached_property
+    def _regressor_rank(self) -> RankDiagnostic:
+        """:func:`regressor_rank`, one SVD per data set."""
+        return _numerical_rank(self.regressor, self.state_dim + self.n_terms)
+
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[1]
@@ -135,8 +140,13 @@ def collect(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
             states[t + 1] = x
     bad = ~np.isfinite(states[1:]).all(axis=1)
     if safe_set is not None:
-        box = interval_enclosure(safe_set)
-        bad |= np.any((states[1:] < 2.0 * box.lo) | (states[1:] > 2.0 * box.hi), axis=1)
+        # twice the set lies inside twice its enclosure box, so the box's LPs
+        # are solved only when a state (or a NaN) fails F x <= 2 g
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = states[1:] @ safe_set.normals.T <= 2.0 * safe_set.offsets
+        if not inside.all():
+            box = interval_enclosure(safe_set)
+            bad |= np.any((states[1:] < 2.0 * box.lo) | (states[1:] > 2.0 * box.hi), axis=1)
     if bad.any():
         step = int(np.argmax(bad)) + 1
         x = states[step]
@@ -211,8 +221,9 @@ def _numerical_rank(mat: np.ndarray, required: int) -> RankDiagnostic:
 
 
 def regressor_rank(data: ExperimentData) -> RankDiagnostic:
-    """Numerical row rank of the stacked state/remainder regressor (n + N rows)."""
-    return _numerical_rank(data.regressor, data.state_dim + data.n_terms)
+    """Numerical row rank of the stacked state/remainder regressor (n + N
+    rows), computed on the first call for a data set."""
+    return data._regressor_rank
 
 
 def identification_rank(data: ExperimentData) -> RankDiagnostic:

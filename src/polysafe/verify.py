@@ -128,19 +128,19 @@ def _lift(states: np.ndarray, dictionary) -> np.ndarray:
     return dictionary.lift(out)
 
 
-def _exceeding(margins: np.ndarray, const: np.ndarray, tol: float) -> tuple:
+def _exceeding(margins: np.ndarray, const: np.ndarray) -> tuple:
     """The full scan of a grid block: adds ``const`` to the ``(s, k)``
     ``margins`` in place and returns each member's worst margin and the
-    indices of the members whose worst margin exceeds ``tol``."""
+    indices of the members whose worst margin exceeds ``TOL_VERIFY``."""
     margins += const[:, None]
     worst = margins.max(axis=0)
-    return worst, np.flatnonzero(worst > tol)
+    return worst, np.flatnonzero(worst > TOL_VERIFY)
 
 
 def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
                  resolution, dictionary, sources=("true-model", "data-rep"),
                  plant: PlantModel | None = None, data: ExperimentData | None = None,
-                 tol: float = TOL_VERIFY, max_witnesses: int = 10) -> tuple:
+                 max_witnesses: int = 10) -> tuple:
     """Check one-step contraction into the ``level``-scaled set on a state
     grid: one report per source (``"true-model"`` or ``"data-rep"``), all
     from one walk of the grid.
@@ -157,7 +157,7 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
     (:func:`~polysafe.polytope.grid_blocks`), then the vertices, so memory is
     O(block), not O(grid), and each block's ``r(x)`` is evaluated once.  A
     block first takes only each row's maximum margin; the per-member scan
-    for violations runs only when one crosses ``tol`` (or is NaN).  A
+    for violations runs only when one crosses ``TOL_VERIFY`` (or is NaN).  A
     source's report is bit-identical to checking that source alone, and to
     scanning every member of every block.
     """
@@ -176,13 +176,13 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
             margins = weight @ stacked                                  # (s, k)
             # rounding is monotone, so the row maxima of margins + const are
             # those of margins, plus const; no member violates unless one
-            # crosses tol, and a NaN fails the test and takes the full scan
+            # crosses TOL_VERIFY, and a NaN fails the test and takes the full scan
             peak = margins.max(axis=1)
             peak += const
             np.maximum(row_margins[j], peak, out=row_margins[j])
-            if peak.max() <= tol:
+            if peak.max() <= TOL_VERIFY:
                 continue
-            worst, bad = _exceeding(margins, const, tol)
+            worst, bad = _exceeding(margins, const)
             violations[j] += bad.size
             witnesses[j] += [(samples + int(i), block[:, i].copy(), float(worst[i]))
                              for i in bad[:max_witnesses - len(witnesses[j])]]
@@ -202,7 +202,6 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
             violations=violations[j],
             witnesses=witnesses[j],
             samples=samples,
-            tolerance=tol,
             cell_diagonal=cell_diagonal,
             refinement_bound=f_norm * loop_lipschitz * cell_diagonal,
         ))
@@ -211,8 +210,7 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
 
 def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSet,
                            n_trajectories: int, horizon: int, seed: int,
-                           tol: float = TOL_VERIFY, max_witnesses: int = 10
-                           ) -> VerificationReport:
+                           max_witnesses: int = 10) -> VerificationReport:
     """Roll the true closed loop from many starts and count safe-set exits.
 
     Initial states are the vertices plus seeded uniform samples from the
@@ -233,8 +231,8 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     ``[L R] @ [x; r(x)]`` from one ``(n + N, chunk)`` lift buffer into the
     other, adds the noise, and the two swap.  While every run is alive a
     step only takes the row maxima of ``F x``, less ``g``; the per-run exit
-    scan runs only at a step where one of them crosses ``tol``, and at every
-    step after the first exit.  Margins, exit counts and witnesses are
+    scan runs only at a step where one of them crosses ``TOL_VERIFY``, and
+    at every step after the first exit.  Margins, exit counts and witnesses are
     bit-identical to rolling every trajectory in one batch.  Witnesses are
     the first ``max_witnesses`` exits ordered by exit time, then trajectory
     index.
@@ -314,14 +312,15 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
                 rowvals = normals @ states
                 if all_alive:
                     # rounding is monotone, so the row maxima of F x - g are
-                    # those of F x, minus g; no run exits unless one crosses tol
+                    # those of F x, minus g; no run exits unless one crosses
+                    # TOL_VERIFY
                     peak = rowvals.max(axis=1)
                     peak -= offsets
                     np.maximum(worst, peak, out=worst)
-                    if peak.max() <= tol:
+                    if peak.max() <= TOL_VERIFY:
                         continue
                 rowvals -= offsets[:, None]
-                exited = rowvals.max(axis=0) > tol
+                exited = rowvals.max(axis=0) > TOL_VERIFY
                 if not all_alive:
                     np.maximum(worst, rowvals[:, alive].max(axis=1), out=worst)
                     exited &= alive
@@ -351,7 +350,6 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
             "exits": violations,
         },
         samples=n_trajectories * horizon,
-        tolerance=tol,
     )
 
 

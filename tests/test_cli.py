@@ -6,8 +6,9 @@ import pytest
 
 from polysafe import cli, lpcore, polytope, synthesis, verify
 from polysafe.datagen import identification_rank
-from polysafe.errors import (NumericalInstabilityError, ScenarioValidationError,
-                             SolverStalledError)
+from polysafe.errors import (NumericalInstabilityError, RankDeficientDataError,
+                             ScenarioValidationError, SolverStalledError,
+                             SynthesisInfeasibleError)
 
 from conftest import tri_plant_and_set
 
@@ -352,18 +353,31 @@ class TestCommands:
         assert doc["monte_carlo"]["mc"]["exits"] == 0
 
     def test_report_solves_each_program_once(self, scenario_path, tmp_path, monkeypatch):
-        # three programs posed, each once: the enclosure (one tableau for its
-        # four coordinate objectives), then one thm2 and one thm1 design; the
-        # noise floor decides cor2 without posing its program
+        # three programs posed, each once: the thm2 design, the enclosure (one
+        # tableau for its four coordinate objectives; collection needs none
+        # while the trajectory stays in twice the set) for cor2's noise floor,
+        # which decides cor2 without posing its program, then the thm1 design
         posed = []
         solve_each = lpcore.LinearProgram._solve_each
         monkeypatch.setattr(lpcore.LinearProgram, "_solve_each", lambda lp, objectives: (
             posed.append((lp, len(objectives))) or solve_each(lp, objectives)))
         assert cli.main(["report", "--scenario", str(scenario_path),
                          "--out", str(tmp_path / "once")]) == cli.EXIT_OK
-        assert [count for _, count in posed] == [4, 1, 1]
+        assert [count for _, count in posed] == [1, 4, 1]
         assert len({id(lp) for lp, _ in posed}) == 3
-        assert ["mult" in lp._blocks for lp, _ in posed] == [False, True, True]
+        assert ["mult" in lp._blocks for lp, _ in posed] == [True, False, True]
+
+    def test_report_ranks_the_regressor_once(self, scenario_path, tmp_path, monkeypatch):
+        # collection, the thm2 and cor2 designs and the report's own entry
+        # read one rank diagnostic of the data set: one SVD of the (4, 40)
+        # regressor
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda mat, **kwargs: shapes.append(mat.shape) or svd(mat, **kwargs))
+        assert cli.main(["report", "--scenario", str(scenario_path),
+                         "--out", str(tmp_path / "once")]) == cli.EXIT_OK
+        assert shapes.count((4, 40)) == 1
 
     @pytest.mark.parametrize("command", ["report", "verify"])
     def test_vertices_enumerated_once(self, scenario_path, tmp_path, monkeypatch, command):
@@ -465,19 +479,49 @@ class TestCommands:
         assert doc["status"] == "solver-failed"
         assert doc["min_levels"]["thm2"].startswith("solver failed: ")
 
+    @pytest.mark.parametrize("status, error, code", [
+        ("infeasible", SynthesisInfeasibleError, cli.EXIT_INFEASIBLE),
+        ("rank-deficient", RankDeficientDataError, cli.EXIT_INFEASIBLE),
+        ("solver-failed", SolverStalledError, cli.EXIT_USAGE),
+    ])
+    @pytest.mark.parametrize("command, summary", [
+        ("synth", "summary.json"), ("verify", "summary.json"), ("simulate", "summary.json"),
+        ("report", "report.json"), ("sweep-lambda", "summary.json")])
+    def test_each_outcome_written_one_way(self, scenario_path, tmp_path, monkeypatch,
+                                          command, summary, status, error, code):
+        # the command's own method ends in each outcome in turn: every command
+        # writes its summary with that status and the error's message, and
+        # exits by the status; a sweep names an infeasible method null
+        self._stall(monkeypatch, "synthesize_noiseless", error)
+        out = tmp_path / command
+        exit_code = cli.main([command, "--scenario", str(scenario_path), "--out", str(out),
+                              "--method", "thm2"])
+        doc = json.loads((out / summary).read_text())
+        if command == "sweep-lambda":
+            assert doc["min_levels"] == {"thm2": "solver failed: no verdict"
+                                         if status == "solver-failed" else None}
+            if status == "infeasible":
+                assert (exit_code, doc["status"]) == (cli.EXIT_OK, "ok")
+                assert "detail" not in doc
+                return
+        assert exit_code == code
+        assert doc["status"] == status and doc["detail"] == "no verdict"
+        assert doc["command"] == command
+
     def test_sweep_reuses_parser_and_skips_unused_rank(self, scenario_path, tmp_path,
                                                         monkeypatch):
-        # later commands reuse the parser; only the thm1-only sweep, whose
-        # verdict needs it, pays for the stacked-rank SVD
+        # later commands reuse the parser; only a sweep that runs thm1 pays
+        # for the stacked-rank SVD, once, in the gain search that needs it
         ranks = []
-        monkeypatch.setattr(cli, "identification_rank",
-                            lambda data: ranks.append(data) or identification_rank(data))
+        for module in (cli, synthesis):
+            monkeypatch.setattr(module, "identification_rank",
+                                lambda data: ranks.append(data) or identification_rank(data))
         parser = cli._build_parser()
         for methods in ([], ["--method", "thm2"], ["--method", "thm1"]):
             assert cli.main(["sweep-lambda", "--scenario", str(scenario_path),
                              "--out", str(tmp_path / "sweep"), *methods]) == cli.EXIT_OK
         assert cli._build_parser() is parser
-        assert len(ranks) == 1
+        assert len(ranks) == 2
 
     def test_report_determinism(self, scenario_path, tmp_path):
         out1 = tmp_path / "r1"

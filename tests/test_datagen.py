@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polysafe import lpcore
 from polysafe.datagen import (
     ExperimentData,
     collect,
@@ -10,7 +11,8 @@ from polysafe.datagen import (
 )
 from polysafe.dynamics import Dictionary, Monomial, PlantModel
 from polysafe.errors import TooFewSamplesError, TrajectoryDivergedError
-from conftest import stable_test_plant
+from polysafe.polytope import PolyhedralSet
+from conftest import SECV_F, SECV_G, stable_test_plant, tri_problem
 
 
 def random_plant(rng, n, n_terms, m):
@@ -73,6 +75,37 @@ class TestCollect:
                     safe_set=secv_set)
         assert str(err.value) == (
             "state [ 2.08814808 11.12566888] left twice the enclosure box at step 5")
+
+    @pytest.mark.parametrize("x0, collected", [([10.0, 6.0], True), ([13.0, 0.0], False)],
+                             ids=["inside-twice-the-box", "outside-twice-the-box"])
+    def test_guard_is_twice_the_enclosure_box(self, secv_dictionary, monkeypatch, x0,
+                                              collected):
+        # a held state: (10, 6) leaves twice the set (F_0 x = 4.4 > 2) but not
+        # twice its box [-12, 12] x [-7, 7], so it is collected; (13, 0)
+        # leaves twice the box and raises.  Either way the box is solved once.
+        solves = []
+        maxima = lpcore.polytope_maxima
+        monkeypatch.setattr(lpcore, "polytope_maxima",
+                            lambda *args: solves.append(args) or maxima(*args))
+        plant = PlantModel(a1=np.eye(2), a2=np.zeros((2, 2)), b=np.zeros((2, 1)),
+                           dictionary=secv_dictionary, w_bound=0.0)
+        safe_set = PolyhedralSet(SECV_F, SECV_G)  # a new set, whose box is not solved yet
+        if collected:
+            data = collect(plant, 10, 0.1, x0, seed=0, safe_set=safe_set)
+            np.testing.assert_array_equal(data.next_states, np.tile([[10.0], [6.0]], 10))
+        else:
+            with pytest.raises(TrajectoryDivergedError,
+                               match=r"state \[13.  0.\] left twice the enclosure box at step 1"):
+                collect(plant, 10, 0.1, x0, seed=0, safe_set=safe_set)
+        assert len(solves) == 1
+
+    def test_trajectory_inside_twice_the_set_solves_no_enclosure(self, monkeypatch):
+        # the tri-sweep experiment (T = 160) stays inside twice its set, so its
+        # collection poses no enclosure LP
+        solves = []
+        monkeypatch.setattr(lpcore, "polytope_maxima", lambda *args: solves.append(args))
+        safe_set, data = tri_problem(160)
+        assert data.n_samples == 160 and not solves
 
     @pytest.mark.parametrize("u_max, x0, guarded, step", [
         (0.5, [0.0, 0.0], False, 14),      # without a guard the plant runs until it overflows

@@ -262,6 +262,20 @@ class TestInfeasiblePlant:
 
 
 class TestBaseline:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: thm1's row bounds are sampled "
+                       "maxima, so its certificate can claim a level its closed loop misses")
+    def test_claimed_level_passes_the_data_grid(self):
+        # the first state's own curvature, which the input cannot reach: the
+        # certificate replays (largest residual 8.9e-16) and claims 0.9389616,
+        # yet at that level the 201^2 data-rep grid without disturbance finds
+        # 1 violation, worst margin +5.04e-5.  Sound row bounds make it pass.
+        safe_set, data = duo_variant([[-0.04, 0.0, 0.0], [1.0, 0.5, -0.5]])
+        result = synthesis.synthesize_min_remainder(data, safe_set)
+        assert max(result.residuals.values()) <= 1e-12
+        (report,) = verify.grid_reports(result.controller, safe_set, result.contraction, 0.0,
+                                        (201, 201), data.dictionary, ("data-rep",), data=data)
+        assert report.passed, (float(np.max(report.row_margins)), report.violations)
+
     def test_secv_finds_cancellation(self, secv_data, secv_set):
         result = synthesis.synthesize_min_remainder(secv_data, secv_set)
         np.testing.assert_allclose(result.search.k2, [[-1.0, -1.0]], atol=1e-9)
