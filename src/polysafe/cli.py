@@ -8,8 +8,10 @@ runs produce byte-identical artifacts.
 
 Exit codes: 0 success (feasible and verified where applicable), 1 usage
 or validation error, or a solver with no verdict on the command's own
-method (status ``solver-failed``), 2 no feasible level (``infeasible``)
-or rank-deficient data (``rank-deficient``), 3 verification failure.
+method (status ``solver-failed``), 2 no feasible level (``infeasible``),
+rank-deficient data (``rank-deficient``) or data that no noiseless plant
+fits, given to a method that assumes noiseless data
+(``inconsistent-data``), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from . import synthesis, verify
 from .datagen import collect_informative, identification_rank, regressor_rank
 from .dynamics import Dictionary, PlantModel
 from .errors import (
+    InconsistentDataError,
     NumericalInstabilityError,
     PolysafeError,
     RankDeficientDataError,
@@ -323,13 +326,14 @@ def _design(scenario: Scenario, data, safe_set, method: str):
 @dataclass(frozen=True)
 class _Failure:
     """Why a method gives no design: ``status`` is ``"infeasible"``,
-    ``"rank-deficient"`` or ``"solver-failed"``, ``detail`` says why."""
+    ``"rank-deficient"``, ``"inconsistent-data"`` or ``"solver-failed"``,
+    ``detail`` says why."""
     status: str
     detail: str
 
 
 _FAILURE_EXIT = {"infeasible": EXIT_INFEASIBLE, "rank-deficient": EXIT_INFEASIBLE,
-                 "solver-failed": EXIT_USAGE}
+                 "inconsistent-data": EXIT_INFEASIBLE, "solver-failed": EXIT_USAGE}
 
 
 def _check_level(scenario: Scenario, cert) -> _Failure | None:
@@ -355,6 +359,8 @@ def _sweep(scenario: Scenario, data, safe_set, methods) -> dict:
             designs[method] = _Failure("infeasible", str(err))
         except RankDeficientDataError as err:
             designs[method] = _Failure("rank-deficient", str(err))
+        except InconsistentDataError as err:
+            designs[method] = _Failure("inconsistent-data", str(err))
         except (SolverStalledError, NumericalInstabilityError) as err:
             designs[method] = _Failure("solver-failed", str(err))
     return designs
@@ -380,8 +386,8 @@ def _write_failure(path: Path, payload: dict, failure: _Failure) -> int:
 
 def _min_levels(designs: dict) -> dict:
     """Each method's minimal level: ``None`` when no level is feasible or its
-    data are rank-deficient, ``SOLVER_FAILED`` and the message when its
-    solver gave no verdict."""
+    data are rank-deficient or inconsistent, ``SOLVER_FAILED`` and the
+    message when its solver gave no verdict."""
     return {method: design[1].contraction if not isinstance(design, _Failure)
             else SOLVER_FAILED + design.detail if design.status == "solver-failed" else None
             for method, design in designs.items()}
@@ -571,9 +577,9 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, requested=None) -> int:
     print("minimal feasible levels: " + ", ".join(f"{m}={v}" for m, v in shown.items()),
           file=sys.stderr)
     # a method named on the command line whose solver gives no verdict, or
-    # whose data are rank-deficient, is the command's failure; in the
-    # all-method sweep it is that method's entry, and an infeasible method
-    # is null in both
+    # whose data are rank-deficient or inconsistent, is the command's
+    # failure; in the all-method sweep it is that method's entry, and an
+    # infeasible method is null in both
     own = designs[requested[0]] if requested else None
     if isinstance(own, _Failure) and own.status != "infeasible":
         return _write_failure(out_dir / "summary.json", summary, own)

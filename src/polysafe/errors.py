@@ -58,6 +58,11 @@ class RankDeficientDataError(PolysafeError):
         self.diagnostic = diagnostic
 
 
+class InconsistentDataError(PolysafeError):
+    """Collected data do not fit a noiseless plant of the dictionary's form,
+    so a design method that assumes noiseless data cannot certify from them."""
+
+
 class SynthesisInfeasibleError(PolysafeError):
     """The synthesis program admits no solution, or none at the requested level."""
 

@@ -29,13 +29,14 @@ variant ("cor2") adds a norm budget that accounts for noise leakage
 through the data matrices, with disturbances measured by the row
 one-norms of :func:`~polysafe.polytope.row_norms`; a budget floor above the smallest offset
 is refused before any program is posed.  The baseline ("thm1") searches a
-grid of gains for the one minimizing the worst-row remainder term and then
-solves the classical row-multiplier program with the searched remainder
-bound subtracted.  The search is exact but pruned: lower bounds from a
-few probe points are separable in the gain entries, so one bound covers
-a whole box of grid gains (the first entries fixed, the rest free), and
-boxes whose bound cannot reach the best exact score are dropped whole;
-only the surviving gains are scored.
+box of gains for the one minimizing the worst-row remainder term over a
+state grid and then solves the classical row-multiplier program with the
+searched remainder bound subtracted.  Each (row, point) value is affine
+in the gain, so the search is one small LP solved by constraint
+generation: (1) minimize the worst value over the box on the (row,
+point) pairs found so far; (2) evaluate every row over the grid and the
+vertices at the new gain and add each row's maximizing pair; (3) stop
+when no pair is new.  Only a few pairs are ever posed.
 
 The design functions take no level.  Every program is posed at level 1
 and maximizes level headroom ``h``, which enters row ``i`` as ``h * g_i``;
@@ -53,13 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import lpcore
 from .datagen import ExperimentData, identification_rank, regressor_rank
-from .errors import NumericalInstabilityError, RankDeficientDataError, SynthesisInfeasibleError
+from .errors import (InconsistentDataError, NumericalInstabilityError, RankDeficientDataError,
+                     SynthesisInfeasibleError)
 from .polytope import (PolyhedralSet, _norm_inf, enumerate_vertices, grid_resolution,
                        interval_enclosure, row_norms, sample_grid)
 
@@ -117,23 +118,13 @@ class SynthesisCertificate:
 
 @dataclass(frozen=True, eq=False)
 class BaselineSearch:
-    """Outcome of the direct search for the remainder-minimizing gain."""
+    """Outcome of the search for the remainder-minimizing gain."""
 
     k2: np.ndarray           # (m, N) winner
     g2: np.ndarray           # (T, N) recovered right-inverse columns
     row_bounds: np.ndarray   # (s,) grid maxima of the remainder term at the winner
-    axis: np.ndarray         # (L,) the values each gain entry runs through
-    scored: int              # candidates scored exactly
-    chosen: int
+    candidates: np.ndarray   # (iterations, m*N) the LP iterates, the winner last
     x_resolution: tuple
-
-    @cached_property
-    def candidates(self) -> np.ndarray:
-        """Every gain of the grid, ``(L**(m*N), m*N)`` in itertools.product
-        order; built on first read, as the search forms only the gains it scores."""
-        grids = np.indices((len(self.axis),) * self.k2.size, sparse=True)
-        combos = np.stack(np.broadcast_arrays(*(self.axis[g] for g in grids)), axis=-1)
-        return combos.reshape(-1, self.k2.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,18 +154,25 @@ def _closed_loop(data: ExperimentData) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``P`` the projector onto the regressor's null space, so every closed
     loop ``next_states @ G`` is ``base + lift @ W`` with
     ``base = next_states @ pinv(regressor)``, ``lift`` the left singular
-    vectors of ``next_states @ P`` (rank m on noiseless data, at most n) and
+    vectors of ``next_states @ P`` (rank at most m on noiseless data) and
     ``W`` free (De Persis & Tesi, IEEE TAC 2020; Doerfler, Coulson &
     Markovsky, IEEE TAC 2023).  Returns ``(base, lift, g0, preimage)``:
     ``g0 + preimage @ W`` is the minimum-norm right inverse with closed loop
     ``base + lift @ W``.  Singular values are truncated, not inverted at
-    rounding level, so that preimage replays.
+    rounding level, so that preimage replays.  Data with a singular value
+    ``m + 1`` above that level (noisy data) raise
+    :class:`~polysafe.errors.InconsistentDataError`.
     """
     pinv = np.linalg.pinv(data.regressor)                     # (T, n+N)
     base = data.next_states @ pinv                            # (n, n+N)
     # next_states @ P, without forming the (T, T) projector
     u, sv, vt = np.linalg.svd(data.next_states - base @ data.regressor, full_matrices=False)
     keep = sv > _RANK_RTOL * np.linalg.norm(data.next_states, 2)
+    if keep.sum() > data.input_dim:  # noiseless data move it only through the inputs
+        raise InconsistentDataError(
+            f"next_states @ P has rank {keep.sum()} above the {data.input_dim} inputs (singular "
+            f"values {np.array2string(sv[keep], precision=3)}): the data do not fit a "
+            f"noiseless plant (noisy data need cor2)")
     if not keep.any():  # the inputs do not move the closed loop; one idle column
         return base, np.zeros((data.state_dim, 1)), pinv, np.zeros((data.n_samples, 1))
     return base, u[:, keep], pinv, vt[keep].T / sv[keep]
@@ -335,16 +333,12 @@ def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.n
     return level, residuals
 
 
-def _check_regressor(data: ExperimentData) -> None:
-    diag = regressor_rank(data)
-    if not diag.full_row_rank:
-        raise RankDeficientDataError(f"regressor is rank deficient: {diag}", diag)
-
-
 def _design(data: ExperimentData, safe_set: PolyhedralSet,
             robust: dict | None) -> tuple[Controller, SynthesisCertificate]:
     """Solve the ``thm2`` (``robust`` None) or ``cor2`` program and certify its controller."""
-    _check_regressor(data)
+    diag = regressor_rank(data)
+    if not diag.full_row_rank:
+        raise RankDeficientDataError(f"regressor is rank deficient: {diag}", diag)
     method, kind = ("thm2", "noiseless design") if robust is None else ("cor2", "robust design")
     if robust is not None:
         # Contraction row i reads mult_i @ g + noise + slack * g_i <= g_i with
@@ -419,182 +413,87 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet,
 # remainder-minimization baseline
 
 
-_MAX_GAIN_CANDIDATES = 41 ** 4  # the default gain grid at m*N = 4
-_BOX_BLOCK = 1024               # child boxes per vectorized bound block
-_BOUND_GRID_POINTS = 8          # strided grid points in the lower-bound probe
-
-
 def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
-                    k2_lo: float = -2.0, k2_hi: float = 2.0, k2_step: float = 0.1,
-                    x_resolution=None) -> BaselineSearch:
-    """Direct search for the gain minimizing the worst-row remainder term.
+                    k2_lo: float = -2.0, k2_hi: float = 2.0, x_resolution=None) -> BaselineSearch:
+    """The gain in ``[k2_lo, k2_hi]^(m*N)`` minimizing the worst-row
+    remainder term over a state grid plus the vertices.
 
-    Each gain entry runs from ``k2_lo`` in steps of ``k2_step`` and stays
-    within ``[k2_lo, k2_hi]``.  For every candidate gain on this grid, the
-    matching right-inverse columns are recovered from the stacked data
-    (which must have full row rank, a strictly stronger condition than the
-    regressor rank), the remainder term is maximized over a deterministic
-    state grid plus the vertices, and the candidate with the smallest
-    worst-row maximum wins (first on ties).
-    ``x_resolution`` defaults to :func:`~polysafe.polytope.grid_resolution`.
-
-    The search is exact but pruned (box bounds and scores).  A candidate's
-    score is a maximum over all points, so its maximum over a few probe
-    points (the vertices, each row's maximizer at the gain-free
-    coefficients and a strided grid sample) is a lower bound.  Each probe
-    value is a constant plus one term per gain entry, so fixing the first
-    entries and taking every free entry's smallest term bounds a whole box
-    of grid gains.  A descent into the child box with the smallest bound
-    gives an incumbent score; the boxes are then expanded one entry at a
-    time, in fixed-size blocks, keeping only children whose bound is within
-    a rounding slack of the incumbent.  The surviving gains are scored
-    exactly in ascending (bound, index) order until a bound exceeds the
-    best score plus the slack, which leaves the same winner and the same
-    ``row_bounds`` as scoring every candidate.  ``scored`` counts the
-    exact scorings, the incumbent's included.
+    The stacked data must have full row rank (stronger than the regressor
+    rank) and hold ``next_states`` in their row space, as noiseless data
+    do.  Each (row, point) value is affine in the gain, so the best gain is
+    an LP, solved by constraint generation (Kelley, J. SIAM 8, 1960): it is
+    posed on the pairs found so far, starting from every row at the
+    vertices, and each row's maximizer over all points at the gain-free
+    columns and at each iterate joins them until none is new.  The last
+    iterate's score is then the optimum over all pairs, to the LP's
+    tolerance.  ``x_resolution`` defaults to
+    :func:`~polysafe.polytope.grid_resolution`.
     """
-    if not k2_step > 0:
-        raise ValueError(f"k2_step must be positive, got {k2_step}")
     if not (math.isfinite(k2_lo) and math.isfinite(k2_hi) and k2_lo <= k2_hi):
         raise ValueError(f"need finite k2_lo <= k2_hi, got k2_lo={k2_lo}, k2_hi={k2_hi}")
     n, N, m = data.state_dim, data.n_terms, data.input_dim
-    # whole steps that fit in the range; the guard keeps a ratio that rounds
-    # just below an integer (0.3 / 0.1) from losing its last step
-    steps = math.floor((k2_hi - k2_lo) / k2_step + 1e-9)
-    count = (steps + 1) ** (m * N)
-    if count > _MAX_GAIN_CANDIDATES:
-        raise ValueError(
-            f"gain grid has {steps + 1}^{m * N} = {count} candidates, above the cap of "
-            f"{_MAX_GAIN_CANDIDATES}; raise k2_step or narrow [k2_lo, k2_hi]")
     diag = identification_rank(data)
     if not diag.full_row_rank:
         raise RankDeficientDataError(
             f"stacked input/regressor matrix is rank deficient: {diag}", diag)
-    F = safe_set.normals
+    stacked = np.vstack([data.regressor, data.inputs])
+    pinv = np.linalg.pinv(stacked)                   # (T, n+N+m)
+    off = np.linalg.norm(data.next_states - data.next_states @ pinv @ stacked, 2)
+    tol = _RANK_RTOL * np.linalg.norm(data.next_states, 2)
+    if off > tol:
+        raise InconsistentDataError(
+            f"next_states lie {off:.3e} off the row space of the stacked input/regressor "
+            f"matrix, above {tol:.3e}: the data do not fit a noiseless plant")
+    base = pinv[:, n:n + N]                          # (T, N): regressor @ g2 = [0; I]
+    gain_map = pinv[:, n + N:]                       # (T, m): inputs @ g2 = k2
+
     if x_resolution is None:
         x_resolution = grid_resolution(n)
     grid = sample_grid(safe_set, x_resolution)
     points = np.vstack([grid, np.array(enumerate_vertices(safe_set))])
     rem = data.dictionary.remainder(points)          # (k, N)
-    f_next = F @ data.next_states                       # (s, T)
+    f_next = safe_set.normals @ data.next_states     # (s, T)
 
-    stacked = np.vstack([data.regressor, data.inputs])
-    pinv = np.linalg.pinv(stacked)                   # (T, n+N+m)
-    e2 = np.zeros((n + N, N))
-    e2[n:, :] = np.eye(N)
-    base = pinv[:, :n + N] @ e2                      # (T, N)
-    gain_map = pinv[:, n + N:]                       # (T, m)
-
-    # the gain grid is axis^(m*N) in itertools.product order; a gain is
-    # formed from its flat index only when it is scored
-    axis = np.minimum(k2_lo + k2_step * np.arange(steps + 1), k2_hi)
-
-    def gain(idx: int) -> np.ndarray:
-        return axis[list(np.unravel_index(idx, (len(axis),) * (m * N)))].reshape(m, N)
-
-    # lower bounds: the value at (row i, point p) is affine in the gain,
-    # offset[i, p] + sum_ab k2[a, b] * (f_next @ gain_map)[i, a] * rem[p, b]
-    coeff0 = f_next @ base                           # (s, N)
-    probe = np.unique(np.concatenate([
-        np.arange(len(grid), len(points)),                                  # vertices
-        np.argmax(coeff0 @ rem.T, axis=1),                                  # row maximizers
-        np.arange(0, len(grid), max(1, len(grid) // _BOUND_GRID_POINTS))]))  # grid sample
-    offset = (coeff0 @ rem[probe].T).ravel()         # (C,) with C = s*q
-    slope = np.einsum("ia,pb->abip", f_next @ gain_map, rem[probe]).reshape(m * N, -1)
-
-    # Box bounds.  Fixing the first l gain entries leaves a box of grid
-    # gains; taking each free entry's smallest term over the axis bounds
-    # every gain in the box.  tail[l] sums those smallest terms past entry l.
-    D, L = m * N, len(axis)
-    terms = axis[:, None, None] * slope              # (L, D, C): k * slope_dc per axis value
-    tail = np.zeros((D + 1, slope.shape[1]))
-    tail[:D] = np.cumsum(terms.min(axis=0)[::-1], axis=0)[::-1]
-
-    # Rounding slack.  The bounds and the exact scores are computed from the
-    # same f_next, base, gain_map, rem and grid gains, but associated
-    # differently: offset_c plus the terms fl(k_d * slope_dc), against
-    # (f_next @ (base + gain_map @ k2)) @ rem.  Every product in either is
-    # a chain of at most k = T + (m+1)(N+1) + 2 rounded operations, so a
-    # computed score and the exact sum E of a gain's rounded bound terms
-    # both lie within gamma_k * M of the same exact value (gamma_k =
-    # k*u/(1 - k*u), u = eps/2; Higham, Accuracy and Stability of Numerical
-    # Algorithms, sec. 3.1), where M bounds |f_next| (|base| + |gain_map| |k2|)
-    # |rem| over all rows, points and gains.  A box's terms are each at most
-    # the matching term of any gain in the box (a fixed entry's is the same
-    # term, a free entry's the smallest over the axis), so the exact sum of
-    # its D + 1 terms is at most that gain's E, and the computed box bound
-    # exceeds that sum by at most gamma_D * A, A the largest absolute sum of
-    # D + 1 terms.  A box bound above best + gamma_D*A + 2*gamma_k*M then
-    # proves, in the column that attains it, that every gain in the box has
-    # a computed score above best, so none can win or tie; best only falls
-    # as gains are scored, so this holds for the final best too.  The slack
-    # is 4*k*eps*M, four times 2*gamma_k*M, plus (D+1)*eps*A >= gamma_D*A.
-    k2_max = float(np.max(np.abs(axis)))
-    mag = np.abs(f_next) @ (np.abs(base) + k2_max * np.abs(gain_map).sum(axis=1, keepdims=True))
-    chain = data.next_states.shape[1] + (m + 1) * (N + 1) + 2
-    eps = np.finfo(float).eps
-    box_sum = float(np.max(np.abs(offset) + np.abs(terms).max(axis=0).sum(axis=0)))
-    slack = (4.0 * chain * eps * float(np.max(mag @ np.abs(rem).max(axis=0)))
-             + (D + 1) * eps * box_sum)
-
-    row_maxima = {}
-
-    def score(idx: int) -> float:
-        if idx not in row_maxima:
-            coeffs = f_next @ (base + gain_map @ gain(idx))  # (s, N)
-            row_maxima[idx] = np.max(coeffs @ rem.T, axis=1)
-        return row_maxima[idx].max()
-
-    # incumbent: descend into the child box with the smallest bound
-    partial, leaf = offset, 0
-    for level in range(D):
-        child = partial + terms[:, level]            # (L, C)
-        j = int(np.argmin((child + tail[level + 1]).max(axis=1)))
-        partial, leaf = child[j], leaf * L + j
-    best = score(leaf)
-
-    # prune: expand the boxes level by level, keeping children that can
-    # still win or tie; boxes stay in ascending index order
-    boxes, partial = np.zeros(1, dtype=np.intp), offset[None]
-    per_block = max(1, _BOX_BLOCK // L)
-    for level in range(D):
-        kept = []
-        for start in range(0, len(boxes), per_block):
-            child = partial[start:start + per_block, None] + terms[:, level]  # (b, L, C)
-            bound = (child + tail[level + 1]).max(axis=2)                      # (b, L)
-            parent, j = np.nonzero(bound <= best + slack)
-            kept.append((boxes[start + parent] * L + j, bound[parent, j],
-                         child[parent, j] if level + 1 < D else None))
-        boxes = np.concatenate([k[0] for k in kept])
-        bounds = np.concatenate([k[1] for k in kept])
-        if level + 1 < D:
-            partial = np.concatenate([k[2] for k in kept])
-
-    # score the surviving gains in ascending (bound, index) order
-    order = np.argsort(bounds, kind="stable")
-    for idx, bound in zip(boxes[order].tolist(), bounds[order].tolist()):
-        if bound > best + slack:
+    # value(i, p) = f_next[i] @ (base + gain_map @ k2) @ rem[p], affine in k2;
+    # the gain-free columns, then each iterate, add their row maximizers
+    pairs = {(i, p) for i in range(len(f_next)) for p in range(len(grid), len(points))}
+    g2, iterates = base, []
+    while True:
+        values = (f_next @ g2) @ rem.T               # (s, k)
+        found = set(enumerate(np.argmax(values, axis=1).tolist()))
+        if iterates and found <= pairs:
             break
-        best = min(best, score(idx))
-    chosen = int(min(idx for idx, row_max in row_maxima.items() if row_max.max() == best))
-    k2 = gain(chosen)
+        pairs |= found
+        i, p = np.array(sorted(pairs)).T
+        offset = np.einsum("cb,cb->c", f_next[i] @ base, rem[p])
+        slope = ((f_next[i] @ gain_map)[:, :, None] * rem[p][:, None, :]).reshape(len(i), m * N)
+        # the gain enters as its excess over k2_lo, a nonnegative block the
+        # simplex need not split into signed parts
+        lp = lpcore.LinearProgram()
+        lp.add_block("excess", (m * N,), nonneg=True)
+        lp.add_block("t", ())
+        lp.set_objective("min", {"t": 1.0})
+        lp.add_constraint_rows({"excess": slope, "t": -np.ones(len(i))}, "<=",
+                               -offset - k2_lo * slope.sum(axis=1))
+        lp.add_constraint_rows({"excess": np.eye(m * N)}, "<=", np.full(m * N, k2_hi - k2_lo))
+        k2 = (k2_lo + lp.solve()["excess"]).reshape(m, N)
+        iterates.append(k2.ravel())
+        g2 = base + gain_map @ k2
     return BaselineSearch(
-        k2=k2, g2=base + gain_map @ k2, row_bounds=row_maxima[chosen],
-        axis=axis, scored=len(row_maxima), chosen=chosen,
+        k2=k2, g2=g2, row_bounds=values.max(axis=1), candidates=np.array(iterates),
         x_resolution=tuple(int(r) for r in np.atleast_1d(x_resolution)))
 
 
 def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet,
-                             k2_lo: float = -2.0, k2_hi: float = 2.0, k2_step: float = 0.1,
-                             x_resolution=None,
+                             k2_lo: float = -2.0, k2_hi: float = 2.0, x_resolution=None,
                              search: BaselineSearch | None = None) -> BaselineResult:
-    """Remainder-minimization baseline: direct gain search plus the row-multiplier LP.
+    """Remainder-minimization baseline: gain search plus the row-multiplier LP.
 
     ``result.contraction`` is the smallest level the certificate holds at.
-    Supply a precomputed ``search`` to reuse the direct search.
+    Supply a precomputed ``search`` to reuse the gain search.
     """
     if search is None:
-        search = baseline_search(data, safe_set, k2_lo, k2_hi, k2_step, x_resolution)
+        search = baseline_search(data, safe_set, k2_lo, k2_hi, x_resolution)
     outcome = _solve(data, safe_set, "baseline", row_bounds=search.row_bounds)
     g1 = outcome["G"]
     extra = {"right_inverse_g1": float(np.max(np.abs(

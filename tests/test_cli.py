@@ -27,6 +27,21 @@ def scenario_path(tmp_path_factory):
     return path
 
 
+def duo_scenario(tmp_path, b=((0.0,), (1.0,)), noise=False, w_bound=0.02):
+    """The 2-state, 3-term plant on the shipped safe set, with a fast
+    verification budget; returns the path of its scenario file."""
+    doc = json.loads(REPO_SCENARIO.read_text())
+    doc["system"].update(a1=[[0.7, 0.3], [-0.2, 0.9]], a2=[[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
+                         b=[list(row) for row in b], w_bound=w_bound,
+                         dictionary=[{"kind": "monomial", "exponents": e}
+                                     for e in ([2, 0], [0, 2], [1, 1])])
+    doc["data"].update(samples=160, u_max=0.05, seed=7, noise=noise)
+    doc["verify"] = {"grid": [41, 41], "mc_trajectories": 200, "horizon": 50}
+    path = tmp_path / "duo.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestScenarioSchema:
     def test_shipped_file_is_valid(self):
         scenario = cli.load_scenario(REPO_SCENARIO)
@@ -250,6 +265,31 @@ class TestCommands:
         assert levels["cor2"] is None
         assert levels["thm2"] is not None and abs(levels["thm2"] - levels["thm1"]) <= 1e-9
 
+    def test_report_on_two_inputs_and_three_terms(self, tmp_path):
+        # two inputs and three terms (m*N = 6): thm1's gain search is a few
+        # small LPs however many gain entries there are
+        path = duo_scenario(tmp_path, b=[[1.0, 0.0], [0.0, 1.0]])
+        out = tmp_path / "report"
+        assert cli.main(["report", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["status"] == "verified"
+        assert 0.0 <= doc["min_levels"]["thm1"] <= 1e-12
+
+    @pytest.mark.parametrize("command", ["synth", "verify", "sweep-lambda"])
+    @pytest.mark.parametrize("method", ["thm2", "thm1"])
+    def test_noisy_data_are_inconsistent(self, tmp_path, command, method):
+        # data collected under a 0.001 disturbance fit no noiseless plant, so
+        # the noiseless methods give no design: a thm2 design on them claims
+        # a level near 0 that the true-model grid fails at 0.5
+        path = duo_scenario(tmp_path, noise=True, w_bound=0.001)
+        out = tmp_path / "noisy"
+        code = cli.main([command, "--scenario", str(path), "--out", str(out),
+                         "--method", method, "--lambda", "0.5"])
+        assert code == cli.EXIT_INFEASIBLE
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["status"] == "inconsistent-data"
+        assert "do not fit a noiseless plant" in doc["detail"]
+
     def test_sweep_rank_deficient_exit_two(self, tmp_path):
         # n=2, N=1, m=2 with samples=4 satisfies the regressor floor but the
         # stacked matrix has 5 rows and only 4 columns: thm1 cannot run
@@ -353,19 +393,22 @@ class TestCommands:
         assert doc["monte_carlo"]["mc"]["exits"] == 0
 
     def test_report_solves_each_program_once(self, scenario_path, tmp_path, monkeypatch):
-        # three programs posed, each once: the thm2 design, the enclosure (one
-        # tableau for its four coordinate objectives; collection needs none
-        # while the trajectory stays in twice the set) for cor2's noise floor,
-        # which decides cor2 without posing its program, then the thm1 design
+        # three design programs posed, each once: the thm2 design, the
+        # enclosure (one tableau for its four coordinate objectives; collection
+        # needs none while the trajectory stays in twice the set) for cor2's
+        # noise floor, which decides cor2 without posing its program, then
+        # thm1's gain search (one LP here: its seed pairs already hold the
+        # cancelling gain's row maximizers) and the thm1 design
         posed = []
         solve_each = lpcore.LinearProgram._solve_each
         monkeypatch.setattr(lpcore.LinearProgram, "_solve_each", lambda lp, objectives: (
             posed.append((lp, len(objectives))) or solve_each(lp, objectives)))
         assert cli.main(["report", "--scenario", str(scenario_path),
                          "--out", str(tmp_path / "once")]) == cli.EXIT_OK
-        assert [count for _, count in posed] == [1, 4, 1]
-        assert len({id(lp) for lp, _ in posed}) == 3
-        assert ["mult" in lp._blocks for lp, _ in posed] == [True, False, True]
+        assert [count for _, count in posed] == [1, 4, 1, 1]
+        assert len({id(lp) for lp, _ in posed}) == 4
+        assert ["mult" in lp._blocks for lp, _ in posed] == [True, False, False, True]
+        assert "excess" in posed[2][0]._blocks
 
     def test_report_ranks_the_regressor_once(self, scenario_path, tmp_path, monkeypatch):
         # collection, the thm2 and cor2 designs and the report's own entry
