@@ -30,7 +30,7 @@ from .polytope import (
     enumerate_vertices,
     grid_blocks,
     interval_enclosure,
-    sample_grid,
+    sample_points,
 )
 from .synthesis import (
     BaselineResult,
@@ -82,7 +82,7 @@ __all__ = [
     "lumped_disturbance_bounds",
     "monte_carlo_invariance",
     "regressor_rank",
-    "sample_grid",
+    "sample_points",
     "synthesize_min_remainder",
     "synthesize_noiseless",
     "synthesize_robust",

@@ -7,11 +7,11 @@ budgets.  Every command is deterministic for a fixed scenario, so two
 runs produce byte-identical artifacts.
 
 Exit codes: 0 success (feasible and verified where applicable), 1 usage
-or validation error, or a solver with no verdict on the command's own
-method (status ``solver-failed``), 2 no feasible level (``infeasible``),
-rank-deficient data (``rank-deficient``) or data that no noiseless plant
-fits, given to a method that assumes noiseless data
-(``inconsistent-data``), 3 verification failure.
+or validation error, or a solver with no verdict (``solver-failed``) or an
+unsupported input (``unsupported``) on the command's own method, 2 no
+feasible level (``infeasible``), rank-deficient data (``rank-deficient``)
+or data that no noiseless plant fits, given to a method that assumes
+noiseless data (``inconsistent-data``), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from . import synthesis, verify
 from .datagen import collect_informative, identification_rank, regressor_rank
 from .dynamics import Dictionary, PlantModel
 from .errors import (
+    DimensionTooLargeError,
     InconsistentDataError,
     NumericalInstabilityError,
     PolysafeError,
@@ -75,20 +76,20 @@ class DataSection:
     u_max: float
     x0: list
     seed: int
-    noise: bool = False
+    noise: bool
 
 
 @dataclass
 class SynthesisSection:
-    method: str = "thm2"
-    contraction: float = 0.95
+    method: str
+    contraction: float
 
 
 @dataclass
 class VerifySection:
-    grid: list = field(default_factory=lambda: [201, 201])
-    mc_trajectories: int = 10000
-    horizon: int = 200
+    grid: list
+    mc_trajectories: int
+    horizon: int
 
 
 @dataclass
@@ -96,8 +97,8 @@ class Scenario:
     system: SystemSection
     safe_set: SafeSetSection
     data: DataSection
-    synthesis: SynthesisSection = field(default_factory=SynthesisSection)
-    verify: VerifySection = field(default_factory=VerifySection)
+    synthesis: SynthesisSection
+    verify: VerifySection
     version: int = SCHEMA_VERSION
 
     # ------------------------------------------------------------------
@@ -326,14 +327,15 @@ def _design(scenario: Scenario, data, safe_set, method: str):
 @dataclass(frozen=True)
 class _Failure:
     """Why a method gives no design: ``status`` is ``"infeasible"``,
-    ``"rank-deficient"``, ``"inconsistent-data"`` or ``"solver-failed"``,
-    ``detail`` says why."""
+    ``"rank-deficient"``, ``"inconsistent-data"``, ``"unsupported"`` or
+    ``"solver-failed"``, ``detail`` says why."""
     status: str
     detail: str
 
 
 _FAILURE_EXIT = {"infeasible": EXIT_INFEASIBLE, "rank-deficient": EXIT_INFEASIBLE,
-                 "inconsistent-data": EXIT_INFEASIBLE, "solver-failed": EXIT_USAGE}
+                 "inconsistent-data": EXIT_INFEASIBLE, "unsupported": EXIT_USAGE,
+                 "solver-failed": EXIT_USAGE}
 
 
 def _check_level(scenario: Scenario, cert) -> _Failure | None:
@@ -361,6 +363,8 @@ def _sweep(scenario: Scenario, data, safe_set, methods) -> dict:
             designs[method] = _Failure("rank-deficient", str(err))
         except InconsistentDataError as err:
             designs[method] = _Failure("inconsistent-data", str(err))
+        except DimensionTooLargeError as err:
+            designs[method] = _Failure("unsupported", str(err))
         except (SolverStalledError, NumericalInstabilityError) as err:
             designs[method] = _Failure("solver-failed", str(err))
     return designs
@@ -385,9 +389,9 @@ def _write_failure(path: Path, payload: dict, failure: _Failure) -> int:
 
 
 def _min_levels(designs: dict) -> dict:
-    """Each method's minimal level: ``None`` when no level is feasible or its
-    data are rank-deficient or inconsistent, ``SOLVER_FAILED`` and the
-    message when its solver gave no verdict."""
+    """Each method's minimal level: ``None`` when no level is feasible, its
+    data are rank-deficient or inconsistent or the input is unsupported,
+    ``SOLVER_FAILED`` and the message when its solver gave no verdict."""
     return {method: design[1].contraction if not isinstance(design, _Failure)
             else SOLVER_FAILED + design.detail if design.status == "solver-failed" else None
             for method, design in designs.items()}
@@ -576,10 +580,10 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, requested=None) -> int:
              for m, v in summary["min_levels"].items()}
     print("minimal feasible levels: " + ", ".join(f"{m}={v}" for m, v in shown.items()),
           file=sys.stderr)
-    # a method named on the command line whose solver gives no verdict, or
-    # whose data are rank-deficient or inconsistent, is the command's
-    # failure; in the all-method sweep it is that method's entry, and an
-    # infeasible method is null in both
+    # a method named on the command line whose solver gives no verdict,
+    # whose data are rank-deficient or inconsistent, or whose input is
+    # unsupported, is the command's failure; in the all-method sweep it is
+    # that method's entry, and an infeasible method is null in both
     own = designs[requested[0]] if requested else None
     if isinstance(own, _Failure) and own.status != "infeasible":
         return _write_failure(out_dir / "summary.json", summary, own)

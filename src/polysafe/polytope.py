@@ -6,9 +6,9 @@ detected operationally by :func:`interval_enclosure`, whose 2n coordinate
 objectives share one LP tableau and raise :class:`UnboundedSetError` on
 any unbounded direction.  State grids over a set are walked in
 fixed-size blocks of members (:func:`grid_blocks`), so a grid check never
-holds the whole grid.  The enclosure and the vertices are computed once
-per set object.  The row and matrix norms that synthesis and verification
-share live here too.
+holds the whole grid.  The enclosure, the vertices and the sample of
+:func:`sample_points` are computed once per set object.  The row and
+matrix norms that synthesis and verification share live here too.
 """
 
 from __future__ import annotations
@@ -99,9 +99,18 @@ class PolyhedralSet:
 
     @cached_property
     def _vertices(self) -> np.ndarray:
-        """The set's :func:`enumerate_vertices`, one per row, enumerated
-        once per set object."""
-        return _vertex_rows(self)
+        """The set's :func:`enumerate_vertices`, one per row of a read-only
+        array, enumerated once per set object."""
+        vertices = _vertex_rows(self)
+        vertices.flags.writeable = False
+        return vertices
+
+    @cached_property
+    def _sample(self) -> np.ndarray:
+        """The set's :func:`sample_points`, built once per set object."""
+        sample = np.concatenate([*grid_blocks(self), sample_vertices(self)], axis=1)
+        sample.flags.writeable = False
+        return sample
 
 
 @dataclass(frozen=True)
@@ -183,6 +192,23 @@ def _vertex_rows(safe_set: PolyhedralSet) -> np.ndarray:
     return np.array(vertices)
 
 
+def sample_vertices(safe_set: PolyhedralSet) -> np.ndarray:
+    """The vertices that end the set's samples, as the columns of an (n, v)
+    array: those of :func:`enumerate_vertices`, and none (``v = 0``) above
+    dimension 3, where vertex enumeration stops."""
+    try:
+        return safe_set._vertices.T
+    except DimensionTooLargeError:
+        return np.zeros((safe_set.dim, 0))
+
+
+def sample_points(safe_set: PolyhedralSet) -> np.ndarray:
+    """The set's default grid members (:func:`grid_resolution`, in :func:`grid_blocks`
+    order), then :func:`sample_vertices`, as the columns of one read-only (n, k)
+    array, built on the first call for a set object."""
+    return safe_set._sample
+
+
 def grid_resolution(dim: int) -> tuple:
     """Default points per axis: about as many points in total as a 101 x 101 grid."""
     return (round(101 ** (2.0 / dim)),) * dim
@@ -250,14 +276,3 @@ def _cut_block(rest: np.ndarray, pieces: list, size: int) -> np.ndarray:
             del pieces[0]
         at += take
     return block
-
-
-def sample_grid(safe_set: PolyhedralSet, resolution=None) -> np.ndarray:
-    """All grid members of :func:`grid_blocks` as one array of shape (k, n).
-
-    Rows come in row-major order over the grid (last axis fastest), so the
-    stream is deterministic and can be partitioned across workers and
-    merged order-independently.
-    """
-    blocks = [block.T for block in grid_blocks(safe_set, resolution)]
-    return np.concatenate(blocks) if blocks else np.empty((0, safe_set.dim))

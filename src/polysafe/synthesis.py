@@ -29,14 +29,15 @@ variant ("cor2") adds a norm budget that accounts for noise leakage
 through the data matrices, with disturbances measured by the row
 one-norms of :func:`~polysafe.polytope.row_norms`; a budget floor above the smallest offset
 is refused before any program is posed.  The baseline ("thm1") searches a
-box of gains for the one minimizing the worst-row remainder term over a
-state grid and then solves the classical row-multiplier program with the
-searched remainder bound subtracted.  Each (row, point) value is affine
-in the gain, so the search is one small LP solved by constraint
+box of gains for the one minimizing the worst-row remainder term over the
+set's sample (:func:`~polysafe.polytope.sample_points`: its default grid
+plus the vertices) and then solves the classical row-multiplier program
+with the searched remainder bound subtracted.  Each (row, point) value is
+affine in the gain, so the search is one small LP solved by constraint
 generation: (1) minimize the worst value over the box on the (row,
-point) pairs found so far; (2) evaluate every row over the grid and the
-vertices at the new gain and add each row's maximizing pair; (3) stop
-when no pair is new.  Only a few pairs are ever posed.
+point) pairs found so far; (2) evaluate every row over the sample at the
+new gain and add each row's maximizing pair; (3) stop when no pair is
+new.  Only a few pairs are ever posed.
 
 The design functions take no level.  Every program is posed at level 1
 and maximizes level headroom ``h``, which enters row ``i`` as ``h * g_i``;
@@ -61,8 +62,8 @@ from . import lpcore
 from .datagen import ExperimentData, identification_rank, regressor_rank
 from .errors import (InconsistentDataError, NumericalInstabilityError, RankDeficientDataError,
                      SynthesisInfeasibleError)
-from .polytope import (PolyhedralSet, _norm_inf, enumerate_vertices, grid_resolution,
-                       interval_enclosure, row_norms, sample_grid)
+from .polytope import (PolyhedralSet, _norm_inf, enumerate_vertices, interval_enclosure,
+                       row_norms, sample_points)
 
 TOL_CERT = 1e-6   # certificate equations are re-verified to this tolerance
 _RANK_RTOL = 1e-10  # closed-loop directions below this share of |next_states| are rounding noise
@@ -122,9 +123,8 @@ class BaselineSearch:
 
     k2: np.ndarray           # (m, N) winner
     g2: np.ndarray           # (T, N) recovered right-inverse columns
-    row_bounds: np.ndarray   # (s,) grid maxima of the remainder term at the winner
+    row_bounds: np.ndarray   # (s,) sample maxima of the remainder term at the winner
     candidates: np.ndarray   # (iterations, m*N) the LP iterates, the winner last
-    x_resolution: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,9 +414,10 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet,
 
 
 def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
-                    k2_lo: float = -2.0, k2_hi: float = 2.0, x_resolution=None) -> BaselineSearch:
+                    k2_lo: float = -2.0, k2_hi: float = 2.0) -> BaselineSearch:
     """The gain in ``[k2_lo, k2_hi]^(m*N)`` minimizing the worst-row
-    remainder term over a state grid plus the vertices.
+    remainder term over the set's sample, its default grid plus the
+    vertices (:func:`~polysafe.polytope.sample_points`).
 
     The stacked data must have full row rank (stronger than the regressor
     rank) and hold ``next_states`` in their row space, as noiseless data
@@ -426,8 +427,9 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     vertices, and each row's maximizer over all points at the gain-free
     columns and at each iterate joins them until none is new.  The last
     iterate's score is then the optimum over all pairs, to the LP's
-    tolerance.  ``x_resolution`` defaults to
-    :func:`~polysafe.polytope.grid_resolution`.
+    tolerance.  The row bounds feed a certificate, so a set whose vertices
+    are not enumerated (dimension above 3) raises
+    :class:`~polysafe.errors.DimensionTooLargeError`.
     """
     if not (math.isfinite(k2_lo) and math.isfinite(k2_hi) and k2_lo <= k2_hi):
         raise ValueError(f"need finite k2_lo <= k2_hi, got k2_lo={k2_lo}, k2_hi={k2_hi}")
@@ -447,16 +449,15 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     base = pinv[:, n:n + N]                          # (T, N): regressor @ g2 = [0; I]
     gain_map = pinv[:, n + N:]                       # (T, m): inputs @ g2 = k2
 
-    if x_resolution is None:
-        x_resolution = grid_resolution(n)
-    grid = sample_grid(safe_set, x_resolution)
-    points = np.vstack([grid, np.array(enumerate_vertices(safe_set))])
-    rem = data.dictionary.remainder(points)          # (k, N)
+    # the vertices end the sample; enumeration refuses a set above dimension 3
+    points = sample_points(safe_set)                 # (n, k)
+    first_vertex = points.shape[1] - len(enumerate_vertices(safe_set))
+    rem = data.dictionary.remainder(points.T)        # (k, N)
     f_next = safe_set.normals @ data.next_states     # (s, T)
 
     # value(i, p) = f_next[i] @ (base + gain_map @ k2) @ rem[p], affine in k2;
     # the gain-free columns, then each iterate, add their row maximizers
-    pairs = {(i, p) for i in range(len(f_next)) for p in range(len(grid), len(points))}
+    pairs = {(i, p) for i in range(len(f_next)) for p in range(first_vertex, len(rem))}
     g2, iterates = base, []
     while True:
         values = (f_next @ g2) @ rem.T               # (s, k)
@@ -480,12 +481,11 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
         iterates.append(k2.ravel())
         g2 = base + gain_map @ k2
     return BaselineSearch(
-        k2=k2, g2=g2, row_bounds=values.max(axis=1), candidates=np.array(iterates),
-        x_resolution=tuple(int(r) for r in np.atleast_1d(x_resolution)))
+        k2=k2, g2=g2, row_bounds=values.max(axis=1), candidates=np.array(iterates))
 
 
 def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet,
-                             k2_lo: float = -2.0, k2_hi: float = 2.0, x_resolution=None,
+                             k2_lo: float = -2.0, k2_hi: float = 2.0,
                              search: BaselineSearch | None = None) -> BaselineResult:
     """Remainder-minimization baseline: gain search plus the row-multiplier LP.
 
@@ -493,7 +493,7 @@ def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet,
     Supply a precomputed ``search`` to reuse the gain search.
     """
     if search is None:
-        search = baseline_search(data, safe_set, k2_lo, k2_hi, x_resolution)
+        search = baseline_search(data, safe_set, k2_lo, k2_hi)
     outcome = _solve(data, safe_set, "baseline", row_bounds=search.row_bounds)
     g1 = outcome["G"]
     extra = {"right_inverse_g1": float(np.max(np.abs(

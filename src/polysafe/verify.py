@@ -8,13 +8,13 @@ it (:func:`grid_reports`), so its memory is O(block), not O(grid); a block
 is scanned member by member only when a row maximum of its margins crosses
 the tolerance.  The conservatism table has one row per design it is
 given, and its control effort and lumped disturbance bounds take their
-maxima over the same walk of the default grid.  Nothing here is imported
-from :mod:`~polysafe.synthesis`, whose designs these checks judge.
+maxima over the set's one sample (:func:`~polysafe.polytope.sample_points`),
+each lifting it once.  Nothing here is imported from
+:mod:`~polysafe.synthesis`, whose designs these checks judge.
 
-Grid blocks, Monte Carlo chunks, the control effort and the lumped bounds
-all evaluate a closed loop one way: ``[L R] @ [x; r(x)]`` on coordinate-major
-``(n, k)`` batches, with ``r(x)`` written in place by
-:meth:`~polysafe.dynamics.Dictionary.lift`.
+Grid blocks, Monte Carlo chunks and the sample all evaluate a closed loop
+one way: ``[L R] @ [x; r(x)]`` on coordinate-major ``(n, k)`` batches,
+with ``r(x)`` written in place by :meth:`~polysafe.dynamics.Dictionary.lift`.
 Monte Carlo steps each chunk between two swapped lift buffers, draws each
 step's disturbances with one jump and one fill of an addressed stream, so no
 buffer grows with the horizon, and scans the chunk for exits only at a step
@@ -23,15 +23,15 @@ where some row maximum crosses the tolerance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .datagen import ExperimentData
 from .dynamics import PlantModel
-from .errors import DimensionTooLargeError
-from .polytope import (PolyhedralSet, _norm_inf, enumerate_vertices, grid_blocks,
-                       grid_resolution, interval_enclosure, row_norms)
+from .polytope import (PolyhedralSet, _norm_inf, grid_blocks, grid_resolution,
+                       interval_enclosure, row_norms, sample_points, sample_vertices)
 
 TOL_VERIFY = 1e-6
 _MC_CHUNK = 16384    # trajectories per Monte Carlo chunk
@@ -101,24 +101,6 @@ def _closed_loop_matrices(controller, source: str, plant: PlantModel | None,
     return lin, rem
 
 
-def _vertices(safe_set: PolyhedralSet) -> np.ndarray:
-    """The set's vertices as the columns of an ``(n, v)`` array; none
-    (``v = 0``) above dimension 3, where vertex enumeration stops."""
-    try:
-        return np.array(enumerate_vertices(safe_set)).T
-    except DimensionTooLargeError:
-        return np.zeros((safe_set.dim, 0))
-
-
-def _grid_and_vertices(safe_set: PolyhedralSet, resolution):
-    """The blocks of :func:`~polysafe.polytope.grid_blocks`, then the set's
-    vertices as one last ``(n, v)`` block, if it has any."""
-    yield from grid_blocks(safe_set, resolution)
-    vertices = _vertices(safe_set)
-    if vertices.shape[1]:
-        yield vertices
-
-
 def _lift(states: np.ndarray, dictionary) -> np.ndarray:
     """``[x; r(x)]``, ``(n + N, k)``, for an ``(n, k)`` batch of states:
     ``x+ = L x + R r(x)`` is then ``[L R] @ [x; r(x)]``."""
@@ -170,7 +152,9 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
     violations = [0] * len(sources)
     witnesses: list = [[] for _ in sources]
     samples = 0
-    for block in _grid_and_vertices(safe_set, resolution):
+    vertices = sample_vertices(safe_set)
+    for block in itertools.chain(grid_blocks(safe_set, resolution),
+                                 [vertices] if vertices.shape[1] else []):
         stacked = _lift(block, dictionary)
         for j, weight in enumerate(weights):
             margins = weight @ stacked                                  # (s, k)
@@ -243,7 +227,7 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     n = plant.state_dim
     dictionary = plant.dictionary
-    vertices = _vertices(safe_set)
+    vertices = sample_vertices(safe_set)
     init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(init_seq)
     stream = np.random.PCG64(noise_seq)
@@ -379,34 +363,30 @@ class ConservatismTable:
 
 
 def control_effort(controller, safe_set: PolyhedralSet, dictionary) -> float:
-    """Maximum control magnitude over the default grid members and the
-    vertices of the safe set."""
+    """Maximum control magnitude over the safe set's sample
+    (:func:`~polysafe.polytope.sample_points`)."""
     gains = np.hstack([controller.k1, controller.k2])   # u = [k1 k2] [x; r(x)]
-    peaks = [np.max(np.abs(gains @ _lift(block, dictionary)))
-             for block in _grid_and_vertices(safe_set, None)]
-    return float(np.max(peaks))
+    return float(np.max(np.abs(gains @ _lift(sample_points(safe_set), dictionary))))
 
 
 def lumped_disturbance_bounds(data: ExperimentData, safe_set: PolyhedralSet,
                               controller, w_bound: float) -> np.ndarray:
     """Per-row upper bound on the worst-case lumped disturbance for a fixed controller.
 
-    Combines the maximum of the closed-loop remainder term over the default
-    grid members and the vertices with the norm bound on noise leakage
+    Combines the maximum of the closed-loop remainder term over the safe
+    set's sample (:func:`~polysafe.polytope.sample_points`) with the norm bound on noise leakage
     through the data matrices and the direct disturbance term, with the
     Lipschitz and state bounds of the safe set's interval enclosure.  Used
     for conservatism reports only; minimizing this quantity over controllers
     is the intractable path the toolkit avoids.  Above dimension 3 the
-    maximum is over the grid alone, as in the grid check.
+    sample holds no vertices, so the maximum is over the grid alone.
     """
     box = interval_enclosure(safe_set)
     lipschitz = data.dictionary.lipschitz_bound(box)
     state_bound = box.max_abs
     n = safe_set.dim
     coeffs = safe_set.normals @ data.next_states @ controller.g2   # (s, N)
-    peaks = [(coeffs @ _lift(block, data.dictionary)[n:]).max(axis=1)
-             for block in _grid_and_vertices(safe_set, None)]
-    base = np.max(peaks, axis=0)
+    base = (coeffs @ _lift(sample_points(safe_set), data.dictionary)[n:]).max(axis=1)
     rn = row_norms(safe_set.normals)
     leakage = data.n_samples * w_bound * rn * (
         _norm_inf(controller.g1) * state_bound

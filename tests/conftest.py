@@ -3,7 +3,7 @@ import pytest
 
 from polysafe.datagen import collect, collect_informative
 from polysafe.dynamics import Dictionary, Monomial, PlantModel
-from polysafe.polytope import PolyhedralSet
+from polysafe.polytope import PolyhedralSet, grid_blocks
 from polysafe import synthesis
 
 # The shipped two-state benchmark: parallelogram safe set, quadratic dictionary,
@@ -25,6 +25,12 @@ SECV_VERTICES = np.array([
     [-6.0, 0.5],
     [2.0, -3.5],
 ])
+
+
+def grid_members(safe_set, resolution):
+    """Every member of the set's grid at ``resolution``, one per row of a
+    (k, n) array, in :func:`~polysafe.polytope.grid_blocks` order."""
+    return np.hstack(list(grid_blocks(safe_set, resolution))).T
 
 
 @pytest.fixture(scope="session")

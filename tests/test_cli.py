@@ -6,9 +6,9 @@ import pytest
 
 from polysafe import cli, lpcore, polytope, synthesis, verify
 from polysafe.datagen import identification_rank
-from polysafe.errors import (NumericalInstabilityError, RankDeficientDataError,
-                             ScenarioValidationError, SolverStalledError,
-                             SynthesisInfeasibleError)
+from polysafe.errors import (DimensionTooLargeError, NumericalInstabilityError,
+                             RankDeficientDataError, ScenarioValidationError,
+                             SolverStalledError, SynthesisInfeasibleError)
 
 from conftest import tri_plant_and_set
 
@@ -38,6 +38,29 @@ def duo_scenario(tmp_path, b=((0.0,), (1.0,)), noise=False, w_bound=0.02):
     doc["data"].update(samples=160, u_max=0.05, seed=7, noise=noise)
     doc["verify"] = {"grid": [41, 41], "mc_trajectories": 200, "horizon": 50}
     path = tmp_path / "duo.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def quad_scenario(tmp_path):
+    """A 4-state plant whose last state takes ``x0^2`` and ``x2 x3`` through
+    the input, on the box ``|x_k| <= 2``; its 0.02 disturbance gives cor2 a
+    noise floor of 1.2, so cor2 is refused without an LP.  Returns the path
+    of its scenario file."""
+    normals = [[sign * 0.5 * (k == j) for j in range(4)] for k in range(4) for sign in (1, -1)]
+    doc = {
+        "version": 1,
+        "system": {"a1": [[0.7, 0.2, 0, 0], [0, 0.6, 0.3, 0], [0, 0, 0.5, 0.2],
+                          [0.2, -0.3, 0, 1.1]],
+                   "a2": [[0, 0], [0, 0], [0, 0], [1.0, 0.5]], "b": [[0], [0], [0], [1.0]],
+                   "dictionary": [{"kind": "monomial", "exponents": e}
+                                  for e in ([2, 0, 0, 0], [0, 0, 1, 1])],
+                   "w_bound": 0.02},
+        "safe_set": {"normals": normals, "offsets": [1.0] * 8},
+        "data": {"samples": 60, "u_max": 0.01, "x0": [0.0] * 4, "seed": 11, "noise": False},
+        "verify": {"grid": [11] * 4, "mc_trajectories": 200, "horizon": 50},
+    }
+    path = tmp_path / "quad.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -247,6 +270,29 @@ class TestCommands:
                          "--out", str(tmp_path / "once")]) == cli.EXIT_OK
         assert len(walks) == 1
 
+    @pytest.mark.parametrize("name", ["secV.json", "tri.json"])
+    def test_report_samples_the_set_once(self, tmp_path, monkeypatch, name):
+        # the gain search, the lumped bounds and both control efforts read
+        # one sample of the default grid; only the grid check walks its own
+        # resolution
+        walks = []
+
+        def counted(blocks):
+            def walk(safe_set, resolution=None):
+                walks.append(tuple(resolution or polytope.grid_resolution(safe_set.dim)))
+                return blocks(safe_set, resolution)
+            return walk
+
+        for module in (polytope, verify):
+            monkeypatch.setattr(module, "grid_blocks", counted(module.grid_blocks))
+        path = REPO_SCENARIO.with_name(name)
+        scenario = cli.load_scenario(path)
+        assert cli.main(["report", "--scenario", str(path),
+                         "--out", str(tmp_path / "report")]) == cli.EXIT_OK
+        default = polytope.grid_resolution(len(scenario.system.a1))
+        assert walks.count(default) == 1
+        assert sorted(walks) == sorted([default, tuple(scenario.verify.grid)])
+
     def test_simulate_csv_columns(self, scenario_path, tmp_path):
         out = tmp_path / "sim"
         assert cli.main(["simulate", "--scenario", str(scenario_path),
@@ -289,6 +335,30 @@ class TestCommands:
         doc = json.loads((out / "summary.json").read_text())
         assert doc["status"] == "inconsistent-data"
         assert "do not fit a noiseless plant" in doc["detail"]
+
+    @pytest.mark.parametrize("command", ["report", "sweep-lambda"])
+    def test_four_states_leave_thm1_unsupported(self, tmp_path, command):
+        # vertex enumeration stops above 3 states, so thm1 has no certified
+        # row bounds there; the other methods' levels stand, and the report
+        # verifies the thm2 design
+        out = tmp_path / command
+        assert cli.main([command, "--scenario", str(quad_scenario(tmp_path)),
+                         "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / ("report.json" if command == "report"
+                                 else "summary.json")).read_text())
+        assert doc["min_levels"]["thm1"] is None and doc["min_levels"]["cor2"] is None
+        assert abs(doc["min_levels"]["thm2"] - 0.9) <= 1e-9
+        if command == "report":
+            assert (doc["status"], doc["level_verified"]) == ("verified", 0.95)
+
+    def test_four_states_thm1_exit_one(self, tmp_path):
+        out = tmp_path / "thm1"
+        assert cli.main(["sweep-lambda", "--scenario", str(quad_scenario(tmp_path)),
+                         "--out", str(out), "--method", "thm1"]) == cli.EXIT_USAGE
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["min_levels"] == {"thm1": None}
+        assert doc["status"] == "unsupported"
+        assert "limited to dim <= 3, got 4" in doc["detail"]
 
     def test_sweep_rank_deficient_exit_two(self, tmp_path):
         # n=2, N=1, m=2 with samples=4 satisfies the regressor floor but the
@@ -525,6 +595,7 @@ class TestCommands:
     @pytest.mark.parametrize("status, error, code", [
         ("infeasible", SynthesisInfeasibleError, cli.EXIT_INFEASIBLE),
         ("rank-deficient", RankDeficientDataError, cli.EXIT_INFEASIBLE),
+        ("unsupported", DimensionTooLargeError, cli.EXIT_USAGE),
         ("solver-failed", SolverStalledError, cli.EXIT_USAGE),
     ])
     @pytest.mark.parametrize("command, summary", [

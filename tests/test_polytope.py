@@ -16,11 +16,13 @@ from polysafe.polytope import (
     PolyhedralSet,
     enumerate_vertices,
     grid_blocks,
+    grid_resolution,
     interval_enclosure,
-    sample_grid,
+    sample_points,
+    sample_vertices,
 )
 
-from conftest import SECV_F, SECV_G, SECV_VERTICES
+from conftest import SECV_F, SECV_G, SECV_VERTICES, grid_members
 
 
 def vertex_set(vertices):
@@ -134,7 +136,8 @@ class TestVertices:
         for v in first:
             v[:] = 0.0  # every call hands out fresh arrays
         assert vertex_set(enumerate_vertices(safe_set)) == vertex_set(SECV_VERTICES)
-        sample_grid(safe_set, (5, 5))
+        sample_points(safe_set)
+        sample_vertices(safe_set)
         assert len(calls) == 1
         # another object holding the same rows enumerates anew
         enumerate_vertices(PolyhedralSet(SECV_F, SECV_G))
@@ -174,7 +177,8 @@ class TestEnclosure:
         first = interval_enclosure(safe_set)
         assert calls == [4]  # two objectives per coordinate
         assert interval_enclosure(safe_set) is first
-        sample_grid(safe_set, (5, 5))
+        grid_members(safe_set, (5, 5))
+        sample_points(safe_set)
         assert calls == [4]
         # another object holding the same rows solves its own
         interval_enclosure(PolyhedralSet(SECV_F, SECV_G))
@@ -232,19 +236,19 @@ class TestEnclosure:
 
 class TestGrid:
     def test_unit_box_3x3(self):
-        pts = sample_grid(unit_box(), (3, 3))
+        pts = grid_members(unit_box(), (3, 3))
         assert pts.shape == (9, 2)
         assert any(np.allclose(p, [0, 0]) for p in pts)
         for corner in itertools.product([-1, 1], repeat=2):
             assert any(np.allclose(p, corner) for p in pts)
 
     def test_secv_members_only(self, secv_set):
-        pts = sample_grid(secv_set, (201, 201))
+        pts = grid_members(secv_set, (201, 201))
         assert np.all(secv_set.membership_mask(pts))
         assert pts.shape[0] > 1000
 
     def test_row_major_order(self):
-        pts = sample_grid(unit_box(), (2, 3))
+        pts = grid_members(unit_box(), (2, 3))
         # first axis slowest: x1 = -1 block first, x2 sweeps -1, 0, 1
         np.testing.assert_allclose(pts[:3, 0], [-1, -1, -1])
         np.testing.assert_allclose(pts[:3, 1], [-1, 0, 1])
@@ -258,7 +262,7 @@ class TestGrid:
             box = interval_enclosure(safe_set)
             axes = [np.linspace(lo, hi, r) for lo, hi, r in zip(box.lo, box.hi, res)]
             mesh = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-            np.testing.assert_array_equal(sample_grid(safe_set, res),
+            np.testing.assert_array_equal(grid_members(safe_set, res),
                                           mesh[safe_set.membership_mask(mesh)])
 
     def test_fixed_size_blocks(self, monkeypatch):
@@ -267,7 +271,7 @@ class TestGrid:
         # before it; 51 would too; the order stays row-major
         P = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.25], [0.2, 0.0, 1.0]])
         safe_set = PolyhedralSet(np.vstack([P, -P]), np.ones(6))
-        members = sample_grid(safe_set, (7, 5, 6))
+        members = grid_members(safe_set, (7, 5, 6))
         assert len(members) == 52
         for size, widths in ((3, [3] * 16 + [4]), (51, [52]), (52, [52]), (10**9, [52])):
             monkeypatch.setattr(polytope, "_GRID_BLOCK", size)
@@ -277,10 +281,43 @@ class TestGrid:
 
     def test_resolution_validation(self, secv_set):
         with pytest.raises(ValueError):
-            sample_grid(secv_set, (1, 3))
+            grid_members(secv_set, (1, 3))
         with pytest.raises(DimensionMismatchError):
-            sample_grid(secv_set, (3,))
+            grid_members(secv_set, (3,))
 
     def test_propagates_unbounded(self):
         with pytest.raises(UnboundedSetError):
-            sample_grid(PolyhedralSet([[1, 0]], [1]), (3, 3))
+            grid_members(PolyhedralSet([[1, 0]], [1]), (3, 3))
+
+
+class TestSample:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_default_grid_then_vertices(self, dim):
+        P = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.25], [0.2, 0.0, 1.0]])
+        safe_set = (PolyhedralSet(SECV_F, SECV_G) if dim == 2
+                    else PolyhedralSet(np.vstack([P, -P]), np.ones(6)))
+        expected = np.vstack([grid_members(safe_set, grid_resolution(dim)),
+                              np.array(enumerate_vertices(safe_set))])
+        np.testing.assert_array_equal(sample_points(safe_set).T, expected)
+        np.testing.assert_array_equal(sample_vertices(safe_set).T, enumerate_vertices(safe_set))
+
+    def test_built_once_per_set_and_read_only(self, monkeypatch):
+        walks = []
+        blocks = polytope.grid_blocks
+        monkeypatch.setattr(polytope, "grid_blocks",
+                            lambda *args: walks.append(args) or blocks(*args))
+        safe_set = PolyhedralSet(SECV_F, SECV_G)
+        first = sample_points(safe_set)
+        assert sample_points(safe_set) is first and len(walks) == 1
+        for shared in (first, sample_vertices(safe_set)):
+            with pytest.raises(ValueError):
+                shared[0, 0] = 0.0
+        # another object holding the same rows samples anew
+        sample_points(PolyhedralSet(SECV_F, SECV_G))
+        assert len(walks) == 2
+
+    def test_no_vertices_above_dimension_three(self):
+        box = PolyhedralSet(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
+        assert sample_vertices(box).shape == (4, 0)
+        np.testing.assert_array_equal(sample_points(box).T,
+                                      grid_members(box, grid_resolution(4)))

@@ -13,10 +13,10 @@ from polysafe.errors import (
     RankDeficientDataError,
     SynthesisInfeasibleError,
 )
-from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
-                               interval_enclosure, sample_grid)
+from polysafe.polytope import (PolyhedralSet, grid_resolution, interval_enclosure,
+                               sample_points)
 
-from conftest import SECV_F, SECV_G, duo_problem, tri_problem
+from conftest import SECV_F, SECV_G, duo_problem, grid_members, tri_problem
 
 
 def replay_certificate(data, safe_set, controller, cert):
@@ -311,28 +311,29 @@ class TestBaseline:
                            b=np.eye(2), dictionary=dictionary, w_bound=0.0)
         box = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
         data = collect(plant, 12, 0.4, [0.2, -0.1], seed=5)
-        result = synthesis.synthesize_min_remainder(data, box, x_resolution=(41, 41))
+        result = synthesis.synthesize_min_remainder(data, box)
         np.testing.assert_allclose(result.search.k2, [[-0.3, 0.0], [0.0, -0.2]], atol=1e-9)
         assert np.max(np.abs(result.row_bounds)) <= 1e-9
 
     def test_grid_refinement_stability(self, secv_set):
         # nonzero remainder bound case: fix a plant whose cancellation is
-        # outside the gain box, then doubling the resolution moves the bound by
-        # less than lipschitz * cell diagonal * max row coefficient norm
+        # outside the gain box; at the winner, a grid of about twice the
+        # default resolution moves the row maxima of the sample by less than
+        # lipschitz * sample cell diagonal * max row coefficient norm
         dictionary = Dictionary([Monomial((2, 0)), Monomial((0, 2))], 2)
         plant = PlantModel(a1=[[0.8, 0.5], [-0.4, 1.2]], a2=[[0.0, 0.0], [1.0, 1.0]],
                            b=[[0.0], [1.0]], dictionary=dictionary, w_bound=0.0)
         data = collect(plant, 40, 0.003, [0, 0], seed=7)
-        coarse = synthesis.baseline_search(data, secv_set, k2_lo=-0.5, k2_hi=0.5,
-                                           x_resolution=(51, 51))
-        fine = synthesis.baseline_search(data, secv_set, k2_lo=-0.5, k2_hi=0.5,
-                                         x_resolution=(101, 101))
+        search = synthesis.baseline_search(data, secv_set, k2_lo=-0.5, k2_hi=0.5)
+        coeffs = secv_set.normals @ data.next_states @ search.g2
+        fine = np.max(coeffs @ dictionary.remainder(grid_members(secv_set, (201, 201))).T,
+                      axis=1)
         box = interval_enclosure(secv_set)
         lip = dictionary.lipschitz_bound(box)
-        cell = np.linalg.norm((box.hi - box.lo) / (np.array([51, 51]) - 1))
-        coeffs = secv_set.normals @ data.next_states @ coarse.g2
+        cell = np.linalg.norm((box.hi - box.lo) / (np.array(grid_resolution(2)) - 1))
         bound = lip * cell * float(np.max(np.abs(coeffs).sum(axis=1)))
-        assert np.max(np.abs(coarse.row_bounds - fine.row_bounds)) <= bound
+        assert np.max(search.row_bounds) > bound
+        assert np.max(np.abs(search.row_bounds - fine)) <= bound
 
     def test_closed_loop_data_rejected(self, secv_plant, secv_set):
         from polysafe.datagen import ExperimentData
@@ -372,14 +373,12 @@ class TestBaseline:
 
 def grid_scores(data, safe_set, k2_step, k2_lo=-2.0, k2_hi=2.0):
     """Every gain of a coarse grid in ``[k2_lo, k2_hi]``, scored the way the
-    search scores its winner: its row maxima over the default state grid
-    plus the vertices.  Returns the gains ``(G, m*N)`` and their row maxima
+    search scores its winner: its row maxima over the set's sample, the
+    default grid plus the vertices.  Returns the gains ``(G, m*N)`` and their row maxima
     ``(G, s)``."""
     F = safe_set.normals
     n, N, m = data.state_dim, data.n_terms, data.input_dim
-    points = sample_grid(safe_set, grid_resolution(n))
-    points = np.vstack([points, np.array(enumerate_vertices(safe_set))])
-    rem = data.dictionary.remainder(points)
+    rem = data.dictionary.remainder(sample_points(safe_set).T)
     f_next = F @ data.next_states
     pinv = np.linalg.pinv(np.vstack([data.regressor, data.inputs]))
     base, gain_map = pinv[:, n:n + N], pinv[:, n + N:]
@@ -513,9 +512,7 @@ class TestLumpedBounds:
         controller, _ = secv_design
         bounds = verify.lumped_disturbance_bounds(
             secv_data, secv_set, controller, w_bound=0.0)
-        points = sample_grid(secv_set, (101, 101))
-        points = np.vstack([points, np.array(enumerate_vertices(secv_set))])
-        rem = secv_data.dictionary.remainder(points)
+        rem = secv_data.dictionary.remainder(sample_points(secv_set).T)
         coeffs = secv_set.normals @ secv_data.next_states @ controller.g2
         np.testing.assert_allclose(bounds, np.max(coeffs @ rem.T, axis=1), atol=1e-12)
 
@@ -597,8 +594,8 @@ class TestMinimalContraction:
             assert 0.0 <= design[1].contraction <= 1e-9, method
 
     def test_three_state_baseline(self):
-        # the default state grid follows the set's dimension (22 per axis at
-        # n=3); the LP finds the exact cancelling gain
+        # the set's sample at n=3 (22 points per axis, then the vertices);
+        # the LP finds the exact cancelling gain
         P = np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.25], [0.2, 0.0, 1.0]])
         safe_set = PolyhedralSet(np.vstack([0.5 * P, -0.5 * P]), np.ones(6))
         dictionary = Dictionary(
@@ -608,7 +605,6 @@ class TestMinimalContraction:
                            b=[[0.0], [0.0], [1.0]], dictionary=dictionary, w_bound=0.02)
         data = collect(plant, 40, 0.01, [0.0, 0.0, 0.0], seed=11)
         search = synthesis.baseline_search(data, safe_set)
-        assert search.x_resolution == (22, 22, 22)
         np.testing.assert_allclose(search.k2, [[-1.0, -0.5, 0.5]], atol=1e-12)
         result = synthesis.synthesize_min_remainder(data, safe_set, search=search)
         assert 0.0 < result.contraction < 1.0

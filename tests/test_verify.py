@@ -9,9 +9,9 @@ import pytest
 from polysafe import polytope, synthesis, verify
 from polysafe.dynamics import CosM1Term, Dictionary, Monomial, PlantModel
 from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
-                               interval_enclosure, sample_grid)
+                               interval_enclosure, sample_points)
 
-from conftest import SECV_F, SECV_G, tri_plant_and_set, tri_problem
+from conftest import SECV_F, SECV_G, grid_members, tri_plant_and_set, tri_problem
 
 
 def zero_controller(n_samples=40, n=2, n_terms=2, m=1):
@@ -162,7 +162,7 @@ class TestGridContractivity:
         reports = verify.grid_reports(
             controller, secv_set, 0.5, 0.05, (61, 61), secv_plant.dictionary,
             plant=secv_plant, data=secv_data, max_witnesses=10**6)
-        members = sample_grid(secv_set, (61, 61))
+        members = grid_members(secv_set, (61, 61))
         points = np.vstack([members, np.array(enumerate_vertices(secv_set))])
         loops = [(secv_plant.linear_base() + secv_plant.b @ controller.k1,
                   secv_plant.a2 + secv_plant.b @ controller.k2),
@@ -214,7 +214,7 @@ class TestGridContractivity:
         # any width, which holds at one BLAS thread.  On this grid gemv would
         # move the last member's margin, a witness at level 0.5
         controller, _ = secv_design
-        members = len(sample_grid(secv_set, (55, 55)))
+        members = len(grid_members(secv_set, (55, 55)))
         reports = []
         for size in (7, 150, members - 1, 10**9):
             monkeypatch.setattr(polytope, "_GRID_BLOCK", size)
@@ -278,7 +278,7 @@ class TestGridContractivity:
                                          dictionary, sources=("true-model",), plant=plant,
                                          max_witnesses=10**6)[0]
             vertices = np.array(enumerate_vertices(safe_set))
-            points = np.vstack([sample_grid(safe_set, (9, 9)), vertices])
+            points = np.vstack([grid_members(safe_set, (9, 9)), vertices])
             nxt = points @ plant.a1.T + dictionary.remainder(points) @ plant.a2.T
             margins = nxt @ safe_set.normals.T - 0.95 * safe_set.offsets
             worst = margins.max(axis=1)
@@ -611,18 +611,15 @@ class TestConservatism:
     @pytest.mark.parametrize("problem", ["secv", "tri"])
     @pytest.mark.parametrize("method", ["thm2", "thm1"])
     def test_lumped_bounds_match_materialized_grid(self, secv_data, secv_set, problem, method):
-        # the blockwise walk gives the bits of one remainder evaluation over
-        # the whole default grid plus the vertices; gemm must give a column
-        # the same bits at any width, which holds at one BLAS thread
+        # the lift of the set's sample gives the bits of one remainder
+        # evaluation over its points, the default grid plus the vertices
         safe_set, data = (secv_set, secv_data) if problem == "secv" else tri_problem(60)
         if method == "thm2":
             controller, _ = synthesis.synthesize_noiseless(data, safe_set)
         else:
             controller = synthesis.synthesize_min_remainder(data, safe_set).controller
         w_bound = 0.05
-        points = np.vstack([sample_grid(safe_set, grid_resolution(safe_set.dim)),
-                            np.array(enumerate_vertices(safe_set))])
-        rem = data.dictionary.remainder(points)
+        rem = data.dictionary.remainder(sample_points(safe_set).T)
         coeffs = safe_set.normals @ data.next_states @ controller.g2
         box = interval_enclosure(safe_set)
         rn = polytope.row_norms(safe_set.normals)
