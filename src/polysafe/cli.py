@@ -629,11 +629,10 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
 
     lumped = verify.lumped_disturbance_bounds(
         data, safe_set, controller, scenario.system.w_bound)
-    # a feasible method's row is its design; the others say why there is none
+    # a feasible method's row is its design; the others' is their status
     table = verify.conservatism_report(
         safe_set, plant.dictionary,
-        {m: min_level if isinstance(designs[m], _Failure) else designs[m]
-         for m, min_level in summary["min_levels"].items()}, lumped)
+        {m: d.status if isinstance(d, _Failure) else d for m, d in designs.items()}, lumped)
     summary["conservatism"] = {"rows": table.rows, "lumped_bounds": lumped}
     (out_dir / "report.txt").write_text(table.render() + "\n")
 

@@ -15,10 +15,14 @@ each lifting it once.  Nothing here is imported from
 Grid blocks, Monte Carlo chunks and the sample all evaluate a closed loop
 one way: ``[L R] @ [x; r(x)]`` on coordinate-major ``(n, k)`` batches,
 with ``r(x)`` written in place by :meth:`~polysafe.dynamics.Dictionary.lift`.
-Monte Carlo steps each chunk between two swapped lift buffers, draws each
-step's disturbances with one jump and one fill of an addressed stream, so no
-buffer grows with the horizon, and scans the chunk for exits only at a step
-where some row maximum crosses the tolerance.
+Monte Carlo steps each chunk between two swapped lift buffers
+``[x; r(x); d]``, with one more row per coordinate for the disturbance
+words ``d``: each step draws a coordinate's signed 32-bit words, two from
+each PCG64 output, with one jump and one raw draw of an addressed stream
+straight into its row, and ``[L R w*2**-31*I]`` turns the buffer into the
+next states with one product.  So no buffer grows with the horizon; the
+chunk is scanned for exits only at a step where some row maximum crosses
+the tolerance.
 """
 
 from __future__ import annotations
@@ -35,10 +39,12 @@ from .polytope import (PolyhedralSet, _norm_inf, grid_blocks, grid_resolution,
 
 TOL_VERIFY = 1e-6
 _MC_CHUNK = 16384    # trajectories per Monte Carlo chunk
-# Monte Carlo noise stream positions between two steps: PCG64.jumped's step,
-# floor((phi - 1) * 2**128).  It is odd, so the states a trajectory reads over
-# the steps form a full-period LCG of their own; a power-of-two stride would
-# pin their low bits and leave the high bits a Weyl sequence.
+# Monte Carlo noise stream positions between two (step, coordinate) pairs:
+# PCG64.jumped's step, floor((phi - 1) * 2**128).  Pair (t, k) reads at
+# (t * n + k) times it.  It is odd, so the states a trajectory reads over the
+# pairs form a full-period LCG of their own; a power-of-two stride or
+# coordinate offset would pin their low bits (2**64 leaves the low 64 equal)
+# and leave the high bits a Weyl sequence.
 _MC_STEP_STRIDE = 0x9e3779b97f4a7c15f39cc0605cedc835
 _START_BATCH = 2048  # Monte Carlo start candidates are drawn 4 * this many rows at most
 
@@ -201,25 +207,28 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     set, drawn from the first child of ``seed``.  The disturbances come from
     one PCG64 stream seeded by the second child and are addressed, not read
     in order: coordinate ``k`` of trajectory ``i``'s disturbance at step
-    ``t`` is the double at position ``i * n + k`` of that stream jumped ``t``
-    times (``PCG64.jumped(t)``), scaled to ``uniform(-w, w)``.  So the noise
-    depends only on ``(i, t, k)``:
+    ``t`` is ``w * 2**-31 * d``, with ``d`` the signed 32-bit word ``i`` of
+    that stream advanced ``(t * n + k) * _MC_STEP_STRIDE`` outputs.  Word
+    ``i`` is the low half of output ``i // 2`` for even ``i`` and its high
+    half for odd ``i``, so one output serves two trajectories.  The
+    disturbance lies in ``[-w, w)`` on a grid of spacing ``w * 2**-31``, far
+    below ``TOL_VERIFY``.  So the noise depends only on ``(i, t, k)``:
     running more trajectories leaves the earlier ones unchanged, and the
     chunk size moves no bit.
 
-    Trajectories run in chunks of ``_MC_CHUNK``.  Each step of a chunk jumps
-    the stream to its first trajectory's position for that step (PCG64's
-    jump-ahead costs O(log) of the distance) and draws the chunk's ``(size,
-    n)`` disturbances into one reused buffer, so memory is O(chunk * (n + N
-    + s)) whatever the trajectory count and the horizon.  A step writes
-    ``[L R] @ [x; r(x)]`` from one ``(n + N, chunk)`` lift buffer into the
-    other, adds the noise, and the two swap.  While every run is alive a
-    step only takes the row maxima of ``F x``, less ``g``; the per-run exit
-    scan runs only at a step where one of them crosses ``TOL_VERIFY``, and
-    at every step after the first exit.  Margins, exit counts and witnesses are
-    bit-identical to rolling every trajectory in one batch.  Witnesses are
-    the first ``max_witnesses`` exits ordered by exit time, then trajectory
-    index.
+    Trajectories run in chunks of ``_MC_CHUNK``.  Each chunk steps between
+    two ``(n + N + n, chunk)`` lift buffers ``[x; r(x); d]``, so memory is
+    O(chunk * (n + N + s)) whatever the trajectory count and the horizon.
+    A step lifts ``x`` in place, writes each coordinate's words into its
+    ``d`` row after one jump of the stream (PCG64's jump-ahead costs O(log)
+    of the distance), and forms ``x+ = [L R w*2**-31*I] @ [x; r(x); d]`` in
+    the other buffer with one product; the two swap.  While every run is
+    alive a step only takes the row maxima of ``F x``, less ``g``; the
+    per-run exit scan runs only at a step where one of them crosses
+    ``TOL_VERIFY``, and at every step after the first exit.  Margins, exit
+    counts and witnesses are bit-identical to rolling every trajectory in
+    one batch.  Witnesses are the first ``max_witnesses`` exits ordered by
+    exit time, then trajectory index.
     """
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be at least 1, got {n_trajectories}")
@@ -231,21 +240,21 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     init_rng = np.random.default_rng(init_seq)
     stream = np.random.PCG64(noise_seq)
-    noise_rng = np.random.Generator(stream)
-    position = 0  # the stream position of the next double drawn
-    w = plant.w_bound
+    position = 0  # the stream position of the next output drawn
     box = interval_enclosure(safe_set)
     accepted = np.zeros((0, n))  # uniform samples in the set, not yet used as starts
 
-    loop = np.hstack(_closed_loop_matrices(controller, "true-model", plant, None))  # [L R]
+    # [L R w*2**-31*I]: the last n columns scale the words to disturbances
+    loop = np.hstack([*_closed_loop_matrices(controller, "true-model", plant, None),
+                      np.ldexp(plant.w_bound, -31) * np.eye(n)])
     normals, offsets = safe_set.normals, safe_set.offsets
 
-    # one noise buffer and two lift buffers serve every chunk; a short chunk
-    # takes contiguous prefixes of their storage, never a column slice: given
-    # a strided out=, numpy may skip BLAS and round differently
-    width = n + dictionary.n_terms
+    # two lift buffers serve every chunk; a short chunk takes contiguous
+    # prefixes of their storage, never a column slice: given a strided out=,
+    # numpy may skip BLAS and round differently
+    lifted = n + dictionary.n_terms  # the rows [x; r(x)]; n rows of words follow
+    width = lifted + n
     capacity = min(n_trajectories, _MC_CHUNK + 1)
-    noise_store = np.empty(capacity * n)
     lift_stores = (np.empty(width * capacity), np.empty(width * capacity))
 
     worst = np.full(safe_set.n_rows, -np.inf)
@@ -260,7 +269,9 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
             stop += 1
         size = stop - first
         a, b = (store[:width * size].reshape(width, size) for store in lift_stores)
-        noise = noise_store[:size * n].reshape(size, n)
+        # the chunk's words are outputs first // 2 to (stop - 1) // 2, less
+        # the low half of the first when the chunk starts at an odd index
+        skip, outputs = first % 2, (stop + 1) // 2 - first // 2
 
         states = a[:n]  # the (n, size) start states, one per column
         filled = min(max(vertices.shape[1] - first, 0), size)
@@ -281,18 +292,18 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
         found: list = []
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(horizon):
-                # jump to (t, first) modulo the 2**128 period, then draw in
-                # place the same values as uniform(-w, w)
-                target = t * _MC_STEP_STRIDE + first * n
-                stream.advance((target - position) % 2**128)
-                noise_rng.random(out=noise)
-                position = target + size * n
-                noise *= 2.0 * w
-                noise -= w
-                np.matmul(loop, dictionary.lift(a), out=b[:n])
+                dictionary.lift(a[:lifted])
+                for k in range(n):
+                    # jump to (t, k, first) modulo the 2**128 period; '<u8'
+                    # makes the view read low half first on any host
+                    target = (t * n + k) * _MC_STEP_STRIDE + first // 2
+                    stream.advance((target - position) % 2**128)
+                    position = target + outputs
+                    words = stream.random_raw(outputs).astype("<u8", copy=False).view("<i4")
+                    a[lifted + k] = words[skip:skip + size]
+                np.matmul(loop, a, out=b[:n])
                 a, b = b, a
                 states = a[:n]
-                states += noise.T
                 rowvals = normals @ states
                 if all_alive:
                     # rounding is monotone, so the row maxima of F x - g are
@@ -350,9 +361,8 @@ class ConservatismTable:
         lines.append(header)
         lines.append("-" * len(header))
         for name, entry in self.rows.items():
-            if entry is None or isinstance(entry, str):
-                verdict = "infeasible" if entry is None else "solver failed"
-                lines.append(f"{name:8s} {verdict:>10s} {'-':>10s} {'-':>11s}")
+            if isinstance(entry, str):  # the status of a method with no design
+                lines.append(f"{name:8s} {entry:>10s} {'-':>10s} {'-':>11s}")
                 continue
             lines.append(f"{name:8s} {entry['min_level']:>10.4f} "
                          f"{entry['k2_norm']:>10.4f} {entry['effort']:>11.4f}")
@@ -398,10 +408,11 @@ def conservatism_report(safe_set: PolyhedralSet, dictionary, designs: dict,
                         lumped_bounds=None) -> ConservatismTable:
     """Comparison table, one row per entry of ``designs``, in its order: a
     ``(controller, certificate)`` pair gives the minimal level (the
-    certificate's ``contraction``), gain size and control effort; ``None``
-    renders as infeasible, and a solver's message as "solver failed".  No
-    cross-method assertion is made."""
-    rows = {name: design if design is None or isinstance(design, str) else {
+    certificate's ``contraction``), gain size and control effort; a string
+    is the status of a method with no design (``"infeasible"``,
+    ``"unsupported"``, ...) and is the row as it stands.  No cross-method
+    assertion is made."""
+    rows = {name: design if isinstance(design, str) else {
                 "min_level": design[1].contraction,
                 "k2_norm": _norm_inf(design[0].k2),
                 "effort": control_effort(design[0], safe_set, dictionary),

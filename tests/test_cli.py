@@ -350,6 +350,12 @@ class TestCommands:
         assert abs(doc["min_levels"]["thm2"] - 0.9) <= 1e-9
         if command == "report":
             assert (doc["status"], doc["level_verified"]) == ("verified", 0.95)
+            # the table names each failure by its status, not all as infeasible
+            assert doc["conservatism"]["rows"]["thm1"] == "unsupported"
+            assert doc["conservatism"]["rows"]["cor2"] == "infeasible"
+            rows = (out / "report.txt").read_text().splitlines()[3:5]
+            assert [row.split()[:2] for row in rows] == [["cor2", "infeasible"],
+                                                         ["thm1", "unsupported"]]
 
     def test_four_states_thm1_exit_one(self, tmp_path):
         out = tmp_path / "thm1"
@@ -419,7 +425,7 @@ class TestCommands:
                          "--method", "thm1"]) == cli.EXIT_OK
         doc = json.loads((out / "report.json").read_text(), parse_constant=refuse)
         rows = doc["conservatism"]["rows"]
-        assert rows["cor2"] is None
+        assert rows["cor2"] == "infeasible"
         for method in ("thm2", "thm1"):
             assert rows[method]["min_level"] == doc["min_levels"][method]
             assert all(np.isfinite(v) for v in rows[method].values())
@@ -578,7 +584,7 @@ class TestCommands:
             assert doc["status"] == "verified"
             row = next(line for line in (out / "report.txt").read_text().splitlines()
                        if line.startswith("thm1"))
-            assert "solver failed" in row and "infeasible" not in row
+            assert row.split() == ["thm1", "solver-failed", "-", "-"]
 
     @pytest.mark.parametrize("command, summary", [("report", "report.json"),
                                                   ("sweep-lambda", "summary.json")])

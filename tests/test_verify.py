@@ -21,16 +21,23 @@ def zero_controller(n_samples=40, n=2, n_terms=2, m=1):
 
 
 def addressed_noise(plant, count, horizon, seed):
-    """``(horizon, count, n)`` disturbances rebuilt from their stream positions:
-    coordinate k of trajectory i at step t is the double at ``i * n + k`` of
-    the PCG64 stream seeded by the second child of ``seed``, jumped t times."""
+    """``(horizon, count, n)`` disturbance words rebuilt from their stream
+    addresses: coordinate k of trajectory i at step t is signed 32-bit word i
+    of the PCG64 stream seeded by the second child of ``seed``, advanced
+    ``(t * n + k) * _MC_STEP_STRIDE`` outputs; word i is the low half of
+    output i // 2 for even i and its high half for odd i.  The disturbance
+    is ``w * 2**-31`` times the word."""
     n = plant.state_dim
     stream = np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1])
-    noise = np.empty((horizon, count, n))
-    for t in range(horizon):
-        noise[t] = np.random.Generator(stream.jumped(t)).uniform(
-            -plant.w_bound, plant.w_bound, size=(count, n))
-    return noise
+    words = np.empty((horizon, count, n), dtype=np.int32)
+    for t, k in itertools.product(range(horizon), range(n)):
+        step = np.random.PCG64()
+        step.state = stream.state
+        step.advance(((t * n + k) * verify._MC_STEP_STRIDE) % 2**128)
+        raw = step.random_raw((count + 1) // 2)
+        halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).astype(np.uint32)
+        words[t, :, k] = halves.view(np.int32).reshape(-1)[:count]
+    return words
 
 
 def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, seed,
@@ -50,10 +57,12 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
         take = min(len(good), n_trajectories - filled)
         starts[filled:filled + take] = good[:take]
         filled += take
-    noise = addressed_noise(plant, n_trajectories, horizon, seed)
-    # [L R] acting on the coordinate-major lift [x; r(x)] of all states at once
+    words = addressed_noise(plant, n_trajectories, horizon, seed)
+    # [L R w*2**-31*I] acting on the coordinate-major lift [x; r(x); d] of
+    # all states and words at once
     loop = np.hstack([plant.linear_base() + plant.b @ controller.k1,
-                      plant.a2 + plant.b @ controller.k2])
+                      plant.a2 + plant.b @ controller.k2,
+                      np.ldexp(plant.w_bound, -31) * np.eye(n)])
     states = starts.T.copy()
     alive = np.ones(n_trajectories, dtype=bool)
     first_exit = np.full(n_trajectories, -1, dtype=int)
@@ -61,8 +70,8 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
     witnesses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
-            lifted = np.vstack([states, plant.dictionary.remainder(states.T).T])
-            states = loop @ lifted + noise[t].T
+            lifted = np.vstack([states, plant.dictionary.remainder(states.T).T, words[t].T])
+            states = loop @ lifted
             rowvals = safe_set.normals @ states - safe_set.offsets[:, None]
             if alive.any():
                 worst = np.maximum(worst, rowvals[:, alive].max(axis=1))
@@ -459,7 +468,8 @@ class TestMonteCarlo:
         report = verify.monte_carlo_invariance(secv_plant, controller, secv_set, count,
                                                horizon, seed=seed, max_witnesses=10**6)
         vertices = enumerate_vertices(secv_set)
-        noise = addressed_noise(secv_plant, count, horizon, seed)
+        noise = np.ldexp(secv_plant.w_bound, -31) * addressed_noise(secv_plant, count,
+                                                                    horizon, seed)
         replayed = 0
         for index, exit_time, state in report.witnesses:
             if index < len(vertices):
@@ -504,9 +514,10 @@ class TestMonteCarlo:
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_memory_flat_in_horizon(self, secv_plant, secv_set, secv_design):
-        # each step draws its own disturbances into one (chunk, n) buffer, so
-        # eight times the horizon needs no more memory; a (chunk, horizon, n)
-        # noise buffer would take 1.6 MB at horizon 50 and 12.8 MB at 400
+        # each step writes its own disturbance words into n rows of the lift
+        # buffers, so eight times the horizon needs no more memory; a
+        # (chunk, horizon, n) buffer of 32-bit words would take 0.8 MB at
+        # horizon 50 and 6.4 MB at 400
         controller, _ = secv_design
         verify.monte_carlo_invariance(secv_plant, controller, secv_set, 10, 50, seed=2)
         peaks = []
@@ -521,10 +532,11 @@ class TestMonteCarlo:
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_noise_pinned_to_stream_position(self, secv_plant, monkeypatch):
-        # with a zero closed loop, x(t) is exactly the disturbance of step
-        # t - 1, and a run exits when a coordinate of it leaves [-0.99, 0.99];
-        # every exit state must be the double pair at position i * n of the
-        # stream jumped t - 1 times, whichever chunk holds run i
+        # with a zero closed loop, x(t) is exactly w * 2**-31 times the words
+        # of step t - 1, and a run exits when a coordinate of it leaves
+        # [-0.99, 0.99]; every exit state must be the word pair of run i at
+        # the addresses (t - 1) * n + k, whichever chunk holds run i: chunks
+        # of 37 start at odd runs 37 and 111, which skip a half-output
         n = secv_plant.state_dim
         n_terms = secv_plant.dictionary.n_terms
         plant = PlantModel(a1=np.zeros((n, n)), a2=np.zeros((n, n_terms)), b=np.eye(n),
@@ -535,30 +547,63 @@ class TestMonteCarlo:
         count, seed = 4 * 37, 4
         report = verify.monte_carlo_invariance(plant, controller, box, count, 100, seed=seed,
                                                max_witnesses=10**6)
-        stream = np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1])
+        words = addressed_noise(plant, count, 100, seed)
         for index, exit_time, state in report.witnesses:
-            step = stream.jumped(exit_time - 1)
-            step.advance(index * n)
-            np.testing.assert_array_equal(state, np.random.Generator(step).uniform(-1, 1, n))
+            np.testing.assert_array_equal(state, np.ldexp(words[exit_time - 1, index], -31))
         assert report.violations == len(report.witnesses)
         assert {index // 37 for index, _, _ in report.witnesses} == {0, 1, 2, 3}
+        assert {index % 2 for index, _, _ in report.witnesses if index // 37 in (1, 3)} == {0, 1}
         assert len({exit_time for _, exit_time, _ in report.witnesses}) > 10
 
+    def test_extreme_words_map_to_the_interval_ends(self, secv_plant, monkeypatch):
+        # every output 0x7fffffff_80000000 gives even runs the low word -2**31
+        # and odd runs the high word 2**31 - 1; through a zero closed loop the
+        # first states are exactly -w and w - w * 2**-31 on every coordinate
+        class ExtremeWords:
+            def __init__(self, seed):
+                pass
+
+            def advance(self, delta):
+                return self
+
+            def random_raw(self, size):
+                return np.full(size, 0x7FFFFFFF_80000000, dtype=np.uint64)
+
+        n = secv_plant.state_dim
+        n_terms = secv_plant.dictionary.n_terms
+        w = secv_plant.w_bound
+        plant = PlantModel(a1=np.zeros((n, n)), a2=np.zeros((n, n_terms)), b=np.eye(n),
+                           dictionary=secv_plant.dictionary, w_bound=w)
+        box = PolyhedralSet(np.vstack([np.eye(n), -np.eye(n)]), np.full(2 * n, 0.5 * w))
+        monkeypatch.setattr(np.random, "PCG64", ExtremeWords)
+        report = verify.monte_carlo_invariance(plant, zero_controller(n_terms=n_terms, m=n),
+                                               box, 5, 1, seed=0, max_witnesses=5)
+        assert [index for index, _, _ in report.witnesses] == [0, 1, 2, 3, 4]
+        for index, _, state in report.witnesses:
+            expected = w - np.ldexp(w, -31) if index % 2 else -w
+            assert state.tolist() == [expected] * n
+
     def test_step_streams_walk_the_full_state_cycle(self):
-        # a run reads its disturbances _MC_STEP_STRIDE stream positions apart;
-        # the low k bits of a PCG64 state repeat every 2**k positions, so over
-        # 256 steps the low byte of the states read takes all 256 values only
-        # if the stride is odd: any power-of-two stride would fix it, and
-        # 2**64 would fix all of the low word
+        # coordinate k of a run reads its words at (t * n + k) * _MC_STEP_STRIDE
+        # stream positions; the low j bits of a PCG64 state repeat every 2**j
+        # positions, so over the first 256 (step, coordinate) pairs the low
+        # byte of the states read takes all 256 values only if the stride is
+        # odd: a power-of-two stride would fix it, and coordinates 2**64
+        # apart would share all of the low word
         stream = np.random.PCG64(np.random.SeedSequence(4).spawn(2)[1])
         start = 12345
-        low_bytes = set()
-        for t in range(256):
-            step = np.random.PCG64()
-            step.state = stream.state
-            step.advance((t * verify._MC_STEP_STRIDE + start) % 2**128)
-            low_bytes.add(step.state["state"]["state"] % 256)
-        assert len(low_bytes) == 256
+        for n in (2, 3):
+            low_bytes, low_words = set(), set()
+            for t, k in itertools.product(range(-(-256 // n)), range(n)):
+                step = np.random.PCG64()
+                step.state = stream.state
+                step.advance(((t * n + k) * verify._MC_STEP_STRIDE + start) % 2**128)
+                state = step.state["state"]["state"]
+                if t * n + k < 256:
+                    low_bytes.add(state % 256)
+                low_words.add(state % 2**64)
+            assert len(low_bytes) == 256
+            assert len(low_words) == -(-256 // n) * n
 
     @pytest.mark.parametrize("count, horizon, name",
                              [(0, 10, "n_trajectories"), (-1, 10, "n_trajectories"),
@@ -579,7 +624,7 @@ class TestConservatism:
             secv_data, secv_set, secv_design[0], 0.05)
         table = verify.conservatism_report(
             secv_set, secv_dictionary,
-            {"thm2": secv_design, "cor2": None, "thm1": (baseline.controller, baseline)},
+            {"thm2": secv_design, "cor2": "infeasible", "thm1": (baseline.controller, baseline)},
             lumped_bounds=lumped)
         assert list(table.rows) == ["thm2", "cor2", "thm1"]
         assert table.rows["thm2"]["min_level"] == secv_design[1].contraction
@@ -593,17 +638,18 @@ class TestConservatism:
         assert lines[5].startswith("lumped")
 
     def test_missing_baseline_marked(self, secv_set, secv_design, secv_dictionary):
-        # no feasible level renders as infeasible, a solver message as a failure
+        # a method with no design is its status, in the row and in the table
         table = verify.conservatism_report(
             secv_set, secv_dictionary,
-            {"thm2": secv_design, "cor2": "solver failed: stalled", "thm1": None})
-        assert table.rows["thm1"] is None
-        assert table.rows["cor2"] == "solver failed: stalled"
+            {"thm2": secv_design, "cor2": "solver-failed", "thm1": "unsupported"})
+        assert table.rows["thm1"] == "unsupported"
+        assert table.rows["cor2"] == "solver-failed"
         lines = table.render().splitlines()
-        assert "solver failed" in lines[3] and "infeasible" in lines[4]
+        assert lines[3].split() == ["cor2", "solver-failed", "-", "-"]
+        assert lines[4].split() == ["thm1", "unsupported", "-", "-"]
 
     def test_deterministic(self, secv_set, secv_design, secv_dictionary):
-        designs = {"thm2": secv_design, "cor2": None}
+        designs = {"thm2": secv_design, "cor2": "infeasible"}
         t1 = verify.conservatism_report(secv_set, secv_dictionary, designs)
         t2 = verify.conservatism_report(secv_set, secv_dictionary, designs)
         assert t1.render() == t2.render()
