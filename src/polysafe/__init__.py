@@ -33,7 +33,6 @@ from .polytope import (
     sample_points,
 )
 from .synthesis import (
-    BaselineResult,
     Controller,
     SynthesisCertificate,
     baseline_search,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box",
-    "BaselineResult",
     "Controller",
     "CosM1Term",
     "Dictionary",

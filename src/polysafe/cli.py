@@ -48,8 +48,6 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 
-SOLVER_FAILED = "solver failed: "  # a level map's entry for a solver with no verdict
-
 
 # ---------------------------------------------------------------------------
 # scenario model
@@ -320,8 +318,7 @@ def _design(scenario: Scenario, data, safe_set, method: str):
         return synthesis.synthesize_noiseless(data, safe_set)
     if method == "cor2":
         return synthesis.synthesize_robust(data, safe_set, w_bound=scenario.system.w_bound)
-    result = synthesis.synthesize_min_remainder(data, safe_set)
-    return result.controller, result
+    return synthesis.synthesize_min_remainder(data, safe_set)
 
 
 @dataclass(frozen=True)
@@ -388,23 +385,20 @@ def _write_failure(path: Path, payload: dict, failure: _Failure) -> int:
     return _FAILURE_EXIT[failure.status]
 
 
-def _min_levels(designs: dict) -> dict:
-    """Each method's minimal level: ``None`` when no level is feasible, its
-    data are rank-deficient or inconsistent or the input is unsupported,
-    ``SOLVER_FAILED`` and the message when its solver gave no verdict."""
-    return {method: design[1].contraction if not isinstance(design, _Failure)
-            else SOLVER_FAILED + design.detail if design.status == "solver-failed" else None
-            for method, design in designs.items()}
+def _outcomes(designs: dict) -> dict:
+    """``min_levels``, each method's minimal level or ``None`` when it has no
+    design, and ``failures``, the status and detail of each method with none."""
+    return {"min_levels": {method: None if isinstance(design, _Failure) else design[1].contraction
+                           for method, design in designs.items()},
+            "failures": {method: asdict(design) for method, design in designs.items()
+                         if isinstance(design, _Failure)}}
 
 
 def _write_design(out_dir: Path, payload: dict, controller, cert) -> None:
     """Add the design's gains and residuals to ``payload``, then write its
-    certificate file, or add the baseline's row bounds."""
+    certificate file."""
     payload.update(k1=controller.k1, k2=controller.k2, residuals=cert.residuals)
-    if isinstance(cert, synthesis.SynthesisCertificate):
-        (out_dir / "certificate.txt").write_text(synthesis.format_certificate(controller, cert))
-    else:  # baseline result
-        payload["row_bounds"] = cert.row_bounds
+    (out_dir / "certificate.txt").write_text(synthesis.format_certificate(controller, cert))
 
 
 def _verify_controller(scenario: Scenario, plant, data, safe_set, controller, level,
@@ -575,15 +569,15 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
 def _cmd_sweep(scenario: Scenario, out_dir: Path, requested=None) -> int:
     plant, safe_set, data = _collect(scenario)
     designs = _sweep(scenario, data, safe_set, requested or synthesis.METHODS)
-    summary = {"command": "sweep-lambda", "min_levels": _min_levels(designs)}
-    shown = {m: "-" if v is None else "solver failed" if isinstance(v, str) else format(v, ".4f")
-             for m, v in summary["min_levels"].items()}
+    summary = {"command": "sweep-lambda", **_outcomes(designs)}
+    shown = {m: d.status if isinstance(d, _Failure) else format(d[1].contraction, ".4f")
+             for m, d in designs.items()}
     print("minimal feasible levels: " + ", ".join(f"{m}={v}" for m, v in shown.items()),
           file=sys.stderr)
     # a method named on the command line whose solver gives no verdict,
     # whose data are rank-deficient or inconsistent, or whose input is
-    # unsupported, is the command's failure; in the all-method sweep it is
-    # that method's entry, and an infeasible method is null in both
+    # unsupported, is the command's failure; an infeasible named method, and
+    # every failed method of the all-method sweep, is only its entry
     own = designs[requested[0]] if requested else None
     if isinstance(own, _Failure) and own.status != "infeasible":
         return _write_failure(out_dir / "summary.json", summary, own)
@@ -605,7 +599,7 @@ def _cmd_report(scenario: Scenario, out_dir: Path) -> int:
         "contraction": scenario.synthesis.contraction,
         "regressor_rank": {"rank": reg.rank, "required": reg.required,
                            "full_row_rank": reg.full_row_rank},
-        "min_levels": _min_levels(designs),
+        **_outcomes(designs),
     }
     if isinstance(designs[method], _Failure):
         return _write_failure(out_dir / "report.json", summary, designs[method])

@@ -46,9 +46,10 @@ is the level-1 program with ``h`` shifted by ``1 - lam``, and both have
 the same optimal set.  One solve therefore gives the controller and the
 smallest level it certifies, ``1 - h`` clamped to ``[0, 1]``, which the
 certificate reports as its ``contraction``; the same multipliers hold at
-every level above it.  Every design's certificate is recomputed from raw
-matrices before it is returned, and one that does not replay to
-``TOL_CERT`` raises :class:`~polysafe.errors.NumericalInstabilityError`.
+every level above it.  Every method returns one
+:class:`SynthesisCertificate`, recomputed from raw matrices by one formula
+before it is returned; one that does not replay to ``TOL_CERT`` raises
+:class:`~polysafe.errors.NumericalInstabilityError`.
 """
 
 from __future__ import annotations
@@ -96,19 +97,22 @@ class Controller:
 
 @dataclass(frozen=True, eq=False)
 class SynthesisCertificate:
-    """Everything needed to replay a successful synthesis.
+    """Everything needed to replay a successful synthesis, of any method.
 
     ``set_multiplier`` is the nonnegative matrix pairing each safe-set row
-    with the rows bounding its closed-loop image.  ``residuals`` are
-    recomputed from raw matrices after the solve, never read back from the
-    LP.  ``contraction`` is the smallest level the certificate holds at; it
-    holds at every level above it too.
+    with the rows bounding its closed-loop image, and ``row_offsets`` is the
+    amount each contraction row reserves: 0 for ``thm2``, the noise margin
+    on every row for ``cor2``, the searched remainder bounds for ``thm1``.
+    Every certificate replays by ``set_multiplier @ g + row_offsets <=
+    contraction * g``.  ``residuals`` are recomputed from raw matrices after
+    the solve, never read back from the LP.  ``contraction`` is the smallest
+    level the certificate holds at; it holds at every level above it too.
     """
 
     method: str
     contraction: float
     set_multiplier: np.ndarray        # (s, s), >= 0
-    noise_margin: float               # 0 in the noiseless design
+    row_offsets: np.ndarray           # (s,)
     residuals: dict[str, float]
     config: dict = field(default_factory=dict)
 
@@ -125,22 +129,6 @@ class BaselineSearch:
     g2: np.ndarray           # (T, N) recovered right-inverse columns
     row_bounds: np.ndarray   # (s,) sample maxima of the remainder term at the winner
     candidates: np.ndarray   # (iterations, m*N) the LP iterates, the winner last
-
-
-@dataclass(frozen=True, eq=False)
-class BaselineResult:
-    """The baseline controller and its row-multiplier certificate.
-
-    ``contraction`` is the smallest level the certificate holds at; it
-    holds at every level above it too.
-    """
-
-    controller: Controller
-    row_bounds: np.ndarray       # (s,)
-    set_multiplier: np.ndarray   # (s, s)
-    search: BaselineSearch
-    contraction: float
-    residuals: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +290,15 @@ def _solve(data: ExperimentData, safe_set: PolyhedralSet, kind: str, robust: dic
 
 
 def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.ndarray,
-            outcome: lpcore.LpOutcome, offset, extra: dict) -> tuple[float, dict[str, float]]:
-    """The smallest level a solved design certifies, ``1 - headroom`` in
-    ``[0, 1]``, and its residuals recomputed from raw matrices.
+            outcome: lpcore.LpOutcome, row_offsets: np.ndarray, extra: dict,
+            config: dict) -> SynthesisCertificate:
+    """The certificate of a solved design, recomputed from raw matrices: its
+    smallest level, ``1 - headroom`` in ``[0, 1]``, and its residuals.
 
-    Every method has the contraction rows, with ``offset`` (the noise margin,
-    or the baseline's remainder bounds) added, and the multiplier match and
-    sign; ``extra`` holds the method's own residuals.  A design whose
-    certificate does not replay is refused: any residual above ``TOL_CERT``,
-    or a multiplier below ``-1e-9``, raises
+    Every method has the contraction rows, with ``row_offsets`` added, and
+    the multiplier match and sign; ``extra`` holds the method's own
+    residuals.  A design whose certificate does not replay is refused: any
+    residual above ``TOL_CERT``, or a multiplier below ``-1e-9``, raises
     :class:`NumericalInstabilityError` naming the worst residual.
     """
     level = min(1.0, max(0.0, 1.0 - float(outcome.objective)))
@@ -318,7 +306,7 @@ def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.n
     g = safe_set.offsets
     mult = outcome["mult"]
     residuals = {
-        "contraction": float(np.max(np.maximum(mult @ g + offset - level * g, 0.0))),
+        "contraction": float(np.max(np.maximum(mult @ g + row_offsets - level * g, 0.0))),
         "multiplier_match": float(np.max(np.abs(mult @ F - F @ data.next_states @ g1))),
         "multiplier_sign": float(max(0.0, -np.min(mult))),
         **extra,
@@ -330,7 +318,9 @@ def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.n
             f"{method} certificate does not replay: worst residual {worst} = "
             f"{residuals[worst]:.3e} (tolerance {TOL_CERT:g}), smallest multiplier "
             f"{np.min(mult):.3e}")
-    return level, residuals
+    return SynthesisCertificate(method=method, contraction=level, set_multiplier=mult,
+                                row_offsets=row_offsets, residuals=residuals,
+                                config={"method": method, **config})
 
 
 def _design(data: ExperimentData, safe_set: PolyhedralSet,
@@ -364,12 +354,9 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet,
         budget = _noise_floor(data, safe_set, robust) * (
             _norm_inf(g1) + robust["lipschitz"] * _norm_inf(g2) + 1.0)
         extra["noise_budget"] = float(max(0.0, budget - eta))
-    level, residuals = _replay(method, data, safe_set, g1, outcome, eta, extra)
-    controller = Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2)
-    cert = SynthesisCertificate(
-        method=method, contraction=level, set_multiplier=outcome["mult"],
-        noise_margin=float(eta), residuals=residuals, config={"method": method, **(robust or {})})
-    return controller, cert
+    cert = _replay(method, data, safe_set, g1, outcome, np.full(safe_set.n_rows, float(eta)),
+                   extra, robust or {})
+    return Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2), cert
 
 
 def synthesize_noiseless(data: ExperimentData,
@@ -485,24 +472,22 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
 
 
 def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet,
-                             k2_lo: float = -2.0, k2_hi: float = 2.0,
-                             search: BaselineSearch | None = None) -> BaselineResult:
+                             search: BaselineSearch | None = None
+                             ) -> tuple[Controller, SynthesisCertificate]:
     """Remainder-minimization baseline: gain search plus the row-multiplier LP.
 
-    ``result.contraction`` is the smallest level the certificate holds at.
-    Supply a precomputed ``search`` to reuse the gain search.
+    ``cert.contraction`` is the smallest level the certificate holds at, and
+    ``cert.row_offsets`` are the searched remainder bounds.  Supply a
+    precomputed ``search`` to reuse the gain search.
     """
     if search is None:
-        search = baseline_search(data, safe_set, k2_lo, k2_hi)
+        search = baseline_search(data, safe_set)
     outcome = _solve(data, safe_set, "baseline", row_bounds=search.row_bounds)
     g1 = outcome["G"]
     extra = {"right_inverse_g1": float(np.max(np.abs(
         data.regressor @ g1 - np.eye(data.state_dim + data.n_terms, data.state_dim))))}
-    level, residuals = _replay("thm1", data, safe_set, g1, outcome, search.row_bounds, extra)
-    return BaselineResult(
-        controller=Controller(k1=data.inputs @ g1, k2=search.k2, g1=g1, g2=search.g2),
-        row_bounds=search.row_bounds, set_multiplier=outcome["mult"],
-        search=search, contraction=level, residuals=residuals)
+    cert = _replay("thm1", data, safe_set, g1, outcome, search.row_bounds, extra, {})
+    return Controller(k1=data.inputs @ g1, k2=search.k2, g1=g1, g2=search.g2), cert
 
 
 def format_certificate(controller: Controller, cert: SynthesisCertificate) -> str:
@@ -516,7 +501,7 @@ def format_certificate(controller: Controller, cert: SynthesisCertificate) -> st
     lines = [
         f"method: {cert.method}",
         f"contraction level: {cert.contraction:.17g}",
-        f"noise margin: {cert.noise_margin:.17g}",
+        "row offsets: " + ", ".join(f"{v:.17g}" for v in cert.row_offsets),
         "config: " + ", ".join(f"{k}={v}" for k, v in sorted(cert.config.items())),
         "",
         mat("k1", controller.k1),

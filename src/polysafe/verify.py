@@ -56,8 +56,8 @@ class VerificationReport:
     ``row_margins[i]`` is the worst observed value of
     ``F_i x+ + d_i - level * g_i`` over all samples (grid check) or of
     ``F_i x(t) - g_i`` over all trajectories (Monte Carlo).  The verdict is
-    a pass exactly when every margin is within tolerance and no sample
-    violated.
+    a pass exactly when every margin is within ``TOL_VERIFY`` and no
+    sample violated.
 
     Grid checks also record the grid cell diagonal and a bound on how much
     the margin can move between neighbouring samples
@@ -72,13 +72,12 @@ class VerificationReport:
     witnesses: list = field(default_factory=list)
     mc_stats: dict | None = None
     samples: int = 0
-    tolerance: float = TOL_VERIFY
     cell_diagonal: float | None = None
     refinement_bound: float | None = None
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0 and bool(np.all(self.row_margins <= self.tolerance))
+        return self.violations == 0 and bool(np.all(self.row_margins <= TOL_VERIFY))
 
 
 def disturbance_offsets(safe_set: PolyhedralSet, w_bound: float) -> np.ndarray:
@@ -356,15 +355,17 @@ class ConservatismTable:
     lumped_bounds: np.ndarray | None = None
 
     def render(self) -> str:
+        """The table as text; the level column is as wide as its longest status."""
+        width = max([10] + [len(entry) for entry in self.rows.values() if isinstance(entry, str)])
         lines = []
-        header = f"{'method':8s} {'min level':>10s} {'|k2|_inf':>10s} {'max effort':>11s}"
+        header = f"{'method':8s} {'min level':>{width}s} {'|k2|_inf':>10s} {'max effort':>11s}"
         lines.append(header)
         lines.append("-" * len(header))
         for name, entry in self.rows.items():
             if isinstance(entry, str):  # the status of a method with no design
-                lines.append(f"{name:8s} {entry:>10s} {'-':>10s} {'-':>11s}")
+                lines.append(f"{name:8s} {entry:>{width}s} {'-':>10s} {'-':>11s}")
                 continue
-            lines.append(f"{name:8s} {entry['min_level']:>10.4f} "
+            lines.append(f"{name:8s} {entry['min_level']:>{width}.4f} "
                          f"{entry['k2_norm']:>10.4f} {entry['effort']:>11.4f}")
         if self.lumped_bounds is not None:
             lines.append("lumped-disturbance bound per row: "

@@ -189,10 +189,10 @@ def test_criterion_7_baseline_consistency(secv_data, secv_set):
         # the winner cancels the remainder exactly, so both sides are float
         # dust; 1e-9 absorbs it without weakening the nonzero case
         assert delta < bound + 1e-9
-        result = synthesis.synthesize_min_remainder(secv_data, secv_set, search=coarse)
-        ps = result.set_multiplier
-        g1 = result.controller.g1
-        assert np.max(ps @ SECV_G + result.row_bounds - result.contraction * SECV_G) <= 1e-6
+        controller, cert = synthesis.synthesize_min_remainder(secv_data, secv_set, search=coarse)
+        ps = cert.set_multiplier
+        g1 = controller.g1
+        assert np.max(ps @ SECV_G + cert.row_offsets - cert.contraction * SECV_G) <= 1e-6
         assert np.max(np.abs(ps @ SECV_F
                              - SECV_F @ secv_data.next_states @ g1)) <= 1e-6
         e1 = np.zeros((4, 2))

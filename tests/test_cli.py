@@ -242,6 +242,19 @@ class TestCommands:
         text = (out / "certificate.txt").read_text()
         assert "residuals" in text and "set_multiplier" in text
 
+    def test_synth_thm1_writes_certificate(self, scenario_path, tmp_path):
+        # thm1 certifies like thm2: its searched remainder bounds are the
+        # certificate's row offsets, not a summary key of their own
+        out = tmp_path / "synth_thm1"
+        assert cli.main(["synth", "--scenario", str(scenario_path), "--out", str(out),
+                         "--method", "thm1"]) == cli.EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "feasible" and "row_bounds" not in summary
+        lines = (out / "certificate.txt").read_text().splitlines()
+        assert lines[0] == "method: thm1"
+        assert lines[2].startswith("row offsets: ") and len(lines[2].split(", ")) == 4
+        assert "set_multiplier =" in lines and "residuals:" in lines
+
     def test_synth_infeasible_exit_two(self, scenario_path, tmp_path):
         out = tmp_path / "synth_cor2"
         code = cli.main(["synth", "--scenario", str(scenario_path), "--out", str(out),
@@ -310,6 +323,8 @@ class TestCommands:
         levels = summary["min_levels"]
         assert levels["cor2"] is None
         assert levels["thm2"] is not None and abs(levels["thm2"] - levels["thm1"]) <= 1e-9
+        assert list(summary["failures"]) == ["cor2"]
+        assert summary["failures"]["cor2"]["status"] == "infeasible"
 
     def test_report_on_two_inputs_and_three_terms(self, tmp_path):
         # two inputs and three terms (m*N = 6): thm1's gain search is a few
@@ -348,6 +363,8 @@ class TestCommands:
                                  else "summary.json")).read_text())
         assert doc["min_levels"]["thm1"] is None and doc["min_levels"]["cor2"] is None
         assert abs(doc["min_levels"]["thm2"] - 0.9) <= 1e-9
+        assert {m: f["status"] for m, f in doc["failures"].items()} == {
+            "cor2": "infeasible", "thm1": "unsupported"}
         if command == "report":
             assert (doc["status"], doc["level_verified"]) == ("verified", 0.95)
             # the table names each failure by its status, not all as infeasible
@@ -570,15 +587,16 @@ class TestCommands:
     def test_stalled_method_is_its_own_entry(self, scenario_path, tmp_path, monkeypatch,
                                              command, summary, error):
         # a thm1 solve at its pivot cap, or one that does not replay, fails
-        # thm1 alone: the other methods' levels stand, and thm1's entry says
-        # "solver failed", not "infeasible"
+        # thm1 alone: the other methods' levels stand, and thm1's failure
+        # says "solver-failed", not "infeasible"
         self._stall(monkeypatch, "synthesize_min_remainder", error)
         out = tmp_path / command
         assert cli.main([command, "--scenario", str(scenario_path),
                          "--out", str(out)]) == cli.EXIT_OK
         doc = json.loads((out / summary).read_text())
         levels = doc["min_levels"]
-        assert levels["thm1"] == "solver failed: no verdict"
+        assert levels["thm1"] is None
+        assert doc["failures"]["thm1"] == {"status": "solver-failed", "detail": "no verdict"}
         assert isinstance(levels["thm2"], float) and levels["cor2"] is None
         if command == "report":
             assert doc["status"] == "verified"
@@ -596,7 +614,8 @@ class TestCommands:
                          "--method", "thm2"]) == cli.EXIT_USAGE
         doc = json.loads((out / summary).read_text())
         assert doc["status"] == "solver-failed"
-        assert doc["min_levels"]["thm2"].startswith("solver failed: ")
+        assert doc["min_levels"]["thm2"] is None
+        assert doc["failures"]["thm2"] == {"status": "solver-failed", "detail": "no verdict"}
 
     @pytest.mark.parametrize("status, error, code", [
         ("infeasible", SynthesisInfeasibleError, cli.EXIT_INFEASIBLE),
@@ -611,15 +630,15 @@ class TestCommands:
                                           command, summary, status, error, code):
         # the command's own method ends in each outcome in turn: every command
         # writes its summary with that status and the error's message, and
-        # exits by the status; a sweep names an infeasible method null
+        # exits by the status; a sweep gives the method a null level and its failure
         self._stall(monkeypatch, "synthesize_noiseless", error)
         out = tmp_path / command
         exit_code = cli.main([command, "--scenario", str(scenario_path), "--out", str(out),
                               "--method", "thm2"])
         doc = json.loads((out / summary).read_text())
         if command == "sweep-lambda":
-            assert doc["min_levels"] == {"thm2": "solver failed: no verdict"
-                                         if status == "solver-failed" else None}
+            assert doc["min_levels"] == {"thm2": None}
+            assert doc["failures"] == {"thm2": {"status": status, "detail": "no verdict"}}
             if status == "infeasible":
                 assert (exit_code, doc["status"]) == (cli.EXIT_OK, "ok")
                 assert "detail" not in doc
@@ -832,10 +851,12 @@ class TestUnsoundCertificateIsCaught:
         out = tmp_path / "sweep"
         assert cli.main(["sweep-lambda", "--scenario", str(scenario_path),
                          "--out", str(out)]) == cli.EXIT_OK
-        levels = json.loads((out / "summary.json").read_text())["min_levels"]
+        doc = json.loads((out / "summary.json").read_text())
+        levels, failures = doc["min_levels"], doc["failures"]
         for method in ("thm2", "thm1"):
-            assert levels[method].startswith(
-                f"{cli.SOLVER_FAILED}{method} certificate does not replay"), levels
+            assert levels[method] is None and failures[method]["status"] == "solver-failed"
+            assert failures[method]["detail"].startswith(
+                f"{method} certificate does not replay"), failures
         assert levels["cor2"] is None
 
 
@@ -847,8 +868,9 @@ class TestPublicApi:
 
         missing = [name for name in polysafe.__all__ if not hasattr(polysafe, name)]
         assert not missing
-        removed = {"dual_gap_check", "grid_contractivity"}
+        removed = {"dual_gap_check", "grid_contractivity", "BaselineResult"}
         assert not removed & set(polysafe.__all__)
+        assert not hasattr(synthesis, "BaselineResult") and not hasattr(cli, "SOLVER_FAILED")
         assert not removed & set(vars(verify))
         assert not hasattr(polysafe.Dictionary, "hessians")
         assert not hasattr(lpcore.LinearProgram, "dump")

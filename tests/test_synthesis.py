@@ -20,16 +20,20 @@ from conftest import SECV_F, SECV_G, duo_problem, grid_members, tri_problem
 
 
 def replay_certificate(data, safe_set, controller, cert):
-    """Independent recomputation of every certificate equation from raw matrices."""
+    """Independent recomputation of every certificate equation from raw
+    matrices, by one formula for every method."""
     F = safe_set.normals
     g = safe_set.offsets
     x1g1 = data.next_states @ controller.g1
     x1g2 = data.next_states @ controller.g2
     coeffs = F @ x1g2
     stacked = np.hstack([controller.g1, controller.g2])
+    remainder = coeffs @ data.dictionary.remainder(sample_points(safe_set).T).T   # (s, k)
     checks = {
-        "contraction": np.max(cert.set_multiplier @ g + cert.noise_margin
+        "contraction": np.max(cert.set_multiplier @ g + cert.row_offsets
                               - cert.contraction * g),
+        # each row's offset covers its closed-loop remainder term over the set's sample
+        "remainder_covered": np.max(remainder.max(axis=1) - cert.row_offsets),
         "multiplier_match": np.max(np.abs(cert.set_multiplier @ F - F @ x1g1)),
         "right_inverse": np.max(np.abs(
             data.regressor @ stacked - np.eye(data.state_dim + data.n_terms))),
@@ -41,15 +45,16 @@ def replay_certificate(data, safe_set, controller, cert):
 
 def assert_certificate_valid(data, safe_set, controller, cert):
     checks, coeffs = replay_certificate(data, safe_set, controller, cert)
-    assert checks["contraction"] <= 1e-6
-    for name in ("multiplier_match", "right_inverse"):
+    assert cert.row_offsets.shape == (safe_set.n_rows,)
+    for name in ("contraction", "remainder_covered", "multiplier_match", "right_inverse"):
         assert checks[name] <= 1e-6, name
     assert checks["gain_k1"] <= 1e-9
     assert checks["gain_k2"] <= 1e-9
     assert np.min(cert.set_multiplier) >= -1e-9
-    # the closed-loop remainder is pinned to zero on every row
-    assert np.max(np.abs(coeffs)) <= 1e-6
-    assert cert.residuals["remainder_zeroed"] <= 1e-6
+    if cert.method != "thm1":
+        # thm2 and cor2 pin the closed-loop remainder to zero on every row
+        assert np.max(np.abs(coeffs)) <= 1e-6
+        assert cert.residuals["remainder_zeroed"] <= 1e-6
 
 
 def robust_terms(data, safe_set, w_bound):
@@ -199,7 +204,7 @@ class TestRobustDesign:
     def test_zero_disturbance_matches_noiseless(self, secv_data, secv_set, secv_design):
         controller, cert = synthesis.synthesize_robust(
             secv_data, secv_set, w_bound=0.0)
-        assert cert.noise_margin <= 1e-9
+        assert np.max(cert.row_offsets) <= 1e-9
         assert abs(cert.contraction - secv_design[1].contraction) <= 1e-9
         assert_certificate_valid(secv_data, secv_set, controller, cert)
 
@@ -217,7 +222,7 @@ class TestRobustDesign:
         data = collect(plant, 25, 0.5, [0.3, -0.2], seed=4, with_noise=True)
         controller, cert = synthesis.synthesize_robust(
             data, box_set, w_bound=w)
-        assert cert.noise_margin > 0.0
+        assert np.min(cert.row_offsets) > 0.0
         assert cert.contraction <= 0.98
         true_rem = plant.a2 + plant.b @ controller.k2
         assert 0.0 < np.max(np.abs(true_rem)) < 0.05  # leakage, not cancellation
@@ -247,8 +252,10 @@ class TestRobustDesign:
         ninf = lambda m: float(np.max(np.abs(m).sum(axis=1)))
         budget = gm * box.max_abs * data.n_samples * (
             ninf(controller.g1) + lip * ninf(controller.g2) + 1.0)
-        assert budget <= cert.noise_margin + 1e-6
-        assert cert.noise_margin > 0.0
+        # the noise margin is the same on every row
+        assert np.all(cert.row_offsets == cert.row_offsets[0])
+        assert budget <= cert.row_offsets[0] + 1e-6
+        assert cert.row_offsets[0] > 0.0
         assert_certificate_valid(data, box_set, controller, cert)
 
 
@@ -262,6 +269,37 @@ class TestInfeasiblePlant:
             synthesis.synthesize_noiseless(data, secv_set)
 
 
+class TestCertificateReplay:
+    @pytest.mark.parametrize("problem", ["secV", "duo"])
+    @pytest.mark.parametrize("method", synthesis.METHODS)
+    def test_every_method_replays_from_raw_matrices(self, secv_data, method, problem):
+        # one certificate type and one formula, mult @ g + row_offsets <=
+        # level * g, for all three methods; cor2 takes a disturbance small
+        # enough for its noise margin to fit
+        safe_set, data = {"secV": lambda: (PolyhedralSet(SECV_F, SECV_G), secv_data),
+                          "duo": lambda: duo_problem(160)}[problem]()
+        controller, cert = {
+            "thm2": lambda: synthesis.synthesize_noiseless(data, safe_set),
+            "cor2": lambda: synthesis.synthesize_robust(data, safe_set, w_bound=1e-6),
+            "thm1": lambda: synthesis.synthesize_min_remainder(data, safe_set),
+        }[method]()
+        assert isinstance(cert, synthesis.SynthesisCertificate) and cert.method == method
+        assert_certificate_valid(data, safe_set, controller, cert)
+        if method == "thm2":
+            assert np.all(cert.row_offsets == 0.0)
+        elif method == "cor2":
+            # the noise margin, on every row
+            assert cert.row_offsets[0] > 0.0 and np.all(cert.row_offsets == cert.row_offsets[0])
+        else:
+            # the searched remainder bounds
+            search = synthesis.baseline_search(data, safe_set)
+            assert cert.row_offsets.tobytes() == search.row_bounds.tobytes()
+        # the certificate text carries the row offsets to the last bit
+        line = next(line for line in synthesis.format_certificate(controller, cert).splitlines()
+                    if line.startswith("row offsets: "))
+        assert [float(v) for v in line.split(": ")[1].split(", ")] == cert.row_offsets.tolist()
+
+
 class TestBaseline:
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: thm1's row bounds are sampled "
                        "maxima, so its certificate can claim a level its closed loop misses")
@@ -272,32 +310,36 @@ class TestBaseline:
         # violation, worst margin +9.72e-4 (the 1001^2 grid: 18, +9.95e-4).
         # Sound row bounds make it pass.
         safe_set, data = duo_variant([[-0.04, 0.0, -0.03], [1.0, 0.5, -0.5]])
-        result = synthesis.synthesize_min_remainder(data, safe_set)
-        assert max(result.residuals.values()) <= 1e-12
-        (report,) = verify.grid_reports(result.controller, safe_set, result.contraction, 0.0,
+        controller, cert = synthesis.synthesize_min_remainder(data, safe_set)
+        assert cert.max_residual <= 1e-12
+        (report,) = verify.grid_reports(controller, safe_set, cert.contraction, 0.0,
                                         (201, 201), data.dictionary, ("data-rep",), data=data)
         assert report.passed, (float(np.max(report.row_margins)), report.violations)
 
     def test_unreachable_curvature_level_passes_the_data_grid(self):
         # the first state's own curvature alone: the LP gain claims 0.915
         # and passes the 1001^2 data-rep grid
+        # and pass the data grid; its row offsets are the nonzero remainder
+        # bounds, and its certificate replays from raw matrices
         safe_set, data = duo_variant([[-0.04, 0.0, 0.0], [1.0, 0.5, -0.5]])
-        result = synthesis.synthesize_min_remainder(data, safe_set)
-        assert max(result.residuals.values()) <= 1e-12
-        assert result.contraction <= 0.92
-        (report,) = verify.grid_reports(result.controller, safe_set, result.contraction, 0.0,
+        controller, cert = synthesis.synthesize_min_remainder(data, safe_set)
+        assert cert.max_residual <= 1e-12
+        assert cert.contraction <= 0.92
+        assert np.max(cert.row_offsets) > 0.1
+        assert_certificate_valid(data, safe_set, controller, cert)
+        (report,) = verify.grid_reports(controller, safe_set, cert.contraction, 0.0,
                                         (1001, 1001), data.dictionary, ("data-rep",), data=data)
         assert report.passed, (float(np.max(report.row_margins)), report.violations)
 
     def test_secv_finds_cancellation(self, secv_data, secv_set):
-        result = synthesis.synthesize_min_remainder(secv_data, secv_set)
-        np.testing.assert_allclose(result.search.k2, [[-1.0, -1.0]], atol=1e-9)
-        assert np.max(np.abs(result.row_bounds)) <= 1e-9
-        assert abs(result.contraction - 0.758333) <= 1e-6
+        controller, cert = synthesis.synthesize_min_remainder(secv_data, secv_set)
+        np.testing.assert_allclose(controller.k2, [[-1.0, -1.0]], atol=1e-9)
+        assert np.max(np.abs(cert.row_offsets)) <= 1e-9
+        assert abs(cert.contraction - 0.758333) <= 1e-6
         # baseline conditions replay at the certified level
-        ps = result.set_multiplier
-        g1 = result.controller.g1
-        assert np.max(ps @ SECV_G + result.row_bounds - result.contraction * SECV_G) <= 1e-6
+        ps = cert.set_multiplier
+        g1 = controller.g1
+        assert np.max(ps @ SECV_G + cert.row_offsets - cert.contraction * SECV_G) <= 1e-6
         assert np.max(np.abs(ps @ SECV_F - SECV_F @ secv_data.next_states @ g1)) <= 1e-6
         e1 = np.zeros((4, 2))
         e1[:2] = np.eye(2)
@@ -311,9 +353,9 @@ class TestBaseline:
                            b=np.eye(2), dictionary=dictionary, w_bound=0.0)
         box = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
         data = collect(plant, 12, 0.4, [0.2, -0.1], seed=5)
-        result = synthesis.synthesize_min_remainder(data, box)
-        np.testing.assert_allclose(result.search.k2, [[-0.3, 0.0], [0.0, -0.2]], atol=1e-9)
-        assert np.max(np.abs(result.row_bounds)) <= 1e-9
+        controller, cert = synthesis.synthesize_min_remainder(data, box)
+        np.testing.assert_allclose(controller.k2, [[-0.3, 0.0], [0.0, -0.2]], atol=1e-9)
+        assert np.max(np.abs(cert.row_offsets)) <= 1e-9
 
     def test_grid_refinement_stability(self, secv_set):
         # nonzero remainder bound case: fix a plant whose cancellation is
@@ -502,9 +544,9 @@ class TestBaselineSearchIsExact:
     def test_default_grid_is_unchanged(self, secv_data, secv_set):
         # the default box [-2, 2] holds the cancelling gain, which the LP
         # reaches to within rounding
-        result = synthesis.synthesize_min_remainder(secv_data, secv_set)
-        np.testing.assert_allclose(result.search.k2, [[-1.0, -1.0]], rtol=0, atol=1e-12)
-        assert abs(result.contraction - 0.7583333333333429) <= 1e-12
+        controller, cert = synthesis.synthesize_min_remainder(secv_data, secv_set)
+        np.testing.assert_allclose(controller.k2, [[-1.0, -1.0]], rtol=0, atol=1e-12)
+        assert abs(cert.contraction - 0.7583333333333429) <= 1e-12
 
 
 class TestLumpedBounds:
@@ -560,11 +602,11 @@ class TestMinimalContraction:
         assert_certificate_valid(secv_data, secv_set, controller, cert)
         rows = cert.set_multiplier @ g
         assert abs(np.max(rows / g) - cert.contraction) <= 1e-9
-        result = synthesis.synthesize_min_remainder(secv_data, secv_set)
-        assert abs(result.contraction - 0.758333) <= 1e-6
-        assert result.residuals["contraction"] <= 1e-9
-        rows = result.set_multiplier @ g + result.row_bounds
-        assert abs(np.max(rows / g) - result.contraction) <= 1e-9
+        _, cert = synthesis.synthesize_min_remainder(secv_data, secv_set)
+        assert abs(cert.contraction - 0.758333) <= 1e-6
+        assert cert.residuals["contraction"] <= 1e-9
+        rows = cert.set_multiplier @ g + cert.row_offsets
+        assert abs(np.max(rows / g) - cert.contraction) <= 1e-9
 
     def test_degenerate_disturbance_agrees(self, secv_data, secv_set):
         _, a = synthesis.synthesize_noiseless(secv_data, secv_set)
@@ -606,11 +648,11 @@ class TestMinimalContraction:
         data = collect(plant, 40, 0.01, [0.0, 0.0, 0.0], seed=11)
         search = synthesis.baseline_search(data, safe_set)
         np.testing.assert_allclose(search.k2, [[-1.0, -0.5, 0.5]], atol=1e-12)
-        result = synthesis.synthesize_min_remainder(data, safe_set, search=search)
-        assert 0.0 < result.contraction < 1.0
-        assert result.residuals["contraction"] <= 1e-9
-        assert verify.control_effort(result.controller, safe_set, dictionary) > 0.0
-        bounds = verify.lumped_disturbance_bounds(data, safe_set, result.controller, 0.02)
+        controller, cert = synthesis.synthesize_min_remainder(data, safe_set, search=search)
+        assert 0.0 < cert.contraction < 1.0
+        assert cert.residuals["contraction"] <= 1e-9
+        assert verify.control_effort(controller, safe_set, dictionary) > 0.0
+        bounds = verify.lumped_disturbance_bounds(data, safe_set, controller, 0.02)
         assert bounds.shape == (6,)
 
     def test_infeasible_plant_raises(self, secv_set, secv_dictionary):
@@ -643,7 +685,7 @@ class TestRegularPolygons:
         controller, cert = synthesis.synthesize_noiseless(data, safe_set)
         level = cert.contraction
         assert abs(level - POLYGON_LEVEL) <= 1e-9
-        assert abs(level - synthesis.synthesize_min_remainder(data, safe_set).contraction) <= 1e-9
+        assert abs(level - synthesis.synthesize_min_remainder(data, safe_set)[1].contraction) <= 1e-9
         assert_certificate_valid(data, safe_set, controller, cert)
         np.testing.assert_allclose(controller.k2, [[-1.0, -0.5, 0.5]], atol=1e-6)
         report = verify.grid_reports(controller, safe_set, level + 1e-9, 0.0, (101, 101),

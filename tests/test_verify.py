@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -624,11 +625,11 @@ class TestConservatism:
             secv_data, secv_set, secv_design[0], 0.05)
         table = verify.conservatism_report(
             secv_set, secv_dictionary,
-            {"thm2": secv_design, "cor2": "infeasible", "thm1": (baseline.controller, baseline)},
+            {"thm2": secv_design, "cor2": "infeasible", "thm1": baseline},
             lumped_bounds=lumped)
         assert list(table.rows) == ["thm2", "cor2", "thm1"]
         assert table.rows["thm2"]["min_level"] == secv_design[1].contraction
-        assert table.rows["thm1"]["min_level"] == baseline.contraction
+        assert table.rows["thm1"]["min_level"] == baseline[1].contraction
         for name in ("thm2", "thm1"):
             assert all(np.isfinite(v) for v in table.rows[name].values())
         lines = table.render().splitlines()
@@ -648,6 +649,22 @@ class TestConservatism:
         assert lines[3].split() == ["cor2", "solver-failed", "-", "-"]
         assert lines[4].split() == ["thm1", "unsupported", "-", "-"]
 
+    def test_columns_fit_every_status(self, secv_set, secv_design, secv_dictionary):
+        # the level column is as wide as the longest status, so each row's
+        # right-aligned cells end where the header's columns end
+        statuses = ["infeasible", "rank-deficient", "inconsistent-data", "unsupported",
+                    "solver-failed"]
+        designs = {"thm2": secv_design, **{f"m{i}": status for i, status in enumerate(statuses)}}
+        lines = verify.conservatism_report(secv_set, secv_dictionary, designs).render().splitlines()
+
+        def ends(line, cell):
+            return [match.end() for match in re.finditer(cell, line)]
+
+        columns = ends(lines[0], r"\S+(?: \S+)*")   # "min level" and "max effort" hold a space
+        assert len(columns) == 4 and len(lines) == 2 + 1 + len(statuses)
+        for row in lines[2:]:
+            assert ends(row, r"\S+")[1:] == columns[1:], row
+
     def test_deterministic(self, secv_set, secv_design, secv_dictionary):
         designs = {"thm2": secv_design, "cor2": "infeasible"}
         t1 = verify.conservatism_report(secv_set, secv_dictionary, designs)
@@ -663,7 +680,7 @@ class TestConservatism:
         if method == "thm2":
             controller, _ = synthesis.synthesize_noiseless(data, safe_set)
         else:
-            controller = synthesis.synthesize_min_remainder(data, safe_set).controller
+            controller, _ = synthesis.synthesize_min_remainder(data, safe_set)
         w_bound = 0.05
         rem = data.dictionary.remainder(sample_points(safe_set).T)
         coeffs = safe_set.normals @ data.next_states @ controller.g2
