@@ -39,7 +39,7 @@ from .errors import (
     SolverStalledError,
     SynthesisInfeasibleError,
 )
-from .polytope import PolyhedralSet, enumerate_vertices
+from .polytope import PolyhedralSet, enumerate_vertices, sample_points, sample_vertices
 
 SCHEMA_VERSION = 1
 
@@ -542,7 +542,9 @@ def _cmd_simulate(scenario: Scenario, out_dir: Path) -> int:
     if isinstance(design, _Failure):
         return _write_failure(out_dir / "summary.json", {"command": "simulate"}, design)
     controller, _ = design
-    start = enumerate_vertices(safe_set)[0]
+    # the first vertex, or above 3 states (no vertices) the first grid member
+    vertices = sample_vertices(safe_set)
+    start = (vertices if vertices.shape[1] else sample_points(safe_set))[:, 0]
     horizon = scenario.verify.horizon
     traj = _rollout(scenario, plant, controller, start, horizon, 0)
     path = out_dir / "trajectory.csv"

@@ -5,11 +5,13 @@ All three methods constrain the closed loop through a right inverse of
 the data regressor: whenever ``regressor @ [g1 g2] = I``, the products
 ``next_states @ g1`` and ``next_states @ g2`` equal the closed-loop linear
 part and the closed-loop remainder part exactly (on noiseless data), so
-no plant is identified.  The programs touch the right inverse only
-through ``next_states @ G``, so ``thm2`` and ``thm1`` are posed over the
-null-space form of the closed loop, whose size does not depend on the
-sample count, and ``G`` is recovered as its minimum-norm preimage;
-``cor2`` keeps ``G`` itself, since its norm budget needs ``|G|``.
+no plant is identified.  One gate, :func:`_admit`, decides which data each
+method may design from; ``thm2`` and ``thm1`` rest on that identity, so it
+refuses them data off the noiseless model.  The programs touch the right
+inverse only through ``next_states @ G``, so ``thm2`` and ``thm1`` are
+posed over the null-space form of the closed loop, whose size does not
+depend on the sample count, and ``G`` is recovered as its minimum-norm
+preimage; ``cor2`` keeps ``G`` itself, since its norm budget needs ``|G|``.
 
 The primal-dual design ("thm2" in scenario files) pairs a nonnegative
 row-multiplier matrix with the closed-loop linear part and pins the
@@ -24,20 +26,16 @@ Pinning ``R`` accepts exactly those remainders on every bounded set,
 whether or not its rows come in opposite pairs, and the certificate's
 ``remainder_zeroed`` residual replays the pin.  With ``R = 0`` the
 paper's slope term ``F R J(x)`` is zero at every expansion point, so the
-programs carry neither the point nor the slope term.  The robust
-variant ("cor2") adds a norm budget that accounts for noise leakage
-through the data matrices, with disturbances measured by the row
-one-norms of :func:`~polysafe.polytope.row_norms`; a budget floor above the smallest offset
-is refused before any program is posed.  The baseline ("thm1") searches a
-box of gains for the one minimizing the worst-row remainder term over the
-set's sample (:func:`~polysafe.polytope.sample_points`: its default grid
-plus the vertices) and then solves the classical row-multiplier program
-with the searched remainder bound subtracted.  Each (row, point) value is
-affine in the gain, so the search is one small LP solved by constraint
-generation: (1) minimize the worst value over the box on the (row,
-point) pairs found so far; (2) evaluate every row over the sample at the
-new gain and add each row's maximizing pair; (3) stop when no pair is
-new.  Only a few pairs are ever posed.
+programs carry neither the point nor the slope term.  The robust variant
+("cor2") adds a norm budget that accounts for noise leakage through the data
+matrices, with disturbances measured by the row one-norms of
+:func:`~polysafe.polytope.row_norms`; a budget floor above the smallest
+offset is refused before any program is posed.  The baseline ("thm1")
+searches a box of gains for the one minimizing the worst-row remainder term
+over the set's sample (:func:`~polysafe.polytope.sample_points`: its default
+grid plus the vertices) and then solves the classical row-multiplier program
+with the searched remainder bound subtracted; the search is one small LP,
+solved by constraint generation (:func:`baseline_search`).
 
 The design functions take no level.  Every program is posed at level 1
 and maximizes level headroom ``h``, which enters row ``i`` as ``h * g_i``;
@@ -135,6 +133,31 @@ class BaselineSearch:
 # the core feasibility program
 
 
+def _admit(data: ExperimentData, method: str) -> np.ndarray | None:
+    """The one check of the data ``method`` designs from: its rank condition
+    (:class:`RankDeficientDataError`; the stacked input/regressor matrix for
+    ``thm1``, else the regressor) and, for ``thm2`` and ``thm1``, the
+    noiseless rule (:class:`InconsistentDataError`): ``next_states`` within
+    ``_RANK_RTOL * |next_states|_2`` of the row space of ``S = [regressor;
+    inputs]``, which bounds singular value ``m + 1`` of ``next_states @ P``
+    (Weyl).  Returns ``pinv(S)``, or None for ``cor2``."""
+    diag, matrix = ((identification_rank(data), "stacked input/regressor matrix")
+                    if method == "thm1" else (regressor_rank(data), "regressor"))
+    if not diag.full_row_rank:
+        raise RankDeficientDataError(f"{matrix} is rank deficient: {diag}", diag)
+    if method == "cor2":
+        return None
+    stacked = np.vstack([data.regressor, data.inputs])
+    pinv = np.linalg.pinv(stacked)                   # (T, n+N+m)
+    off = np.linalg.norm(data.next_states - data.next_states @ pinv @ stacked, 2)
+    tol = _RANK_RTOL * np.linalg.norm(data.next_states, 2)
+    if off > tol:
+        raise InconsistentDataError(
+            f"next_states lie {off:.3e} off the row space of the stacked input/regressor "
+            f"matrix, above {tol:.3e}: the data do not fit a noiseless plant")
+    return pinv
+
+
 def _closed_loop(data: ExperimentData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Null-space parametrization of the data-based closed loop.
 
@@ -142,25 +165,19 @@ def _closed_loop(data: ExperimentData) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``P`` the projector onto the regressor's null space, so every closed
     loop ``next_states @ G`` is ``base + lift @ W`` with
     ``base = next_states @ pinv(regressor)``, ``lift`` the left singular
-    vectors of ``next_states @ P`` (rank at most m on noiseless data) and
-    ``W`` free (De Persis & Tesi, IEEE TAC 2020; Doerfler, Coulson &
-    Markovsky, IEEE TAC 2023).  Returns ``(base, lift, g0, preimage)``:
-    ``g0 + preimage @ W`` is the minimum-norm right inverse with closed loop
-    ``base + lift @ W``.  Singular values are truncated, not inverted at
-    rounding level, so that preimage replays.  Data with a singular value
-    ``m + 1`` above that level (noisy data) raise
-    :class:`~polysafe.errors.InconsistentDataError`.
+    vectors of ``next_states @ P`` (rank at most m on the data
+    :func:`_admit` lets through) and ``W`` free (De Persis & Tesi, IEEE TAC
+    2020; Doerfler, Coulson & Markovsky, IEEE TAC 2023).  Returns
+    ``(base, lift, g0, preimage)``: ``g0 + preimage @ W`` is the
+    minimum-norm right inverse with closed loop ``base + lift @ W``.
+    Singular values are truncated, not inverted at rounding level, so that
+    preimage replays.
     """
     pinv = np.linalg.pinv(data.regressor)                     # (T, n+N)
     base = data.next_states @ pinv                            # (n, n+N)
     # next_states @ P, without forming the (T, T) projector
     u, sv, vt = np.linalg.svd(data.next_states - base @ data.regressor, full_matrices=False)
     keep = sv > _RANK_RTOL * np.linalg.norm(data.next_states, 2)
-    if keep.sum() > data.input_dim:  # noiseless data move it only through the inputs
-        raise InconsistentDataError(
-            f"next_states @ P has rank {keep.sum()} above the {data.input_dim} inputs (singular "
-            f"values {np.array2string(sv[keep], precision=3)}): the data do not fit a "
-            f"noiseless plant (noisy data need cor2)")
     if not keep.any():  # the inputs do not move the closed loop; one idle column
         return base, np.zeros((data.state_dim, 1)), pinv, np.zeros((data.n_samples, 1))
     return base, u[:, keep], pinv, vt[keep].T / sv[keep]
@@ -185,8 +202,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
     outcome carries the recovered right inverse (its linear columns for the
     baseline) under ``"G"``.
     """
-    F = safe_set.normals
-    g = safe_set.offsets
+    F, g = safe_set.normals, safe_set.offsets
     s, n = F.shape
     N = data.n_terms
     split = robust is not None
@@ -302,8 +318,7 @@ def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.n
     :class:`NumericalInstabilityError` naming the worst residual.
     """
     level = min(1.0, max(0.0, 1.0 - float(outcome.objective)))
-    F = safe_set.normals
-    g = safe_set.offsets
+    F, g = safe_set.normals, safe_set.offsets
     mult = outcome["mult"]
     residuals = {
         "contraction": float(np.max(np.maximum(mult @ g + row_offsets - level * g, 0.0))),
@@ -326,14 +341,9 @@ def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.n
 def _design(data: ExperimentData, safe_set: PolyhedralSet,
             robust: dict | None) -> tuple[Controller, SynthesisCertificate]:
     """Solve the ``thm2`` (``robust`` None) or ``cor2`` program and certify its controller."""
-    diag = regressor_rank(data)
-    if not diag.full_row_rank:
-        raise RankDeficientDataError(f"regressor is rank deficient: {diag}", diag)
     method, kind = ("thm2", "noiseless design") if robust is None else ("cor2", "robust design")
-    if robust is not None:
-        # Contraction row i reads mult_i @ g + noise + slack * g_i <= g_i with
-        # mult, slack >= 0, while the budget row needs noise >= floor.  A floor
-        # above the smallest offset is therefore infeasible at every level.
+    _admit(data, method)
+    if robust is not None:  # a floor above the smallest offset: see synthesize_robust
         floor = _noise_floor(data, safe_set, robust)
         row = int(np.argmin(safe_set.offsets))
         if floor > safe_set.offsets[row]:
@@ -351,8 +361,7 @@ def _design(data: ExperimentData, safe_set: PolyhedralSet,
         "remainder_zeroed": float(np.max(np.abs(safe_set.normals @ data.next_states @ g2))),
     }
     if robust is not None:
-        budget = _noise_floor(data, safe_set, robust) * (
-            _norm_inf(g1) + robust["lipschitz"] * _norm_inf(g2) + 1.0)
+        budget = floor * (_norm_inf(g1) + robust["lipschitz"] * _norm_inf(g2) + 1.0)
         extra["noise_budget"] = float(max(0.0, budget - eta))
     cert = _replay(method, data, safe_set, g1, outcome, np.full(safe_set.n_rows, float(eta)),
                    extra, robust or {})
@@ -363,9 +372,9 @@ def synthesize_noiseless(data: ExperimentData,
                          safe_set: PolyhedralSet) -> tuple[Controller, SynthesisCertificate]:
     """Primal-dual design assuming the data were collected without noise.
 
-    ``cert.contraction`` is the smallest level the design certifies.  Raises :class:`SynthesisInfeasibleError` with the
-    phase-1 certificate if the program has no solution at any level in
-    ``(0, 1]``.
+    ``cert.contraction`` is the smallest level the design certifies.  Raises
+    :class:`SynthesisInfeasibleError` with the phase-1 certificate if the
+    program has no solution at any level in ``(0, 1]``.
     """
     return _design(data, safe_set, None)
 
@@ -406,9 +415,9 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     remainder term over the set's sample, its default grid plus the
     vertices (:func:`~polysafe.polytope.sample_points`).
 
-    The stacked data must have full row rank (stronger than the regressor
-    rank) and hold ``next_states`` in their row space, as noiseless data
-    do.  Each (row, point) value is affine in the gain, so the best gain is
+    The data must pass :func:`_admit`'s ``thm1`` gate: the stacked
+    input/regressor matrix at full row rank, with ``next_states`` in its
+    row space.  Each (row, point) value is affine in the gain, so the best gain is
     an LP, solved by constraint generation (Kelley, J. SIAM 8, 1960): it is
     posed on the pairs found so far, starting from every row at the
     vertices, and each row's maximizer over all points at the gain-free
@@ -421,18 +430,7 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     if not (math.isfinite(k2_lo) and math.isfinite(k2_hi) and k2_lo <= k2_hi):
         raise ValueError(f"need finite k2_lo <= k2_hi, got k2_lo={k2_lo}, k2_hi={k2_hi}")
     n, N, m = data.state_dim, data.n_terms, data.input_dim
-    diag = identification_rank(data)
-    if not diag.full_row_rank:
-        raise RankDeficientDataError(
-            f"stacked input/regressor matrix is rank deficient: {diag}", diag)
-    stacked = np.vstack([data.regressor, data.inputs])
-    pinv = np.linalg.pinv(stacked)                   # (T, n+N+m)
-    off = np.linalg.norm(data.next_states - data.next_states @ pinv @ stacked, 2)
-    tol = _RANK_RTOL * np.linalg.norm(data.next_states, 2)
-    if off > tol:
-        raise InconsistentDataError(
-            f"next_states lie {off:.3e} off the row space of the stacked input/regressor "
-            f"matrix, above {tol:.3e}: the data do not fit a noiseless plant")
+    pinv = _admit(data, "thm1")                      # (T, n+N+m)
     base = pinv[:, n:n + N]                          # (T, N): regressor @ g2 = [0; I]
     gain_map = pinv[:, n + N:]                       # (T, m): inputs @ g2 = k2
 
@@ -471,17 +469,15 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
         k2=k2, g2=g2, row_bounds=values.max(axis=1), candidates=np.array(iterates))
 
 
-def synthesize_min_remainder(data: ExperimentData, safe_set: PolyhedralSet,
-                             search: BaselineSearch | None = None
-                             ) -> tuple[Controller, SynthesisCertificate]:
-    """Remainder-minimization baseline: gain search plus the row-multiplier LP.
+def synthesize_min_remainder(data: ExperimentData,
+                             safe_set: PolyhedralSet) -> tuple[Controller, SynthesisCertificate]:
+    """Remainder-minimization baseline: :func:`baseline_search`, then the row-multiplier LP.
 
     ``cert.contraction`` is the smallest level the certificate holds at, and
-    ``cert.row_offsets`` are the searched remainder bounds.  Supply a
-    precomputed ``search`` to reuse the gain search.
+    ``cert.row_offsets`` are the searched remainder bounds; ``controller.k2``
+    and ``controller.g2`` are the searched gain and its right-inverse columns.
     """
-    if search is None:
-        search = baseline_search(data, safe_set)
+    search = baseline_search(data, safe_set)
     outcome = _solve(data, safe_set, "baseline", row_bounds=search.row_bounds)
     g1 = outcome["G"]
     extra = {"right_inverse_g1": float(np.max(np.abs(

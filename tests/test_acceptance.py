@@ -174,22 +174,21 @@ def test_criterion_6_lipschitz_soundness(secv_set, secv_dictionary):
 
 def test_criterion_7_baseline_consistency(secv_data, secv_set):
     def body():
-        coarse = synthesis.baseline_search(secv_data, secv_set)
+        controller, cert = synthesis.synthesize_min_remainder(secv_data, secv_set)
         box = interval_enclosure(secv_set)
         lip = secv_data.dictionary.lipschitz_bound(box)
         cell = float(np.linalg.norm((box.hi - box.lo) / np.array([100.0, 100.0])))
-        coeffs = secv_set.normals @ secv_data.next_states @ coarse.g2
+        coeffs = secv_set.normals @ secv_data.next_states @ controller.g2
         bound = lip * cell * float(np.max(np.abs(coeffs).sum(axis=1)))
         # the searched bounds are maxima over the 101 x 101 default grid and
         # the vertices; a 201 x 201 grid at the same gain moves them by less
         # than the refinement bound
         fine_grid = grid_members(secv_set, (201, 201))
         fine = np.max(coeffs @ secv_data.dictionary.remainder(fine_grid).T, axis=1)
-        delta = float(np.max(np.abs(coarse.row_bounds - fine)))
+        delta = float(np.max(np.abs(cert.row_offsets - fine)))
         # the winner cancels the remainder exactly, so both sides are float
         # dust; 1e-9 absorbs it without weakening the nonzero case
         assert delta < bound + 1e-9
-        controller, cert = synthesis.synthesize_min_remainder(secv_data, secv_set, search=coarse)
         ps = cert.set_multiplier
         g1 = controller.g1
         assert np.max(ps @ SECV_G + cert.row_offsets - cert.contraction * SECV_G) <= 1e-6

@@ -341,15 +341,42 @@ class TestCommands:
     def test_noisy_data_are_inconsistent(self, tmp_path, command, method):
         # data collected under a 0.001 disturbance fit no noiseless plant, so
         # the noiseless methods give no design: a thm2 design on them claims
-        # a level near 0 that the true-model grid fails at 0.5
-        path = duo_scenario(tmp_path, noise=True, w_bound=0.001)
-        out = tmp_path / "noisy"
-        code = cli.main([command, "--scenario", str(path), "--out", str(out),
-                         "--method", method, "--lambda", "0.5"])
-        assert code == cli.EXIT_INFEASIBLE
+        # a level near 0 that the true-model grid fails (at 0.5 with one
+        # input; at 0.1 with two, where next_states @ P has rank m = n)
+        for b in (((0.0,), (1.0,)), ((1.0, 0.0), (0.0, 1.0))):
+            path = duo_scenario(tmp_path, b=b, noise=True, w_bound=0.001)
+            out = tmp_path / f"noisy-{len(b[0])}"
+            code = cli.main([command, "--scenario", str(path), "--out", str(out),
+                             "--method", method, "--lambda", "0.5"])
+            assert code == cli.EXIT_INFEASIBLE, b
+            doc = json.loads((out / "summary.json").read_text())
+            assert doc["status"] == "inconsistent-data", b
+            assert "do not fit a noiseless plant" in doc["detail"]
+
+    def test_noisy_data_sweep_keeps_cor2_infeasible(self, tmp_path):
+        # the all-method sweep on noisy two-input data: both noiseless
+        # methods are refused by the one data gate, and cor2's verdict stands
+        path = duo_scenario(tmp_path, b=((1.0, 0.0), (0.0, 1.0)), noise=True, w_bound=0.001)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep-lambda", "--scenario", str(path),
+                         "--out", str(out)]) == cli.EXIT_OK
         doc = json.loads((out / "summary.json").read_text())
-        assert doc["status"] == "inconsistent-data"
-        assert "do not fit a noiseless plant" in doc["detail"]
+        assert doc["min_levels"] == {"thm2": None, "cor2": None, "thm1": None}
+        assert {m: f["status"] for m, f in doc["failures"].items()} == {
+            "thm2": "inconsistent-data", "cor2": "infeasible", "thm1": "inconsistent-data"}
+        assert doc["failures"]["thm2"]["detail"] == doc["failures"]["thm1"]["detail"]
+
+    def test_simulate_four_states(self, tmp_path):
+        # no vertices above 3 states: the rollout starts at the first grid
+        # member, the box corner
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--scenario", str(quad_scenario(tmp_path)),
+                         "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / "summary.json").read_text())
+        assert (doc["status"], doc["start"], doc["horizon"]) == ("ok", [-2.0] * 4, 50)
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,x1,x2,x3,x4,u1"
+        assert len(lines) == 52
 
     @pytest.mark.parametrize("command", ["report", "sweep-lambda"])
     def test_four_states_leave_thm1_unsupported(self, tmp_path, command):
