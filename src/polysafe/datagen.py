@@ -5,6 +5,10 @@ matrix (m, T), the state snapshots (n, T) before and after each step,
 the columnwise remainder of the visited states (N, T), and the stacked
 regressor (n+N, T) whose full row rank is the informativity condition
 every design method relies on.
+
+Every factorization of these matrices that synthesis reads (ranks,
+pseudo-inverses, the closed-loop basis) is a cached property of
+:class:`ExperimentData`, so a data set is factored once.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Dictionary, PlantModel
-from .errors import TooFewSamplesError, TrajectoryDivergedError
+from .errors import RankDeficientDataError, TooFewSamplesError, TrajectoryDivergedError
 from .polytope import PolyhedralSet, interval_enclosure
 
 RANK_RTOL = 1e-8  # singular values below RANK_RTOL * sigma_max do not count
+_LOOP_RTOL = 1e-10  # closed-loop directions below this share of |next_states| are rounding noise
+_MAX_ATTEMPTS = 10  # experiments collect_informative tries before giving up
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +52,7 @@ class ExperimentData:
                 raise ValueError(f"{name} has a different number of columns than inputs")
         n, N = self.states.shape[0], self.remainders.shape[0]
         if T < n + N + 1:
-            raise TooFewSamplesError(
-                f"need at least n + N + 1 = {n + N + 1} samples, got {T}"
-            )
+            raise TooFewSamplesError(f"need at least n + N + 1 = {n + N + 1} samples, got {T}")
 
     @cached_property
     def regressor(self) -> np.ndarray:
@@ -59,7 +63,57 @@ class ExperimentData:
     @cached_property
     def _regressor_rank(self) -> RankDiagnostic:
         """:func:`regressor_rank`, one SVD per data set."""
-        return _numerical_rank(self.regressor, self.state_dim + self.n_terms)
+        return _numerical_rank(self.regressor)
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """The regressor stacked over the inputs, ``(n + N + m, T)``."""
+        return np.vstack([self.regressor, self.inputs])
+
+    @cached_property
+    def _stacked_rank(self) -> RankDiagnostic:
+        """:func:`identification_rank`, one SVD per data set."""
+        return _numerical_rank(self.stacked)
+
+    @cached_property
+    def stacked_pinv(self) -> np.ndarray:
+        """``pinv(stacked)``, ``(T, n + N + m)``, which the ``thm1`` gain search reads."""
+        return np.linalg.pinv(self.stacked)
+
+    @cached_property
+    def loop_tolerance(self) -> float:
+        """``_LOOP_RTOL * |next_states|_2``, the rounding level of the closed loop."""
+        return _LOOP_RTOL * np.linalg.norm(self.next_states, 2)
+
+    @cached_property
+    def closed_loop(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Null-space parametrization ``(base, lift, g0, preimage)`` of the
+        data-based closed loop: every ``next_states @ G`` with ``regressor @ G
+        = I`` is ``base + lift @ W``, ``W`` free, and ``g0 + preimage @ W`` is
+        its minimum-norm right inverse (De Persis & Tesi, IEEE TAC 2020).
+        ``base = next_states @ pinv(regressor)``, and ``lift`` spans
+        ``next_states @ P``, ``P`` the projector onto the regressor's null
+        space (rank at most m on noiseless data), with singular values below
+        :attr:`loop_tolerance` truncated, not inverted, so the preimage replays.
+        """
+        pinv = np.linalg.pinv(self.regressor)                     # (T, n+N)
+        base = self.next_states @ pinv                            # (n, n+N)
+        # next_states @ P, without forming the (T, T) projector
+        u, sv, vt = np.linalg.svd(self.next_states - base @ self.regressor, full_matrices=False)
+        keep = sv > self.loop_tolerance
+        if not keep.any():  # the inputs do not move the closed loop; one idle column
+            return base, np.zeros((self.state_dim, 1)), pinv, np.zeros((self.n_samples, 1))
+        return base, u[:, keep], pinv, vt[keep].T / sv[keep]
+
+    @cached_property
+    def row_space_distance(self) -> float:
+        """``|next_states - next_states @ pinv(stacked) @ stacked|_2``: as the
+        stacked row space is the regressor's plus that of ``UP = inputs @ P``,
+        this is ``|D - D @ pinv(UP) @ UP|_2`` with ``D = next_states @ P``."""
+        base, _, pinv, _ = self.closed_loop
+        d = self.next_states - base @ self.regressor
+        up = self.inputs - (self.inputs @ pinv) @ self.regressor
+        return float(np.linalg.norm(d - d @ np.linalg.pinv(up) @ up, 2))
 
     @property
     def n_samples(self) -> int:
@@ -82,19 +136,13 @@ class ExperimentData:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         written = []
-        matrices = {
-            "inputs": self.inputs,
-            "states": self.states,
-            "next_states": self.next_states,
-            "remainders": self.remainders,
-            "regressor": self.regressor,
-        }
+        names = ["inputs", "states", "next_states", "remainders", "regressor"]
         if self.true_noise is not None:
-            matrices["true_noise"] = self.true_noise
-        for name, mat in matrices.items():
+            names.append("true_noise")
+        for name in names:
             path = out_dir / f"{name}.csv"
             with open(path, "w") as handle:
-                for row in np.atleast_2d(mat):
+                for row in np.atleast_2d(getattr(self, name)):
                     handle.write(",".join(f"{v:.17g}" for v in row) + "\n")
             written.append(path)
         return written
@@ -113,13 +161,9 @@ def collect(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
     non-finite state with or without it; collection itself never insists
     the trajectory stays safe.
     """
-    n = plant.state_dim
-    m = plant.input_dim
-    N = plant.dictionary.n_terms
+    n, m, N = plant.state_dim, plant.input_dim, plant.dictionary.n_terms
     if n_samples < n + N + 1:
-        raise TooFewSamplesError(
-            f"need at least n + N + 1 = {n + N + 1} samples, got {n_samples}"
-        )
+        raise TooFewSamplesError(f"need at least n + N + 1 = {n + N + 1} samples, got {n_samples}")
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(-u_max, u_max, size=(n_samples, m))
     if with_noise and plant.w_bound > 0.0:
@@ -167,16 +211,18 @@ def collect(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
 
 
 def collect_informative(plant: PlantModel, n_samples: int, u_max: float, x0, seed: int,
-                        with_noise: bool = False, max_attempts: int = 10,
+                        with_noise: bool = False,
                         safe_set: PolyhedralSet | None = None) -> ExperimentData:
     """Collect, re-drawing with incremented seeds until the regressor has full row rank.
 
-    Operationalizes the informativity assumption: up to ``max_attempts``
+    Operationalizes the informativity assumption: up to ``_MAX_ATTEMPTS``
     experiments with seeds ``seed, seed + 1, ...`` are tried; the first whose
-    regressor passes :func:`regressor_rank` wins.
+    regressor passes :func:`regressor_rank` wins.  Otherwise raises
+    :class:`RankDeficientDataError`, or :class:`TrajectoryDivergedError` if
+    every attempt diverged.
     """
     last_diag = None
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         try:
             data = collect(plant, n_samples, u_max, x0, seed + attempt,
                            with_noise=with_noise, safe_set=safe_set)
@@ -186,10 +232,11 @@ def collect_informative(plant: PlantModel, n_samples: int, u_max: float, x0, see
         if diag.full_row_rank:
             return data
         last_diag = diag
-    raise TrajectoryDivergedError(
-        f"no informative experiment in {max_attempts} attempts "
-        f"(last rank diagnostic: {last_diag})"
-    )
+    message = (f"no informative experiment in {_MAX_ATTEMPTS} attempts "
+               f"(last rank diagnostic: {last_diag})")
+    if last_diag is None:
+        raise TrajectoryDivergedError(message)
+    raise RankDeficientDataError(message, last_diag)
 
 
 @dataclass(frozen=True)
@@ -201,36 +248,29 @@ class RankDiagnostic:
     singular_values: np.ndarray
 
     def __str__(self):
-        return (f"rank {self.rank}/{self.required} "
-                f"(threshold {self.threshold:.3e}, "
+        return (f"rank {self.rank}/{self.required} (threshold {self.threshold:.3e}, "
                 f"sigma_min {self.singular_values[-1]:.3e})")
 
 
-def _numerical_rank(mat: np.ndarray, required: int) -> RankDiagnostic:
+def _numerical_rank(mat: np.ndarray) -> RankDiagnostic:
+    """The numerical row rank of ``mat``, which is required to be full."""
     sv = np.linalg.svd(mat, compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
     threshold = RANK_RTOL * smax
     rank = int(np.sum(sv > threshold)) if smax > 0.0 else 0
-    return RankDiagnostic(
-        rank=rank,
-        required=required,
-        full_row_rank=rank == required,
-        threshold=threshold,
-        singular_values=sv,
-    )
+    return RankDiagnostic(rank=rank, required=len(mat), full_row_rank=rank == len(mat),
+                          threshold=threshold, singular_values=sv)
 
 
 def regressor_rank(data: ExperimentData) -> RankDiagnostic:
-    """Numerical row rank of the stacked state/remainder regressor (n + N
-    rows), computed on the first call for a data set."""
+    """Numerical row rank of the state/remainder regressor (n + N rows)."""
     return data._regressor_rank
 
 
 def identification_rank(data: ExperimentData) -> RankDiagnostic:
-    """Row rank of inputs stacked over the regressor (m + n + N rows).
+    """Row rank of the regressor stacked over the inputs (n + N + m rows).
 
     Full rank here means the dynamics could be identified exactly from the
     noiseless data; only the remainder-minimization baseline needs it.
     """
-    stacked = np.vstack([data.inputs, data.states, data.remainders])
-    return _numerical_rank(stacked, data.input_dim + data.state_dim + data.n_terms)
+    return data._stacked_rank

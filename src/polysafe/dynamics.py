@@ -58,16 +58,6 @@ class CosM1Term:
 Term = Monomial | SinTerm | CosM1Term
 
 
-def term_to_json(term: Term) -> dict:
-    if isinstance(term, Monomial):
-        return {"kind": "monomial", "exponents": list(term.exponents)}
-    if isinstance(term, SinTerm):
-        return {"kind": "sin", "coord": term.coord}
-    if isinstance(term, CosM1Term):
-        return {"kind": "cosm1", "coord": term.coord}
-    raise TypeError(f"unknown term type {type(term)!r}")
-
-
 def term_from_json(obj: dict) -> Term:
     kind = obj.get("kind")
     if kind == "monomial":
@@ -111,8 +101,7 @@ def _interval_cos(lo: float, hi: float) -> tuple[float, float]:
 
 
 def _interval_sin(lo: float, hi: float) -> tuple[float, float]:
-    clo, chi = _interval_cos(lo - math.pi / 2.0, hi - math.pi / 2.0)
-    return clo, chi
+    return _interval_cos(lo - math.pi / 2.0, hi - math.pi / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +274,6 @@ class Dictionary:
                 row += max(abs(iv[0] - shift), abs(iv[1] - shift))
             worst = max(worst, row)
         return worst
-
-    def to_json(self) -> list[dict]:
-        return [term_to_json(t) for t in self.terms]
 
     @classmethod
     def from_json(cls, obj: list, dim: int) -> "Dictionary":

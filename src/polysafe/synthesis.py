@@ -12,6 +12,7 @@ inverse only through ``next_states @ G``, so ``thm2`` and ``thm1`` are
 posed over the null-space form of the closed loop, whose size does not
 depend on the sample count, and ``G`` is recovered as its minimum-norm
 preimage; ``cor2`` keeps ``G`` itself, since its norm budget needs ``|G|``.
+Every factorization they read is cached on the data (:mod:`~polysafe.datagen`).
 
 The primal-dual design ("thm2" in scenario files) pairs a nonnegative
 row-multiplier matrix with the closed-loop linear part and pins the
@@ -65,7 +66,6 @@ from .polytope import (PolyhedralSet, _norm_inf, enumerate_vertices, interval_en
                        row_norms, sample_points)
 
 TOL_CERT = 1e-6   # certificate equations are re-verified to this tolerance
-_RANK_RTOL = 1e-10  # closed-loop directions below this share of |next_states| are rounding noise
 
 METHODS = ("thm2", "cor2", "thm1")
 
@@ -133,54 +133,24 @@ class BaselineSearch:
 # the core feasibility program
 
 
-def _admit(data: ExperimentData, method: str) -> np.ndarray | None:
+def _admit(data: ExperimentData, method: str) -> None:
     """The one check of the data ``method`` designs from: its rank condition
     (:class:`RankDeficientDataError`; the stacked input/regressor matrix for
     ``thm1``, else the regressor) and, for ``thm2`` and ``thm1``, the
     noiseless rule (:class:`InconsistentDataError`): ``next_states`` within
-    ``_RANK_RTOL * |next_states|_2`` of the row space of ``S = [regressor;
-    inputs]``, which bounds singular value ``m + 1`` of ``next_states @ P``
-    (Weyl).  Returns ``pinv(S)``, or None for ``cor2``."""
+    ``loop_tolerance`` of the row space of ``S = [regressor; inputs]``,
+    which bounds singular value ``m + 1`` of ``next_states @ P`` (Weyl)."""
     diag, matrix = ((identification_rank(data), "stacked input/regressor matrix")
                     if method == "thm1" else (regressor_rank(data), "regressor"))
     if not diag.full_row_rank:
         raise RankDeficientDataError(f"{matrix} is rank deficient: {diag}", diag)
     if method == "cor2":
-        return None
-    stacked = np.vstack([data.regressor, data.inputs])
-    pinv = np.linalg.pinv(stacked)                   # (T, n+N+m)
-    off = np.linalg.norm(data.next_states - data.next_states @ pinv @ stacked, 2)
-    tol = _RANK_RTOL * np.linalg.norm(data.next_states, 2)
+        return
+    off, tol = data.row_space_distance, data.loop_tolerance
     if off > tol:
         raise InconsistentDataError(
             f"next_states lie {off:.3e} off the row space of the stacked input/regressor "
             f"matrix, above {tol:.3e}: the data do not fit a noiseless plant")
-    return pinv
-
-
-def _closed_loop(data: ExperimentData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Null-space parametrization of the data-based closed loop.
-
-    Every right inverse of the regressor is ``pinv(regressor) + P Z`` with
-    ``P`` the projector onto the regressor's null space, so every closed
-    loop ``next_states @ G`` is ``base + lift @ W`` with
-    ``base = next_states @ pinv(regressor)``, ``lift`` the left singular
-    vectors of ``next_states @ P`` (rank at most m on the data
-    :func:`_admit` lets through) and ``W`` free (De Persis & Tesi, IEEE TAC
-    2020; Doerfler, Coulson & Markovsky, IEEE TAC 2023).  Returns
-    ``(base, lift, g0, preimage)``: ``g0 + preimage @ W`` is the
-    minimum-norm right inverse with closed loop ``base + lift @ W``.
-    Singular values are truncated, not inverted at rounding level, so that
-    preimage replays.
-    """
-    pinv = np.linalg.pinv(data.regressor)                     # (T, n+N)
-    base = data.next_states @ pinv                            # (n, n+N)
-    # next_states @ P, without forming the (T, T) projector
-    u, sv, vt = np.linalg.svd(data.next_states - base @ data.regressor, full_matrices=False)
-    keep = sv > _RANK_RTOL * np.linalg.norm(data.next_states, 2)
-    if not keep.any():  # the inputs do not move the closed loop; one idle column
-        return base, np.zeros((data.state_dim, 1)), pinv, np.zeros((data.n_samples, 1))
-    return base, u[:, keep], pinv, vt[keep].T / sv[keep]
 
 
 def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
@@ -190,12 +160,13 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
 
     ``X`` is split into its linear columns (block ``w1``) and remainder
     columns (``w2``).  ``thm2`` and ``thm1`` use the null-space
-    parametrization of :func:`_closed_loop`, so the program does not grow
-    with ``T``.  ``cor2`` needs ``|G|`` for its norm budget and keeps ``G``
-    itself (``base = 0``, ``lift = next_states``) as nonnegative parts
-    ``g*_pos - g*_neg``, plus the right-inverse and row-sum rows.  With
-    ``row_bounds`` this is the baseline (``thm1``) program: linear part
-    only, with the searched bounds taken off the contraction rows.
+    parametrization :attr:`~polysafe.datagen.ExperimentData.closed_loop`, so
+    the program does not grow with ``T``.  ``cor2`` needs ``|G|`` for its
+    norm budget and keeps ``G`` itself (``base = 0``, ``lift =
+    next_states``) as nonnegative parts ``g*_pos - g*_neg``, plus the
+    right-inverse and row-sum rows.  With ``row_bounds`` this is the baseline
+    (``thm1``) program: linear part only, with the searched bounds taken off
+    the contraction rows.
 
     Each constraint family is one group of whole-block rows: with row-major
     vectorization, ``vec(A @ X @ B) = kron(A, B.T) @ vec(X)``.  A feasible
@@ -213,7 +184,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
         parts = {"lin": (("g1_pos", 1.0), ("g1_neg", -1.0)),
                  "rem": (("g2_pos", 1.0), ("g2_neg", -1.0))}
     else:
-        base, lift, g0, preimage = _closed_loop(data)
+        base, lift, g0, preimage = data.closed_loop
         parts = {"lin": (("w1", 1.0),), "rem": (("w2", 1.0),)}
     baseline = row_bounds is not None
     if baseline:
@@ -430,7 +401,8 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     if not (math.isfinite(k2_lo) and math.isfinite(k2_hi) and k2_lo <= k2_hi):
         raise ValueError(f"need finite k2_lo <= k2_hi, got k2_lo={k2_lo}, k2_hi={k2_hi}")
     n, N, m = data.state_dim, data.n_terms, data.input_dim
-    pinv = _admit(data, "thm1")                      # (T, n+N+m)
+    _admit(data, "thm1")
+    pinv = data.stacked_pinv                         # (T, n+N+m)
     base = pinv[:, n:n + N]                          # (T, N): regressor @ g2 = [0; I]
     gain_map = pinv[:, n + N:]                       # (T, m): inputs @ g2 = k2
 

@@ -47,6 +47,7 @@ _MC_CHUNK = 16384    # trajectories per Monte Carlo chunk
 # and leave the high bits a Weyl sequence.
 _MC_STEP_STRIDE = 0x9e3779b97f4a7c15f39cc0605cedc835
 _START_BATCH = 2048  # Monte Carlo start candidates are drawn 4 * this many rows at most
+_MAX_WITNESSES = 10  # violations a grid or Monte Carlo report keeps as witnesses
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +127,7 @@ def _exceeding(margins: np.ndarray, const: np.ndarray) -> tuple:
 
 def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
                  resolution, dictionary, sources=("true-model", "data-rep"),
-                 plant: PlantModel | None = None, data: ExperimentData | None = None,
-                 max_witnesses: int = 10) -> tuple:
+                 plant: PlantModel | None = None, data: ExperimentData | None = None) -> tuple:
     """Check one-step contraction into the ``level``-scaled set on a state
     grid: one report per source (``"true-model"`` or ``"data-rep"``), all
     from one walk of the grid.
@@ -174,7 +174,7 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
             worst, bad = _exceeding(margins, const)
             violations[j] += bad.size
             witnesses[j] += [(samples + int(i), block[:, i].copy(), float(worst[i]))
-                             for i in bad[:max_witnesses - len(witnesses[j])]]
+                             for i in bad[:_MAX_WITNESSES - len(witnesses[j])]]
         samples += block.shape[1]
 
     box = interval_enclosure(safe_set)
@@ -198,8 +198,7 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
 
 
 def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSet,
-                           n_trajectories: int, horizon: int, seed: int,
-                           max_witnesses: int = 10) -> VerificationReport:
+                           n_trajectories: int, horizon: int, seed: int) -> VerificationReport:
     """Roll the true closed loop from many starts and count safe-set exits.
 
     Initial states are the vertices plus seeded uniform samples from the
@@ -226,7 +225,7 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     per-run exit scan runs only at a step where one of them crosses
     ``TOL_VERIFY``, and at every step after the first exit.  Margins, exit
     counts and witnesses are bit-identical to rolling every trajectory in
-    one batch.  Witnesses are the first ``max_witnesses`` exits ordered by
+    one batch.  Witnesses are the first ``_MAX_WITNESSES`` exits ordered by
     exit time, then trajectory index.
     """
     if n_trajectories < 1:
@@ -321,7 +320,7 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
                 hit = np.flatnonzero(exited)
                 if hit.size:
                     found += [(first + int(i), t + 1, states[:, i].copy())
-                              for i in hit[:max(0, max_witnesses - len(found))]]
+                              for i in hit[:max(0, _MAX_WITNESSES - len(found))]]
                     violations += hit.size
                     alive[hit] = False
                     all_alive = False
@@ -329,7 +328,7 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
                     if not alive.any():
                         break
                     states[:, ~alive] = 0.0  # freeze exited runs so they cannot overflow
-        witnesses = sorted(witnesses + found, key=lambda w: (w[1], w[0]))[:max_witnesses]
+        witnesses = sorted(witnesses + found, key=lambda w: (w[1], w[0]))[:_MAX_WITNESSES]
         first = stop
 
     return VerificationReport(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polysafe import cli, lpcore, polytope, synthesis, verify
-from polysafe.datagen import identification_rank
+from polysafe.datagen import ExperimentData, identification_rank
 from polysafe.errors import (DimensionTooLargeError, NumericalInstabilityError,
                              RankDeficientDataError, ScenarioValidationError,
                              SolverStalledError, SynthesisInfeasibleError)
@@ -366,6 +366,29 @@ class TestCommands:
             "thm2": "inconsistent-data", "cor2": "infeasible", "thm1": "inconsistent-data"}
         assert doc["failures"]["thm2"]["detail"] == doc["failures"]["thm1"]["detail"]
 
+    def test_collect_writes_the_true_noise(self, tmp_path):
+        # noisy data keep the injected disturbance, written and listed with
+        # the other matrices
+        path = duo_scenario(tmp_path, noise=True, w_bound=0.001)
+        out = tmp_path / "collect"
+        assert cli.main(["collect", "--scenario", str(path), "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads((out / "summary.json").read_text())
+        assert "data/true_noise.csv" in doc["files"]
+        noise = np.loadtxt(out / "data" / "true_noise.csv", delimiter=",")
+        assert noise.shape == (2, 160)
+        assert 0.0 < np.max(np.abs(noise)) <= 0.001
+
+    def test_report_that_fails_verification_exits_3(self, tmp_path):
+        # 0.76 clears the design's minimal level 0.758333, but not the grid,
+        # which adds the worst-case disturbance offsets
+        out = tmp_path / "report"
+        assert cli.main(["report", "--scenario", str(REPO_SCENARIO), "--out", str(out),
+                         "--lambda", "0.76"]) == cli.EXIT_VERIFY_FAILED
+        doc = json.loads((out / "report.json").read_text())
+        assert (doc["status"], doc["level_verified"]) == ("verification-failed", 0.76)
+        assert not doc["grid_true_model"]["passed"] and not doc["grid_data_rep"]["passed"]
+        assert doc["monte_carlo"]["passed"]
+
     def test_simulate_four_states(self, tmp_path):
         # no vertices above 3 states: the rollout starts at the first grid
         # member, the box corner
@@ -541,6 +564,31 @@ class TestCommands:
         assert cli.main(["report", "--scenario", str(scenario_path),
                          "--out", str(tmp_path / "once")]) == cli.EXIT_OK
         assert shapes.count((4, 40)) == 1
+
+    @pytest.mark.parametrize("command, limit", [
+        pytest.param(["report"], 8, id="report"),
+        pytest.param(["sweep-lambda", "--method", "thm2"], 6, id="sweep-thm2"),
+    ])
+    def test_experiment_is_factored_once(self, tmp_path, monkeypatch, command, limit):
+        # every SVD, pseudo-inverse and matrix 2-norm of the experiment is
+        # taken once per data set: the regressor's rank, pinv(regressor), the
+        # closed loop's SVD, |next_states|_2 and the row-space distance's
+        # pinv and norm; the report adds the stacked rank and pinv(stacked)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(mat, *args, **kwargs):
+                order = args[0] if args else kwargs.get("ord")
+                if name != "norm" or (np.ndim(mat) == 2 and order == 2):
+                    calls.append(name)
+                return original(mat, *args, **kwargs)
+            return wrapper
+
+        for name in ("svd", "pinv", "norm"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        assert cli.main([*command, "--scenario", str(REPO_SCENARIO),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert len(calls) <= limit, calls
 
     @pytest.mark.parametrize("command", ["report", "verify"])
     def test_vertices_enumerated_once(self, scenario_path, tmp_path, monkeypatch, command):
@@ -864,13 +912,14 @@ class TestUnsoundCertificateIsCaught:
         # a scaled preimage keeps regressor @ G = I but moves next_states @ G
         # off the closed loop the program solved for: the multiplier rows no
         # longer match, so thm2 and thm1 are refused, not certified
-        closed_loop = synthesis._closed_loop
+        closed_loop = ExperimentData.closed_loop.func
 
         def perturbed(data):
             base, lift, g0, preimage = closed_loop(data)
             return base, lift, g0, 1.01 * preimage
 
-        monkeypatch.setattr(synthesis, "_closed_loop", perturbed)
+        # a property outranks the value a data set already cached
+        monkeypatch.setattr(ExperimentData, "closed_loop", property(perturbed))
         with pytest.raises(NumericalInstabilityError, match="thm2 certificate does not replay"):
             synthesis.synthesize_noiseless(secv_data, secv_set)
         with pytest.raises(NumericalInstabilityError, match="thm1 certificate does not replay"):

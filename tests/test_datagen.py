@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from polysafe import lpcore
+from polysafe import cli, datagen, lpcore
 from polysafe.datagen import (
     ExperimentData,
     collect,
@@ -10,7 +12,7 @@ from polysafe.datagen import (
     regressor_rank,
 )
 from polysafe.dynamics import Dictionary, Monomial, PlantModel
-from polysafe.errors import TooFewSamplesError, TrajectoryDivergedError
+from polysafe.errors import RankDeficientDataError, TooFewSamplesError, TrajectoryDivergedError
 from polysafe.polytope import PolyhedralSet
 from conftest import SECV_F, SECV_G, stable_test_plant, tri_problem
 
@@ -116,10 +118,29 @@ class TestCollect:
             collect(secv_plant, 40, u_max, x0, seed=7, safe_set=secv_set if guarded else None)
         assert str(err.value) == f"state became non-finite at step {step}"
 
-    def test_reseeding_gives_up(self, secv_plant, secv_set):
+    def test_reseeding_gives_up(self, secv_plant, secv_set, monkeypatch):
+        monkeypatch.setattr(datagen, "_MAX_ATTEMPTS", 3)
         with pytest.raises(TrajectoryDivergedError):
-            collect_informative(secv_plant, 40, 0.5, [0, 0], seed=7, max_attempts=3,
-                                safe_set=secv_set)
+            collect_informative(secv_plant, 40, 0.5, [0, 0], seed=7, safe_set=secv_set)
+
+    def test_rank_deficient_attempts_are_not_divergence(self, secv_dictionary, tmp_path):
+        # with no input channel and the origin as start, every experiment stays
+        # at the origin: the attempts are rank-deficient, none left the set
+        plant = PlantModel(a1=[[0.8, 0.5], [-0.4, 1.2]], a2=[[0.0, 0.0], [1.0, 1.0]],
+                           b=[[0.0], [0.0]], dictionary=secv_dictionary, w_bound=0.05)
+        with pytest.raises(RankDeficientDataError) as err:
+            collect_informative(plant, 40, 0.003, [0, 0], seed=7)
+        assert not isinstance(err.value, TrajectoryDivergedError)
+        assert str(err.value).startswith(
+            "no informative experiment in 10 attempts (last rank diagnostic: rank 0/4 ")
+        assert err.value.diagnostic.rank == 0 and not err.value.diagnostic.full_row_rank
+        # the command-line exit code stays the one of every collection error
+        scenario = cli.load_scenario(Path(__file__).resolve().parent.parent
+                                     / "scenarios" / "secV.json")
+        scenario.system.b = [[0.0], [0.0]]
+        cli.save_scenario(scenario, tmp_path / "idle.json")
+        assert cli.main(["collect", "--scenario", str(tmp_path / "idle.json"),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
 
     def test_noise_recorded(self):
         plant = stable_test_plant()

@@ -10,7 +10,6 @@ from polysafe.dynamics import (
     PlantModel,
     SinTerm,
     term_from_json,
-    term_to_json,
 )
 from polysafe.errors import DimensionMismatchError, DisturbanceOutOfBoundsError
 from polysafe.polytope import Box
@@ -228,6 +227,24 @@ class TestLipschitz:
         rhs = bound * np.max(np.abs(x - y), axis=1)
         assert np.all(lhs <= rhs + 1e-9)
 
+    def test_sampled_soundness_on_narrow_boxes(self):
+        # boxes narrower than 2 pi take the cos and sin critical-point scan,
+        # and boxes on one side of 0 the even powers' one-signed branches
+        d = Dictionary([Monomial((1, 2)), Monomial((0, 3)), Monomial((2, 1)),
+                        SinTerm(0), CosM1Term(1)], 2)
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-4.0, 4.0, size=(300, 2))
+        widths = rng.uniform(0.01, 3.0, size=(300, 2))
+        boxes = [Box([-1.0, -2.5], [2.0, -0.5])]
+        boxes += [Box(c - w / 2, c + w / 2) for c, w in zip(centers, widths)]
+        for box in boxes:
+            bound = d.lipschitz_bound(box)
+            x = rng.uniform(box.lo, box.hi, size=(200, 2))
+            y = rng.uniform(box.lo, box.hi, size=(200, 2))
+            lhs = np.max(np.abs(d.remainder(x) - d.remainder(y)), axis=1)
+            rhs = bound * np.max(np.abs(x - y), axis=1)
+            assert np.all(lhs <= rhs + 1e-9), (box.lo, box.hi)
+
 
 class TestPlant:
     def test_step_example(self, secv_plant):
@@ -306,14 +323,13 @@ class TestPlant:
 
 class TestSerialization:
     def test_round_trip(self):
-        terms = [Monomial((2, 0)), SinTerm(1), CosM1Term(0)]
-        doc = [term_to_json(t) for t in terms]
-        assert doc == [
+        doc = [
             {"kind": "monomial", "exponents": [2, 0]},
             {"kind": "sin", "coord": 1},
             {"kind": "cosm1", "coord": 0},
         ]
-        assert [term_from_json(o) for o in doc] == terms
+        assert [term_from_json(o) for o in doc] == [Monomial((2, 0)), SinTerm(1), CosM1Term(0)]
+        assert Dictionary.from_json(doc, 2).terms == [Monomial((2, 0)), SinTerm(1), CosM1Term(0)]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

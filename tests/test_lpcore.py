@@ -261,6 +261,34 @@ class TestAgainstReferenceSolver:
             if mine.status == LpStatus.OPTIMAL:
                 assert abs(mine.objective - ref.fun) <= 1e-6 * (1 + abs(ref.fun))
 
+    def test_leftover_artificial_is_pivoted_out(self, monkeypatch):
+        # -x1 - x2 = 0 with x >= 0 ends phase 1 with its artificial basic at
+        # zero; it is pivoted out on x1 before phase 2, and the solution
+        # replays and agrees with HiGHS
+        from scipy.optimize import linprog
+
+        leaving = []
+        pivot = lpcore._pivot
+        monkeypatch.setattr(lpcore, "_pivot", lambda T, basis, row, col: (
+            leaving.append(int(basis[row])) or pivot(T, basis, row, col)))
+        a_eq, b_eq = np.array([[-1.0, -1.0, 0.0]]), np.zeros(1)
+        a_ub, b_ub = np.ones((1, 3)), np.array([2.0])
+        c = np.array([1.0, 2.0, 1.0])
+        lp = LinearProgram()
+        lp.add_block("x", (3,), nonneg=True)
+        lp.add_constraint_rows({"x": a_eq}, "=", b_eq)
+        lp.add_constraint_rows({"x": a_ub}, "<=", b_ub)
+        lp.set_objective("max", {"x": c})
+        out = lp.solve()
+        # columns: x (3) and the <= row's slack; an artificial comes after them
+        assert any(var >= 4 for var in leaving), leaving
+        assert out.status == LpStatus.OPTIMAL and out.max_residual <= lpcore.TOL_LP
+        x = out["x"]
+        assert np.all(x >= 0.0) and abs(a_eq @ x).max() <= lpcore.TOL_LP
+        assert (a_ub @ x <= b_ub + lpcore.TOL_LP).all()
+        ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+        assert ref.status == 0 and abs(out.objective + ref.fun) <= 1e-9
+
 
 # ---------------------------------------------------------------------------
 # The pivot loop as it was before its numpy calls were trimmed, verbatim: the

@@ -168,10 +168,11 @@ class TestGridContractivity:
         # both sources' margins and witnesses come from many blocks and from
         # the vertex tail; one evaluation over all points is the reference
         monkeypatch.setattr(polytope, "_GRID_BLOCK", 150)
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
         controller, _ = secv_design
         reports = verify.grid_reports(
             controller, secv_set, 0.5, 0.05, (61, 61), secv_plant.dictionary,
-            plant=secv_plant, data=secv_data, max_witnesses=10**6)
+            plant=secv_plant, data=secv_data)
         members = grid_members(secv_set, (61, 61))
         points = np.vstack([members, np.array(enumerate_vertices(secv_set))])
         loops = [(secv_plant.linear_base() + secv_plant.b @ controller.k1,
@@ -224,13 +225,14 @@ class TestGridContractivity:
         # any width, which holds at one BLAS thread.  On this grid gemv would
         # move the last member's margin, a witness at level 0.5
         controller, _ = secv_design
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
         members = len(grid_members(secv_set, (55, 55)))
         reports = []
         for size in (7, 150, members - 1, 10**9):
             monkeypatch.setattr(polytope, "_GRID_BLOCK", size)
             reports.append(verify.grid_reports(
                 controller, secv_set, level, 0.05, (55, 55), secv_plant.dictionary,
-                plant=secv_plant, data=secv_data, max_witnesses=10**6))
+                plant=secv_plant, data=secv_data))
         assert (reports[-1][0].violations > 0) == (level == 0.5)
         for blocked in reports[:-1]:
             for report, whole in zip(blocked, reports[-1]):
@@ -279,14 +281,14 @@ class TestGridContractivity:
         monkeypatch.setattr(verify, "_exceeding",
                             lambda *args: scans.append(args) or exceeding(*args))
         monkeypatch.setattr(polytope, "_GRID_BLOCK", 7)
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
         safe_set = PolyhedralSet(np.vstack([np.eye(2), -np.eye(2)]), [1e103, 1.0, 1e103, 1.0])
         dictionary = Dictionary([Monomial((3, 0)), Monomial((3, 0))], 2)
         plant = PlantModel(a1=[[0.5, 0.0], [2e-104, 0.9]], a2=[[1.0, -1.0], [0.0, 0.0]],
                            b=np.zeros((2, 1)), dictionary=dictionary, w_bound=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             report = verify.grid_reports(zero_controller(), safe_set, 0.95, 0.0, (9, 9),
-                                         dictionary, sources=("true-model",), plant=plant,
-                                         max_witnesses=10**6)[0]
+                                         dictionary, sources=("true-model",), plant=plant)[0]
             vertices = np.array(enumerate_vertices(safe_set))
             points = np.vstack([grid_members(safe_set, (9, 9)), vertices])
             nxt = points @ plant.a1.T + dictionary.remainder(points) @ plant.a2.T
@@ -402,9 +404,9 @@ class TestMonteCarlo:
                                                   g1=design.g1, g2=design.g2), 300, 60, 5, 30),
         }[case]
         monkeypatch.setattr(verify, "_MC_CHUNK", chunk)
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", max_witnesses)
         report = verify.monte_carlo_invariance(
-            secv_plant, controller, secv_set, count, horizon, seed=seed,
-            max_witnesses=max_witnesses)
+            secv_plant, controller, secv_set, count, horizon, seed=seed)
         worst, violations, witnesses = unchunked_monte_carlo(
             secv_plant, controller, secv_set, count, horizon, seed=seed,
             max_witnesses=max_witnesses)
@@ -439,8 +441,8 @@ class TestMonteCarlo:
             g1=np.zeros((1, 3)), g2=np.zeros((1, 3)))
         count = 4 * chunk + 1 if chunk == 37 else 2 * chunk + 1
         monkeypatch.setattr(verify, "_MC_CHUNK", chunk)
-        report = verify.monte_carlo_invariance(plant, controller, safe_set, count, 60, seed=3,
-                                               max_witnesses=10**6)
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
+        report = verify.monte_carlo_invariance(plant, controller, safe_set, count, 60, seed=3)
         worst, violations, witnesses = unchunked_monte_carlo(
             plant, controller, safe_set, count, 60, seed=3, max_witnesses=10**6)
         np.testing.assert_array_equal(report.row_margins, worst)
@@ -458,7 +460,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("case", ["zero", "half-k1"])
     def test_vertex_runs_match_plant_simulation(self, secv_plant, secv_set, secv_design,
-                                                case):
+                                                monkeypatch, case):
         # a run that starts on a vertex and exits is replayed one state at a
         # time by the plant itself, with the noise rebuilt from its addressed
         # stream positions; a transposed or misordered batch cannot pass this
@@ -466,8 +468,9 @@ class TestMonteCarlo:
         controller = zero_controller() if case == "zero" else synthesis.Controller(
             k1=0.5 * design.k1, k2=design.k2, g1=design.g1, g2=design.g2)
         count, horizon, seed = 300, 60, 5
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
         report = verify.monte_carlo_invariance(secv_plant, controller, secv_set, count,
-                                               horizon, seed=seed, max_witnesses=10**6)
+                                               horizon, seed=seed)
         vertices = enumerate_vertices(secv_set)
         noise = np.ldexp(secv_plant.w_bound, -31) * addressed_noise(secv_plant, count,
                                                                     horizon, seed)
@@ -480,15 +483,16 @@ class TestMonteCarlo:
                 replayed += 1
         assert replayed == len(vertices)
 
-    def test_prefix_stable(self, secv_plant, secv_set, secv_design):
+    def test_prefix_stable(self, secv_plant, secv_set, secv_design, monkeypatch):
         # trajectory i draws its start and its noise at fixed stream
         # positions, so running more trajectories leaves the first ones as
         # they were
         design, _ = secv_design
         controller = synthesis.Controller(k1=0.5 * design.k1, k2=design.k2,
                                           g1=design.g1, g2=design.g2)
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
         short, long = (verify.monte_carlo_invariance(
-            secv_plant, controller, secv_set, count, 60, seed=5, max_witnesses=10**6)
+            secv_plant, controller, secv_set, count, 60, seed=5)
             for count in (300, 600))
         assert 0 < short.violations < 300
         head = [w for w in long.witnesses if w[0] < 300]
@@ -545,9 +549,9 @@ class TestMonteCarlo:
         box = PolyhedralSet(np.vstack([np.eye(n), -np.eye(n)]), np.full(2 * n, 0.99))
         controller = zero_controller(n_terms=n_terms, m=n)
         monkeypatch.setattr(verify, "_MC_CHUNK", 37)
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
         count, seed = 4 * 37, 4
-        report = verify.monte_carlo_invariance(plant, controller, box, count, 100, seed=seed,
-                                               max_witnesses=10**6)
+        report = verify.monte_carlo_invariance(plant, controller, box, count, 100, seed=seed)
         words = addressed_noise(plant, count, 100, seed)
         for index, exit_time, state in report.witnesses:
             np.testing.assert_array_equal(state, np.ldexp(words[exit_time - 1, index], -31))
@@ -578,7 +582,7 @@ class TestMonteCarlo:
         box = PolyhedralSet(np.vstack([np.eye(n), -np.eye(n)]), np.full(2 * n, 0.5 * w))
         monkeypatch.setattr(np.random, "PCG64", ExtremeWords)
         report = verify.monte_carlo_invariance(plant, zero_controller(n_terms=n_terms, m=n),
-                                               box, 5, 1, seed=0, max_witnesses=5)
+                                               box, 5, 1, seed=0)
         assert [index for index, _, _ in report.witnesses] == [0, 1, 2, 3, 4]
         for index, _, state in report.witnesses:
             expected = w - np.ldexp(w, -31) if index % 2 else -w
