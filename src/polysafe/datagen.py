@@ -61,24 +61,20 @@ class ExperimentData:
         return np.asfortranarray(np.vstack([self.states, self.remainders]))
 
     @cached_property
-    def _regressor_rank(self) -> RankDiagnostic:
-        """:func:`regressor_rank`, one SVD per data set."""
-        return _numerical_rank(self.regressor)
+    def _regressor_factors(self) -> tuple[RankDiagnostic, np.ndarray]:
+        """:func:`regressor_rank` and ``pinv(regressor)``, from one SVD."""
+        return _factor(self.regressor)
 
     @cached_property
-    def stacked(self) -> np.ndarray:
-        """The regressor stacked over the inputs, ``(n + N + m, T)``."""
-        return np.vstack([self.regressor, self.inputs])
+    def _stacked_factors(self) -> tuple[RankDiagnostic, np.ndarray]:
+        """:func:`identification_rank` and :attr:`stacked_pinv` of the
+        regressor stacked over the inputs, ``(n + N + m, T)``, from one SVD."""
+        return _factor(np.vstack([self.regressor, self.inputs]))
 
-    @cached_property
-    def _stacked_rank(self) -> RankDiagnostic:
-        """:func:`identification_rank`, one SVD per data set."""
-        return _numerical_rank(self.stacked)
-
-    @cached_property
+    @property
     def stacked_pinv(self) -> np.ndarray:
-        """``pinv(stacked)``, ``(T, n + N + m)``, which the ``thm1`` gain search reads."""
-        return np.linalg.pinv(self.stacked)
+        """``pinv([regressor; inputs])``, ``(T, n + N + m)``, for the ``thm1`` gain search."""
+        return self._stacked_factors[1]
 
     @cached_property
     def loop_tolerance(self) -> float:
@@ -96,7 +92,7 @@ class ExperimentData:
         space (rank at most m on noiseless data), with singular values below
         :attr:`loop_tolerance` truncated, not inverted, so the preimage replays.
         """
-        pinv = np.linalg.pinv(self.regressor)                     # (T, n+N)
+        pinv = self._regressor_factors[1]                         # (T, n+N)
         base = self.next_states @ pinv                            # (n, n+N)
         # next_states @ P, without forming the (T, T) projector
         u, sv, vt = np.linalg.svd(self.next_states - base @ self.regressor, full_matrices=False)
@@ -252,19 +248,22 @@ class RankDiagnostic:
                 f"sigma_min {self.singular_values[-1]:.3e})")
 
 
-def _numerical_rank(mat: np.ndarray) -> RankDiagnostic:
-    """The numerical row rank of ``mat``, which is required to be full."""
-    sv = np.linalg.svd(mat, compute_uv=False)
+def _factor(mat: np.ndarray) -> tuple[RankDiagnostic, np.ndarray]:
+    """The numerical row rank of ``mat``, which is required to be full, and its
+    pseudo-inverse as ``np.linalg.pinv`` forms it, to the bit, from one SVD."""
+    u, sv, vt = np.linalg.svd(mat, full_matrices=False)
     smax = float(sv[0]) if sv.size else 0.0
     threshold = RANK_RTOL * smax
     rank = int(np.sum(sv > threshold)) if smax > 0.0 else 0
-    return RankDiagnostic(rank=rank, required=len(mat), full_row_rank=rank == len(mat),
-                          threshold=threshold, singular_values=sv)
+    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-15 * smax)
+    return (RankDiagnostic(rank=rank, required=len(mat), full_row_rank=rank == len(mat),
+                           threshold=threshold, singular_values=sv),
+            vt.T @ (inverse[:, None] * u.T))
 
 
 def regressor_rank(data: ExperimentData) -> RankDiagnostic:
     """Numerical row rank of the state/remainder regressor (n + N rows)."""
-    return data._regressor_rank
+    return data._regressor_factors[0]
 
 
 def identification_rank(data: ExperimentData) -> RankDiagnostic:
@@ -273,4 +272,4 @@ def identification_rank(data: ExperimentData) -> RankDiagnostic:
     Full rank here means the dynamics could be identified exactly from the
     noiseless data; only the remainder-minimization baseline needs it.
     """
-    return data._stacked_rank
+    return data._stacked_factors[0]

@@ -44,6 +44,7 @@ _TOL_PIVOT = 1e-9    # hard pivot floor; smaller pivots poison the tableau
 _TOL_RAY = 1e-7      # reduced cost below which an unpivotable column is a real ray
 _TOL_PHASE1 = 1e-8   # scaled infeasibility threshold after phase 1
 _TOL_ZERO_ROW = 1e-12  # rows this small relative to the matrix are zero rows
+_MAX_PIVOTS = 200_000  # pivots one simplex call makes before it is a stall
 
 
 class LpStatus(Enum):
@@ -360,7 +361,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
-             ray_tol: float = _TOL_RAY, max_iterations: int = 200_000) -> tuple[str, int]:
+             ray_tol: float = _TOL_RAY) -> tuple[str, int]:
     """Minimize ``c_ext`` over the tableau ``T`` (rhs in the last column).
 
     Pivoting is Dantzig's rule (most negative reduced cost) with an
@@ -375,7 +376,7 @@ def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
     a genuine unbounded direction; marginally negative unpivotable columns
     are treated as numerically dead.  Phase 1 passes ``ray_tol=inf`` since
     its objective is bounded below by construction.  After
-    ``max_iterations`` pivots with no verdict it raises
+    ``_MAX_PIVOTS`` pivots with no verdict it raises
     :class:`SolverStalledError`.
     """
     n_cols = T.shape[1] - 1
@@ -395,8 +396,8 @@ def _simplex(T: np.ndarray, basis: np.ndarray, c_ext: np.ndarray,
     stalled = 0
     bland = False
     while True:
-        if iterations >= max_iterations:
-            raise SolverStalledError(f"simplex exceeded {max_iterations} iterations")
+        if iterations >= _MAX_PIVOTS:
+            raise SolverStalledError(f"simplex exceeded {_MAX_PIVOTS} iterations")
         tol_c = _TOL_COST * (1.0 + float(np.abs(reduced).max(initial=0.0)))
         negative = (reduced < -tol_c).nonzero()[0]
         if not negative.size:

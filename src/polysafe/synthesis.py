@@ -7,12 +7,12 @@ the data regressor: whenever ``regressor @ [g1 g2] = I``, the products
 part and the closed-loop remainder part exactly (on noiseless data), so
 no plant is identified.  One gate, :func:`_admit`, decides which data each
 method may design from; ``thm2`` and ``thm1`` rest on that identity, so it
-refuses them data off the noiseless model.  The programs touch the right
-inverse only through ``next_states @ G``, so ``thm2`` and ``thm1`` are
-posed over the null-space form of the closed loop, whose size does not
-depend on the sample count, and ``G`` is recovered as its minimum-norm
-preimage; ``cor2`` keeps ``G`` itself, since its norm budget needs ``|G|``.
-Every factorization they read is cached on the data (:mod:`~polysafe.datagen`).
+refuses them data off the noiseless model.  ``thm2`` and ``thm1`` fix the
+remainder columns of the right inverse first, then pose one program over
+the linear columns of the closed loop's null-space form, whose size does
+not depend on the sample count; ``cor2`` keeps ``G`` itself, since its
+norm budget needs ``|G|``.  Every factorization they read is cached on
+the data (:mod:`~polysafe.datagen`).
 
 The primal-dual design ("thm2" in scenario files) pairs a nonnegative
 row-multiplier matrix with the closed-loop linear part and pins the
@@ -25,7 +25,9 @@ so ``sum_i alpha_i H_i = 0``: no row can be definite, every row needs
 ``F_i R = 0``, and since ``F`` has full column rank that is ``R = 0``.
 Pinning ``R`` accepts exactly those remainders on every bounded set,
 whether or not its rows come in opposite pairs, and the certificate's
-``remainder_zeroed`` residual replays the pin.  With ``R = 0`` the
+``remainder_zeroed`` residual replays the pin.  The pin is solved in
+closed form, as a least-squares zero; a remainder it cannot zero makes
+``thm2`` infeasible before any program is posed.  With ``R = 0`` the
 paper's slope term ``F R J(x)`` is zero at every expansion point, so the
 programs carry neither the point nor the slope term.  The robust variant
 ("cor2") adds a norm budget that accounts for noise leakage through the data
@@ -53,7 +55,6 @@ before it is returned; one that does not replay to ``TOL_CERT`` raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,7 @@ from .polytope import (PolyhedralSet, _norm_inf, enumerate_vertices, interval_en
                        row_norms, sample_points)
 
 TOL_CERT = 1e-6   # certificate equations are re-verified to this tolerance
+_K2_BOUND = 2.0   # thm1 searches gains in [-_K2_BOUND, _K2_BOUND] per entry
 
 METHODS = ("thm2", "cor2", "thm1")
 
@@ -153,25 +155,23 @@ def _admit(data: ExperimentData, method: str) -> None:
             f"matrix, above {tol:.3e}: the data do not fit a noiseless plant")
 
 
-def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
-                     robust: dict | None, row_bounds: np.ndarray | None = None) -> lpcore.LpOutcome:
+def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, robust: dict | None,
+                     row_offsets: np.ndarray | None = None) -> lpcore.LpOutcome:
     """Pose and solve one design program, at level 1, over the closed loop
     ``base + lift @ X``.
 
-    ``X`` is split into its linear columns (block ``w1``) and remainder
-    columns (``w2``).  ``thm2`` and ``thm1`` use the null-space
-    parametrization :attr:`~polysafe.datagen.ExperimentData.closed_loop`, so
-    the program does not grow with ``T``.  ``cor2`` needs ``|G|`` for its
-    norm budget and keeps ``G`` itself (``base = 0``, ``lift =
-    next_states``) as nonnegative parts ``g*_pos - g*_neg``, plus the
-    right-inverse and row-sum rows.  With ``row_bounds`` this is the baseline
-    (``thm1``) program: linear part only, with the searched bounds taken off
-    the contraction rows.
+    ``thm2`` and ``thm1`` have fixed the remainder columns, so ``X`` is the
+    linear columns (block ``w1``) of the null-space parametrization
+    :attr:`~polysafe.datagen.ExperimentData.closed_loop`, which does not grow
+    with ``T``, and ``row_offsets`` come off the contraction rows.  ``cor2``
+    needs ``|G|`` for its norm budget and keeps ``G`` itself (``base = 0``,
+    ``lift = next_states``) as nonnegative parts ``g*_pos - g*_neg``, plus
+    the right-inverse, remainder-pin and row-sum rows.
 
     Each constraint family is one group of whole-block rows: with row-major
     vectorization, ``vec(A @ X @ B) = kron(A, B.T) @ vec(X)``.  A feasible
-    outcome carries the recovered right inverse (its linear columns for the
-    baseline) under ``"G"``.
+    outcome carries the recovered right inverse (its linear columns for
+    ``thm2`` and ``thm1``) under ``"G"``.
     """
     F, g = safe_set.normals, safe_set.offsets
     s, n = F.shape
@@ -185,10 +185,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
                  "rem": (("g2_pos", 1.0), ("g2_neg", -1.0))}
     else:
         base, lift, g0, preimage = data.closed_loop
-        parts = {"lin": (("w1", 1.0),), "rem": (("w2", 1.0),)}
-    baseline = row_bounds is not None
-    if baseline:
-        del parts["rem"]
+        parts = {"lin": (("w1", 1.0),)}
     f_lift = F @ lift                        # (s, p)
     f_base = F @ base                        # (s, n+N)
 
@@ -215,12 +212,11 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
                 terms.update({name: sign * coeff for name, sign in parts[key]})
         lp.add_constraint_rows(terms, rel, rhs)
 
-    # (i) contraction: mult @ g (+ noise) + slack * g <= g, less the
-    # remainder bounds for the baseline
+    # (i) contraction: mult @ g (+ noise) + slack * g <= g, less the row offsets
     terms = {"mult": np.kron(np.eye(s), g), "slack": g}
     if split:
         terms["noise"] = np.ones(s)
-    rows("<=", g - row_bounds if baseline else g, **terms)
+    rows("<=", g if row_offsets is None else g - row_offsets, **terms)
 
     # (ii) multiplier rows map through the set: mult @ F = F @ loop_linear
     rows("=", f_base[:, :n].reshape(-1), lin=-np.kron(f_lift, np.eye(n)),
@@ -231,15 +227,11 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
         eye = np.eye(n + N)
         rows("=", eye.reshape(-1), lin=np.kron(data.regressor, eye[:, :n]),
              rem=np.kron(data.regressor, eye[:, n:]))
-
-    if not baseline:
-        # (iii) the closed-loop remainder is pinned to zero, base_rem + lift @ rem = 0:
+        # (iii) the closed-loop remainder is pinned to zero, next_states @ G2 = 0:
         # on a bounded set it is the only remainder the second-order condition admits
         rows("=", -base[:, n:].reshape(-1), rem=np.kron(lift, np.eye(N)))
-
-    # robust norm budget tying the noise leakage to eta; the split blocks make
-    # |G| available as pos + neg without extra absolute-value rows
-    if split:
+        # the norm budget tying the noise leakage to eta; the split blocks
+        # make |G| available as pos + neg without extra absolute-value rows
         T = data.n_samples
         for norm, key, width in (("norm1", "lin", n), ("norm2", "rem", N)):
             row_sums = np.kron(np.eye(T), np.ones(width))
@@ -253,7 +245,7 @@ def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet,
     if outcome.status == lpcore.LpStatus.OPTIMAL:
         loop = np.hstack([sum(sign * outcome[name] for name, sign in parts[key])
                           for key in parts])
-        outcome.assignment["G"] = loop if split else g0[:, :loop.shape[1]] + preimage @ loop
+        outcome.assignment["G"] = loop if split else g0[:, :n] + preimage @ loop
     return outcome
 
 
@@ -264,11 +256,11 @@ def _noise_floor(data: ExperimentData, safe_set: PolyhedralSet, robust: dict) ->
 
 
 def _solve(data: ExperimentData, safe_set: PolyhedralSet, kind: str, robust: dict | None = None,
-           row_bounds: np.ndarray | None = None) -> lpcore.LpOutcome:
+           row_offsets: np.ndarray | None = None) -> lpcore.LpOutcome:
     """Solve one design program (:func:`_build_and_solve`); raise
     :class:`SynthesisInfeasibleError` with the phase-1 infeasibility when no
     level in ``(0, 1]`` is feasible.  ``kind`` names the design in the message."""
-    outcome = _build_and_solve(data, safe_set, robust, row_bounds)
+    outcome = _build_and_solve(data, safe_set, robust, row_offsets)
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
             f"{kind} infeasible at every level "
@@ -277,14 +269,17 @@ def _solve(data: ExperimentData, safe_set: PolyhedralSet, kind: str, robust: dic
 
 
 def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.ndarray,
-            outcome: lpcore.LpOutcome, row_offsets: np.ndarray, extra: dict,
-            config: dict) -> SynthesisCertificate:
-    """The certificate of a solved design, recomputed from raw matrices: its
-    smallest level, ``1 - headroom`` in ``[0, 1]``, and its residuals.
+            g2: np.ndarray, k2: np.ndarray, outcome: lpcore.LpOutcome, row_offsets: np.ndarray,
+            extra: dict, config: dict) -> tuple[Controller, SynthesisCertificate]:
+    """The controller of a solved design and its certificate, recomputed from
+    raw matrices: its smallest level, ``1 - headroom`` in ``[0, 1]``, and its
+    residuals.
 
-    Every method has the contraction rows, with ``row_offsets`` added, and
-    the multiplier match and sign; ``extra`` holds the method's own
-    residuals.  A design whose certificate does not replay is refused: any
+    Every method has the contraction rows, with ``row_offsets`` added, the
+    multiplier match and sign, and the right inverse ``regressor @ G = I``
+    (its linear columns for ``thm1``); ``thm2`` and ``cor2`` add the pinned
+    remainder coefficients ``F @ next_states @ g2``, and ``extra`` holds
+    any others.  A design whose certificate does not replay is refused: any
     residual above ``TOL_CERT``, or a multiplier below ``-1e-9``, raises
     :class:`NumericalInstabilityError` naming the worst residual.
     """
@@ -295,8 +290,13 @@ def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.n
         "contraction": float(np.max(np.maximum(mult @ g + row_offsets - level * g, 0.0))),
         "multiplier_match": float(np.max(np.abs(mult @ F - F @ data.next_states @ g1))),
         "multiplier_sign": float(max(0.0, -np.min(mult))),
-        **extra,
     }
+    right = g1 if method == "thm1" else np.hstack([g1, g2])
+    residuals["right_inverse_g1" if method == "thm1" else "right_inverse"] = float(np.max(
+        np.abs(data.regressor @ right - np.eye(data.state_dim + data.n_terms, right.shape[1]))))
+    if method != "thm1":
+        residuals["remainder_zeroed"] = float(np.max(np.abs(F @ data.next_states @ g2)))
+    residuals.update(extra)
     values = np.array(list(residuals.values()))
     if not (np.max(values) <= TOL_CERT and np.min(mult) >= -1e-9):
         worst = list(residuals)[int(np.argmax(values))]   # the first NaN, if any
@@ -304,50 +304,44 @@ def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.n
             f"{method} certificate does not replay: worst residual {worst} = "
             f"{residuals[worst]:.3e} (tolerance {TOL_CERT:g}), smallest multiplier "
             f"{np.min(mult):.3e}")
-    return SynthesisCertificate(method=method, contraction=level, set_multiplier=mult,
+    cert = SynthesisCertificate(method=method, contraction=level, set_multiplier=mult,
                                 row_offsets=row_offsets, residuals=residuals,
                                 config={"method": method, **config})
+    return Controller(k1=data.inputs @ g1, k2=k2, g1=g1, g2=g2), cert
 
 
-def _design(data: ExperimentData, safe_set: PolyhedralSet,
-            robust: dict | None) -> tuple[Controller, SynthesisCertificate]:
-    """Solve the ``thm2`` (``robust`` None) or ``cor2`` program and certify its controller."""
-    method, kind = ("thm2", "noiseless design") if robust is None else ("cor2", "robust design")
-    _admit(data, method)
-    if robust is not None:  # a floor above the smallest offset: see synthesize_robust
-        floor = _noise_floor(data, safe_set, robust)
-        row = int(np.argmin(safe_set.offsets))
-        if floor > safe_set.offsets[row]:
-            raise SynthesisInfeasibleError(
-                f"robust design infeasible at every level: noise floor "
-                f"gm*state_bound*T = {floor:.6g} exceeds the smallest offset "
-                f"{safe_set.offsets[row]:.6g} (row {row})")
-    outcome = _solve(data, safe_set, kind, robust)
-    g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
-    eta = outcome["noise"] if robust is not None else 0.0
-    extra = {
-        "right_inverse": float(np.max(np.abs(
-            data.regressor @ np.hstack([g1, g2]) - np.eye(data.state_dim + data.n_terms)))),
-        # the closed-loop remainder coefficients, pinned to zero
-        "remainder_zeroed": float(np.max(np.abs(safe_set.normals @ data.next_states @ g2))),
-    }
-    if robust is not None:
-        budget = floor * (_norm_inf(g1) + robust["lipschitz"] * _norm_inf(g2) + 1.0)
-        extra["noise_budget"] = float(max(0.0, budget - eta))
-    cert = _replay(method, data, safe_set, g1, outcome, np.full(safe_set.n_rows, float(eta)),
-                   extra, robust or {})
-    return Controller(k1=data.inputs @ g1, k2=data.inputs @ g2, g1=g1, g2=g2), cert
+def _linear_design(method: str, data: ExperimentData, safe_set: PolyhedralSet,
+                   k2: np.ndarray, g2: np.ndarray,
+                   row_offsets: np.ndarray) -> tuple[Controller, SynthesisCertificate]:
+    """The ``thm2`` or ``thm1`` design around a fixed gain ``k2`` and its ``g2``."""
+    outcome = _solve(data, safe_set, "noiseless design" if method == "thm2" else "baseline",
+                     row_offsets=row_offsets)
+    return _replay(method, data, safe_set, outcome["G"], g2, k2, outcome, row_offsets, {}, {})
 
 
 def synthesize_noiseless(data: ExperimentData,
                          safe_set: PolyhedralSet) -> tuple[Controller, SynthesisCertificate]:
     """Primal-dual design assuming the data were collected without noise.
 
-    ``cert.contraction`` is the smallest level the design certifies.  Raises
-    :class:`SynthesisInfeasibleError` with the phase-1 certificate if the
-    program has no solution at any level in ``(0, 1]``.
+    The closed loop's remainder part is ``base[:, n:] + lift @ w2``; as
+    ``lift`` has orthonormal columns, ``w2 = -lift.T @ base[:, n:]`` is its
+    least-squares zero, and what is left lies off the inputs' reach for
+    every right inverse.  Coefficients ``F @ (base[:, n:] + lift @ w2)``
+    above ``TOL_CERT`` raise :class:`SynthesisInfeasibleError` with no LP outcome.
     """
-    return _design(data, safe_set, None)
+    _admit(data, "thm2")
+    base, lift, g0, preimage = data.closed_loop
+    n = data.state_dim
+    w2 = -lift.T @ base[:, n:]
+    residual = float(np.max(np.abs(safe_set.normals @ (base[:, n:] + lift @ w2))))
+    if not residual <= TOL_CERT:
+        raise SynthesisInfeasibleError(
+            f"noiseless design infeasible at every level: the inputs cannot cancel the "
+            f"closed-loop remainder (remainder_zeroed {residual:.3e} at the least-squares "
+            f"pin, tolerance {TOL_CERT:g})")
+    g2 = g0[:, n:] + preimage @ w2
+    return _linear_design("thm2", data, safe_set, data.inputs @ g2, g2,
+                          np.zeros(safe_set.n_rows))
 
 
 def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet,
@@ -373,16 +367,29 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet,
     box = interval_enclosure(safe_set)
     robust = {"w_bound": float(w_bound), "lipschitz": float(data.dictionary.lipschitz_bound(box)),
               "state_bound": float(box.max_abs)}
-    return _design(data, safe_set, robust)
+    _admit(data, "cor2")
+    floor = _noise_floor(data, safe_set, robust)
+    row = int(np.argmin(safe_set.offsets))
+    if floor > safe_set.offsets[row]:
+        raise SynthesisInfeasibleError(
+            f"robust design infeasible at every level: noise floor "
+            f"gm*state_bound*T = {floor:.6g} exceeds the smallest offset "
+            f"{safe_set.offsets[row]:.6g} (row {row})")
+    outcome = _solve(data, safe_set, "robust design", robust)
+    g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
+    eta = outcome["noise"]
+    budget = floor * (_norm_inf(g1) + robust["lipschitz"] * _norm_inf(g2) + 1.0)
+    return _replay("cor2", data, safe_set, g1, g2, data.inputs @ g2, outcome,
+                   np.full(safe_set.n_rows, float(eta)),
+                   {"noise_budget": float(max(0.0, budget - eta))}, robust)
 
 
 # ---------------------------------------------------------------------------
 # remainder-minimization baseline
 
 
-def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
-                    k2_lo: float = -2.0, k2_hi: float = 2.0) -> BaselineSearch:
-    """The gain in ``[k2_lo, k2_hi]^(m*N)`` minimizing the worst-row
+def baseline_search(data: ExperimentData, safe_set: PolyhedralSet) -> BaselineSearch:
+    """The gain in ``[-_K2_BOUND, _K2_BOUND]^(m*N)`` minimizing the worst-row
     remainder term over the set's sample, its default grid plus the
     vertices (:func:`~polysafe.polytope.sample_points`).
 
@@ -398,8 +405,6 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
     are not enumerated (dimension above 3) raises
     :class:`~polysafe.errors.DimensionTooLargeError`.
     """
-    if not (math.isfinite(k2_lo) and math.isfinite(k2_hi) and k2_lo <= k2_hi):
-        raise ValueError(f"need finite k2_lo <= k2_hi, got k2_lo={k2_lo}, k2_hi={k2_hi}")
     n, N, m = data.state_dim, data.n_terms, data.input_dim
     _admit(data, "thm1")
     pinv = data.stacked_pinv                         # (T, n+N+m)
@@ -425,16 +430,16 @@ def baseline_search(data: ExperimentData, safe_set: PolyhedralSet,
         i, p = np.array(sorted(pairs)).T
         offset = np.einsum("cb,cb->c", f_next[i] @ base, rem[p])
         slope = ((f_next[i] @ gain_map)[:, :, None] * rem[p][:, None, :]).reshape(len(i), m * N)
-        # the gain enters as its excess over k2_lo, a nonnegative block the
-        # simplex need not split into signed parts
+        # the gain enters as its excess over the box's low corner, a
+        # nonnegative block the simplex need not split into signed parts
         lp = lpcore.LinearProgram()
         lp.add_block("excess", (m * N,), nonneg=True)
         lp.add_block("t", ())
         lp.set_objective("min", {"t": 1.0})
         lp.add_constraint_rows({"excess": slope, "t": -np.ones(len(i))}, "<=",
-                               -offset - k2_lo * slope.sum(axis=1))
-        lp.add_constraint_rows({"excess": np.eye(m * N)}, "<=", np.full(m * N, k2_hi - k2_lo))
-        k2 = (k2_lo + lp.solve()["excess"]).reshape(m, N)
+                               -offset + _K2_BOUND * slope.sum(axis=1))
+        lp.add_constraint_rows({"excess": np.eye(m * N)}, "<=", np.full(m * N, 2.0 * _K2_BOUND))
+        k2 = (lp.solve()["excess"] - _K2_BOUND).reshape(m, N)
         iterates.append(k2.ravel())
         g2 = base + gain_map @ k2
     return BaselineSearch(
@@ -450,12 +455,7 @@ def synthesize_min_remainder(data: ExperimentData,
     and ``controller.g2`` are the searched gain and its right-inverse columns.
     """
     search = baseline_search(data, safe_set)
-    outcome = _solve(data, safe_set, "baseline", row_bounds=search.row_bounds)
-    g1 = outcome["G"]
-    extra = {"right_inverse_g1": float(np.max(np.abs(
-        data.regressor @ g1 - np.eye(data.state_dim + data.n_terms, data.state_dim))))}
-    cert = _replay("thm1", data, safe_set, g1, outcome, search.row_bounds, extra, {})
-    return Controller(k1=data.inputs @ g1, k2=search.k2, g1=g1, g2=search.g2), cert
+    return _linear_design("thm1", data, safe_set, search.k2, search.g2, search.row_bounds)
 
 
 def format_certificate(controller: Controller, cert: SynthesisCertificate) -> str:

@@ -566,14 +566,15 @@ class TestCommands:
         assert shapes.count((4, 40)) == 1
 
     @pytest.mark.parametrize("command, limit", [
-        pytest.param(["report"], 8, id="report"),
-        pytest.param(["sweep-lambda", "--method", "thm2"], 6, id="sweep-thm2"),
+        pytest.param(["report"], 6, id="report"),
+        pytest.param(["sweep-lambda", "--method", "thm2"], 5, id="sweep-thm2"),
     ])
     def test_experiment_is_factored_once(self, tmp_path, monkeypatch, command, limit):
         # every SVD, pseudo-inverse and matrix 2-norm of the experiment is
-        # taken once per data set: the regressor's rank, pinv(regressor), the
-        # closed loop's SVD, |next_states|_2 and the row-space distance's
-        # pinv and norm; the report adds the stacked rank and pinv(stacked)
+        # taken once per data set: the regressor's SVD (its rank and
+        # pseudo-inverse), the closed loop's SVD, |next_states|_2 and the
+        # row-space distance's pinv and norm; the report adds the stacked
+        # matrix's SVD (its rank and pseudo-inverse)
         calls = []
 
         def counted(name, original):
@@ -612,9 +613,10 @@ class TestCommands:
     def test_failed_expansion_search_exit_two(self, tmp_path, monkeypatch, command, summary,
                                               w_bound):
         # a remainder term on the first state, which the input cannot cancel:
-        # the design is infeasible, a synthesis verdict, not a usage error.  Each method poses one design
-        # program at most; without a disturbance the noise floor is 0, so the
-        # report poses cor2's too.
+        # the design is infeasible, a synthesis verdict, not a usage error.
+        # thm2's closed-form pin decides it and poses no program; each other
+        # method poses one design program at most, and without a disturbance
+        # the noise floor is 0, so the report poses cor2's too.
         designs = []
         solve = lpcore.LinearProgram.solve
         monkeypatch.setattr(lpcore.LinearProgram, "solve", lambda lp: (
@@ -631,13 +633,14 @@ class TestCommands:
         assert code == cli.EXIT_INFEASIBLE
         doc = json.loads((out / summary).read_text())
         assert doc["status"] == "infeasible"
-        assert "noiseless design infeasible at every level" in doc.get(
-            "detail", doc.get("infeasible_detail"))
+        detail = doc.get("detail", doc.get("infeasible_detail"))
+        assert detail.startswith("noiseless design infeasible at every level")
+        assert "remainder_zeroed 1.000e-02 at the least-squares pin" in detail
         if command == "report":
             assert doc["min_levels"]["thm2"] is None and doc["min_levels"]["cor2"] is None
-            assert len(designs) == (2 if w_bound else 3)  # thm2, thm1 and, below the floor, cor2
+            assert len(designs) == (1 if w_bound else 2)  # thm1 and, below the floor, cor2
         else:
-            assert len(designs) == 1
+            assert designs == []
 
     def test_report_no_feasible_level_stops_cleanly(self, scenario_path, tmp_path):
         # cor2 has no feasible level on the shipped system: definitive verdict

@@ -91,7 +91,7 @@ class TestBasics:
     def test_pivot_cap_is_a_stall(self, monkeypatch):
         # a well-formed program that reaches the pivot cap is a stall, which the
         # CLI reports per method, not a malformed program
-        monkeypatch.setattr(lpcore._simplex, "__defaults__", (lpcore._TOL_RAY, 0))
+        monkeypatch.setattr(lpcore, "_MAX_PIVOTS", 0)
         lp = LinearProgram()
         lp.add_block("x", (), nonneg=True)
         lp.add_constraint({"x": 1.0}, "<=", 3.0)
@@ -434,9 +434,9 @@ class TestPivotLoopMatchesReference:
         inputs = []
         simplex = lpcore._simplex
 
-        def recording(T, basis, c_ext, ray_tol=_TOL_RAY, max_iterations=200_000):
+        def recording(T, basis, c_ext, ray_tol=_TOL_RAY):
             inputs.append((T.copy(order="K"), basis.copy(), c_ext.copy(), ray_tol))
-            return simplex(T, basis, c_ext, ray_tol, max_iterations)
+            return simplex(T, basis, c_ext, ray_tol)
 
         monkeypatch.setattr(lpcore, "_simplex", recording)
         return inputs, simplex

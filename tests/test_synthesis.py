@@ -16,7 +16,8 @@ from polysafe.errors import (
 from polysafe.polytope import (PolyhedralSet, grid_resolution, interval_enclosure,
                                sample_points)
 
-from conftest import SECV_F, SECV_G, duo_problem, grid_members, tri_problem
+from conftest import (SECV_F, SECV_G, duo_problem, grid_members, tri_plant_and_set,
+                      tri_problem)
 
 
 def replay_certificate(data, safe_set, controller, cert):
@@ -115,14 +116,50 @@ class TestNoiselessDesign:
 
     def test_uncancellable_remainder_is_infeasible(self, secv_set, solved_programs):
         # the first state carries a remainder term the single input cannot
-        # reach, so no gain pins the closed-loop remainder to zero; the design
-        # poses one program, with its phase-1 outcome
+        # reach, so no gain pins the closed-loop remainder to zero: the closed
+        # form decides it, names what is left, and poses no program
         _, data = unmatched_problem(secv_set)
-        with pytest.raises(SynthesisInfeasibleError, match="infeasible at every level") as err:
+        with pytest.raises(SynthesisInfeasibleError,
+                           match="noiseless design infeasible at every level") as err:
             synthesis.synthesize_noiseless(data, secv_set)
-        assert err.value.outcome.status == lpcore.LpStatus.INFEASIBLE
-        assert err.value.outcome.infeasibility > 0.0
-        assert len([lp for lp, _ in solved_programs if "mult" in lp._blocks]) == 1
+        assert err.value.outcome is None
+        assert "remainder_zeroed 1.000e-02 at the least-squares pin" in str(err.value)
+        assert solved_programs == []
+
+    @pytest.mark.parametrize("problem", ["unmatched", "tri-row-0"])
+    def test_uncancellable_verdict_replays(self, problem, secv_set):
+        # the remainder part of next_states @ g off the inputs' reach (the
+        # column space of next_states @ P, P the projector onto the
+        # regressor's null space) is the same for every right inverse g, so
+        # no gain cancels it; the verdict names its largest coefficient
+        if problem == "unmatched":
+            safe_set, data = secv_set, unmatched_problem(secv_set)[1]
+        else:
+            # "tri row 0": +0.02 on the first state's x0^2 and x0*x2 terms
+            plant, safe_set = tri_plant_and_set()
+            plant = PlantModel(a1=plant.a1, a2=[[0.02, 0.0, 0.02], *plant.a2[1:]], b=plant.b,
+                               dictionary=plant.dictionary, w_bound=0.0)
+            data = collect_informative(plant, 160, 0.01, [0.0, 0.0, 0.0], 11,
+                                       safe_set=safe_set)
+        n, N, T = data.state_dim, data.n_terms, data.n_samples
+        pinv = np.linalg.pinv(data.regressor)
+        null = np.eye(T) - pinv @ data.regressor
+        other = pinv + null @ np.random.default_rng(3).normal(size=(T, n + N))
+        assert np.max(np.abs(data.regressor @ other - np.eye(n + N))) <= 1e-9
+        u, sv, _ = np.linalg.svd(data.next_states @ null)
+        reach = u[:, sv > 1e-9 * np.linalg.norm(data.next_states, 2)]
+        assert reach.shape[1] == data.input_dim
+
+        def left(g):
+            rem = data.next_states @ g[:, n:]
+            return rem - reach @ (reach.T @ rem)
+
+        np.testing.assert_allclose(left(other), left(pinv), rtol=0, atol=1e-9)
+        coefficients = float(np.max(np.abs(safe_set.normals @ left(pinv))))
+        assert coefficients > 1e-3
+        with pytest.raises(SynthesisInfeasibleError) as err:
+            synthesis.synthesize_noiseless(data, safe_set)
+        assert f"remainder_zeroed {coefficients:.3e} at the least-squares pin" in str(err.value)
 
     def test_rank_deficiency_detected(self, secv_set, secv_dictionary):
         from polysafe.datagen import ExperimentData
@@ -357,7 +394,7 @@ class TestBaseline:
         np.testing.assert_allclose(controller.k2, [[-0.3, 0.0], [0.0, -0.2]], atol=1e-9)
         assert np.max(np.abs(cert.row_offsets)) <= 1e-9
 
-    def test_grid_refinement_stability(self, secv_set):
+    def test_grid_refinement_stability(self, secv_set, monkeypatch):
         # nonzero remainder bound case: fix a plant whose cancellation is
         # outside the gain box; at the winner, a grid of about twice the
         # default resolution moves the row maxima of the sample by less than
@@ -366,7 +403,8 @@ class TestBaseline:
         plant = PlantModel(a1=[[0.8, 0.5], [-0.4, 1.2]], a2=[[0.0, 0.0], [1.0, 1.0]],
                            b=[[0.0], [1.0]], dictionary=dictionary, w_bound=0.0)
         data = collect(plant, 40, 0.003, [0, 0], seed=7)
-        search = synthesis.baseline_search(data, secv_set, k2_lo=-0.5, k2_hi=0.5)
+        monkeypatch.setattr(synthesis, "_K2_BOUND", 0.5)
+        search = synthesis.baseline_search(data, secv_set)
         coeffs = secv_set.normals @ data.next_states @ search.g2
         fine = np.max(coeffs @ dictionary.remainder(grid_members(secv_set, (201, 201))).T,
                       axis=1)
@@ -416,8 +454,8 @@ class TestBaseline:
         assert len(messages) == 1
 
 
-def grid_scores(data, safe_set, k2_step, k2_lo=-2.0, k2_hi=2.0):
-    """Every gain of a coarse grid in ``[k2_lo, k2_hi]``, scored the way the
+def grid_scores(data, safe_set, k2_step):
+    """Every gain of a coarse grid in the search's box, scored the way the
     search scores its winner: its row maxima over the set's sample, the
     default grid plus the vertices.  Returns the gains ``(G, m*N)`` and their row maxima
     ``(G, s)``."""
@@ -427,7 +465,8 @@ def grid_scores(data, safe_set, k2_step, k2_lo=-2.0, k2_hi=2.0):
     f_next = F @ data.next_states
     pinv = np.linalg.pinv(np.vstack([data.regressor, data.inputs]))
     base, gain_map = pinv[:, n:n + N], pinv[:, n + N:]
-    axis = np.arange(k2_lo, k2_hi + k2_step / 2, k2_step)
+    bound = synthesis._K2_BOUND
+    axis = np.arange(-bound, bound + k2_step / 2, k2_step)
     gains = np.array(list(itertools.product(axis, repeat=m * N)))
     bounds = np.array([np.max(f_next @ (base + gain_map @ k2.reshape(m, N)) @ rem.T, axis=1)
                        for k2 in gains])
@@ -449,9 +488,9 @@ class TestBaselineSearchIsExact:
     """The LP gain scores no worse than any gain of a coarse grid, and is the
     grid's gain where that one cancels the remainder."""
 
-    def assert_no_grid_gain_beats(self, data, safe_set, k2_step, **box):
-        search = synthesis.baseline_search(data, safe_set, **box)
-        gains, bounds = grid_scores(data, safe_set, k2_step, **box)
+    def assert_no_grid_gain_beats(self, data, safe_set, k2_step):
+        search = synthesis.baseline_search(data, safe_set)
+        gains, bounds = grid_scores(data, safe_set, k2_step)
         assert search.row_bounds.max() <= bounds.max(axis=1).min() + 1e-12
         np.testing.assert_array_equal(search.candidates[-1], search.k2.ravel())
         return search, gains, bounds
@@ -533,16 +572,6 @@ class TestBaselineSearchIsExact:
                            dictionary=secv_plant.dictionary, w_bound=0.0)
         data = collect(plant, 40, 0.003, [0.0, 0.0], seed=7)
         self.assert_no_grid_gain_beats(data, secv_set, 0.5)
-
-    @pytest.mark.parametrize("grid, match", [
-        ({"k2_lo": float("nan")}, "k2_lo=nan"),
-        ({"k2_hi": float("inf")}, "k2_hi=inf"),
-        ({"k2_lo": 1.0, "k2_hi": -1.0}, "k2_lo=1.0, k2_hi=-1.0"),
-    ])
-    def test_bad_gain_grid_rejected(self, secv_data, secv_set, grid, match):
-        # the gain box must be finite and ordered
-        with pytest.raises(ValueError, match=match):
-            synthesis.baseline_search(secv_data, secv_set, **grid)
 
     def test_default_grid_is_unchanged(self, secv_data, secv_set):
         # the default box [-2, 2] holds the cancelling gain, which the LP
@@ -766,8 +795,23 @@ class TestClosedLoopPrograms:
             thm1 = solved_programs[-1][0]
             sizes.append([(lp.n_constraints, lp.n_variables) for lp in (thm2, thm1)])
         assert sizes[0] == sizes[1]
-        # thm2: 1 + 4 + 8 + 6 rows; 5 loop + 16 multiplier + 1 slack columns
-        assert sizes[0][0] == (19, 22)
+        # 1 + 4 + 8 rows; 2 loop + 16 multiplier + 1 slack columns, for both
+        assert sizes[0] == [(13, 19), (13, 19)]
+
+    @pytest.mark.parametrize("problem", ["secV", "duo", "tri"])
+    def test_thm2_and_thm1_pose_one_program(self, problem, secv_data, solved_programs):
+        # with the remainder columns fixed first (thm2's closed-form pin,
+        # thm1's searched gain), both pose the program over the linear columns
+        safe_set, data = {"secV": lambda: (PolyhedralSet(SECV_F, SECV_G), secv_data),
+                          "duo": lambda: duo_problem(160),
+                          "tri": lambda: tri_problem(160)}[problem]()
+        programs = []
+        for design in (synthesis.synthesize_noiseless, synthesis.synthesize_min_remainder):
+            design(data, safe_set)
+            lp = solved_programs[-1][0]
+            programs.append((sorted(lp._blocks), lp.n_constraints, lp.n_variables))
+        assert programs[0] == programs[1]
+        assert programs[0][0] == ["mult", "slack", "w1"]
 
     @pytest.mark.parametrize("problem", ["secV", "duo", "tri40", "tri60", "tri160"])
     def test_design_programs_match_highs(self, problem, secv_data, solved_programs):
