@@ -275,6 +275,21 @@ class Dictionary:
             worst = max(worst, row)
         return worst
 
+    def remainder_bounds(self, box: Box) -> tuple[np.ndarray, np.ndarray]:
+        """Per-term ``(c, d)`` with ``|r_j(x)| <= c_j * rho**d_j`` on ``rho * box``, ``rho > 0``:
+        with ``M = max(|lo|, |hi|)``, ``prod_k M_k**e_k`` for a monomial of degree ``d >= 2``,
+        0 for degree 1, ``M**3 / 6`` (``d = 3``) for ``sin``, ``M**2 / 2`` (``d = 2``) for cos - 1."""
+        if box.dim != self.dim:
+            raise DimensionMismatchError("box dimension does not match dictionary")
+        reach = np.maximum(np.abs(box.lo), np.abs(box.hi))
+        bounds = [(reach[t.coord] ** 3 / 6.0, 3) if isinstance(t, SinTerm)
+                  else (reach[t.coord] ** 2 / 2.0, 2) if isinstance(t, CosM1Term)
+                  else (math.prod(reach[list(factors)]) if len(factors) > 1 else 0.0,
+                        len(factors))
+                  for t, factors in zip(self.terms, self._factors)]
+        coeffs, degrees = zip(*bounds)
+        return np.array(coeffs), np.array(degrees, dtype=float)
+
     @classmethod
     def from_json(cls, obj: list, dim: int) -> "Dictionary":
         return cls([term_from_json(t) for t in obj], dim)

@@ -22,7 +22,7 @@ each PCG64 output, with one jump and one raw draw of an addressed stream
 straight into its row, and ``[L R w*2**-31*I]`` turns the buffer into the
 next states with one product.  So no buffer grows with the horizon; the
 chunk is scanned for exits only at a step where some row maximum crosses
-the tolerance.
+the tolerance, and stops once no later step can exit or raise a margin.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .datagen import ExperimentData
 from .dynamics import PlantModel
-from .polytope import (PolyhedralSet, _norm_inf, grid_blocks, grid_resolution,
+from .polytope import (TOL_GEOM, Box, PolyhedralSet, _norm_inf, grid_blocks, grid_resolution,
                        interval_enclosure, row_norms, sample_points, sample_vertices)
 
 TOL_VERIFY = 1e-6
@@ -197,6 +197,33 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
     return tuple(reports)
 
 
+def _settled_test(loop: np.ndarray, safe_set: PolyhedralSet, dictionary, w_bound: float,
+                  vertices: np.ndarray):
+    """``settled(peak, worst)``: stop conditions (i) and (ii) of :func:`monte_carlo_invariance`."""
+    normals, offsets, s, n = safe_set.normals, safe_set.offsets, safe_set.n_rows, safe_set.dim
+    lin, rem, box = loop[:, :n], loop[:, n:-n], interval_enclosure(safe_set)
+    reach = (1.0 + TOL_GEOM) * np.maximum(np.abs(box.lo), np.abs(box.hi)) + TOL_GEOM
+    coeffs, degrees = dictionary.remainder_bounds(Box(-reach, reach))
+    base = 1.0 + TOL_VERIFY / offsets.min()  # the largest rho_t the test takes
+    slack = 2.0**-40 * base * (1.0 + (np.abs(normals) @ reach / offsets).max())
+    cap, f_lin = 2.0 * base + slack, normals @ lin  # cap: above every rho tested
+    states = cap * reach
+    scale = cap * offsets + np.abs(normals) @ (states + np.abs(lin) @ states + w_bound + np.abs(
+        rem) @ (coeffs * cap ** degrees + states.max() + 1.0))  # eta_i / 2**-40, less dedup
+    b = w_bound * row_norms(normals) + 2.0**-40 * scale + 2.0 * TOL_GEOM * cap * (
+        np.abs(f_lin) @ np.maximum(1.0, reach))
+    a, c = (f_lin @ vertices).max(axis=1)[:, None], np.abs(normals @ rem) * coeffs
+    # u(rho) = [b a C] @ rho**[0 1 d]; rows u - rho g for (i), then u - g for (ii)
+    poly = np.block([[b[:, None], a - offsets[:, None], c], [(b - offsets)[:, None], a, c]])
+    powers, limit = np.concatenate([[0.0, 1.0], degrees]), np.zeros(2 * s)
+
+    def settled(peak: np.ndarray, worst: np.ndarray) -> bool:
+        rho = 1.0 + float((peak / offsets).max()) + slack
+        np.minimum(worst, TOL_VERIFY, out=limit[s:])
+        return bool((poly @ rho ** powers < limit).all())
+    return settled
+
+
 def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSet,
                            n_trajectories: int, horizon: int, seed: int) -> VerificationReport:
     """Roll the true closed loop from many starts and count safe-set exits.
@@ -227,6 +254,16 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     counts and witnesses are bit-identical to rolling every trajectory in
     one batch.  Witnesses are the first ``_MAX_WITNESSES`` exits ordered by
     exit time, then trajectory index.
+
+    A chunk of a set with vertices (n <= 3) stops once no later step can
+    change the report.  Row ``i`` of the image of ``rho S`` obeys ``F_i x+ <=
+    u_i(rho) = rho max_v F_i L v + sum_j |F_i R|_j c_j rho**d_j + w |F_i|_1 +
+    eta_i`` (``c, d`` from :meth:`~polysafe.dynamics.Dictionary.remainder_bounds`);
+    ``eta_i`` (``2**-40`` times the row's magnitudes, plus ``2 TOL_GEOM`` for
+    the vertex dedup) covers a step's rounding.  While all runs live, at
+    steps with ``t + 1`` a power of two, the chunk stops if, at ``rho_t =
+    max_i (1 + peak_i / g_i)``, (i) ``u_i < rho_t g_i`` (``rho_t S`` is invariant)
+    and (ii) ``u_i - g_i < min(worst_i, TOL_VERIFY)`` on every row; ``samples`` is unchanged.
     """
     if n_trajectories < 1:
         raise ValueError(f"n_trajectories must be at least 1, got {n_trajectories}")
@@ -246,6 +283,8 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     loop = np.hstack([*_closed_loop_matrices(controller, "true-model", plant, None),
                       np.ldexp(plant.w_bound, -31) * np.eye(n)])
     normals, offsets = safe_set.normals, safe_set.offsets
+    # (ii) fails while a worst margin is below w |F_i|_1 - g_i; built at first need
+    floor, settled = disturbance_offsets(safe_set, plant.w_bound) - offsets, None
 
     # two lift buffers serve every chunk; a short chunk takes contiguous
     # prefixes of their storage, never a column slice: given a strided out=,
@@ -311,6 +350,11 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
                     peak -= offsets
                     np.maximum(worst, peak, out=worst)
                     if peak.max() <= TOL_VERIFY:
+                        if vertices.shape[1] and not (t + 1) & t and (floor < worst).all():
+                            settled = settled or _settled_test(loop, safe_set, dictionary,
+                                                               plant.w_bound, vertices)
+                            if settled(peak, worst):
+                                break
                         continue
                 rowvals -= offsets[:, None]
                 exited = rowvals.max(axis=0) > TOL_VERIFY

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -244,6 +245,33 @@ class TestLipschitz:
             lhs = np.max(np.abs(d.remainder(x) - d.remainder(y)), axis=1)
             rhs = bound * np.max(np.abs(x - y), axis=1)
             assert np.all(lhs <= rhs + 1e-9), (box.lo, box.hi)
+
+
+class TestRemainderBounds:
+    def test_sampled_soundness_on_scaled_boxes(self):
+        # |r_j(x)| <= c_j rho**d_j on rho * box for every term kind, on a box
+        # whose largest |coordinate| is lo for some axes and hi for others
+        d = Dictionary([Monomial((1, 0, 0)), Monomial((1, 1, 0)), Monomial((0, 0, 3)),
+                        Monomial((2, 0, 1)), SinTerm(1), CosM1Term(2)], 3)
+        box = Box([-0.7, -1.3, -0.4], [1.1, 0.5, 0.9])
+        coeffs, degrees = d.remainder_bounds(box)
+        assert degrees.tolist() == [1, 2, 3, 3, 3, 2]
+        np.testing.assert_allclose(coeffs, [0.0, 1.1 * 1.3, 0.9 ** 3, 1.1 ** 2 * 0.9,
+                                            1.3 ** 3 / 6, 0.9 ** 2 / 2], rtol=1e-15)
+        rng = np.random.default_rng(3)
+        corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
+        for rho in (1e-3, 0.05, 0.3, 0.7, 1.0):
+            x = rho * np.vstack([rng.uniform(box.lo, box.hi, size=(20_000, 3)), corners])
+            size = np.abs(d.remainder(x)).max(axis=0)
+            bound = coeffs * rho ** degrees
+            assert np.all(size <= bound * (1 + 1e-12)), (rho, size, bound)
+            # the monomials' bounds are reached at a corner
+            np.testing.assert_allclose(size[:4], bound[:4], rtol=1e-12)
+        assert not d.remainder(x)[:, 0].any()
+
+    def test_box_dimension_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            quad_dict().remainder_bounds(Box([-1.0], [1.0]))
 
 
 class TestPlant:

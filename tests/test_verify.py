@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from polysafe import polytope, synthesis, verify
-from polysafe.dynamics import CosM1Term, Dictionary, Monomial, PlantModel
+from polysafe.dynamics import CosM1Term, Dictionary, Monomial, PlantModel, SinTerm
 from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
                                interval_enclosure, sample_points)
 
@@ -45,7 +45,7 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
                           tol=verify.TOL_VERIFY, max_witnesses=10):
     """Every trajectory in one batch: the loop the chunked rollout must match."""
     n = plant.state_dim
-    vertices = np.array(enumerate_vertices(safe_set))
+    vertices = polytope.sample_vertices(safe_set).T
     init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     box = interval_enclosure(safe_set)
     starts = np.empty((n_trajectories, n))
@@ -83,6 +83,58 @@ def unchunked_monte_carlo(plant, controller, safe_set, n_trajectories, horizon, 
             alive &= ~exited
             states[:, ~alive] = 0.0
     return worst, int(np.sum(first_exit >= 0)), witnesses
+
+
+def edge_loop(rng, n):
+    """A random n-state closed loop ``x+ = L x + R r(x) + w`` near the edge of
+    invariance: ``L`` maps the set into its ``kappa``-scaled copy in one step,
+    ``kappa`` in [0.85, 1.05], ``R`` is small, ``w_bound`` is in [0, 0.05],
+    and the dictionary holds a monomial of each degree 1-3, ``sin`` and
+    ``cos - 1``."""
+    if n == 2:
+        rows = int(rng.integers(4, 7))
+        angles = 2 * np.pi * (np.arange(rows) + rng.uniform(-0.3, 0.3, rows)) / rows
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        p = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+        normals = np.vstack([p, -p])
+    safe_set = PolyhedralSet(normals, rng.uniform(0.5, 1.5, len(normals)))
+    terms = [Monomial(tuple(rng.multinomial(degree, [1 / n] * n))) for degree in (1, 2, 3)]
+    dictionary = Dictionary(terms + [SinTerm(int(rng.integers(n))),
+                                     CosM1Term(int(rng.integers(n)))], n)
+    mat = np.eye(n) + 0.03 * rng.standard_normal((n, n))
+    images = safe_set.normals @ mat @ polytope.sample_vertices(safe_set)
+    lin = rng.uniform(0.85, 1.05) * mat / (images / safe_set.offsets[:, None]).max()
+    # each term moves a state by at most 0.01 on the set: |r_j| peaks at a
+    # corner of the enclosure for every kind drawn here
+    box = interval_enclosure(safe_set)
+    corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
+    peaks = np.abs(dictionary.remainder(corners)).max(axis=0)
+    rem = rng.uniform(-0.01, 0.01, size=(n, dictionary.n_terms)) / np.maximum(peaks, 1e-3)
+    plant = PlantModel(a1=np.zeros((n, n)), a2=np.zeros((n, dictionary.n_terms)), b=np.eye(n),
+                       dictionary=dictionary, w_bound=rng.uniform(0.0, 0.05))
+    controller = synthesis.Controller(k1=lin, k2=rem, g1=np.zeros((1, n)),
+                                      g2=np.zeros((1, dictionary.n_terms)))
+    return plant, controller, safe_set
+
+
+def counting_lifts(monkeypatch, dictionary) -> list:
+    """Record the chunk width of every ``dictionary.lift`` call."""
+    calls: list = []
+    lift = dictionary.lift
+    monkeypatch.setattr(dictionary, "lift", lambda out: calls.append(out.shape[1]) or lift(out))
+    return calls
+
+
+def assert_matches_unchunked(report, plant, controller, safe_set, count, horizon, seed):
+    worst, violations, witnesses = unchunked_monte_carlo(
+        plant, controller, safe_set, count, horizon, seed=seed, max_witnesses=verify._MAX_WITNESSES)
+    np.testing.assert_array_equal(report.row_margins, worst)
+    assert report.violations == violations
+    assert [w[:2] for w in report.witnesses] == [w[:2] for w in witnesses]
+    for (_, _, state), (_, _, ref_state) in zip(report.witnesses, witnesses):
+        np.testing.assert_array_equal(state, ref_state)
+    assert report.samples == count * horizon
 
 
 class TestDisturbanceOffsets:
@@ -289,7 +341,7 @@ class TestGridContractivity:
         with np.errstate(over="ignore", invalid="ignore"):
             report = verify.grid_reports(zero_controller(), safe_set, 0.95, 0.0, (9, 9),
                                          dictionary, sources=("true-model",), plant=plant)[0]
-            vertices = np.array(enumerate_vertices(safe_set))
+            vertices = polytope.sample_vertices(safe_set).T
             points = np.vstack([grid_members(safe_set, (9, 9)), vertices])
             nxt = points @ plant.a1.T + dictionary.remainder(points) @ plant.a2.T
             margins = nxt @ safe_set.normals.T - 0.95 * safe_set.offsets
@@ -457,6 +509,100 @@ class TestMonteCarlo:
         assert first_exit[0] == 1
         if chunk == 37:
             assert len(first_exit) < 4 and max(first_exit.values()) > 1
+
+    def test_stop_matches_unchunked_loop_near_the_edge(self, monkeypatch):
+        # 40 random loops whose one-step contraction straddles 1: a chunk
+        # that stops early must report the margins, exits and witnesses of
+        # the full rollout, at either chunk size
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
+        rng = np.random.default_rng(2024)
+        count, horizon = 2 * 37 + 1, 64
+        stopped = late = 0
+        for case in range(40):
+            plant, controller, safe_set = edge_loop(rng, 2 + case % 2)
+            lifts = counting_lifts(monkeypatch, plant.dictionary)
+            for chunk in (37, verify._MC_CHUNK):
+                monkeypatch.setattr(verify, "_MC_CHUNK", chunk)
+                lifts.clear()
+                report = verify.monte_carlo_invariance(plant, controller, safe_set, count,
+                                                       horizon, seed=case)
+                assert_matches_unchunked(report, plant, controller, safe_set, count,
+                                         horizon, case)
+                stopped += len(lifts) < len(set(lifts)) * horizon
+                late += any(exit_time > 8 for _, exit_time, _ in report.witnesses)
+        assert stopped >= 10 and late >= 5, (stopped, late)
+
+    def test_stop_fires_on_the_secv_design(self, secv_plant, secv_set, secv_design,
+                                           monkeypatch):
+        # secV's design maps rho S into itself for every rho in [0.124, 1],
+        # with room to spare: each chunk stops at its first or second step
+        controller, _ = secv_design
+        monkeypatch.setattr(verify, "_MC_CHUNK", 1000)
+        lifts = counting_lifts(monkeypatch, secv_plant.dictionary)
+        report = verify.monte_carlo_invariance(secv_plant, controller, secv_set, 3000, 200,
+                                               seed=7)
+        assert len(lifts) <= 2 * 3 and set(lifts) == {1000}
+        assert report.passed and report.mc_stats["horizon"] == 200
+        assert_matches_unchunked(report, secv_plant, controller, secv_set, 3000, 200, 7)
+
+    def test_stop_waits_until_no_margin_can_rise(self, monkeypatch):
+        # x1 contracts by 0.97 and drives x2 = 0.1 x1 + w: rho S is invariant
+        # from step 1, but the x2 rows' worst margins come from two runs'
+        # noise there, and fresh noise raises them before step 8
+        dictionary = Dictionary([Monomial((1, 1))], 2)
+        plant = PlantModel(a1=np.zeros((2, 2)), a2=np.zeros((2, 1)), b=np.eye(2),
+                           dictionary=dictionary, w_bound=0.02)
+        controller = synthesis.Controller(
+            k1=np.array([[0.97, 0.0], [0.1, 0.0]]), k2=np.array([[0.0], [0.01]]),
+            g1=np.zeros((1, 2)), g2=np.zeros((1, 1)))
+        safe_set = PolyhedralSet(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+        lifts = counting_lifts(monkeypatch, dictionary)
+        report = verify.monte_carlo_invariance(plant, controller, safe_set, 4, 64, seed=0)
+        assert lifts == [4] * 8
+        assert_matches_unchunked(report, plant, controller, safe_set, 4, 64, 0)
+        first, _, _ = unchunked_monte_carlo(plant, controller, safe_set, 4, 1, seed=0)
+        assert report.row_margins[1] > first[1]
+
+    @pytest.mark.parametrize("case", ["late-exit", "tri-verify", "four-states"])
+    def test_stop_never_fires_where_it_cannot_hold(self, monkeypatch, case):
+        # late-exit: x1 contracts and x2 grows by 1.01 - 0.05 x1**2, so the
+        # vertex runs stay in the box until step 27; tri-verify: two rows
+        # of the 3-state design get their margin from the disturbance alone;
+        # four-states: the set has no vertices to bound the image with
+        if case == "late-exit":
+            dictionary = Dictionary([Monomial((2, 1))], 2)
+            plant = PlantModel(a1=np.zeros((2, 2)), a2=np.zeros((2, 1)), b=np.eye(2),
+                               dictionary=dictionary, w_bound=0.001)
+            controller = synthesis.Controller(
+                k1=np.diag([0.9, 1.01]), k2=np.array([[0.0], [-0.05]]),
+                g1=np.zeros((1, 2)), g2=np.zeros((1, 1)))
+            safe_set = PolyhedralSet(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+            count, horizon, seed = 4, 64, 1
+        elif case == "tri-verify":
+            plant, _ = tri_plant_and_set()
+            safe_set, data = tri_problem(60)
+            controller, _ = synthesis.synthesize_noiseless(data, safe_set)
+            count, horizon, seed = 2000, 100, 11
+        else:
+            dictionary = Dictionary([Monomial((2, 0, 0, 0)), Monomial((0, 0, 1, 1))], 4)
+            plant = PlantModel(a1=np.zeros((4, 4)), a2=np.zeros((4, 2)), b=np.eye(4),
+                               dictionary=dictionary, w_bound=0.02)
+            controller = zero_controller(n=4, m=4)
+            controller = synthesis.Controller(k1=0.5 * np.eye(4), k2=controller.k2,
+                                              g1=controller.g1, g2=controller.g2)
+            safe_set = PolyhedralSet(np.vstack([np.eye(4), -np.eye(4)]), np.ones(8))
+            count, horizon, seed = 200, 50, 3
+        monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
+        lifts = counting_lifts(monkeypatch, plant.dictionary)
+        report = verify.monte_carlo_invariance(plant, controller, safe_set, count, horizon,
+                                               seed=seed)
+        # every step runs until the last run exits
+        assert lifts == [count] * (27 if case == "late-exit" else horizon)
+        assert_matches_unchunked(report, plant, controller, safe_set, count, horizon, seed)
+        if case == "late-exit":
+            assert report.violations == 4 and {w[1] for w in report.witnesses} == {27}
+        else:
+            assert report.passed
 
     @pytest.mark.parametrize("case", ["zero", "half-k1"])
     def test_vertex_runs_match_plant_simulation(self, secv_plant, secv_set, secv_design,
