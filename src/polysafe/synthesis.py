@@ -10,9 +10,14 @@ method may design from; ``thm2`` and ``thm1`` rest on that identity, so it
 refuses them data off the noiseless model.  ``thm2`` and ``thm1`` fix the
 remainder columns of the right inverse first, then pose one program over
 the linear columns of the closed loop's null-space form, whose size does
-not depend on the sample count; ``cor2`` keeps ``G`` itself, since its
-norm budget needs ``|G|``.  Every factorization they read is cached on
-the data (:mod:`~polysafe.datagen`).
+not depend on the sample count (:func:`_linear_design`); ``cor2`` keeps
+``G`` itself, since its norm budget needs ``|G|`` (:func:`_robust_program`).
+Both programs pose their contraction rows through one helper,
+:func:`_match`, as degree-1 coefficient matching (Handelman, Pacific
+J. Math. 132, 1988): row ``i``'s polynomial ``g_i - F_i L x``, with ``L``
+the closed loop's linear part, is a nonnegative combination of the facets
+``g_j - F_j x`` plus a nonnegative constant.  Every factorization they
+read is cached on the data (:mod:`~polysafe.datagen`).
 
 The primal-dual design ("thm2" in scenario files) pairs a nonnegative
 row-multiplier matrix with the closed-loop linear part and pins the
@@ -155,98 +160,74 @@ def _admit(data: ExperimentData, method: str) -> None:
             f"matrix, above {tol:.3e}: the data do not fit a noiseless plant")
 
 
-def _build_and_solve(data: ExperimentData, safe_set: PolyhedralSet, robust: dict | None,
-                     row_offsets: np.ndarray | None = None) -> lpcore.LpOutcome:
-    """Pose and solve one design program, at level 1, over the closed loop
-    ``base + lift @ X``.
+def _match(lp: lpcore.LinearProgram, safe_set: PolyhedralSet, const: np.ndarray, loop: dict,
+           rhs: np.ndarray, noise: bool = False) -> None:
+    """Declare ``mult`` and the headroom ``slack`` on ``lp`` and pose the
+    contraction rows by matching coefficients: row ``i``'s polynomial
+    ``(1 - slack) g_i - F_i L x``, less its offset, is ``sum_j mult_ij (g_j -
+    F_j x)`` plus a nonnegative constant.  The constant monomial gives row
+    (i), ``mult @ g + slack * g (+ noise) <= rhs``; each ``x_k`` gives row
+    (ii), ``mult @ F = F @ L``, with ``F @ L = const + sum_b loop[b] @ X_b``
+    over loop blocks the caller has declared.  ``noise``, ``cor2``'s uniform
+    margin, comes right after ``slack``: in that column order the simplex
+    finishes ``cor2``'s program.
 
-    ``thm2`` and ``thm1`` have fixed the remainder columns, so ``X`` is the
-    linear columns (block ``w1``) of the null-space parametrization
-    :attr:`~polysafe.datagen.ExperimentData.closed_loop`, which does not grow
-    with ``T``, and ``row_offsets`` come off the contraction rows.  ``cor2``
-    needs ``|G|`` for its norm budget and keeps ``G`` itself (``base = 0``,
-    ``lift = next_states``) as nonnegative parts ``g*_pos - g*_neg``, plus
-    the right-inverse, remainder-pin and row-sum rows.
-
-    Each constraint family is one group of whole-block rows: with row-major
-    vectorization, ``vec(A @ X @ B) = kron(A, B.T) @ vec(X)``.  A feasible
-    outcome carries the recovered right inverse (its linear columns for
-    ``thm2`` and ``thm1``) under ``"G"``.
+    ``slack`` enters row ``i`` as ``slack * g_i``, so the solution certifies
+    level ``1 - slack``.  It is sign-restricted, so the program is feasible
+    exactly when the conditions hold at level 1, and capped, so the level
+    stays ``>= 0``.  Row-major: ``vec(A @ X @ B) = kron(A, B.T) @ vec(X)``.
     """
     F, g = safe_set.normals, safe_set.offsets
     s, n = F.shape
-    N = data.n_terms
-    split = robust is not None
-    if split:
-        base, lift = np.zeros((n, n + N)), data.next_states
-        # one block per part and sign: with one (T, n+N) block per sign, the
-        # simplex stalls at its pivot cap on the 2-state, 3-term plant
-        parts = {"lin": (("g1_pos", 1.0), ("g1_neg", -1.0)),
-                 "rem": (("g2_pos", 1.0), ("g2_neg", -1.0))}
-    else:
-        base, lift, g0, preimage = data.closed_loop
-        parts = {"lin": (("w1", 1.0),)}
-    f_lift = F @ lift                        # (s, p)
-    f_base = F @ base                        # (s, n+N)
-
-    lp = lpcore.LinearProgram()
-    for key, width in (("lin", n), ("rem", N)):
-        for name, _ in parts.get(key, ()):
-            lp.add_block(name, (lift.shape[1], width), nonneg=split)
     lp.add_block("mult", (s, s), nonneg=True)
-    # slack is level headroom: it enters row i as slack * g[i], so the
-    # solution certifies level 1 - slack.  It is sign-restricted so the
-    # program is feasible exactly when the plain conditions hold at level 1,
-    # and capped so the certified level stays >= 0.
     lp.add_block("slack", (), nonneg=True)
     lp.add_constraint({"slack": 1.0}, "<=", 1.0)
     lp.set_objective("max", {"slack": 1.0})
-    if split:
-        for name in ("noise", "norm1", "norm2"):
-            lp.add_block(name, ())
-
-    def rows(rel, rhs, lin=None, rem=None, **terms):
-        """One row group; ``lin``/``rem`` hold its coefficients over the loop blocks."""
-        for key, coeff in (("lin", lin), ("rem", rem)):
-            if coeff is not None:
-                terms.update({name: sign * coeff for name, sign in parts[key]})
-        lp.add_constraint_rows(terms, rel, rhs)
-
-    # (i) contraction: mult @ g (+ noise) + slack * g <= g, less the row offsets
     terms = {"mult": np.kron(np.eye(s), g), "slack": g}
-    if split:
+    if noise:
+        lp.add_block("noise", ())
         terms["noise"] = np.ones(s)
-    rows("<=", g if row_offsets is None else g - row_offsets, **terms)
+    lp.add_constraint_rows(terms, "<=", rhs)
+    lp.add_constraint_rows({"mult": np.kron(np.eye(s), F.T),
+                            **{name: -np.kron(coeff, np.eye(n)) for name, coeff in loop.items()}},
+                           "=", const.reshape(-1))
 
-    # (ii) multiplier rows map through the set: mult @ F = F @ loop_linear
-    rows("=", f_base[:, :n].reshape(-1), lin=-np.kron(f_lift, np.eye(n)),
-         mult=np.kron(np.eye(s), F.T))
 
-    if split:
-        # right inverse: regressor @ G = I
-        eye = np.eye(n + N)
-        rows("=", eye.reshape(-1), lin=np.kron(data.regressor, eye[:, :n]),
-             rem=np.kron(data.regressor, eye[:, n:]))
-        # (iii) the closed-loop remainder is pinned to zero, next_states @ G2 = 0:
-        # on a bounded set it is the only remainder the second-order condition admits
-        rows("=", -base[:, n:].reshape(-1), rem=np.kron(lift, np.eye(N)))
-        # the norm budget tying the noise leakage to eta; the split blocks
-        # make |G| available as pos + neg without extra absolute-value rows
-        T = data.n_samples
-        for norm, key, width in (("norm1", "lin", n), ("norm2", "rem", N)):
-            row_sums = np.kron(np.eye(T), np.ones(width))
-            lp.add_constraint_rows({**{name: row_sums for name, _ in parts[key]},
-                                    norm: -np.ones(T)}, "<=", np.zeros(T))
-        scale = _noise_floor(data, safe_set, robust)
-        lp.add_constraint({"norm1": scale, "norm2": scale * robust["lipschitz"], "noise": -1.0},
-                          "<=", -scale)
-
-    outcome = lp.solve()
-    if outcome.status == lpcore.LpStatus.OPTIMAL:
-        loop = np.hstack([sum(sign * outcome[name] for name, sign in parts[key])
-                          for key in parts])
-        outcome.assignment["G"] = loop if split else g0[:, :n] + preimage @ loop
-    return outcome
+def _robust_program(data: ExperimentData, safe_set: PolyhedralSet,
+                    robust: dict) -> lpcore.LinearProgram:
+    """``cor2``'s program at level 1 over ``G = [g1 g2]`` itself, as
+    nonnegative parts ``g*_pos - g*_neg``: its budget needs ``|G|``, and with
+    one ``(T, n+N)`` block per sign the simplex stalls at its pivot cap on
+    the 2-state, 3-term plant.  The loop is ``next_states @ g1``; after
+    :func:`_match`'s rows come the right inverse ``regressor @ G = I``, the
+    pin (iii) ``next_states @ g2 = 0``, the row sums of ``|G|`` and the
+    budget ``noise >= eta0 (|G1| + L |G2| + 1)``.
+    """
+    F, g = safe_set.normals, safe_set.offsets
+    n, N, T = data.state_dim, data.n_terms, data.n_samples
+    lp = lpcore.LinearProgram()
+    for name, width in (("g1_pos", n), ("g1_neg", n), ("g2_pos", N), ("g2_neg", N)):
+        lp.add_block(name, (T, width), nonneg=True)
+    f_next = F @ data.next_states
+    _match(lp, safe_set, np.zeros((len(g), n)), {"g1_pos": f_next, "g1_neg": -f_next}, g,
+           noise=True)
+    eye = np.eye(n + N)
+    lin, rem = np.kron(data.regressor, eye[:, :n]), np.kron(data.regressor, eye[:, n:])
+    lp.add_constraint_rows({"g1_pos": lin, "g1_neg": -lin, "g2_pos": rem, "g2_neg": -rem},
+                           "=", eye.reshape(-1))
+    # (iii) on a bounded set the second-order condition admits only a zero remainder
+    pin = np.kron(data.next_states, np.eye(N))
+    lp.add_constraint_rows({"g2_pos": pin, "g2_neg": -pin}, "=", np.zeros(n * N))
+    # the split blocks make |G| available as pos + neg without absolute-value rows
+    for norm, part, width in (("norm1", "g1", n), ("norm2", "g2", N)):
+        lp.add_block(norm, ())
+        row_sums = np.kron(np.eye(T), np.ones(width))
+        lp.add_constraint_rows({f"{part}_pos": row_sums, f"{part}_neg": row_sums,
+                                norm: -np.ones(T)}, "<=", np.zeros(T))
+    scale = _noise_floor(data, safe_set, robust)
+    lp.add_constraint({"norm1": scale, "norm2": scale * robust["lipschitz"], "noise": -1.0},
+                      "<=", -scale)
+    return lp
 
 
 def _noise_floor(data: ExperimentData, safe_set: PolyhedralSet, robust: dict) -> float:
@@ -255,12 +236,11 @@ def _noise_floor(data: ExperimentData, safe_set: PolyhedralSet, robust: dict) ->
     return gm * robust["state_bound"] * data.n_samples
 
 
-def _solve(data: ExperimentData, safe_set: PolyhedralSet, kind: str, robust: dict | None = None,
-           row_offsets: np.ndarray | None = None) -> lpcore.LpOutcome:
-    """Solve one design program (:func:`_build_and_solve`); raise
-    :class:`SynthesisInfeasibleError` with the phase-1 infeasibility when no
-    level in ``(0, 1]`` is feasible.  ``kind`` names the design in the message."""
-    outcome = _build_and_solve(data, safe_set, robust, row_offsets)
+def _solve(lp: lpcore.LinearProgram, kind: str) -> lpcore.LpOutcome:
+    """Solve a posed design program; raise :class:`SynthesisInfeasibleError`
+    with the phase-1 infeasibility when no level in ``(0, 1]`` is feasible.
+    ``kind`` names the design in the message."""
+    outcome = lp.solve()
     if outcome.status == lpcore.LpStatus.INFEASIBLE:
         raise SynthesisInfeasibleError(
             f"{kind} infeasible at every level "
@@ -313,10 +293,21 @@ def _replay(method: str, data: ExperimentData, safe_set: PolyhedralSet, g1: np.n
 def _linear_design(method: str, data: ExperimentData, safe_set: PolyhedralSet,
                    k2: np.ndarray, g2: np.ndarray,
                    row_offsets: np.ndarray) -> tuple[Controller, SynthesisCertificate]:
-    """The ``thm2`` or ``thm1`` design around a fixed gain ``k2`` and its ``g2``."""
-    outcome = _solve(data, safe_set, "noiseless design" if method == "thm2" else "baseline",
-                     row_offsets=row_offsets)
-    return _replay(method, data, safe_set, outcome["G"], g2, k2, outcome, row_offsets, {}, {})
+    """The ``thm2`` or ``thm1`` design around a fixed gain ``k2`` and its
+    ``g2``: one :func:`_match` over the linear columns ``w1`` of the
+    null-space form :attr:`~polysafe.datagen.ExperimentData.closed_loop`,
+    whose loop ``F @ base[:, :n] + (F @ lift) @ w1`` does not grow with
+    ``T``, with ``row_offsets`` off the right-hand sides; then
+    ``g1 = g0[:, :n] + preimage @ w1``.
+    """
+    base, lift, g0, preimage = data.closed_loop
+    F, n = safe_set.normals, data.state_dim
+    lp = lpcore.LinearProgram()
+    lp.add_block("w1", (lift.shape[1], n))
+    _match(lp, safe_set, (F @ base)[:, :n], {"w1": F @ lift}, safe_set.offsets - row_offsets)
+    outcome = _solve(lp, "noiseless design" if method == "thm2" else "baseline")
+    g1 = g0[:, :n] + preimage @ outcome["w1"]
+    return _replay(method, data, safe_set, g1, g2, k2, outcome, row_offsets, {}, {})
 
 
 def synthesize_noiseless(data: ExperimentData,
@@ -362,8 +353,8 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet,
     program; the error names the floor and the row and carries no LP
     outcome.  Otherwise the program is solved.
     """
-    if w_bound < 0.0:
-        raise ValueError("w_bound must be non-negative")
+    if not w_bound >= 0.0:
+        raise ValueError(f"w_bound must be non-negative, got {w_bound}")
     box = interval_enclosure(safe_set)
     robust = {"w_bound": float(w_bound), "lipschitz": float(data.dictionary.lipschitz_bound(box)),
               "state_bound": float(box.max_abs)}
@@ -375,8 +366,10 @@ def synthesize_robust(data: ExperimentData, safe_set: PolyhedralSet,
             f"robust design infeasible at every level: noise floor "
             f"gm*state_bound*T = {floor:.6g} exceeds the smallest offset "
             f"{safe_set.offsets[row]:.6g} (row {row})")
-    outcome = _solve(data, safe_set, "robust design", robust)
-    g1, g2 = np.hsplit(outcome["G"], [data.state_dim])
+    outcome = _solve(_robust_program(data, safe_set, robust), "robust design")
+    # views of one stacked G: inputs @ g1 on a contiguous copy rounds differently
+    g1, g2 = np.hsplit(np.hstack([outcome["g1_pos"] - outcome["g1_neg"],
+                                  outcome["g2_pos"] - outcome["g2_neg"]]), [data.state_dim])
     eta = outcome["noise"]
     budget = floor * (_norm_inf(g1) + robust["lipschitz"] * _norm_inf(g2) + 1.0)
     return _replay("cor2", data, safe_set, g1, g2, data.inputs @ g2, outcome,

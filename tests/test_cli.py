@@ -263,6 +263,34 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "infeasible"
 
+    def test_cor2_design_end_to_end(self, scenario_path, tmp_path):
+        # below the noise floor's offset the robust program is posed and
+        # solved: its uniform noise margin lifts the level above thm2's
+        scenario = cli.load_scenario(scenario_path)
+        scenario.system.w_bound = 1e-7
+        path = tmp_path / "cor2.json"
+        cli.save_scenario(scenario, path)
+        args = ["--scenario", str(path), "--method", "cor2"]
+
+        assert cli.main(["sweep-lambda", "--scenario", str(path),
+                         "--out", str(tmp_path / "sweep")]) == cli.EXIT_OK
+        summary = json.loads((tmp_path / "sweep" / "summary.json").read_text())
+        levels = summary["min_levels"]
+        assert summary["failures"] == {}
+        assert abs(levels["thm2"] - 0.758333) <= 1e-6
+        assert abs(levels["cor2"] - 0.76763) <= 1e-5
+        assert levels["thm2"] < levels["cor2"] < 1.0
+
+        assert cli.main(["synth", *args, "--out", str(tmp_path / "synth")]) == cli.EXIT_OK
+        lines = (tmp_path / "synth" / "certificate.txt").read_text().splitlines()
+        assert lines[0] == "method: cor2"
+        offsets = lines[2].removeprefix("row offsets: ").split(", ")
+        assert len(offsets) == 4 and len(set(offsets)) == 1 and float(offsets[0]) > 0.0
+        assert any(line.startswith("  noise_budget: ") for line in lines)
+
+        assert cli.main(["verify", *args, "--out", str(tmp_path / "verify")]) == cli.EXIT_OK
+        assert json.loads((tmp_path / "verify" / "summary.json").read_text())["status"] == "pass"
+
     def test_verify_passes(self, scenario_path, tmp_path):
         out = tmp_path / "verify"
         assert cli.main(["verify", "--scenario", str(scenario_path),

@@ -180,7 +180,7 @@ class TestRobustDesign:
             synthesis.synthesize_robust(secv_data, secv_set, w_bound=0.05)
 
     @pytest.mark.parametrize("problem", ["secV", "duo"])
-    def test_noise_floor_verdict_replays_as_farkas_vector(self, problem, secv_data, monkeypatch):
+    def test_noise_floor_verdict_replays_as_farkas_vector(self, problem, secv_data):
         # the floor verdict poses no program, so replay its proof on the raw
         # rows of the program it skips: contraction row i*, the budget row and
         # one norm row per part cancel the free columns and combine into
@@ -193,12 +193,8 @@ class TestRobustDesign:
             synthesis.synthesize_robust(data, safe_set, w_bound)
         assert err.value.outcome is None
 
-        posed = []
-        monkeypatch.setattr(lpcore.LinearProgram, "solve", lambda lp: posed.append(lp)
-                            or lpcore.LpOutcome(lpcore.LpStatus.INFEASIBLE))
         robust = robust_terms(data, safe_set, w_bound)
-        synthesis._build_and_solve(data, safe_set, robust)
-        (lp,) = posed
+        lp = synthesis._robust_program(data, safe_set, robust)
         A, sense, b = lp._assemble()
         starts, start = {}, 0  # first row of each row group, keyed by the blocks it touches
         for mats, _, rhs in lp._groups:
@@ -229,6 +225,16 @@ class TestRobustDesign:
         assert np.all(combined[~free] >= -1e-12 * np.maximum(size[~free], 1.0))
         assert abs(y @ b - (g[i] - floor)) <= 1e-12 * floor
         assert y @ b < 0.0
+
+    @pytest.mark.parametrize("w_bound", [-1e-3, float("nan")])
+    def test_invalid_disturbance_bound_refused(self, w_bound, secv_data, secv_set):
+        with pytest.raises(ValueError, match="w_bound must be non-negative"):
+            synthesis.synthesize_robust(secv_data, secv_set, w_bound)
+
+    def test_infinite_disturbance_bound_is_the_noise_floor_verdict(self, secv_data, secv_set):
+        with pytest.raises(SynthesisInfeasibleError, match="noise floor") as err:
+            synthesis.synthesize_robust(secv_data, secv_set, float("inf"))
+        assert err.value.outcome is None
 
     def test_gm_values(self, secv_set):
         # hand computation: max row norms are 0.6 (one) and 0.4 (inf)
@@ -828,8 +834,8 @@ class TestClosedLoopPrograms:
             # program directly: the simplex and HiGHS must both call it infeasible
             with pytest.raises(SynthesisInfeasibleError, match="noise floor"):
                 synthesis.synthesize_robust(data, safe_set, w_bound=0.02)
-            outcome = synthesis._build_and_solve(data, safe_set,
-                                                 robust_terms(data, safe_set, 0.02))
+            outcome = synthesis._robust_program(data, safe_set,
+                                                robust_terms(data, safe_set, 0.02)).solve()
             assert outcome.status == lpcore.LpStatus.INFEASIBLE
         designs = [(lp, out) for lp, out in solved_programs if "mult" in lp._blocks]
         assert len(designs) == (2 if problem in ("secV", "duo") else 1)
@@ -838,6 +844,64 @@ class TestClosedLoopPrograms:
             assert outcome.status == status
             if status == lpcore.LpStatus.OPTIMAL:
                 assert abs(outcome.objective - objective) <= 1e-9
+
+
+def matched_rows(safe_set, loop_linear, mult, level, row_offsets, points):
+    """Row ``i``'s ``level g_i - offset_i - F_i L x - sum_j mult_ij (g_j - F_j x)``
+    at each of ``points`` (k, n), one row per contraction row."""
+    F, g = safe_set.normals, safe_set.offsets
+    facets = g[:, None] - F @ points.T                             # (s, k)
+    return ((level * g - row_offsets)[:, None] - F @ loop_linear @ points.T
+            - mult @ facets)
+
+
+class TestCoefficientMatching:
+    def test_unit_box_by_hand(self):
+        # on |x_k| <= 1 with L = diag(0.5, 0.25), row 0 reads 1 - 0.5 x1 and
+        # its facets are 1 - x1, 1 + x1, 1 - x2, 1 + x2: matching x1 forces
+        # mult[0, 0] - mult[0, 1] = 0.5, so the cheapest constant leaves 0.5,
+        # the level
+        box = PolyhedralSet([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 1, 1, 1])
+        loop = np.diag([0.5, 0.25])
+        lp = lpcore.LinearProgram()
+        synthesis._match(lp, box, box.normals @ loop, {}, box.offsets)
+        outcome = lp.solve()
+        level = 1.0 - outcome.objective
+        assert abs(level - 0.5) <= 1e-12
+        assert abs(outcome["mult"][0, 0] - 0.5) <= 1e-12
+        assert abs(outcome["mult"][1, 1] - 0.5) <= 1e-12
+        points = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 2))
+        rows = matched_rows(box, loop, outcome["mult"], level, np.zeros(4), points)
+        assert np.all(np.ptp(rows, axis=1) <= 1e-12)
+        assert np.min(rows) >= -1e-12
+
+    @pytest.mark.parametrize("problem,method", [("secV", "thm2"), ("tri", "thm2"),
+                                                ("secV", "cor2")])
+    def test_solved_designs_match_coefficients(self, problem, method, secv_data):
+        # every design's certificate is the degree-1 identity: each row's
+        # polynomial less its facet combination is a nonnegative constant
+        safe_set, data = {"secV": lambda: (PolyhedralSet(SECV_F, SECV_G), secv_data),
+                          "tri": lambda: tri_problem(60)}[problem]()
+        design = {"thm2": synthesis.synthesize_noiseless,
+                  "cor2": lambda d, s: synthesis.synthesize_robust(d, s, w_bound=1e-7)}[method]
+        controller, cert = design(data, safe_set)
+        box = interval_enclosure(safe_set)
+        points = np.random.default_rng(3).uniform(box.lo, box.hi, (50, safe_set.dim))
+        rows = matched_rows(safe_set, data.next_states @ controller.g1, cert.set_multiplier,
+                            cert.contraction, cert.row_offsets, points)
+        assert np.all(np.ptp(rows, axis=1) <= 1e-9)
+        assert np.min(rows) >= -1e-9
+
+    @pytest.mark.parametrize("problem,size", [("secV", (114, 340)), ("duo", (365, 1620))])
+    def test_robust_program_column_layout(self, problem, size, secv_data):
+        # the simplex finishes cor2's program in this column order; another
+        # order can run it to its pivot cap, which takes minutes to show
+        safe_set, data = {"secV": lambda: (PolyhedralSet(SECV_F, SECV_G), secv_data),
+                          "duo": lambda: duo_problem(160)}[problem]()
+        lp = synthesis._robust_program(data, safe_set, robust_terms(data, safe_set, 1e-7))
+        assert list(lp._blocks) == ["g1_pos", "g1_neg", "g2_pos", "g2_neg", "mult", "slack",
+                                    "noise", "norm1", "norm2"]
+        assert (lp.n_constraints, lp.n_variables) == size
 
 
 class TestNumericalGuard:
