@@ -39,7 +39,8 @@ from .errors import (
     SolverStalledError,
     SynthesisInfeasibleError,
 )
-from .polytope import PolyhedralSet, enumerate_vertices, sample_points, sample_vertices
+from .polytope import (PolyhedralSet, enumerate_vertices, grid_resolution, sample_points,
+                       sample_vertices)
 
 SCHEMA_VERSION = 1
 
@@ -245,7 +246,7 @@ def scenario_from_json(doc: dict) -> Scenario:
                 "synthesis.expansion_point", f"must be 'auto' or a point of {n} finite numbers")
 
     verify_doc = doc.get("verify", {})
-    grid = verify_doc.get("grid", [201] * n)
+    grid = verify_doc.get("grid", list(grid_resolution(n)))
     _expect(isinstance(grid, list) and len(grid) == n
             and all(_is_int(r) and r >= 2 for r in grid),
             "verify.grid", f"must be {n} integers >= 2")
@@ -404,10 +405,12 @@ def _write_design(out_dir: Path, payload: dict, controller, cert) -> None:
 def _verify_controller(scenario: Scenario, plant, data, safe_set, controller, level,
                        out_dir: Path, payload: dict):
     """Grid-check both closed loops at ``level`` and roll the true one out:
-    add the three reports to ``payload``, draw the plot, return the reports."""
+    add the three reports to ``payload``, draw the plot, return the reports.
+    The data-rep loop is the one the data represent, ``next_states @ [g1 g2]``."""
+    loops = {"true-model": plant.closed_loop(controller),
+             "data-rep": (data.next_states @ controller.g1, data.next_states @ controller.g2)}
     grid_true, grid_data = verify.grid_reports(
-        controller, safe_set, level, scenario.system.w_bound, scenario.verify.grid,
-        plant.dictionary, ("true-model", "data-rep"), plant=plant, data=data)
+        loops, safe_set, level, scenario.system.w_bound, scenario.verify.grid, plant.dictionary)
     mc = verify.monte_carlo_invariance(
         plant, controller, safe_set, scenario.verify.mc_trajectories,
         scenario.verify.horizon, scenario.data.seed)

@@ -334,8 +334,11 @@ class PlantModel:
             raise DimensionMismatchError(f"b has {b.shape[0]} rows, expected {n}")
         if self.dictionary.dim != n:
             raise DimensionMismatchError("dictionary dimension does not match a1")
-        if self.w_bound < 0.0:
-            raise ValueError("disturbance bound must be non-negative")
+        for name, mat in (("a1", a1), ("a2", a2), ("b", b)):
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} must be finite")
+        if not 0.0 <= self.w_bound < math.inf:
+            raise ValueError("disturbance bound must be finite and non-negative")
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
         object.__setattr__(self, "b", b)
@@ -351,6 +354,11 @@ class PlantModel:
     def linear_base(self) -> np.ndarray:
         """Linearized open-loop state matrix: a1 plus a2 times the dictionary slope."""
         return self.a1 + self.a2 @ self.dictionary.linearization()
+
+    def closed_loop(self, controller) -> tuple[np.ndarray, np.ndarray]:
+        """``(L, R)`` of the true closed loop ``x+ = L x + R r(x) + w`` under
+        ``u = k1 x + k2 r(x)``: ``L = linear_base() + b k1``, ``R = a2 + b k2``."""
+        return self.linear_base() + self.b @ controller.k1, self.a2 + self.b @ controller.k2
 
     def _check_bound(self, w: np.ndarray) -> None:
         size = np.abs(w)

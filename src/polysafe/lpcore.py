@@ -147,10 +147,16 @@ class LinearProgram:
                                  rel, [rhs])
 
     def add_constraint_rows(self, terms: dict, rel: str, rhs) -> None:
-        """Add ``k`` constraints at once; each term maps a block to a (k, size) array."""
+        """Add ``k`` constraints at once; each term maps a block to a (k, size) array.
+
+        A NaN or infinite coefficient or right-hand side is refused: the
+        simplex and its replay gate are only sound on finite numbers.
+        """
         if rel not in _SENSE:
             raise MalformedProgramError(f"unknown relation {rel!r}")
         rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        if not np.isfinite(rhs).all():
+            raise MalformedProgramError("right-hand side has a non-finite entry")
         k = rhs.size
         mats = {}
         for name, mat in terms.items():
@@ -162,6 +168,8 @@ class LinearProgram:
                 raise MalformedProgramError(
                     f"rows for block {name!r} have width {mat.shape[1]}, expected {block.size}"
                 )
+            if not np.isfinite(mat).all():
+                raise MalformedProgramError(f"rows for block {name!r} have a non-finite entry")
             mats[name] = mat
         self._groups.append((mats, rel, rhs))
         self._n_rows += k
@@ -169,7 +177,12 @@ class LinearProgram:
     def set_objective(self, sense: str, terms: dict) -> None:
         if sense not in ("min", "max"):
             raise MalformedProgramError(f"objective sense must be 'min' or 'max', got {sense!r}")
-        self._objective = (sense, {n: self._coeff_flat(n, c) for n, c in terms.items()})
+        coeffs = {n: self._coeff_flat(n, c) for n, c in terms.items()}
+        for name, coeff in coeffs.items():
+            if not np.isfinite(coeff).all():
+                raise MalformedProgramError(
+                    f"objective coefficients for block {name!r} have a non-finite entry")
+        self._objective = (sense, coeffs)
 
     @property
     def n_variables(self) -> int:
@@ -319,7 +332,7 @@ class LinearProgram:
             gap = A @ x - b
             residual = max(float(np.max(np.where(is_ineq, gap, np.abs(gap)), initial=0.0)),
                            float(np.max(-x[~free], initial=0.0)))
-            if residual > cap:
+            if not residual <= cap:  # a NaN residual fails too
                 raise NumericalInstabilityError(
                     f"solution replay residual {residual:.3e} exceeds {cap:.3e}; "
                     "the constraint system is numerically unreliable")

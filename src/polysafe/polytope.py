@@ -66,8 +66,10 @@ class PolyhedralSet:
             raise DimensionMismatchError(
                 f"{normals.shape[0]} normal rows but {offsets.shape[0]} offsets"
             )
-        if np.any(offsets <= 0.0):
-            raise ValueError("offsets must be strictly positive (origin interior)")
+        if not np.isfinite(normals).all():
+            raise ValueError("normals must be finite")
+        if not np.all((offsets > 0.0) & (offsets < np.inf)):
+            raise ValueError("offsets must be finite and strictly positive (origin interior)")
         if np.any(np.max(np.abs(normals), axis=1) == 0.0):
             raise ValueError("all-zero normal row")
         object.__setattr__(self, "normals", normals)
@@ -125,6 +127,8 @@ class Box:
         hi = np.asarray(self.hi, dtype=float).reshape(-1)
         if lo.size != hi.size:
             raise DimensionMismatchError("lo and hi have different lengths")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("lo and hi must be finite")
         if np.any(lo > hi):
             raise ValueError("lo must be <= hi elementwise")
         object.__setattr__(self, "lo", lo)

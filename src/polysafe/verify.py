@@ -1,9 +1,11 @@
 """Independent verification of synthesized controllers.
 
 Everything here deliberately avoids the synthesis LP: contraction is
-checked by evaluating the closed loop on a dense grid plus the exact
-vertices, and invariance by Monte Carlo rollouts of the true plant.  The
-grid is walked once, in fixed-size blocks, for every closed loop checked on
+checked by evaluating closed loops on a dense grid plus the exact
+vertices, and invariance by Monte Carlo rollouts of the true plant.  A grid
+check takes each closed loop as its matrices ``(L, R)``, however they were
+formed (the true plant's is :meth:`~polysafe.dynamics.PlantModel.closed_loop`).
+The grid is walked once, in fixed-size blocks, for every closed loop checked on
 it (:func:`grid_reports`), so its memory is O(block), not O(grid); a block
 is scanned member by member only when a row maximum of its margins crosses
 the tolerance.  The conservatism table has one row per design it is
@@ -34,8 +36,8 @@ import numpy as np
 
 from .datagen import ExperimentData
 from .dynamics import PlantModel
-from .polytope import (TOL_GEOM, Box, PolyhedralSet, _norm_inf, grid_blocks, grid_resolution,
-                       interval_enclosure, row_norms, sample_points, sample_vertices)
+from .polytope import (TOL_GEOM, Box, PolyhedralSet, _norm_inf, grid_blocks, interval_enclosure,
+                       row_norms, sample_points, sample_vertices)
 
 TOL_VERIFY = 1e-6
 _MC_CHUNK = 16384    # trajectories per Monte Carlo chunk
@@ -90,23 +92,6 @@ def disturbance_offsets(safe_set: PolyhedralSet, w_bound: float) -> np.ndarray:
     return w_bound * row_norms(safe_set.normals)
 
 
-def _closed_loop_matrices(controller, source: str, plant: PlantModel | None,
-                          data: ExperimentData | None) -> tuple[np.ndarray, np.ndarray]:
-    if source == "true-model":
-        if plant is None:
-            raise ValueError("true-model verification needs the plant")
-        lin = plant.linear_base() + plant.b @ controller.k1
-        rem = plant.a2 + plant.b @ controller.k2
-    elif source == "data-rep":
-        if data is None:
-            raise ValueError("data-rep verification needs the experiment data")
-        lin = data.next_states @ controller.g1
-        rem = data.next_states @ controller.g2
-    else:
-        raise ValueError(f"source must be 'true-model' or 'data-rep', got {source!r}")
-    return lin, rem
-
-
 def _lift(states: np.ndarray, dictionary) -> np.ndarray:
     """``[x; r(x)]``, ``(n + N, k)``, for an ``(n, k)`` batch of states:
     ``x+ = L x + R r(x)`` is then ``[L R] @ [x; r(x)]``."""
@@ -125,37 +110,32 @@ def _exceeding(margins: np.ndarray, const: np.ndarray) -> tuple:
     return worst, np.flatnonzero(worst > TOL_VERIFY)
 
 
-def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: float,
-                 resolution, dictionary, sources=("true-model", "data-rep"),
-                 plant: PlantModel | None = None, data: ExperimentData | None = None) -> tuple:
+def grid_reports(loops: dict, safe_set: PolyhedralSet, level: float, w_bound: float,
+                 resolution, dictionary) -> tuple:
     """Check one-step contraction into the ``level``-scaled set on a state
-    grid: one report per source (``"true-model"`` or ``"data-rep"``), all
-    from one walk of the grid.
+    grid: one report per entry ``name: (L, R)`` of ``loops``, in its order,
+    labelled ``grid-contractivity[name]``, all from one walk of the grid.
 
-    Every grid member and every vertex is mapped through the source's
-    closed loop ``x+ = L x + R r(x)``; its margins are
-    ``F [L R] [x; r(x)] + d - level * g``, with ``d`` the worst-case
-    disturbance offsets of :func:`disturbance_offsets`.  Sampling-based, not
-    exhaustive: a whole-set claim needs the margins to clear the report's
-    ``refinement_bound``.  ``resolution=None`` means
-    :func:`~polysafe.polytope.grid_resolution` of the set's dimension.
+    Every grid member and every vertex is mapped through each closed loop
+    ``x+ = L x + R r(x)``; its margins are ``F [L R] [x; r(x)] + d - level *
+    g``, with ``d`` the worst-case disturbance offsets of
+    :func:`disturbance_offsets`.  Sampling-based, not exhaustive: a
+    whole-set claim needs the margins to clear the report's
+    ``refinement_bound``.
 
     The grid is walked in fixed-size blocks of members
     (:func:`~polysafe.polytope.grid_blocks`), then the vertices, so memory is
     O(block), not O(grid), and each block's ``r(x)`` is evaluated once.  A
     block first takes only each row's maximum margin; the per-member scan
     for violations runs only when one crosses ``TOL_VERIFY`` (or is NaN).  A
-    source's report is bit-identical to checking that source alone, and to
+    loop's report is bit-identical to checking that loop alone, and to
     scanning every member of every block.
     """
-    if resolution is None:
-        resolution = grid_resolution(safe_set.dim)
-    loops = [_closed_loop_matrices(controller, source, plant, data) for source in sources]
-    weights = [safe_set.normals @ np.hstack(loop) for loop in loops]   # (s, n + N) each
+    weights = [safe_set.normals @ np.hstack(loop) for loop in loops.values()]  # (s, n + N) each
     const = disturbance_offsets(safe_set, w_bound) - level * safe_set.offsets
-    row_margins = [np.full(safe_set.n_rows, -np.inf) for _ in sources]
-    violations = [0] * len(sources)
-    witnesses: list = [[] for _ in sources]
+    row_margins = [np.full(safe_set.n_rows, -np.inf) for _ in loops]
+    violations = [0] * len(loops)
+    witnesses: list = [[] for _ in loops]
     samples = 0
     vertices = sample_vertices(safe_set)
     for block in itertools.chain(grid_blocks(safe_set, resolution),
@@ -183,10 +163,10 @@ def grid_reports(controller, safe_set: PolyhedralSet, level: float, w_bound: flo
     f_norm = _norm_inf(safe_set.normals)
     remainder_lipschitz = dictionary.lipschitz_bound(box)
     reports = []
-    for j, (source, (lin, rem_mat)) in enumerate(zip(sources, loops)):
+    for j, (name, (lin, rem_mat)) in enumerate(loops.items()):
         loop_lipschitz = _norm_inf(lin) + _norm_inf(rem_mat) * remainder_lipschitz
         reports.append(VerificationReport(
-            method=f"grid-contractivity[{source}]",
+            method=f"grid-contractivity[{name}]",
             row_margins=row_margins[j],
             violations=violations[j],
             witnesses=witnesses[j],
@@ -280,8 +260,7 @@ def monte_carlo_invariance(plant: PlantModel, controller, safe_set: PolyhedralSe
     accepted = np.zeros((0, n))  # uniform samples in the set, not yet used as starts
 
     # [L R w*2**-31*I]: the last n columns scale the words to disturbances
-    loop = np.hstack([*_closed_loop_matrices(controller, "true-model", plant, None),
-                      np.ldexp(plant.w_bound, -31) * np.eye(n)])
+    loop = np.hstack([*plant.closed_loop(controller), np.ldexp(plant.w_bound, -31) * np.eye(n)])
     normals, offsets = safe_set.normals, safe_set.offsets
     # (ii) fails while a worst margin is below w |F_i|_1 - g_i; built at first need
     floor, settled = disturbance_offsets(safe_set, plant.w_bound) - offsets, None
@@ -395,7 +374,7 @@ class ConservatismTable:
     """Side-by-side comparison of design methods; informational only."""
 
     rows: dict
-    lumped_bounds: np.ndarray | None = None
+    lumped_bounds: np.ndarray
 
     def render(self) -> str:
         """The table as text; the level column is as wide as its longest status."""
@@ -410,9 +389,8 @@ class ConservatismTable:
                 continue
             lines.append(f"{name:8s} {entry['min_level']:>{width}.4f} "
                          f"{entry['k2_norm']:>10.4f} {entry['effort']:>11.4f}")
-        if self.lumped_bounds is not None:
-            lines.append("lumped-disturbance bound per row: "
-                         + ", ".join(f"{v:.5g}" for v in self.lumped_bounds))
+        lines.append("lumped-disturbance bound per row: "
+                     + ", ".join(f"{v:.5g}" for v in self.lumped_bounds))
         return "\n".join(lines)
 
 
@@ -449,7 +427,7 @@ def lumped_disturbance_bounds(data: ExperimentData, safe_set: PolyhedralSet,
 
 
 def conservatism_report(safe_set: PolyhedralSet, dictionary, designs: dict,
-                        lumped_bounds=None) -> ConservatismTable:
+                        lumped_bounds: np.ndarray) -> ConservatismTable:
     """Comparison table, one row per entry of ``designs``, in its order: a
     ``(controller, certificate)`` pair gives the minimal level (the
     certificate's ``contraction``), gain size and control effort; a string

@@ -33,6 +33,17 @@ def grid_members(safe_set, resolution):
     return np.hstack(list(grid_blocks(safe_set, resolution))).T
 
 
+def true_loop(plant, controller) -> dict:
+    """The true closed loop, keyed as the CLI's grid check keys it."""
+    return {"true-model": plant.closed_loop(controller)}
+
+
+def data_loop(data, controller) -> dict:
+    """The closed loop the data represent, ``next_states @ [g1 g2]``, keyed
+    as the CLI's grid check keys it."""
+    return {"data-rep": (data.next_states @ controller.g1, data.next_states @ controller.g2)}
+
+
 @pytest.fixture(scope="session")
 def secv_dictionary():
     return Dictionary([Monomial((2, 0)), Monomial((0, 2))], 2)

@@ -90,6 +90,16 @@ class TestScenarioSchema:
         doc = json.loads(REPO_SCENARIO.with_name("tri.json").read_text())
         assert "expansion_point" not in doc["synthesis"]
 
+    @pytest.mark.parametrize("dim, expected", [(2, [101, 101]), (4, [10] * 4)])
+    def test_default_grid_is_the_library_default(self, tmp_path, dim, expected):
+        # a scenario without verify.grid is checked on grid_resolution's grid,
+        # about 101^2 points at any dimension; 201 per axis would be 1.6e9
+        # points at n = 4
+        doc = json.loads((REPO_SCENARIO if dim == 2 else quad_scenario(tmp_path)).read_text())
+        del doc["verify"]["grid"]
+        scenario = cli.scenario_from_json(doc)
+        assert scenario.verify.grid == expected == list(polytope.grid_resolution(dim))
+
     def test_round_trip(self, tmp_path):
         scenario = cli.load_scenario(REPO_SCENARIO)
         path = tmp_path / "copy.json"

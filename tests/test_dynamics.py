@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from polysafe import synthesis
 from polysafe.dynamics import (
     CosM1Term,
     Dictionary,
@@ -13,7 +14,9 @@ from polysafe.dynamics import (
     term_from_json,
 )
 from polysafe.errors import DimensionMismatchError, DisturbanceOutOfBoundsError
-from polysafe.polytope import Box
+from polysafe.polytope import Box, interval_enclosure
+
+from conftest import tri_plant_and_set, tri_problem
 
 
 TERM_KINDS = {
@@ -284,6 +287,37 @@ class TestPlant:
     def test_disturbance_bound_enforced(self, secv_plant):
         with pytest.raises(DisturbanceOutOfBoundsError):
             secv_plant.step([1.0, 0.0], [0.0], w=[0.06, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["a1", "a2", "b", "w_bound"])
+    def test_rejects_non_finite_entries(self, secv_plant, field, bad):
+        # a NaN w_bound would let _check_bound pass any |w|
+        fields = {"a1": secv_plant.a1.copy(), "a2": secv_plant.a2.copy(),
+                  "b": secv_plant.b.copy(), "w_bound": bad}
+        if field != "w_bound":
+            fields[field][-1, -1] = bad
+            fields["w_bound"] = secv_plant.w_bound
+        message = "disturbance bound" if field == "w_bound" else field
+        with pytest.raises(ValueError, match=f"{message} must be finite"):
+            PlantModel(dictionary=secv_plant.dictionary, **fields)
+
+    @pytest.mark.parametrize("problem", ["secV", "tri"])
+    def test_closed_loop_is_the_stepped_design(self, secv_plant, secv_set, secv_design,
+                                               problem):
+        # the (L, R) that verification checks is the plant stepped under the
+        # design's feedback u = k1 x + k2 r(x)
+        if problem == "secV":
+            plant, safe_set, (controller, _) = secv_plant, secv_set, secv_design
+        else:
+            plant, safe_set = tri_plant_and_set()
+            controller, _ = synthesis.synthesize_noiseless(tri_problem(60)[1], safe_set)
+        lin, rem = plant.closed_loop(controller)
+        box = interval_enclosure(safe_set)
+        for x in np.random.default_rng(5).uniform(box.lo, box.hi, size=(50, plant.state_dim)):
+            r = plant.dictionary.remainder(x)
+            np.testing.assert_allclose(
+                lin @ x + rem @ r, plant.step(x, controller.k1 @ x + controller.k2 @ r),
+                rtol=0, atol=1e-12)
 
     def test_closed_loop_identity(self, secv_plant):
         # step with the feedback law equals the linear/remainder decomposition

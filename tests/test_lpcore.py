@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from polysafe import lpcore, synthesis
-from polysafe.errors import MalformedProgramError, SolverStalledError, UnboundedSetError
+from polysafe.errors import (MalformedProgramError, NumericalInstabilityError, SolverStalledError,
+                             UnboundedSetError)
 from polysafe.lpcore import _TOL_COST, _TOL_PIVOT, _TOL_RAY, LinearProgram, LpStatus, polytope_maxima
 from polysafe.polytope import PolyhedralSet, enumerate_vertices, interval_enclosure
 
@@ -87,6 +88,46 @@ class TestBasics:
             lp.add_constraint({"x": 1.0}, "<<", 0.0)
         with pytest.raises(MalformedProgramError):
             lp.add_block("x", ())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_refused(self, bad):
+        # unchecked, a NaN right-hand side solved to OPTIMAL with a NaN
+        # residual, a NaN coefficient to UNBOUNDED and a NaN objective to
+        # OPTIMAL with a NaN objective; each is refused before it is kept
+        lp = LinearProgram()
+        lp.add_block("x", (2,))
+        with pytest.raises(MalformedProgramError, match="right-hand side"):
+            lp.add_constraint({"x": [1.0, 1.0]}, "<=", bad)
+        with pytest.raises(MalformedProgramError, match="rows for block 'x'"):
+            lp.add_constraint({"x": [1.0, bad]}, "<=", 1.0)
+        with pytest.raises(MalformedProgramError, match="rows for block 'x'"):
+            lp.add_constraint_rows({"x": [[1.0, 0.0], [0.0, bad]]}, "=", [1.0, 1.0])
+        with pytest.raises(MalformedProgramError, match="objective coefficients for block 'x'"):
+            lp.set_objective("max", {"x": [bad, 1.0]})
+        assert lp.n_constraints == 0
+        lp.add_constraint({"x": [1.0, 1.0]}, "<=", 1.0)
+        lp.add_constraint({"x": [-1.0, 0.0]}, "<=", 0.0)
+        lp.add_constraint({"x": [0.0, -1.0]}, "<=", 0.0)
+        out = lp.solve()  # the objective is still the default 0
+        assert out.status == LpStatus.OPTIMAL and out.objective == 0.0
+
+    def test_nan_residual_fails_replay(self, monkeypatch):
+        # a phase 2 that ends on a NaN right-hand side gives a NaN solution;
+        # its NaN residual must fail the replay gate, which a NaN compared
+        # with '>' would pass
+        simplex = lpcore._simplex
+
+        def corrupted(T, basis, c_ext, ray_tol=_TOL_RAY):
+            result = simplex(T, basis, c_ext, ray_tol)
+            T[:, -1] = np.nan
+            return result
+        monkeypatch.setattr(lpcore, "_simplex", corrupted)
+        lp = LinearProgram()
+        lp.add_block("x", (), nonneg=True)
+        lp.add_constraint({"x": 1.0}, "<=", 3.0)
+        lp.set_objective("max", {"x": 1.0})
+        with pytest.raises(NumericalInstabilityError, match="replay residual nan"):
+            lp.solve()
 
     def test_pivot_cap_is_a_stall(self, monkeypatch):
         # a well-formed program that reaches the pivot cap is a stall, which the

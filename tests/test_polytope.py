@@ -50,6 +50,16 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             PolyhedralSet([[1, 0], [0, 1]], [1, 1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["normals", "offsets"])
+    def test_rejects_non_finite_entries(self, field, bad):
+        # a NaN offset passes 'offsets <= 0' unnoticed, and a NaN normal
+        # makes every membership test false
+        normals, offsets = np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones(2)
+        (normals if field == "normals" else offsets)[1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PolyhedralSet(normals, offsets)
+
 
 class TestContains:
     """Single-point membership through ``membership_mask``."""
@@ -232,6 +242,14 @@ class TestEnclosure:
     def test_box_validation(self):
         with pytest.raises(ValueError):
             Box([1.0, 0.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["lo", "hi"])
+    def test_box_rejects_non_finite_bounds(self, field, bad):
+        bounds = {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+        bounds[field][0] = bad
+        with pytest.raises(ValueError, match="lo and hi must be finite"):
+            Box(**bounds)
 
 
 class TestGrid:

@@ -16,8 +16,8 @@ from polysafe.errors import (
 from polysafe.polytope import (PolyhedralSet, grid_resolution, interval_enclosure,
                                sample_points)
 
-from conftest import (SECV_F, SECV_G, duo_problem, grid_members, tri_plant_and_set,
-                      tri_problem)
+from conftest import (SECV_F, SECV_G, data_loop, duo_problem, grid_members, tri_plant_and_set,
+                      tri_problem, true_loop)
 
 
 def replay_certificate(data, safe_set, controller, cert):
@@ -270,8 +270,7 @@ class TestRobustDesign:
         true_rem = plant.a2 + plant.b @ controller.k2
         assert 0.0 < np.max(np.abs(true_rem)) < 0.05  # leakage, not cancellation
         report = verify.grid_reports(
-            controller, box_set, 0.98, w, (101, 101), dictionary,
-            sources=("true-model",), plant=plant)[0]
+            true_loop(plant, controller), box_set, 0.98, w, (101, 101), dictionary)[0]
         assert report.passed
         mc = verify.monte_carlo_invariance(plant, controller, box_set, 500, 100, seed=12)
         assert mc.violations == 0
@@ -355,8 +354,8 @@ class TestBaseline:
         safe_set, data = duo_variant([[-0.04, 0.0, -0.03], [1.0, 0.5, -0.5]])
         controller, cert = synthesis.synthesize_min_remainder(data, safe_set)
         assert cert.max_residual <= 1e-12
-        (report,) = verify.grid_reports(controller, safe_set, cert.contraction, 0.0,
-                                        (201, 201), data.dictionary, ("data-rep",), data=data)
+        (report,) = verify.grid_reports(data_loop(data, controller), safe_set, cert.contraction,
+                                        0.0, (201, 201), data.dictionary)
         assert report.passed, (float(np.max(report.row_margins)), report.violations)
 
     def test_unreachable_curvature_level_passes_the_data_grid(self):
@@ -370,8 +369,8 @@ class TestBaseline:
         assert cert.contraction <= 0.92
         assert np.max(cert.row_offsets) > 0.1
         assert_certificate_valid(data, safe_set, controller, cert)
-        (report,) = verify.grid_reports(controller, safe_set, cert.contraction, 0.0,
-                                        (1001, 1001), data.dictionary, ("data-rep",), data=data)
+        (report,) = verify.grid_reports(data_loop(data, controller), safe_set, cert.contraction,
+                                        0.0, (1001, 1001), data.dictionary)
         assert report.passed, (float(np.max(report.row_margins)), report.violations)
 
     def test_secv_finds_cancellation(self, secv_data, secv_set):
@@ -725,8 +724,8 @@ class TestRegularPolygons:
         assert abs(level - synthesis.synthesize_min_remainder(data, safe_set)[1].contraction) <= 1e-9
         assert_certificate_valid(data, safe_set, controller, cert)
         np.testing.assert_allclose(controller.k2, [[-1.0, -0.5, 0.5]], atol=1e-6)
-        report = verify.grid_reports(controller, safe_set, level + 1e-9, 0.0, (101, 101),
-                                     dictionary, sources=("true-model",), plant=plant)[0]
+        report = verify.grid_reports(true_loop(plant, controller), safe_set, level + 1e-9, 0.0,
+                                     (101, 101), dictionary)[0]
         assert report.passed
 
 

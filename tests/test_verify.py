@@ -9,10 +9,11 @@ import pytest
 
 from polysafe import polytope, synthesis, verify
 from polysafe.dynamics import CosM1Term, Dictionary, Monomial, PlantModel, SinTerm
-from polysafe.polytope import (PolyhedralSet, enumerate_vertices, grid_resolution,
-                               interval_enclosure, sample_points)
+from polysafe.polytope import (PolyhedralSet, enumerate_vertices, interval_enclosure,
+                               sample_points)
 
-from conftest import SECV_F, SECV_G, grid_members, tri_plant_and_set, tri_problem
+from conftest import (SECV_F, SECV_G, data_loop, grid_members, tri_plant_and_set, tri_problem,
+                      true_loop)
 
 
 def zero_controller(n_samples=40, n=2, n_terms=2, m=1):
@@ -156,16 +157,15 @@ class TestGridContractivity:
         plant = PlantModel(a1=np.zeros((2, 2)), a2=np.zeros((2, 2)),
                            b=np.zeros((2, 1)), dictionary=dictionary, w_bound=0.0)
         report = verify.grid_reports(
-            zero_controller(), secv_set, 0.05, 0.0, (41, 41), dictionary,
-            sources=("true-model",), plant=plant)[0]
+            true_loop(plant, zero_controller()), secv_set, 0.05, 0.0, (41, 41), dictionary)[0]
         assert report.passed
         assert np.all(report.row_margins <= -0.04)
 
     def test_secv_design_passes(self, secv_plant, secv_data, secv_set, secv_design):
         controller, _ = secv_design
         report = verify.grid_reports(
-            controller, secv_set, 0.95, 0.05, (201, 201), secv_plant.dictionary,
-            sources=("true-model",), plant=secv_plant)[0]
+            true_loop(secv_plant, controller), secv_set, 0.95, 0.05, (201, 201),
+            secv_plant.dictionary)[0]
         assert report.passed
         assert report.violations == 0
 
@@ -173,17 +173,17 @@ class TestGridContractivity:
                                              secv_design):
         controller, _ = secv_design
         rep_true = verify.grid_reports(
-            controller, secv_set, 0.95, 0.05, (101, 101), secv_plant.dictionary,
-            sources=("true-model",), plant=secv_plant)[0]
+            true_loop(secv_plant, controller), secv_set, 0.95, 0.05, (101, 101),
+            secv_plant.dictionary)[0]
         rep_data = verify.grid_reports(
-            controller, secv_set, 0.95, 0.05, (101, 101), secv_plant.dictionary,
-            sources=("data-rep",), data=secv_data)[0]
+            data_loop(secv_data, controller), secv_set, 0.95, 0.05, (101, 101),
+            secv_plant.dictionary)[0]
         assert np.max(np.abs(rep_true.row_margins - rep_data.row_margins)) <= 1e-8
 
     def test_unsafe_controller_fails_with_witnesses(self, secv_plant, secv_set):
         report = verify.grid_reports(
-            zero_controller(), secv_set, 0.95, 0.05, (41, 41), secv_plant.dictionary,
-            sources=("true-model",), plant=secv_plant)[0]
+            true_loop(secv_plant, zero_controller()), secv_set, 0.95, 0.05, (41, 41),
+            secv_plant.dictionary)[0]
         assert not report.passed
         assert report.violations > 0
         assert report.witnesses
@@ -191,23 +191,13 @@ class TestGridContractivity:
         for _, point, margin in report.witnesses:
             assert margin > verify.TOL_VERIFY
 
-    def test_requires_matching_source_argument(self, secv_set, secv_plant):
-        with pytest.raises(ValueError):
-            verify.grid_reports(
-                zero_controller(), secv_set, 0.95, 0.05, (11, 11),
-                secv_plant.dictionary, sources=("true-model",), plant=None)[0]
-        with pytest.raises(ValueError):
-            verify.grid_reports(
-                zero_controller(), secv_set, 0.95, 0.05, (11, 11),
-                secv_plant.dictionary, sources=("bogus",), plant=secv_plant)[0]
-
     def test_refinement_soundness_chain(self, secv_plant, secv_set, secv_design):
         # strict grid margins beyond the refinement bound certify the whole
         # set, which in turn implies zero Monte Carlo exits
         controller, _ = secv_design
         report = verify.grid_reports(
-            controller, secv_set, 0.95, 0.05, (201, 201), secv_plant.dictionary,
-            sources=("true-model",), plant=secv_plant)[0]
+            true_loop(secv_plant, controller), secv_set, 0.95, 0.05, (201, 201),
+            secv_plant.dictionary)[0]
         assert report.refinement_bound is not None
         assert np.max(report.row_margins) <= -report.refinement_bound
         mc = verify.monte_carlo_invariance(
@@ -222,15 +212,11 @@ class TestGridContractivity:
         monkeypatch.setattr(polytope, "_GRID_BLOCK", 150)
         monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
         controller, _ = secv_design
-        reports = verify.grid_reports(
-            controller, secv_set, 0.5, 0.05, (61, 61), secv_plant.dictionary,
-            plant=secv_plant, data=secv_data)
+        loops = {**true_loop(secv_plant, controller), **data_loop(secv_data, controller)}
+        reports = verify.grid_reports(loops, secv_set, 0.5, 0.05, (61, 61), secv_plant.dictionary)
         members = grid_members(secv_set, (61, 61))
         points = np.vstack([members, np.array(enumerate_vertices(secv_set))])
-        loops = [(secv_plant.linear_base() + secv_plant.b @ controller.k1,
-                  secv_plant.a2 + secv_plant.b @ controller.k2),
-                 (secv_data.next_states @ controller.g1, secv_data.next_states @ controller.g2)]
-        for report, (lin, rem) in zip(reports, loops):
+        for report, (lin, rem) in zip(reports, loops.values()):
             nxt = points @ lin.T + secv_plant.dictionary.remainder(points) @ rem.T
             margins = (nxt @ SECV_F.T + verify.disturbance_offsets(secv_set, 0.05)
                        - 0.5 * SECV_G)
@@ -246,16 +232,15 @@ class TestGridContractivity:
 
     def test_shared_points_match_own_grid(self, secv_plant, secv_data, secv_set,
                                           secv_design):
-        # the one pass over both sources gives each source's own report, bit for bit
+        # the one pass over both loops gives each loop's own report, bit for bit
         controller, _ = secv_design
+        loops = {**true_loop(secv_plant, controller), **data_loop(secv_data, controller)}
         for level in (0.95, 0.5):
-            shared = verify.grid_reports(controller, secv_set, level, 0.05, (41, 41),
-                                         secv_plant.dictionary, plant=secv_plant,
-                                         data=secv_data)
-            for source, report in zip(("true-model", "data-rep"), shared):
-                own = verify.grid_reports(controller, secv_set, level, 0.05, (41, 41),
-                                          secv_plant.dictionary, sources=(source,),
-                                          plant=secv_plant, data=secv_data)[0]
+            shared = verify.grid_reports(loops, secv_set, level, 0.05, (41, 41),
+                                         secv_plant.dictionary)
+            for (name, loop), report in zip(loops.items(), shared):
+                own = verify.grid_reports({name: loop}, secv_set, level, 0.05, (41, 41),
+                                          secv_plant.dictionary)[0]
                 assert report.method == own.method
                 np.testing.assert_array_equal(report.row_margins, own.row_margins)
                 assert report.violations == own.violations
@@ -279,12 +264,12 @@ class TestGridContractivity:
         controller, _ = secv_design
         monkeypatch.setattr(verify, "_MAX_WITNESSES", 10**6)
         members = len(grid_members(secv_set, (55, 55)))
+        loops = {**true_loop(secv_plant, controller), **data_loop(secv_data, controller)}
         reports = []
         for size in (7, 150, members - 1, 10**9):
             monkeypatch.setattr(polytope, "_GRID_BLOCK", size)
             reports.append(verify.grid_reports(
-                controller, secv_set, level, 0.05, (55, 55), secv_plant.dictionary,
-                plant=secv_plant, data=secv_data))
+                loops, secv_set, level, 0.05, (55, 55), secv_plant.dictionary))
         assert (reports[-1][0].violations > 0) == (level == 0.5)
         for blocked in reports[:-1]:
             for report, whole in zip(blocked, reports[-1]):
@@ -311,15 +296,12 @@ class TestGridContractivity:
         plant = PlantModel(a1=np.zeros((2, 2)), a2=np.zeros((2, 1)), b=np.zeros((2, 1)),
                            dictionary=dictionary, w_bound=0.0)
         tol = verify.TOL_VERIFY
-        args = (zero_controller(n_terms=1), safe_set, 0.0)
-        sources = ("true-model",)
-        at_tol = verify.grid_reports(*args, tol, (9, 9), dictionary, sources=sources,
-                                     plant=plant)[0]
+        args = (true_loop(plant, zero_controller(n_terms=1)), safe_set, 0.0)
+        at_tol = verify.grid_reports(*args, tol, (9, 9), dictionary)[0]
         assert not scans
         assert at_tol.violations == 0 and at_tol.passed
         np.testing.assert_array_equal(at_tol.row_margins, tol)
-        above = verify.grid_reports(*args, np.nextafter(tol, 1.0), (9, 9), dictionary,
-                                    sources=sources, plant=plant)[0]
+        above = verify.grid_reports(*args, np.nextafter(tol, 1.0), (9, 9), dictionary)[0]
         assert len(scans) == 13  # 12 grid blocks and the vertices
         assert above.violations == above.samples == 9 * 9 + 4
 
@@ -339,8 +321,8 @@ class TestGridContractivity:
         plant = PlantModel(a1=[[0.5, 0.0], [2e-104, 0.9]], a2=[[1.0, -1.0], [0.0, 0.0]],
                            b=np.zeros((2, 1)), dictionary=dictionary, w_bound=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            report = verify.grid_reports(zero_controller(), safe_set, 0.95, 0.0, (9, 9),
-                                         dictionary, sources=("true-model",), plant=plant)[0]
+            report = verify.grid_reports(true_loop(plant, zero_controller()), safe_set, 0.95,
+                                         0.0, (9, 9), dictionary)[0]
             vertices = polytope.sample_vertices(safe_set).T
             points = np.vstack([grid_members(safe_set, (9, 9)), vertices])
             nxt = points @ plant.a1.T + dictionary.remainder(points) @ plant.a2.T
@@ -364,8 +346,8 @@ class TestGridContractivity:
             plant = PlantModel(a1=0.5 * np.eye(dim), a2=np.zeros((dim, 1)),
                                b=np.zeros((dim, 1)), dictionary=dictionary, w_bound=0.0)
             controller = zero_controller(n=dim, n_terms=1)
-            report = verify.grid_reports(controller, safe_set, 0.6, 0.0, res, dictionary,
-                                         sources=("true-model",), plant=plant)[0]
+            report = verify.grid_reports(true_loop(plant, controller), safe_set, 0.6, 0.0, res,
+                                         dictionary)[0]
             vertices = 2 if dim == 1 else 0
             assert report.samples == int(np.prod(res)) + vertices
             # x+ = x / 2 peaks at 0.5 on the box, against 0.6 allowed
@@ -381,28 +363,12 @@ class TestGridContractivity:
         for res in ((41, 101, 101), (161, 101, 101)):
             tracemalloc.start()
             try:
-                verify.grid_reports(controller, safe_set, 0.95, 0.02, res, plant.dictionary,
-                                    sources=("true-model",), plant=plant)
+                verify.grid_reports(true_loop(plant, controller), safe_set, 0.95, 0.02, res,
+                                    plant.dictionary)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
-
-    def test_default_resolution_gives_finite_bound(self, secv_plant, secv_set, secv_design):
-        # resolution=None samples the default grid; the cell diagonal and the
-        # refinement bound must come from that same grid, not from NaN
-        controller, _ = secv_design
-        args = (controller, secv_set, 0.95, 0.05)
-        default = verify.grid_reports(*args, None, secv_plant.dictionary,
-                                      sources=("true-model",), plant=secv_plant)[0]
-        explicit = verify.grid_reports(*args, grid_resolution(secv_set.dim),
-                                       secv_plant.dictionary, sources=("true-model",),
-                                       plant=secv_plant)[0]
-        assert np.isfinite(default.cell_diagonal) and np.isfinite(default.refinement_bound)
-        assert default.samples == explicit.samples
-        assert default.cell_diagonal == explicit.cell_diagonal
-        assert default.refinement_bound == explicit.refinement_bound
-        np.testing.assert_array_equal(default.row_margins, explicit.row_margins)
 
 
 class TestMonteCarlo:
@@ -767,6 +733,8 @@ class TestMonteCarlo:
 
 
 class TestConservatism:
+    LUMPED = np.array([0.125, 0.125, 0.0625, 0.0625])  # a lumped bound per secV row
+
     def test_table_renders_both_methods(self, secv_data, secv_set, secv_design,
                                         secv_dictionary):
         # one row per design, in the map's order, each with its own numbers
@@ -792,7 +760,7 @@ class TestConservatism:
         # a method with no design is its status, in the row and in the table
         table = verify.conservatism_report(
             secv_set, secv_dictionary,
-            {"thm2": secv_design, "cor2": "solver-failed", "thm1": "unsupported"})
+            {"thm2": secv_design, "cor2": "solver-failed", "thm1": "unsupported"}, self.LUMPED)
         assert table.rows["thm1"] == "unsupported"
         assert table.rows["cor2"] == "solver-failed"
         lines = table.render().splitlines()
@@ -805,20 +773,22 @@ class TestConservatism:
         statuses = ["infeasible", "rank-deficient", "inconsistent-data", "unsupported",
                     "solver-failed"]
         designs = {"thm2": secv_design, **{f"m{i}": status for i, status in enumerate(statuses)}}
-        lines = verify.conservatism_report(secv_set, secv_dictionary, designs).render().splitlines()
+        lines = verify.conservatism_report(secv_set, secv_dictionary, designs,
+                                          self.LUMPED).render().splitlines()
 
         def ends(line, cell):
             return [match.end() for match in re.finditer(cell, line)]
 
         columns = ends(lines[0], r"\S+(?: \S+)*")   # "min level" and "max effort" hold a space
-        assert len(columns) == 4 and len(lines) == 2 + 1 + len(statuses)
-        for row in lines[2:]:
+        assert len(columns) == 4 and len(lines) == 2 + 1 + len(statuses) + 1
+        assert lines[-1].startswith("lumped")
+        for row in lines[2:-1]:
             assert ends(row, r"\S+")[1:] == columns[1:], row
 
     def test_deterministic(self, secv_set, secv_design, secv_dictionary):
         designs = {"thm2": secv_design, "cor2": "infeasible"}
-        t1 = verify.conservatism_report(secv_set, secv_dictionary, designs)
-        t2 = verify.conservatism_report(secv_set, secv_dictionary, designs)
+        t1 = verify.conservatism_report(secv_set, secv_dictionary, designs, self.LUMPED)
+        t2 = verify.conservatism_report(secv_set, secv_dictionary, designs, self.LUMPED)
         assert t1.render() == t2.render()
 
     @pytest.mark.parametrize("problem", ["secv", "tri"])
